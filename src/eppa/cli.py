@@ -80,7 +80,6 @@ def _config(args) -> Config:
         vertex_cap=args.vertex_cap,
         search_budget=args.budget,
         coherent=not args.no_coherent,
-        output=args.output,
     )
 
 

@@ -194,27 +194,23 @@ class EdgeLabelledGraph:
         """
         if self._dense is None:
             n = len(self.vertices)
-            if n > _DENSE_LIMIT:
-                self._dense = (None,)
+            spectrum = self.spectrum()
+            scale = 1
+            for s in spectrum:
+                scale = scale * s.denominator // math.gcd(scale, s.denominator)
+            biggest = int(spectrum[-1] * scale) if spectrum else 0
+            if n > _DENSE_LIMIT or biggest > (1 << 60) // max(n, 2):
+                self._dense = (None,)  # too large, or sums could overflow int64
             else:
-                scale = 1
-                for s in self.spectrum():
-                    scale = scale * s.denominator // math.gcd(scale, s.denominator)
                 index = {v: i for i, v in enumerate(self.vertices)}
                 mat = np.full((n, n), -1, dtype=np.int64)
                 np.fill_diagonal(mat, 0)
-                biggest = 0
                 for u, v, label in self.edges():
                     w = int(label * scale)
-                    if w > biggest:
-                        biggest = w
                     i, j = index[u], index[v]
                     mat[i, j] = w
                     mat[j, i] = w
-                if biggest and biggest > (1 << 60) // max(n, 2):
-                    self._dense = (None,)  # sums could overflow int64
-                else:
-                    self._dense = (index, mat, scale)
+                self._dense = (index, mat, scale)
         return None if self._dense == (None,) else self._dense
 
 

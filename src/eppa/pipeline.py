@@ -32,7 +32,6 @@ class Config:
     vertex_cap: int = 200_000
     search_budget: int = 10_000_000
     coherent: bool = True
-    output: str | None = None
 
 
 @dataclass(frozen=True)

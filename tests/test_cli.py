@@ -218,7 +218,10 @@ def test_verify_flags_tampering(tmp_path, capsys):
     assert "overall: FAIL" in out
     report = load_json(rpath)
     assert report["ok"] is False
-    assert any(c["name"] == "final-completion" and not c["passed"] for c in report["checks"])
+    tampered = [obj["final"]["vertices"][i] for i in obj["final"]["edges_ix"][0][:2]]
+    completion = next(c for c in report["checks"] if c["name"] == "final-completion")
+    assert not completion["passed"]
+    assert completion["counterexample"] == tampered
 
 
 # -- usage errors and config --------------------------------------------------------

@@ -115,6 +115,11 @@ def test_dense_matrix_scales_fractions_exactly():
 def test_dense_matrix_refuses_huge_graphs():
     g = EdgeLabelledGraph([f"v{i}" for i in range(4097)], [])
     assert g.dense_matrix() is None
+    # labels past int64 are refused before any is written to the matrix
+    big = 10**19
+    g = graph_from_triples(["x", "y", "z"], [("x", "y", big), ("x", "z", big), ("y", "z", 2 * big)])
+    assert g.dense_matrix() is None
+    assert is_metric_space(g)
 
 
 # -- partial maps -------------------------------------------------------------

@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import dataclasses
+from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from eppa import verifier
 from eppa import (
     BudgetExhausted,
     PartialMap,
@@ -15,10 +19,12 @@ from eppa import (
     graph_from_triples,
     naive_extension_exists,
     search_extension,
+    shortest_path_completion,
     verify_eppa,
 )
 from eppa.graphs import EdgeLabelledGraph
-from eppa.verifier import _enumerate_partial_isometries
+from eppa.verifier import _enumerate_partial_isometries, _label_matrix, _min_plus_closure, _scale
+from conftest import connected_graphs
 
 
 # -- extension search -----------------------------------------------------------
@@ -174,7 +180,22 @@ def test_tampered_final_label_is_caught(k2_witness):
     tampered = dataclasses.replace(w, final=EdgeLabelledGraph(w.final.vertices, edges))
     report = cross_check(tampered)
     assert not report.ok
-    assert failing(report, "final-completion")
+    pair = tuple(sorted((emb["a"], outside)))
+    offenders = failing(report, "final-completion")
+    assert offenders and offenders[0].counterexample == pair
+    assert not failing(report, "final-metric")
+
+    # one more unit breaks the triangle inequality through the third vertex
+    edges = [(u, v, d + 1 if (u, v) == pair else d) for u, v, d in edges]
+    report = cross_check(dataclasses.replace(w, final=EdgeLabelledGraph(w.final.vertices, edges)))
+    offenders = failing(report, "final-metric")
+    assert offenders and set(offenders[0].counterexample[:2]) == set(pair)
+
+
+def test_non_metric_input_is_caught(t112_witness, t113):
+    report = cross_check(dataclasses.replace(t112_witness, input=t113), search_limit=0)
+    offenders = failing(report, "input-metric")
+    assert offenders and offenders[0].counterexample == ("y", "z", "x")
 
 
 def test_tampered_component_is_caught(t112_witness):
@@ -185,6 +206,13 @@ def test_tampered_component_is_caught(t112_witness):
     report = cross_check(dataclasses.replace(w, component=smaller))
     assert not report.ok
     assert failing(report, "component")
+
+    # a vertex the top level does not have is a failed check, not an exception
+    foreign = w.component + ("nowhere;",)
+    report = cross_check(dataclasses.replace(w, component=foreign), search_limit=0)
+    assert not report.ok
+    for name in ("component", "final-completion", "extension-replay"):
+        assert failing(report, name)
 
 
 def test_tampered_embedding_is_caught(t112_witness):
@@ -207,3 +235,97 @@ def test_tampered_subset_level_is_caught(t112_witness):
     assert not report.ok
     offenders = failing(report, "subset-edge-rule")
     assert offenders and offenders[0].counterexample is not None
+
+
+# -- the replay check judges the operator's output itself ------------------------------
+
+
+def _break_one_label(w, theta):
+    """Swap the images of two vertices outside the copy that some third
+    vertex tells apart; the result is still a bijection extending the map."""
+    emb_image = set(w.final_embedding.image())
+    free = [v for v in w.final.vertices if v not in emb_image]
+    for i, u in enumerate(free):
+        for v in free[i + 1:]:
+            if any(w.final.label(u, z) != w.final.label(v, z)
+                   for z in w.final.vertices if z not in (u, v)):
+                table = dict(theta.items())
+                table[u], table[v] = table[v], table[u]
+                return PartialMap(table)
+    raise AssertionError("every pair outside the copy is a pair of twins")
+
+
+def _drop_one_vertex(w, theta):
+    emb_image = set(w.final_embedding.image())
+    dropped = next(v for v in w.final.vertices if v not in emb_image)
+    return PartialMap((u, v) for u, v in theta.items() if u != dropped)
+
+
+# The two-point witness's final space is an equilateral triangle, where every
+# bijection keeps every label, so only the missing vertex can be planted there.
+@pytest.mark.parametrize(
+    "fixture,defect",
+    [
+        ("k2_witness", _drop_one_vertex),
+        ("t112_witness", _drop_one_vertex),
+        ("t112_witness", _break_one_label),
+    ],
+    ids=["k2-missing-vertex", "t112-missing-vertex", "t112-broken-label"],
+)
+def test_replay_rejects_a_defective_extension(request, monkeypatch, fixture, defect):
+    w = request.getfixturevalue(fixture)
+    real = verifier.extend_isometry
+    asked = []
+
+    def defective(witness, phi):
+        asked.append(phi)
+        return defect(witness, real(witness, phi))
+
+    monkeypatch.setattr(verifier, "extend_isometry", defective)
+    report = cross_check(w, search_limit=0)
+    offenders = failing(report, "extension-replay")
+    assert offenders and offenders[0].counterexample == asked[-1]
+    assert len(asked) == 1  # the first replayed map, the empty one, already fails
+    assert [r.name for r in report.results if not r.passed] == ["extension-replay"]
+
+
+# -- labels past int64 -----------------------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(connected_graphs(max_vertices=6))
+def test_min_plus_closure_matches_the_completion(g):
+    # the factor pushes the labels past int64, onto Python ints
+    for factor in (1, 10**19):
+        scaled = EdgeLabelledGraph(g.vertices, [(u, v, d * factor) for u, v, d in g.edges()])
+        scale = _scale(scaled)
+        _, mat = _label_matrix(scaled, scale)
+        assert mat.dtype == (object if factor > 1 else np.int64)
+        _, want = _label_matrix(shortest_path_completion(scaled), scale)
+        assert (_min_plus_closure(mat) == want).all()
+
+
+
+@pytest.mark.parametrize("denominator", [1, 3])
+def test_labels_past_int64_build_and_verify_exactly(denominator):
+    big = Fraction(10**19, denominator)
+    a = graph_from_triples(
+        ["x", "y", "z"], [("x", "y", big), ("x", "z", big), ("y", "z", 2 * big)]
+    )
+    w = build_witness(a)
+    assert _label_matrix(w.final, _scale(w.final))[1].dtype == object
+    # the extension search compares Fraction labels and is not what this
+    # test is about, so it is skipped to keep the test quick
+    report = cross_check(w, search_limit=0)
+    assert report.ok
+    assert not failing(report, "final-completion")
+
+    u, v, d = w.final.edges()[0]
+    bumped = EdgeLabelledGraph(
+        w.final.vertices,
+        [(p, q, e + Fraction(1, 10**19) if (p, q) == (u, v) else e)
+         for p, q, e in w.final.edges()],
+    )
+    report = cross_check(dataclasses.replace(w, final=bumped), search_limit=0)
+    offenders = failing(report, "final-completion")
+    assert offenders and offenders[0].counterexample == (u, v)
