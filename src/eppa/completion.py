@@ -149,65 +149,80 @@ def _cycle_witness(path: list[str], long_edge: tuple[str, str], deficit: Fractio
 def find_induced_nonmetric_cycles(g: EdgeLabelledGraph, size: int) -> list[CycleWitness]:
     """All vertex sets of the given size on which g induces a non-metric cycle.
 
-    Enumeration is anchored at the long edge: for each edge, depth-first
-    search for the unique short path that would close an induced cycle with a
-    strictly smaller total.  Each qualifying set is found exactly once; the
-    result is sorted by vertex set.  Exhaustive, no budget.
+    Enumeration is anchored at the long edge: every edge is searched by
+    `induced_nonmetric_cycles_at`.  A non-metric cycle has exactly one long
+    edge, so each qualifying set is found exactly once; the result is sorted
+    by vertex set.  Exhaustive, no budget.
     """
     if size < 3:
         raise ValueError("cycles have at least 3 vertices")
-    spectrum = g.spectrum()
-    if not spectrum:
-        return []
-    smallest = spectrum[0]
-    need = size - 1  # edges on the short side
     found: list[tuple[tuple[str, ...], CycleWitness]] = []
-
-    for u, v, long_label in g.edges():
-        if long_label <= need * smallest:
-            continue
-        adj_v = g.adjacency(v)
-        path = [u]
-        on_path = {u}
-
-        def grow(last: str, total: Fraction, used: int) -> None:
-            remaining = need - used
-            if remaining == 1:
-                closing = adj_v.get(last)
-                if closing is not None and total + closing < long_label:
-                    cycle = path + [v]
-                    deficit = long_label - (total + closing)
-                    found.append((tuple(sorted(cycle)), _cycle_witness(cycle, (u, v), deficit)))
-                return
-            floor = (remaining - 1) * smallest
-            for label, bucket in g.neighbors_by_label(last).items():
-                if total + label + floor >= long_label:
-                    continue
-                for w in bucket:
-                    if w == v or w in on_path:
-                        continue
-                    # induced: w may touch the path only at its predecessor,
-                    # and may touch v only as the final intermediate
-                    row = g.adjacency(w)
-                    if remaining > 2 and v in row:
-                        continue
-                    ok = True
-                    for p in path:
-                        if p != last and p in row:
-                            ok = False
-                            break
-                    if not ok:
-                        continue
-                    path.append(w)
-                    on_path.add(w)
-                    grow(w, total + label, used + 1)
-                    path.pop()
-                    on_path.remove(w)
-
-        grow(u, Fraction(0), 0)
-
+    for u, v, _ in g.edges():
+        for w in induced_nonmetric_cycles_at(g, u, v, size):
+            found.append((tuple(sorted(w.vertices)), w))
     found.sort(key=lambda pair: pair[0])
     return [witness for _, witness in found]
+
+
+def induced_nonmetric_cycles_at(
+    g: EdgeLabelledGraph, u: str, v: str, size: int
+) -> list[CycleWitness]:
+    """The induced non-metric cycles on `size` vertices whose long edge is
+    the edge u-v, in search order.
+
+    Depth-first search from u for the short paths that close an induced
+    cycle at v with a strictly smaller total; each cycle is found once and
+    its witness names (u, v) as the long edge.
+    """
+    if size < 3:
+        raise ValueError("cycles have at least 3 vertices")
+    long_label = g.label(u, v)
+    if long_label is None:
+        raise ValueError(f"({u!r}, {v!r}) is not an edge")
+    smallest = g.spectrum()[0]
+    need = size - 1  # edges on the short side
+    found: list[CycleWitness] = []
+    if long_label <= need * smallest:
+        return found
+    adj_v = g.adjacency(v)
+    path = [u]
+    on_path = {u}
+
+    def grow(last: str, total: Fraction, used: int) -> None:
+        remaining = need - used
+        if remaining == 1:
+            closing = adj_v.get(last)
+            if closing is not None and total + closing < long_label:
+                deficit = long_label - (total + closing)
+                found.append(_cycle_witness(path + [v], (u, v), deficit))
+            return
+        floor = (remaining - 1) * smallest
+        for label, bucket in g.neighbors_by_label(last).items():
+            if total + label + floor >= long_label:
+                continue
+            for w in bucket:
+                if w == v or w in on_path:
+                    continue
+                # induced: w may touch the path only at its predecessor,
+                # and may touch v only as the final intermediate
+                row = g.adjacency(w)
+                if remaining > 2 and v in row:
+                    continue
+                ok = True
+                for p in path:
+                    if p != last and p in row:
+                        ok = False
+                        break
+                if not ok:
+                    continue
+                path.append(w)
+                on_path.add(w)
+                grow(w, total + label, used + 1)
+                path.pop()
+                on_path.remove(w)
+
+    grow(u, Fraction(0), 0)
+    return found
 
 
 def has_nonmetric_cycle_up_to(

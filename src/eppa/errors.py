@@ -32,13 +32,28 @@ class DisconnectedGraph(EppaError):
 
 
 class VertexCapExceeded(EppaError):
-    """A construction would exceed the configured vertex cap."""
+    """A construction would exceed the configured vertex cap.
 
-    def __init__(self, stage: str, needed: int, cap: int):
+    It would need `needed * 2**exponent` vertices.  The message never writes
+    out a huge count in decimal: such a size reads as base * 2^exponent.
+    """
+
+    def __init__(self, stage: str, needed: int, cap: int, exponent: int = 0):
         self.stage = stage
         self.needed = needed
+        self.exponent = exponent
         self.cap = cap
-        super().__init__(f"{stage}: needs {needed} vertices, cap is {cap}")
+        size = _format_size(needed, exponent)
+        super().__init__(f"{stage}: needs {size} vertices, cap is {cap}")
+
+
+def _format_size(base: int, exponent: int) -> str:
+    if not exponent and base.bit_length() > 64:
+        exponent = (base & -base).bit_length() - 1
+        base >>= exponent
+    if base.bit_length() > 64:
+        return f"at least 2^{base.bit_length() - 1 + exponent}"
+    return f"{base} * 2^{exponent}" if exponent else str(base)
 
 
 class BudgetExhausted(EppaError):

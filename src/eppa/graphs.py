@@ -105,6 +105,31 @@ class EdgeLabelledGraph:
         self._spectrum = None
         self._dense = None
 
+    def renamed(self, names: Mapping[str, str]) -> "EdgeLabelledGraph":
+        """The same graph with every vertex v called names[v].
+
+        A trusted copy for derived graphs: the label objects and the cached
+        spectrum are shared and nothing is re-validated, so the new names
+        must be valid ids; they are checked only for being distinct.  Each
+        name string is stored once, in `vertices` and as adjacency keys.
+        """
+        g = object.__new__(EdgeLabelledGraph)
+        g.vertices = tuple(sorted(names[v] for v in self.vertices))
+        g._vertex_set = frozenset(g.vertices)
+        if len(g._vertex_set) != len(g.vertices):
+            raise GraphFormatError("renaming maps two vertices to one name")
+        g._adj = {
+            names[u]: {names[v]: label for v, label in row.items()}
+            for u, row in self._adj.items()
+        }
+        g.edge_count = self.edge_count
+        g._edge_list = None
+        g._nbrs = {}
+        g._by_label = {}
+        g._spectrum = self.spectrum()
+        g._dense = None
+        return g
+
     # -- basic queries ---------------------------------------------------
 
     def __contains__(self, vertex: str) -> bool:

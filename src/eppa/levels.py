@@ -8,17 +8,35 @@ must disagree.  Walking any bad cycle then forces a bit to both flip and stay
 equal, so level i+1 induces no non-metric cycle on i+1 or fewer vertices,
 while a fixed copy of the original space and the extendability of its partial
 automorphisms are both carried upward.
+
+A level with no bad sets is a renamed copy of the level below: x becomes
+"x;", its only (empty) valuation (`next_level_copy`).  While every level so
+far is such a copy, the tower is decided on the subset graph B0 alone
+(`representative_bad_counts`, `bad_sets_per_vertex`):
+
+- Token permutations are automorphisms of B0.  They act transitively on its
+  vertices and on the ordered pairs of vertices sharing c tokens, so on the
+  edges of each label, in both directions.
+- A non-metric cycle has exactly one long edge.  So every edge of label l is
+  the long edge of the same number r_l of bad L-sets, and one anchored
+  search from a single representative edge per label is exact: B0 has
+  T = sum_l E_l * r_l bad L-sets (E_l edges carry label l), and each vertex
+  lies in exactly L * T / |V| of them.
+- Levels 3..L-1 are copies of B0, so the search on B0 answers for level
+  L-1 too.  The first level with bad sets is built by the general
+  expansion, and so is every level above it: it is no longer a copy of B0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from .completion import CycleWitness, find_induced_nonmetric_cycles
+from .completion import CycleWitness, find_induced_nonmetric_cycles, induced_nonmetric_cycles_at
 from .errors import GraphFormatError, InvalidMap, NotAMetricSpace, VertexCapExceeded
 from .graphs import EdgeLabelledGraph, PartialMap, check_map, induced_subgraph, is_metric_space
 
@@ -71,6 +89,36 @@ def bad_sets(g: EdgeLabelledGraph, cycle_size: int) -> tuple[BadSet, ...]:
     for w in find_induced_nonmetric_cycles(g, cycle_size):
         out.append(BadSet(members=frozenset(w.vertices), long_edge=w.long_edge, cycle=w))
     return tuple(out)
+
+
+def representative_bad_counts(b0: EdgeLabelledGraph, size: int) -> dict[Fraction, int]:
+    """Label -> number of bad sets of the given size whose long edge is the
+    representative edge of that label.
+
+    The representative edge of a label joins the first vertex of b0 to its
+    first neighbour at that label.  On a subset graph every edge of the label
+    is the long edge of as many bad sets (see the module docstring).
+    """
+    x0 = b0.vertices[0]
+    counts = {}
+    for label, bucket in b0.neighbors_by_label(x0).items():
+        u, v = sorted((x0, bucket[0]))
+        counts[label] = len(induced_nonmetric_cycles_at(b0, u, v, size))
+    return counts
+
+
+def bad_sets_per_vertex(b0: EdgeLabelledGraph, size: int) -> int:
+    """Number of bad sets of the given size through each vertex of a subset
+    graph, from one anchored search per label.
+
+    With r_l bad sets at the representative edge of label l and deg_l the
+    l-neighbours of a vertex (C(k,c) * C(m-k,k-c) for the label of rank c),
+    b0 has T = |V| * sum_l deg_l * r_l / 2 bad sets, and each vertex lies in
+    size * T / |V| of them.
+    """
+    by_label = b0.neighbors_by_label(b0.vertices[0])
+    counts = representative_bad_counts(b0, size)
+    return size * sum(len(by_label[label]) * r for label, r in counts.items()) // 2
 
 
 def level_vertex_id(base: str, bits: Iterable[int]) -> str:
@@ -190,6 +238,24 @@ def build_next_level(
         base_embedding=PartialMap(embedding),
         projection=projection,
         bad_sets=bad,
+    )
+
+
+def next_level_copy(prev: LevelGraph) -> LevelGraph:
+    """The next level when the level below has no bad sets of the next size.
+
+    This is what `build_next_level` returns then, built without a search:
+    every vertex x becomes x with the empty valuation, edges and labels are
+    kept.  One id string per vertex is shared by the graph, the projection
+    and the embedding.
+    """
+    names = {x: level_vertex_id(x, ()) for x in prev.graph.vertices}
+    return LevelGraph(
+        graph=prev.graph.renamed(names),
+        level=prev.level + 1,
+        base_embedding=PartialMap({a: names[x] for a, x in prev.base_embedding.items()}),
+        projection={vid: x for x, vid in names.items()},
+        bad_sets=(),
     )
 
 

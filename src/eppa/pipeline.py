@@ -5,6 +5,17 @@ finite metric space B containing an isometric copy of A such that every
 partial isometry of the copy extends to a full isometry of B, and keeps
 every intermediate object needed to replay those extensions explicitly
 (`extend_isometry`).
+
+The tower C3..CN is decided on the subset graph B0 for as long as it stays
+trivial.  Token permutations act on B0 transitively on the edges of each
+label, so whether B0 has a bad L-set, and how many bad L-sets pass through
+each vertex, follows from one anchored search per label (see `levels`).
+While no level so far has bad sets, every level is a renamed copy of B0 and
+the search on B0 answers for the level below L too; a clean level is then
+built as such a copy, without a search.  The first level with bad sets is
+refused at once when its predicted size |V| * 2^c exceeds the vertex cap,
+and otherwise built by `build_next_level` with a full search, as is every
+level above it.
 """
 
 from __future__ import annotations
@@ -12,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .completion import shortest_path_completion
-from .errors import GraphFormatError, InvalidMap, NotAMetricSpace
+from .errors import GraphFormatError, InvalidMap, NotAMetricSpace, VertexCapExceeded
 from .graphs import (
     EdgeLabelledGraph,
     PartialMap,
@@ -21,7 +32,15 @@ from .graphs import (
     is_metric_space,
     is_partial_automorphism,
 )
-from .levels import LevelGraph, _automorphism_ok, build_next_level, compute_flip_set, lift_automorphism
+from .levels import (
+    LevelGraph,
+    _automorphism_ok,
+    bad_sets_per_vertex,
+    build_next_level,
+    compute_flip_set,
+    lift_automorphism,
+    next_level_copy,
+)
 from .setrep import SetAssignment, build_eppa_graph, build_set_assignment, extend_by_permutation, subset_automorphism
 
 
@@ -105,8 +124,24 @@ def build_witness(a: EdgeLabelledGraph, config: Config | None = None) -> Witness
         )
     ]
     n = compute_N(a)
-    for _ in range(2, n):
+    for size in range(3, n + 1):
         prev = levels[-1]
+        if not any(lvl.bad_sets for lvl in levels):  # every level is a copy of B0
+            per_vertex = bad_sets_per_vertex(base_graph, size)
+            if not per_vertex:
+                levels.append(next_level_copy(prev))
+                continue
+            # every vertex gets 2**per_vertex copies: refuse before listing
+            if (
+                per_vertex >= config.vertex_cap.bit_length()
+                or len(base_graph) << per_vertex > config.vertex_cap
+            ):
+                raise VertexCapExceeded(
+                    f"level {size} (valuation expansion)",
+                    len(base_graph),
+                    config.vertex_cap,
+                    exponent=per_vertex,
+                )
         levels.append(
             build_next_level(prev, prev.base_embedding.image(), vertex_cap=config.vertex_cap)
         )

@@ -5,11 +5,14 @@ brute-forces the extension property itself on small spaces.  The distance
 checks (metric, completion, replayed isometries) run on an exact integer
 label matrix built here (`_label_matrix`), and the completion is recomputed
 by a local min-plus closure, so a bug in the construction's completion or
-automorphism tests cannot vouch for itself.  Three pieces of construction
-code are still called: `levels.bad_sets` to recompute the stored bad sets,
-`completion.has_nonmetric_cycle_up_to` for the short-cycle checks, and
-`extend_isometry`, the operator under test, whose results are judged here.
-Vertex ids are read with the construction's id parsers.
+automorphism tests cannot vouch for itself.  The extension search compares
+labels on the same kind of matrix.  Three pieces of construction code are
+still called: `levels.bad_sets` to recompute the stored bad sets (the full
+scan over every edge; the construction's one-search-per-label shortcut is
+not used here), `completion.has_nonmetric_cycle_up_to` for the short-cycle
+checks, run once per level, and `extend_isometry`, the operator under test,
+whose results are judged here.  Vertex ids are read with the construction's
+id parsers.
 """
 
 from __future__ import annotations
@@ -180,8 +183,10 @@ def _enumerate_partial_isometries(
                     yield PartialMap(f)
 
 
-def _label_signature(g: EdgeLabelledGraph, v: str):
-    return tuple(sorted(g.adjacency(v).values()))
+def _label_rows(b: EdgeLabelledGraph) -> list[list[int]]:
+    """Rows of b's exact integer label matrix as Python lists, for the
+    extension search's scalar lookups."""
+    return _label_matrix(b, _scale(b))[1].tolist()
 
 
 def search_extension(
@@ -194,35 +199,47 @@ def search_extension(
     ones) and tries images in sorted order; since forced moves are shared by
     every completion, a successful search still returns the lexicographically
     least extension.  Every attempted assignment counts against the budget;
-    exceeding it raises BudgetExhausted instead of guessing.
+    exceeding it raises BudgetExhausted instead of guessing.  Labels are
+    compared on the integer label matrix.
     """
     for v in list(phi.domain()) + list(phi.image()):
         if v not in b:
             raise UnknownVertex(f"unknown vertex {v!r}")
     if not _distances_ok(phi, b):
         return None
+    return _search_extension(b, _label_rows(b), phi, budget)
 
-    verts = list(b.vertices)
-    assigned: dict[str, str] = dict(phi.items())
-    used: set[str] = set(phi.image())
-    signature = {v: _label_signature(b, v) for v in verts}
-    cand: dict[str, set[str]] = {}
-    for v in verts:
+
+def _search_extension(
+    b: EdgeLabelledGraph, rows: list[list[int]], phi: PartialMap, budget: int
+) -> PartialMap | None:
+    """`search_extension` on vertex indices, given b's label rows and a phi
+    already known to keep distances."""
+    verts = b.vertices
+    index = {v: i for i, v in enumerate(verts)}
+    n = len(verts)
+    assigned: dict[int, int] = {index[u]: index[w] for u, w in phi.items()}
+    used = set(assigned.values())
+    classes: dict[tuple[int, ...], int] = {}  # sorted row -> class number
+    signature = [classes.setdefault(tuple(sorted(row)), len(classes)) for row in rows]
+    cand: dict[int, set[int]] = {}
+    for v in range(n):
         if v in assigned:
             continue
+        row_v = rows[v]
         opts = {
             w
-            for w in verts
+            for w in range(n)
             if w not in used
             and signature[w] == signature[v]
-            and all(b.label(v, u) == b.label(w, img) for u, img in assigned.items())
+            and all(row_v[u] == rows[w][img] for u, img in assigned.items())
         }
         if not opts:
             return None
         cand[v] = opts
 
     spent = 0
-    trail: list[tuple[str, str]] = []
+    trail: list[tuple[int, int]] = []
 
     def undo(mark: int) -> None:
         while len(trail) > mark:
@@ -232,7 +249,7 @@ def search_extension(
     def place() -> bool:
         nonlocal spent
         pick = None
-        for v in verts:
+        for v in range(n):
             if v in assigned:
                 continue
             k = len(cand[v])
@@ -247,6 +264,7 @@ def search_extension(
             return True
         v = pick
         opts_v = cand.pop(v)
+        row_v = rows[v]
         for w in sorted(opts_v):
             spent += 1
             if spent > budget:
@@ -256,9 +274,10 @@ def search_extension(
             used.add(w)
             mark = len(trail)
             alive = True
+            row_w = rows[w]
             for u, opts in cand.items():
-                lab = b.label(u, v)
-                dead = [w2 for w2 in opts if w2 == w or b.label(w2, w) != lab]
+                lab = row_v[u]
+                dead = [w2 for w2 in opts if w2 == w or row_w[w2] != lab]
                 for w2 in dead:
                     opts.remove(w2)
                     trail.append((u, w2))
@@ -275,7 +294,7 @@ def search_extension(
 
     if not place():
         return None
-    return PartialMap(assigned)
+    return PartialMap({verts[v]: verts[w] for v, w in assigned.items()})
 
 
 def naive_extension_exists(b: EdgeLabelledGraph, phi: PartialMap) -> bool:
@@ -313,10 +332,11 @@ def verify_eppa(
             raise UnknownVertex(f"unknown vertex {v!r}")
     limit = len(copy) if max_domain is None else max_domain
     report = VerificationReport()
+    rows = _label_rows(b)
     for j, phi in enumerate(_enumerate_partial_isometries(b, copy, limit)):
         shown = dict(phi.items())
         try:
-            found = search_extension(b, phi, budget=budget)
+            found = _search_extension(b, rows, phi, budget)
         except BudgetExhausted as exc:
             report.add(f"extends-{j}", False, f"{exc} on {shown}", skipped=True,
                        counterexample=phi)
@@ -443,7 +463,10 @@ def _expected_anchor_bit(m, x: str, copy: set[str]) -> int:
     return 0
 
 
-def _check_transition(report: VerificationReport, w: Witness, idx: int) -> None:
+def _check_transition(report: VerificationReport, w: Witness, idx: int):
+    """Re-derive level idx from the level below it.  Returns the short-cycle
+    search it ran on the level, as ((size, budget), outcome), or None when
+    it stopped before that search."""
     below, lvl = w.levels[idx - 1], w.levels[idx]
     tag = f"level-{lvl.level}"
     from .levels import bad_sets  # thin wrapper over the cycle finder
@@ -451,7 +474,7 @@ def _check_transition(report: VerificationReport, w: Witness, idx: int) -> None:
     expected_bad = bad_sets(below.graph, lvl.level)
     if expected_bad != lvl.bad_sets:
         report.add(f"{tag}-bad-sets", False, "stored bad sets differ from recomputation")
-        return
+        return None
     report.add(f"{tag}-bad-sets", True, f"{len(expected_bad)} bad sets")
 
     member: dict[str, list[int]] = {x: [] for x in below.graph.vertices}
@@ -518,14 +541,34 @@ def _check_transition(report: VerificationReport, w: Witness, idx: int) -> None:
                 break
     report.add(f"{tag}-anchors", emb_ok)
 
+    search = (lvl.level, w.config.search_budget)
+    outcome = _short_cycle_search(lvl.graph, *search)
+    _report_short_cycles(report, f"{tag}-no-short-bad-cycles", outcome)
+    return search, outcome
+
+
+_ShortCycleOutcome = tuple[object, "BudgetExhausted | None"]
+
+
+def _short_cycle_search(g: EdgeLabelledGraph, size: int, budget: int) -> _ShortCycleOutcome:
+    """(first non-metric cycle on at most `size` vertices or None, and the
+    BudgetExhausted that stopped the search or None)."""
     try:
-        cycle = has_nonmetric_cycle_up_to(lvl.graph, lvl.level, budget=w.config.search_budget)
+        return has_nonmetric_cycle_up_to(g, size, budget=budget), None
     except BudgetExhausted as exc:
+        return None, exc
+
+
+def _report_short_cycles(
+    report: VerificationReport, name: str, outcome: _ShortCycleOutcome
+) -> None:
+    cycle, exhausted = outcome
+    if exhausted is not None:
         report.budget_exhausted = True
-        report.add(f"{tag}-no-short-bad-cycles", False, str(exc), skipped=True)
+        report.add(name, False, str(exhausted), skipped=True)
     else:
         report.add(
-            f"{tag}-no-short-bad-cycles",
+            name,
             cycle is None,
             "" if cycle is None else f"non-metric cycle on {cycle.vertices}",
             counterexample=cycle,
@@ -548,22 +591,19 @@ def cross_check(w: Witness, budget: int = 10_000_000, search_limit: int = 150) -
     if w.levels:
         if w.set_assignment is not None:
             _check_subset_level(report, w)
+        top_search = None
         for idx in range(1, len(w.levels)):
-            _check_transition(report, w, idx)
+            top_search = _check_transition(report, w, idx)
             report.count("level_transitions_checked")
         top = w.levels[-1]
-        try:
-            cycle = has_nonmetric_cycle_up_to(top.graph, w.n, budget=budget) if w.n >= 3 else None
-        except BudgetExhausted as exc:
-            report.budget_exhausted = True
-            report.add("top-level-no-bad-cycles", False, str(exc), skipped=True)
+        # the last transition's search is this one when size and budget agree
+        if w.n < 3:
+            outcome = (None, None)
+        elif top_search is not None and top_search[0] == (w.n, budget):
+            outcome = top_search[1]
         else:
-            report.add(
-                "top-level-no-bad-cycles",
-                cycle is None,
-                "" if cycle is None else f"non-metric cycle on {cycle.vertices}",
-                counterexample=cycle,
-            )
+            outcome = _short_cycle_search(top.graph, w.n, budget)
+        _report_short_cycles(report, "top-level-no-bad-cycles", outcome)
 
         comp = set(w.component)
         seeds = set(top.base_embedding.image())

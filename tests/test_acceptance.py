@@ -11,6 +11,7 @@ the library's own validation paths.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import math
 import random
@@ -116,6 +117,24 @@ def test_criterion_1_end_to_end(fixture_witnesses, name, factory, limit, n_maps)
     elapsed = build_seconds + (time.perf_counter() - t0)
     assert elapsed < limit, f"{name}: {elapsed:.1f}s over the {limit:.0f}s target"
     print(f"[criterion 1] PASS {name}: {n_maps} partial isometries extended in {elapsed:.1f}s")
+
+
+# sha256 of each fixture's witness file, recorded when every tower level was
+# built by `build_next_level`; the JSON must stay byte-identical.  The text is
+# the one `dump_json` writes, made in memory because writing the 19 MB
+# triangle-123 witness chunk by chunk takes seconds.
+FIXTURE_DIGESTS = {
+    "two-point": "c874f8cb41cbda0765bdcdfc79cdd2c5fd52ae037de4738979085d5b367ecd95",
+    "triangle-112": "ada73302fdb7b51476bbab2e2b41c6886c9c230c7856084994b4adac808bdd0f",
+    "triangle-123": "10c0b8a325e6e8a61439d825f6b43a984e7fd328ed4bc1e68f98cebe7bc83f7b",
+    "four-point": "9e2b20d8f34f148071c2016357186d6b38fff5ef493d3aa779a49cf6b9fd0443",
+}
+
+
+def test_fixture_witnesses_are_byte_identical(fixture_witnesses):
+    for name, (_, w, _) in fixture_witnesses.items():
+        text = json.dumps(witness_to_json(w), indent=None, separators=(",", ":")) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == FIXTURE_DIGESTS[name], name
 
 
 # -- criterion 2: the one-step construction alone on random graphs -----------------

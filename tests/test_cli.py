@@ -3,8 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import time
 
 import pytest
+
+import eppa
 
 from eppa.cli import main
 from eppa.fileio import (
@@ -18,6 +24,8 @@ from eppa.fileio import (
 from eppa import cross_check
 
 from conftest import make_k2, make_t112, make_t113, make_path2
+
+SRC = os.path.dirname(os.path.dirname(eppa.__file__))
 
 
 def write_graph(tmp_path, name, g):
@@ -222,6 +230,28 @@ def test_verify_flags_tampering(tmp_path, capsys):
     completion = next(c for c in report["checks"] if c["name"] == "final-completion")
     assert not completion["passed"]
     assert completion["counterexample"] == tampered
+
+
+def test_witness_refuses_an_unbuildable_tower_at_once(tmp_path):
+    # (1,4,4): B0 is clean at size 3, but every vertex lies in 16,000 bad
+    # 4-sets, so level 4 would need 252 * 2^16000 vertices
+    g = graph_from_json(
+        {"vertices": ["x", "y", "z"], "edges": [["x", "y", "1"], ["x", "z", "4"], ["y", "z", "4"]]}
+    )
+    src = write_graph(tmp_path, "g.json", g)
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    t0 = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "eppa.cli", "witness", src, "--output", str(tmp_path / "w.json")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    elapsed = time.perf_counter() - t0
+    assert done.returncode == 2, done.stderr
+    assert "Traceback" not in done.stderr
+    assert "level 4 (valuation expansion): needs 252 * 2^16000 vertices" in done.stderr
+    assert elapsed < 30, f"refused after {elapsed:.1f}s"
+    assert not (tmp_path / "w.json").exists()
 
 
 # -- usage errors and config --------------------------------------------------------

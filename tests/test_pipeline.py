@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 
 import pytest
@@ -12,6 +13,7 @@ from eppa import (
     InvalidMap,
     NotAMetricSpace,
     PartialMap,
+    VertexCapExceeded,
     build_witness,
     check_map,
     compute_N,
@@ -20,6 +22,8 @@ from eppa import (
     graph_from_triples,
     witness_stats,
 )
+from eppa import pipeline
+from eppa.fileio import dump_json, witness_to_json
 from eppa.graphs import EdgeLabelledGraph
 
 from conftest import make_k2, make_t112, make_t123, make_four_point
@@ -91,6 +95,51 @@ def test_three_point_witness_shape(t112_witness):
     emb = w.final_embedding
     for u, v, d in w.input.edges():
         assert w.final.label(emb[u], emb[v]) == d
+
+
+# -- the tower decided on B0 -----------------------------------------------------------
+
+# sha256 of the witness file as `dump_json` writes it, recorded with the tower
+# built by `build_next_level` at every level
+TOWER_DIGESTS = {
+    (1, 3, 3): "54f55c5d1799de7587b61b9379bedfd33e6acafec4288f39a754f9067b0a5886",
+    (2, 5, 5): "f2b696ee401b7af58a99f23c5d4947a0cac14dc33b47462410524dc6f27955bb",
+}
+
+
+def witness_digest(w, tmp_path) -> str:
+    path = tmp_path / "w.json"
+    dump_json(str(path), witness_to_json(w))
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("labels", sorted(TOWER_DIGESTS), ids=str)
+def test_clean_tower_levels_are_copies_of_b0(labels, tmp_path, monkeypatch):
+    # B0 has no bad set of any size, so no level runs the general expansion
+    def refuse(*args, **kwargs):
+        raise AssertionError("a clean level went through build_next_level")
+
+    monkeypatch.setattr(pipeline, "build_next_level", refuse)
+    a = graph_from_triples(
+        ["x", "y", "z"], [("x", "y", labels[0]), ("x", "z", labels[1]), ("y", "z", labels[2])]
+    )
+    w = build_witness(a)
+    assert [lvl.level for lvl in w.levels] == list(range(2, compute_N(a) + 1))
+    assert all(lvl.bad_sets == () and len(lvl.graph) == 252 for lvl in w.levels)
+    assert witness_digest(w, tmp_path) == TOWER_DIGESTS[labels]
+
+
+def test_unbuildable_tower_is_refused_before_any_level_is_listed(monkeypatch):
+    # (1,4,4): level 3 is a copy, level 4 would need 252 * 2^16000 vertices
+    def refuse(*args, **kwargs):
+        raise AssertionError("the bad sets were listed before the cap check")
+
+    monkeypatch.setattr(pipeline, "build_next_level", refuse)
+    a = graph_from_triples(["x", "y", "z"], [("x", "y", 1), ("x", "z", 4), ("y", "z", 4)])
+    with pytest.raises(VertexCapExceeded) as exc:
+        build_witness(a)
+    assert (exc.value.needed, exc.value.exponent, exc.value.cap) == (252, 16_000, 200_000)
+    assert "level 4 (valuation expansion): needs 252 * 2^16000 vertices" in str(exc.value)
 
 
 # -- the extension property --------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from eppa import (
 )
 from eppa.graphs import EdgeLabelledGraph
 from eppa.verifier import _enumerate_partial_isometries, _label_matrix, _min_plus_closure, _scale
-from conftest import connected_graphs
+from conftest import connected_graphs, small_corpus
 
 
 # -- extension search -----------------------------------------------------------
@@ -66,6 +67,29 @@ def test_search_agrees_with_naive_oracle(t113):
         assert (found is not None) == naive_extension_exists(t113, phi)
         if found is not None:
             assert found.extends(phi)
+
+
+def least_extension(b, phi):
+    """The first total isometry of b extending phi among all vertex
+    permutations in lexicographic order (factorial; tiny graphs only)."""
+    verts = b.vertices
+    for perm in permutations(verts):
+        f = dict(zip(verts, perm))
+        if any(f[u] != img for u, img in phi.items()):
+            continue
+        if all(b.label(u, v) == b.label(f[u], f[v]) for u, v in combinations(verts, 2)):
+            return PartialMap(f)
+    return None
+
+
+SMALL = [(name, g) for name, g in small_corpus() if 1 < len(g) <= 6]
+
+
+@pytest.mark.parametrize("name,g", SMALL, ids=[name for name, _ in SMALL])
+def test_search_returns_the_least_extension(name, g):
+    maps = list(_enumerate_partial_isometries(g, g.vertices, 2))
+    for phi in maps[:40]:
+        assert search_extension(g, phi) == least_extension(g, phi), dict(phi.items())
 
 
 def test_naive_oracle_refuses_big_graphs():
@@ -144,6 +168,46 @@ def test_cross_check_three_point(t112_witness):
     names = {r.name for r in report.results}
     assert "level-3-edge-rule" in names
     assert "top-level-no-bad-cycles" in names
+
+
+def test_cross_check_searches_each_level_once(t112_witness, monkeypatch):
+    # the level-3 short-cycle search is also the top-level one (n = 3), and
+    # the stored bad sets are recomputed by the full scan
+    from eppa import levels
+
+    calls = []
+    search = verifier.has_nonmetric_cycle_up_to
+    scan = levels.bad_sets
+    monkeypatch.setattr(verifier, "has_nonmetric_cycle_up_to",
+                        lambda g, size, budget: calls.append(("search", len(g), size))
+                        or search(g, size, budget=budget))
+    monkeypatch.setattr(levels, "bad_sets",
+                        lambda g, size: calls.append(("scan", len(g), size)) or scan(g, size))
+    report = cross_check(t112_witness)
+    assert report.ok
+    assert calls == [("scan", 70, 3), ("search", 70, 3)]
+    passed = {r.name for r in report.results if r.passed and not r.skipped}
+    assert {"level-3-bad-sets", "level-3-no-short-bad-cycles", "top-level-no-bad-cycles"} <= passed
+    # another budget is another search
+    calls.clear()
+    assert cross_check(t112_witness, budget=5_000_000, search_limit=0).ok
+    assert calls == [("scan", 70, 3), ("search", 70, 3), ("search", 70, 3)]
+
+
+def test_exhausted_shared_search_fails_both_checks_as_skipped(t112_witness, monkeypatch):
+    calls = []
+
+    def exhausted(g, size, budget):
+        calls.append(size)
+        raise BudgetExhausted(f"cycle search budget {budget} exhausted")
+
+    monkeypatch.setattr(verifier, "has_nonmetric_cycle_up_to", exhausted)
+    report = cross_check(t112_witness, search_limit=0)
+    skipped = {r.name: r.detail for r in report.results if r.skipped}
+    assert calls == [3]
+    assert report.budget_exhausted
+    assert skipped["level-3-no-short-bad-cycles"] == skipped["top-level-no-bad-cycles"]
+    assert "budget 10000000 exhausted" in skipped["top-level-no-bad-cycles"]
 
 
 def test_cross_check_single_point():
