@@ -39,7 +39,7 @@ from .fileio import (
     witness_to_json,
     _indexed_graph,
 )
-from .graphs import is_metric_space
+from .graphs import is_metric_space, metric_violation
 from .pipeline import Config, build_witness, extend_isometry, witness_stats
 from .setrep import build_eppa_graph, build_set_assignment
 from .verifier import cross_check
@@ -85,7 +85,8 @@ def _config(args) -> Config:
 
 def cmd_check(args) -> int:
     g = _load_graph(args.file)
-    metric = is_metric_space(g)
+    bad = metric_violation(g) if g.is_complete() else None
+    metric = g.is_complete() and bad is None
     connected = len(g) > 0 and is_connected(g)
     print(f"vertices: {len(g)}")
     print(f"edges: {g.edge_count}")
@@ -94,10 +95,8 @@ def cmd_check(args) -> int:
     print(f"connected: {'yes' if connected else 'no'}")
     failed = False
     if args.metric and not metric:
-        if connected and g.is_complete():
-            bad = _first_violation(g)
-            if bad:
-                print(f"violating triple: {bad[0]} {bad[1]} {bad[2]}")
+        if bad:
+            print(f"violating triple: {bad[0]} {bad[1]} {bad[2]}")
         failed = True
     if args.connected and not connected:
         failed = True
@@ -116,18 +115,6 @@ def cmd_check(args) -> int:
         if found:
             failed = True
     return 1 if failed else 0
-
-
-def _first_violation(g):
-    from itertools import combinations
-
-    for u, v, w in combinations(g.vertices, 3):
-        duv, duw, dvw = g.label(u, v), g.label(u, w), g.label(v, w)
-        if None in (duv, duw, dvw):
-            continue
-        if duv > duw + dvw or duw > duv + dvw or dvw > duv + duw:
-            return u, v, w
-    return None
 
 
 def cmd_complete(args) -> int:

@@ -5,11 +5,18 @@ longer than the sum of all the others.  Completing a connected graph by
 shortest-path distances always yields a metric space; it agrees with the
 original labels exactly when no induced non-metric cycle is present, and it
 never loses automorphisms.
+
+The completion has one exact path at every size.  Labels are scaled once by
+the lcm of their denominators into an n x n integer matrix, non-edges hold
+a sentinel longer than any path (n * max + 1), and a min-plus closure over
+every middle vertex gives all distances.  The matrix has the narrowest of
+int8 to int64 that holds twice the sentinel, so no sum of two entries can
+overflow, and Python ints (dtype=object) beyond int64.  Each distinct
+distance becomes one Fraction, shared by every edge that carries it.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,9 +25,6 @@ import numpy as np
 
 from .errors import BudgetExhausted, DisconnectedGraph
 from .graphs import EdgeLabelledGraph
-
-# Below this size the pure-Fraction Dijkstra is fast enough and simpler.
-_EXACT_LIMIT = 64
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,59 +71,6 @@ def is_connected(g: EdgeLabelledGraph) -> bool:
     return len(seen) == len(g.vertices)
 
 
-def _dijkstra_exact(g: EdgeLabelledGraph, source: str) -> dict[str, Fraction]:
-    dist: dict[str, Fraction] = {source: Fraction(0)}
-    done: set[str] = set()
-    heap: list[tuple[Fraction, str]] = [(Fraction(0), source)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if u in done:
-            continue
-        done.add(u)
-        for v, label in g.adjacency(u).items():
-            nd = d + label
-            if v not in dist or nd < dist[v]:
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
-    return dist
-
-
-def _all_pairs_dense(g: EdgeLabelledGraph) -> dict[tuple[str, str], Fraction] | None:
-    """Exact all-pairs distances via float64 Floyd-Warshall on scaled ints.
-
-    Scaled labels are integers; every path sum stays far below 2**53, so the
-    float arithmetic is exact.  Returns None when the graph has no dense view
-    or the magnitude guard fails, in which case the caller falls back to the
-    per-source exact Dijkstra.
-    """
-    dense = g.dense_matrix()
-    if dense is None:
-        return None
-    index, mat, scale = dense
-    n = len(g.vertices)
-    top = int(mat.max(initial=0))
-    if top and top > (1 << 52) // max(n, 2):
-        return None
-    dist = mat.astype(np.float64)
-    dist[dist < 0] = np.inf
-    buf = np.empty_like(dist)
-    for z in range(n):
-        np.add(dist[:, z, None], dist[None, z, :], out=buf)
-        np.minimum(dist, buf, out=dist)
-    verts = g.vertices
-    cache: dict[int, Fraction] = {}
-    out: dict[tuple[str, str], Fraction] = {}
-    for i, u in enumerate(verts):
-        row = dist[i]
-        for j in range(i + 1, n):
-            w = int(row[j])
-            label = cache.get(w)
-            if label is None:
-                label = cache[w] = Fraction(w, scale)
-            out[(u, verts[j])] = label
-    return out
-
-
 def shortest_path_completion(g: EdgeLabelledGraph) -> EdgeLabelledGraph:
     """Complete graph on the same vertices, labelled by path-length distance.
 
@@ -130,16 +81,22 @@ def shortest_path_completion(g: EdgeLabelledGraph) -> EdgeLabelledGraph:
     if not is_connected(g):
         raise DisconnectedGraph("shortest-path completion needs a connected graph")
     verts = g.vertices
-    if len(verts) > _EXACT_LIMIT:
-        table = _all_pairs_dense(g)
-        if table is not None:
-            return EdgeLabelledGraph(verts, [(u, v, d) for (u, v), d in table.items()])
-    edges = []
-    for i, u in enumerate(verts):
-        dist = _dijkstra_exact(g, u)
-        for v in verts[i + 1 :]:
-            edges.append((u, v, dist[v]))
-    return EdgeLabelledGraph(verts, edges)
+    n = len(verts)
+    scale, values = g._scaled_labels()
+    unreachable = n * max(values, default=0) + 1
+    _, dist = g._fill_matrix(values, unreachable, 2 * unreachable)  # sums of two entries stay exact
+    via = np.empty_like(dist)
+    for z in range(n):
+        np.add(dist[:, z, None], dist[None, z, :], out=via)
+        np.minimum(dist, via, out=dist)
+    # connected, so every entry is a path length; 0 only on the diagonal
+    distances, codes = np.unique(dist, return_inverse=True)
+    labels = [Fraction(int(w), scale) for w in distances.tolist()]
+    adj = {}
+    for u, row in zip(verts, codes.reshape(n, n).tolist()):
+        adj[u] = dict(zip(verts, map(labels.__getitem__, row)))
+        del adj[u][u]
+    return EdgeLabelledGraph._trusted(verts, adj, n * (n - 1) // 2, tuple(labels[1:]))
 
 
 def _cycle_witness(path: list[str], long_edge: tuple[str, str], deficit: Fraction) -> CycleWitness:

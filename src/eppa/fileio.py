@@ -349,6 +349,6 @@ def load_json(path: str) -> Any:
 
 
 def dump_json(path: str, obj: Any) -> None:
+    text = json.dumps(obj, separators=(",", ":")) + "\n"  # one write, not json.dump's chunks
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=None, separators=(",", ":"))
-        fh.write("\n")
+        fh.write(text)

@@ -62,9 +62,11 @@ class EdgeLabelledGraph:
     """Immutable undirected graph with positive rational edge labels.
 
     Vertices are strings; construction sorts them and validates every edge.
+    Graphs derived inside the package (subset graphs, levels, induced
+    subgraphs, completions) come from `_trusted`, which validates nothing.
     Derived views (sorted neighbour lists, label buckets, a dense integer
     distance matrix) are built lazily and cached, which is safe because
-    instances are never mutated after ``__init__``.
+    instances are never mutated after construction.
     """
 
     __slots__ = (
@@ -105,30 +107,43 @@ class EdgeLabelledGraph:
         self._spectrum = None
         self._dense = None
 
-    def renamed(self, names: Mapping[str, str]) -> "EdgeLabelledGraph":
-        """The same graph with every vertex v called names[v].
-
-        A trusted copy for derived graphs: the label objects and the cached
-        spectrum are shared and nothing is re-validated, so the new names
-        must be valid ids; they are checked only for being distinct.  Each
-        name string is stored once, in `vertices` and as adjacency keys.
+    @classmethod
+    def _trusted(cls, vertices: tuple[str, ...], adj: dict[str, dict[str, Fraction]],
+                 edge_count: int, spectrum: tuple[Fraction, ...] | None = None
+                 ) -> "EdgeLabelledGraph":
+        """Constructor for graphs derived inside this package; validates
+        nothing.  `vertices` are sorted distinct ids, `adj` a symmetric
+        adjacency on them with `edge_count` edges, `spectrum` (if known) its
+        labels ascending.  Rows and labels may be shared with other graphs.
         """
-        g = object.__new__(EdgeLabelledGraph)
-        g.vertices = tuple(sorted(names[v] for v in self.vertices))
-        g._vertex_set = frozenset(g.vertices)
-        if len(g._vertex_set) != len(g.vertices):
-            raise GraphFormatError("renaming maps two vertices to one name")
-        g._adj = {
-            names[u]: {names[v]: label for v, label in row.items()}
-            for u, row in self._adj.items()
-        }
-        g.edge_count = self.edge_count
+        g = object.__new__(cls)
+        g.vertices = vertices
+        g._vertex_set = frozenset(vertices)
+        g._adj = adj
+        g.edge_count = edge_count
         g._edge_list = None
         g._nbrs = {}
         g._by_label = {}
-        g._spectrum = self.spectrum()
+        g._spectrum = spectrum
         g._dense = None
         return g
+
+    def renamed(self, names: Mapping[str, str]) -> "EdgeLabelledGraph":
+        """The same graph with every vertex v called names[v].
+
+        The label objects and the cached spectrum are shared and nothing is
+        re-validated, so the new names must be valid ids; they are checked
+        only for being distinct.  Each name string is stored once, in
+        `vertices` and as adjacency keys.
+        """
+        vertices = tuple(sorted(names[v] for v in self.vertices))
+        if len(set(vertices)) != len(vertices):
+            raise GraphFormatError("renaming maps two vertices to one name")
+        adj = {
+            names[u]: {names[v]: label for v, label in row.items()}
+            for u, row in self._adj.items()
+        }
+        return EdgeLabelledGraph._trusted(vertices, adj, self.edge_count, self.spectrum())
 
     # -- basic queries ---------------------------------------------------
 
@@ -186,11 +201,20 @@ class EdgeLabelledGraph:
     def spectrum(self) -> tuple[Fraction, ...]:
         """Distinct edge labels, ascending."""
         if self._spectrum is None:
-            seen = set()
-            for u in self.vertices:
-                seen.update(self._adj[u].values())
-            self._spectrum = tuple(sorted(seen))
+            # keyed by exact value as a pair of ints, which hash far faster
+            # than Fractions
+            by_value = {(x.numerator, x.denominator): x for x in self._label_objects().values()}
+            self._spectrum = tuple(sorted(by_value.values()))
         return self._spectrum
+
+    def _label_objects(self) -> dict[int, Fraction]:
+        """Every label object of the graph once, keyed by identity (the graph
+        keeps them all alive).  Derived graphs share one object among many
+        edges, so there are often only a few."""
+        distinct: dict[int, Fraction] = {}
+        for row in self._adj.values():
+            distinct.update(zip(map(id, row.values()), row.values()))
+        return distinct
 
     def is_complete(self) -> bool:
         n = len(self.vertices)
@@ -201,41 +225,60 @@ class EdgeLabelledGraph:
             return NotImplemented
         return self.vertices == other.vertices and self._adj == other._adj
 
-    def __ne__(self, other) -> bool:
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     def __repr__(self) -> str:
         return f"EdgeLabelledGraph({len(self.vertices)} vertices, {self.edge_count} edges)"
 
     # -- dense integer view ----------------------------------------------
 
-    def dense_matrix(self):
-        """(index, int64 matrix, scale) with labels scaled to integers.
+    def _scaled_labels(self) -> tuple[int, list[int]]:
+        """(scale, values): the lcm of the label denominators, and every
+        adjacency entry times it as an exact integer, rows in vertex order.
+        Each label object is scaled once."""
+        distinct = self._label_objects()
+        scale = math.lcm(*{label.denominator for label in distinct.values()})
+        scaled = {
+            key: label.numerator * (scale // label.denominator) for key, label in distinct.items()
+        }
+        rows = (self._adj[u].values() for u in self.vertices)
+        return scale, list(map(scaled.__getitem__, map(id, itertools.chain.from_iterable(rows))))
 
-        Missing edges hold -1, the diagonal 0.  Returns None for graphs too
-        large for a dense matrix.  The scale is the lcm of all label
-        denominators, so the matrix is exact.
+    def _fill_matrix(self, values: list[int], missing: int, top: int) -> tuple[dict, np.ndarray]:
+        """(index, n x n matrix of the scaled labels), `missing` on
+        non-edges and 0 on the diagonal.  Its type is the narrowest of int8
+        to int64 that holds `top` (narrow types sweep fastest), and Python
+        ints (dtype=object) beyond."""
+        verts = self.vertices
+        n = len(verts)
+        index = {v: i for i, v in enumerate(verts)}
+        fits = [t for t in (np.int8, np.int16, np.int32, np.int64) if top <= np.iinfo(t).max]
+        dtype = fits[0] if fits else object
+        mat = np.full((n, n), missing, dtype=dtype)
+        rows = np.repeat(np.arange(n), [len(self._adj[u]) for u in verts])
+        cols = np.fromiter(
+            map(index.__getitem__, itertools.chain.from_iterable(self._adj[u] for u in verts)),
+            dtype=np.intp, count=len(values),
+        )
+        mat[rows, cols] = np.array(values, dtype=dtype)
+        np.fill_diagonal(mat, 0)
+        return index, mat
+
+    def dense_matrix(self):
+        """(index, integer matrix, scale) with labels scaled to integers.
+
+        Missing edges hold -1, the diagonal 0, and the sum of any two
+        entries fits the matrix's integer type.  Returns None for graphs too
+        large for a dense matrix: more than 4,096 vertices, or labels so
+        large that sums along paths could overflow int64.  The scale is the
+        lcm of all label denominators, so the matrix is exact.
         """
         if self._dense is None:
             n = len(self.vertices)
-            spectrum = self.spectrum()
-            scale = 1
-            for s in spectrum:
-                scale = scale * s.denominator // math.gcd(scale, s.denominator)
-            biggest = int(spectrum[-1] * scale) if spectrum else 0
-            if n > _DENSE_LIMIT or biggest > (1 << 60) // max(n, 2):
-                self._dense = (None,)  # too large, or sums could overflow int64
-            else:
-                index = {v: i for i, v in enumerate(self.vertices)}
-                mat = np.full((n, n), -1, dtype=np.int64)
-                np.fill_diagonal(mat, 0)
-                for u, v, label in self.edges():
-                    w = int(label * scale)
-                    i, j = index[u], index[v]
-                    mat[i, j] = w
-                    mat[j, i] = w
-                self._dense = (index, mat, scale)
+            self._dense = (None,)
+            if n <= _DENSE_LIMIT:
+                scale, values = self._scaled_labels()
+                biggest = max(values, default=0)
+                if biggest <= (1 << 60) // max(n, 2):
+                    self._dense = (*self._fill_matrix(values, -1, 2 * biggest), scale)
         return None if self._dense == (None,) else self._dense
 
 
@@ -338,10 +381,6 @@ class PartialMap:
             return NotImplemented
         return self._map == other._map
 
-    def __ne__(self, other) -> bool:
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     def __repr__(self) -> str:
         inside = ", ".join(f"{s}->{d}" for s, d in self._map.items())
         return f"PartialMap({inside})"
@@ -349,41 +388,52 @@ class PartialMap:
 
 def induced_subgraph(g: EdgeLabelledGraph, keep: Iterable[str]) -> EdgeLabelledGraph:
     """Subgraph on the given vertices with every edge among them."""
-    kept = sorted(set(keep))
+    kept = tuple(sorted(set(keep)))
     for v in kept:
         g.require_vertex(v)
+    if len(kept) == len(g.vertices):  # the whole graph: share its rows
+        return EdgeLabelledGraph._trusted(kept, g._adj, g.edge_count, g._spectrum)
     kept_set = set(kept)
-    edges = []
-    for u in kept:
-        row = g.adjacency(u)
-        for v, label in row.items():
-            if u < v and v in kept_set:
-                edges.append((u, v, label))
-    return EdgeLabelledGraph(kept, edges)
+    adj = {u: {v: label for v, label in g._adj[u].items() if v in kept_set} for u in kept}
+    edge_count = sum(len(row) for row in adj.values()) // 2
+    return EdgeLabelledGraph._trusted(kept, adj, edge_count)
 
 
-def is_metric_space(g: EdgeLabelledGraph) -> bool:
-    """Complete and every triple satisfies the triangle inequality."""
-    if not g.is_complete():
-        return False
+def metric_violation(g: EdgeLabelledGraph) -> tuple[str, str, str] | None:
+    """Three vertices, in vertex order, on which a complete graph breaks
+    the triangle inequality, or None when it is a metric space.
+
+    Scans the dense integer matrix, one middle vertex z at a time, for a
+    pair x, y with d(x, y) > d(x, z) + d(z, y); the triple loop over
+    Fraction labels runs only where there is no dense matrix.
+    """
     n = len(g.vertices)
     if n < 3:
-        return True
-    dense = g.dense_matrix()
-    if dense is not None and n > 64:
-        _, mat, _ = dense
-        for z in range(n):
-            if (mat > mat[:, z, None] + mat[None, z, :]).any():
-                return False
-        return True
+        return None
     verts = g.vertices
+    dense = g.dense_matrix()
+    if dense is not None:
+        _, mat, _ = dense
+        via = np.empty_like(mat)
+        worse = np.empty(mat.shape, dtype=bool)
+        for z in range(n):
+            np.add(mat[:, z, None], mat[None, z, :], out=via)
+            if np.greater(mat, via, out=worse).any():
+                x, y = map(int, np.argwhere(worse)[0])
+                return tuple(verts[i] for i in sorted((x, y, z)))
+        return None
     for x, y, z in itertools.combinations(verts, 3):
         dxy = g.label(x, y)
         dxz = g.label(x, z)
         dyz = g.label(y, z)
         if dxy > dxz + dyz or dxz > dxy + dyz or dyz > dxy + dxz:
-            return False
-    return True
+            return x, y, z
+    return None
+
+
+def is_metric_space(g: EdgeLabelledGraph) -> bool:
+    """Complete and every triple satisfies the triangle inequality."""
+    return g.is_complete() and metric_violation(g) is None
 
 
 def _check_total(f: PartialMap, g: EdgeLabelledGraph, h: EdgeLabelledGraph) -> None:

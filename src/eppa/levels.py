@@ -50,9 +50,6 @@ class BadSet:
     long_edge: tuple[str, str]
     cycle: CycleWitness
 
-    def sort_key(self) -> tuple[str, ...]:
-        return tuple(sorted(self.members))
-
 
 @dataclass(frozen=True)
 class LevelGraph:
@@ -204,7 +201,8 @@ def build_next_level(
             projection[vid] = x
         vertex_ids[x] = copies
 
-    edges = []
+    adj: dict[str, dict[str, Fraction]] = {vid: {} for vid in projection}
+    edge_count = 0
     for x, y, d in g.edges():
         jx, jy = member_idx[x], member_idx[y]
         jy_set = set(jy)
@@ -223,9 +221,10 @@ def build_next_level(
                         ok = False
                         break
                 if ok:
-                    edges.append((vx, vy, d))
+                    adj[vx][vy] = adj[vy][vx] = d
+                    edge_count += 1
 
-    graph = EdgeLabelledGraph(projection.keys(), edges)
+    graph = EdgeLabelledGraph._trusted(tuple(sorted(adj)), adj, edge_count)
 
     anchors = anchor_valuations(g, copy_vertices, bad)
     embedding = {}

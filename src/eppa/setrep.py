@@ -214,14 +214,16 @@ def build_eppa_graph(
     subsets = list(combinations(range(m), k))
     ids = [subset_id(universe[p] for p in positions) for positions in subsets]
     masks = [sum(1 << p for p in positions) for positions in subsets]
-    edges = []
+    rows: list[dict[str, Fraction]] = [{} for _ in ids]
     for ia in range(count):
-        mask_a, id_a = masks[ia], ids[ia]
+        mask_a, id_a, row_a = masks[ia], ids[ia], rows[ia]
         for ib in range(ia + 1, count):
             c = (mask_a & masks[ib]).bit_count()
             if 1 <= c <= n:
-                edges.append((id_a, ids[ib], spectrum[c - 1]))
-    b = EdgeLabelledGraph(ids, edges)
+                row_a[ids[ib]] = rows[ib][id_a] = spectrum[c - 1]
+    b = EdgeLabelledGraph._trusted(
+        tuple(sorted(ids)), dict(zip(ids, rows)), sum(map(len, rows)) // 2
+    )
     embedding = PartialMap({x: subset_id(sa.psi[x]) for x in a.vertices})
     return b, embedding
 

@@ -62,6 +62,19 @@ def test_check_metric_flag_fails_with_triple(tmp_path, capsys):
     assert "violating triple: x y z" in out
 
 
+def test_check_metric_flag_names_the_bumped_pair_on_70_points(tmp_path, capsys):
+    names = [f"p{i:02d}" for i in range(70)]
+    table = {(names[i], names[j]): 1 for i in range(70) for j in range(i + 1, 70)}
+    table[("p30", "p61")] = 3  # 3 > 1 + 1 through any third point
+    rc = main(["check", write_graph(tmp_path, "g.json", eppa.complete_graph(table)), "--metric"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "metric: no" in out
+    triple = [line for line in out.splitlines() if line.startswith("violating triple: ")]
+    assert len(triple) == 1
+    assert {"p30", "p61"} <= set(triple[0].split()[2:])
+
+
 def test_check_connected_flag(tmp_path, capsys):
     from eppa import graph_from_triples
 

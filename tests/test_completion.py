@@ -7,6 +7,7 @@ cycle, and the metric/label-preservation/automorphism properties.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -77,6 +78,79 @@ def test_completion_large_cycle_closed_form():
         for j in range(i + 1, n, 11):
             want = min(j - i, n - (j - i))
             assert done.label(names[i], names[j]) == want
+
+
+def floyd_warshall(g) -> dict[tuple[str, str], Fraction]:
+    """Exact all-pairs distances in Fraction arithmetic, the plain way."""
+    verts = g.vertices
+    dist = {(u, v): (Fraction(0) if u == v else g.label(u, v)) for u in verts for v in verts}
+    for z in verts:
+        for x in verts:
+            dxz = dist[(x, z)]
+            if dxz is None:
+                continue
+            for y in verts:
+                dzy = dist[(z, y)]
+                if dzy is not None and (dist[(x, y)] is None or dxz + dzy < dist[(x, y)]):
+                    dist[(x, y)] = dxz + dzy
+    return dist
+
+
+def assert_completion_matches_oracle(g):
+    done = shortest_path_completion(g)
+    want = floyd_warshall(g)
+    assert done.vertices == g.vertices
+    assert done.is_complete()
+    for u, v, d in done.edges():
+        assert d == want[(u, v)]
+        assert type(d) is Fraction
+    assert done.spectrum() == tuple(sorted({want[(u, v)] for u, v, _ in done.edges()}))
+    return done
+
+
+FRACTION_POOL = tuple(
+    Fraction(p, q) for p, q in ((1, 3), (2, 7), (5, 4), (9, 11), (3, 1), (7, 2), (13, 6))
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_graphs(max_vertices=7, labels=FRACTION_POOL))
+def test_completion_matches_fraction_floyd_warshall(g):
+    assert_completion_matches_oracle(g)
+
+
+def test_completion_matches_oracle_on_70_vertices():
+    # past the size where completion once switched algorithms: a ring of
+    # fractional labels with seeded chords, some long enough to shrink
+    rng = random.Random(70)
+    names = [f"w{i:02d}" for i in range(70)]
+    edges = {(i, (i + 1) % 70): rng.choice(FRACTION_POOL) for i in range(70)}
+    for _ in range(40):
+        i, j = sorted(rng.sample(range(70), 2))
+        edges.setdefault((i, j), rng.choice(FRACTION_POOL) * 4)
+    g = graph_from_triples(names, [(names[i], names[j], d) for (i, j), d in edges.items()])
+    done = assert_completion_matches_oracle(g)
+    assert any(done.label(names[i], names[j]) < d for (i, j), d in edges.items())
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [
+        # labels past int64: the matrix must hold Python ints
+        (10**19, 10**19 + Fraction(1, 3), 3 * 10**19),
+        # labels and the no-path sentinel (4 * max + 1) fit a type, but the
+        # sum of two sentinels does not: it would wrap around in int64 ...
+        (3 * 10**18 // 2, 3 * 10**18 // 2 + 1, 10**18),
+        # ... in int16, and in int8
+        (5000, 5001, 3000),
+        (20, 21, 12),
+    ],
+)
+def test_completion_is_exact_for_huge_labels(labels):
+    a, b, c = labels
+    g = graph_from_triples(["p", "q", "r", "s"], [("p", "q", a), ("q", "r", b), ("r", "s", c)])
+    done = assert_completion_matches_oracle(g)
+    assert done.label("p", "s") == a + b + c
 
 
 def test_completion_exact_with_fraction_labels():
@@ -159,6 +233,20 @@ def test_find_cycles_size_four():
     )
     assert find_induced_nonmetric_cycles(chorded, 4) == []
     assert len(find_induced_nonmetric_cycles(chorded, 3)) == 1  # (a,c,d) is bad
+
+
+def test_find_cycles_skip_a_path_with_a_chord_to_the_far_end():
+    # u-a-b-v is a non-metric 4-cycle (1+1+1 < 10) but a-v is a chord, so
+    # the 4-set is not induced; the DFS grows from u and must refuse a, which
+    # touches v before the last step.  The triangle u-a-v is the bad set.
+    g = graph_from_triples(
+        ["a", "b", "u", "v"],
+        [("u", "a", 1), ("a", "b", 1), ("b", "v", 1), ("u", "v", 10), ("a", "v", 1)],
+    )
+    assert find_induced_nonmetric_cycles(g, 4) == []
+    found = find_induced_nonmetric_cycles(g, 3)
+    assert [sorted(w.vertices) for w in found] == [["a", "u", "v"]]
+    assert found[0].long_edge == ("u", "v")
 
 
 def test_find_cycles_rejects_tiny_sizes(t113):

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eppa import (
     EdgeLabelledGraph,
@@ -21,6 +22,7 @@ from eppa import (
     is_metric_space,
     is_partial_automorphism,
 )
+from eppa.graphs import metric_violation
 from conftest import edge_labelled_graphs
 
 
@@ -188,6 +190,28 @@ def test_is_metric_space_on_fixtures(t112, t113, path2):
     assert not is_metric_space(path2)  # incomplete
 
 
+def test_metric_violation_names_the_broken_triple(t112, t113):
+    assert metric_violation(t112) is None
+    assert metric_violation(t113) == ("x", "y", "z")
+    names = [f"v{i:02d}" for i in range(70)]
+    table = {(names[i], names[j]): 2 for i in range(70) for j in range(i + 1, 70)}
+    table[("v31", "v62")] = 5
+    bad = metric_violation(complete_graph(table))
+    assert bad is not None and {"v31", "v62"} <= set(bad)
+    # labels past int64 take the Fraction loop and give the same answer
+    big = {pair: 10**19 * d for pair, d in table.items()}
+    assert metric_violation(complete_graph(big)) == bad
+
+
+@pytest.mark.parametrize("top", [100, 20_000, 2 * 10**9, 2**60 // 4])
+def test_is_metric_space_where_a_label_fits_a_type_that_twice_it_does_not(top):
+    # d(x, z) + d(z, y) must not wrap around in the dense matrix's type
+    assert is_metric_space(complete_graph({("x", "y"): top, ("x", "z"): top, ("y", "z"): top}))
+    third = top // 3
+    bad = complete_graph({("x", "y"): 2 * third + 1, ("x", "z"): third, ("y", "z"): third})
+    assert metric_violation(bad) == ("x", "y", "z")
+
+
 def test_is_metric_space_large_fast_path():
     names = [f"v{i}" for i in range(70)]
     ones = complete_graph(
@@ -210,6 +234,23 @@ def test_induced_subgraph_keeps_inner_edges(four_point):
     assert sub.edge_count == 3
     with pytest.raises(UnknownVertex):
         induced_subgraph(four_point, ["p", "nope"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(edge_labelled_graphs(max_vertices=6), st.data())
+def test_induced_subgraph_equals_the_validated_constructor(g, data):
+    keep = data.draw(st.sets(st.sampled_from(g.vertices)))
+    if data.draw(st.booleans()):
+        keep = set(g.vertices)  # the whole graph shares its rows
+    sub = induced_subgraph(g, keep)
+    fresh = EdgeLabelledGraph(
+        sorted(keep), [(u, v, d) for u, v, d in g.edges() if u in keep and v in keep]
+    )
+    assert sub == fresh
+    assert sub.vertices == fresh.vertices
+    assert sub.edges() == fresh.edges()
+    assert sub.edge_count == fresh.edge_count
+    assert sub.spectrum() == fresh.spectrum()
 
 
 # -- check_map ----------------------------------------------------------------

@@ -190,6 +190,25 @@ def test_rejects_non_metric_input(t113):
         build_witness(t113)
 
 
+def test_final_metric_check_reads_the_completed_labels(monkeypatch):
+    # a completion that keeps every distance of the copy but breaks the
+    # triangle inequality elsewhere must be caught by the final check
+    copy = set(build_witness(make_t112()).final_embedding.image())
+    real = pipeline.shortest_path_completion
+
+    def broken(g):
+        done = real(g)
+        u, v, _ = next(e for e in done.edges() if not {e[0], e[1]} <= copy)
+        return EdgeLabelledGraph(
+            done.vertices,
+            [(x, y, 100 if (x, y) == (u, v) else d) for x, y, d in done.edges()],
+        )
+
+    monkeypatch.setattr(pipeline, "shortest_path_completion", broken)
+    with pytest.raises(NotAMetricSpace, match="completion failed"):
+        build_witness(make_t112())
+
+
 def test_rejects_empty_and_reserved_names():
     with pytest.raises(GraphFormatError):
         build_witness(EdgeLabelledGraph([], []))
