@@ -1,18 +1,37 @@
 #!/usr/bin/env python3
-"""Tamper with a stored witness and measure how often the verifier objects.
+"""Tamper with a stored witness, or with the construction, and measure how
+often the verifier objects.
 
-Loads a witness file (or builds a small demonstration witness whose
-expansion levels carry valuation bits), applies single-site mutations, and
-reruns the independent cross-check on every mutant.  A sound verifier
-catches every mutation; the exit code is 1 if any slips through.
+Witness mode loads a witness file (or builds a small demonstration witness
+whose expansion level carries valuation bits), applies single-site
+mutations, and reruns the independent cross-check on every mutant.
 
-Mutations:
+Construction mode (--construction) patches one construction function at a
+time, at every place it is looked up, builds the demonstration witness and
+the triangle-(1,1,2) witness under the patch, and cross-checks both.  A
+mutant is caught when the cross-check rejects one of them, or when a build
+refuses with an error.  A mutant that never changes what its function
+returns on these two builds cannot be caught by any check and is reported
+as not exercised.
+
+A sound verifier catches every mutation; the exit code is 1 if any slips
+through.
+
+Witness mutations:
   * valuation-bit flips: transpose the two vertex copies differing in one
     stored bit, rewriting that level's edge relation only
   * label bumps: add 1 to a single stored edge label (level or final graph)
 
+Construction mutations:
+  * cycle size off by one in the induced-cycle search
+    (`induced_nonmetric_cycles_at` looks for cycles one vertex longer)
+  * one anchor bit of the embedded copy flipped (`anchor_valuations`)
+  * one member dropped from a non-empty flip set (`compute_flip_set`)
+  * two tokens matched to each other's images (`subset_automorphism`)
+
     python3 scripts/mutation_probe.py --demo
     python3 scripts/mutation_probe.py witness.json --bumps 25 --seed 7
+    python3 scripts/mutation_probe.py --construction
 """
 
 from __future__ import annotations
@@ -21,11 +40,22 @@ import argparse
 import dataclasses
 import random
 import sys
+from contextlib import contextmanager
 
-from eppa import PartialMap, Witness, build_next_level, cross_check, graph_from_triples, shortest_path_completion
+from eppa import (
+    PartialMap,
+    Witness,
+    build_next_level,
+    build_witness,
+    cross_check,
+    graph_from_triples,
+    shortest_path_completion,
+)
+from eppa.errors import EppaError
 from eppa.fileio import load_json, witness_from_json
 from eppa.graphs import EdgeLabelledGraph, induced_subgraph
 from eppa.levels import LevelGraph, parse_level_vertex
+from eppa.setrep import token_sort_key
 
 
 def demo_witness() -> Witness:
@@ -105,14 +135,141 @@ def label_bump_mutants(w: Witness, rng: random.Random, count: int):
             )
 
 
+# -- construction mutants ---------------------------------------------------
+
+
+@contextmanager
+def patched(name: str, make):
+    """Replace the eppa function `name` by make(original, fired) in every
+    eppa module that holds it; the mutant appends to `fired` whenever it
+    returns something other than the original would."""
+    original = None
+    sites = []
+    for mod_name, mod in sorted(sys.modules.items()):
+        if (mod_name == "eppa" or mod_name.startswith("eppa.")) and hasattr(mod, name):
+            original = original or getattr(mod, name)
+            if getattr(mod, name) is original:
+                sites.append(mod)
+    fired: list[bool] = []
+    mutant = make(original, fired)
+    for mod in sites:
+        setattr(mod, name, mutant)
+    try:
+        yield fired
+    finally:
+        for mod in sites:
+            setattr(mod, name, original)
+
+
+def cycle_size_off_by_one(real, fired):
+    def mutant(g, u, v, size):
+        got = real(g, u, v, size + 1)
+        if got != real(g, u, v, size):
+            fired.append(True)
+        return got
+    return mutant
+
+
+def anchor_bit_flipped(real, fired):
+    def mutant(g, copy_vertices, bad):
+        anchors = dict(real(g, copy_vertices, bad))
+        if anchors:
+            key = next(iter(anchors))
+            anchors[key] ^= 1
+            fired.append(True)
+        return anchors
+    return mutant
+
+
+def flip_member_dropped(real, fired):
+    def mutant(prev, nxt, phi, hat_phi):
+        flips = real(prev, nxt, phi, hat_phi)
+        if flips:
+            fired.append(True)
+            return flips - {min(flips, key=lambda m: sorted(m.members))}
+        return flips
+    return mutant
+
+
+def tokens_mismatched(real, fired):
+    def mutant(pi, b):
+        tokens = sorted(pi.domain(), key=token_sort_key)
+        table = dict(pi.items())
+        if len(tokens) > 1:
+            t0, t1 = tokens[:2]
+            table[t0], table[t1] = pi[t1], pi[t0]
+        got = real(PartialMap(table), b)
+        if got != real(pi, b):
+            fired.append(True)
+        return got
+    return mutant
+
+
+CONSTRUCTION_MUTANTS = [
+    ("cycle size off by one", "induced_nonmetric_cycles_at", cycle_size_off_by_one),
+    ("anchor bit flipped", "anchor_valuations", anchor_bit_flipped),
+    ("flip-set member dropped", "compute_flip_set", flip_member_dropped),
+    ("tokens matched to each other's images", "subset_automorphism", tokens_mismatched),
+]
+
+
+def triangle_112() -> Witness:
+    return build_witness(graph_from_triples(
+        ["x", "y", "z"], [("x", "y", 1), ("x", "z", 1), ("y", "z", 2)]
+    ))
+
+
+def probe_construction() -> int:
+    """Build and cross-check both witnesses under every construction mutant;
+    1 if an exercised mutant escapes."""
+    builds = [("demo", demo_witness), ("triangle-112", triangle_112)]
+    for tag, build in builds:
+        if not cross_check(build()).ok:
+            print(f"the unmutated {tag} witness already fails its cross-check; aborting")
+            return 1
+    caught = escaped = idle = 0
+    for label, name, make in CONSTRUCTION_MUTANTS:
+        with patched(name, make) as fired:
+            rejected = []
+            for tag, build in builds:
+                try:
+                    w = build()
+                except EppaError as exc:  # the construction refused: no witness to slip through
+                    rejected.append(f"{tag} (build raised {type(exc).__name__})")
+                    continue
+                report = cross_check(w)
+                if not report.ok:
+                    first = next(r for r in report.results if not r.passed and not r.skipped)
+                    rejected.append(f"{tag} ({first.name})")
+        if rejected:
+            caught += 1
+            print(f"caught   {label}: {', '.join(rejected)}")
+        elif fired:
+            escaped += 1
+            print(f"ESCAPED  {label}")
+        else:
+            idle += 1
+            print(f"idle     {label}: never changed a result on these builds")
+    exercised = caught + escaped
+    print(f"\n{caught}/{exercised} exercised construction mutants caught"
+          f" ({idle} of {len(CONSTRUCTION_MUTANTS)} not exercised)")
+    return 1 if escaped else 0
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("witness", nargs="?", help="witness JSON file")
     ap.add_argument("--demo", action="store_true", help="use the built-in demonstration witness")
+    ap.add_argument("--construction", action="store_true",
+                    help="mutate the construction instead of a stored witness")
     ap.add_argument("--bumps", type=int, default=20, help="number of label-bump mutants")
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args(argv)
 
+    if args.construction:
+        if args.demo or args.witness:
+            ap.error("--construction builds its own witnesses")
+        return probe_construction()
     if args.demo == bool(args.witness):
         ap.error("pass a witness file or --demo, not both or neither")
     w = demo_witness() if args.demo else witness_from_json(load_json(args.witness))

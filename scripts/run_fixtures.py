@@ -3,9 +3,12 @@
 
 Runs the full pipeline on each bundled fixture (or on graph files passed on
 the command line), prints size statistics, and optionally extends every
-partial isometry of the input exhaustively as a smoke check.
+partial isometry of the input exhaustively as a smoke check, or times the
+independent cross-check of each witness and prints its verdict (the exit
+code is 1 if any witness fails it).
 
     python3 scripts/run_fixtures.py
+    python3 scripts/run_fixtures.py --verify
     python3 scripts/run_fixtures.py --extend-all --output-dir /tmp/witnesses
     python3 scripts/run_fixtures.py my_space.json --extend-all
 """
@@ -21,6 +24,7 @@ from eppa import (
     Config,
     build_witness,
     check_map,
+    cross_check,
     enumerate_partial_automorphisms,
     extend_isometry,
     graph_from_triples,
@@ -62,7 +66,9 @@ def bundled_fixtures() -> list[tuple[str, EdgeLabelledGraph]]:
     ]
 
 
-def run_one(name: str, g: EdgeLabelledGraph, args: argparse.Namespace) -> None:
+def run_one(name: str, g: EdgeLabelledGraph, args: argparse.Namespace) -> bool:
+    """Build (and extend, verify, write) one witness; False if it fails
+    its cross-check."""
     cfg = Config(vertex_cap=args.vertex_cap, coherent=not args.non_coherent)
     t0 = time.perf_counter()
     w = build_witness(g, cfg)
@@ -84,16 +90,29 @@ def run_one(name: str, g: EdgeLabelledGraph, args: argparse.Namespace) -> None:
             count += 1
         print(f"   extend: {count} partial isometries in {time.perf_counter() - t0:.2f}s")
 
+    ok = True
+    if args.verify:
+        t0 = time.perf_counter()
+        report = cross_check(w)
+        ok = report.ok
+        failed = [r.name for r in report.results if not r.passed and not r.skipped]
+        skipped = [r.name for r in report.results if r.skipped]
+        print(f"   verify: {'PASS' if ok else 'FAIL'} in {time.perf_counter() - t0:.2f}s"
+              + (f", failed {', '.join(failed)}" if failed else "")
+              + (f", skipped {', '.join(skipped)}" if skipped else ""))
+
     if args.output_dir:
         path = Path(args.output_dir) / f"{name}.witness.json"
         dump_json(str(path), witness_to_json(w))
         print(f"   wrote {path}")
+    return ok
 
 
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("graphs", nargs="*", help="graph JSON files; default: bundled fixtures")
     ap.add_argument("--extend-all", action="store_true", help="extend every partial isometry")
+    ap.add_argument("--verify", action="store_true", help="time cross_check on each witness")
     ap.add_argument("--vertex-cap", type=int, default=200_000)
     ap.add_argument("--non-coherent", action="store_true", help="per-map search instead of replay")
     ap.add_argument("--output-dir", help="write witness files here")
@@ -107,9 +126,8 @@ def main(argv: list[str] | None = None) -> int:
     else:
         jobs = bundled_fixtures()
 
-    for name, g in jobs:
-        run_one(name, g, args)
-    return 0
+    results = [run_one(name, g, args) for name, g in jobs]
+    return 0 if all(results) else 1
 
 
 if __name__ == "__main__":

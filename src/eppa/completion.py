@@ -8,16 +8,25 @@ never loses automorphisms.
 
 The completion has one exact path at every size.  Labels are scaled once by
 the lcm of their denominators into an n x n integer matrix, non-edges hold
-a sentinel longer than any path (n * max + 1), and a min-plus closure over
-every middle vertex gives all distances.  The matrix has the narrowest of
-int8 to int64 that holds twice the sentinel, so no sum of two entries can
-overflow, and Python ints (dtype=object) beyond int64.  Each distinct
-distance becomes one Fraction, shared by every edge that carries it.
+a sentinel longer than any path, and a min-plus closure over every middle
+vertex gives all distances.  The sentinel is 2 * ecc * max + 1, where ecc
+is the eccentricity of the breadth-first search that proves the graph
+connected: any two vertices are joined through its start vertex by a walk
+of at most 2 * ecc edges, so no distance exceeds 2 * ecc * max.  The
+matrix has the narrowest of int8 to int64 that holds twice the sentinel, so
+no sum of two entries can overflow, and Python ints (dtype=object) beyond
+int64.  Each distinct distance becomes one Fraction, shared by every edge
+that carries it.
+
+Short non-metric cycles are found by the same kind of matrix, with a bound
+on the number of edges instead of a closure (`has_nonmetric_cycle_up_to`).
+The construction's bad-set search is a separate depth-first search for
+induced cycles (`induced_nonmetric_cycles_at`).
 """
 
 from __future__ import annotations
 
-from collections import deque
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -58,17 +67,29 @@ class CycleWitness:
 
 
 def is_connected(g: EdgeLabelledGraph) -> bool:
+    return _eccentricity(g) is not None
+
+
+def _eccentricity(g: EdgeLabelledGraph) -> int | None:
+    """Eccentricity of the first vertex, by breadth-first search: the most
+    edges on a fewest-edge path from it, or None when g is disconnected."""
     if not g.vertices:
         raise ValueError("connectivity of the empty graph is undefined")
-    seen = {g.vertices[0]}
-    queue = deque(seen)
-    while queue:
-        u = queue.popleft()
-        for v in g.adjacency(u):
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return len(seen) == len(g.vertices)
+    frontier = [g.vertices[0]]
+    seen = set(frontier)
+    depth = 0
+    while True:
+        layer = []
+        for u in frontier:
+            for v in g.adjacency(u):
+                if v not in seen:
+                    seen.add(v)
+                    layer.append(v)
+        if not layer:
+            break
+        frontier = layer
+        depth += 1
+    return depth if len(seen) == len(g.vertices) else None
 
 
 def shortest_path_completion(g: EdgeLabelledGraph) -> EdgeLabelledGraph:
@@ -78,12 +99,13 @@ def shortest_path_completion(g: EdgeLabelledGraph) -> EdgeLabelledGraph:
     (they shrink exactly on edges involved in non-metric cycles); the result
     is always a metric space.
     """
-    if not is_connected(g):
+    ecc = _eccentricity(g)
+    if ecc is None:
         raise DisconnectedGraph("shortest-path completion needs a connected graph")
     verts = g.vertices
     n = len(verts)
     scale, values = g._scaled_labels()
-    unreachable = n * max(values, default=0) + 1
+    unreachable = 2 * ecc * max(values, default=0) + 1  # longer than any shortest path
     _, dist = g._fill_matrix(values, unreachable, 2 * unreachable)  # sums of two entries stay exact
     via = np.empty_like(dist)
     for z in range(n):
@@ -188,55 +210,81 @@ def has_nonmetric_cycle_up_to(
     """First non-metric cycle (not necessarily induced) with at most the given
     number of vertices, or None when there is none.
 
-    The search walks short paths out of each candidate long edge, cheapest
-    labels first, and counts every extension against the budget; running out
-    raises BudgetExhausted rather than reporting a false absence.
+    g has a non-metric cycle on at most L vertices iff some edge u-v has a
+    walk of at most L-1 edges strictly shorter than its label: a shortest
+    such walk is a simple path, not the edge itself, and closes a cycle
+    with u-v.  So the check is hop-bounded min-plus products on the scaled
+    label matrix M: D_1 = M and D_h = D_(h-1) (min,+) M, the shortest walks
+    of at most h edges, with a sentinel of h * max + 1 on non-edges.  h
+    goes up to the least of L-1, n-1 and the last h with h * smallest label
+    < largest label, and the products stop early at the first h where some
+    edge has a shorter walk, or when D stops changing.  The witness is the
+    first such edge in vertex order, with its path read back from the hop
+    matrices.  A product is n row sweeps, each of which counts against the
+    budget; running out raises BudgetExhausted rather than reporting a false
+    absence.
     """
     if max_vertices < 3:
         raise ValueError("cycles have at least 3 vertices")
     spectrum = g.spectrum()
     if not spectrum:
         return None
-    smallest = spectrum[0]
-    steps = max_vertices - 1
-    remaining = budget
-
-    for u, v, long_label in g.edges():
-        if long_label <= 2 * smallest:
-            continue
-        adj_v = g.adjacency(v)
-        path = [u]
-        on_path = {u}
-
-        def walk(last: str, total: Fraction) -> CycleWitness | None:
-            nonlocal remaining
-            if remaining <= 0:
+    verts = g.vertices
+    n = len(verts)
+    # a simple path has at most n - 1 edges, and one of h edges is at least
+    # h * smallest long, so it undercuts no label unless h * smallest < largest
+    hops = min(max_vertices - 1, n - 1, math.ceil(spectrum[-1] / spectrum[0]) - 1)
+    if hops < 2:  # under 3 vertices, or no label above twice the smallest
+        return None
+    scale, values = g._scaled_labels()
+    unreachable = hops * max(values) + 1  # longer than any walk of `hops` edges
+    _, mat = g._fill_matrix(values, unreachable, 2 * unreachable)
+    is_edge = mat < unreachable  # and the diagonal, where nothing is shorter
+    hop = [mat]
+    via = np.empty_like(mat)
+    sweeps = 0
+    for _ in range(hops - 1):
+        last = hop[-1]
+        walks = last.copy()
+        for k in range(n):
+            sweeps += 1
+            if sweeps > budget:
                 raise BudgetExhausted(
-                    f"cycle search budget {budget} exhausted at edge ({u!r}, {v!r})"
+                    f"cycle search budget {budget} exhausted after {budget} row sweeps"
                 )
-            remaining -= 1
-            if len(path) >= 2:
-                closing = adj_v.get(last)
-                if closing is not None and total + closing < long_label:
-                    return _cycle_witness(path + [v], (u, v), long_label - (total + closing))
-            if len(path) >= steps:
-                return None
-            for label, bucket in g.neighbors_by_label(last).items():
-                if total + label + smallest >= long_label:
-                    continue
-                for w in bucket:
-                    if w == v or w in on_path:
-                        continue
-                    path.append(w)
-                    on_path.add(w)
-                    got = walk(w, total + label)
-                    if got is not None:
-                        return got
-                    path.pop()
-                    on_path.remove(w)
-            return None
-
-        got = walk(u, Fraction(0))
-        if got is not None:
-            return got
+            np.add(last[:, k, None], mat[None, k, :], out=via)
+            np.minimum(walks, via, out=walks)
+        hop.append(walks)
+        shorter = np.argwhere((walks < mat) & is_edge)
+        if len(shorter):
+            i, j = map(int, shorter[0])  # symmetric, so i < j
+            path = _walk_back(hop, mat, i, j)
+            deficit = Fraction(int(mat[i, j] - walks[i, j]), scale)
+            return _cycle_witness([verts[p] for p in path], (verts[i], verts[j]), deficit)
+        if np.array_equal(walks, last):
+            break
     return None
+
+
+def _walk_back(hop: list[np.ndarray], mat: np.ndarray, i: int, j: int) -> list[int]:
+    """A shortest walk from i to j of at most len(hop) edges, read back from
+    the hop matrices (hop[h] holds the walks of at most h + 1 edges).
+
+    Such a walk is a simple path: cutting out a repeated vertex would give
+    a strictly shorter walk with fewer edges.
+    """
+    h = len(hop) - 1
+    cur, length = j, hop[h][i, j]
+    path = [j]
+    while cur != i:
+        while h > 0 and hop[h - 1][i, cur] == length:
+            h -= 1  # reached with fewer edges
+        if h == 0:  # the edge i-cur itself
+            path.append(i)
+            break
+        # one more edge than hop[h - 1] allows: the last one is k-cur, k != cur
+        k = int(np.flatnonzero(hop[h - 1][i] + mat[:, cur] == length)[0])
+        cur, length = k, hop[h - 1][i, k]
+        path.append(k)
+        h -= 1
+    return path[::-1]

@@ -1,18 +1,27 @@
 """Brute-force verification of witnesses, on the verifier's own encoding.
 
 `cross_check` re-validates every stored layer of a witness; `verify_eppa`
-brute-forces the extension property itself on small spaces.  The distance
-checks (metric, completion, replayed isometries) run on an exact integer
-label matrix built here (`_label_matrix`), and the completion is recomputed
-by a local min-plus closure, so a bug in the construction's completion or
-automorphism tests cannot vouch for itself.  The extension search compares
-labels on the same kind of matrix.  Three pieces of construction code are
-still called: `levels.bad_sets` to recompute the stored bad sets (the full
-scan over every edge; the construction's one-search-per-label shortcut is
-not used here), `completion.has_nonmetric_cycle_up_to` for the short-cycle
-checks, run once per level, and `extend_isometry`, the operator under test,
-whose results are judged here.  Vertex ids are read with the construction's
-id parsers.
+brute-forces the extension property itself on small spaces.  Every check
+runs on an exact integer label matrix built here (`_label_matrix`), once
+per graph:
+
+- the subset level's edge rule is a comparison with the labels that the
+  shared-token counts of its vertices call for;
+- each level's edge rule is a comparison with the level below, read
+  through the projection, with the pairs that a stored bad set cuts masked;
+- a non-empty list of stored bad sets is compared with a local scan of the
+  vertex sets of the level below, skipped above a size bound.  An empty
+  list needs no scan: the vertex and edge-rule checks make the level a
+  relabelled copy of the one below, so the level's own short-cycle check
+  proves that the level below has no bad set of that size;
+- the completion is recomputed by a local min-plus closure, and metric and
+  replayed isometries are checked on the same matrices.
+
+So a bug in the construction's cycle search, completion or automorphism
+tests cannot vouch for itself.  From the construction this module imports
+only data types, vertex id parsers, `extend_isometry` (the operator under
+test, whose results are judged here) and `has_nonmetric_cycle_up_to`, the
+short-cycle check, which no construction step calls.
 """
 
 from __future__ import annotations
@@ -20,17 +29,26 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from .completion import has_nonmetric_cycle_up_to
-from .errors import BudgetExhausted, EppaError, UnknownVertex
+from .errors import BudgetExhausted, EppaError, GraphFormatError, UnknownVertex
 from .graphs import EdgeLabelledGraph, PartialMap
-from .levels import parse_level_vertex
+from .levels import LevelGraph, parse_level_vertex
 from .pipeline import Witness, extend_isometry
 from .setrep import parse_subset_id, token_sort_key
+
+# Most vertex sets the bad-set scan of one level looks at; above it the
+# level's bad-set check is reported as skipped.
+_BAD_SET_SCAN_LIMIT = 200_000
+
+_Matrix = tuple[dict[str, int], np.ndarray]  # (vertex index, label matrix)
+_RATIO = attrgetter("numerator", "denominator")
+_DENOMINATOR = attrgetter("denominator")
 
 
 @dataclass(frozen=True)
@@ -100,40 +118,44 @@ def _distances_ok(f: PartialMap, g: EdgeLabelledGraph) -> bool:
 def _scale(*graphs: EdgeLabelledGraph) -> int:
     """Least common multiple of the label denominators of the graphs."""
     return math.lcm(*{
-        label.denominator for g in graphs for u in g.vertices for label in g.adjacency(u).values()
+        d for g in graphs for u in g.vertices for d in map(_DENOMINATOR, g.adjacency(u).values())
     })
 
 
-def _label_matrix(
-    g: EdgeLabelledGraph, scale: int, vertices: tuple[str, ...] | None = None
-) -> tuple[dict[str, int], np.ndarray]:
-    """(index, M): every label times `scale` as an exact integer, -1 on
-    non-edges and 0 on the diagonal.
+def _label_matrix(g: EdgeLabelledGraph, scale: int) -> _Matrix:
+    """(index, M): every label of g times `scale` as an exact integer, -1
+    on non-edges and 0 on the diagonal, rows and columns in vertex order.
 
-    Rows and columns follow `vertices` (all of g by default), keeping only
-    the edges among them.  M is int64 when its path sums fit, and holds
-    Python ints (dtype=object) otherwise.
+    `scale` must be a multiple of every label denominator.  M is int64 when
+    its path sums fit, and holds Python ints (dtype=object) otherwise.
     """
-    verts = g.vertices if vertices is None else vertices
+    verts = g.vertices
     n = len(verts)
     index = {v: i for i, v in enumerate(verts)}
-    rows = []
-    top = 0
-    for u in verts:
-        cols, vals = [], []
-        for v, label in g.adjacency(u).items():
-            j = index.get(v)
-            if j is not None:
-                cols.append(j)
-                vals.append(label.numerator * (scale // label.denominator))
-        rows.append((cols, vals))
-        top = max([top, *vals])
+    rows = [g.adjacency(u) for u in verts]
+    # pairs of ints hash far faster than Fractions
+    ratios = list(map(_RATIO, chain.from_iterable(row.values() for row in rows)))
+    code = {r: r[0] * (scale // r[1]) for r in set(ratios)}
+    values = list(map(code.__getitem__, ratios))
     # int64 when sums of two path lengths (the min-plus closure's) stay exact
-    mat = np.full((n, n), -1, dtype=np.int64 if n * top < 1 << 61 else object)
+    dtype = np.int64 if n * max(values, default=0) < 1 << 61 else object
+    mat = np.full((n, n), -1, dtype=dtype)
+    mat[
+        np.repeat(np.arange(n), [len(row) for row in rows]),
+        np.fromiter(map(index.__getitem__, chain.from_iterable(rows)), dtype=np.intp,
+                    count=len(values)),
+    ] = np.array(values, dtype=dtype)
     np.fill_diagonal(mat, 0)
-    for i, (cols, vals) in enumerate(rows):
-        mat[i, cols] = vals
     return index, mat
+
+
+def _narrowest(mat: np.ndarray, top: int) -> np.ndarray:
+    """A copy of an integer matrix in the narrowest of int8 to int64 that
+    holds `top` (narrow types sweep fastest); Python ints stay as they are."""
+    if mat.dtype == object:
+        return mat.copy()
+    dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64) if top <= np.iinfo(t).max)
+    return mat.astype(dtype)
 
 
 def _min_plus_closure(mat: np.ndarray) -> np.ndarray:
@@ -141,7 +163,7 @@ def _min_plus_closure(mat: np.ndarray) -> np.ndarray:
     with no path get -1."""
     n = len(mat)
     unreachable = n * int(mat.max(initial=0)) + 1  # longer than any path
-    dist = mat.copy()
+    dist = _narrowest(mat, 2 * unreachable)
     dist[dist < 0] = unreachable
     via = np.empty_like(dist)
     for k in range(n):
@@ -298,16 +320,27 @@ def _search_extension(
 
 
 def naive_extension_exists(b: EdgeLabelledGraph, phi: PartialMap) -> bool:
-    """Oracle for tiny graphs: try all vertex permutations."""
+    """Oracle for tiny graphs: does some bijection of b that extends phi keep
+    every label?  Tries every way to send the vertices outside phi's domain
+    onto the vertices phi leaves unused, comparing integer label codes."""
     if len(b) > 8:
         raise ValueError("oracle is factorial; use search_extension instead")
-    verts = list(b.vertices)
-    want = dict(phi.items())
-    for perm in permutations(verts):
-        f = dict(zip(verts, perm))
-        if any(f[u] != img for u, img in want.items()):
-            continue
-        if _distances_ok(PartialMap(f), b):
+    for v in list(phi.domain()) + list(phi.image()):
+        if v not in b:
+            raise UnknownVertex(f"unknown vertex {v!r}")
+    rows = _label_rows(b)
+    n = len(rows)
+    index = {v: i for i, v in enumerate(b.vertices)}
+    f = [-1] * n
+    for u, img in phi.items():
+        f[index[u]] = index[img]
+    free = [v for v in range(n) if f[v] < 0]
+    unused = sorted(set(range(n)) - set(f))
+    pairs = list(combinations(range(n), 2))
+    for images in permutations(unused):
+        for v, img in zip(free, images):
+            f[v] = img
+        if all(rows[u][v] == rows[f[u]][f[v]] for u, v in pairs):
             return True
     return False
 
@@ -359,7 +392,7 @@ def _check_metric(
     report: VerificationReport,
     g: EdgeLabelledGraph,
     name: str,
-    matrix: tuple[dict[str, int], np.ndarray] | None = None,
+    matrix: _Matrix | None = None,
 ) -> None:
     verts = g.vertices
     _, mat = matrix if matrix is not None else _label_matrix(g, _scale(g))
@@ -368,6 +401,7 @@ def _check_metric(
         i, j = map(int, gaps[0])
         report.add(name, False, f"missing distance between {verts[i]!r} and {verts[j]!r}")
         return
+    mat = _narrowest(mat, 2 * int(mat.max(initial=0)))
     via = np.empty_like(mat)
     viol = np.empty(mat.shape, dtype=bool)
     for k in range(len(verts)):
@@ -382,11 +416,43 @@ def _check_metric(
     report.add(name, True)
 
 
+_ShortCycleOutcome = tuple[object, "BudgetExhausted | None"]
+
+
+def _short_cycle_search(g: EdgeLabelledGraph, size: int, budget: int) -> _ShortCycleOutcome:
+    """(first non-metric cycle on at most `size` vertices or None, and the
+    BudgetExhausted that stopped the search or None)."""
+    try:
+        return has_nonmetric_cycle_up_to(g, size, budget=budget), None
+    except BudgetExhausted as exc:
+        return None, exc
+
+
+def _report_short_cycles(
+    report: VerificationReport, name: str, outcome: _ShortCycleOutcome, passed: str = ""
+) -> None:
+    cycle, exhausted = outcome
+    if exhausted is not None:
+        report.budget_exhausted = True
+        report.add(name, False, str(exhausted), skipped=True)
+    else:
+        report.add(
+            name,
+            cycle is None,
+            passed if cycle is None else f"non-metric cycle on {cycle.vertices}",
+            counterexample=cycle,
+        )
+
+
+def _first_difference(got: np.ndarray, want: np.ndarray) -> tuple[int, int] | None:
+    """First pair (i, j), i < j, in vertex order where two symmetric label
+    matrices differ, or None when they are equal."""
+    diff = np.argwhere(got != want)
+    return (int(diff[0][0]), int(diff[0][1])) if len(diff) else None
+
+
 def _check_completion(
-    report: VerificationReport,
-    w: Witness,
-    scale: int,
-    final_matrix: tuple[dict[str, int], np.ndarray],
+    report: VerificationReport, w: Witness, scale: int, top_matrix: _Matrix, final_matrix: _Matrix
 ) -> None:
     """The final space must be the shortest-path closure of the top level
     restricted to the component; a failure names the first differing pair."""
@@ -398,13 +464,14 @@ def _check_completion(
     if set(component) != set(final.vertices):
         report.add(name, False, "final vertices differ from the component")
         return
-    _, want = final_matrix
-    got = _min_plus_closure(_label_matrix(top, scale, final.vertices)[1])
-    diff = np.argwhere(got != want)
-    if not len(diff):
+    top_index, top_mat = top_matrix
+    rows = [top_index[v] for v in final.vertices]
+    got = _min_plus_closure(top_mat[np.ix_(rows, rows)])
+    first = _first_difference(got, final_matrix[1])
+    if first is None:
         report.add(name, True)
         return
-    i, j = map(int, diff[0])
+    i, j = first
     u, v = final.vertices[i], final.vertices[j]
     closed = "no path" if got[i, j] < 0 else str(Fraction(int(got[i, j]), scale))
     report.add(name, False,
@@ -412,7 +479,7 @@ def _check_completion(
                counterexample=(u, v))
 
 
-def _check_subset_level(report: VerificationReport, w: Witness) -> None:
+def _check_subset_level(report: VerificationReport, w: Witness, scale: int, matrix: _Matrix) -> None:
     lvl = w.levels[0]
     g = lvl.graph
     sa = w.set_assignment
@@ -428,24 +495,30 @@ def _check_subset_level(report: VerificationReport, w: Witness) -> None:
             list(g.vertices) == expected,
             "vertex set is not all k-subsets of the universe" if list(g.vertices) != expected else "",
         )
+    # two subsets sharing c tokens are joined by the c-th smallest distance
     spectrum = w.input.spectrum()
     n = len(spectrum)
+    verts = g.vertices
+    token_of: dict[str, int] = {}
+    hits = [[token_of.setdefault(t, len(token_of)) for t in parse_subset_id(vid)] for vid in verts]
+    incidence = np.zeros((len(verts), len(token_of)), dtype=np.int64)
+    incidence[np.repeat(np.arange(len(verts)), [len(h) for h in hits]),
+              np.fromiter(chain.from_iterable(hits), dtype=np.intp)] = 1
+    shared = incidence @ incidence.T
+    got = matrix[1]
+    codes = np.array([-1] + [d.numerator * (scale // d.denominator) for d in spectrum])
+    want = codes[np.where(shared <= n, shared, 0)]
+    np.fill_diagonal(want, 0)
+    first = _first_difference(got, want)
     bad = None
     bad_pair = None
-    bit_of: dict[str, int] = {}
-    mask: dict[str, int] = {}
-    for vid in g.vertices:
-        m = 0
-        for t in parse_subset_id(vid):
-            m |= 1 << bit_of.setdefault(t, len(bit_of))
-        mask[vid] = m
-    for u, v in combinations(g.vertices, 2):
-        shared = (mask[u] & mask[v]).bit_count()
-        want = spectrum[shared - 1] if 1 <= shared <= n else None
-        if g.label(u, v) != want:
-            bad = f"{u!r} ~ {v!r}: shares {shared}, label {g.label(u, v)}, expected {want}"
-            bad_pair = (u, v)
-            break
+    if first is not None:
+        i, j = first
+        u, v = verts[i], verts[j]
+        c = int(shared[i, j])
+        expected = spectrum[c - 1] if 1 <= c <= n else None
+        bad = f"{u!r} ~ {v!r}: shares {c}, label {g.label(u, v)}, expected {expected}"
+        bad_pair = (u, v)
     report.add("subset-edge-rule", bad is None, bad or "", counterexample=bad_pair)
     emb = lvl.base_embedding
     ok = set(emb.domain()) == set(w.input.vertices) and all(v in g for v in emb.image())
@@ -463,19 +536,155 @@ def _expected_anchor_bit(m, x: str, copy: set[str]) -> int:
     return 0
 
 
-def _check_transition(report: VerificationReport, w: Witness, idx: int):
+def _induced_nonmetric_sets(
+    mat: np.ndarray, size: int
+) -> list[tuple[tuple[int, ...], tuple[int, int]]]:
+    """(vertex set, long edge) of every set of `size` vertices on which the
+    label matrix induces a non-metric cycle, in lexicographic order.
+
+    The induced subgraph must be one cycle (`size` edges, two at every
+    vertex, connected) whose longest edge is longer than the others
+    together.
+    """
+    rows = mat.tolist()
+    found = []
+    for subset in combinations(range(len(rows)), size):
+        edges = [(rows[u][v], u, v) for u, v in combinations(subset, 2) if rows[u][v] > 0]
+        if len(edges) != size:
+            continue
+        nbrs: dict[int, list[int]] = {u: [] for u in subset}
+        for _, u, v in edges:
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+        if any(len(row) != 2 for row in nbrs.values()):
+            continue
+        seen = {subset[0]}
+        stack = [subset[0]]
+        while stack:
+            for v in nbrs[stack.pop()]:
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        if len(seen) != size:
+            continue
+        edges.sort(reverse=True)
+        top, u, v = edges[0]
+        if top > sum(label for label, _, _ in edges[1:]):
+            found.append((subset, (u, v)))
+    return found
+
+
+def _check_bad_sets(
+    report: VerificationReport,
+    name: str,
+    below: EdgeLabelledGraph,
+    below_mat: np.ndarray,
+    lvl: LevelGraph,
+    outcome: _ShortCycleOutcome,
+) -> bool:
+    """Check a level's stored bad sets: the vertex sets of its size on which
+    the level below induces a non-metric cycle.  Returns False when the
+    stored list is wrong, so that the checks that read it are not run.
+
+    An empty list is proved by `outcome`, the level's own short-cycle
+    search (see the module docstring).  A non-empty one is compared with a
+    scan of the vertex sets of the level below, which is skipped above
+    `_BAD_SET_SCAN_LIMIT` sets.
+    """
+    stored = lvl.bad_sets
+    size = lvl.level
+    if not stored:
+        _report_short_cycles(report, name, outcome, "0 bad sets")
+        return True
+    if any(x not in below for m in stored for x in m.members):
+        report.add(name, False, "a stored bad set names vertices outside the level below")
+        return False
+    verts = below.vertices
+    subsets = math.comb(len(verts), size)
+    if subsets > _BAD_SET_SCAN_LIMIT:
+        report.add(name, False,
+                   f"{len(stored)} bad sets stored; {subsets} vertex sets to scan "
+                   f"> {_BAD_SET_SCAN_LIMIT}", skipped=True)
+        return True
+    found = [
+        (frozenset(verts[p] for p in members), (verts[i], verts[j]))
+        for members, (i, j) in _induced_nonmetric_sets(below_mat, size)
+    ]
+    if [(m.members, m.long_edge) for m in stored] != found:
+        report.add(name, False, "stored bad sets differ from the subset scan")
+        return False
+    for m in stored:
+        c = m.cycle
+        if frozenset(c.vertices) != m.members or c.long_edge != m.long_edge or not c.check(below):
+            report.add(name, False, f"stored cycle on {sorted(m.members)} does not check")
+            return False
+    report.add(name, True, f"{len(stored)} bad sets")
+    return True
+
+
+def _level_edge_rule(
+    below: LevelGraph,
+    lvl: LevelGraph,
+    member: dict[str, list[int]],
+    below_matrix: _Matrix,
+    matrix: _Matrix,
+) -> tuple[str, tuple[str, str] | None] | None:
+    """The first pair of the level, in vertex order, whose label breaks the
+    edge rule, as (detail, pair); None when every pair keeps it.
+
+    A pair's expected label is that of its projections in the level below
+    (none between two copies of one vertex), re-derived from the ids alone,
+    and none when a bad set through both projections has bits that differ
+    off its long edge or agree across it.
+    """
+    below_index, below_mat = below_matrix
+    verts = lvl.graph.vertices
+    base_of = []
+    groups: dict[int, list[tuple[int, int]]] = {}  # bad set -> (vertex, bit)
+    for p, vid in enumerate(verts):
+        try:
+            base, bits = parse_level_vertex(vid)
+        except GraphFormatError:
+            return f"{vid!r} is not a valuation vertex id", None
+        if base not in below_index or len(bits) != len(member[base]):
+            return f"{vid!r} is not a valuation of a vertex of the level below", None
+        base_of.append(base)
+        for pos, j in enumerate(member[base]):
+            groups.setdefault(j, []).append((p, int(bits[pos])))
+    proj = np.fromiter(map(below_index.__getitem__, base_of), dtype=np.intp, count=len(verts))
+    want = below_mat[np.ix_(proj, proj)]
+    want[proj[:, None] == proj[None, :]] = -1
+    np.fill_diagonal(want, 0)
+    for j, pairs in groups.items():
+        who = np.array([p for p, _ in pairs], dtype=np.intp)
+        bit = np.array([b for _, b in pairs])
+        a, b = (below_index.get(x, -1) for x in lvl.bad_sets[j].long_edge)
+        pw = proj[who]
+        across = ((pw[:, None] == a) & (pw[None, :] == b)) | ((pw[:, None] == b) & (pw[None, :] == a))
+        block = want[np.ix_(who, who)]
+        block[(bit[:, None] != bit[None, :]) != across] = -1
+        want[np.ix_(who, who)] = block
+    first = _first_difference(matrix[1], want)
+    if first is None:
+        return None
+    i, j = first
+    u, v = verts[i], verts[j]
+    expected = below.graph.label(base_of[i], base_of[j]) if want[i, j] > 0 else None
+    return f"{u!r} ~ {v!r}: label {lvl.graph.label(u, v)}, expected {expected}", (u, v)
+
+
+def _check_transition(
+    report: VerificationReport, w: Witness, idx: int, matrices: list[_Matrix]
+):
     """Re-derive level idx from the level below it.  Returns the short-cycle
-    search it ran on the level, as ((size, budget), outcome), or None when
-    it stopped before that search."""
+    search it ran on the level, as ((size, budget), outcome)."""
     below, lvl = w.levels[idx - 1], w.levels[idx]
     tag = f"level-{lvl.level}"
-    from .levels import bad_sets  # thin wrapper over the cycle finder
-
-    expected_bad = bad_sets(below.graph, lvl.level)
-    if expected_bad != lvl.bad_sets:
-        report.add(f"{tag}-bad-sets", False, "stored bad sets differ from recomputation")
-        return None
-    report.add(f"{tag}-bad-sets", True, f"{len(expected_bad)} bad sets")
+    search = (lvl.level, w.config.search_budget)
+    outcome = _short_cycle_search(lvl.graph, *search)
+    if not _check_bad_sets(report, f"{tag}-bad-sets", below.graph, matrices[idx - 1][1], lvl,
+                           outcome):
+        return search, outcome
 
     member: dict[str, list[int]] = {x: [] for x in below.graph.vertices}
     for j, m in enumerate(lvl.bad_sets):
@@ -497,31 +706,9 @@ def _check_transition(report: VerificationReport, w: Witness, idx: int):
     )
     report.add(f"{tag}-projection", proj_ok)
 
-    # edge rule, both directions, re-derived from the ids alone
-    bad_edge = None
-    bad_pair = None
-    verts = list(lvl.graph.vertices)
-    bits_of = {vid: parse_level_vertex(vid)[1] for vid in verts}
-    pos = {x: {j: p for p, j in enumerate(member[x])} for x in below.graph.vertices}
-    for u, v in combinations(verts, 2):
-        xu, xv = lvl.projection[u], lvl.projection[v]
-        d = below.graph.label(xu, xv)
-        want = d
-        if d is not None:
-            for j in member[xu]:
-                if j not in pos[xv]:
-                    continue
-                m = lvl.bad_sets[j]
-                diff = bits_of[u][pos[xu][j]] != bits_of[v][pos[xv][j]]
-                long = m.long_edge == ((xu, xv) if xu < xv else (xv, xu))
-                if diff != long:
-                    want = None
-                    break
-        if lvl.graph.label(u, v) != want:
-            bad_edge = f"{u!r} ~ {v!r}: label {lvl.graph.label(u, v)}, expected {want}"
-            bad_pair = (u, v)
-            break
-    report.add(f"{tag}-edge-rule", bad_edge is None, bad_edge or "", counterexample=bad_pair)
+    bad_edge = _level_edge_rule(below, lvl, member, matrices[idx - 1], matrices[idx])
+    detail, pair = bad_edge if bad_edge is not None else ("", None)
+    report.add(f"{tag}-edge-rule", bad_edge is None, detail, counterexample=pair)
 
     # anchored copy: bits follow the anchor rules, base vertices line up
     copy_below = set(below.base_embedding.image())
@@ -541,38 +728,8 @@ def _check_transition(report: VerificationReport, w: Witness, idx: int):
                 break
     report.add(f"{tag}-anchors", emb_ok)
 
-    search = (lvl.level, w.config.search_budget)
-    outcome = _short_cycle_search(lvl.graph, *search)
     _report_short_cycles(report, f"{tag}-no-short-bad-cycles", outcome)
     return search, outcome
-
-
-_ShortCycleOutcome = tuple[object, "BudgetExhausted | None"]
-
-
-def _short_cycle_search(g: EdgeLabelledGraph, size: int, budget: int) -> _ShortCycleOutcome:
-    """(first non-metric cycle on at most `size` vertices or None, and the
-    BudgetExhausted that stopped the search or None)."""
-    try:
-        return has_nonmetric_cycle_up_to(g, size, budget=budget), None
-    except BudgetExhausted as exc:
-        return None, exc
-
-
-def _report_short_cycles(
-    report: VerificationReport, name: str, outcome: _ShortCycleOutcome
-) -> None:
-    cycle, exhausted = outcome
-    if exhausted is not None:
-        report.budget_exhausted = True
-        report.add(name, False, str(exhausted), skipped=True)
-    else:
-        report.add(
-            name,
-            cycle is None,
-            "" if cycle is None else f"non-metric cycle on {cycle.vertices}",
-            counterexample=cycle,
-        )
 
 
 def cross_check(w: Witness, budget: int = 10_000_000, search_limit: int = 150) -> VerificationReport:
@@ -585,15 +742,17 @@ def cross_check(w: Witness, budget: int = 10_000_000, search_limit: int = 150) -
     """
     report = VerificationReport()
     _check_metric(report, w.input, "input-metric")
-    scale = _scale(w.final, *(lvl.graph for lvl in w.levels[-1:]))
+    graphs = [lvl.graph for lvl in w.levels]
+    scale = _scale(w.input, w.final, *graphs)
     final_matrix = _label_matrix(w.final, scale)
 
     if w.levels:
+        matrices = [_label_matrix(g, scale) for g in graphs]
         if w.set_assignment is not None:
-            _check_subset_level(report, w)
+            _check_subset_level(report, w, scale, matrices[0])
         top_search = None
         for idx in range(1, len(w.levels)):
-            top_search = _check_transition(report, w, idx)
+            top_search = _check_transition(report, w, idx, matrices)
             report.count("level_transitions_checked")
         top = w.levels[-1]
         # the last transition's search is this one when size and budget agree
@@ -617,7 +776,7 @@ def cross_check(w: Witness, budget: int = 10_000_000, search_limit: int = 150) -
                     frontier.append(v)
         report.add("component", seen == comp,
                    "" if seen == comp else "stored component differs from reachability")
-        _check_completion(report, w, scale, final_matrix)
+        _check_completion(report, w, scale, matrices[-1], final_matrix)
     else:
         report.add("trivial-tower", len(w.input) == 1 and w.final == w.input)
 
@@ -660,6 +819,7 @@ def cross_check(w: Witness, budget: int = 10_000_000, search_limit: int = 150) -
 
     if w.set_assignment is not None and w.levels:
         index, mat = final_matrix
+        mat = _narrowest(mat, int(mat.max(initial=0)))
         replay_ok = True
         detail = ""
         offender = None

@@ -317,3 +317,30 @@ def test_bounded_search_agrees_with_induced_scan(g):
     assert (got is not None) == induced
     if got is not None:
         assert got.check(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(edge_labelled_graphs(max_vertices=7, labels=(
+    Fraction(1), Fraction(3, 2), Fraction(2), Fraction(7, 2), Fraction(5))))
+def test_hop_check_agrees_with_induced_scan_at_every_size(g):
+    # at every bound L, a non-metric cycle on at most L vertices exists iff
+    # some induced one does; the witness names at most L vertices
+    for size in range(3, len(g) + 1):
+        got = has_nonmetric_cycle_up_to(g, size)
+        induced = any(induced_nonmetric_sets(g, s) for s in range(3, size + 1))
+        assert (got is not None) == induced, size
+        if got is not None:
+            assert got.check(g)
+            assert len(got.vertices) <= size
+
+
+def test_hop_check_rebuilds_the_path_under_a_long_closing_edge():
+    # a 4-vertex path a-b-c-d closed by a long edge: only a 4-cycle is bad
+    g = graph_from_triples(
+        ["a", "b", "c", "d"],
+        [("a", "b", 1), ("b", "c", 1), ("c", "d", 1), ("a", "d", 5)],
+    )
+    assert has_nonmetric_cycle_up_to(g, 3) is None
+    got = has_nonmetric_cycle_up_to(g, 4)
+    assert got == CycleWitness(("a", "b", "c", "d"), ("a", "d"), Fraction(2))
+    assert got.check(g)

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import dataclasses
+import importlib.util
 from fractions import Fraction
 from itertools import combinations, permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from eppa import (
     verify_eppa,
 )
 from eppa.graphs import EdgeLabelledGraph
+from eppa.levels import BadSet
 from eppa.verifier import _enumerate_partial_isometries, _label_matrix, _min_plus_closure, _scale
 from conftest import connected_graphs, small_corpus
 
@@ -172,26 +175,26 @@ def test_cross_check_three_point(t112_witness):
 
 def test_cross_check_searches_each_level_once(t112_witness, monkeypatch):
     # the level-3 short-cycle search is also the top-level one (n = 3), and
-    # the stored bad sets are recomputed by the full scan
+    # it proves the stored empty bad-set list too: the construction's
+    # bad-set scan is never run
     from eppa import levels
 
     calls = []
     search = verifier.has_nonmetric_cycle_up_to
-    scan = levels.bad_sets
     monkeypatch.setattr(verifier, "has_nonmetric_cycle_up_to",
                         lambda g, size, budget: calls.append(("search", len(g), size))
                         or search(g, size, budget=budget))
     monkeypatch.setattr(levels, "bad_sets",
-                        lambda g, size: calls.append(("scan", len(g), size)) or scan(g, size))
+                        lambda g, size: calls.append(("scan", len(g), size)))
     report = cross_check(t112_witness)
     assert report.ok
-    assert calls == [("scan", 70, 3), ("search", 70, 3)]
+    assert calls == [("search", 70, 3)]
     passed = {r.name for r in report.results if r.passed and not r.skipped}
     assert {"level-3-bad-sets", "level-3-no-short-bad-cycles", "top-level-no-bad-cycles"} <= passed
     # another budget is another search
     calls.clear()
     assert cross_check(t112_witness, budget=5_000_000, search_limit=0).ok
-    assert calls == [("scan", 70, 3), ("search", 70, 3), ("search", 70, 3)]
+    assert calls == [("search", 70, 3), ("search", 70, 3)]
 
 
 def test_exhausted_shared_search_fails_both_checks_as_skipped(t112_witness, monkeypatch):
@@ -299,6 +302,70 @@ def test_tampered_subset_level_is_caught(t112_witness):
     assert not report.ok
     offenders = failing(report, "subset-edge-rule")
     assert offenders and offenders[0].counterexample is not None
+
+
+def test_edge_rules_name_the_first_differing_pair(t112_witness):
+    w = t112_witness
+    for idx, name in ((0, "subset-edge-rule"), (1, "level-3-edge-rule")):
+        lvl = w.levels[idx]
+        edges = list(lvl.graph.edges())  # vertex order
+        # a later bumped label and an earlier missing edge: the missing one is named
+        tampered = [(u, v, d + 1 if i == 40 else d) for i, (u, v, d) in enumerate(edges) if i != 3]
+        graph = EdgeLabelledGraph(lvl.graph.vertices, tampered)
+        levels = list(w.levels)
+        levels[idx] = dataclasses.replace(lvl, graph=graph)
+        report = cross_check(dataclasses.replace(w, levels=tuple(levels)), search_limit=0)
+        offenders = failing(report, name)
+        u, v, d = edges[3]
+        assert offenders and offenders[0].counterexample == (u, v)
+        assert f"label None, expected {d}" in offenders[0].detail
+
+
+@pytest.fixture(scope="module")
+def probe():
+    """scripts/mutation_probe.py, loaded as a module."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "mutation_probe.py"
+    spec = importlib.util.spec_from_file_location("mutation_probe", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def demo_witness(probe):
+    """One expansion level over two non-metric triangles sharing their long
+    edge."""
+    return probe.demo_witness()
+
+
+def test_tampered_bad_set_list_is_caught(demo_witness):
+    w = demo_witness
+    base, lvl = w.levels
+    assert len(lvl.bad_sets) == 2
+    assert cross_check(w).ok
+    # p, r, s induce a path, not a cycle
+    extra = BadSet(members=frozenset({"p", "r", "s"}), long_edge=("p", "s"),
+                   cycle=lvl.bad_sets[0].cycle)
+    for stored in (lvl.bad_sets[1:], lvl.bad_sets + (extra,)):
+        tampered = dataclasses.replace(w, levels=(base, dataclasses.replace(lvl, bad_sets=stored)))
+        assert failing(cross_check(tampered, search_limit=0), "level-3-bad-sets")
+
+
+def test_construction_mutants_are_caught(probe, capsys):
+    assert probe.main(["--construction"]) == 0
+    out = capsys.readouterr().out
+    assert "ESCAPED" not in out
+    assert "3/3 exercised construction mutants caught" in out
+
+
+def test_bad_set_scan_above_its_bound_is_skipped(demo_witness, monkeypatch):
+    # the level below has four vertices, so C(4, 3) = 4 vertex sets to scan
+    monkeypatch.setattr(verifier, "_BAD_SET_SCAN_LIMIT", 3)
+    report = cross_check(demo_witness)
+    result = next(r for r in report.results if r.name == "level-3-bad-sets")
+    assert result.skipped and not result.passed
+    assert "4 vertex sets" in result.detail
+    assert report.ok
 
 
 # -- the replay check judges the operator's output itself ------------------------------
