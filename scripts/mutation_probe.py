@@ -58,17 +58,14 @@ from eppa.levels import LevelGraph, parse_level_vertex
 from eppa.setrep import token_sort_key
 
 
-def demo_witness() -> Witness:
-    """One expansion step over a graph with two overlapping non-metric
-    triangles; its twelve derived vertices carry twenty valuation bits."""
-    core = EdgeLabelledGraph(
-        ["p", "q", "r", "s"],
-        [("p", "q", 3), ("p", "r", 1), ("q", "r", 1), ("p", "s", 1), ("q", "s", 1)],
-    )
+def expansion_witness(core: EdgeLabelledGraph, anchor: str, size: int, n: int) -> Witness:
+    """A one-point space at `anchor` of `core` (the base, level 2), under
+    one expansion level of the given size; the levels in between are not
+    stored, so `core` must have no non-metric cycle on fewer vertices."""
     prev = LevelGraph(
-        graph=core, level=2, base_embedding=PartialMap({"z": "r"}), projection={}, bad_sets=()
+        graph=core, level=2, base_embedding=PartialMap({"z": anchor}), projection={}, bad_sets=()
     )
-    nxt = build_next_level(prev, ["r"])
+    nxt = build_next_level(prev, size, [anchor])
     seen = set(nxt.base_embedding.image())
     frontier = list(seen)
     while frontier:
@@ -86,8 +83,18 @@ def demo_witness() -> Witness:
         component=component,
         final=final,
         final_embedding=PartialMap({"z": nxt.base_embedding["z"]}),
-        n=3,
+        n=n,
     )
+
+
+def demo_witness() -> Witness:
+    """One expansion step over a graph with two overlapping non-metric
+    triangles; its twelve derived vertices carry twenty valuation bits."""
+    core = EdgeLabelledGraph(
+        ["p", "q", "r", "s"],
+        [("p", "q", 3), ("p", "r", 1), ("q", "r", 1), ("p", "s", 1), ("q", "s", 1)],
+    )
+    return expansion_witness(core, "r", 3, 3)
 
 
 def bit_flip_mutants(w: Witness):

@@ -2,10 +2,11 @@
 """Build witnesses for a handful of small metric spaces and report timings.
 
 Runs the full pipeline on each bundled fixture (or on graph files passed on
-the command line), prints size statistics, and optionally extends every
-partial isometry of the input exhaustively as a smoke check, or times the
-independent cross-check of each witness and prints its verdict (the exit
-code is 1 if any witness fails it).
+the command line), prints size statistics, the build time and the size of
+the witness file in MB (10^6 bytes, as `dump_json` writes it), and
+optionally extends every partial isometry of the input exhaustively as a
+smoke check, or times the independent cross-check of each witness and
+prints its verdict (the exit code is 1 if any witness fails it).
 
     python3 scripts/run_fixtures.py
     python3 scripts/run_fixtures.py --verify
@@ -16,6 +17,7 @@ code is 1 if any witness fails it).
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
 from pathlib import Path
@@ -75,10 +77,12 @@ def run_one(name: str, g: EdgeLabelledGraph, args: argparse.Namespace) -> bool:
     build_s = time.perf_counter() - t0
 
     stats = witness_stats(w)
+    obj = witness_to_json(w)
+    size = len(json.dumps(obj, separators=(",", ":"))) + 1  # ASCII, as dump_json writes it
     print(f"== {name}")
     print(f"   input: {len(g)} vertices, spectrum {stats['spectrum']}")
     print(f"   tower: levels {stats['levels']} -> final {stats['final_vertices']} vertices")
-    print(f"   build: {build_s:.2f}s")
+    print(f"   build: {build_s:.2f}s, witness {size / 1e6:.2f} MB")
 
     if args.extend_all:
         t0 = time.perf_counter()
@@ -103,7 +107,7 @@ def run_one(name: str, g: EdgeLabelledGraph, args: argparse.Namespace) -> bool:
 
     if args.output_dir:
         path = Path(args.output_dir) / f"{name}.witness.json"
-        dump_json(str(path), witness_to_json(w))
+        dump_json(str(path), obj)
         print(f"   wrote {path}")
     return ok
 

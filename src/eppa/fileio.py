@@ -3,8 +3,9 @@
 Graph files are JSON objects `{"vertices": [...], "edges": [[u, v, label]]}`
 with labels written as positive fractions in lowest terms ("3" or "3/2",
 never "6/4" or "3/1").  Map files are JSON lists of `[source, target]` pairs.
-Witness files bundle everything `build_witness` produced, with a format
-version field; their graphs use an indexed edge encoding to stay compact.
+Witness files bundle everything `build_witness` produced, stored levels
+only, under the format version `eppa-witness/2`; files of any other version
+are refused.  Their graphs use an indexed edge encoding to stay compact.
 All parsers reject structurally invalid input with the offending element
 named in the error.
 """
@@ -25,7 +26,7 @@ from .pipeline import Config, Witness
 from .setrep import SetAssignment, token_sort_key
 from .verifier import VerificationReport
 
-WITNESS_FORMAT = "eppa-witness/1"
+WITNESS_FORMAT = "eppa-witness/2"
 
 _LABEL_RE = re.compile(r"^(0|[1-9][0-9]*)(?:/([1-9][0-9]*))?$")
 
@@ -128,33 +129,52 @@ def _indexed_graph(g: EdgeLabelledGraph) -> dict:
 def _graph_from_indexed(obj: Any, what: str) -> EdgeLabelledGraph:
     if not isinstance(obj, dict) or "vertices" not in obj or "edges_ix" not in obj:
         raise GraphFormatError(f"{what}: expected an indexed graph object")
-    verts = obj["vertices"]
-    if not isinstance(verts, list) or not all(isinstance(v, str) for v in verts):
-        raise GraphFormatError(f"{what}: \"vertices\" must be a list of strings")
+    verts = _strings(obj["vertices"], f"{what}: \"vertices\"")
     n = len(verts)
+    labels: dict[str, Fraction] = {}  # each distinct label parsed once, its object shared
     triples = []
-    for pos, e in enumerate(obj["edges_ix"]):
+    for pos, e in enumerate(_list(obj["edges_ix"], f"{what}: \"edges_ix\"")):
         if not (isinstance(e, list) and len(e) == 3
                 and isinstance(e[0], int) and isinstance(e[1], int)
                 and 0 <= e[0] < n and 0 <= e[1] < n):
             raise GraphFormatError(f"{what}: edge #{pos} has bad vertex indices: {e!r}")
-        try:
-            triples.append((verts[e[0]], verts[e[1]], parse_label(e[2])))
-        except GraphFormatError as exc:
-            raise GraphFormatError(f"{what}: edge #{pos}: {exc}") from None
+        label = labels.get(e[2]) if isinstance(e[2], str) else None
+        if label is None:
+            try:
+                label = labels[e[2]] = parse_label(e[2])
+            except GraphFormatError as exc:
+                raise GraphFormatError(f"{what}: edge #{pos}: {exc}") from None
+        triples.append((verts[e[0]], verts[e[1]], label))
     return EdgeLabelledGraph(verts, triples)
 
 
-def _pairs(obj: Any, what: str) -> list[tuple[str, str]]:
+def _list(obj: Any, what: str) -> list:
     if not isinstance(obj, list):
-        raise GraphFormatError(f"{what}: expected a list of pairs")
-    out = []
-    for pos, pair in enumerate(obj):
-        if not (isinstance(pair, list) and len(pair) == 2
-                and all(isinstance(x, str) for x in pair)):
-            raise GraphFormatError(f"{what}: entry #{pos} must be a pair of strings")
-        out.append((pair[0], pair[1]))
-    return out
+        raise GraphFormatError(f"{what} must be a list")
+    return obj
+
+
+def _strings(obj: Any, what: str, size: int | None = None) -> list[str]:
+    """obj, when it is a list of strings (of the given length)."""
+    if not (isinstance(obj, list) and all(isinstance(x, str) for x in obj)
+            and size in (None, len(obj))):
+        count = "" if size is None else f"{size} "
+        raise GraphFormatError(f"{what} must be a list of {count}strings")
+    return obj
+
+
+def _integer(obj: Any, what: str, low: int, high: int) -> int:
+    """obj, when it is an integer (not a bool) from low to high."""
+    if type(obj) is not int or not low <= obj <= high:
+        raise GraphFormatError(f"{what} must be an integer from {low} to {high}, got {obj!r}")
+    return obj
+
+
+def _pairs(obj: Any, what: str) -> list[tuple[str, str]]:
+    return [
+        tuple(_strings(pair, f"{what}: entry #{pos}", 2))
+        for pos, pair in enumerate(_list(obj, what))
+    ]
 
 
 def _cycle_to_json(w: CycleWitness) -> dict:
@@ -168,15 +188,9 @@ def _cycle_to_json(w: CycleWitness) -> dict:
 def _cycle_from_json(obj: Any) -> CycleWitness:
     if not isinstance(obj, dict):
         raise GraphFormatError("cycle witness must be an object")
-    verts = obj.get("vertices")
-    long_edge = obj.get("long_edge")
-    if not (isinstance(verts, list) and all(isinstance(v, str) for v in verts)):
-        raise GraphFormatError("cycle witness vertices must be strings")
-    if not (isinstance(long_edge, list) and len(long_edge) == 2):
-        raise GraphFormatError("cycle witness long_edge must be a pair")
     return CycleWitness(
-        vertices=tuple(verts),
-        long_edge=(long_edge[0], long_edge[1]),
+        vertices=tuple(_strings(obj.get("vertices"), "cycle witness vertices")),
+        long_edge=tuple(_strings(obj.get("long_edge"), "cycle witness long_edge", 2)),
         deficit=parse_label(obj.get("deficit")),
     )
 
@@ -198,35 +212,43 @@ def _level_to_json(lvl: LevelGraph) -> dict:
     }
 
 
-def _level_from_json(obj: Any, pos: int) -> LevelGraph:
+def _level_from_json(obj: Any, pos: int, below: LevelGraph | None, n: int) -> LevelGraph:
+    """Stored level #pos, given the previous stored level (None for the
+    base, which is level 2) and the tower height n."""
     what = f"level #{pos}"
     if not isinstance(obj, dict):
         raise GraphFormatError(f"{what}: expected an object")
-    level = obj.get("level")
-    if not isinstance(level, int):
-        raise GraphFormatError(f"{what}: \"level\" must be an integer")
+    low, high = (2, 2) if below is None else (below.level + 1, n)
+    level = _integer(obj.get("level"), f"{what}: \"level\"", low, high)
     bad = []
-    for j, m in enumerate(obj.get("bad_sets", ())):
+    for j, m in enumerate(_list(obj.get("bad_sets", []), f"{what}: \"bad_sets\"")):
         if not isinstance(m, dict):
             raise GraphFormatError(f"{what}: bad set #{j} must be an object")
-        members = m.get("members")
-        long_edge = m.get("long_edge")
-        if not (isinstance(members, list) and all(isinstance(x, str) for x in members)):
-            raise GraphFormatError(f"{what}: bad set #{j} members must be strings")
-        if not (isinstance(long_edge, list) and len(long_edge) == 2):
-            raise GraphFormatError(f"{what}: bad set #{j} long_edge must be a pair")
         bad.append(
             BadSet(
-                members=frozenset(members),
-                long_edge=(long_edge[0], long_edge[1]),
+                members=frozenset(_strings(m.get("members"), f"{what}: bad set #{j} members")),
+                long_edge=tuple(_strings(m.get("long_edge"), f"{what}: bad set #{j} long_edge", 2)),
                 cycle=_cycle_from_json(m.get("cycle")),
             )
         )
+    graph = _graph_from_indexed(obj.get("graph"), what)
+    embedding = _pairs(obj.get("base_embedding"), f"{what}: \"base_embedding\"")
+    projection = dict(_pairs(obj.get("projection", []), f"{what}: \"projection\""))
+    if below is None:
+        if projection:
+            raise GraphFormatError(f"{what}: the base level has no projection")
+    elif set(projection) != set(graph.vertices) or not all(
+        v in below.graph for v in projection.values()
+    ):
+        raise GraphFormatError(
+            f"{what}: the projection must send exactly the level's vertices "
+            "to vertices of the level below"
+        )
     return LevelGraph(
-        graph=_graph_from_indexed(obj.get("graph"), what),
+        graph=graph,
         level=level,
-        base_embedding=PartialMap(dict(_pairs(obj.get("base_embedding"), what))),
-        projection=dict(_pairs(obj.get("projection", []), what)),
+        base_embedding=PartialMap(dict(embedding)),
+        projection=projection,
         bad_sets=tuple(bad),
     )
 
@@ -240,18 +262,18 @@ def _assignment_to_json(sa: SetAssignment) -> dict:
 
 
 def _assignment_from_json(obj: Any, graph: EdgeLabelledGraph) -> SetAssignment:
-    if not isinstance(obj, dict) or not isinstance(obj.get("k"), int):
-        raise GraphFormatError("set assignment must be an object with integer k")
-    universe = obj.get("universe")
-    if not (isinstance(universe, list) and all(isinstance(t, str) for t in universe)):
-        raise GraphFormatError("set assignment universe must be a list of strings")
+    if not isinstance(obj, dict):
+        raise GraphFormatError("set assignment must be an object")
+    universe = _strings(obj.get("universe"), "set assignment universe")
+    k = _integer(obj.get("k"), "set assignment k", 1, len(universe))
     psi = {}
-    for pos, entry in enumerate(obj.get("psi", ())):
-        if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
-                and isinstance(entry[1], list)):
-            raise GraphFormatError(f"set assignment psi entry #{pos} malformed")
-        psi[entry[0]] = frozenset(entry[1])
-    return SetAssignment(graph=graph, k=obj["k"], psi=psi, universe=tuple(universe))
+    for pos, entry in enumerate(_list(obj.get("psi"), "set assignment psi")):
+        if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)):
+            raise GraphFormatError(f"set assignment psi entry #{pos} must be [vertex, tokens]")
+        psi[entry[0]] = frozenset(_strings(entry[1], f"set assignment psi entry #{pos} tokens"))
+    if sorted(psi) != list(graph.vertices):
+        raise GraphFormatError("set assignment psi must give the tokens of every input vertex")
+    return SetAssignment(graph=graph, k=k, psi=psi, universe=tuple(universe))
 
 
 def witness_to_json(w: Witness) -> dict:
@@ -278,33 +300,34 @@ def witness_from_json(obj: Any) -> Witness:
     if obj.get("format") != WITNESS_FORMAT:
         raise GraphFormatError(
             f"unsupported witness format {obj.get('format')!r}, expected {WITNESS_FORMAT!r}"
+            " (build the witness again)"
         )
     a = graph_from_json(obj.get("input"))
     sa = obj.get("set_assignment")
-    cfg = obj.get("config") or {}
+    n = obj.get("n")
+    if type(n) is not int or n < 2:
+        raise GraphFormatError(f"witness field \"n\" must be an integer of at least 2, got {n!r}")
+    levels: list[LevelGraph] = []
+    for pos, lvl in enumerate(_list(obj.get("levels", []), "witness \"levels\"")):
+        levels.append(_level_from_json(lvl, pos, levels[-1] if levels else None, n))
+    cfg = obj.get("config", {})
     if not isinstance(cfg, dict):
         raise GraphFormatError("witness config must be an object")
-    n = obj.get("n")
-    if not isinstance(n, int):
-        raise GraphFormatError("witness field \"n\" must be an integer")
-    component = obj.get("component")
-    if not (isinstance(component, list) and all(isinstance(v, str) for v in component)):
-        raise GraphFormatError("witness component must be a list of vertex ids")
+    settings = {}
+    for key, kind in (("vertex_cap", int), ("search_budget", int), ("coherent", bool)):
+        value = settings[key] = cfg.get(key, getattr(Config, key))
+        if type(value) is not kind:
+            raise GraphFormatError(f"witness config {key!r} must be of type {kind.__name__}, "
+                                   f"got {value!r}")
     return Witness(
         input=a,
         set_assignment=None if sa is None else _assignment_from_json(sa, a),
-        levels=tuple(
-            _level_from_json(lvl, pos) for pos, lvl in enumerate(obj.get("levels", ()))
-        ),
-        component=tuple(component),
+        levels=tuple(levels),
+        component=tuple(_strings(obj.get("component"), "witness component")),
         final=_graph_from_indexed(obj.get("final"), "final"),
         final_embedding=PartialMap(dict(_pairs(obj.get("final_embedding"), "final_embedding"))),
         n=n,
-        config=Config(
-            vertex_cap=cfg.get("vertex_cap", 200_000),
-            search_budget=cfg.get("search_budget", 10_000_000),
-            coherent=cfg.get("coherent", True),
-        ),
+        config=Config(**settings),
     )
 
 

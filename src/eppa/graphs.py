@@ -49,10 +49,11 @@ def _check_core_name(name: str) -> str:
 
 
 def as_label(value) -> Fraction:
-    """Coerce to a positive Fraction; anything else is a format error."""
+    """Coerce to a positive Fraction; anything else is a format error.  A
+    Fraction is returned as it is, so graphs can share label objects."""
     if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
         raise GraphFormatError(f"edge label {value!r} is not an exact rational")
-    label = Fraction(value)
+    label = value if isinstance(value, Fraction) else Fraction(value)
     if label <= 0:
         raise GraphFormatError(f"edge label {label} is not positive")
     return label
@@ -127,23 +128,6 @@ class EdgeLabelledGraph:
         g._spectrum = spectrum
         g._dense = None
         return g
-
-    def renamed(self, names: Mapping[str, str]) -> "EdgeLabelledGraph":
-        """The same graph with every vertex v called names[v].
-
-        The label objects and the cached spectrum are shared and nothing is
-        re-validated, so the new names must be valid ids; they are checked
-        only for being distinct.  Each name string is stored once, in
-        `vertices` and as adjacency keys.
-        """
-        vertices = tuple(sorted(names[v] for v in self.vertices))
-        if len(set(vertices)) != len(vertices):
-            raise GraphFormatError("renaming maps two vertices to one name")
-        adj = {
-            names[u]: {names[v]: label for v, label in row.items()}
-            for u, row in self._adj.items()
-        }
-        return EdgeLabelledGraph._trusted(vertices, adj, self.edge_count, self.spectrum())
 
     # -- basic queries ---------------------------------------------------
 

@@ -1,17 +1,19 @@
 """Level-by-level elimination of short non-metric cycles.
 
-Level i+1 replaces every vertex x of level i by one copy per 0/1-valuation of
-the bad sets through x, where a bad set is an (i+1)-element vertex set whose
-induced subgraph is a non-metric cycle.  Edges survive between copies that
-agree on every shared bad set, except across the cycle's long edge where they
-must disagree.  Walking any bad cycle then forces a bit to both flip and stay
-equal, so level i+1 induces no non-metric cycle on i+1 or fewer vertices,
-while a fixed copy of the original space and the extendability of its partial
-automorphisms are both carried upward.
+Level L replaces every vertex x of the level below by one copy per
+0/1-valuation of the bad sets through x, where a bad set is an L-element
+vertex set whose induced subgraph is a non-metric cycle.  Edges survive
+between copies that agree on every shared bad set, except across the cycle's
+long edge where they must disagree.  Walking any bad cycle then forces a bit
+to both flip and stay equal, so level L induces no non-metric cycle on L or
+fewer vertices, while a fixed copy of the original space and the
+extendability of its partial automorphisms are both carried upward.
 
-A level with no bad sets is a renamed copy of the level below: x becomes
-"x;", its only (empty) valuation (`next_level_copy`).  While every level so
-far is such a copy, the tower is decided on the subset graph B0 alone
+A level whose level below has no bad set of its size is that level again
+under new names (each vertex with the empty valuation), so it is not
+stored: a stored level is built by `build_next_level` at its own size from
+the previous stored level, and projects onto it.  While only the subset
+graph B0 is stored, the tower is decided on B0 alone
 (`representative_bad_counts`, `bad_sets_per_vertex`):
 
 - Token permutations are automorphisms of B0.  They act transitively on its
@@ -22,9 +24,9 @@ far is such a copy, the tower is decided on the subset graph B0 alone
   search from a single representative edge per label is exact: B0 has
   T = sum_l E_l * r_l bad L-sets (E_l edges carry label l), and each vertex
   lies in exactly L * T / |V| of them.
-- Levels 3..L-1 are copies of B0, so the search on B0 answers for level
-  L-1 too.  The first level with bad sets is built by the general
-  expansion, and so is every level above it: it is no longer a copy of B0.
+- Levels 3..L-1 are B0 renamed, so the search on B0 answers for level L-1
+  too.  The first level with bad sets is built by the general expansion,
+  and so is every level above it: it is no longer B0 renamed.
 """
 
 from __future__ import annotations
@@ -53,11 +55,11 @@ class BadSet:
 
 @dataclass(frozen=True)
 class LevelGraph:
-    """One level of the construction tower.
+    """One stored level of the construction tower.
 
-    `bad_sets` are the bad sets of the level below that this level's
-    valuations range over (empty at the base level), and `projection` maps
-    every vertex to the one below it (empty at the base level).
+    `bad_sets` are the bad sets of size `level` of the previous stored level
+    that this level's valuations range over, and `projection` maps every
+    vertex to the one below it there; both are empty at the base level.
     `base_embedding` places the original space inside this level.
     """
 
@@ -163,14 +165,18 @@ def anchor_valuations(
 
 def build_next_level(
     prev: LevelGraph,
+    size: int,
     a_i: Iterable[str] | None = None,
     vertex_cap: int = 200_000,
 ) -> LevelGraph:
-    """Expand a level by 0/1-valuations of its bad sets of the next size up.
+    """Expand a level by 0/1-valuations of its bad sets of the given size,
+    into the level of that number.
 
-    The result induces no non-metric cycle on at most level+1 vertices and
-    carries a copy of the original space at anchored valuations.  `a_i`, if
-    given, must name the embedded copy (the image of `prev.base_embedding`).
+    The levels in between, if any, are `prev` renamed: the caller has found
+    no bad set of their sizes.  The result induces no non-metric cycle on at
+    most `size` vertices and carries a copy of the original space at
+    anchored valuations.  `a_i`, if given, must name the embedded copy (the
+    image of `prev.base_embedding`).
     """
     g = prev.graph
     copy_vertices = tuple(prev.base_embedding.image())
@@ -179,7 +185,7 @@ def build_next_level(
     copy = induced_subgraph(g, copy_vertices)
     if not is_metric_space(copy):
         raise NotAMetricSpace("embedded copy is not a metric space")
-    bad = bad_sets(g, prev.level + 1)
+    bad = bad_sets(g, size)
     member_idx: dict[str, tuple[int, ...]] = {x: () for x in g.vertices}
     for j, m in enumerate(bad):
         for x in m.members:
@@ -188,7 +194,7 @@ def build_next_level(
     needed = sum(1 << len(member_idx[x]) for x in g.vertices)
     if needed > vertex_cap:
         raise VertexCapExceeded(
-            f"level {prev.level + 1} (valuation expansion)", needed, vertex_cap
+            f"level {size} (valuation expansion)", needed, vertex_cap
         )
 
     vertex_ids: dict[str, list[tuple[str, tuple[int, ...]]]] = {}
@@ -233,28 +239,10 @@ def build_next_level(
         embedding[a] = level_vertex_id(x, bits)
     return LevelGraph(
         graph=graph,
-        level=prev.level + 1,
+        level=size,
         base_embedding=PartialMap(embedding),
         projection=projection,
         bad_sets=bad,
-    )
-
-
-def next_level_copy(prev: LevelGraph) -> LevelGraph:
-    """The next level when the level below has no bad sets of the next size.
-
-    This is what `build_next_level` returns then, built without a search:
-    every vertex x becomes x with the empty valuation, edges and labels are
-    kept.  One id string per vertex is shared by the graph, the projection
-    and the embedding.
-    """
-    names = {x: level_vertex_id(x, ()) for x in prev.graph.vertices}
-    return LevelGraph(
-        graph=prev.graph.renamed(names),
-        level=prev.level + 1,
-        base_embedding=PartialMap({a: names[x] for a, x in prev.base_embedding.items()}),
-        projection={vid: x for x, vid in names.items()},
-        bad_sets=(),
     )
 
 

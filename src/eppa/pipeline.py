@@ -10,12 +10,12 @@ The tower C3..CN is decided on the subset graph B0 for as long as it stays
 trivial.  Token permutations act on B0 transitively on the edges of each
 label, so whether B0 has a bad L-set, and how many bad L-sets pass through
 each vertex, follows from one anchored search per label (see `levels`).
-While no level so far has bad sets, every level is a renamed copy of B0 and
-the search on B0 answers for the level below L too; a clean level is then
-built as such a copy, without a search.  The first level with bad sets is
-refused at once when its predicted size |V| * 2^c exceeds the vertex cap,
-and otherwise built by `build_next_level` with a full search, as is every
-level above it.
+A level without bad sets is the level below renamed and is not stored, so
+while B0 has no bad L-set the witness stays B0 alone.  The first level with
+bad sets is refused at once when its predicted size |V| * 2^c exceeds the
+vertex cap, and otherwise built by `build_next_level` with a full search,
+as is every level above it; of those, only the ones with bad sets are
+stored.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .levels import (
     build_next_level,
     compute_flip_set,
     lift_automorphism,
-    next_level_copy,
 )
 from .setrep import SetAssignment, build_eppa_graph, build_set_assignment, extend_by_permutation, subset_automorphism
 
@@ -57,13 +56,15 @@ class Config:
 class Witness:
     """Everything produced by one run of the construction.
 
-    `levels` holds the expansion tower bottom-up (the subset graph first),
-    `component` the vertex set of the final level that was completed, and
-    `final` the resulting metric space with `final_embedding` placing the
-    input inside it.  `n` is the tower height: one above the floor of the
-    largest-to-smallest distance ratio.  `set_assignment` is None only for
-    witnesses that cannot replay extensions token-by-token (single-point
-    inputs and hand-built test witnesses).
+    `levels` holds the stored levels of the expansion tower bottom-up: the
+    subset graph, then each level built with bad sets (any other level is
+    the stored level below it renamed).  `component` is the vertex set of
+    the top stored level that was completed, and `final` the resulting
+    metric space with `final_embedding` placing the input inside it.  `n`
+    is the tower height: one above the floor of the largest-to-smallest
+    distance ratio.  `set_assignment` is None only for witnesses that cannot
+    replay extensions token-by-token (single-point inputs and hand-built
+    test witnesses).
     """
 
     input: EdgeLabelledGraph
@@ -126,10 +127,9 @@ def build_witness(a: EdgeLabelledGraph, config: Config | None = None) -> Witness
     n = compute_N(a)
     for size in range(3, n + 1):
         prev = levels[-1]
-        if not any(lvl.bad_sets for lvl in levels):  # every level is a copy of B0
+        if len(levels) == 1:  # every level so far is B0 renamed
             per_vertex = bad_sets_per_vertex(base_graph, size)
             if not per_vertex:
-                levels.append(next_level_copy(prev))
                 continue
             # every vertex gets 2**per_vertex copies: refuse before listing
             if (
@@ -142,9 +142,9 @@ def build_witness(a: EdgeLabelledGraph, config: Config | None = None) -> Witness
                     config.vertex_cap,
                     exponent=per_vertex,
                 )
-        levels.append(
-            build_next_level(prev, prev.base_embedding.image(), vertex_cap=config.vertex_cap)
-        )
+        nxt = build_next_level(prev, size, prev.base_embedding.image(), vertex_cap=config.vertex_cap)
+        if nxt.bad_sets:
+            levels.append(nxt)
 
     top = levels[-1]
     component = _component_of(top.graph, top.base_embedding.image())
@@ -203,7 +203,9 @@ def extend_isometry(w: Witness, phi: PartialMap) -> PartialMap:
 
     `phi` may be written on input vertex names or on their images under
     `final_embedding`; the result is a total automorphism of `w.final`
-    (always on final vertex ids) extending the image form of `phi`.
+    (always on final vertex ids) extending the image form of `phi`.  It is
+    lifted through the stored levels only: a level that is not stored is
+    the one below renamed, and the lift there is the same map.
     """
     phi_a = _as_input_map(w, phi)
     if not is_partial_automorphism(phi_a, w.input):

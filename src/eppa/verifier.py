@@ -9,11 +9,14 @@ per graph:
   shared-token counts of its vertices call for;
 - each level's edge rule is a comparison with the level below, read
   through the projection, with the pairs that a stored bad set cuts masked;
-- a non-empty list of stored bad sets is compared with a local scan of the
-  vertex sets of the level below, skipped above a size bound.  An empty
-  list needs no scan: the vertex and edge-rule checks make the level a
-  relabelled copy of the one below, so the level's own short-cycle check
-  proves that the level below has no bad set of that size;
+- each stored level's bad sets are compared with a local scan of the
+  vertex sets of the previous stored level, skipped above a size bound.  An
+  empty list fails: a level without bad sets is not stored;
+- each stored level has one short-cycle check, up to one vertex below the
+  next stored level's number, or up to the tower height at the top.  That
+  proves the levels that are not stored: with no non-metric cycle on at most
+  q-1 vertices, levels p+1..q-1 above stored level p have no bad sets, so
+  each is level p under new names;
 - the completion is recomputed by a local min-plus closure, and metric and
   replayed isometries are checked on the same matrices.
 
@@ -416,34 +419,6 @@ def _check_metric(
     report.add(name, True)
 
 
-_ShortCycleOutcome = tuple[object, "BudgetExhausted | None"]
-
-
-def _short_cycle_search(g: EdgeLabelledGraph, size: int, budget: int) -> _ShortCycleOutcome:
-    """(first non-metric cycle on at most `size` vertices or None, and the
-    BudgetExhausted that stopped the search or None)."""
-    try:
-        return has_nonmetric_cycle_up_to(g, size, budget=budget), None
-    except BudgetExhausted as exc:
-        return None, exc
-
-
-def _report_short_cycles(
-    report: VerificationReport, name: str, outcome: _ShortCycleOutcome, passed: str = ""
-) -> None:
-    cycle, exhausted = outcome
-    if exhausted is not None:
-        report.budget_exhausted = True
-        report.add(name, False, str(exhausted), skipped=True)
-    else:
-        report.add(
-            name,
-            cycle is None,
-            passed if cycle is None else f"non-metric cycle on {cycle.vertices}",
-            counterexample=cycle,
-        )
-
-
 def _first_difference(got: np.ndarray, want: np.ndarray) -> tuple[int, int] | None:
     """First pair (i, j), i < j, in vertex order where two symmetric label
     matrices differ, or None when they are equal."""
@@ -580,22 +555,20 @@ def _check_bad_sets(
     below: EdgeLabelledGraph,
     below_mat: np.ndarray,
     lvl: LevelGraph,
-    outcome: _ShortCycleOutcome,
 ) -> bool:
     """Check a level's stored bad sets: the vertex sets of its size on which
-    the level below induces a non-metric cycle.  Returns False when the
-    stored list is wrong, so that the checks that read it are not run.
+    the previous stored level induces a non-metric cycle.  Returns False when
+    the stored list is wrong, so that the checks that read it are not run.
 
-    An empty list is proved by `outcome`, the level's own short-cycle
-    search (see the module docstring).  A non-empty one is compared with a
-    scan of the vertex sets of the level below, which is skipped above
-    `_BAD_SET_SCAN_LIMIT` sets.
+    The list is compared with a scan of the vertex sets of the level below,
+    which is skipped above `_BAD_SET_SCAN_LIMIT` sets.  An empty list fails,
+    because a level without bad sets is not stored.
     """
     stored = lvl.bad_sets
     size = lvl.level
     if not stored:
-        _report_short_cycles(report, name, outcome, "0 bad sets")
-        return True
+        report.add(name, False, "no bad sets stored: a level without bad sets is not stored")
+        return False
     if any(x not in below for m in stored for x in m.members):
         report.add(name, False, "a stored bad set names vertices outside the level below")
         return False
@@ -675,16 +648,12 @@ def _level_edge_rule(
 
 def _check_transition(
     report: VerificationReport, w: Witness, idx: int, matrices: list[_Matrix]
-):
-    """Re-derive level idx from the level below it.  Returns the short-cycle
-    search it ran on the level, as ((size, budget), outcome)."""
+) -> None:
+    """Re-derive stored level idx from the previous stored level."""
     below, lvl = w.levels[idx - 1], w.levels[idx]
     tag = f"level-{lvl.level}"
-    search = (lvl.level, w.config.search_budget)
-    outcome = _short_cycle_search(lvl.graph, *search)
-    if not _check_bad_sets(report, f"{tag}-bad-sets", below.graph, matrices[idx - 1][1], lvl,
-                           outcome):
-        return search, outcome
+    if not _check_bad_sets(report, f"{tag}-bad-sets", below.graph, matrices[idx - 1][1], lvl):
+        return
 
     member: dict[str, list[int]] = {x: [] for x in below.graph.vertices}
     for j, m in enumerate(lvl.bad_sets):
@@ -728,8 +697,25 @@ def _check_transition(
                 break
     report.add(f"{tag}-anchors", emb_ok)
 
-    _report_short_cycles(report, f"{tag}-no-short-bad-cycles", outcome)
-    return search, outcome
+
+def _check_short_cycles(report: VerificationReport, w: Witness, idx: int, budget: int) -> None:
+    """Stored level idx has no non-metric cycle on fewer vertices than the
+    next stored level's number, or on at most n vertices at the top (see
+    the module docstring)."""
+    lvl = w.levels[idx]
+    if idx + 1 < len(w.levels):
+        name, size = f"level-{lvl.level}-no-short-bad-cycles", w.levels[idx + 1].level - 1
+        budget = w.config.search_budget
+    else:
+        name, size = "top-level-no-bad-cycles", w.n
+    try:  # a cycle has at least three vertices
+        cycle = has_nonmetric_cycle_up_to(lvl.graph, size, budget=budget) if size >= 3 else None
+    except BudgetExhausted as exc:
+        report.budget_exhausted = True
+        report.add(name, False, str(exc), skipped=True)
+        return
+    detail = f"up to {size} vertices" if cycle is None else f"non-metric cycle on {cycle.vertices}"
+    report.add(name, cycle is None, detail, counterexample=cycle)
 
 
 def cross_check(w: Witness, budget: int = 10_000_000, search_limit: int = 150) -> VerificationReport:
@@ -750,19 +736,12 @@ def cross_check(w: Witness, budget: int = 10_000_000, search_limit: int = 150) -
         matrices = [_label_matrix(g, scale) for g in graphs]
         if w.set_assignment is not None:
             _check_subset_level(report, w, scale, matrices[0])
-        top_search = None
-        for idx in range(1, len(w.levels)):
-            top_search = _check_transition(report, w, idx, matrices)
-            report.count("level_transitions_checked")
+        for idx in range(len(w.levels)):
+            if idx:
+                _check_transition(report, w, idx, matrices)
+                report.count("level_transitions_checked")
+            _check_short_cycles(report, w, idx, budget)
         top = w.levels[-1]
-        # the last transition's search is this one when size and budget agree
-        if w.n < 3:
-            outcome = (None, None)
-        elif top_search is not None and top_search[0] == (w.n, budget):
-            outcome = top_search[1]
-        else:
-            outcome = _short_cycle_search(top.graph, w.n, budget)
-        _report_short_cycles(report, "top-level-no-bad-cycles", outcome)
 
         comp = set(w.component)
         seeds = set(top.base_embedding.image())

@@ -10,10 +10,12 @@ the completion oracles in test_completion.
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import random
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import hypothesis
 import pytest
@@ -119,6 +121,23 @@ def k2_witness():
 @pytest.fixture(scope="session")
 def t112_witness():
     return build_witness(make_t112())
+
+
+@pytest.fixture(scope="session")
+def probe():
+    """scripts/mutation_probe.py, loaded as a module."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "mutation_probe.py"
+    spec = importlib.util.spec_from_file_location("mutation_probe", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="session")
+def demo_witness(probe):
+    """One expansion level over two non-metric triangles sharing their long
+    edge."""
+    return probe.demo_witness()
 
 
 # -- corpus of small graphs for oracle-agreement tests -----------------------

@@ -119,15 +119,15 @@ def test_criterion_1_end_to_end(fixture_witnesses, name, factory, limit, n_maps)
     print(f"[criterion 1] PASS {name}: {n_maps} partial isometries extended in {elapsed:.1f}s")
 
 
-# sha256 of each fixture's witness file, recorded when every tower level was
-# built by `build_next_level`; the JSON must stay byte-identical.  The text is
-# the one `dump_json` writes, made in memory because writing the 19 MB
-# triangle-123 witness chunk by chunk takes seconds.
+# sha256 of each fixture's witness file in the eppa-witness/2 format, which
+# stores no level without bad sets; the JSON must stay byte-identical.  The
+# text is the one `dump_json` writes, made in memory because writing the
+# 10 MB triangle-123 witness chunk by chunk takes seconds.
 FIXTURE_DIGESTS = {
-    "two-point": "c874f8cb41cbda0765bdcdfc79cdd2c5fd52ae037de4738979085d5b367ecd95",
-    "triangle-112": "ada73302fdb7b51476bbab2e2b41c6886c9c230c7856084994b4adac808bdd0f",
-    "triangle-123": "10c0b8a325e6e8a61439d825f6b43a984e7fd328ed4bc1e68f98cebe7bc83f7b",
-    "four-point": "9e2b20d8f34f148071c2016357186d6b38fff5ef493d3aa779a49cf6b9fd0443",
+    "two-point": "79b147c8a491f42d06170fd9731e1cf592a5a75c9abb3cbd8e53ee065a2ac6d5",
+    "triangle-112": "d6ccca62efb0968d34f5cd646f2beb1a3d7da92f41373f3f805b40c4e50da237",
+    "triangle-123": "1bb7bd541f1551a3785a5e69b5e86b9fa0343b97158335c7807557777ec0ac0b",
+    "four-point": "618afa5c9c618089244cd1444c35cf8feae18e4e88266c022d53c5cec8631dc1",
 }
 
 
@@ -182,7 +182,7 @@ def test_criterion_3_six_cycle_expansion():
         projection={},
         bad_sets=(),
     )
-    g = build_next_level(prev).graph
+    g = build_next_level(prev, 3).graph
     assert len(g) == 6
     assert len(g.edges()) == 6
     assert all(len(g.adjacency(v)) == 2 for v in g.vertices)
@@ -241,11 +241,12 @@ def test_criterion_4_completion_suite():
 def test_criterion_5_levels_carry_no_short_bad_cycles(fixture_witnesses):
     checked = 0
     for name, (g, w, _) in fixture_witnesses.items():
-        for lvl in w.levels:
-            if lvl.level < 3:
-                continue  # cycles need three vertices, nothing to check at the base
-            assert has_nonmetric_cycle_up_to(lvl.graph, lvl.level) is None, (
-                f"{name}: level {lvl.level} contains a short non-metric cycle"
+        # cycles need three vertices, nothing to check at the base; a level
+        # that is not stored is the stored level below it renamed
+        for size in range(3, w.n + 1):
+            lvl = [lvl for lvl in w.levels if lvl.level <= size][-1]
+            assert has_nonmetric_cycle_up_to(lvl.graph, size) is None, (
+                f"{name}: level {size} (stored level {lvl.level}) contains a short non-metric cycle"
             )
             checked += 1
     assert checked == 4  # 112: level 3; 123: levels 3 and 4; four-point: level 3
@@ -345,15 +346,17 @@ def verifier_catches(w: Witness, tmp_path, tag: str, *options: str) -> bool:
 
 
 def test_criterion_7_mutation_sensitivity(fixture_witnesses, tmp_path):
-    """Transpose two vertices in one stored level of the pipeline-built
-    (1,1,2) witness; the verify command must fail with a counterexample for
-    each of 20 sampled transpositions.
+    """Transpose two vertices in a stored level of the pipeline-built (1,1,2)
+    witness; the verify command must fail with a counterexample for each of
+    20 sampled transpositions.
 
-    Both stored levels of that witness, B0 and level 3, have 70 vertices and
-    no twins.  A level mutation leaves the final space untouched, so the
-    brute-force extension search over it cannot be what catches one; the
-    verify runs skip it with --search-limit 0 and the structural checks
-    (edge rules, bad sets, replay) must do the catching.
+    That witness stores B0 alone: its 70 vertices have no twins and no bad
+    3-set, so level 3 is B0 renamed and is not stored.  The 20 sites are
+    sampled from B0's 2,415 transpositions.  A level mutation leaves the
+    final space untouched, so the brute-force extension search over it
+    cannot be what catches one; the verify runs skip it with
+    --search-limit 0 and the structural checks (edge rules, short-cycle
+    checks, replay) must do the catching.
 
     The (1,2,3) witness cannot serve here, and that is checked below: it
     carries no valuation bits.  Its B0 holds the 924 six-token subsets of 12
@@ -362,16 +365,18 @@ def test_criterion_7_mutation_sensitivity(fixture_witnesses, tmp_path):
     of X and Z and at most c(X,Z) outside it, so the three labels sum to at
     least 6 and, none being above 3, no side is longer than the other two
     together.  In a longer cycle the long side is at most 3 and every other
-    side at least 1.  So B0 induces no non-metric cycle, every expansion level has an
-    empty bad-set list, and every vertex carries the empty valuation.
+    side at least 1.  So B0 induces no non-metric cycle, no level up to
+    N = 4 has a bad set, and the witness is B0 alone.
     """
     w123 = fixture_witnesses["triangle-123"][1]
-    assert [(lvl.level, len(lvl.bad_sets)) for lvl in w123.levels] == [(2, 0), (3, 0), (4, 0)]
+    assert [(lvl.level, len(lvl.bad_sets)) for lvl in w123.levels] == [(2, 0)]
+    assert w123.n == 4 and has_nonmetric_cycle_up_to(w123.levels[0].graph, 4) is None
     assert valuation_bit_sites(w123) == []
 
     w = fixture_witnesses["triangle-112"][1]
+    assert [lvl.level for lvl in w.levels] == [2]
     sites = transposition_sites(w)
-    assert {idx for idx, _, _ in sites} == set(range(len(w.levels)))
+    assert len(sites) == 2415
     rng = random.Random(7)
     for n, (idx, u, v) in enumerate(rng.sample(sites, 20)):
         mutant = transpose_vertices(w, idx, u, v)
@@ -397,7 +402,7 @@ def test_criterion_7_machinery_on_a_valued_witness(tmp_path):
         projection={},
         bad_sets=(),
     )
-    nxt = build_next_level(prev, ["r"])
+    nxt = build_next_level(prev, 3, ["r"])
 
     seen = set(nxt.base_embedding.image())
     frontier = list(seen)

@@ -267,6 +267,56 @@ def test_witness_refuses_an_unbuildable_tower_at_once(tmp_path):
     assert not (tmp_path / "w.json").exists()
 
 
+def _set(*path_and_value):
+    """A mutation that sets obj[path...] = value in a witness JSON object."""
+    *path, key, value = path_and_value
+
+    def mutate(obj):
+        for step in path:
+            obj = obj[step]
+        obj[key] = value
+    return mutate
+
+
+# (witness, mutation): t112 is B0 alone, demo stores a level 3 above its base
+MALFORMED_WITNESSES = {
+    "levels-not-a-list": ("t112", _set("levels", 5)),
+    "bad-sets-not-a-list": ("t112", _set("levels", 0, "bad_sets", 5)),
+    "edges-not-a-list": ("t112", _set("levels", 0, "graph", "edges_ix", 5)),
+    "psi-not-a-list": ("t112", _set("set_assignment", "psi", 3)),
+    "integer-psi-token": ("t112", _set("set_assignment", "psi", 0, 1, 0, 7)),
+    "psi-on-another-vertex": ("t112", _set("set_assignment", "psi", 0, 0, "w")),
+    "k-negative": ("t112", _set("set_assignment", "k", -1)),
+    "k-above-the-universe": ("t112", _set("set_assignment", "k", 9)),
+    "bool-level": ("t112", _set("levels", 0, "level", True)),
+    "base-not-level-2": ("t112", _set("levels", 0, "level", 3)),
+    "base-with-a-projection": ("t112", _set("levels", 0, "projection", [["{x}", "x"]])),
+    "levels-not-increasing": ("demo", _set("levels", 1, "level", 2)),
+    "level-above-n": ("demo", _set("levels", 1, "level", 4)),
+    "empty-projection": ("demo", _set("levels", 1, "projection", [])),
+    "projection-off-the-level-below": ("demo", _set("levels", 1, "projection", 0, 1, "nowhere")),
+    "integer-long-edge": ("demo", _set("levels", 1, "bad_sets", 0, "long_edge", [1, 2])),
+    "string-coherent": ("t112", _set("config", "coherent", "no")),
+    "string-budget": ("t112", _set("config", "search_budget", "many")),
+    "bool-vertex-cap": ("t112", _set("config", "vertex_cap", True)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_WITNESSES))
+def test_malformed_witness_is_a_format_error(case, t112_witness, demo_witness, tmp_path, capsys):
+    which, mutate = MALFORMED_WITNESSES[case]
+    obj = witness_to_json(t112_witness if which == "t112" else demo_witness)
+    mutate(obj)
+    wpath = str(tmp_path / "w.json")
+    dump_json(wpath, obj)
+    mpath = str(tmp_path / "map.json")
+    dump_json(mpath, [["y", "z"], ["z", "y"]] if which == "t112" else [["z", "z"]])
+    for argv in (["verify", wpath], ["extend", wpath, mpath], ["stats", wpath]):
+        assert main(argv) == 3, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err, (argv, err)
+
+
 # -- usage errors and config --------------------------------------------------------
 
 

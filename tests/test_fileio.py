@@ -144,10 +144,12 @@ def test_witness_round_trip_without_assignment():
 
 
 def test_witness_rejects_other_format_versions(k2_witness):
+    # eppa-witness/1 stored every clean level; such files are refused
     obj = witness_to_json(k2_witness)
-    obj["format"] = "eppa-witness/2"
+    obj["format"] = "eppa-witness/1"
     with pytest.raises(GraphFormatError) as exc:
         witness_from_json(obj)
+    assert "eppa-witness/1" in str(exc.value)
     assert "eppa-witness/2" in str(exc.value)
 
 

@@ -101,27 +101,6 @@ def test_structural_equality(t112):
 # -- dense matrix view -------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "names",
-    [
-        {"x": "x;", "y": "y;", "z": "z;"},  # keeps the vertex order
-        {"x": "z", "y": "y", "z": "x"},  # reverses it
-        {"x": "a;0;", "y": "a;01;", "z": "b;"},  # "a;0" < "a;01", but "a;0;" > "a;01;"
-    ],
-)
-def test_renamed_is_the_graph_under_new_names(t112, names):
-    g = t112.renamed(names)
-    fresh = EdgeLabelledGraph(names.values(), [(names[u], names[v], d) for u, v, d in t112.edges()])
-    assert g == fresh
-    assert g.vertices == fresh.vertices
-    assert g.edges() == fresh.edges()
-    assert g.edge_count == fresh.edge_count
-    assert g.spectrum() is t112.spectrum()
-    assert g.neighbors_by_label(names["y"]) == fresh.neighbors_by_label(names["y"])
-    with pytest.raises(GraphFormatError):
-        t112.renamed({"x": "p", "y": "p", "z": "q"})
-
-
 def test_dense_matrix_scales_fractions_exactly():
     g = graph_from_triples(
         ["a", "b", "c"], [("a", "b", Fraction(1, 2)), ("b", "c", Fraction(3, 2))]

@@ -37,7 +37,6 @@ from eppa.levels import (
     LevelGraph,
     bad_sets_per_vertex,
     level_vertex_id,
-    next_level_copy,
     parse_level_vertex,
     representative_bad_counts,
 )
@@ -61,7 +60,7 @@ def prev(t113):
 
 @pytest.fixture
 def lifted(prev):
-    return build_next_level(prev)
+    return build_next_level(prev, 3)
 
 
 # -- vertex ids ----------------------------------------------------------------
@@ -138,9 +137,9 @@ def test_embedded_copy_keeps_its_distances(lifted, t113):
 
 
 def test_a_i_must_name_the_embedded_copy(prev):
-    assert build_next_level(prev, ["z", "y"]).level == 3  # order-insensitive
+    assert build_next_level(prev, 3, ["z", "y"]).level == 3  # order-insensitive
     with pytest.raises(InvalidMap):
-        build_next_level(prev, ["x", "y"])
+        build_next_level(prev, 3, ["x", "y"])
 
 
 def test_embedded_copy_must_be_metric(t113):
@@ -152,13 +151,13 @@ def test_embedded_copy_must_be_metric(t113):
         bad_sets=(),
     )
     with pytest.raises(NotAMetricSpace):
-        build_next_level(whole)
+        build_next_level(whole, 3)
 
 
 def test_vertex_cap_counts_valuation_copies(prev):
     # 3 vertices, one bad set each: 6 copies needed
     with pytest.raises(VertexCapExceeded) as exc:
-        build_next_level(prev, vertex_cap=5)
+        build_next_level(prev, 3, vertex_cap=5)
     assert "valuation expansion" in str(exc.value)
     assert "needs 6" in str(exc.value)
 
@@ -171,7 +170,7 @@ def test_trivial_expansion_when_metric(t112):
         projection={},
         bad_sets=(),
     )
-    nxt = build_next_level(base)
+    nxt = build_next_level(base, 3)
     assert nxt.bad_sets == ()
     assert len(nxt.graph) == 3  # one copy per vertex, empty valuations
     assert set(nxt.graph.vertices) == {"x;", "y;", "z;"}
@@ -300,7 +299,7 @@ def test_project_map(lifted):
 
 def test_double_lift_composes(prev, lifted):
     # expanding once more is trivial (no bad 4-sets), and lifting commutes
-    top = build_next_level(lifted)
+    top = build_next_level(lifted, 4)
     assert top.bad_sets == ()
     assert len(top.graph) == 6
     hat = PartialMap({"x": "x", "y": "z", "z": "y"})
@@ -361,33 +360,6 @@ def test_predicted_bad_sets_match_the_full_scan(size):
         for x in m.members:
             through[x] += 1
     assert set(through.values()) == {bad_sets_per_vertex(b0, size)}
-
-
-def test_a_clean_level_is_a_renamed_copy():
-    b0, emb = build_eppa_graph(
-        graph_from_triples(["x", "y", "z"], [("x", "y", 1), ("x", "z", 3), ("y", "z", 3)])
-    )
-    base = LevelGraph(graph=b0, level=2, base_embedding=emb, projection={}, bad_sets=())
-    assert bad_sets_per_vertex(b0, 3) == 0
-    copy = next_level_copy(base)
-    built = build_next_level(base)
-    assert copy.graph == built.graph
-    assert copy.graph.vertices == built.graph.vertices
-    assert copy.graph.edges() == built.graph.edges()
-    assert copy.graph.spectrum() is b0.spectrum()
-    assert copy.level == built.level == 3
-    assert copy.base_embedding == built.base_embedding
-    assert dict(copy.projection) == dict(built.projection)
-    assert copy.bad_sets == built.bad_sets == ()
-    # one id string per vertex, shared by the graph, projection and embedding
-    ids = {vid: vid for vid in copy.graph.vertices}
-    for vid in copy.projection:
-        assert vid is ids[vid]
-    for _, vid in copy.base_embedding.items():
-        assert vid is ids[vid]
-    for u in copy.graph.vertices[:20]:
-        for v in copy.graph.adjacency(u):
-            assert v is ids[v]
 
 
 def test_cap_message_writes_huge_sizes_as_a_power_of_two():

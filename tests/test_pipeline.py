@@ -84,12 +84,10 @@ def test_single_point_witness_is_itself():
 def test_three_point_witness_shape(t112_witness):
     w = t112_witness
     assert w.n == 3
-    assert [lvl.level for lvl in w.levels] == [2, 3]
+    # no bad 3-set in the subset graph, so level 3 is B0 renamed and not stored
+    assert [lvl.level for lvl in w.levels] == [2]
     assert len(w.levels[0].graph) == 70
-    # no bad 3-sets in the subset graph, so the expansion is one-to-one
-    assert w.levels[1].bad_sets == ()
-    assert len(w.levels[1].graph) == 70
-    assert len(w.component) == 70
+    assert w.component == w.levels[0].graph.vertices
     assert len(w.final) == 70
     assert w.final.is_complete()
     emb = w.final_embedding
@@ -99,11 +97,11 @@ def test_three_point_witness_shape(t112_witness):
 
 # -- the tower decided on B0 -----------------------------------------------------------
 
-# sha256 of the witness file as `dump_json` writes it, recorded with the tower
-# built by `build_next_level` at every level
+# sha256 of the witness file as `dump_json` writes it, in the eppa-witness/2
+# format, which stores no level without bad sets
 TOWER_DIGESTS = {
-    (1, 3, 3): "54f55c5d1799de7587b61b9379bedfd33e6acafec4288f39a754f9067b0a5886",
-    (2, 5, 5): "f2b696ee401b7af58a99f23c5d4947a0cac14dc33b47462410524dc6f27955bb",
+    (1, 3, 3): "4bf4a67008d6ca2742a77d50764907bae4416296552904c93eca3ac145aae661",
+    (2, 5, 5): "4f6bc0bbf49449a7afcd231d5b6f06480f991e81019c73ed927c3dd18ca1b7df",
 }
 
 
@@ -115,7 +113,8 @@ def witness_digest(w, tmp_path) -> str:
 
 @pytest.mark.parametrize("labels", sorted(TOWER_DIGESTS), ids=str)
 def test_clean_tower_levels_are_copies_of_b0(labels, tmp_path, monkeypatch):
-    # B0 has no bad set of any size, so no level runs the general expansion
+    # B0 has no bad set of any size, so no level runs the general expansion,
+    # and every level above B0 is B0 renamed: none is stored
     def refuse(*args, **kwargs):
         raise AssertionError("a clean level went through build_next_level")
 
@@ -124,8 +123,9 @@ def test_clean_tower_levels_are_copies_of_b0(labels, tmp_path, monkeypatch):
         ["x", "y", "z"], [("x", "y", labels[0]), ("x", "z", labels[1]), ("y", "z", labels[2])]
     )
     w = build_witness(a)
-    assert [lvl.level for lvl in w.levels] == list(range(2, compute_N(a) + 1))
-    assert all(lvl.bad_sets == () and len(lvl.graph) == 252 for lvl in w.levels)
+    assert compute_N(a) == w.n >= 3
+    assert [(lvl.level, len(lvl.graph), lvl.bad_sets) for lvl in w.levels] == [(2, 252, ())]
+    assert w.component == w.levels[0].graph.vertices
     assert witness_digest(w, tmp_path) == TOWER_DIGESTS[labels]
 
 
@@ -240,7 +240,7 @@ def test_witness_stats_shape(t112_witness):
     assert stats["final_vertices"] == 70
     assert stats["final_edges"] == 70 * 69 // 2
     assert stats["coherent"] is True
-    assert [lvl["vertices"] for lvl in stats["levels"]] == [70, 70]
+    assert [(lvl["level"], lvl["vertices"]) for lvl in stats["levels"]] == [(2, 70)]  # B0 alone
     assert stats["levels"][0]["edges"] == 1820
     assert all(lvl["max_bad_sets_per_vertex"] == 0 for lvl in stats["levels"])
 

@@ -3,10 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
-import importlib.util
 from fractions import Fraction
 from itertools import combinations, permutations
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -162,42 +160,58 @@ def test_cross_check_two_point(k2_witness):
     assert "extension-replay" in names
 
 
-def test_cross_check_three_point(t112_witness):
+def test_cross_check_three_point(t112_witness, demo_witness):
+    # the (1,1,2) witness is B0 alone: no level transition to check
     report = cross_check(t112_witness)
     assert report.ok
-    assert report.totals["level_transitions_checked"] == 1
+    assert report.totals.get("level_transitions_checked", 0) == 0
     assert report.totals["partial_maps_searched"] == 22
     assert report.totals["partial_maps_replayed"] == 22
-    names = {r.name for r in report.results}
-    assert "level-3-edge-rule" in names
-    assert "top-level-no-bad-cycles" in names
+    assert "top-level-no-bad-cycles" in {r.name for r in report.results}
+
+    report = cross_check(demo_witness)
+    assert report.ok
+    assert report.totals["level_transitions_checked"] == 1
+    names = [r.name for r in report.results]
+    assert names[names.index("level-2-no-short-bad-cycles"):names.index("component")] == [
+        "level-2-no-short-bad-cycles", "level-3-bad-sets", "level-3-vertices",
+        "level-3-projection", "level-3-edge-rule", "level-3-anchors", "top-level-no-bad-cycles",
+    ]
 
 
-def test_cross_check_searches_each_level_once(t112_witness, monkeypatch):
-    # the level-3 short-cycle search is also the top-level one (n = 3), and
-    # it proves the stored empty bad-set list too: the construction's
-    # bad-set scan is never run
-    from eppa import levels
-
+def record_searches(monkeypatch):
+    """Patch the verifier's short-cycle search to log (vertices, size)."""
     calls = []
     search = verifier.has_nonmetric_cycle_up_to
     monkeypatch.setattr(verifier, "has_nonmetric_cycle_up_to",
-                        lambda g, size, budget: calls.append(("search", len(g), size))
+                        lambda g, size, budget: calls.append((len(g), size))
                         or search(g, size, budget=budget))
-    monkeypatch.setattr(levels, "bad_sets",
-                        lambda g, size: calls.append(("scan", len(g), size)))
+    return calls
+
+
+def test_cross_check_searches_each_level_once(t112_witness, demo_witness, monkeypatch):
+    # one short-cycle search per stored level proves the levels that are not
+    # stored; the construction's bad-set scan is never run
+    from eppa import levels
+
+    calls = record_searches(monkeypatch)
+    monkeypatch.setattr(levels, "bad_sets", lambda g, size: calls.append(("scan", len(g), size)))
     report = cross_check(t112_witness)
     assert report.ok
-    assert calls == [("search", 70, 3)]
+    assert calls == [(70, 3)]
     passed = {r.name for r in report.results if r.passed and not r.skipped}
-    assert {"level-3-bad-sets", "level-3-no-short-bad-cycles", "top-level-no-bad-cycles"} <= passed
-    # another budget is another search
+    assert "top-level-no-bad-cycles" in passed
     calls.clear()
     assert cross_check(t112_witness, budget=5_000_000, search_limit=0).ok
-    assert calls == [("search", 70, 3), ("search", 70, 3)]
+    assert calls == [(70, 3)]
+    # the demo base needs no search below level 3, which is stored
+    calls.clear()
+    assert cross_check(demo_witness).ok
+    assert calls == [(12, 3)]
 
 
-def test_exhausted_shared_search_fails_both_checks_as_skipped(t112_witness, monkeypatch):
+def test_exhausted_shared_search_fails_both_checks_as_skipped(demo_witness, cycle4_witness,
+                                                              monkeypatch):
     calls = []
 
     def exhausted(g, size, budget):
@@ -205,12 +219,22 @@ def test_exhausted_shared_search_fails_both_checks_as_skipped(t112_witness, monk
         raise BudgetExhausted(f"cycle search budget {budget} exhausted")
 
     monkeypatch.setattr(verifier, "has_nonmetric_cycle_up_to", exhausted)
-    report = cross_check(t112_witness, search_limit=0)
+    report = cross_check(demo_witness)
     skipped = {r.name: r.detail for r in report.results if r.skipped}
     assert calls == [3]
     assert report.budget_exhausted
-    assert skipped["level-3-no-short-bad-cycles"] == skipped["top-level-no-bad-cycles"]
+    assert list(skipped) == ["top-level-no-bad-cycles"]
     assert "budget 10000000 exhausted" in skipped["top-level-no-bad-cycles"]
+    # the bad-set scan does not lean on the search
+    assert not failing(report, "level-3-bad-sets")
+
+    calls.clear()
+    report = cross_check(cycle4_witness)
+    skipped = {r.name: r.detail for r in report.results if r.skipped}
+    assert calls == [3, 4]
+    assert report.budget_exhausted
+    assert list(skipped) == ["level-2-no-short-bad-cycles", "top-level-no-bad-cycles"]
+    assert all("budget 10000000 exhausted" in detail for detail in skipped.values())
 
 
 def test_cross_check_single_point():
@@ -304,13 +328,14 @@ def test_tampered_subset_level_is_caught(t112_witness):
     assert offenders and offenders[0].counterexample is not None
 
 
-def test_edge_rules_name_the_first_differing_pair(t112_witness):
-    w = t112_witness
-    for idx, name in ((0, "subset-edge-rule"), (1, "level-3-edge-rule")):
+def test_edge_rules_name_the_first_differing_pair(t112_witness, demo_witness):
+    for w, idx, name in ((t112_witness, 0, "subset-edge-rule"),
+                         (demo_witness, 1, "level-3-edge-rule")):
         lvl = w.levels[idx]
         edges = list(lvl.graph.edges())  # vertex order
         # a later bumped label and an earlier missing edge: the missing one is named
-        tampered = [(u, v, d + 1 if i == 40 else d) for i, (u, v, d) in enumerate(edges) if i != 3]
+        last = len(edges) - 1
+        tampered = [(u, v, d + 1 if i == last else d) for i, (u, v, d) in enumerate(edges) if i != 3]
         graph = EdgeLabelledGraph(lvl.graph.vertices, tampered)
         levels = list(w.levels)
         levels[idx] = dataclasses.replace(lvl, graph=graph)
@@ -321,21 +346,43 @@ def test_edge_rules_name_the_first_differing_pair(t112_witness):
         assert f"label None, expected {d}" in offenders[0].detail
 
 
-@pytest.fixture(scope="module")
-def probe():
-    """scripts/mutation_probe.py, loaded as a module."""
-    path = Path(__file__).resolve().parent.parent / "scripts" / "mutation_probe.py"
-    spec = importlib.util.spec_from_file_location("mutation_probe", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+CYCLE4 = EdgeLabelledGraph(
+    ["p", "q", "r", "s"], [("p", "q", 1), ("q", "r", 1), ("r", "s", 1), ("p", "s", 4)]
+)
 
 
 @pytest.fixture(scope="module")
-def demo_witness(probe):
-    """One expansion level over two non-metric triangles sharing their long
-    edge."""
-    return probe.demo_witness()
+def cycle4_witness(probe):
+    """The non-metric 4-cycle p-q-r-s labelled 1,1,1,4 as the base, under
+    its level-4 expansion: it has no bad 3-set, so level 3 is not stored."""
+    return probe.expansion_witness(CYCLE4, "q", 4, 4)
+
+
+def test_an_implicit_level_is_proved_on_the_stored_level_below(cycle4_witness, monkeypatch):
+    w = cycle4_witness
+    base, lvl = w.levels
+    assert (base.level, lvl.level, len(lvl.bad_sets), len(lvl.graph)) == (2, 4, 1, 8)
+    calls = record_searches(monkeypatch)
+    report = cross_check(w)
+    assert report.ok
+    assert calls == [(4, 3), (8, 4)]  # the base is searched up to size 3
+    result = next(r for r in report.results if r.name == "level-2-no-short-bad-cycles")
+    assert result.passed and result.detail == "up to 3 vertices"
+
+    # a chord closing the non-metric triangle p, q, r: level 3 would have a
+    # bad set, so it could not be left out
+    chord = EdgeLabelledGraph(CYCLE4.vertices, list(CYCLE4.edges()) + [("p", "r", 3)])
+    tampered = dataclasses.replace(w, levels=(dataclasses.replace(base, graph=chord), lvl))
+    offenders = failing(cross_check(tampered, search_limit=0), "level-2-no-short-bad-cycles")
+    assert offenders and set(offenders[0].counterexample.vertices) == {"p", "q", "r"}
+
+
+def test_a_stored_level_without_bad_sets_is_refused(demo_witness):
+    base, lvl = demo_witness.levels
+    clean = dataclasses.replace(lvl, bad_sets=())
+    report = cross_check(dataclasses.replace(demo_witness, levels=(base, clean)), search_limit=0)
+    offenders = failing(report, "level-3-bad-sets")
+    assert offenders and "no bad sets stored" in offenders[0].detail
 
 
 def test_tampered_bad_set_list_is_caught(demo_witness):
