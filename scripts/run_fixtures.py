@@ -2,8 +2,9 @@
 """Build witnesses for a handful of small metric spaces and report timings.
 
 Runs the full pipeline on each bundled fixture (or on graph files passed on
-the command line), prints size statistics, the build time and the size of
-the witness file in MB (10^6 bytes, as `dump_json` writes it), and
+the command line), prints size statistics, the build time, the size of the
+witness file in MB (10^6 bytes, as `dump_json` writes it) and the time
+`witness_from_json` takes to load it back from the parsed JSON, and
 optionally extends every partial isometry of the input exhaustively as a
 smoke check, or times the independent cross-check of each witness and
 prints its verdict (the exit code is 1 if any witness fails it).
@@ -32,7 +33,7 @@ from eppa import (
     graph_from_triples,
     witness_stats,
 )
-from eppa.fileio import dump_json, graph_from_json, load_json, witness_to_json
+from eppa.fileio import dump_json, graph_from_json, load_json, witness_from_json, witness_to_json
 from eppa.graphs import EdgeLabelledGraph
 
 
@@ -78,11 +79,15 @@ def run_one(name: str, g: EdgeLabelledGraph, args: argparse.Namespace) -> bool:
 
     stats = witness_stats(w)
     obj = witness_to_json(w)
-    size = len(json.dumps(obj, separators=(",", ":"))) + 1  # ASCII, as dump_json writes it
+    text = json.dumps(obj, separators=(",", ":")) + "\n"  # ASCII, as dump_json writes it
+    parsed = json.loads(text)
+    t0 = time.perf_counter()
+    witness_from_json(parsed)
+    load_s = time.perf_counter() - t0
     print(f"== {name}")
     print(f"   input: {len(g)} vertices, spectrum {stats['spectrum']}")
     print(f"   tower: levels {stats['levels']} -> final {stats['final_vertices']} vertices")
-    print(f"   build: {build_s:.2f}s, witness {size / 1e6:.2f} MB")
+    print(f"   build: {build_s:.2f}s, witness {len(text) / 1e6:.2f} MB, loaded in {load_s:.2f}s")
 
     if args.extend_all:
         t0 = time.perf_counter()
@@ -118,7 +123,8 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--extend-all", action="store_true", help="extend every partial isometry")
     ap.add_argument("--verify", action="store_true", help="time cross_check on each witness")
     ap.add_argument("--vertex-cap", type=int, default=200_000)
-    ap.add_argument("--non-coherent", action="store_true", help="per-map search instead of replay")
+    ap.add_argument("--non-coherent", action="store_true",
+                    help="build with reversed token matching (extensions need not compose)")
     ap.add_argument("--output-dir", help="write witness files here")
     args = ap.parse_args(argv)
 

@@ -34,16 +34,21 @@ class DisconnectedGraph(EppaError):
 class VertexCapExceeded(EppaError):
     """A construction would exceed the configured vertex cap.
 
-    It would need `needed * 2**exponent` vertices.  The message never writes
-    out a huge count in decimal: such a size reads as base * 2^exponent.
+    It would need `needed * 2**exponent` vertices, or at least that many
+    when `at_least` is set.  The message never writes out a huge count in
+    decimal: such a size reads as base * 2^exponent.
     """
 
-    def __init__(self, stage: str, needed: int, cap: int, exponent: int = 0):
+    def __init__(self, stage: str, needed: int, cap: int, exponent: int = 0,
+                 at_least: bool = False):
         self.stage = stage
         self.needed = needed
         self.exponent = exponent
+        self.at_least = at_least
         self.cap = cap
         size = _format_size(needed, exponent)
+        if at_least and not size.startswith("at least "):
+            size = f"at least {size}"
         super().__init__(f"{stage}: needs {size} vertices, cap is {cap}")
 
 

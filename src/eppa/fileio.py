@@ -20,7 +20,7 @@ from typing import Any
 
 from .completion import CycleWitness
 from .errors import GraphFormatError
-from .graphs import EdgeLabelledGraph, PartialMap, graph_from_triples
+from .graphs import EdgeLabelledGraph, PartialMap, _check_core_name, graph_from_triples
 from .levels import BadSet, LevelGraph
 from .pipeline import Config, Witness
 from .setrep import SetAssignment, token_sort_key
@@ -127,25 +127,34 @@ def _indexed_graph(g: EdgeLabelledGraph) -> dict:
 
 
 def _graph_from_indexed(obj: Any, what: str) -> EdgeLabelledGraph:
+    """Parse an indexed graph in one pass over its edges, with the checks of
+    the validating constructor; each distinct label is parsed once."""
     if not isinstance(obj, dict) or "vertices" not in obj or "edges_ix" not in obj:
         raise GraphFormatError(f"{what}: expected an indexed graph object")
-    verts = _strings(obj["vertices"], f"{what}: \"vertices\"")
+    verts = [_check_core_name(v) for v in _strings(obj["vertices"], f"{what}: \"vertices\"")]
+    if len(set(verts)) != len(verts):
+        raise GraphFormatError(f"{what}: duplicate vertex names")
+    adj: dict[str, dict[str, Fraction]] = {v: {} for v in sorted(verts)}
+    rows = [adj[v] for v in verts]  # by index in the file
     n = len(verts)
-    labels: dict[str, Fraction] = {}  # each distinct label parsed once, its object shared
-    triples = []
-    for pos, e in enumerate(_list(obj["edges_ix"], f"{what}: \"edges_ix\"")):
+    edges = _list(obj["edges_ix"], f"{what}: \"edges_ix\"")
+    labels: dict[str, Fraction] = {}
+    for pos, e in enumerate(edges):
         if not (isinstance(e, list) and len(e) == 3
-                and isinstance(e[0], int) and isinstance(e[1], int)
+                and type(e[0]) is int and type(e[1]) is int
                 and 0 <= e[0] < n and 0 <= e[1] < n):
             raise GraphFormatError(f"{what}: edge #{pos} has bad vertex indices: {e!r}")
-        label = labels.get(e[2]) if isinstance(e[2], str) else None
+        i, j, text = e
+        if i == j or verts[j] in rows[i]:
+            raise GraphFormatError(f"{what}: edge #{pos} is a loop or a repeated edge: {e!r}")
+        label = labels.get(text) if isinstance(text, str) else None
         if label is None:
             try:
-                label = labels[e[2]] = parse_label(e[2])
+                label = labels[text] = parse_label(text)
             except GraphFormatError as exc:
                 raise GraphFormatError(f"{what}: edge #{pos}: {exc}") from None
-        triples.append((verts[e[0]], verts[e[1]], label))
-    return EdgeLabelledGraph(verts, triples)
+        rows[i][verts[j]] = rows[j][verts[i]] = label
+    return EdgeLabelledGraph._trusted(tuple(adj), adj, len(edges))
 
 
 def _list(obj: Any, what: str) -> list:

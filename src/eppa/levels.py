@@ -12,21 +12,9 @@ extendability of its partial automorphisms are both carried upward.
 A level whose level below has no bad set of its size is that level again
 under new names (each vertex with the empty valuation), so it is not
 stored: a stored level is built by `build_next_level` at its own size from
-the previous stored level, and projects onto it.  While only the subset
-graph B0 is stored, the tower is decided on B0 alone
-(`representative_bad_counts`, `bad_sets_per_vertex`):
-
-- Token permutations are automorphisms of B0.  They act transitively on its
-  vertices and on the ordered pairs of vertices sharing c tokens, so on the
-  edges of each label, in both directions.
-- A non-metric cycle has exactly one long edge.  So every edge of label l is
-  the long edge of the same number r_l of bad L-sets, and one anchored
-  search from a single representative edge per label is exact: B0 has
-  T = sum_l E_l * r_l bad L-sets (E_l edges carry label l), and each vertex
-  lies in exactly L * T / |V| of them.
-- Levels 3..L-1 are B0 renamed, so the search on B0 answers for level L-1
-  too.  The first level with bad sets is built by the general expansion,
-  and so is every level above it: it is no longer B0 renamed.
+the previous stored level, and projects onto it.  Which level of the subset
+graph B0 is the first with bad sets is decided before B0 is built
+(`setrep.first_bad_level`).
 """
 
 from __future__ import annotations
@@ -38,7 +26,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .completion import CycleWitness, find_induced_nonmetric_cycles, induced_nonmetric_cycles_at
+from .completion import CycleWitness, find_induced_nonmetric_cycles
 from .errors import GraphFormatError, InvalidMap, NotAMetricSpace, VertexCapExceeded
 from .graphs import EdgeLabelledGraph, PartialMap, check_map, induced_subgraph, is_metric_space
 
@@ -88,36 +76,6 @@ def bad_sets(g: EdgeLabelledGraph, cycle_size: int) -> tuple[BadSet, ...]:
     for w in find_induced_nonmetric_cycles(g, cycle_size):
         out.append(BadSet(members=frozenset(w.vertices), long_edge=w.long_edge, cycle=w))
     return tuple(out)
-
-
-def representative_bad_counts(b0: EdgeLabelledGraph, size: int) -> dict[Fraction, int]:
-    """Label -> number of bad sets of the given size whose long edge is the
-    representative edge of that label.
-
-    The representative edge of a label joins the first vertex of b0 to its
-    first neighbour at that label.  On a subset graph every edge of the label
-    is the long edge of as many bad sets (see the module docstring).
-    """
-    x0 = b0.vertices[0]
-    counts = {}
-    for label, bucket in b0.neighbors_by_label(x0).items():
-        u, v = sorted((x0, bucket[0]))
-        counts[label] = len(induced_nonmetric_cycles_at(b0, u, v, size))
-    return counts
-
-
-def bad_sets_per_vertex(b0: EdgeLabelledGraph, size: int) -> int:
-    """Number of bad sets of the given size through each vertex of a subset
-    graph, from one anchored search per label.
-
-    With r_l bad sets at the representative edge of label l and deg_l the
-    l-neighbours of a vertex (C(k,c) * C(m-k,k-c) for the label of rank c),
-    b0 has T = |V| * sum_l deg_l * r_l / 2 bad sets, and each vertex lies in
-    size * T / |V| of them.
-    """
-    by_label = b0.neighbors_by_label(b0.vertices[0])
-    counts = representative_bad_counts(b0, size)
-    return size * sum(len(by_label[label]) * r for label, r in counts.items()) // 2
 
 
 def level_vertex_id(base: str, bits: Iterable[int]) -> str:

@@ -6,16 +6,16 @@ partial isometry of the copy extends to a full isometry of B, and keeps
 every intermediate object needed to replay those extensions explicitly
 (`extend_isometry`).
 
-The tower C3..CN is decided on the subset graph B0 for as long as it stays
-trivial.  Token permutations act on B0 transitively on the edges of each
-label, so whether B0 has a bad L-set, and how many bad L-sets pass through
-each vertex, follows from one anchored search per label (see `levels`).
+The tower C3..CN is decided before the subset graph B0 is built, in closed
+form on the Johnson scheme (`setrep.first_bad_level`): token permutations
+act on B0 transitively on the subsets that share c tokens with a fixed one,
+so shortest walks over the k + 1 intersection classes tell the first level
+L with bad sets, and a lower bound c on the bad L-sets through each vertex.
 A level without bad sets is the level below renamed and is not stored, so
-while B0 has no bad L-set the witness stays B0 alone.  The first level with
-bad sets is refused at once when its predicted size |V| * 2^c exceeds the
-vertex cap, and otherwise built by `build_next_level` with a full search,
-as is every level above it; of those, only the ones with bad sets are
-stored.
+when there is no such L the witness is B0 alone.  Level L is refused before
+B0 exists when |V| * 2^c exceeds the vertex cap; otherwise B0 is built and
+`build_next_level` builds L and every level above it with a full search,
+storing only the ones with bad sets.
 """
 
 from __future__ import annotations
@@ -32,15 +32,11 @@ from .graphs import (
     is_metric_space,
     is_partial_automorphism,
 )
-from .levels import (
-    LevelGraph,
-    _automorphism_ok,
-    bad_sets_per_vertex,
-    build_next_level,
-    compute_flip_set,
-    lift_automorphism,
+from .levels import LevelGraph, _automorphism_ok, build_next_level, compute_flip_set, lift_automorphism
+from .setrep import (
+    SetAssignment, build_eppa_graph, build_set_assignment, extend_by_permutation,
+    first_bad_level, subset_automorphism, subset_graph_size,
 )
-from .setrep import SetAssignment, build_eppa_graph, build_set_assignment, extend_by_permutation, subset_automorphism
 
 
 @dataclass(frozen=True)
@@ -114,7 +110,20 @@ def build_witness(a: EdgeLabelledGraph, config: Config | None = None) -> Witness
         )
 
     sa = build_set_assignment(a)
-    base_graph, base_embedding = build_eppa_graph(a, sa, vertex_cap=config.vertex_cap)
+    n = compute_N(a)
+    cap = config.vertex_cap
+    vertices = subset_graph_size(sa, cap)
+    bad_from = n + 1  # the first level with bad sets, past n when there is none
+    first = first_bad_level(sa, n)
+    if first is not None:
+        bad_from, per_vertex = first
+        # every vertex gets at least 2**per_vertex copies: refuse before B0 exists
+        if per_vertex >= cap.bit_length() or vertices << per_vertex > cap:
+            raise VertexCapExceeded(
+                f"level {bad_from} (valuation expansion)", vertices, cap,
+                exponent=per_vertex, at_least=True,
+            )
+    base_graph, base_embedding = build_eppa_graph(a, sa, vertex_cap=cap)
     levels = [
         LevelGraph(
             graph=base_graph,
@@ -124,25 +133,9 @@ def build_witness(a: EdgeLabelledGraph, config: Config | None = None) -> Witness
             bad_sets=(),
         )
     ]
-    n = compute_N(a)
-    for size in range(3, n + 1):
+    for size in range(bad_from, n + 1):
         prev = levels[-1]
-        if len(levels) == 1:  # every level so far is B0 renamed
-            per_vertex = bad_sets_per_vertex(base_graph, size)
-            if not per_vertex:
-                continue
-            # every vertex gets 2**per_vertex copies: refuse before listing
-            if (
-                per_vertex >= config.vertex_cap.bit_length()
-                or len(base_graph) << per_vertex > config.vertex_cap
-            ):
-                raise VertexCapExceeded(
-                    f"level {size} (valuation expansion)",
-                    len(base_graph),
-                    config.vertex_cap,
-                    exponent=per_vertex,
-                )
-        nxt = build_next_level(prev, size, prev.base_embedding.image(), vertex_cap=config.vertex_cap)
+        nxt = build_next_level(prev, size, prev.base_embedding.image(), vertex_cap=cap)
         if nxt.bad_sets:
             levels.append(nxt)
 

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import GraphFormatError, InvalidMap, UnknownVertex, VertexCapExceeded
 from .graphs import (
@@ -183,6 +183,76 @@ def build_set_assignment(a: EdgeLabelledGraph) -> SetAssignment:
     return SetAssignment(graph=a, k=k, psi=psi, universe=universe)
 
 
+def subset_graph_size(sa: SetAssignment, vertex_cap: int) -> int:
+    """C(m, k), the number of vertices of the subset graph; refused when it
+    exceeds the vertex cap."""
+    count = math.comb(len(sa.universe), sa.k)
+    if count > vertex_cap:
+        raise VertexCapExceeded("level 2 (set representation)", count, vertex_cap)
+    return count
+
+
+def first_bad_level(sa: SetAssignment, n: int) -> tuple[int, int] | None:
+    """(L, lb): the least level from 3 to n at which the subset graph has
+    bad sets, and a lower bound on the bad L-sets through each vertex; None
+    when there is none.  Read from m, k and the spectrum s_1 < ... < s_r.
+
+    The graph has a non-metric cycle on at most h + 1 vertices iff some
+    label has D_h(c) < s_c (`_class_walks`), and one with the fewest
+    vertices is induced: a chord would split it into two shorter cycles,
+    one of them non-metric.  So L = h + 1 for the least such h, and every
+    edge of such a label is the long edge, the only one, of a bad L-set.
+    """
+    m, k = len(sa.universe), sa.k
+    spectrum = sa.graph.spectrum()
+    scale = math.lcm(*(s.denominator for s in spectrum))
+    labels = [s.numerator * (scale // s.denominator) for s in spectrum]
+    for h, walk in zip(range(1, n), _class_walks(m, k, labels)):
+        bad = [c for c, label in enumerate(labels, start=1) if walk[c] < label]
+        if bad:
+            return h + 1, sum(math.comb(k, c) * math.comb(m - k, k - c) for c in bad)
+    return None
+
+
+def _class_walks(m: int, k: int, labels: list[int]) -> Iterator[list[int | None]]:
+    """D_1, D_2, ... until D_h stays the same, on the Johnson scheme J(m, k)
+    with the c-th label labels[c - 1].
+
+    Token permutations act on the subset graph transitively on the subsets
+    Z of each class c = |X & Z| around a fixed subset X, so D_h[c], the
+    shortest walk of at most h edges from X into class c < k, is one number
+    (None while there is none).  A step along the j-th label from class i
+    keeps a of the i tokens of X & Y and j - a of the k - i others of Y, and
+    takes b of the k - i tokens of X - Y and k - j - b of the m - 2k + i
+    outside X | Y: it lands in class a + b, over an interval.  Class k is X
+    itself, which no shortest walk revisits.
+    """
+    steps = []  # steps[i]: (label, lowest class, highest class) per step from class i
+    for i in range(k):
+        row = []
+        for j, label in enumerate(labels, start=1):
+            a_low, a_high = max(0, j - (k - i)), min(i, j)
+            b_low, b_high = max(0, k - j - (m - 2 * k + i)), min(k - i, k - j)
+            if a_low <= a_high and b_low <= b_high:
+                row.append((label, a_low + b_low, min(a_high + b_high, k - 1)))
+        steps.append(row)
+    walk: list[int | None] = [None] * k
+    walk[1 : len(labels) + 1] = labels
+    while True:
+        yield walk
+        longer = list(walk)
+        for i, d in enumerate(walk):
+            if d is None:
+                continue
+            for label, low, high in steps[i]:
+                for c in range(low, high + 1):
+                    if longer[c] is None or d + label < longer[c]:
+                        longer[c] = d + label
+        if longer == walk:
+            return
+        walk = longer
+
+
 def build_eppa_graph(
     a: EdgeLabelledGraph,
     sa: SetAssignment | None = None,
@@ -204,9 +274,7 @@ def build_eppa_graph(
         raise GraphFormatError("set assignment is invalid: " + "; ".join(problems[:3]))
     universe = sa.universe
     m, k = len(universe), sa.k
-    count = math.comb(m, k)
-    if count > vertex_cap:
-        raise VertexCapExceeded("level 2 (set representation)", count, vertex_cap)
+    count = subset_graph_size(sa, vertex_cap)
     spectrum = a.spectrum()
     n = len(spectrum)
 

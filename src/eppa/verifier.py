@@ -705,7 +705,6 @@ def _check_short_cycles(report: VerificationReport, w: Witness, idx: int, budget
     lvl = w.levels[idx]
     if idx + 1 < len(w.levels):
         name, size = f"level-{lvl.level}-no-short-bad-cycles", w.levels[idx + 1].level - 1
-        budget = w.config.search_budget
     else:
         name, size = "top-level-no-bad-cycles", w.n
     try:  # a cycle has at least three vertices

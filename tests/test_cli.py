@@ -245,26 +245,53 @@ def test_verify_flags_tampering(tmp_path, capsys):
     assert completion["counterexample"] == tampered
 
 
-def test_witness_refuses_an_unbuildable_tower_at_once(tmp_path):
-    # (1,4,4): B0 is clean at size 3, but every vertex lies in 16,000 bad
-    # 4-sets, so level 4 would need 252 * 2^16000 vertices
-    g = graph_from_json(
-        {"vertices": ["x", "y", "z"], "edges": [["x", "y", "1"], ["x", "z", "4"], ["y", "z", "4"]]}
-    )
-    src = write_graph(tmp_path, "g.json", g)
+# inputs whose first tower level with bad sets is refused by closed form:
+# (graph file, the refusal message)
+UNBUILDABLE = {
+    "triangle-144": (
+        {"vertices": ["x", "y", "z"], "edges": [["x", "y", "1"], ["x", "z", "4"], ["y", "z", "4"]]},
+        "level 4 (valuation expansion): needs at least 252 * 2^100 vertices, cap is 200000",
+    ),
+    "four-point-122223": (
+        {"vertices": ["a", "b", "c", "d"],
+         "edges": [["a", "b", "1"], ["a", "c", "2"], ["a", "d", "2"],
+                   ["b", "c", "2"], ["b", "d", "2"], ["c", "d", "3"]]},
+        "level 3 (valuation expansion): needs at least 125970 * 2^44352 vertices, cap is 200000",
+    ),
+}
+
+
+def test_witness_refuses_an_unbuildable_tower_at_once(tmp_path, monkeypatch, capsys):
+    # the refusal comes before B0 is built: 125,970 vertices for the four-point space
+    def refuse(*args, **kwargs):
+        raise AssertionError("B0 was built before the refusal")
+
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    t0 = time.perf_counter()
-    done = subprocess.run(
-        [sys.executable, "-m", "eppa.cli", "witness", src, "--output", str(tmp_path / "w.json")],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    elapsed = time.perf_counter() - t0
-    assert done.returncode == 2, done.stderr
-    assert "Traceback" not in done.stderr
-    assert "level 4 (valuation expansion): needs 252 * 2^16000 vertices" in done.stderr
-    assert elapsed < 30, f"refused after {elapsed:.1f}s"
-    assert not (tmp_path / "w.json").exists()
+    for case, (obj, message) in UNBUILDABLE.items():
+        src = str(tmp_path / f"{case}.json")
+        dump_json(src, obj)
+        out = str(tmp_path / "w.json")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(eppa.pipeline, "build_eppa_graph", refuse)
+            t0 = time.perf_counter()
+            assert main(["witness", src, "--output", out]) == 2, case
+            assert time.perf_counter() - t0 < 1, case
+        assert message in capsys.readouterr().err
+
+        t0 = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-m", "eppa.cli", "witness", src, "--output", out],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        elapsed = time.perf_counter() - t0
+        assert done.returncode == 2, done.stderr
+        assert "Traceback" not in done.stderr
+        assert message in done.stderr
+        # the bound leaves room for the interpreter's start-up (about 0.35 s on 2 vCPUs)
+        assert elapsed < 5, f"{case} refused after {elapsed:.1f}s"
+        assert not (tmp_path / "w.json").exists()
 
 
 def _set(*path_and_value):
@@ -278,7 +305,16 @@ def _set(*path_and_value):
     return mutate
 
 
-# (witness, mutation): t112 is B0 alone, demo stores a level 3 above its base
+def _add_edge(*edge):
+    """A mutation that appends an edge to the base level's indexed edges."""
+
+    def mutate(obj):
+        obj["levels"][0]["graph"]["edges_ix"].append(list(edge))
+    return mutate
+
+
+# (witness, mutation): t112 is B0 alone, demo stores a level 3 above its base;
+# t112's first base edge is [0, 9, "2"] among 70 vertices
 MALFORMED_WITNESSES = {
     "levels-not-a-list": ("t112", _set("levels", 5)),
     "bad-sets-not-a-list": ("t112", _set("levels", 0, "bad_sets", 5)),
@@ -299,6 +335,14 @@ MALFORMED_WITNESSES = {
     "string-coherent": ("t112", _set("config", "coherent", "no")),
     "string-budget": ("t112", _set("config", "search_budget", "many")),
     "bool-vertex-cap": ("t112", _set("config", "vertex_cap", True)),
+    "loop": ("t112", _set("levels", 0, "graph", "edges_ix", 0, 1, 0)),
+    "duplicate-edge": ("t112", _add_edge(0, 9, "2")),
+    "duplicate-edge-reversed": ("t112", _add_edge(9, 0, "2")),
+    "index-out-of-range": ("t112", _set("levels", 0, "graph", "edges_ix", 0, 1, 70)),
+    "bool-index": ("t112", _set("levels", 0, "graph", "edges_ix", 0, 0, True)),
+    "duplicate-vertex-name": (
+        "t112", _set("levels", 0, "graph", "vertices", 1, "{(x,y)#1|(x,z)#1|(y,z)#1|(y,z)#2}")),
+    "whitespace-vertex-name": ("t112", _set("final", "vertices", 0, "x y")),
 }
 
 

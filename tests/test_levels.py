@@ -8,7 +8,6 @@ long cycle and the short non-metric cycle disappears.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 
 import pytest
@@ -21,7 +20,6 @@ from eppa import (
     VertexCapExceeded,
     anchor_valuations,
     bad_sets,
-    build_eppa_graph,
     build_next_level,
     check_map,
     find_induced_nonmetric_cycles,
@@ -31,15 +29,7 @@ from eppa import (
     lift_automorphism,
     project_map,
 )
-from eppa.completion import induced_nonmetric_cycles_at
-from eppa.levels import (
-    BadSet,
-    LevelGraph,
-    bad_sets_per_vertex,
-    level_vertex_id,
-    parse_level_vertex,
-    representative_bad_counts,
-)
+from eppa.levels import BadSet, LevelGraph, level_vertex_id, parse_level_vertex
 
 
 def make_prev(t113):
@@ -313,53 +303,7 @@ def test_double_lift_composes(prev, lifted):
         assert top.projection[theta_top[vid]] == theta[top.projection[vid]]
 
 
-# -- deciding the tower on B0 by token symmetry ---------------------------------------
-
-
-def subset_graph(*labels):
-    """B0 of the triangle with sides xy, xz, yz labelled as given."""
-    a = graph_from_triples(
-        ["x", "y", "z"], [("x", "y", labels[0]), ("x", "z", labels[1]), ("y", "z", labels[2])]
-    )
-    return build_eppa_graph(a)[0]
-
-
-@pytest.mark.parametrize(
-    "labels,size,total,per_vertex",
-    [((1, 4, 4), 4, 1_008_000, 16_000), ((1, 5, 5), 5, 1_814_400, 36_000)],
-    ids=["1-4-4", "1-5-5"],
-)
-def test_one_search_per_label_counts_every_bad_set(labels, size, total, per_vertex):
-    b0 = subset_graph(*labels)
-    counts = representative_bad_counts(b0, size)
-    edges_by_label: dict[Fraction, list] = {}
-    for u, v, d in b0.edges():
-        edges_by_label.setdefault(d, []).append((u, v))
-    assert sorted(counts) == sorted(edges_by_label)
-    rng = random.Random(f"symmetry/{labels}/{size}")
-    for label, edges in edges_by_label.items():
-        for u, v in rng.sample(edges, 3):
-            assert len(induced_nonmetric_cycles_at(b0, u, v, size)) == counts[label]
-            assert len(induced_nonmetric_cycles_at(b0, v, u, size)) == counts[label]
-    assert sum(len(edges_by_label[d]) * r for d, r in counts.items()) == total
-    assert bad_sets_per_vertex(b0, size) == per_vertex
-    assert per_vertex == size * total // len(b0)
-
-
-@pytest.mark.parametrize("size", [3, 4])
-def test_predicted_bad_sets_match_the_full_scan(size):
-    # B0 of the non-metric triangle (1,1,4) carries bad sets at both sizes
-    b0 = subset_graph(1, 1, 4)
-    found = bad_sets(b0, size)
-    counts = representative_bad_counts(b0, size)
-    degree = {d: len(bucket) for d, bucket in b0.neighbors_by_label(b0.vertices[0]).items()}
-    assert found
-    assert len(found) == len(b0) * sum(degree[d] * r for d, r in counts.items()) // 2
-    through = {x: 0 for x in b0.vertices}
-    for m in found:
-        for x in m.members:
-            through[x] += 1
-    assert set(through.values()) == {bad_sets_per_vertex(b0, size)}
+# -- the cap message -------------------------------------------------------------------
 
 
 def test_cap_message_writes_huge_sizes_as_a_power_of_two():
@@ -368,3 +312,8 @@ def test_cap_message_writes_huge_sizes_as_a_power_of_two():
     assert "needs 63 * 2^16002 vertices" in str(VertexCapExceeded("s", 252 << 16_000, 5))
     assert "needs at least 2^20000 vertices" in str(VertexCapExceeded("s", (1 << 20_000) + 1, 5))
     assert "needs 6 vertices" in str(VertexCapExceeded("s", 6, 5))
+    # a lower bound says so, once
+    assert "needs at least 252 * 2^100 vertices" in str(
+        VertexCapExceeded("s", 252, 5, exponent=100, at_least=True))
+    assert "needs at least 2^20000 vertices" in str(
+        VertexCapExceeded("s", (1 << 20_000) + 1, 5, at_least=True))

@@ -14,17 +14,23 @@ from eppa import (
     NotAMetricSpace,
     PartialMap,
     VertexCapExceeded,
+    Witness,
+    build_eppa_graph,
+    build_set_assignment,
     build_witness,
     check_map,
     compute_N,
+    cross_check,
     enumerate_partial_automorphisms,
     extend_isometry,
     graph_from_triples,
+    shortest_path_completion,
     witness_stats,
 )
 from eppa import pipeline
 from eppa.fileio import dump_json, witness_to_json
 from eppa.graphs import EdgeLabelledGraph
+from eppa.levels import LevelGraph
 
 from conftest import make_k2, make_t112, make_t123, make_four_point
 
@@ -130,16 +136,37 @@ def test_clean_tower_levels_are_copies_of_b0(labels, tmp_path, monkeypatch):
 
 
 def test_unbuildable_tower_is_refused_before_any_level_is_listed(monkeypatch):
-    # (1,4,4): level 3 is a copy, level 4 would need 252 * 2^16000 vertices
+    # (1,4,4): level 3 is a copy; at level 4 each of the 252 vertices lies
+    # in at least the 100 bad sets whose long edge it carries
     def refuse(*args, **kwargs):
-        raise AssertionError("the bad sets were listed before the cap check")
+        raise AssertionError("B0 was built before the cap check")
 
+    monkeypatch.setattr(pipeline, "build_eppa_graph", refuse)
     monkeypatch.setattr(pipeline, "build_next_level", refuse)
     a = graph_from_triples(["x", "y", "z"], [("x", "y", 1), ("x", "z", 4), ("y", "z", 4)])
     with pytest.raises(VertexCapExceeded) as exc:
         build_witness(a)
-    assert (exc.value.needed, exc.value.exponent, exc.value.cap) == (252, 16_000, 200_000)
-    assert "level 4 (valuation expansion): needs 252 * 2^16000 vertices" in str(exc.value)
+    assert (exc.value.needed, exc.value.exponent, exc.value.cap) == (252, 100, 200_000)
+    assert exc.value.at_least
+    assert "level 4 (valuation expansion): needs at least 252 * 2^100 vertices" in str(exc.value)
+
+
+def test_a_wrong_clean_verdict_cannot_pass(monkeypatch):
+    # told that (1,4,4) has no bad level, the build stores B0 alone; its
+    # completion shortens the copy's label-4 edges to three unit steps
+    monkeypatch.setattr(pipeline, "first_bad_level", lambda sa, n: None)
+    a = graph_from_triples(["x", "y", "z"], [("x", "y", 1), ("x", "z", 4), ("y", "z", 4)])
+    with pytest.raises(NotAMetricSpace, match="construction broke the copy"):
+        build_witness(a)
+    # and the witness it would have returned fails the verifier's own check
+    b0, emb = build_eppa_graph(a)
+    base = LevelGraph(graph=b0, level=2, base_embedding=emb, projection={}, bad_sets=())
+    w = Witness(input=a, set_assignment=build_set_assignment(a), levels=(base,),
+                component=b0.vertices, final=shortest_path_completion(b0),
+                final_embedding=emb, n=compute_N(a))
+    report = cross_check(w, search_limit=0)
+    assert any(r.name == "top-level-no-bad-cycles" and not r.passed and not r.skipped
+               for r in report.results)
 
 
 # -- the extension property --------------------------------------------------------

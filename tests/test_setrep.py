@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -14,18 +16,24 @@ from eppa import (
     PartialMap,
     SetAssignment,
     VertexCapExceeded,
+    bad_sets,
     build_eppa_graph,
     build_set_assignment,
     check_map,
     complete_graph,
+    compute_N,
     enumerate_partial_automorphisms,
     extend_by_permutation,
     graph_from_triples,
+    has_nonmetric_cycle_up_to,
+    is_metric_space,
     spectrum_index,
     subset_automorphism,
     token_load,
 )
 from eppa.setrep import (
+    _class_walks,
+    first_bad_level,
     pair_token,
     padding_token,
     parse_subset_id,
@@ -297,3 +305,94 @@ def test_one_step_extension_property(a):
         theta = subset_automorphism(extend_by_permutation(a, sa, phi), b)
         assert check_map(theta, b, b, "automorphism")
         assert _extends_embedded(theta, emb, phi)
+
+
+# -- the tower decided on the Johnson scheme ---------------------------------------
+
+
+def scan_spaces(limit=924):
+    """The metric triangles with labels 1 to 5 and the four-point spaces
+    with labels 1 to 3, one per subset graph (the graph depends only on m,
+    k and the spectrum), where it has at most `limit` vertices."""
+    found = {}
+    for names, top in ((("x", "y", "z"), 5), (("a", "b", "c", "d"), 3)):
+        pairs = list(itertools.combinations(names, 2))
+        for labels in itertools.product(range(1, top + 1), repeat=len(pairs)):
+            a = graph_from_triples(names, [(u, v, d) for (u, v), d in zip(pairs, labels)])
+            if not is_metric_space(a):
+                continue
+            sa = build_set_assignment(a)
+            if math.comb(len(sa.universe), sa.k) <= limit:
+                found.setdefault((len(sa.universe), sa.k, a.spectrum()), sa)
+    return [found[key] for key in sorted(found)]
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [(1, 1, 2), (1, 2, 3), (1, 4, 4), (1, 1, 4), (1, 1, 4, 4, 1, 1)],
+    ids=lambda e: "".join(map(str, e)),
+)
+def test_class_walks_are_the_walks_of_the_subset_graph(edges):
+    # D_h by class from the recurrence, against hop-bounded min-plus walks
+    # from one vertex of B0 itself (a non-metric space gives non-trivial walks)
+    names = ("a", "b", "c", "d")[: 3 if len(edges) == 3 else 4]
+    pairs = list(itertools.combinations(names, 2))
+    a = graph_from_triples(names, [(u, v, d) for (u, v), d in zip(pairs, edges)])
+    sa = build_set_assignment(a)
+    b0 = build_eppa_graph(a, sa)[0]
+    _, mat, _ = b0.dense_matrix()
+    weights = np.where(mat < 0, np.inf, mat.astype(float))  # small integers, exact
+    x = parse_subset_id(b0.vertices[0])
+    classes = np.array([len(x & parse_subset_id(z)) for z in b0.vertices])
+    walk = weights[0]
+    hops = 0
+    for want in _class_walks(len(sa.universe), sa.k, [int(s) for s in a.spectrum()]):
+        got = [walk[classes == c].min(initial=np.inf) for c in range(sa.k)]
+        assert [None if w == np.inf else int(w) for w in got] == want
+        walk = np.minimum(walk, (walk[:, None] + weights).min(axis=0))
+        hops += 1
+    assert np.array_equal(walk, np.minimum(walk, (walk[:, None] + weights).min(axis=0)))
+    assert hops >= 2
+
+
+def test_first_bad_level_agrees_with_the_cycle_check_on_b0():
+    # the least size with a non-metric cycle: a fewest-vertex one is a
+    # simple path closed by its long edge, and the check stops at the first
+    # hop count that finds one
+    spaces = scan_spaces()
+    assert len(spaces) == 33
+    first = []
+    for sa in spaces:
+        n = compute_N(sa.graph)
+        b0 = build_eppa_graph(sa.graph, sa)[0]
+        cycle = has_nonmetric_cycle_up_to(b0, n) if n >= 3 else None
+        got = first_bad_level(sa, n)
+        want = None if cycle is None else len(cycle.vertices)
+        assert (None if got is None else got[0]) == want, sa.graph.spectrum()
+        first.append(got)
+    assert sorted(filter(None, first)) == [(4, 100), (4, 100), (4, 400), (4, 625)]
+
+
+def test_first_bad_level_bounds_the_bad_sets_through_each_vertex():
+    # B0 of the non-metric triangle (1,1,4): its bad 3-sets from a full scan
+    a = graph_from_triples(["x", "y", "z"], [("x", "y", 1), ("x", "z", 1), ("y", "z", 4)])
+    sa = build_set_assignment(a)
+    b0 = build_eppa_graph(a, sa)[0]
+    level, at_least = first_bad_level(sa, compute_N(a))
+    through = {x: 0 for x in b0.vertices}
+    for m in bad_sets(b0, 3):
+        for x in m.members:
+            through[x] += 1
+    per_vertex = set(through.values())
+    assert level == 3 and len(per_vertex) == 1
+    assert 0 < at_least <= per_vertex.pop()
+
+
+@pytest.mark.parametrize("labels", [(1, 4, 4), (1, 5, 5)], ids=str)
+def test_first_bad_level_of_the_unbuildable_triangles(labels):
+    # an anchored search counts 16,000 bad 4-sets through each vertex; the
+    # bound counts the 100 edges of the long label at a vertex
+    a = graph_from_triples(
+        ["x", "y", "z"], [("x", "y", labels[0]), ("x", "z", labels[1]), ("y", "z", labels[2])]
+    )
+    assert first_bad_level(build_set_assignment(a), compute_N(a)) == (4, 100)

@@ -237,6 +237,14 @@ def test_exhausted_shared_search_fails_both_checks_as_skipped(demo_witness, cycl
     assert all("budget 10000000 exhausted" in detail for detail in skipped.values())
 
 
+def test_budget_governs_every_stored_level(cycle4_witness):
+    # not the search_budget stored in the witness's config
+    report = cross_check(cycle4_witness, budget=1)
+    skipped = {r.name for r in report.results if r.skipped}
+    assert report.budget_exhausted
+    assert {"level-2-no-short-bad-cycles", "top-level-no-bad-cycles"} <= skipped
+
+
 def test_cross_check_single_point():
     w = build_witness(graph_from_triples(["p"], []))
     report = cross_check(w)
