@@ -66,8 +66,9 @@ class EdgeLabelledGraph:
     Graphs derived inside the package (subset graphs, levels, induced
     subgraphs, completions) come from `_trusted`, which validates nothing.
     Derived views (sorted neighbour lists, label buckets, a dense integer
-    distance matrix) are built lazily and cached, which is safe because
-    instances are never mutated after construction.
+    distance matrix, and for a subset graph the token positions of its
+    vertices, which `setrep` fills in) are built lazily and cached, which is
+    safe because instances are never mutated after construction.
     """
 
     __slots__ = (
@@ -80,6 +81,7 @@ class EdgeLabelledGraph:
         "_by_label",
         "_spectrum",
         "_dense",
+        "_subsets",
     )
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str, Fraction]] = ()):
@@ -107,6 +109,7 @@ class EdgeLabelledGraph:
         self._by_label = {}
         self._spectrum = None
         self._dense = None
+        self._subsets = None
 
     @classmethod
     def _trusted(cls, vertices: tuple[str, ...], adj: dict[str, dict[str, Fraction]],
@@ -127,6 +130,7 @@ class EdgeLabelledGraph:
         g._by_label = {}
         g._spectrum = spectrum
         g._dense = None
+        g._subsets = None
         return g
 
     # -- basic queries ---------------------------------------------------

@@ -321,13 +321,26 @@ def lift_automorphism(
     return theta
 
 
-def _automorphism_ok(g: EdgeLabelledGraph, f: PartialMap) -> bool:
-    """Automorphism test, via a dense permutation check when available."""
-    if len(f) != len(g) or set(f.image()) != set(g.vertices):
+def _automorphism_ok(g: EdgeLabelledGraph, f: PartialMap | np.ndarray) -> bool:
+    """Automorphism test, via a dense permutation check when available.
+
+    `f` is a map on the vertex ids, or already a permutation of the vertex
+    positions: an integer array whose entry i is the position of the image
+    of `g.vertices[i]`.
+    """
+    verts = g.vertices
+    if isinstance(f, np.ndarray):
+        perm = f
+    elif len(f) != len(g) or set(f.image()) != set(verts):
         return False
+    else:
+        perm = None
     dense = g.dense_matrix()
     if dense is None:
+        if perm is not None:
+            f = PartialMap(zip(verts, map(verts.__getitem__, perm.tolist())))
         return check_map(f, g, g, "automorphism")
     index, mat, _ = dense
-    perm = np.fromiter((index[f[v]] for v in g.vertices), dtype=np.intp, count=len(g))
+    if perm is None:
+        perm = np.fromiter((index[f[v]] for v in verts), dtype=np.intp, count=len(g))
     return bool(np.array_equal(mat[perm][:, perm], mat))

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .completion import shortest_path_completion
 from .errors import GraphFormatError, InvalidMap, NotAMetricSpace, VertexCapExceeded
 from .graphs import (
@@ -196,9 +198,13 @@ def extend_isometry(w: Witness, phi: PartialMap) -> PartialMap:
 
     `phi` may be written on input vertex names or on their images under
     `final_embedding`; the result is a total automorphism of `w.final`
-    (always on final vertex ids) extending the image form of `phi`.  It is
-    lifted through the stored levels only: a level that is not stored is
-    the one below renamed, and the lift there is the same map.
+    (always on final vertex ids) extending the image form of `phi`.  On
+    B0 it is the automorphism induced by the token permutation that
+    completes `phi` (`subset_automorphism`, on token positions parsed once
+    per graph).  It is lifted through the stored levels only: a level that
+    is not stored is the one below renamed, and the lift there is the same
+    map.  The restriction to the component is checked as an isometry of
+    the final space as a permutation of its vertex positions.
     """
     phi_a = _as_input_map(w, phi)
     if not is_partial_automorphism(phi_a, w.input):
@@ -224,18 +230,19 @@ def extend_isometry(w: Witness, phi: PartialMap) -> PartialMap:
             raise InvalidMap("lift failed to extend the requested map")
         prev = lvl
 
-    in_component = set(w.component)
-    table = {}
-    for u in w.component:
-        v = hat[u]
-        if v not in in_component:
-            raise InvalidMap(
-                "extension does not preserve the completed component "
-                "(can happen for the empty map in non-coherent mode)"
-            )
-        table[u] = v
-    theta = PartialMap(table)
-    if not _automorphism_ok(w.final, theta):
+    component = w.component
+    where = {u: i for i, u in enumerate(component)}
+    perm = np.fromiter(
+        (where.get(hat[u], -1) for u in component), dtype=np.intp, count=len(component)
+    )
+    if (perm < 0).any():
+        raise InvalidMap(
+            "extension does not preserve the completed component "
+            "(can happen for the empty map in non-coherent mode)"
+        )
+    theta = PartialMap(zip(component, map(component.__getitem__, perm.tolist())))
+    # the component's positions are the final space's when it lists them in order
+    if not _automorphism_ok(w.final, perm if component == w.final.vertices else theta):
         raise InvalidMap("restriction to the component is not an isometry")
     if not theta.extends(phi_final):
         raise InvalidMap("extension does not agree with the requested map")

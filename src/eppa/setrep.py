@@ -18,6 +18,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator, Mapping
 
+import numpy as np
+
 from .errors import GraphFormatError, InvalidMap, UnknownVertex, VertexCapExceeded
 from .graphs import (
     EdgeLabelledGraph,
@@ -72,13 +74,17 @@ def subset_id(tokens: Iterable[str]) -> str:
 
 
 def parse_subset_id(vertex: str) -> frozenset[str]:
+    return frozenset(_listed_tokens(vertex))
+
+
+def _listed_tokens(vertex: str) -> list[str]:
+    """The tokens of a subset id in the order it lists them."""
     if not (vertex.startswith("{") and vertex.endswith("}")) or len(vertex) < 3:
         raise GraphFormatError(f"not a token-subset vertex id: {vertex!r}")
     tokens = vertex[1:-1].split("|")
-    out = frozenset(tokens)
-    if len(out) != len(tokens):
+    if len(set(tokens)) != len(tokens):
         raise GraphFormatError(f"repeated token in vertex id {vertex!r}")
-    return out
+    return tokens
 
 
 @dataclass(frozen=True)
@@ -278,9 +284,10 @@ def build_eppa_graph(
     spectrum = a.spectrum()
     n = len(spectrum)
 
-    # subsets as bitmasks over the universe for fast intersection sizes
+    # subsets as bitmasks over the universe for fast intersection sizes; the
+    # universe is in token order, so each combination lists its tokens in it
     subsets = list(combinations(range(m), k))
-    ids = [subset_id(universe[p] for p in positions) for positions in subsets]
+    ids = ["{" + "|".join(tokens) + "}" for tokens in combinations(universe, k)]
     masks = [sum(1 << p for p in positions) for positions in subsets]
     rows: list[dict[str, Fraction]] = [{} for _ in ids]
     for ia in range(count):
@@ -308,8 +315,9 @@ def extend_by_permutation(
     Shared pair tokens are transported along phi first; each mapped vertex
     then has its leftover tokens matched against the leftovers of its image,
     and finally the untouched remainder of the universe is matched with
-    itself.  With `coherent` the two matching stages pair tokens in the fixed
-    token order on both sides, which makes extension commute with
+    itself.  Tokens are ordered by their position in `sa.universe`, which
+    lists them in token order.  With `coherent` the two matching stages pair
+    tokens in that order on both sides, which makes extension commute with
     composition; otherwise the image side is deliberately taken in reverse
     order, which in general breaks that (see the composition tests).
     """
@@ -324,6 +332,15 @@ def extend_by_permutation(
     idx = spectrum_index(a)
     pi: dict[str, str] = {}
     hit: set[str] = set()
+    position = {t: p for p, t in enumerate(sa.universe)}
+
+    def order(token: str) -> int:
+        try:
+            return position[token]
+        except KeyError:
+            raise GraphFormatError(
+                f"set assignment is invalid: token {token!r} is not in its universe"
+            ) from None
 
     # shared tokens of mapped pairs travel with their endpoints
     dom = phi.domain()
@@ -350,23 +367,115 @@ def extend_by_permutation(
     # per-vertex leftovers: image sets of distinct mapped vertices are
     # disjoint outside the tokens already placed above
     for x in dom:
-        sources = sorted((t for t in sa.psi[x] if t not in pi), key=token_sort_key)
-        targets = sorted((t for t in sa.psi[phi[x]] if t not in hit), key=token_sort_key)
+        sources = sorted((t for t in sa.psi[x] if t not in pi), key=order)
+        targets = sorted((t for t in sa.psi[phi[x]] if t not in hit), key=order)
         match(sources, targets)
 
-    rest_src = sorted((t for t in sa.universe if t not in pi), key=token_sort_key)
-    rest_dst = sorted((t for t in sa.universe if t not in hit), key=token_sort_key)
-    match(rest_src, rest_dst)
+    match([t for t in sa.universe if t not in pi], [t for t in sa.universe if t not in hit])
     return PartialMap(pi)
 
 
+@dataclass(frozen=True)
+class _SizeClass:
+    """The vertices of a subset graph whose ids list `size` tokens.
+
+    `members` are their positions in the graph's vertex order and `rows`
+    their token positions, ascending, one row each.  `ranks` are the colex
+    ranks of the canonical ids among them, the ids that list their tokens
+    in token order as `subset_id` writes them, ascending after a leading -1
+    that matches no subset; `targets` are the vertex positions that go with
+    them (-1 first).
+    """
+
+    members: np.ndarray
+    rows: np.ndarray
+    columns: np.ndarray  # 1, ..., size
+    ranks: np.ndarray
+    targets: np.ndarray
+
+
+@dataclass(frozen=True)
+class _SubsetTable:
+    """A subset graph's vertex ids, parsed once into token positions.
+
+    `tokens` are the m tokens its ids mention, in token order (the universe,
+    for the subset graph of a set assignment), and `position` numbers them.
+    `binom[p, j]` is C(p, j) for p < 2m, so the colex rank of an ascending
+    row p_0 < ... < p_(s-1) is the sum of C(p_j, j + 1), exactly.  A row
+    reaching past m ranks above every subset of the m tokens.
+    """
+
+    tokens: tuple[str, ...]
+    position: dict[str, int]
+    binom: np.ndarray
+    classes: tuple[_SizeClass, ...]
+
+
+def _subset_table(b: EdgeLabelledGraph) -> _SubsetTable:
+    """The token-position table of `b`, built on first use and kept as long
+    as the graph."""
+    if b._subsets is None:
+        listed = [_listed_tokens(vertex) for vertex in b.vertices]
+        tokens = tuple(sorted(set().union(*listed), key=token_sort_key))
+        position = {t: p for p, t in enumerate(tokens)}
+        sizes = sorted({len(ts) for ts in listed})
+        reach = 2 * len(tokens)
+        top = max((math.comb(reach, s) for s in sizes), default=0)
+        dtype = np.int64 if top < 1 << 63 else object  # ranks stay exact
+        binom = np.array(
+            [[math.comb(p, j) for j in range(max(sizes, default=0) + 1)] for p in range(reach)],
+            dtype=dtype,
+        )
+        classes = []
+        for size in sizes:
+            members = [i for i, ts in enumerate(listed) if len(ts) == size]
+            as_listed = np.array([[position[t] for t in listed[i]] for i in members])
+            rows = np.sort(as_listed, axis=1)
+            canonical = (as_listed == rows).all(axis=1)
+            columns = np.arange(1, size + 1)
+            ranks = binom[rows[canonical], columns].sum(axis=1)
+            order = np.argsort(ranks, kind="stable")
+            members = np.array(members)
+            classes.append(_SizeClass(
+                members=members,
+                rows=rows,
+                columns=columns,
+                ranks=np.concatenate(([-1], ranks[order])),
+                targets=np.concatenate(([-1], members[canonical][order])),
+            ))
+        b._subsets = _SubsetTable(tokens, position, binom, tuple(classes))
+    return b._subsets
+
+
 def subset_automorphism(pi: PartialMap, b: EdgeLabelledGraph) -> PartialMap:
-    """Automorphism of the subset graph induced by a token permutation."""
-    table = {}
-    for vertex in b.vertices:
-        tokens = parse_subset_id(vertex)
-        image = subset_id(pi[t] for t in tokens)
-        if image not in b:
-            raise InvalidMap(f"token permutation leaves the graph at {vertex!r}")
-        table[vertex] = image
-    return PartialMap(table)
+    """Automorphism of the subset graph induced by a token permutation.
+
+    Each vertex goes to the vertex whose id lists the images of its tokens.
+    The ids are parsed once per graph into rows of token positions
+    (`_subset_table`); a call then maps pi to a position array, applies it
+    to every row, sorts the rows and looks their colex ranks up, so no token
+    string is built or parsed.  Raises UnknownVertex when pi leaves a token
+    of some vertex unmapped and InvalidMap when a vertex's image is not a
+    vertex, naming the first such vertex in vertex order.
+    """
+    table = _subset_table(b)
+    m = len(table.tokens)
+    # a token left unmapped, or mapped off the graph's tokens, goes past them
+    dest = np.array(
+        [table.position.get(pi.get(t), m + p) for p, t in enumerate(table.tokens)],
+        dtype=np.intp,
+    )
+    target = np.empty(len(b), dtype=np.intp)
+    for cls in table.classes:
+        ranks = table.binom[np.sort(dest[cls.rows], axis=1), cls.columns].sum(axis=1)
+        where = np.searchsorted(cls.ranks, ranks, side="right") - 1
+        target[cls.members] = np.where(cls.ranks[where] == ranks, cls.targets[where], -1)
+    bad = np.flatnonzero(target < 0)
+    if bad.size:
+        vertex = b.vertices[bad[0]]
+        unmapped = [t for t in _listed_tokens(vertex) if t not in pi]
+        if unmapped:
+            raise UnknownVertex(f"{unmapped[0]!r} not in domain")
+        raise InvalidMap(f"token permutation leaves the graph at {vertex!r}")
+    verts = b.vertices
+    return PartialMap(zip(verts, map(verts.__getitem__, target.tolist())))

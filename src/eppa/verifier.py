@@ -461,10 +461,9 @@ def _check_subset_level(report: VerificationReport, w: Witness, scale: int, matr
     if sa is not None:
         problems = sa.problems()
         report.add("token-assignment", not problems, "; ".join(problems[:3]))
-        expected = sorted(
-            ("{" + "|".join(sorted(c, key=token_sort_key)) + "}")
-            for c in combinations(sa.universe, sa.k)
-        )
+        # combinations of a sorted sequence come out sorted
+        ordered = sorted(sa.universe, key=token_sort_key)
+        expected = sorted("{" + "|".join(c) + "}" for c in combinations(ordered, sa.k))
         report.add(
             "subset-vertices",
             list(g.vertices) == expected,

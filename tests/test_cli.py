@@ -361,6 +361,56 @@ def test_malformed_witness_is_a_format_error(case, t112_witness, demo_witness, t
         assert err.startswith("error: ") and "Traceback" not in err, (argv, err)
 
 
+def _edit(*path_and_edit):
+    """A mutation that applies `edit` to obj[path...] in a witness JSON object."""
+    *path, edit = path_and_edit
+
+    def mutate(obj):
+        for step in path:
+            obj = obj[step]
+        edit(obj)
+    return mutate
+
+
+def _drop_last_token(vertex_id: str) -> str:
+    return "{" + "|".join(vertex_id[1:-1].split("|")[:-1]) + "}"
+
+
+# (mutation of the triangle-112 witness, map on input names, exit code of
+# `eppa extend`); each map reaches the tampered part: "x" owns the first psi
+# set and "z" the universe's last token, "z!1"
+IDENTITY_X = [["x", "x"]]
+SWAP_YZ = [["y", "z"], ["z", "y"]]
+TAMPERED_WITNESSES = {
+    "universe-missing-its-last-token": (_edit("set_assignment", "universe", list.pop), IDENTITY_X, 1),
+    "psi-set-one-token-short": (_edit("set_assignment", "psi", 1, 1, list.pop), SWAP_YZ, 1),
+    "malformed-psi-token": (_set("set_assignment", "psi", 0, 1, 0, "junk"), IDENTITY_X, 3),
+    "b0-vertex-renamed-to-another-subset": (
+        _edit("levels", 0, "graph", "vertices",
+              lambda vs: vs.__setitem__(-1, _drop_last_token(vs[-1]))), SWAP_YZ, 1),
+    "b0-id-without-braces": (
+        _edit("levels", 0, "graph", "vertices", lambda vs: vs.__setitem__(5, vs[5][1:-1])),
+        SWAP_YZ, 3),
+    "component-one-vertex-short": (_edit("component", list.pop), SWAP_YZ, 1),
+    "duplicate-final-embedding-image": (
+        _edit("final_embedding", lambda pairs: pairs[1].__setitem__(1, pairs[0][1])), SWAP_YZ, 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TAMPERED_WITNESSES))
+def test_extend_on_a_tampered_witness_exits_with_its_code(case, t112_witness, tmp_path, capsys):
+    mutate, phi, code = TAMPERED_WITNESSES[case]
+    obj = witness_to_json(t112_witness)
+    mutate(obj)
+    wpath = str(tmp_path / "w.json")
+    dump_json(wpath, obj)
+    mpath = str(tmp_path / "map.json")
+    dump_json(mpath, phi)
+    assert main(["extend", wpath, mpath]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err, err
+
+
 # -- usage errors and config --------------------------------------------------------
 
 

@@ -9,23 +9,32 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import eppa.setrep as setrep
 
 from eppa import (
+    EdgeLabelledGraph,
+    EppaError,
     GraphFormatError,
     InvalidMap,
     PartialMap,
     SetAssignment,
+    UnknownVertex,
     VertexCapExceeded,
     bad_sets,
     build_eppa_graph,
     build_set_assignment,
+    build_witness,
     check_map,
     complete_graph,
     compute_N,
     enumerate_partial_automorphisms,
     extend_by_permutation,
+    extend_isometry,
     graph_from_triples,
     has_nonmetric_cycle_up_to,
+    induced_subgraph,
     is_metric_space,
     spectrum_index,
     subset_automorphism,
@@ -41,7 +50,7 @@ from eppa.setrep import (
     subset_id,
     token_sort_key,
 )
-from conftest import edge_labelled_graphs
+from conftest import edge_labelled_graphs, make_four_point, make_k2, make_t112, make_t123
 
 
 # -- token syntax --------------------------------------------------------------
@@ -305,6 +314,150 @@ def test_one_step_extension_property(a):
         theta = subset_automorphism(extend_by_permutation(a, sa, phi), b)
         assert check_map(theta, b, b, "automorphism")
         assert _extends_embedded(theta, emb, phi)
+
+
+# -- subset_automorphism against the string reference --------------------------
+
+
+def reference_subset_automorphism(pi, b):
+    """The string form of `subset_automorphism`: each vertex id is parsed,
+    its tokens mapped, and the image id written out and looked up."""
+    table = {}
+    for vertex in b.vertices:
+        image = subset_id(pi[t] for t in parse_subset_id(vertex))
+        if image not in b:
+            raise InvalidMap(f"token permutation leaves the graph at {vertex!r}")
+        table[vertex] = image
+    return PartialMap(table)
+
+
+def outcome(automorphism, pi, b):
+    """The map, or the type and message of the refusal."""
+    try:
+        return automorphism(pi, b)
+    except EppaError as exc:
+        return type(exc), str(exc)
+
+
+# token order differs from string order here: #2 before #10, pairs first
+TOKEN_POOL = ("(a,b)#1", "(a,b)#2", "(a,b)#10", "(b,c)#1", "a!1", "a!2", "a!10", "b!1")
+
+
+def johnson_graph(tokens, k, skip=None):
+    """All k-subsets of the tokens, joined by the number of shared tokens;
+    `skip` leaves out the subset of that index."""
+    ids = [subset_id(c) for c in itertools.combinations(tokens, k)]
+    if skip is not None:
+        del ids[skip % len(ids)]
+    edges = []
+    for u, v in itertools.combinations(ids, 2):
+        shared = len(parse_subset_id(u) & parse_subset_id(v))
+        if shared:
+            edges.append((u, v, shared))
+    return EdgeLabelledGraph(ids, edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.sampled_from(TOKEN_POOL), min_size=1, max_size=6, unique=True),
+    st.integers(1, 6),
+    st.randoms(use_true_random=False),
+    st.sampled_from(["whole", "missing-subset", "unmapped-token", "token-off-the-graph"]),
+)
+def test_subset_automorphism_matches_the_string_reference(tokens, k, rng, damage):
+    k = min(k, len(tokens))
+    b = johnson_graph(tokens, k, skip=rng.randrange(10**6) if damage == "missing-subset" else None)
+    images = list(tokens)
+    rng.shuffle(images)
+    pairs = dict(zip(tokens, images))
+    if damage == "unmapped-token":
+        del pairs[rng.choice(tokens)]
+    elif damage == "token-off-the-graph":
+        pairs[rng.choice(tokens)] = "z!1"
+    pi = PartialMap(pairs)
+    got = outcome(subset_automorphism, pi, b)
+    assert got == outcome(reference_subset_automorphism, pi, b)
+    if damage == "whole":
+        assert check_map(got, b, b, "automorphism")
+
+
+@pytest.mark.parametrize("factory", [make_k2, make_t112, make_t123, make_four_point],
+                         ids=["two-point", "triangle-112", "triangle-123", "four-point"])
+def test_subset_automorphism_matches_the_reference_on_fixture_b0s(factory):
+    a = factory()
+    sa = build_set_assignment(a)
+    b, _ = build_eppa_graph(a, sa)
+    for coherent in (True, False):
+        for phi in enumerate_partial_automorphisms(a, len(a)):
+            pi = extend_by_permutation(a, sa, phi, coherent=coherent)
+            assert subset_automorphism(pi, b) == reference_subset_automorphism(pi, b)
+
+
+def test_unmapped_token_is_an_unknown_vertex(t112):
+    sa = build_set_assignment(t112)
+    b, _ = build_eppa_graph(t112, sa)
+    pi = extend_by_permutation(t112, sa, PartialMap({"y": "z", "z": "y"}))
+    short = PartialMap((t, u) for t, u in pi.items() if t != "z!1")
+    for automorphism in (subset_automorphism, reference_subset_automorphism):
+        with pytest.raises(UnknownVertex, match=r"'z!1' not in domain"):
+            automorphism(short, b)
+
+
+def test_missing_subset_is_named(t112):
+    sa = build_set_assignment(t112)
+    full, _ = build_eppa_graph(t112, sa)
+    pi = extend_by_permutation(t112, sa, PartialMap({"y": "z", "z": "y"}))
+    theta = subset_automorphism(pi, full)
+    source = next(v for v in full.vertices if theta[v] != v)
+    b = induced_subgraph(full, [v for v in full.vertices if v != theta[source]])
+    message = f"token permutation leaves the graph at {source!r}"
+    assert outcome(reference_subset_automorphism, pi, b) == (InvalidMap, message)
+    assert outcome(subset_automorphism, pi, b) == (InvalidMap, message)
+
+
+# hand-built ids of mixed sizes; "{c!1|b!1}" lists its tokens out of token order
+SINGLES = ["{a!1}", "{b!1}", "{c!1}"]
+MIXED_GRAPHS = {
+    "every-subset": SINGLES + ["{a!1|b!1}", "{a!1|c!1}", "{b!1|c!1}", "{a!1|b!1|c!1}"],
+    "two-pairs": SINGLES + ["{a!1|b!1}", "{a!1|c!1}"],
+    "out-of-order": SINGLES + ["{c!1|b!1}"],
+    "out-of-order-twin": SINGLES + ["{b!1|c!1}", "{c!1|b!1}"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MIXED_GRAPHS))
+def test_mixed_subset_sizes_match_the_reference(case):
+    b = EdgeLabelledGraph(MIXED_GRAPHS[case])
+    tokens = ["a!1", "b!1", "c!1"]
+    for images in itertools.permutations(tokens):
+        pi = PartialMap(zip(tokens, images))
+        assert outcome(subset_automorphism, pi, b) == outcome(reference_subset_automorphism, pi, b)
+
+
+def test_ranks_past_int64_stay_exact():
+    # 25 of 40 tokens: colex ranks reach C(80, 25) > 2^63, so they are Python ints
+    tokens = [f"t!{i}" for i in range(1, 41)]
+    b = EdgeLabelledGraph([subset_id(tokens[:25]), subset_id(tokens[15:])])
+    for images in (tokens, tokens[::-1], tokens[1:] + tokens[:1]):
+        pi = PartialMap(zip(tokens, images))
+        assert outcome(subset_automorphism, pi, b) == outcome(reference_subset_automorphism, pi, b)
+    assert setrep._subset_table(b).binom.dtype == object
+
+
+def test_no_token_string_is_parsed_when_extending_again(t112, monkeypatch):
+    # the first extension parses B0's ids into a table kept with the graph
+    w = build_witness(t112)
+    maps = list(enumerate_partial_automorphisms(t112, len(t112)))
+    first = extend_isometry(w, maps[-1])
+
+    def no_parsing(*args):
+        raise AssertionError("token string parsed on the extension path")
+
+    for parser in ("parse_token", "parse_subset_id", "_listed_tokens"):
+        monkeypatch.setattr(setrep, parser, no_parsing)
+    assert extend_isometry(w, maps[-1]) == first
+    for phi in maps:
+        extend_isometry(w, phi)
 
 
 # -- the tower decided on the Johnson scheme ---------------------------------------
