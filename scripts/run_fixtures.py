@@ -3,8 +3,9 @@
 
 Runs the full pipeline on each bundled fixture (or on graph files passed on
 the command line), prints size statistics, the build time, the size of the
-witness file in MB (10^6 bytes, as `dump_json` writes it) and the time
-`witness_from_json` takes to load it back from the parsed JSON, and
+witness file in MB (10^6 bytes, as `dump_json` writes it), the time
+`witness_to_json` and the JSON encoder take to write that text, and the
+time `witness_from_json` takes to load it back from the parsed JSON, and
 optionally extends every partial isometry of the input, timing each
 `extend_isometry` call alone (median and p90 per map; the first call pays
 the witness's lazy set-up) and checking each result with `check_map`
@@ -87,8 +88,10 @@ def run_one(name: str, g: EdgeLabelledGraph, args: argparse.Namespace) -> bool:
     build_s = time.perf_counter() - t0
 
     stats = witness_stats(w)
+    t0 = time.perf_counter()
     obj = witness_to_json(w)
     text = json.dumps(obj, separators=(",", ":")) + "\n"  # ASCII, as dump_json writes it
+    dump_s = time.perf_counter() - t0
     parsed = json.loads(text)
     t0 = time.perf_counter()
     witness_from_json(parsed)
@@ -96,7 +99,8 @@ def run_one(name: str, g: EdgeLabelledGraph, args: argparse.Namespace) -> bool:
     print(f"== {name}")
     print(f"   input: {len(g)} vertices, spectrum {stats['spectrum']}")
     print(f"   tower: levels {stats['levels']} -> final {stats['final_vertices']} vertices")
-    print(f"   build: {build_s:.2f}s, witness {len(text) / 1e6:.2f} MB, loaded in {load_s:.2f}s")
+    print(f"   build: {build_s:.2f}s, witness {len(text) / 1e6:.2f} MB,"
+          f" dumped in {dump_s:.2f}s, loaded in {load_s:.2f}s")
 
     if args.extend_all:
         times = []

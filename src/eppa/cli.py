@@ -30,6 +30,7 @@ from .fileio import (
     dump_json,
     format_label,
     graph_from_json,
+    graph_to_codes,
     graph_to_json,
     load_json,
     map_from_json,
@@ -37,7 +38,6 @@ from .fileio import (
     report_to_json,
     witness_from_json,
     witness_to_json,
-    _indexed_graph,
 )
 from .graphs import is_metric_space, metric_violation
 from .pipeline import Config, build_witness, extend_isometry, witness_stats
@@ -78,7 +78,6 @@ def _load_graph(path: str):
 def _config(args) -> Config:
     return Config(
         vertex_cap=args.vertex_cap,
-        search_budget=args.budget,
         coherent=not args.no_coherent,
     )
 
@@ -153,7 +152,7 @@ def cmd_eppa_step(args) -> int:
     print(f"derived edges: {b.edge_count}")
     _emit(
         args,
-        {"graph": _indexed_graph(b), "embedding": map_to_json(emb), "k": sa.k,
+        {"graph": graph_to_codes(b), "embedding": map_to_json(emb), "k": sa.k,
          "universe": list(sa.universe)},
         "one-step extension graph",
     )
@@ -171,6 +170,10 @@ def cmd_witness(args) -> int:
 
 def cmd_extend(args) -> int:
     w = witness_from_json(load_json(args.witness))
+    if w.set_assignment is not None:
+        problems = w.set_assignment.problems()
+        if problems:
+            raise GraphFormatError(f"inconsistent set assignment: {problems[0]}")
     phi = map_from_json(load_json(args.map))
     theta = extend_isometry(w, phi)
     _emit(args, map_to_json(theta), "extension")

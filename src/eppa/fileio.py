@@ -4,8 +4,9 @@ Graph files are JSON objects `{"vertices": [...], "edges": [[u, v, label]]}`
 with labels written as positive fractions in lowest terms ("3" or "3/2",
 never "6/4" or "3/1").  Map files are JSON lists of `[source, target]` pairs.
 Witness files bundle everything `build_witness` produced, stored levels
-only, under the format version `eppa-witness/2`; files of any other version
-are refused.  Their graphs use an indexed edge encoding to stay compact.
+only, under the format version `eppa-witness/3`; files of any other version
+are refused.  Their graphs are written as one string of label codes per
+graph (`graph_to_codes`), which stays compact on dense graphs.
 All parsers reject structurally invalid input with the offending element
 named in the error.
 """
@@ -16,7 +17,9 @@ import json
 import math
 import re
 from fractions import Fraction
-from typing import Any
+from itertools import combinations, compress, islice, repeat
+from operator import is_not
+from typing import Any, Iterable
 
 from .completion import CycleWitness
 from .errors import GraphFormatError
@@ -26,7 +29,7 @@ from .pipeline import Config, Witness
 from .setrep import SetAssignment, token_sort_key
 from .verifier import VerificationReport
 
-WITNESS_FORMAT = "eppa-witness/2"
+WITNESS_FORMAT = "eppa-witness/3"
 
 _LABEL_RE = re.compile(r"^(0|[1-9][0-9]*)(?:/([1-9][0-9]*))?$")
 
@@ -115,46 +118,104 @@ def map_from_json(obj: Any) -> PartialMap:
     return PartialMap(table)
 
 
-# -- compact graph encoding for witness internals ----------------------------
+# -- label-code graph encoding for witness internals --------------------------
 
 
-def _indexed_graph(g: EdgeLabelledGraph) -> dict:
-    index = {v: i for i, v in enumerate(g.vertices)}
-    return {
-        "vertices": list(g.vertices),
-        "edges_ix": [[index[u], index[v], format_label(d)] for u, v, d in g.edges()],
-    }
+def graph_to_codes(g: EdgeLabelledGraph) -> dict:
+    """The graph as `{"vertices", "labels", "codes"}`: its vertices and its
+    distinct labels, both ascending, and one fixed-width decimal code per
+    vertex pair i < j, row-major in vertex order; code 0 is a non-edge and
+    code c is `labels[c-1]`.  The width is the digit count of the number of
+    labels."""
+    verts = g.vertices
+    labels = g.spectrum()
+    width = len(str(len(labels)))
+    code = {label: str(c).zfill(width) for c, label in enumerate(labels, 1)}
+
+    def encode(by_object: dict[int, str]) -> str:
+        by_object[id(None)] = "0" * width  # what row.get gives for a non-edge
+        return "".join(
+            "".join(map(by_object.__getitem__, map(id, map(g._adj[u].get, verts[i + 1:]))))
+            for i, u in enumerate(verts)
+        )
+
+    try:  # derived graphs hold their spectrum's label objects
+        codes = encode({id(label): code[label] for label in labels})
+    except KeyError:  # equal labels held as distinct objects
+        codes = encode({key: code[label] for key, label in g._label_objects().items()})
+    return {"vertices": list(verts), "labels": [format_label(d) for d in labels], "codes": codes}
 
 
-def _graph_from_indexed(obj: Any, what: str) -> EdgeLabelledGraph:
-    """Parse an indexed graph in one pass over its edges, with the checks of
-    the validating constructor; each distinct label is parsed once."""
-    if not isinstance(obj, dict) or "vertices" not in obj or "edges_ix" not in obj:
-        raise GraphFormatError(f"{what}: expected an indexed graph object")
-    verts = [_check_core_name(v) for v in _strings(obj["vertices"], f"{what}: \"vertices\"")]
-    if len(set(verts)) != len(verts):
-        raise GraphFormatError(f"{what}: duplicate vertex names")
-    adj: dict[str, dict[str, Fraction]] = {v: {} for v in sorted(verts)}
-    rows = [adj[v] for v in verts]  # by index in the file
+def _split_codes(digits: list[str]) -> Iterable[str]:
+    """The codes whose t-th digits are the characters of `digits[t]`."""
+    return digits[0] if len(digits) == 1 else map("".join, zip(*digits))
+
+
+def graph_from_codes(obj: Any, what: str) -> EdgeLabelledGraph:
+    """Parse `graph_to_codes` output, checking names, the order of vertices
+    and labels, the length of the code string, that every code names a
+    label and that every label is used.
+
+    Each vertex's codes are read as one row, its pairs with earlier
+    vertices coming from strided slices, so every row is decoded by C-level
+    maps into shared label objects and no list of all pairs is built.
+    """
+    if not isinstance(obj, dict) or set(obj) != {"vertices", "labels", "codes"}:
+        raise GraphFormatError(f"{what}: expected a graph object with \"vertices\", "
+                               "\"labels\" and \"codes\"")
+    verts = tuple(_strings(obj["vertices"], f"{what}: \"vertices\""))
+    texts = _strings(obj["labels"], f"{what}: \"labels\"")
+    try:
+        for v in verts:
+            _check_core_name(v)
+        labels = [parse_label(text) for text in texts]
+    except GraphFormatError as exc:
+        raise GraphFormatError(f"{what}: {exc}") from None
+    if any(u >= v for u, v in zip(verts, verts[1:])):
+        raise GraphFormatError(f"{what}: vertices must be strictly ascending")
+    if any(a >= b for a, b in zip(labels, labels[1:])):
+        raise GraphFormatError(f"{what}: labels must be strictly ascending")
     n = len(verts)
-    edges = _list(obj["edges_ix"], f"{what}: \"edges_ix\"")
-    labels: dict[str, Fraction] = {}
-    for pos, e in enumerate(edges):
-        if not (isinstance(e, list) and len(e) == 3
-                and type(e[0]) is int and type(e[1]) is int
-                and 0 <= e[0] < n and 0 <= e[1] < n):
-            raise GraphFormatError(f"{what}: edge #{pos} has bad vertex indices: {e!r}")
-        i, j, text = e
-        if i == j or verts[j] in rows[i]:
-            raise GraphFormatError(f"{what}: edge #{pos} is a loop or a repeated edge: {e!r}")
-        label = labels.get(text) if isinstance(text, str) else None
-        if label is None:
-            try:
-                label = labels[text] = parse_label(text)
-            except GraphFormatError as exc:
-                raise GraphFormatError(f"{what}: edge #{pos}: {exc}") from None
-        rows[i][verts[j]] = rows[j][verts[i]] = label
-    return EdgeLabelledGraph._trusted(tuple(adj), adj, len(edges))
+    width = len(str(len(labels)))
+    codes = obj["codes"]
+    if not isinstance(codes, str) or len(codes) != width * n * (n - 1) // 2:
+        raise GraphFormatError(
+            f"{what}: \"codes\" must be a string of {width * n * (n - 1) // 2} digits "
+            f"({width} per vertex pair)"
+        )
+    table = {str(c).zfill(width): label for c, label in enumerate(labels, 1)}
+    table["0" * width] = None
+    digits = [codes[t::width] for t in range(width)]
+    used = set(_split_codes(digits))
+    if not used <= table.keys():
+        bad = next(p for p, c in enumerate(_split_codes(digits)) if c not in table)
+        x, y = next(islice(combinations(verts, 2), bad, None))
+        raise GraphFormatError(
+            f"{what}: code {codes[bad * width:(bad + 1) * width]!r} of pair ({x!r}, {y!r}) "
+            "names no label"
+        )
+    unused = [text for c, text in zip(table, texts) if c not in used]
+    if unused:  # the labels must be the graph's spectrum
+        raise GraphFormatError(f"{what}: label {unused[0]} is on no pair")
+    # each digit plane padded with zeros to an n x n square: pair (i, j),
+    # i < j, sits at row i, column j, so vertex j's pairs with earlier
+    # vertices are column j, a strided slice, and the diagonal is a non-edge
+    squares = []
+    for plane in digits:
+        parts = []
+        start = 0
+        for i in range(n):
+            end = start + n - 1 - i
+            parts += ("0" * (i + 1), plane[start:end])
+            start = end
+        squares.append("".join(parts))
+    adj: dict[str, dict[str, Fraction]] = {}
+    for j, v in enumerate(verts):
+        line = [square[j:n * j:n] + square[n * j + j:n * (j + 1)] for square in squares]
+        row = list(map(table.__getitem__, _split_codes(line)))
+        # is_not selects in C; a Fraction's own truth test is Python code
+        adj[v] = dict(compress(zip(verts, row), map(is_not, row, repeat(None))))
+    return EdgeLabelledGraph._trusted(verts, adj, sum(map(len, adj.values())) // 2, tuple(labels))
 
 
 def _list(obj: Any, what: str) -> list:
@@ -207,7 +268,7 @@ def _cycle_from_json(obj: Any) -> CycleWitness:
 def _level_to_json(lvl: LevelGraph) -> dict:
     return {
         "level": lvl.level,
-        "graph": _indexed_graph(lvl.graph),
+        "graph": graph_to_codes(lvl.graph),
         "base_embedding": map_to_json(lvl.base_embedding),
         "projection": [[u, v] for u, v in sorted(lvl.projection.items())],
         "bad_sets": [
@@ -240,7 +301,7 @@ def _level_from_json(obj: Any, pos: int, below: LevelGraph | None, n: int) -> Le
                 cycle=_cycle_from_json(m.get("cycle")),
             )
         )
-    graph = _graph_from_indexed(obj.get("graph"), what)
+    graph = graph_from_codes(obj.get("graph"), what)
     embedding = _pairs(obj.get("base_embedding"), f"{what}: \"base_embedding\"")
     projection = dict(_pairs(obj.get("projection", []), f"{what}: \"projection\""))
     if below is None:
@@ -292,12 +353,11 @@ def witness_to_json(w: Witness) -> dict:
         "set_assignment": None if w.set_assignment is None else _assignment_to_json(w.set_assignment),
         "levels": [_level_to_json(lvl) for lvl in w.levels],
         "component": list(w.component),
-        "final": _indexed_graph(w.final),
+        "final": graph_to_codes(w.final),
         "final_embedding": map_to_json(w.final_embedding),
         "n": w.n,
         "config": {
             "vertex_cap": w.config.vertex_cap,
-            "search_budget": w.config.search_budget,
             "coherent": w.config.coherent,
         },
     }
@@ -323,7 +383,7 @@ def witness_from_json(obj: Any) -> Witness:
     if not isinstance(cfg, dict):
         raise GraphFormatError("witness config must be an object")
     settings = {}
-    for key, kind in (("vertex_cap", int), ("search_budget", int), ("coherent", bool)):
+    for key, kind in (("vertex_cap", int), ("coherent", bool)):
         value = settings[key] = cfg.get(key, getattr(Config, key))
         if type(value) is not kind:
             raise GraphFormatError(f"witness config {key!r} must be of type {kind.__name__}, "
@@ -333,7 +393,7 @@ def witness_from_json(obj: Any) -> Witness:
         set_assignment=None if sa is None else _assignment_from_json(sa, a),
         levels=tuple(levels),
         component=tuple(_strings(obj.get("component"), "witness component")),
-        final=_graph_from_indexed(obj.get("final"), "final"),
+        final=graph_from_codes(obj.get("final"), "final"),
         final_embedding=PartialMap(dict(_pairs(obj.get("final_embedding"), "final_embedding"))),
         n=n,
         config=Config(**settings),

@@ -314,6 +314,16 @@ class PartialMap:
         self._map = dict(sorted(table.items()))
 
     @classmethod
+    def _trusted(cls, pairs: Iterable[tuple[str, str]]) -> "PartialMap":
+        """Constructor for maps derived inside this package; validates
+        nothing.  `pairs` come in ascending order of their distinct sources
+        and have distinct targets, as when zipping a graph's vertices with
+        a permutation of them."""
+        f = object.__new__(cls)
+        f._map = dict(pairs)
+        return f
+
+    @classmethod
     def identity(cls, vertices: Iterable[str]) -> "PartialMap":
         return cls((v, v) for v in vertices)
 

@@ -46,7 +46,6 @@ class Config:
     """Resource limits and extension-mode switches."""
 
     vertex_cap: int = 200_000
-    search_budget: int = 10_000_000
     coherent: bool = True
 
 
@@ -240,9 +239,12 @@ def extend_isometry(w: Witness, phi: PartialMap) -> PartialMap:
             "extension does not preserve the completed component "
             "(can happen for the empty map in non-coherent mode)"
         )
-    theta = PartialMap(zip(component, map(component.__getitem__, perm.tolist())))
-    # the component's positions are the final space's when it lists them in order
-    if not _automorphism_ok(w.final, perm if component == w.final.vertices else theta):
+    # when the component lists the final vertices in order, theta permutes
+    # them (nothing to validate) and perm is on the final space's positions
+    in_order = component == w.final.vertices
+    pairs = zip(component, map(component.__getitem__, perm.tolist()))
+    theta = PartialMap._trusted(pairs) if in_order else PartialMap(pairs)
+    if not _automorphism_ok(w.final, perm if in_order else theta):
         raise InvalidMap("restriction to the component is not an isometry")
     if not theta.extends(phi_final):
         raise InvalidMap("extension does not agree with the requested map")

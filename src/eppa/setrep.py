@@ -478,4 +478,11 @@ def subset_automorphism(pi: PartialMap, b: EdgeLabelledGraph) -> PartialMap:
             raise UnknownVertex(f"{unmapped[0]!r} not in domain")
         raise InvalidMap(f"token permutation leaves the graph at {vertex!r}")
     verts = b.vertices
-    return PartialMap(zip(verts, map(verts.__getitem__, target.tolist())))
+    if np.bincount(target, minlength=len(b)).max(initial=0) > 1:
+        # an id listing its tokens out of order shares its image with its canonical twin
+        seen: set[int] = set()
+        for t in target.tolist():
+            if t in seen:
+                raise InvalidMap(f"not injective: {verts[t]!r} hit twice")
+            seen.add(t)
+    return PartialMap._trusted(zip(verts, map(verts.__getitem__, target.tolist())))

@@ -119,15 +119,15 @@ def test_criterion_1_end_to_end(fixture_witnesses, name, factory, limit, n_maps)
     print(f"[criterion 1] PASS {name}: {n_maps} partial isometries extended in {elapsed:.1f}s")
 
 
-# sha256 of each fixture's witness file in the eppa-witness/2 format, which
-# stores no level without bad sets; the JSON must stay byte-identical.  The
-# text is the one `dump_json` writes, made in memory because writing the
-# 10 MB triangle-123 witness chunk by chunk takes seconds.
+# sha256 of each fixture's witness file in the eppa-witness/3 format, which
+# stores no level without bad sets and each graph as one string of label
+# codes; the JSON must stay byte-identical.  The text is the one `dump_json`
+# writes, made in memory.
 FIXTURE_DIGESTS = {
-    "two-point": "79b147c8a491f42d06170fd9731e1cf592a5a75c9abb3cbd8e53ee065a2ac6d5",
-    "triangle-112": "d6ccca62efb0968d34f5cd646f2beb1a3d7da92f41373f3f805b40c4e50da237",
-    "triangle-123": "1bb7bd541f1551a3785a5e69b5e86b9fa0343b97158335c7807557777ec0ac0b",
-    "four-point": "618afa5c9c618089244cd1444c35cf8feae18e4e88266c022d53c5cec8631dc1",
+    "two-point": "3b09c3f10dd6ed7d32bd85029953cb488bb398e46647ba0c648752836e9c5f7d",
+    "triangle-112": "f5c721f075e93519e5cb19791e4b6bd580750afe4a25395776eefc3d9fc9faf8",
+    "triangle-123": "e37ba0ed0f429fa2793103602896e036a5418b533655bcefeb99ae34792f83e5",
+    "four-point": "005779d3425621e25ae991abb6ad0d034f9c449771c1238a5b6ea2e64564ca1c",
 }
 
 

@@ -229,7 +229,11 @@ def test_verify_budget_exhaustion_exit_code(tmp_path, capsys):
 
 def test_verify_flags_tampering(tmp_path, capsys):
     obj = witness_to_json(_k2_witness())
-    obj["final"]["edges_ix"][0][2] = "2"
+    # the first pair of the final space gets a new label, 2
+    final = obj["final"]
+    assert final["labels"] == ["1"] and set(final["codes"]) == {"1"}
+    final["labels"].append("2")
+    final["codes"] = "2" + final["codes"][1:]
     wpath = str(tmp_path / "bad.json")
     dump_json(wpath, obj)
     rpath = str(tmp_path / "report.json")
@@ -239,7 +243,7 @@ def test_verify_flags_tampering(tmp_path, capsys):
     assert "overall: FAIL" in out
     report = load_json(rpath)
     assert report["ok"] is False
-    tampered = [obj["final"]["vertices"][i] for i in obj["final"]["edges_ix"][0][:2]]
+    tampered = final["vertices"][:2]
     completion = next(c for c in report["checks"] if c["name"] == "final-completion")
     assert not completion["passed"]
     assert completion["counterexample"] == tampered
@@ -305,20 +309,32 @@ def _set(*path_and_value):
     return mutate
 
 
-def _add_edge(*edge):
-    """A mutation that appends an edge to the base level's indexed edges."""
+def _edit(*path_and_edit):
+    """A mutation that applies `edit` to obj[path...] in a witness JSON object."""
+    *path, edit = path_and_edit
 
     def mutate(obj):
-        obj["levels"][0]["graph"]["edges_ix"].append(list(edge))
+        for step in path:
+            obj = obj[step]
+        edit(obj)
     return mutate
 
 
+def _recode(start, stop, code):
+    """An edit that writes `code` over codes[start:stop] of a stored graph."""
+
+    def edit(graph):
+        graph["codes"] = graph["codes"][:start] + code + graph["codes"][stop:]
+    return edit
+
+
 # (witness, mutation): t112 is B0 alone, demo stores a level 3 above its base;
-# t112's first base edge is [0, 9, "2"] among 70 vertices
+# t112's base has 70 vertices and the labels 1, 2, 3 (one-digit codes)
 MALFORMED_WITNESSES = {
     "levels-not-a-list": ("t112", _set("levels", 5)),
     "bad-sets-not-a-list": ("t112", _set("levels", 0, "bad_sets", 5)),
-    "edges-not-a-list": ("t112", _set("levels", 0, "graph", "edges_ix", 5)),
+    "codes-not-a-string": ("t112", _set("levels", 0, "graph", "codes", 5)),
+    "codes-one-pair-short": ("t112", _edit("levels", 0, "graph", _recode(0, 1, ""))),
     "psi-not-a-list": ("t112", _set("set_assignment", "psi", 3)),
     "integer-psi-token": ("t112", _set("set_assignment", "psi", 0, 1, 0, 7)),
     "psi-on-another-vertex": ("t112", _set("set_assignment", "psi", 0, 0, "w")),
@@ -333,13 +349,11 @@ MALFORMED_WITNESSES = {
     "projection-off-the-level-below": ("demo", _set("levels", 1, "projection", 0, 1, "nowhere")),
     "integer-long-edge": ("demo", _set("levels", 1, "bad_sets", 0, "long_edge", [1, 2])),
     "string-coherent": ("t112", _set("config", "coherent", "no")),
-    "string-budget": ("t112", _set("config", "search_budget", "many")),
     "bool-vertex-cap": ("t112", _set("config", "vertex_cap", True)),
-    "loop": ("t112", _set("levels", 0, "graph", "edges_ix", 0, 1, 0)),
-    "duplicate-edge": ("t112", _add_edge(0, 9, "2")),
-    "duplicate-edge-reversed": ("t112", _add_edge(9, 0, "2")),
-    "index-out-of-range": ("t112", _set("levels", 0, "graph", "edges_ix", 0, 1, 70)),
-    "bool-index": ("t112", _set("levels", 0, "graph", "edges_ix", 0, 0, True)),
+    "index-out-of-range": ("t112", _edit("levels", 0, "graph", _recode(9, 10, "4"))),
+    "non-digit-code": ("t112", _edit("final", _recode(100, 101, "x"))),
+    "labels-not-ascending": ("t112", _edit("final", "labels", list.reverse)),
+    "vertices-not-ascending": ("t112", _edit("levels", 0, "graph", "vertices", list.reverse)),
     "duplicate-vertex-name": (
         "t112", _set("levels", 0, "graph", "vertices", 1, "{(x,y)#1|(x,z)#1|(y,z)#1|(y,z)#2}")),
     "whitespace-vertex-name": ("t112", _set("final", "vertices", 0, "x y")),
@@ -361,29 +375,21 @@ def test_malformed_witness_is_a_format_error(case, t112_witness, demo_witness, t
         assert err.startswith("error: ") and "Traceback" not in err, (argv, err)
 
 
-def _edit(*path_and_edit):
-    """A mutation that applies `edit` to obj[path...] in a witness JSON object."""
-    *path, edit = path_and_edit
-
-    def mutate(obj):
-        for step in path:
-            obj = obj[step]
-        edit(obj)
-    return mutate
-
-
 def _drop_last_token(vertex_id: str) -> str:
     return "{" + "|".join(vertex_id[1:-1].split("|")[:-1]) + "}"
 
 
 # (mutation of the triangle-112 witness, map on input names, exit code of
 # `eppa extend`); each map reaches the tampered part: "x" owns the first psi
-# set and "z" the universe's last token, "z!1"
+# set and "z" the universe's last token, "z!1".  `eppa extend` checks the
+# set assignment before it replays any map, so a tampered assignment exits
+# 3 whatever the map (identity on x once extended from x's short psi set)
 IDENTITY_X = [["x", "x"]]
 SWAP_YZ = [["y", "z"], ["z", "y"]]
 TAMPERED_WITNESSES = {
-    "universe-missing-its-last-token": (_edit("set_assignment", "universe", list.pop), IDENTITY_X, 1),
-    "psi-set-one-token-short": (_edit("set_assignment", "psi", 1, 1, list.pop), SWAP_YZ, 1),
+    "universe-missing-its-last-token": (_edit("set_assignment", "universe", list.pop), IDENTITY_X, 3),
+    "psi-set-one-token-short": (_edit("set_assignment", "psi", 1, 1, list.pop), SWAP_YZ, 3),
+    "psi-x-set-one-token-short": (_edit("set_assignment", "psi", 0, 1, list.pop), IDENTITY_X, 3),
     "malformed-psi-token": (_set("set_assignment", "psi", 0, 1, 0, "junk"), IDENTITY_X, 3),
     "b0-vertex-renamed-to-another-subset": (
         _edit("levels", 0, "graph", "vertices",

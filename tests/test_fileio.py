@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from eppa import (
     CycleWitness,
+    EdgeLabelledGraph,
     GraphFormatError,
     PartialMap,
     VerificationReport,
@@ -18,7 +22,9 @@ from eppa.fileio import (
     WITNESS_FORMAT,
     dump_json,
     format_label,
+    graph_from_codes,
     graph_from_json,
+    graph_to_codes,
     graph_to_json,
     load_json,
     map_from_json,
@@ -144,13 +150,16 @@ def test_witness_round_trip_without_assignment():
 
 
 def test_witness_rejects_other_format_versions(k2_witness):
-    # eppa-witness/1 stored every clean level; such files are refused
-    obj = witness_to_json(k2_witness)
-    obj["format"] = "eppa-witness/1"
-    with pytest.raises(GraphFormatError) as exc:
-        witness_from_json(obj)
-    assert "eppa-witness/1" in str(exc.value)
-    assert "eppa-witness/2" in str(exc.value)
+    # /1 stored every clean level and /2 one [i, j, label] triple per edge;
+    # such files are refused
+    for old in ("eppa-witness/1", "eppa-witness/2"):
+        obj = witness_to_json(k2_witness)
+        obj["format"] = old
+        with pytest.raises(GraphFormatError) as exc:
+            witness_from_json(obj)
+        assert old in str(exc.value)
+        assert "eppa-witness/3" in str(exc.value)
+        assert "build the witness again" in str(exc.value)
 
 
 def test_witness_rejects_structural_damage(k2_witness):
@@ -162,7 +171,7 @@ def test_witness_rejects_structural_damage(k2_witness):
         witness_from_json(broken)
 
     broken = json.loads(json.dumps(good))
-    broken["final"]["edges_ix"][0][0] = 99
+    broken["final"]["codes"] = broken["final"]["codes"][:-1]
     with pytest.raises(GraphFormatError) as exc:
         witness_from_json(broken)
     assert "final" in str(exc.value)
@@ -171,6 +180,83 @@ def test_witness_rejects_structural_damage(k2_witness):
     broken["component"] = "abc"
     with pytest.raises(GraphFormatError):
         witness_from_json(broken)
+
+
+# -- the label-code graph encoding ------------------------------------------------
+
+# twelve labels, so that some graphs need two-digit codes
+CODE_LABELS = [Fraction(p, q) for p, q in
+               [(1, 1), (2, 1), (3, 1), (1, 2), (3, 2), (5, 3), (7, 4), (4, 1),
+                (5, 1), (6, 1), (9, 7), (11, 1)]]
+
+
+@st.composite
+def coded_graphs(draw):
+    """Graphs of 0 to 7 vertices with non-edges and any of twelve labels."""
+    names = draw(st.lists(st.text("abxyz{}|;#!0123", min_size=1, max_size=4),
+                          max_size=7, unique=True))
+    pairs = list(combinations(names, 2))
+    labels = draw(st.lists(st.none() | st.sampled_from(CODE_LABELS),
+                           min_size=len(pairs), max_size=len(pairs)))
+    return EdgeLabelledGraph(names, [(u, v, d) for (u, v), d in zip(pairs, labels) if d])
+
+
+@given(coded_graphs())
+@example(EdgeLabelledGraph([]))
+@example(EdgeLabelledGraph(["a"]))
+@example(EdgeLabelledGraph(["a", "b"]))
+@example(EdgeLabelledGraph(["a", "b"], [("a", "b", Fraction(3, 2))]))
+@example(EdgeLabelledGraph([str(i) for i in range(7)], [
+    (str(i), str(j), CODE_LABELS[(i + j) % 12]) for i, j in combinations(range(7), 2) if i != 2
+]))
+def test_codes_round_trip(g):
+    obj = json.loads(json.dumps(graph_to_codes(g)))
+    again = graph_from_codes(obj, "g")
+    assert again == g
+    assert again.edge_count == g.edge_count
+    assert again.spectrum() == g.spectrum()
+    assert graph_to_codes(again) == obj
+    width = 2 if len(g.spectrum()) > 9 else 1
+    assert len(obj["codes"]) == width * len(g) * (len(g) - 1) // 2
+
+
+def test_codes_shape():
+    g = EdgeLabelledGraph(["c", "a", "b"], [("a", "b", Fraction(2)), ("b", "c", Fraction(1, 2))])
+    assert graph_to_codes(g) == {"vertices": ["a", "b", "c"], "labels": ["1/2", "2"], "codes": "201"}
+    # equal labels held as distinct objects share one code
+    twins = EdgeLabelledGraph(["a", "b", "c"], [("a", "b", Fraction(1)), ("a", "c", Fraction(1))])
+    assert graph_to_codes(twins) == {"vertices": ["a", "b", "c"], "labels": ["1"], "codes": "110"}
+    # 14 labels, ascending in row-major pair order, and 0-1 is no edge
+    many = EdgeLabelledGraph([str(i) for i in range(6)], [
+        (str(i), str(j), Fraction(10 * i + j)) for i, j in combinations(range(6), 2) if j > 1
+    ])
+    assert graph_to_codes(many)["codes"] == "00" + "".join(f"{c:02}" for c in range(1, 15))
+
+
+@pytest.mark.parametrize(
+    "obj,fragment",
+    [
+        ({"vertices": ["a", "b"], "codes": "1"}, "expected a graph object"),
+        ({"vertices": ["a", "b"], "labels": ["1"], "codes": 1}, "must be a string of 1 digits"),
+        ({"vertices": ["a", "b"], "labels": ["1"], "codes": "10"}, "must be a string of 1 digits"),
+        ({"vertices": ["a", "b", "c"], "labels": ["1"], "codes": "1x1"}, "code 'x' of pair ('a', 'c')"),
+        ({"vertices": ["a", "b", "c"], "labels": ["1"], "codes": "112"}, "code '2' of pair ('b', 'c')"),
+        ({"vertices": ["a", "b"], "labels": ["1", "2", "3", "4", "5", "6", "7", "8", "9", "10"],
+          "codes": "11"}, "code '11' of pair ('a', 'b')"),
+        ({"vertices": ["a", "b", "c"], "labels": ["1", "2"], "codes": "101"}, "label 2 is on no pair"),
+        ({"vertices": ["a", "b"], "labels": ["2", "1"], "codes": "1"}, "labels must be strictly"),
+        ({"vertices": ["a", "b"], "labels": ["1", "1"], "codes": "1"}, "labels must be strictly"),
+        ({"vertices": ["a", "b"], "labels": ["2/4"], "codes": "1"}, "lowest terms"),
+        ({"vertices": ["b", "a"], "labels": ["1"], "codes": "1"}, "vertices must be strictly"),
+        ({"vertices": ["a", "a"], "labels": ["1"], "codes": "1"}, "vertices must be strictly"),
+        ({"vertices": ["a", " "], "labels": ["1"], "codes": "1"}, "bad vertex name"),
+    ],
+)
+def test_codes_parse_errors_name_the_offender(obj, fragment):
+    with pytest.raises(GraphFormatError) as exc:
+        graph_from_codes(obj, "g")
+    assert fragment in str(exc.value)
+    assert str(exc.value).startswith("g: ")
 
 
 # -- reports ------------------------------------------------------------------

@@ -103,11 +103,11 @@ def test_three_point_witness_shape(t112_witness):
 
 # -- the tower decided on B0 -----------------------------------------------------------
 
-# sha256 of the witness file as `dump_json` writes it, in the eppa-witness/2
+# sha256 of the witness file as `dump_json` writes it, in the eppa-witness/3
 # format, which stores no level without bad sets
 TOWER_DIGESTS = {
-    (1, 3, 3): "4bf4a67008d6ca2742a77d50764907bae4416296552904c93eca3ac145aae661",
-    (2, 5, 5): "4f6bc0bbf49449a7afcd231d5b6f06480f991e81019c73ed927c3dd18ca1b7df",
+    (1, 3, 3): "a3de1fadd68908ca7f32e874370dcf3781bd82b675781688a4cb88af04a461df",
+    (2, 5, 5): "9ace19ce1855e40c017a1b49c300f3badcb512cb4aa4f170940185992b69c4b4",
 }
 
 

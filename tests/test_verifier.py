@@ -238,7 +238,6 @@ def test_exhausted_shared_search_fails_both_checks_as_skipped(demo_witness, cycl
 
 
 def test_budget_governs_every_stored_level(cycle4_witness):
-    # not the search_budget stored in the witness's config
     report = cross_check(cycle4_witness, budget=1)
     skipped = {r.name for r in report.results if r.skipped}
     assert report.budget_exhausted
