@@ -52,6 +52,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(3, f"{self.prog}: error: {message}\n")
 
 
+# the keys an EPPA_CONFIG file may set, with the type of each
+_ENV_KEYS = {"vertex_cap": int, "search_budget": int, "coherent": bool}
+
+
 def _env_defaults() -> dict:
     path = os.environ.get("EPPA_CONFIG")
     if not path:
@@ -59,6 +63,13 @@ def _env_defaults() -> dict:
     obj = load_json(path)
     if not isinstance(obj, dict):
         raise GraphFormatError(f"config file {path} must hold a JSON object")
+    for key, value in obj.items():
+        if key not in _ENV_KEYS:
+            raise GraphFormatError(f"config file {path}: unknown key {key!r}")
+        kind = _ENV_KEYS[key]
+        if type(value) is not kind:  # so a bool is not an int
+            raise GraphFormatError(f"config file {path}: {key!r} must be of type "
+                                   f"{kind.__name__}, got {value!r}")
     return obj
 
 
@@ -73,13 +84,6 @@ def _emit(args, obj, what: str) -> None:
 
 def _load_graph(path: str):
     return graph_from_json(load_json(path))
-
-
-def _config(args) -> Config:
-    return Config(
-        vertex_cap=args.vertex_cap,
-        coherent=not args.no_coherent,
-    )
 
 
 def cmd_check(args) -> int:
@@ -161,7 +165,7 @@ def cmd_eppa_step(args) -> int:
 
 def cmd_witness(args) -> int:
     g = _load_graph(args.file)
-    w = build_witness(g, _config(args))
+    w = build_witness(g, Config(vertex_cap=args.vertex_cap, coherent=not args.no_coherent))
     stats = witness_stats(w)
     print(json.dumps(stats, indent=2))
     _emit(args, witness_to_json(w), "witness")
@@ -209,14 +213,13 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="eppa", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    # each command takes only the options it reads
+    def output(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--output", help="write the command's data to this file")
+
+    def vertex_cap(p: argparse.ArgumentParser) -> None:
         p.add_argument("--vertex-cap", type=int, default=cap,
                        help="largest graph any stage may build")
-        p.add_argument("--budget", type=int, default=budget,
-                       help="node budget for brute-force searches")
-        p.add_argument("--no-coherent", action="store_true", default=not coherent,
-                       help="extend token matchings in reverse order (breaks composition)")
-        p.add_argument("--output", help="write the command's data to this file")
 
     p = sub.add_parser("check", help="parse a graph file and report its basic predicates")
     p.add_argument("file")
@@ -224,47 +227,50 @@ def _build_parser() -> _Parser:
     p.add_argument("--connected", action="store_true", help="fail unless the graph is connected")
     p.add_argument("--cycles-up-to", type=int, metavar="N",
                    help="list induced non-metric cycles up to size N and fail if any exist")
-    common(p)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("complete", help="write the shortest-path completion of a connected graph")
     p.add_argument("file")
-    common(p)
+    output(p)
     p.set_defaults(func=cmd_complete)
 
     p = sub.add_parser("cycles", help="list all induced non-metric cycles")
     p.add_argument("file")
     p.add_argument("--max-size", type=int, metavar="N", help="largest cycle size to search")
-    common(p)
     p.set_defaults(func=cmd_cycles)
 
     p = sub.add_parser("eppa-step",
                        help="run the one-step extension construction alone")
     p.add_argument("file")
-    common(p)
+    vertex_cap(p)
+    output(p)
     p.set_defaults(func=cmd_eppa_step)
 
     p = sub.add_parser("witness", help="run the full construction and write the witness")
     p.add_argument("file")
-    common(p)
+    vertex_cap(p)
+    p.add_argument("--no-coherent", action="store_true", default=not coherent,
+                   help="extend token matchings in reverse order (breaks composition)")
+    output(p)
     p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("extend", help="extend a partial isometry using a stored witness")
     p.add_argument("witness")
     p.add_argument("map")
-    common(p)
+    output(p)
     p.set_defaults(func=cmd_extend)
 
     p = sub.add_parser("verify", help="re-verify every layer of a stored witness")
     p.add_argument("witness")
     p.add_argument("--search-limit", type=int, default=150,
                    help="skip the brute-force extension search above this many vertices")
-    common(p)
+    p.add_argument("--budget", type=int, default=budget,
+                   help="node budget for brute-force searches")
+    output(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("stats", help="print statistics of a stored witness")
     p.add_argument("witness")
-    common(p)
     p.set_defaults(func=cmd_stats)
 
     return parser

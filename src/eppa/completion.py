@@ -6,17 +6,18 @@ shortest-path distances always yields a metric space; it agrees with the
 original labels exactly when no induced non-metric cycle is present, and it
 never loses automorphisms.
 
-The completion has one exact path at every size.  Labels are scaled once by
-the lcm of their denominators into an n x n integer matrix, non-edges hold
-a sentinel longer than any path, and a min-plus closure over every middle
-vertex gives all distances.  The sentinel is 2 * ecc * max + 1, where ecc
-is the eccentricity of the breadth-first search that proves the graph
-connected: any two vertices are joined through its start vertex by a walk
-of at most 2 * ecc edges, so no distance exceeds 2 * ecc * max.  The
-matrix has the narrowest of int8 to int64 that holds twice the sentinel, so
-no sum of two entries can overflow, and Python ints (dtype=object) beyond
-int64.  Each distinct distance becomes one Fraction, shared by every edge
-that carries it.
+The completion has one exact path at every size.  The spectrum is scaled
+once by the lcm of its denominators and indexed by the code matrix into an
+n x n integer matrix; non-edges hold a sentinel longer than any path, and a
+min-plus closure over every middle vertex gives all distances.  The
+sentinel is 2 * ecc * max + 1, where ecc is the depth of the breadth-first
+search (`reach`) that proves the graph connected: any two vertices are
+joined through its start vertex by a walk of at most 2 * ecc edges, so no
+distance exceeds 2 * ecc * max.  The matrix has the narrowest of int8 to
+int64 that holds twice the sentinel, so no sum of two entries can
+overflow, and Python ints (dtype=object) beyond int64.  The distinct
+distances, ascending, become the spectrum of the result and their ranks its
+codes.
 
 Short non-metric cycles are found by the same kind of matrix, with a bound
 on the number of edges instead of a closure (`has_nonmetric_cycle_up_to`).
@@ -29,11 +30,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 import numpy as np
 
-from .errors import BudgetExhausted, DisconnectedGraph
-from .graphs import EdgeLabelledGraph
+from .errors import BudgetExhausted, DisconnectedGraph, GraphFormatError
+from .graphs import EdgeLabelledGraph, scaled_matrix, scaled_spectrum
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,30 +68,26 @@ class CycleWitness:
         return long_label - rest == self.deficit and self.deficit > 0
 
 
+def reach(g: EdgeLabelledGraph, seeds: Iterable[int]) -> tuple[np.ndarray, int]:
+    """(reached, depth): the positions of the vertices joined to the seed
+    positions by paths, ascending, and the most edges on a fewest-edge path
+    from the seeds to one of them.  Breadth-first, one layer at a time over
+    the rows of the code matrix."""
+    seen = np.zeros(len(g), dtype=bool)
+    seen[list(seeds)] = True
+    layer, depth = seen.copy(), 0
+    while True:
+        layer = g.codes[layer].any(axis=0) & ~seen
+        if not layer.any():
+            return np.flatnonzero(seen), depth
+        seen |= layer
+        depth += 1
+
+
 def is_connected(g: EdgeLabelledGraph) -> bool:
-    return _eccentricity(g) is not None
-
-
-def _eccentricity(g: EdgeLabelledGraph) -> int | None:
-    """Eccentricity of the first vertex, by breadth-first search: the most
-    edges on a fewest-edge path from it, or None when g is disconnected."""
     if not g.vertices:
         raise ValueError("connectivity of the empty graph is undefined")
-    frontier = [g.vertices[0]]
-    seen = set(frontier)
-    depth = 0
-    while True:
-        layer = []
-        for u in frontier:
-            for v in g.adjacency(u):
-                if v not in seen:
-                    seen.add(v)
-                    layer.append(v)
-        if not layer:
-            break
-        frontier = layer
-        depth += 1
-    return depth if len(seen) == len(g.vertices) else None
+    return len(reach(g, [0])[0]) == len(g)
 
 
 def shortest_path_completion(g: EdgeLabelledGraph) -> EdgeLabelledGraph:
@@ -99,26 +97,24 @@ def shortest_path_completion(g: EdgeLabelledGraph) -> EdgeLabelledGraph:
     (they shrink exactly on edges involved in non-metric cycles); the result
     is always a metric space.
     """
-    ecc = _eccentricity(g)
-    if ecc is None:
+    n = len(g)
+    if not n:
+        raise GraphFormatError("need at least one vertex")
+    reached, ecc = reach(g, [0])
+    if len(reached) < n:
         raise DisconnectedGraph("shortest-path completion needs a connected graph")
-    verts = g.vertices
-    n = len(verts)
-    scale, values = g._scaled_labels()
+    scale, values = scaled_spectrum(g)
     unreachable = 2 * ecc * max(values, default=0) + 1  # longer than any shortest path
-    _, dist = g._fill_matrix(values, unreachable, 2 * unreachable)  # sums of two entries stay exact
+    dist = scaled_matrix(g, values, unreachable, 2 * unreachable)  # sums of two entries stay exact
     via = np.empty_like(dist)
     for z in range(n):
         np.add(dist[:, z, None], dist[None, z, :], out=via)
         np.minimum(dist, via, out=dist)
     # connected, so every entry is a path length; 0 only on the diagonal
     distances, codes = np.unique(dist, return_inverse=True)
-    labels = [Fraction(int(w), scale) for w in distances.tolist()]
-    adj = {}
-    for u, row in zip(verts, codes.reshape(n, n).tolist()):
-        adj[u] = dict(zip(verts, map(labels.__getitem__, row)))
-        del adj[u][u]
-    return EdgeLabelledGraph._trusted(verts, adj, n * (n - 1) // 2, tuple(labels[1:]))
+    labels = tuple(Fraction(int(w), scale) for w in distances.tolist()[1:])
+    codes = codes.reshape(n, n).astype(np.min_scalar_type(len(labels)))
+    return EdgeLabelledGraph._trusted(g.vertices, labels, codes, n * (n - 1) // 2)
 
 
 def _cycle_witness(path: list[str], long_edge: tuple[str, str], deficit: Fraction) -> CycleWitness:
@@ -155,52 +151,68 @@ def induced_nonmetric_cycles_at(
     """
     if size < 3:
         raise ValueError("cycles have at least 3 vertices")
-    long_label = g.label(u, v)
-    if long_label is None:
+    start, end = g.position(u), g.position(v)
+    long_code = g.codes.item(start, end)
+    if not long_code:
         raise ValueError(f"({u!r}, {v!r}) is not an edge")
-    smallest = g.spectrum()[0]
+    scale, values = scaled_spectrum(g)
+    weight = [0, *values]  # by code
+    long_label, smallest = weight[long_code], values[0]
     need = size - 1  # edges on the short side
     found: list[CycleWitness] = []
     if long_label <= need * smallest:
         return found
-    adj_v = g.adjacency(v)
-    path = [u]
-    on_path = {u}
+    rows: dict[int, list[int]] = {}  # position -> its codes, read on first visit
+    by_code: dict[int, list[tuple[int, list[int]]]] = {}  # position -> its neighbours by code
 
-    def grow(last: str, total: Fraction, used: int) -> None:
+    def row(p: int) -> list[int]:
+        if p not in rows:
+            rows[p] = g.codes[p].tolist()
+        return rows[p]
+
+    def buckets(p: int) -> list[tuple[int, list[int]]]:
+        """(code, neighbours), codes ascending and neighbours in vertex order."""
+        if p not in by_code:
+            grouped: dict[int, list[int]] = {}
+            for w, code in enumerate(row(p)):
+                if code:
+                    grouped.setdefault(code, []).append(w)
+            by_code[p] = sorted(grouped.items())
+        return by_code[p]
+
+    row_v = row(end)
+    path = [start]
+    on_path = {start}
+
+    def grow(last: int, total: int, used: int) -> None:
         remaining = need - used
         if remaining == 1:
-            closing = adj_v.get(last)
-            if closing is not None and total + closing < long_label:
-                deficit = long_label - (total + closing)
-                found.append(_cycle_witness(path + [v], (u, v), deficit))
+            closing = weight[row_v[last]]
+            if closing and total + closing < long_label:
+                deficit = Fraction(long_label - total - closing, scale)
+                found.append(_cycle_witness([g.vertices[p] for p in path] + [v], (u, v), deficit))
             return
         floor = (remaining - 1) * smallest
-        for label, bucket in g.neighbors_by_label(last).items():
-            if total + label + floor >= long_label:
+        for code, bucket in buckets(last):
+            if total + weight[code] + floor >= long_label:
                 continue
             for w in bucket:
-                if w == v or w in on_path:
+                if w == end or w in on_path:
                     continue
                 # induced: w may touch the path only at its predecessor,
                 # and may touch v only as the final intermediate
-                row = g.adjacency(w)
-                if remaining > 2 and v in row:
+                row_w = row(w)
+                if remaining > 2 and row_w[end]:
                     continue
-                ok = True
-                for p in path:
-                    if p != last and p in row:
-                        ok = False
-                        break
-                if not ok:
+                if any(row_w[p] for p in path if p != last):
                     continue
                 path.append(w)
                 on_path.add(w)
-                grow(w, total + label, used + 1)
+                grow(w, total + weight[code], used + 1)
                 path.pop()
                 on_path.remove(w)
 
-    grow(u, Fraction(0), 0)
+    grow(start, 0, 0)
     return found
 
 
@@ -236,9 +248,9 @@ def has_nonmetric_cycle_up_to(
     hops = min(max_vertices - 1, n - 1, math.ceil(spectrum[-1] / spectrum[0]) - 1)
     if hops < 2:  # under 3 vertices, or no label above twice the smallest
         return None
-    scale, values = g._scaled_labels()
+    scale, values = scaled_spectrum(g)
     unreachable = hops * max(values) + 1  # longer than any walk of `hops` edges
-    _, mat = g._fill_matrix(values, unreachable, 2 * unreachable)
+    mat = scaled_matrix(g, values, unreachable, 2 * unreachable)
     is_edge = mat < unreachable  # and the diagonal, where nothing is shorter
     hop = [mat]
     via = np.empty_like(mat)

@@ -17,9 +17,10 @@ import json
 import math
 import re
 from fractions import Fraction
-from itertools import combinations, compress, islice, repeat
-from operator import is_not
-from typing import Any, Iterable
+from itertools import combinations, islice
+from typing import Any
+
+import numpy as np
 
 from .completion import CycleWitness
 from .errors import GraphFormatError
@@ -124,42 +125,27 @@ def map_from_json(obj: Any) -> PartialMap:
 def graph_to_codes(g: EdgeLabelledGraph) -> dict:
     """The graph as `{"vertices", "labels", "codes"}`: its vertices and its
     distinct labels, both ascending, and one fixed-width decimal code per
-    vertex pair i < j, row-major in vertex order; code 0 is a non-edge and
-    code c is `labels[c-1]`.  The width is the digit count of the number of
-    labels."""
-    verts = g.vertices
+    vertex pair i < j, row-major in vertex order, read off the code matrix;
+    code 0 is a non-edge and code c is `labels[c-1]`.  The width is the
+    digit count of the number of labels."""
     labels = g.spectrum()
     width = len(str(len(labels)))
-    code = {label: str(c).zfill(width) for c, label in enumerate(labels, 1)}
-
-    def encode(by_object: dict[int, str]) -> str:
-        by_object[id(None)] = "0" * width  # what row.get gives for a non-edge
-        return "".join(
-            "".join(map(by_object.__getitem__, map(id, map(g._adj[u].get, verts[i + 1:]))))
-            for i, u in enumerate(verts)
-        )
-
-    try:  # derived graphs hold their spectrum's label objects
-        codes = encode({id(label): code[label] for label in labels})
-    except KeyError:  # equal labels held as distinct objects
-        codes = encode({key: code[label] for key, label in g._label_objects().items()})
-    return {"vertices": list(verts), "labels": [format_label(d) for d in labels], "codes": codes}
+    digits = np.array([str(c).zfill(width) for c in range(len(labels) + 1)], dtype=f"S{width}")
+    return {"vertices": list(g.vertices), "labels": [format_label(d) for d in labels],
+            "codes": digits[g.codes[_pairs_mask(len(g))]].tobytes().decode("ascii")}
 
 
-def _split_codes(digits: list[str]) -> Iterable[str]:
-    """The codes whose t-th digits are the characters of `digits[t]`."""
-    return digits[0] if len(digits) == 1 else map("".join, zip(*digits))
+def _pairs_mask(n: int) -> np.ndarray:
+    """The n x n mask of the pairs i < j, which indexing lists row-major."""
+    count = np.arange(n)
+    return count[:, None] < count
 
 
 def graph_from_codes(obj: Any, what: str) -> EdgeLabelledGraph:
     """Parse `graph_to_codes` output, checking names, the order of vertices
     and labels, the length of the code string, that every code names a
-    label and that every label is used.
-
-    Each vertex's codes are read as one row, its pairs with earlier
-    vertices coming from strided slices, so every row is decoded by C-level
-    maps into shared label objects and no list of all pairs is built.
-    """
+    label and that every label is used.  The codes are decoded straight
+    into the code matrix of the graph."""
     if not isinstance(obj, dict) or set(obj) != {"vertices", "labels", "codes"}:
         raise GraphFormatError(f"{what}: expected a graph object with \"vertices\", "
                                "\"labels\" and \"codes\"")
@@ -168,7 +154,7 @@ def graph_from_codes(obj: Any, what: str) -> EdgeLabelledGraph:
     try:
         for v in verts:
             _check_core_name(v)
-        labels = [parse_label(text) for text in texts]
+        labels = tuple(parse_label(text) for text in texts)
     except GraphFormatError as exc:
         raise GraphFormatError(f"{what}: {exc}") from None
     if any(u >= v for u, v in zip(verts, verts[1:])):
@@ -183,39 +169,29 @@ def graph_from_codes(obj: Any, what: str) -> EdgeLabelledGraph:
             f"{what}: \"codes\" must be a string of {width * n * (n - 1) // 2} digits "
             f"({width} per vertex pair)"
         )
-    table = {str(c).zfill(width): label for c, label in enumerate(labels, 1)}
-    table["0" * width] = None
-    digits = [codes[t::width] for t in range(width)]
-    used = set(_split_codes(digits))
-    if not used <= table.keys():
-        bad = next(p for p, c in enumerate(_split_codes(digits)) if c not in table)
-        x, y = next(islice(combinations(verts, 2), bad, None))
+    # one row of digits per pair (UTF-32 gives every character four bytes);
+    # a character below "0" wraps past 9 too
+    digits = np.frombuffer(codes.encode("utf-32-le"), dtype=np.uint32).reshape(-1, width) - ord("0")
+    values = digits[:, 0].astype(np.intp)
+    for column in digits.T[1:]:
+        values = values * 10 + column
+    # counts[c] is the number of pairs with code c, and reaches past the
+    # labels when a code names none
+    counts = np.bincount(values, minlength=len(labels) + 1) if digits.max(initial=0) <= 9 else ()
+    if len(counts) != len(labels) + 1:
+        p = int(np.flatnonzero((digits > 9).any(axis=1) | (values > len(labels)))[0])
+        x, y = next(islice(combinations(verts, 2), p, None))
         raise GraphFormatError(
-            f"{what}: code {codes[bad * width:(bad + 1) * width]!r} of pair ({x!r}, {y!r}) "
+            f"{what}: code {codes[p * width:(p + 1) * width]!r} of pair ({x!r}, {y!r}) "
             "names no label"
         )
-    unused = [text for c, text in zip(table, texts) if c not in used]
-    if unused:  # the labels must be the graph's spectrum
-        raise GraphFormatError(f"{what}: label {unused[0]} is on no pair")
-    # each digit plane padded with zeros to an n x n square: pair (i, j),
-    # i < j, sits at row i, column j, so vertex j's pairs with earlier
-    # vertices are column j, a strided slice, and the diagonal is a non-edge
-    squares = []
-    for plane in digits:
-        parts = []
-        start = 0
-        for i in range(n):
-            end = start + n - 1 - i
-            parts += ("0" * (i + 1), plane[start:end])
-            start = end
-        squares.append("".join(parts))
-    adj: dict[str, dict[str, Fraction]] = {}
-    for j, v in enumerate(verts):
-        line = [square[j:n * j:n] + square[n * j + j:n * (j + 1)] for square in squares]
-        row = list(map(table.__getitem__, _split_codes(line)))
-        # is_not selects in C; a Fraction's own truth test is Python code
-        adj[v] = dict(compress(zip(verts, row), map(is_not, row, repeat(None))))
-    return EdgeLabelledGraph._trusted(verts, adj, sum(map(len, adj.values())) // 2, tuple(labels))
+    if not counts[1:].all():  # the labels must be the graph's spectrum
+        raise GraphFormatError(f"{what}: label {texts[np.argmin(counts[1:])]} is on no pair")
+    mat = np.zeros((n, n), dtype=np.min_scalar_type(len(labels)))
+    upper = _pairs_mask(n)
+    mat[upper] = values
+    mat.T[upper] = values
+    return EdgeLabelledGraph._trusted(verts, labels, mat, len(values) - int(counts[0]))
 
 
 def _list(obj: Any, what: str) -> list:

@@ -1,9 +1,16 @@
 """Edge-labelled graphs over positive rationals and structure-preserving maps.
 
-A graph here is undirected, loop-free, with every edge carrying a positive
-``fractions.Fraction`` label.  A finite metric space is the special case of a
-complete graph whose labels satisfy the triangle inequality; most operations
-in this package stay in the larger category and only a few demand metricity.
+A graph here is undirected and loop-free, and every edge carries one
+positive ``fractions.Fraction`` label.  It is held as three things: its
+sorted vertices, its spectrum (the distinct labels, ascending) and one
+symmetric matrix of label codes, where code c on a pair is the c-th label
+of the spectrum and code 0 is a non-edge (and the diagonal).  Every label of
+the spectrum is on some edge, so equal graphs have equal matrices.  Exact
+integer labels, where an algorithm needs them, come from scaling the
+spectrum (`scaled_spectrum`, `scaled_matrix`).  A finite metric space is
+the special case of a complete graph whose labels satisfy the triangle
+inequality; most operations in this package stay in the larger category and
+only a few demand metricity.
 """
 
 from __future__ import annotations
@@ -26,9 +33,6 @@ from .errors import InvalidMap, GraphFormatError, UnknownVertex
 _NAME_RE = re.compile(r"^[^\s(){}#!|,;~]+$")
 _CORE_NAME_RE = re.compile(r"^\S+$")
 
-# Above this vertex count we skip building dense numpy distance matrices.
-_DENSE_LIMIT = 4096
-
 CHECK_MODES = ("homomorphism", "monomorphism", "embedding", "automorphism")
 
 
@@ -49,8 +53,7 @@ def _check_core_name(name: str) -> str:
 
 
 def as_label(value) -> Fraction:
-    """Coerce to a positive Fraction; anything else is a format error.  A
-    Fraction is returned as it is, so graphs can share label objects."""
+    """Coerce to a positive Fraction; anything else is a format error."""
     if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
         raise GraphFormatError(f"edge label {value!r} is not an exact rational")
     label = value if isinstance(value, Fraction) else Fraction(value)
@@ -64,145 +67,124 @@ class EdgeLabelledGraph:
 
     Vertices are strings; construction sorts them and validates every edge.
     Graphs derived inside the package (subset graphs, levels, induced
-    subgraphs, completions) come from `_trusted`, which validates nothing.
-    Derived views (sorted neighbour lists, label buckets, a dense integer
-    distance matrix, and for a subset graph the token positions of its
-    vertices, which `setrep` fills in) are built lazily and cached, which is
+    subgraphs, completions, decoded witness graphs) come from `_trusted`,
+    which validates nothing.  `codes` is the n x n matrix of label codes,
+    of the narrowest unsigned type that holds the number of labels; the
+    queries below read it.  For a subset graph, `setrep` keeps the token
+    positions of its vertices in `_subsets`, built on first use, which is
     safe because instances are never mutated after construction.
     """
 
-    __slots__ = (
-        "vertices",
-        "edge_count",
-        "_adj",
-        "_vertex_set",
-        "_edge_list",
-        "_nbrs",
-        "_by_label",
-        "_spectrum",
-        "_dense",
-        "_subsets",
-    )
+    __slots__ = ("vertices", "codes", "edge_count", "_spectrum", "_index", "_subsets")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str, Fraction]] = ()):
         names = [_check_core_name(v) for v in vertices]
-        self.vertices: tuple[str, ...] = tuple(sorted(names))
-        if len(set(self.vertices)) != len(self.vertices):
+        verts = tuple(sorted(names))
+        if len(set(verts)) != len(verts):
             raise GraphFormatError("duplicate vertex names")
-        self._vertex_set = frozenset(self.vertices)
-        self._adj: dict[str, dict[str, Fraction]] = {v: {} for v in self.vertices}
-        count = 0
+        index = dict(zip(verts, range(len(verts))))
+        pairs: dict[tuple[int, int], Fraction] = {}
         for u, v, label in edges:
-            if u not in self._vertex_set or v not in self._vertex_set:
+            if u not in index or v not in index:
                 raise GraphFormatError(f"edge ({u!r}, {v!r}) mentions an unknown vertex")
             if u == v:
                 raise GraphFormatError(f"loop at {u!r}")
             label = as_label(label)
-            if v in self._adj[u]:
+            i, j = sorted((index[u], index[v]))
+            if (i, j) in pairs:
                 raise GraphFormatError(f"duplicate edge ({u!r}, {v!r})")
-            self._adj[u][v] = label
-            self._adj[v][u] = label
-            count += 1
-        self.edge_count = count
-        self._edge_list = None
-        self._nbrs = {}
-        self._by_label = {}
-        self._spectrum = None
-        self._dense = None
+            pairs[i, j] = label
+        # keyed by exact value as a pair of ints, which hash far faster than
+        # Fractions
+        by_value = {(d.numerator, d.denominator): d for d in pairs.values()}
+        spectrum = tuple(sorted(by_value.values()))
+        code = {(d.numerator, d.denominator): c for c, d in enumerate(spectrum, 1)}
+        n = len(verts)
+        rows = [[0] * n for _ in verts]
+        for (i, j), label in pairs.items():
+            rows[i][j] = rows[j][i] = code[label.numerator, label.denominator]
+        codes = np.array(rows, dtype=np.min_scalar_type(len(spectrum))).reshape(n, n)
+        self._set(verts, spectrum, codes, len(pairs))
+
+    def _set(self, vertices: tuple[str, ...], spectrum: tuple[Fraction, ...],
+             codes: np.ndarray, edge_count: int) -> None:
+        self.vertices = vertices
+        self._spectrum = spectrum
+        codes.flags.writeable = False  # graphs are never mutated, and may share it
+        self.codes = codes
+        self.edge_count = edge_count
+        self._index = dict(zip(vertices, range(len(vertices))))
         self._subsets = None
 
     @classmethod
-    def _trusted(cls, vertices: tuple[str, ...], adj: dict[str, dict[str, Fraction]],
-                 edge_count: int, spectrum: tuple[Fraction, ...] | None = None
-                 ) -> "EdgeLabelledGraph":
+    def _trusted(cls, vertices: tuple[str, ...], spectrum: tuple[Fraction, ...],
+                 codes: np.ndarray, edge_count: int | None = None) -> "EdgeLabelledGraph":
         """Constructor for graphs derived inside this package; validates
-        nothing.  `vertices` are sorted distinct ids, `adj` a symmetric
-        adjacency on them with `edge_count` edges, `spectrum` (if known) its
-        labels ascending.  Rows and labels may be shared with other graphs.
+        nothing.  `vertices` are sorted distinct ids, `spectrum` distinct
+        labels ascending, each of them on some pair of `codes`, a symmetric
+        code matrix with a zero diagonal (see `_drop_unused`).  The edge
+        count is counted when not given.  The matrix is made read-only and
+        may be shared with other graphs.
         """
         g = object.__new__(cls)
-        g.vertices = vertices
-        g._vertex_set = frozenset(vertices)
-        g._adj = adj
-        g.edge_count = edge_count
-        g._edge_list = None
-        g._nbrs = {}
-        g._by_label = {}
-        g._spectrum = spectrum
-        g._dense = None
-        g._subsets = None
+        if edge_count is None:
+            edge_count = int(np.count_nonzero(codes)) // 2
+        g._set(vertices, spectrum, codes, edge_count)
         return g
 
     # -- basic queries ---------------------------------------------------
 
     def __contains__(self, vertex: str) -> bool:
-        return vertex in self._vertex_set
+        return vertex in self._index
 
     def __len__(self) -> int:
         return len(self.vertices)
 
-    def require_vertex(self, vertex: str) -> None:
-        if vertex not in self._vertex_set:
-            raise UnknownVertex(f"unknown vertex {vertex!r}")
+    def position(self, vertex: str) -> int:
+        """Index of a vertex in `vertices`, the row of `codes` it owns."""
+        try:
+            return self._index[vertex]
+        except KeyError:
+            raise UnknownVertex(f"unknown vertex {vertex!r}") from None
 
     def label(self, u: str, v: str) -> Fraction | None:
         """Label of edge {u, v}, or None when the pair is not an edge."""
-        self.require_vertex(u)
-        self.require_vertex(v)
-        return self._adj[u].get(v)
+        code = self.codes.item(self.position(u), self.position(v))
+        return self._spectrum[code - 1] if code else None
+
+    def _row(self, u: str) -> Iterator[tuple[str, int]]:
+        """(vertex, code of its pair with u), in vertex order."""
+        return zip(self.vertices, self.codes[self.position(u)].tolist())
 
     def adjacency(self, u: str) -> Mapping[str, Fraction]:
-        self.require_vertex(u)
-        return self._adj[u]
+        """Neighbour -> label, in vertex order."""
+        return {v: self._spectrum[code - 1] for v, code in self._row(u) if code}
 
     def neighbors(self, u: str) -> tuple[str, ...]:
-        got = self._nbrs.get(u)
-        if got is None:
-            self.require_vertex(u)
-            got = tuple(sorted(self._adj[u]))
-            self._nbrs[u] = got
-        return got
+        return tuple(v for v, code in self._row(u) if code)
 
     def neighbors_by_label(self, u: str) -> dict[Fraction, tuple[str, ...]]:
-        got = self._by_label.get(u)
-        if got is None:
-            self.require_vertex(u)
-            buckets: dict[Fraction, list[str]] = {}
-            for v, label in self._adj[u].items():
-                buckets.setdefault(label, []).append(v)
-            got = {label: tuple(sorted(vs)) for label, vs in sorted(buckets.items())}
-            self._by_label[u] = got
-        return got
+        """Label -> the neighbours along it, both ascending."""
+        buckets: dict[int, list[str]] = {}
+        for v, code in self._row(u):
+            if code:
+                buckets.setdefault(code, []).append(v)
+        return {self._spectrum[code - 1]: tuple(buckets[code]) for code in sorted(buckets)}
 
     def edges(self) -> tuple[tuple[str, str, Fraction], ...]:
         """All edges as (u, v, label) with u < v, sorted."""
-        if self._edge_list is None:
-            out = []
-            for u in self.vertices:
-                row = self._adj[u]
-                for v in sorted(row):
-                    if u < v:
-                        out.append((u, v, row[v]))
-            self._edge_list = tuple(out)
-        return self._edge_list
+        labels = (None, *self._spectrum)
+        verts = self.vertices
+        return tuple(
+            (verts[i], verts[j], labels[code])
+            for i, row in enumerate(self.codes.tolist())
+            for j, code in enumerate(row[i + 1:], i + 1)
+            if code
+        )
 
     def spectrum(self) -> tuple[Fraction, ...]:
         """Distinct edge labels, ascending."""
-        if self._spectrum is None:
-            # keyed by exact value as a pair of ints, which hash far faster
-            # than Fractions
-            by_value = {(x.numerator, x.denominator): x for x in self._label_objects().values()}
-            self._spectrum = tuple(sorted(by_value.values()))
         return self._spectrum
-
-    def _label_objects(self) -> dict[int, Fraction]:
-        """Every label object of the graph once, keyed by identity (the graph
-        keeps them all alive).  Derived graphs share one object among many
-        edges, so there are often only a few."""
-        distinct: dict[int, Fraction] = {}
-        for row in self._adj.values():
-            distinct.update(zip(map(id, row.values()), row.values()))
-        return distinct
 
     def is_complete(self) -> bool:
         n = len(self.vertices)
@@ -211,63 +193,43 @@ class EdgeLabelledGraph:
     def __eq__(self, other) -> bool:
         if not isinstance(other, EdgeLabelledGraph):
             return NotImplemented
-        return self.vertices == other.vertices and self._adj == other._adj
+        return (self.vertices == other.vertices and self._spectrum == other._spectrum
+                and np.array_equal(self.codes, other.codes))
 
     def __repr__(self) -> str:
         return f"EdgeLabelledGraph({len(self.vertices)} vertices, {self.edge_count} edges)"
 
-    # -- dense integer view ----------------------------------------------
 
-    def _scaled_labels(self) -> tuple[int, list[int]]:
-        """(scale, values): the lcm of the label denominators, and every
-        adjacency entry times it as an exact integer, rows in vertex order.
-        Each label object is scaled once."""
-        distinct = self._label_objects()
-        scale = math.lcm(*{label.denominator for label in distinct.values()})
-        scaled = {
-            key: label.numerator * (scale // label.denominator) for key, label in distinct.items()
-        }
-        rows = (self._adj[u].values() for u in self.vertices)
-        return scale, list(map(scaled.__getitem__, map(id, itertools.chain.from_iterable(rows))))
+def _drop_unused(spectrum: tuple[Fraction, ...], codes: np.ndarray
+                 ) -> tuple[tuple[Fraction, ...], np.ndarray]:
+    """The spectrum without the labels on no pair of `codes`, and the codes
+    renumbered to match, for producers that may leave labels unused."""
+    used = np.bincount(codes.ravel(), minlength=len(spectrum) + 1)[1:] > 0
+    if used.all():
+        return spectrum, codes
+    kept = tuple(itertools.compress(spectrum, used.tolist()))
+    renumber = np.zeros(len(spectrum) + 1, dtype=np.min_scalar_type(len(kept)))
+    renumber[1:][used] = np.arange(1, len(kept) + 1)
+    return kept, renumber[codes]
 
-    def _fill_matrix(self, values: list[int], missing: int, top: int) -> tuple[dict, np.ndarray]:
-        """(index, n x n matrix of the scaled labels), `missing` on
-        non-edges and 0 on the diagonal.  Its type is the narrowest of int8
-        to int64 that holds `top` (narrow types sweep fastest), and Python
-        ints (dtype=object) beyond."""
-        verts = self.vertices
-        n = len(verts)
-        index = {v: i for i, v in enumerate(verts)}
-        fits = [t for t in (np.int8, np.int16, np.int32, np.int64) if top <= np.iinfo(t).max]
-        dtype = fits[0] if fits else object
-        mat = np.full((n, n), missing, dtype=dtype)
-        rows = np.repeat(np.arange(n), [len(self._adj[u]) for u in verts])
-        cols = np.fromiter(
-            map(index.__getitem__, itertools.chain.from_iterable(self._adj[u] for u in verts)),
-            dtype=np.intp, count=len(values),
-        )
-        mat[rows, cols] = np.array(values, dtype=dtype)
-        np.fill_diagonal(mat, 0)
-        return index, mat
 
-    def dense_matrix(self):
-        """(index, integer matrix, scale) with labels scaled to integers.
+def scaled_spectrum(g: EdgeLabelledGraph) -> tuple[int, list[int]]:
+    """(scale, values): the lcm of the label denominators, and each label of
+    the spectrum times it, as exact integers in spectrum order."""
+    spectrum = g.spectrum()
+    scale = math.lcm(*(d.denominator for d in spectrum))
+    return scale, [d.numerator * (scale // d.denominator) for d in spectrum]
 
-        Missing edges hold -1, the diagonal 0, and the sum of any two
-        entries fits the matrix's integer type.  Returns None for graphs too
-        large for a dense matrix: more than 4,096 vertices, or labels so
-        large that sums along paths could overflow int64.  The scale is the
-        lcm of all label denominators, so the matrix is exact.
-        """
-        if self._dense is None:
-            n = len(self.vertices)
-            self._dense = (None,)
-            if n <= _DENSE_LIMIT:
-                scale, values = self._scaled_labels()
-                biggest = max(values, default=0)
-                if biggest <= (1 << 60) // max(n, 2):
-                    self._dense = (*self._fill_matrix(values, -1, 2 * biggest), scale)
-        return None if self._dense == (None,) else self._dense
+
+def scaled_matrix(g: EdgeLabelledGraph, values: list[int], missing: int, top: int) -> np.ndarray:
+    """The code matrix with code c replaced by values[c - 1], `missing` on
+    non-edges and 0 on the diagonal.  Its type is the narrowest of int8 to
+    int64 that holds `top` (narrow types sweep fastest), and Python ints
+    (dtype=object) beyond."""
+    fits = [t for t in (np.int8, np.int16, np.int32, np.int64) if top <= np.iinfo(t).max]
+    mat = np.array([missing, *values], dtype=fits[0] if fits else object)[g.codes]
+    np.fill_diagonal(mat, 0)
+    return mat
 
 
 def graph_from_triples(
@@ -387,45 +349,31 @@ class PartialMap:
 def induced_subgraph(g: EdgeLabelledGraph, keep: Iterable[str]) -> EdgeLabelledGraph:
     """Subgraph on the given vertices with every edge among them."""
     kept = tuple(sorted(set(keep)))
-    for v in kept:
-        g.require_vertex(v)
-    if len(kept) == len(g.vertices):  # the whole graph: share its rows
-        return EdgeLabelledGraph._trusted(kept, g._adj, g.edge_count, g._spectrum)
-    kept_set = set(kept)
-    adj = {u: {v: label for v, label in g._adj[u].items() if v in kept_set} for u in kept}
-    edge_count = sum(len(row) for row in adj.values()) // 2
-    return EdgeLabelledGraph._trusted(kept, adj, edge_count)
+    rows = [g.position(v) for v in kept]
+    if len(kept) == len(g.vertices):  # the whole graph: share its matrix
+        return EdgeLabelledGraph._trusted(kept, g.spectrum(), g.codes, g.edge_count)
+    return EdgeLabelledGraph._trusted(kept, *_drop_unused(g.spectrum(), g.codes[np.ix_(rows, rows)]))
 
 
 def metric_violation(g: EdgeLabelledGraph) -> tuple[str, str, str] | None:
     """Three vertices, in vertex order, on which a complete graph breaks
     the triangle inequality, or None when it is a metric space.
 
-    Scans the dense integer matrix, one middle vertex z at a time, for a
-    pair x, y with d(x, y) > d(x, z) + d(z, y); the triple loop over
-    Fraction labels runs only where there is no dense matrix.
+    Scans the scaled label matrix, one middle vertex z at a time, for a
+    pair x, y with d(x, y) > d(x, z) + d(z, y).
     """
     n = len(g.vertices)
     if n < 3:
         return None
-    verts = g.vertices
-    dense = g.dense_matrix()
-    if dense is not None:
-        _, mat, _ = dense
-        via = np.empty_like(mat)
-        worse = np.empty(mat.shape, dtype=bool)
-        for z in range(n):
-            np.add(mat[:, z, None], mat[None, z, :], out=via)
-            if np.greater(mat, via, out=worse).any():
-                x, y = map(int, np.argwhere(worse)[0])
-                return tuple(verts[i] for i in sorted((x, y, z)))
-        return None
-    for x, y, z in itertools.combinations(verts, 3):
-        dxy = g.label(x, y)
-        dxz = g.label(x, z)
-        dyz = g.label(y, z)
-        if dxy > dxz + dyz or dxz > dxy + dyz or dyz > dxy + dxz:
-            return x, y, z
+    _, values = scaled_spectrum(g)
+    mat = scaled_matrix(g, values, -1, 2 * max(values, default=0))
+    via = np.empty_like(mat)
+    worse = np.empty(mat.shape, dtype=bool)
+    for z in range(n):
+        np.add(mat[:, z, None], mat[None, z, :], out=via)
+        if np.greater(mat, via, out=worse).any():
+            x, y = map(int, np.argwhere(worse)[0])
+            return tuple(g.vertices[i] for i in sorted((x, y, z)))
     return None
 
 
@@ -466,38 +414,25 @@ def check_map(f: PartialMap, g: EdgeLabelledGraph, h: EdgeLabelledGraph, mode: s
             raise InvalidMap("automorphism mode needs a bijection")
         # A bijection preserving every edge maps the finite edge set onto
         # itself, so non-edges are reflected for free.
-        for u, v, label in g.edges():
-            if g.adjacency(f[u]).get(f[v]) != label:
-                return False
-        return True
-    for u, v, label in g.edges():
-        if h.adjacency(f[u]).get(f[v]) != label:
-            return False
-    if mode in ("homomorphism", "monomorphism"):
-        return True
-    # embedding: also reflect non-edges
-    verts = g.vertices
-    for i, u in enumerate(verts):
-        fu = f[u]
-        for v in verts[i + 1 :]:
-            if v not in g.adjacency(u) and f[v] in h.adjacency(fu):
-                return False
-    return True
+    image = [h.position(f[v]) for v in g.vertices]
+    got = h.codes[np.ix_(image, image)]
+    # each code of g as the code of the same label in h, -1 when h lacks it
+    in_h = {d: c for c, d in enumerate(h.spectrum(), 1)}
+    want = np.array([0, *(in_h.get(d, -1) for d in g.spectrum())])[g.codes]
+    edges = g.codes > 0
+    if not np.array_equal(got[edges], want[edges]):
+        return False
+    # an embedding also reflects non-edges
+    return mode != "embedding" or not got[~edges].any()
 
 
 def is_partial_automorphism(f: PartialMap, g: EdgeLabelledGraph) -> bool:
     """Is f an isomorphism between induced subgraphs of g?"""
-    for src, dst in f.items():
-        g.require_vertex(src)
-        g.require_vertex(dst)
-    items = f.items()
-    for i, (u, fu) in enumerate(items):
-        row_u = g.adjacency(u)
-        row_fu = g.adjacency(fu)
-        for v, fv in items[i + 1 :]:
-            if row_u.get(v) != row_fu.get(fv):
-                return False
-    return True
+    pairs = [(g.position(src), g.position(dst)) for src, dst in f.items()]
+    code = g.codes.item
+    return all(
+        code(u, v) == code(fu, fv) for (u, fu), (v, fv) in itertools.combinations(pairs, 2)
+    )
 
 
 def enumerate_partial_automorphisms(
@@ -512,27 +447,22 @@ def enumerate_partial_automorphisms(
         raise ValueError("max_domain_size must be >= 0")
     yield PartialMap(())
     verts = g.vertices
+    rows = g.codes.tolist()
     top = min(max_domain_size, len(verts))
     for m in range(1, top + 1):
-        for dom in itertools.combinations(verts, m):
-            rows = [g.adjacency(u) for u in dom]
-            assigned: list[str] = []
+        for dom in itertools.combinations(range(len(verts)), m):
+            assigned: list[int] = []
 
             def extend(pos: int) -> Iterator[PartialMap]:
                 if pos == m:
-                    yield PartialMap(zip(dom, assigned))
+                    yield PartialMap((verts[u], verts[v]) for u, v in zip(dom, assigned))
                     return
-                row = rows[pos]
-                for cand in verts:
+                row = rows[dom[pos]]
+                for cand in range(len(verts)):
                     if cand in assigned:
                         continue
-                    cand_row = g.adjacency(cand)
-                    ok = True
-                    for j in range(pos):
-                        if row.get(dom[j]) != cand_row.get(assigned[j]):
-                            ok = False
-                            break
-                    if ok:
+                    cand_row = rows[cand]
+                    if all(row[dom[j]] == cand_row[assigned[j]] for j in range(pos)):
                         assigned.append(cand)
                         yield from extend(pos + 1)
                         assigned.pop()

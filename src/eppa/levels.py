@@ -20,7 +20,6 @@ graph B0 is the first with bad sets is decided before B0 is built
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from typing import Iterable, Mapping
 
@@ -28,7 +27,7 @@ import numpy as np
 
 from .completion import CycleWitness, find_induced_nonmetric_cycles
 from .errors import GraphFormatError, InvalidMap, NotAMetricSpace, VertexCapExceeded
-from .graphs import EdgeLabelledGraph, PartialMap, check_map, induced_subgraph, is_metric_space
+from .graphs import EdgeLabelledGraph, PartialMap, _drop_unused, induced_subgraph, is_metric_space
 
 
 @dataclass(frozen=True)
@@ -165,18 +164,18 @@ def build_next_level(
             projection[vid] = x
         vertex_ids[x] = copies
 
-    adj: dict[str, dict[str, Fraction]] = {vid: {} for vid in projection}
-    edge_count = 0
-    for x, y, d in g.edges():
+    verts = tuple(sorted(projection))
+    where = dict(zip(verts, range(len(verts))))
+    codes = np.zeros((len(verts), len(verts)), dtype=g.codes.dtype)
+    for row, col in np.argwhere(np.triu(g.codes, 1)).tolist():  # the edges, in vertex order
+        code = g.codes[row, col]
+        x, y = g.vertices[row], g.vertices[col]
         jx, jy = member_idx[x], member_idx[y]
         jy_set = set(jy)
         shared = [j for j in jx if j in jy_set]
         pos_x = {j: p for p, j in enumerate(jx)}
         pos_y = {j: p for p, j in enumerate(jy)}
-        want_diff = [
-            (pos_x[j], pos_y[j], bad[j].long_edge == ((x, y) if x < y else (y, x)))
-            for j in shared
-        ]
+        want_diff = [(pos_x[j], pos_y[j], bad[j].long_edge == (x, y)) for j in shared]
         for vx, bx in vertex_ids[x]:
             for vy, by in vertex_ids[y]:
                 ok = True
@@ -185,10 +184,10 @@ def build_next_level(
                         ok = False
                         break
                 if ok:
-                    adj[vx][vy] = adj[vy][vx] = d
-                    edge_count += 1
+                    p, q = where[vx], where[vy]
+                    codes[p, q] = codes[q, p] = code
 
-    graph = EdgeLabelledGraph._trusted(tuple(sorted(adj)), adj, edge_count)
+    graph = EdgeLabelledGraph._trusted(verts, *_drop_unused(g.spectrum(), codes))
 
     anchors = anchor_valuations(g, copy_vertices, bad)
     embedding = {}
@@ -322,25 +321,17 @@ def lift_automorphism(
 
 
 def _automorphism_ok(g: EdgeLabelledGraph, f: PartialMap | np.ndarray) -> bool:
-    """Automorphism test, via a dense permutation check when available.
+    """Does `f` permute the vertices of g keeping every code of its matrix?
 
     `f` is a map on the vertex ids, or already a permutation of the vertex
     positions: an integer array whose entry i is the position of the image
     of `g.vertices[i]`.
     """
-    verts = g.vertices
     if isinstance(f, np.ndarray):
         perm = f
-    elif len(f) != len(g) or set(f.image()) != set(verts):
+    elif len(f) != len(g) or set(f.image()) != set(g.vertices):
         return False
     else:
-        perm = None
-    dense = g.dense_matrix()
-    if dense is None:
-        if perm is not None:
-            f = PartialMap(zip(verts, map(verts.__getitem__, perm.tolist())))
-        return check_map(f, g, g, "automorphism")
-    index, mat, _ = dense
-    if perm is None:
-        perm = np.fromiter((index[f[v]] for v in verts), dtype=np.intp, count=len(g))
-    return bool(np.array_equal(mat[perm][:, perm], mat))
+        perm = np.fromiter(map(g.position, map(f.__getitem__, g.vertices)), dtype=np.intp,
+                           count=len(g))
+    return bool(np.array_equal(g.codes[perm][:, perm], g.codes))

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .completion import shortest_path_completion
+from .completion import reach, shortest_path_completion
 from .errors import GraphFormatError, InvalidMap, NotAMetricSpace, VertexCapExceeded
 from .graphs import (
     EdgeLabelledGraph,
@@ -141,7 +141,8 @@ def build_witness(a: EdgeLabelledGraph, config: Config | None = None) -> Witness
             levels.append(nxt)
 
     top = levels[-1]
-    component = _component_of(top.graph, top.base_embedding.image())
+    reached, _ = reach(top.graph, map(top.graph.position, top.base_embedding.image()))
+    component = tuple(map(top.graph.vertices.__getitem__, reached.tolist()))
     final = shortest_path_completion(induced_subgraph(top.graph, component))
     final_embedding = PartialMap(dict(top.base_embedding.items()))
 
@@ -163,18 +164,6 @@ def build_witness(a: EdgeLabelledGraph, config: Config | None = None) -> Witness
         n=n,
         config=config,
     )
-
-
-def _component_of(g: EdgeLabelledGraph, seeds: tuple[str, ...]) -> tuple[str, ...]:
-    seen = set(seeds)
-    stack = list(seeds)
-    while stack:
-        u = stack.pop()
-        for v in g.adjacency(u):
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return tuple(sorted(seen))
 
 
 def _as_input_map(w: Witness, phi: PartialMap) -> PartialMap:

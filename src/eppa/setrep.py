@@ -24,8 +24,10 @@ from .errors import GraphFormatError, InvalidMap, UnknownVertex, VertexCapExceed
 from .graphs import (
     EdgeLabelledGraph,
     PartialMap,
+    _drop_unused,
     check_vertex_name,
     is_partial_automorphism,
+    scaled_spectrum,
 )
 
 # Token syntax.  Pair tokens "(x,y)#i" are shared by psi(x) and psi(y);
@@ -103,7 +105,6 @@ class SetAssignment:
 
     def problems(self) -> list[str]:
         a = self.graph
-        idx = spectrum_index(a)
         out: list[str] = []
         if self.k < 1:
             out.append(f"k = {self.k} < 1")
@@ -129,8 +130,9 @@ class SetAssignment:
                 continue
             if len(parsed) == 3:
                 x, y, i = parsed
-                d = a.label(x, y) if (x in a and y in a) else None
-                if d is None or not 1 <= i <= idx[d] or x >= y:
+                # the code of an edge is the rank of its label
+                code = a.codes.item(a.position(x), a.position(y)) if (x in a and y in a) else 0
+                if not 1 <= i <= code or x >= y:
                     out.append(f"pair token {token!r} does not match an edge slot")
                 elif set(who) != {x, y}:
                     out.append(f"pair token {token!r} not owned by exactly {x!r} and {y!r}")
@@ -140,13 +142,17 @@ class SetAssignment:
                     out.append(f"padding token {token!r} names an unknown vertex or slot")
                 elif who != [x]:
                     out.append(f"padding token {token!r} not private to {x!r}")
-        for x, y, d in a.edges():
-            need = frozenset(pair_token(x, y, i) for i in range(1, idx[d] + 1))
+        pairs = [((x, y), a.codes.item(i, j))
+                 for (i, x), (j, y) in combinations(enumerate(a.vertices), 2)]
+        for (x, y), code in pairs:
+            if not code:
+                continue
+            need = frozenset(pair_token(x, y, i) for i in range(1, code + 1))
             got = self.psi[x] & self.psi[y]
             if got != need:
                 out.append(f"psi({x}) and psi({y}) share {sorted(got)}, expected {sorted(need)}")
-        for x, y in combinations(a.vertices, 2):
-            if a.label(x, y) is None and self.psi[x] & self.psi[y]:
+        for (x, y), code in pairs:
+            if not code and self.psi[x] & self.psi[y]:
                 out.append(f"non-adjacent {x!r}, {y!r} share tokens")
         return out
 
@@ -160,9 +166,9 @@ def spectrum_index(a: EdgeLabelledGraph) -> dict[Fraction, int]:
 
 
 def token_load(a: EdgeLabelledGraph, x: str) -> int:
-    """Number of pair tokens psi(x) must carry."""
-    idx = spectrum_index(a)
-    return sum(idx[d] for d in a.adjacency(x).values())
+    """Number of pair tokens psi(x) must carry: the ranks of its labels,
+    which are its codes."""
+    return int(a.codes[a.position(x)].sum())
 
 
 def build_set_assignment(a: EdgeLabelledGraph) -> SetAssignment:
@@ -173,15 +179,14 @@ def build_set_assignment(a: EdgeLabelledGraph) -> SetAssignment:
     """
     for x in a.vertices:
         check_vertex_name(x)
-    idx = spectrum_index(a)
     loads = {x: token_load(a, x) for x in a.vertices}
     k = 1 + max(loads.values(), default=0)
     psi: dict[str, frozenset[str]] = {}
-    for x in a.vertices:
+    for x, row in zip(a.vertices, a.codes.tolist()):
         tokens = [
             pair_token(x, y, i)
-            for y, d in a.adjacency(x).items()
-            for i in range(1, idx[d] + 1)
+            for y, code in zip(a.vertices, row)
+            for i in range(1, code + 1)
         ]
         tokens.extend(padding_token(x, t) for t in range(1, k - loads[x] + 1))
         psi[x] = frozenset(tokens)
@@ -210,9 +215,7 @@ def first_bad_level(sa: SetAssignment, n: int) -> tuple[int, int] | None:
     edge of such a label is the long edge, the only one, of a bad L-set.
     """
     m, k = len(sa.universe), sa.k
-    spectrum = sa.graph.spectrum()
-    scale = math.lcm(*(s.denominator for s in spectrum))
-    labels = [s.numerator * (scale // s.denominator) for s in spectrum]
+    _, labels = scaled_spectrum(sa.graph)
     for h, walk in zip(range(1, n), _class_walks(m, k, labels)):
         bad = [c for c, label in enumerate(labels, start=1) if walk[c] < label]
         if bad:
@@ -281,24 +284,21 @@ def build_eppa_graph(
     universe = sa.universe
     m, k = len(universe), sa.k
     count = subset_graph_size(sa, vertex_cap)
-    spectrum = a.spectrum()
-    n = len(spectrum)
-
-    # subsets as bitmasks over the universe for fast intersection sizes; the
-    # universe is in token order, so each combination lists its tokens in it
-    subsets = list(combinations(range(m), k))
+    # the universe is in token order, so each combination lists its tokens
+    # in it; the vertices are the ids in string order
     ids = ["{" + "|".join(tokens) + "}" for tokens in combinations(universe, k)]
-    masks = [sum(1 << p for p in positions) for positions in subsets]
-    rows: list[dict[str, Fraction]] = [{} for _ in ids]
-    for ia in range(count):
-        mask_a, id_a, row_a = masks[ia], ids[ia], rows[ia]
-        for ib in range(ia + 1, count):
-            c = (mask_a & masks[ib]).bit_count()
-            if 1 <= c <= n:
-                row_a[ids[ib]] = rows[ib][id_a] = spectrum[c - 1]
-    b = EdgeLabelledGraph._trusted(
-        tuple(sorted(ids)), dict(zip(ids, rows)), sum(map(len, rows)) // 2
-    )
+    order = sorted(range(count), key=ids.__getitem__)
+    members = np.array(list(combinations(range(m), k)), dtype=np.intp).reshape(count, k)
+    incidence = np.zeros((count, m), dtype=np.min_scalar_type(k))
+    incidence[np.arange(count)[:, None], members[order]] = 1
+    # two subsets sharing c tokens are joined by the c-th label (none for
+    # c = 0 or past the spectrum, and a subset shares all k with itself)
+    n = len(a.spectrum())
+    shares = np.arange(k + 1)
+    code_of = np.where(shares <= n, shares, 0).astype(np.min_scalar_type(n))
+    codes = code_of[incidence @ incidence.T]
+    b = EdgeLabelledGraph._trusted(tuple(map(ids.__getitem__, order)),
+                                   *_drop_unused(a.spectrum(), codes))
     embedding = PartialMap({x: subset_id(sa.psi[x]) for x in a.vertices})
     return b, embedding
 
@@ -329,7 +329,6 @@ def extend_by_permutation(
             raise UnknownVertex(f"unknown vertex {x!r}")
     if not is_partial_automorphism(phi, a):
         raise InvalidMap("map does not preserve distances on its domain")
-    idx = spectrum_index(a)
     pi: dict[str, str] = {}
     hit: set[str] = set()
     position = {t: p for p, t in enumerate(sa.universe)}
@@ -345,10 +344,7 @@ def extend_by_permutation(
     # shared tokens of mapped pairs travel with their endpoints
     dom = phi.domain()
     for x, y in combinations(dom, 2):
-        d = a.label(x, y)
-        if d is None:
-            continue
-        for i in range(1, idx[d] + 1):
+        for i in range(1, a.codes.item(a.position(x), a.position(y)) + 1):  # the label's rank
             src, dst = pair_token(x, y, i), pair_token(phi[x], phi[y], i)
             pi[src] = dst
             hit.add(dst)

@@ -33,7 +33,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations, permutations
-from operator import attrgetter
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -50,8 +49,6 @@ from .setrep import parse_subset_id, token_sort_key
 _BAD_SET_SCAN_LIMIT = 200_000
 
 _Matrix = tuple[dict[str, int], np.ndarray]  # (vertex index, label matrix)
-_RATIO = attrgetter("numerator", "denominator")
-_DENOMINATOR = attrgetter("denominator")
 
 
 @dataclass(frozen=True)
@@ -118,38 +115,24 @@ def _distances_ok(f: PartialMap, g: EdgeLabelledGraph) -> bool:
     return True
 
 
-def _scale(*graphs: EdgeLabelledGraph) -> int:
-    """Least common multiple of the label denominators of the graphs."""
-    return math.lcm(*{
-        d for g in graphs for u in g.vertices for d in map(_DENOMINATOR, g.adjacency(u).values())
-    })
-
-
-def _label_matrix(g: EdgeLabelledGraph, scale: int) -> _Matrix:
+def _label_matrix(g: EdgeLabelledGraph, scale: int | None = None) -> _Matrix:
     """(index, M): every label of g times `scale` as an exact integer, -1
     on non-edges and 0 on the diagonal, rows and columns in vertex order.
 
-    `scale` must be a multiple of every label denominator.  M is int64 when
-    its path sums fit, and holds Python ints (dtype=object) otherwise.
+    `scale` must be a multiple of every label denominator, and is the lcm
+    of g's when not given.  The spectrum is scaled here, once, and indexed
+    by g's code matrix.  M is int64 when its path sums fit, and holds
+    Python ints (dtype=object) otherwise.
     """
-    verts = g.vertices
-    n = len(verts)
-    index = {v: i for i, v in enumerate(verts)}
-    rows = [g.adjacency(u) for u in verts]
-    # pairs of ints hash far faster than Fractions
-    ratios = list(map(_RATIO, chain.from_iterable(row.values() for row in rows)))
-    code = {r: r[0] * (scale // r[1]) for r in set(ratios)}
-    values = list(map(code.__getitem__, ratios))
+    spectrum = g.spectrum()
+    if scale is None:
+        scale = math.lcm(*(d.denominator for d in spectrum))
+    values = [d.numerator * (scale // d.denominator) for d in spectrum]
     # int64 when sums of two path lengths (the min-plus closure's) stay exact
-    dtype = np.int64 if n * max(values, default=0) < 1 << 61 else object
-    mat = np.full((n, n), -1, dtype=dtype)
-    mat[
-        np.repeat(np.arange(n), [len(row) for row in rows]),
-        np.fromiter(map(index.__getitem__, chain.from_iterable(rows)), dtype=np.intp,
-                    count=len(values)),
-    ] = np.array(values, dtype=dtype)
+    dtype = np.int64 if len(g) * max(values, default=0) < 1 << 61 else object
+    mat = np.array([-1, *values], dtype=dtype)[g.codes]
     np.fill_diagonal(mat, 0)
-    return index, mat
+    return {v: i for i, v in enumerate(g.vertices)}, mat
 
 
 def _narrowest(mat: np.ndarray, top: int) -> np.ndarray:
@@ -211,7 +194,7 @@ def _enumerate_partial_isometries(
 def _label_rows(b: EdgeLabelledGraph) -> list[list[int]]:
     """Rows of b's exact integer label matrix as Python lists, for the
     extension search's scalar lookups."""
-    return _label_matrix(b, _scale(b))[1].tolist()
+    return _label_matrix(b)[1].tolist()
 
 
 def search_extension(
@@ -398,7 +381,7 @@ def _check_metric(
     matrix: _Matrix | None = None,
 ) -> None:
     verts = g.vertices
-    _, mat = matrix if matrix is not None else _label_matrix(g, _scale(g))
+    _, mat = matrix if matrix is not None else _label_matrix(g)
     gaps = np.argwhere(mat < 0)
     if len(gaps):
         i, j = map(int, gaps[0])
@@ -727,7 +710,7 @@ def cross_check(w: Witness, budget: int = 10_000_000, search_limit: int = 150) -
     report = VerificationReport()
     _check_metric(report, w.input, "input-metric")
     graphs = [lvl.graph for lvl in w.levels]
-    scale = _scale(w.input, w.final, *graphs)
+    scale = math.lcm(*(d.denominator for g in (w.input, w.final, *graphs) for d in g.spectrum()))
     final_matrix = _label_matrix(w.final, scale)
 
     if w.levels:
@@ -741,18 +724,18 @@ def cross_check(w: Witness, budget: int = 10_000_000, search_limit: int = 150) -
             _check_short_cycles(report, w, idx, budget)
         top = w.levels[-1]
 
-        comp = set(w.component)
-        seeds = set(top.base_embedding.image())
-        frontier = list(seeds)
-        seen = set(seeds)
-        while frontier:
-            u = frontier.pop()
-            for v in top.graph.adjacency(u):
-                if v not in seen:
-                    seen.add(v)
-                    frontier.append(v)
-        report.add("component", seen == comp,
-                   "" if seen == comp else "stored component differs from reachability")
+        top_index, top_mat = matrices[-1]
+        seeds = [top_index.get(v) for v in top.base_embedding.image()]
+        ok = None not in seeds
+        if ok:  # breadth-first from the copy, one layer at a time over label rows
+            seen = np.zeros(len(top_mat), dtype=bool)
+            layer = seen.copy()
+            layer[seeds] = True
+            while layer.any():
+                seen |= layer
+                layer = (top_mat[layer] > 0).any(axis=0) & ~seen
+            ok = {top.graph.vertices[p] for p in np.flatnonzero(seen).tolist()} == set(w.component)
+        report.add("component", ok, "" if ok else "stored component differs from reachability")
         _check_completion(report, w, scale, matrices[-1], final_matrix)
     else:
         report.add("trivial-tower", len(w.input) == 1 and w.final == w.input)

@@ -39,7 +39,7 @@ from eppa import (
     subset_automorphism,
 )
 from eppa.cli import main as cli_main
-from eppa.fileio import dump_json, load_json, witness_to_json
+from eppa.fileio import dump_json, load_json, map_to_json, witness_to_json
 from eppa.graphs import EdgeLabelledGraph, induced_subgraph
 from eppa.levels import LevelGraph, parse_level_vertex
 from eppa.verifier import _enumerate_partial_isometries, naive_extension_exists, search_extension
@@ -102,6 +102,17 @@ def is_total_isometry(theta: PartialMap, verts, index, mat) -> bool:
 # -- criterion 1: end-to-end extension property on the named fixtures ------------
 
 
+# sha256 of every extension map of each fixture, in the order the maps are
+# enumerated, each written as `map_to_json` gives it in compact JSON and one
+# newline; the maps must stay identical.
+MAP_DIGESTS = {
+    "two-point": "0b24c0caf4eb01cecc6910783f964e124f7b59df6cc090989add693aafc82138",
+    "triangle-112": "fce5426dccaccaa243ca3895f7cef744c2f53cd6043afc991b7330d2e070df82",
+    "triangle-123": "9c79f662a4c768405e69d778ff8bc7da63221688f3d84d6cdba87b665bf51b73",
+    "four-point": "e47eca47f76983d3837741304c65a90bccf22d031a2e4c316c940e527c64d6d7",
+}
+
+
 @pytest.mark.parametrize("name,factory,limit,n_maps", FIXTURES, ids=[f[0] for f in FIXTURES])
 def test_criterion_1_end_to_end(fixture_witnesses, name, factory, limit, n_maps):
     g, w, build_seconds = fixture_witnesses[name]
@@ -110,11 +121,14 @@ def test_criterion_1_end_to_end(fixture_witnesses, name, factory, limit, n_maps)
     maps = list(_enumerate_partial_isometries(w.final, copy, len(copy)))
     assert len(maps) == n_maps
     verts, index, mat = dense_label_ids(w.final)
+    digest = hashlib.sha256()
     for phi in maps:
         theta = extend_isometry(w, phi)
         assert theta.extends(phi)
         assert is_total_isometry(theta, verts, index, mat)
+        digest.update(json.dumps(map_to_json(theta), separators=(",", ":")).encode() + b"\n")
     elapsed = build_seconds + (time.perf_counter() - t0)
+    assert digest.hexdigest() == MAP_DIGESTS[name], name
     assert elapsed < limit, f"{name}: {elapsed:.1f}s over the {limit:.0f}s target"
     print(f"[criterion 1] PASS {name}: {n_maps} partial isometries extended in {elapsed:.1f}s")
 

@@ -129,6 +129,13 @@ def test_complete_rejects_disconnected(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_complete_refuses_the_empty_graph(tmp_path, capsys):
+    path = str(tmp_path / "empty.json")
+    dump_json(path, {"vertices": [], "edges": []})
+    assert main(["complete", path]) == 3
+    assert "need at least one vertex" in capsys.readouterr().err
+
+
 def test_cycles_lists_and_counts(tmp_path, capsys):
     rc = main(["cycles", write_graph(tmp_path, "g.json", make_t113())])
     out = capsys.readouterr().out
@@ -452,6 +459,55 @@ def test_env_config_must_be_an_object(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("EPPA_CONFIG", cfg)
     assert main(["stats", cfg]) == 3
     assert "must hold a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "settings,key",
+    [
+        ({"vertex_cap": [1]}, "vertex_cap"),
+        ({"vertex_cap": True}, "vertex_cap"),
+        ({"search_budget": "5"}, "search_budget"),
+        ({"search_budget": 2.5}, "search_budget"),
+        ({"coherent": "no"}, "coherent"),
+        ({"coherent": 0}, "coherent"),
+        ({"vertex_cap": 10, "colour": "red"}, "colour"),
+    ],
+    ids=["list-cap", "bool-cap", "string-budget", "float-budget", "string-coherent",
+         "int-coherent", "unknown-key"],
+)
+def test_env_config_values_are_type_checked(tmp_path, capsys, monkeypatch, settings, key):
+    cfg = str(tmp_path / "cfg.json")
+    dump_json(cfg, settings)
+    monkeypatch.setenv("EPPA_CONFIG", cfg)
+    assert main(["witness", write_graph(tmp_path, "g.json", make_k2())]) == 3
+    assert repr(key) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command,flag",
+    [
+        ("check", ["--vertex-cap", "10"]),
+        ("check", ["--output", "out.json"]),
+        ("cycles", ["--budget", "5"]),
+        ("complete", ["--no-coherent"]),
+        ("eppa-step", ["--budget", "5"]),
+        ("witness", ["--budget", "5"]),
+        ("extend", ["--no-coherent"]),
+        ("extend", ["--vertex-cap", "10"]),
+        ("verify", ["--no-coherent"]),
+        ("stats", ["--budget", "5"]),
+    ],
+)
+def test_commands_refuse_options_they_do_not_read(tmp_path, capsys, command, flag):
+    paths = {"file": write_graph(tmp_path, "g.json", make_k2()),
+             "witness": write_witness(tmp_path, "w.json", eppa.build_witness(make_k2())),
+             "map": str(tmp_path / "m.json")}
+    dump_json(paths["map"], [])
+    operands = {"check": ["file"], "cycles": ["file"], "complete": ["file"],
+                "eppa-step": ["file"], "witness": ["file"], "extend": ["witness", "map"],
+                "verify": ["witness"], "stats": ["witness"]}[command]
+    assert main([command, *map(paths.__getitem__, operands), *flag]) == 3
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_cli_flag_overrides_env_default(tmp_path, capsys, monkeypatch):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +23,7 @@ from eppa import (
     is_metric_space,
     is_partial_automorphism,
 )
-from eppa.graphs import metric_violation
+from eppa.graphs import metric_violation, scaled_matrix, scaled_spectrum
 from conftest import edge_labelled_graphs
 
 
@@ -98,30 +99,38 @@ def test_structural_equality(t112):
     assert t112 != complete_graph({("x", "y"): 1, ("x", "z"): 1, ("y", "z"): 3})
 
 
-# -- dense matrix view -------------------------------------------------------
+# -- code matrix --------------------------------------------------------------
 
 
-def test_dense_matrix_scales_fractions_exactly():
+def test_code_matrix_holds_ranks_and_scales_exactly():
     g = graph_from_triples(
-        ["a", "b", "c"], [("a", "b", Fraction(1, 2)), ("b", "c", Fraction(3, 2))]
+        ["c", "b", "a"], [("a", "b", Fraction(1, 2)), ("b", "c", Fraction(3, 2))]
     )
-    index, mat, scale = g.dense_matrix()
-    assert scale == 2
-    assert mat[index["a"], index["b"]] == 1
-    assert mat[index["b"], index["c"]] == 3
-    assert mat[index["a"], index["c"]] == -1  # missing edge
-    assert mat[index["a"], index["a"]] == 0
-    assert g.dense_matrix() is g.dense_matrix()  # cached
+    assert g.spectrum() == (Fraction(1, 2), Fraction(3, 2))
+    assert g.codes.dtype == np.uint8
+    assert g.codes.tolist() == [[0, 1, 0], [1, 0, 2], [0, 2, 0]]  # 0: no edge
+    scale, values = scaled_spectrum(g)
+    assert (scale, values) == (2, [1, 3])
+    mat = scaled_matrix(g, values, -1, 6)
+    assert mat.dtype == np.int8
+    assert mat.tolist() == [[0, 1, -1], [1, 0, 3], [-1, 3, 0]]
 
 
-def test_dense_matrix_refuses_huge_graphs():
-    g = EdgeLabelledGraph([f"v{i}" for i in range(4097)], [])
-    assert g.dense_matrix() is None
-    # labels past int64 are refused before any is written to the matrix
+def test_labels_past_int64_are_exact_python_ints():
     big = 10**19
     g = graph_from_triples(["x", "y", "z"], [("x", "y", big), ("x", "z", big), ("y", "z", 2 * big)])
-    assert g.dense_matrix() is None
+    _, values = scaled_spectrum(g)
+    assert scaled_matrix(g, values, -1, 2 * values[-1]).dtype == object
     assert is_metric_space(g)
+    bent = graph_from_triples(["x", "y", "z"], [("x", "y", big), ("x", "z", big), ("y", "z", 2 * big + 1)])
+    assert metric_violation(bent) == ("x", "y", "z")
+
+
+def test_unused_labels_leave_the_spectrum(t123):
+    sub = induced_subgraph(t123, ["x", "z"])
+    assert sub.spectrum() == (Fraction(2),)
+    assert sub.codes.tolist() == [[0, 1], [1, 0]]
+    assert sub == graph_from_triples(["x", "z"], [("x", "z", 2)])
 
 
 # -- partial maps -------------------------------------------------------------

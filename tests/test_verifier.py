@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -25,7 +26,7 @@ from eppa import (
 )
 from eppa.graphs import EdgeLabelledGraph
 from eppa.levels import BadSet
-from eppa.verifier import _enumerate_partial_isometries, _label_matrix, _min_plus_closure, _scale
+from eppa.verifier import _enumerate_partial_isometries, _label_matrix, _min_plus_closure
 from conftest import connected_graphs, small_corpus
 
 
@@ -483,7 +484,7 @@ def test_min_plus_closure_matches_the_completion(g):
     # the factor pushes the labels past int64, onto Python ints
     for factor in (1, 10**19):
         scaled = EdgeLabelledGraph(g.vertices, [(u, v, d * factor) for u, v, d in g.edges()])
-        scale = _scale(scaled)
+        scale = math.lcm(*(d.denominator for d in scaled.spectrum()))
         _, mat = _label_matrix(scaled, scale)
         assert mat.dtype == (object if factor > 1 else np.int64)
         _, want = _label_matrix(shortest_path_completion(scaled), scale)
@@ -498,7 +499,7 @@ def test_labels_past_int64_build_and_verify_exactly(denominator):
         ["x", "y", "z"], [("x", "y", big), ("x", "z", big), ("y", "z", 2 * big)]
     )
     w = build_witness(a)
-    assert _label_matrix(w.final, _scale(w.final))[1].dtype == object
+    assert _label_matrix(w.final)[1].dtype == object
     # the extension search compares Fraction labels and is not what this
     # test is about, so it is skipped to keep the test quick
     report = cross_check(w, search_limit=0)
