@@ -39,7 +39,10 @@ from eppa import (
     subset_automorphism,
 )
 from eppa.cli import main as cli_main
-from eppa.fileio import dump_json, load_json, map_to_json, witness_to_json
+from eppa.fileio import (
+    dump_json, graph_to_codes, graph_to_json, load_json, map_to_json, witness_from_json,
+    witness_to_json,
+)
 from eppa.graphs import EdgeLabelledGraph, induced_subgraph
 from eppa.levels import LevelGraph, parse_level_vertex
 from eppa.verifier import _enumerate_partial_isometries, naive_extension_exists, search_extension
@@ -149,6 +152,31 @@ def test_fixture_witnesses_are_byte_identical(fixture_witnesses):
     for name, (_, w, _) in fixture_witnesses.items():
         text = json.dumps(witness_to_json(w), indent=None, separators=(",", ":")) + "\n"
         assert hashlib.sha256(text.encode()).hexdigest() == FIXTURE_DIGESTS[name], name
+
+
+# sha256 of each fixture's built graphs and tower height, whatever the file
+# format around them: compact JSON of [the input as `graph_to_json` writes
+# it, every stored level's graph as `graph_to_codes` writes it, the final
+# space likewise, n].  They must stay identical, also after a file round trip.
+GRAPH_DIGESTS = {
+    "two-point": "35e7ff5c5c956119e11b08d9cf7b6690e8106d8c586e81f122fccabc8bca59cd",
+    "triangle-112": "b93c6c4542b52f00bc23a4026152ea321701356968a9e103d5f28380531cebd8",
+    "triangle-123": "5d329569e9195e240e504c19ec4f76a79ffce36f1052bfbb80a95dbc439eb783",
+    "four-point": "6d45e4eaddad76ddb064365ac01f035bc96fee7be937e15d1458568f0b1d5ce5",
+}
+
+
+def graph_digest(w: Witness) -> str:
+    facts = [graph_to_json(w.input), [graph_to_codes(lvl.graph) for lvl in w.levels],
+             graph_to_codes(w.final), w.n]
+    return hashlib.sha256(json.dumps(facts, separators=(",", ":")).encode()).hexdigest()
+
+
+def test_fixture_graphs_are_unchanged(fixture_witnesses):
+    for name, (_, w, _) in fixture_witnesses.items():
+        assert graph_digest(w) == GRAPH_DIGESTS[name], name
+        loaded = witness_from_json(json.loads(json.dumps(witness_to_json(w))))
+        assert graph_digest(loaded) == GRAPH_DIGESTS[name], name
 
 
 # -- criterion 2: the one-step construction alone on random graphs -----------------
