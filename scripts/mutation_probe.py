@@ -51,6 +51,7 @@ from eppa import (
     graph_from_triples,
     shortest_path_completion,
 )
+from eppa.completion import reach
 from eppa.errors import EppaError
 from eppa.fileio import load_json, witness_from_json
 from eppa.graphs import EdgeLabelledGraph, induced_subgraph
@@ -66,25 +67,11 @@ def expansion_witness(core: EdgeLabelledGraph, anchor: str, size: int, n: int) -
         graph=core, level=2, base_embedding=PartialMap({"z": anchor}), projection={}, bad_sets=()
     )
     nxt = build_next_level(prev, size, [anchor])
-    seen = set(nxt.base_embedding.image())
-    frontier = list(seen)
-    while frontier:
-        u = frontier.pop()
-        for v in nxt.graph.neighbors(u):
-            if v not in seen:
-                seen.add(v)
-                frontier.append(v)
-    component = tuple(sorted(seen))
-    final = shortest_path_completion(induced_subgraph(nxt.graph, component))
-    return Witness(
-        input=graph_from_triples(["z"], []),
-        set_assignment=None,
-        levels=(prev, nxt),
-        component=component,
-        final=final,
-        final_embedding=PartialMap({"z": nxt.base_embedding["z"]}),
-        n=n,
-    )
+    g = nxt.graph
+    reached, _ = reach(g, [g.position(nxt.base_embedding["z"])])
+    final = shortest_path_completion(induced_subgraph(g, [g.vertices[p] for p in reached]))
+    return Witness(input=graph_from_triples(["z"], []), set_assignment=None,
+                   levels=(prev, nxt), final=final, n=n)
 
 
 def demo_witness() -> Witness:

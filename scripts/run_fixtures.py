@@ -28,7 +28,6 @@ import time
 from pathlib import Path
 
 from eppa import (
-    Config,
     build_witness,
     check_map,
     cross_check,
@@ -82,9 +81,8 @@ def percentile(values: list[float], q: int) -> float:
 def run_one(name: str, g: EdgeLabelledGraph, args: argparse.Namespace) -> bool:
     """Build (and extend, verify, write) one witness; False if it fails
     its cross-check."""
-    cfg = Config(vertex_cap=args.vertex_cap, coherent=not args.non_coherent)
     t0 = time.perf_counter()
-    w = build_witness(g, cfg)
+    w = build_witness(g, vertex_cap=args.vertex_cap)
     build_s = time.perf_counter() - t0
 
     stats = witness_stats(w)
@@ -138,8 +136,6 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--extend-all", action="store_true", help="extend every partial isometry")
     ap.add_argument("--verify", action="store_true", help="time cross_check on each witness")
     ap.add_argument("--vertex-cap", type=int, default=200_000)
-    ap.add_argument("--non-coherent", action="store_true",
-                    help="build with reversed token matching (extensions need not compose)")
     ap.add_argument("--output-dir", help="write witness files here")
     args = ap.parse_args(argv)
 

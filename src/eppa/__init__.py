@@ -47,7 +47,6 @@ from .levels import (
     project_map,
 )
 from .pipeline import (
-    Config,
     Witness,
     build_witness,
     compute_N,
@@ -76,7 +75,6 @@ __all__ = [
     "BadSet",
     "BudgetExhausted",
     "CheckResult",
-    "Config",
     "CycleWitness",
     "DisconnectedGraph",
     "EdgeLabelledGraph",

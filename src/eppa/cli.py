@@ -5,7 +5,8 @@ stats.  Human summaries go to standard output, data to --output files (or
 stdout as JSON when no path is given).  Exit codes: 0 success, 1 predicate
 or verification failure, 2 resource or budget exhaustion, 3 parse or usage
 error.  EPPA_CONFIG may name a JSON file with default limits
-({"vertex_cap": ..., "search_budget": ..., "coherent": ...}).
+({"vertex_cap": ..., "search_budget": ...}).  Witness files are read and
+written in the `eppa-witness/4` format (see `fileio`).
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .fileio import (
     witness_to_json,
 )
 from .graphs import is_metric_space, metric_violation
-from .pipeline import Config, build_witness, extend_isometry, witness_stats
+from .pipeline import build_witness, extend_isometry, witness_stats
 from .setrep import build_eppa_graph, build_set_assignment
 from .verifier import cross_check
 
@@ -53,7 +54,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 # the keys an EPPA_CONFIG file may set, with the type of each
-_ENV_KEYS = {"vertex_cap": int, "search_budget": int, "coherent": bool}
+_ENV_KEYS = {"vertex_cap": int, "search_budget": int}
 
 
 def _env_defaults() -> dict:
@@ -165,7 +166,7 @@ def cmd_eppa_step(args) -> int:
 
 def cmd_witness(args) -> int:
     g = _load_graph(args.file)
-    w = build_witness(g, Config(vertex_cap=args.vertex_cap, coherent=not args.no_coherent))
+    w = build_witness(g, vertex_cap=args.vertex_cap)
     stats = witness_stats(w)
     print(json.dumps(stats, indent=2))
     _emit(args, witness_to_json(w), "witness")
@@ -174,10 +175,6 @@ def cmd_witness(args) -> int:
 
 def cmd_extend(args) -> int:
     w = witness_from_json(load_json(args.witness))
-    if w.set_assignment is not None:
-        problems = w.set_assignment.problems()
-        if problems:
-            raise GraphFormatError(f"inconsistent set assignment: {problems[0]}")
     phi = map_from_json(load_json(args.map))
     theta = extend_isometry(w, phi)
     _emit(args, map_to_json(theta), "extension")
@@ -208,7 +205,6 @@ def _build_parser() -> _Parser:
     env = _env_defaults()
     cap = env.get("vertex_cap", 200_000)
     budget = env.get("search_budget", 10_000_000)
-    coherent = env.get("coherent", True)
 
     parser = _Parser(prog="eppa", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -249,8 +245,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("witness", help="run the full construction and write the witness")
     p.add_argument("file")
     vertex_cap(p)
-    p.add_argument("--no-coherent", action="store_true", default=not coherent,
-                   help="extend token matchings in reverse order (breaks composition)")
     output(p)
     p.set_defaults(func=cmd_witness)
 

@@ -3,10 +3,15 @@
 Graph files are JSON objects `{"vertices": [...], "edges": [[u, v, label]]}`
 with labels written as positive fractions in lowest terms ("3" or "3/2",
 never "6/4" or "3/1").  Map files are JSON lists of `[source, target]` pairs.
-Witness files bundle everything `build_witness` produced, stored levels
-only, under the format version `eppa-witness/3`; files of any other version
-are refused.  Their graphs are written as one string of label codes per
-graph (`graph_to_codes`), which stays compact on dense graphs.
+Witness files hold each fact of a `build_witness` result once, under the
+format version `eppa-witness/4`; files of any other version are refused.
+They store the input, the stored levels (each with its graph, its copy of
+the input and its bad sets as cycles), the final space and the tower
+height; the loader derives the rest: the set assignment from the input,
+each level's projection from its vertex ids, each bad set's members and
+long edge from its cycle, and the copy in the final space from the top
+level.  Their graphs are written as one string of label codes per graph
+(`graph_to_codes`), which stays compact on dense graphs.
 All parsers reject structurally invalid input with the offending element
 named in the error.
 """
@@ -25,12 +30,12 @@ import numpy as np
 from .completion import CycleWitness
 from .errors import GraphFormatError
 from .graphs import EdgeLabelledGraph, PartialMap, _check_core_name, graph_from_triples
-from .levels import BadSet, LevelGraph
-from .pipeline import Config, Witness
-from .setrep import SetAssignment, token_sort_key
+from .levels import BadSet, LevelGraph, parse_level_vertex
+from .pipeline import Witness
+from .setrep import build_set_assignment
 from .verifier import VerificationReport
 
-WITNESS_FORMAT = "eppa-witness/3"
+WITNESS_FORMAT = "eppa-witness/4"
 
 _LABEL_RE = re.compile(r"^(0|[1-9][0-9]*)(?:/([1-9][0-9]*))?$")
 
@@ -231,14 +236,17 @@ def _cycle_to_json(w: CycleWitness) -> dict:
     }
 
 
-def _cycle_from_json(obj: Any) -> CycleWitness:
+def _bad_set_from_json(obj: Any, what: str) -> BadSet:
+    """A bad set, which is stored as its cycle: the cycle's vertices are its
+    members and the cycle's long edge is its long edge."""
     if not isinstance(obj, dict):
-        raise GraphFormatError("cycle witness must be an object")
-    return CycleWitness(
-        vertices=tuple(_strings(obj.get("vertices"), "cycle witness vertices")),
-        long_edge=tuple(_strings(obj.get("long_edge"), "cycle witness long_edge", 2)),
+        raise GraphFormatError(f"{what} must be an object")
+    cycle = CycleWitness(
+        vertices=tuple(_strings(obj.get("vertices"), f"{what} vertices")),
+        long_edge=tuple(_strings(obj.get("long_edge"), f"{what} long_edge", 2)),
         deficit=parse_label(obj.get("deficit")),
     )
+    return BadSet(members=frozenset(cycle.vertices), long_edge=cycle.long_edge, cycle=cycle)
 
 
 def _level_to_json(lvl: LevelGraph) -> dict:
@@ -246,15 +254,7 @@ def _level_to_json(lvl: LevelGraph) -> dict:
         "level": lvl.level,
         "graph": graph_to_codes(lvl.graph),
         "base_embedding": map_to_json(lvl.base_embedding),
-        "projection": [[u, v] for u, v in sorted(lvl.projection.items())],
-        "bad_sets": [
-            {
-                "members": sorted(m.members),
-                "long_edge": list(m.long_edge),
-                "cycle": _cycle_to_json(m.cycle),
-            }
-            for m in lvl.bad_sets
-        ],
+        "bad_sets": [_cycle_to_json(m.cycle) for m in lvl.bad_sets],
     }
 
 
@@ -266,76 +266,30 @@ def _level_from_json(obj: Any, pos: int, below: LevelGraph | None, n: int) -> Le
         raise GraphFormatError(f"{what}: expected an object")
     low, high = (2, 2) if below is None else (below.level + 1, n)
     level = _integer(obj.get("level"), f"{what}: \"level\"", low, high)
-    bad = []
-    for j, m in enumerate(_list(obj.get("bad_sets", []), f"{what}: \"bad_sets\"")):
-        if not isinstance(m, dict):
-            raise GraphFormatError(f"{what}: bad set #{j} must be an object")
-        bad.append(
-            BadSet(
-                members=frozenset(_strings(m.get("members"), f"{what}: bad set #{j} members")),
-                long_edge=tuple(_strings(m.get("long_edge"), f"{what}: bad set #{j} long_edge", 2)),
-                cycle=_cycle_from_json(m.get("cycle")),
-            )
-        )
+    bad = tuple(
+        _bad_set_from_json(m, f"{what}: bad set #{j}")
+        for j, m in enumerate(_list(obj.get("bad_sets", []), f"{what}: \"bad_sets\""))
+    )
     graph = graph_from_codes(obj.get("graph"), what)
     embedding = _pairs(obj.get("base_embedding"), f"{what}: \"base_embedding\"")
-    projection = dict(_pairs(obj.get("projection", []), f"{what}: \"projection\""))
-    if below is None:
-        if projection:
-            raise GraphFormatError(f"{what}: the base level has no projection")
-    elif set(projection) != set(graph.vertices) or not all(
-        v in below.graph for v in projection.values()
-    ):
-        raise GraphFormatError(
-            f"{what}: the projection must send exactly the level's vertices "
-            "to vertices of the level below"
-        )
+    # a vertex of a level above the base is a vertex of the level below with bits
+    projection = {} if below is None else {v: parse_level_vertex(v)[0] for v in graph.vertices}
     return LevelGraph(
         graph=graph,
         level=level,
         base_embedding=PartialMap(dict(embedding)),
         projection=projection,
-        bad_sets=tuple(bad),
+        bad_sets=bad,
     )
-
-
-def _assignment_to_json(sa: SetAssignment) -> dict:
-    return {
-        "k": sa.k,
-        "universe": list(sa.universe),
-        "psi": [[x, sorted(sa.psi[x], key=token_sort_key)] for x in sa.graph.vertices],
-    }
-
-
-def _assignment_from_json(obj: Any, graph: EdgeLabelledGraph) -> SetAssignment:
-    if not isinstance(obj, dict):
-        raise GraphFormatError("set assignment must be an object")
-    universe = _strings(obj.get("universe"), "set assignment universe")
-    k = _integer(obj.get("k"), "set assignment k", 1, len(universe))
-    psi = {}
-    for pos, entry in enumerate(_list(obj.get("psi"), "set assignment psi")):
-        if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)):
-            raise GraphFormatError(f"set assignment psi entry #{pos} must be [vertex, tokens]")
-        psi[entry[0]] = frozenset(_strings(entry[1], f"set assignment psi entry #{pos} tokens"))
-    if sorted(psi) != list(graph.vertices):
-        raise GraphFormatError("set assignment psi must give the tokens of every input vertex")
-    return SetAssignment(graph=graph, k=k, psi=psi, universe=tuple(universe))
 
 
 def witness_to_json(w: Witness) -> dict:
     return {
         "format": WITNESS_FORMAT,
         "input": graph_to_json(w.input),
-        "set_assignment": None if w.set_assignment is None else _assignment_to_json(w.set_assignment),
         "levels": [_level_to_json(lvl) for lvl in w.levels],
-        "component": list(w.component),
         "final": graph_to_codes(w.final),
-        "final_embedding": map_to_json(w.final_embedding),
         "n": w.n,
-        "config": {
-            "vertex_cap": w.config.vertex_cap,
-            "coherent": w.config.coherent,
-        },
     }
 
 
@@ -348,31 +302,18 @@ def witness_from_json(obj: Any) -> Witness:
             " (build the witness again)"
         )
     a = graph_from_json(obj.get("input"))
-    sa = obj.get("set_assignment")
     n = obj.get("n")
     if type(n) is not int or n < 2:
         raise GraphFormatError(f"witness field \"n\" must be an integer of at least 2, got {n!r}")
     levels: list[LevelGraph] = []
     for pos, lvl in enumerate(_list(obj.get("levels", []), "witness \"levels\"")):
         levels.append(_level_from_json(lvl, pos, levels[-1] if levels else None, n))
-    cfg = obj.get("config", {})
-    if not isinstance(cfg, dict):
-        raise GraphFormatError("witness config must be an object")
-    settings = {}
-    for key, kind in (("vertex_cap", int), ("coherent", bool)):
-        value = settings[key] = cfg.get(key, getattr(Config, key))
-        if type(value) is not kind:
-            raise GraphFormatError(f"witness config {key!r} must be of type {kind.__name__}, "
-                                   f"got {value!r}")
     return Witness(
         input=a,
-        set_assignment=None if sa is None else _assignment_from_json(sa, a),
+        set_assignment=build_set_assignment(a) if len(a) > 1 else None,
         levels=tuple(levels),
-        component=tuple(_strings(obj.get("component"), "witness component")),
         final=graph_from_codes(obj.get("final"), "final"),
-        final_embedding=PartialMap(dict(_pairs(obj.get("final_embedding"), "final_embedding"))),
         n=n,
-        config=Config(**settings),
     )
 
 

@@ -20,7 +20,7 @@ storing only the ones with bad sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,36 +42,32 @@ from .setrep import (
 
 
 @dataclass(frozen=True)
-class Config:
-    """Resource limits and extension-mode switches."""
-
-    vertex_cap: int = 200_000
-    coherent: bool = True
-
-
-@dataclass(frozen=True)
 class Witness:
-    """Everything produced by one run of the construction.
+    """Everything produced by one run of the construction, each fact once.
 
     `levels` holds the stored levels of the expansion tower bottom-up: the
     subset graph, then each level built with bad sets (any other level is
-    the stored level below it renamed).  `component` is the vertex set of
-    the top stored level that was completed, and `final` the resulting
-    metric space with `final_embedding` placing the input inside it.  `n`
-    is the tower height: one above the floor of the largest-to-smallest
-    distance ratio.  `set_assignment` is None only for witnesses that cannot
-    replay extensions token-by-token (single-point inputs and hand-built
-    test witnesses).
+    the stored level below it renamed).  `final` is the completion of the
+    component of the top stored level that holds the copy of the input, so
+    its vertices are that component.  `n` is the tower height: one above
+    the floor of the largest-to-smallest distance ratio.  `set_assignment`
+    is `build_set_assignment(input)`, or None for a one-point input, which
+    has no extensions to replay token by token.
     """
 
     input: EdgeLabelledGraph
     set_assignment: SetAssignment | None
     levels: tuple[LevelGraph, ...]
-    component: tuple[str, ...]
     final: EdgeLabelledGraph
-    final_embedding: PartialMap
     n: int
-    config: Config = field(default_factory=Config)
+
+    @property
+    def final_embedding(self) -> PartialMap:
+        """The copy of the input in the final space: the top level's
+        embedding, or the identity when there is no level."""
+        if self.levels:
+            return self.levels[-1].base_embedding
+        return PartialMap.identity(self.input.vertices)
 
 
 def compute_N(a: EdgeLabelledGraph) -> int:
@@ -87,9 +83,9 @@ def compute_N(a: EdgeLabelledGraph) -> int:
     return int(spectrum[-1] / spectrum[0]) + 1
 
 
-def build_witness(a: EdgeLabelledGraph, config: Config | None = None) -> Witness:
-    """Run the full construction on a finite rational metric space."""
-    config = config or Config()
+def build_witness(a: EdgeLabelledGraph, vertex_cap: int = 200_000) -> Witness:
+    """Run the full construction on a finite rational metric space; no
+    graph it builds may have more than `vertex_cap` vertices."""
     if len(a) == 0:
         raise GraphFormatError("need at least one vertex")
     for x in a.vertices:
@@ -98,33 +94,22 @@ def build_witness(a: EdgeLabelledGraph, config: Config | None = None) -> Witness
         raise NotAMetricSpace("input is not a finite metric space")
 
     if len(a) == 1:
-        only = a.vertices[0]
-        return Witness(
-            input=a,
-            set_assignment=None,
-            levels=(),
-            component=a.vertices,
-            final=a,
-            final_embedding=PartialMap({only: only}),
-            n=compute_N(a),
-            config=config,
-        )
+        return Witness(input=a, set_assignment=None, levels=(), final=a, n=compute_N(a))
 
     sa = build_set_assignment(a)
     n = compute_N(a)
-    cap = config.vertex_cap
-    vertices = subset_graph_size(sa, cap)
+    vertices = subset_graph_size(sa, vertex_cap)
     bad_from = n + 1  # the first level with bad sets, past n when there is none
     first = first_bad_level(sa, n)
     if first is not None:
         bad_from, per_vertex = first
         # every vertex gets at least 2**per_vertex copies: refuse before B0 exists
-        if per_vertex >= cap.bit_length() or vertices << per_vertex > cap:
+        if per_vertex >= vertex_cap.bit_length() or vertices << per_vertex > vertex_cap:
             raise VertexCapExceeded(
-                f"level {bad_from} (valuation expansion)", vertices, cap,
+                f"level {bad_from} (valuation expansion)", vertices, vertex_cap,
                 exponent=per_vertex, at_least=True,
             )
-    base_graph, base_embedding = build_eppa_graph(a, sa, vertex_cap=cap)
+    base_graph, base_embedding = build_eppa_graph(a, sa, vertex_cap=vertex_cap)
     levels = [
         LevelGraph(
             graph=base_graph,
@@ -136,7 +121,8 @@ def build_witness(a: EdgeLabelledGraph, config: Config | None = None) -> Witness
     ]
     for size in range(bad_from, n + 1):
         prev = levels[-1]
-        nxt = build_next_level(prev, size, prev.base_embedding.image(), vertex_cap=cap)
+        nxt = build_next_level(prev, size, prev.base_embedding.image(),
+                               vertex_cap=vertex_cap)
         if nxt.bad_sets:
             levels.append(nxt)
 
@@ -144,26 +130,17 @@ def build_witness(a: EdgeLabelledGraph, config: Config | None = None) -> Witness
     reached, _ = reach(top.graph, map(top.graph.position, top.base_embedding.image()))
     component = tuple(map(top.graph.vertices.__getitem__, reached.tolist()))
     final = shortest_path_completion(induced_subgraph(top.graph, component))
-    final_embedding = PartialMap(dict(top.base_embedding.items()))
+    emb = top.base_embedding
 
     for x, y, d in a.edges():
-        got = final.label(final_embedding[x], final_embedding[y])
+        got = final.label(emb[x], emb[y])
         if got != d:
             raise NotAMetricSpace(
                 f"construction broke the copy: d({x},{y}) became {got}, expected {d}"
             )
     if not is_metric_space(final):
         raise NotAMetricSpace("completion failed to produce a metric space")
-    return Witness(
-        input=a,
-        set_assignment=sa,
-        levels=tuple(levels),
-        component=component,
-        final=final,
-        final_embedding=final_embedding,
-        n=n,
-        config=config,
-    )
+    return Witness(input=a, set_assignment=sa, levels=tuple(levels), final=final, n=n)
 
 
 def _as_input_map(w: Witness, phi: PartialMap) -> PartialMap:
@@ -172,7 +149,7 @@ def _as_input_map(w: Witness, phi: PartialMap) -> PartialMap:
     names = set(phi.domain()) | set(phi.image())
     if all(v in a for v in names):
         return phi
-    final_ids = {w.final_embedding[x]: x for x in a.vertices}
+    final_ids = {y: x for x, y in w.final_embedding.items()}
     if all(v in final_ids for v in names):
         return PartialMap({final_ids[u]: final_ids[v] for u, v in phi.items()})
     raise InvalidMap(
@@ -191,8 +168,9 @@ def extend_isometry(w: Witness, phi: PartialMap) -> PartialMap:
     completes `phi` (`subset_automorphism`, on token positions parsed once
     per graph).  It is lifted through the stored levels only: a level that
     is not stored is the one below renamed, and the lift there is the same
-    map.  The restriction to the component is checked as an isometry of
-    the final space as a permutation of its vertex positions.
+    map.  Its restriction to the final space is checked as an isometry, as
+    a permutation of the final vertex positions; without levels the result
+    is the identity, checked like any other.
     """
     phi_a = _as_input_map(w, phi)
     if not is_partial_automorphism(phi_a, w.input):
@@ -200,12 +178,18 @@ def extend_isometry(w: Witness, phi: PartialMap) -> PartialMap:
 
     emb = w.final_embedding
     phi_final = PartialMap({emb[x]: emb[phi_a[x]] for x in phi_a.domain()})
-    if not w.levels:
-        return PartialMap.identity(w.final.vertices)
+    theta = _replay(w, phi_a) if w.levels else PartialMap.identity(w.final.vertices)
+    if not theta.extends(phi_final):
+        raise InvalidMap("extension does not agree with the requested map")
+    return theta
+
+
+def _replay(w: Witness, phi_a: PartialMap) -> PartialMap:
+    """The automorphism of the final space that the stored levels give for
+    a partial isometry of the input."""
     if w.set_assignment is None:
         raise InvalidMap("witness carries no set assignment; cannot replay extensions")
-
-    pi = extend_by_permutation(w.input, w.set_assignment, phi_a, coherent=w.config.coherent)
+    pi = extend_by_permutation(w.input, w.set_assignment, phi_a)
     hat = subset_automorphism(pi, w.levels[0].graph)
     prev = w.levels[0]
     for lvl in w.levels[1:]:
@@ -218,26 +202,15 @@ def extend_isometry(w: Witness, phi: PartialMap) -> PartialMap:
             raise InvalidMap("lift failed to extend the requested map")
         prev = lvl
 
-    component = w.component
-    where = {u: i for i, u in enumerate(component)}
-    perm = np.fromiter(
-        (where.get(hat[u], -1) for u in component), dtype=np.intp, count=len(component)
-    )
+    verts = w.final.vertices
+    where = {u: i for i, u in enumerate(verts)}
+    perm = np.fromiter((where.get(hat[u], -1) for u in verts), dtype=np.intp, count=len(verts))
     if (perm < 0).any():
-        raise InvalidMap(
-            "extension does not preserve the completed component "
-            "(can happen for the empty map in non-coherent mode)"
-        )
-    # when the component lists the final vertices in order, theta permutes
-    # them (nothing to validate) and perm is on the final space's positions
-    in_order = component == w.final.vertices
-    pairs = zip(component, map(component.__getitem__, perm.tolist()))
-    theta = PartialMap._trusted(pairs) if in_order else PartialMap(pairs)
-    if not _automorphism_ok(w.final, perm if in_order else theta):
-        raise InvalidMap("restriction to the component is not an isometry")
-    if not theta.extends(phi_final):
-        raise InvalidMap("extension does not agree with the requested map")
-    return theta
+        raise InvalidMap("extension does not preserve the final space")
+    if not _automorphism_ok(w.final, perm):
+        raise InvalidMap("restriction to the final space is not an isometry")
+    # hat is injective, so perm permutes the final space's positions
+    return PartialMap._trusted(zip(verts, map(verts.__getitem__, perm.tolist())))
 
 
 def witness_stats(w: Witness) -> dict:
@@ -259,10 +232,8 @@ def witness_stats(w: Witness) -> dict:
             }
             for lvl in w.levels
         ],
-        "component_vertices": len(w.component),
         "final_vertices": len(w.final),
         "final_edges": w.final.edge_count,
-        "coherent": w.config.coherent,
     }
     if w.set_assignment is not None:
         stats["token_universe"] = len(w.set_assignment.universe)

@@ -307,7 +307,6 @@ def extend_by_permutation(
     a: EdgeLabelledGraph,
     sa: SetAssignment,
     phi: PartialMap,
-    coherent: bool = True,
 ) -> PartialMap:
     """Token permutation inducing an automorphism of the subset graph that
     extends the given partial automorphism of A.
@@ -316,10 +315,9 @@ def extend_by_permutation(
     then has its leftover tokens matched against the leftovers of its image,
     and finally the untouched remainder of the universe is matched with
     itself.  Tokens are ordered by their position in `sa.universe`, which
-    lists them in token order.  With `coherent` the two matching stages pair
-    tokens in that order on both sides, which makes extension commute with
-    composition; otherwise the image side is deliberately taken in reverse
-    order, which in general breaks that (see the composition tests).
+    lists them in token order.  The two matching stages pair tokens in that
+    order on both sides, which makes extension commute with composition
+    (coherent extension).
     """
     for x in phi.domain():
         if x not in a:
@@ -354,8 +352,6 @@ def extend_by_permutation(
             raise InvalidMap(
                 f"leftover token counts differ ({len(sources)} vs {len(targets)})"
             )
-        if not coherent:
-            targets = targets[::-1]
         for src, dst in zip(sources, targets):
             pi[src] = dst
             hit.add(dst)

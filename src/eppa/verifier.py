@@ -12,8 +12,10 @@ per graph:
 - each stored level's bad sets are compared with a local scan of the
   vertex sets of the previous stored level, skipped above a size bound.  An
   empty list fails: a level without bad sets is not stored;
+- the tower height is restated from the input's distances and compared
+  with the stored one;
 - each stored level has one short-cycle check, up to one vertex below the
-  next stored level's number, or up to the tower height at the top.  That
+  next stored level's number, or up to the restated height at the top.  That
   proves the levels that are not stored: with no non-metric cycle on at most
   q-1 vertices, levels p+1..q-1 above stored level p have no bad sets, so
   each is level p under new names;
@@ -413,14 +415,12 @@ def _check_completion(
     report: VerificationReport, w: Witness, scale: int, top_matrix: _Matrix, final_matrix: _Matrix
 ) -> None:
     """The final space must be the shortest-path closure of the top level
-    restricted to the component; a failure names the first differing pair."""
+    restricted to the final vertices; a failure names the first differing
+    pair."""
     name = "final-completion"
-    top, component, final = w.levels[-1].graph, w.component, w.final
-    if not all(v in top for v in component):
-        report.add(name, False, "component names vertices outside the top level")
-        return
-    if set(component) != set(final.vertices):
-        report.add(name, False, "final vertices differ from the component")
+    top, final = w.levels[-1].graph, w.final
+    if not all(v in top for v in final.vertices):
+        report.add(name, False, "final space names vertices outside the top level")
         return
     top_index, top_mat = top_matrix
     rows = [top_index[v] for v in final.vertices]
@@ -680,15 +680,33 @@ def _check_transition(
     report.add(f"{tag}-anchors", emb_ok)
 
 
-def _check_short_cycles(report: VerificationReport, w: Witness, idx: int, budget: int) -> None:
+def _check_tower_height(report: VerificationReport, w: Witness) -> int:
+    """The stored tower height n against the one the input calls for,
+    restated here: one above the floor of its largest distance over its
+    smallest, since a non-metric cycle's long edge is longer than the sum
+    of its other edges.  Returns the height the top-level check bounds
+    cycles by: the restated one, or the stored one for an input without a
+    distance, which has no cycle to bound."""
+    spectrum = w.input.spectrum()
+    if not spectrum:
+        report.add("tower-height", True, f"stored {w.n}, the input has no distance")
+        return w.n
+    height = spectrum[-1] // spectrum[0] + 1
+    report.add("tower-height", w.n == height, f"stored {w.n}, the input calls for {height}")
+    return height
+
+
+def _check_short_cycles(
+    report: VerificationReport, w: Witness, idx: int, height: int, budget: int
+) -> None:
     """Stored level idx has no non-metric cycle on fewer vertices than the
-    next stored level's number, or on at most n vertices at the top (see
-    the module docstring)."""
+    next stored level's number, or on at most `height` vertices at the top
+    (see the module docstring)."""
     lvl = w.levels[idx]
     if idx + 1 < len(w.levels):
         name, size = f"level-{lvl.level}-no-short-bad-cycles", w.levels[idx + 1].level - 1
     else:
-        name, size = "top-level-no-bad-cycles", w.n
+        name, size = "top-level-no-bad-cycles", height
     try:  # a cycle has at least three vertices
         cycle = has_nonmetric_cycle_up_to(lvl.graph, size, budget=budget) if size >= 3 else None
     except BudgetExhausted as exc:
@@ -709,6 +727,7 @@ def cross_check(w: Witness, budget: int = 10_000_000, search_limit: int = 150) -
     """
     report = VerificationReport()
     _check_metric(report, w.input, "input-metric")
+    height = _check_tower_height(report, w)
     graphs = [lvl.graph for lvl in w.levels]
     scale = math.lcm(*(d.denominator for g in (w.input, w.final, *graphs) for d in g.spectrum()))
     final_matrix = _label_matrix(w.final, scale)
@@ -721,7 +740,7 @@ def cross_check(w: Witness, budget: int = 10_000_000, search_limit: int = 150) -
             if idx:
                 _check_transition(report, w, idx, matrices)
                 report.count("level_transitions_checked")
-            _check_short_cycles(report, w, idx, budget)
+            _check_short_cycles(report, w, idx, height, budget)
         top = w.levels[-1]
 
         top_index, top_mat = matrices[-1]
@@ -734,8 +753,9 @@ def cross_check(w: Witness, budget: int = 10_000_000, search_limit: int = 150) -
             while layer.any():
                 seen |= layer
                 layer = (top_mat[layer] > 0).any(axis=0) & ~seen
-            ok = {top.graph.vertices[p] for p in np.flatnonzero(seen).tolist()} == set(w.component)
-        report.add("component", ok, "" if ok else "stored component differs from reachability")
+            ok = {top.graph.vertices[p] for p in np.flatnonzero(seen).tolist()} == set(w.final.vertices)
+        report.add("component", ok,
+                   "" if ok else "final vertices differ from the copy's component in the top level")
         _check_completion(report, w, scale, matrices[-1], final_matrix)
     else:
         report.add("trivial-tower", len(w.input) == 1 and w.final == w.input)

@@ -26,6 +26,7 @@ from eppa import (
     PartialMap,
     build_witness,
     complete_graph,
+    extend_by_permutation,
     graph_from_triples,
     shortest_path_completion,
 )
@@ -340,3 +341,38 @@ def all_automorphisms(g: EdgeLabelledGraph) -> list[PartialMap]:
 
     place(0)
     return found
+
+
+def composable_pairs(maps: list[PartialMap]) -> list[tuple[PartialMap, PartialMap]]:
+    """(phi, psi) for every two maps where psi starts on phi's image."""
+    return [
+        (phi, psi)
+        for phi in maps
+        for psi in maps
+        if sorted(psi.domain()) == sorted(phi.image())
+    ]
+
+
+def broken_compositions(extend, maps: list[PartialMap]) -> list[tuple[PartialMap, PartialMap]]:
+    """Criterion 6's composition check: the composable pairs (phi, psi) of
+    `maps` (closed under composition) whose extensions do not compose, that
+    is extend(psi after phi) != extend(psi) after extend(phi)."""
+    ext = {phi.items(): extend(phi) for phi in maps}
+    return [
+        (phi, psi)
+        for phi, psi in composable_pairs(maps)
+        if ext[psi.compose(phi).items()] != ext[psi.items()].compose(ext[phi.items()])
+    ]
+
+
+def tau_on_empty(a, sa, phi):
+    """`extend_by_permutation`, except on the empty map, which gets the
+    fixed transposition tau of the first two tokens instead of the identity.
+    Any token permutation induces an automorphism of the subset graph, so
+    each result is still an extension; but ext(empty) after ext(empty) is
+    the identity, not tau. The negative control of criterion 6's
+    composition check."""
+    if len(phi):
+        return extend_by_permutation(a, sa, phi)
+    t0, t1 = sa.universe[:2]
+    return PartialMap((t, {t0: t1, t1: t0}.get(t, t)) for t in sa.universe)

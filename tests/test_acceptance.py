@@ -39,6 +39,7 @@ from eppa import (
     subset_automorphism,
 )
 from eppa.cli import main as cli_main
+from eppa.completion import reach
 from eppa.fileio import (
     dump_json, graph_to_codes, graph_to_json, load_json, map_to_json, witness_from_json,
     witness_to_json,
@@ -49,6 +50,8 @@ from eppa.verifier import _enumerate_partial_isometries, naive_extension_exists,
 
 from conftest import (
     all_automorphisms,
+    broken_compositions,
+    composable_pairs,
     induced_nonmetric_sets,
     make_four_point,
     make_k2,
@@ -136,15 +139,15 @@ def test_criterion_1_end_to_end(fixture_witnesses, name, factory, limit, n_maps)
     print(f"[criterion 1] PASS {name}: {n_maps} partial isometries extended in {elapsed:.1f}s")
 
 
-# sha256 of each fixture's witness file in the eppa-witness/3 format, which
-# stores no level without bad sets and each graph as one string of label
-# codes; the JSON must stay byte-identical.  The text is the one `dump_json`
-# writes, made in memory.
+# sha256 of each fixture's witness file in the eppa-witness/4 format, which
+# stores no level without bad sets, each graph as one string of label codes
+# and each fact once; the JSON must stay byte-identical.  The text is the
+# one `dump_json` writes, made in memory.
 FIXTURE_DIGESTS = {
-    "two-point": "3b09c3f10dd6ed7d32bd85029953cb488bb398e46647ba0c648752836e9c5f7d",
-    "triangle-112": "f5c721f075e93519e5cb19791e4b6bd580750afe4a25395776eefc3d9fc9faf8",
-    "triangle-123": "e37ba0ed0f429fa2793103602896e036a5418b533655bcefeb99ae34792f83e5",
-    "four-point": "005779d3425621e25ae991abb6ad0d034f9c449771c1238a5b6ea2e64564ca1c",
+    "two-point": "09b5b0a5d2cabba8a44cc2318b1019f9824dc2e0f51b7f78d93404459f49f8d6",
+    "triangle-112": "54b65b15a27810a92835a149f7218b76c3892ae8982bec3e73e158cfab5d6ac3",
+    "triangle-123": "112a470417160b58bacef56fbec0cf74056f1c44bb544d7872eb8c9648e23333",
+    "four-point": "2fd01f2bee3586cae52026d3d956bd130b799b058fe204342dab7cfc85555302",
 }
 
 
@@ -298,27 +301,14 @@ def test_criterion_5_levels_carry_no_short_bad_cycles(fixture_witnesses):
 # -- criterion 6: coherent extensions compose -----------------------------------------
 
 
-def composable_pairs(maps):
-    return [
-        (phi, psi)
-        for phi in maps
-        for psi in maps
-        if sorted(psi.domain()) == sorted(phi.image())
-    ]
-
-
 @pytest.mark.parametrize("name,n_pairs", [("two-point", 13), ("triangle-112", 68)])
 def test_criterion_6_coherence(fixture_witnesses, name, n_pairs):
     g, w, _ = fixture_witnesses[name]
-    assert w.config.coherent
     maps = list(enumerate_partial_automorphisms(g, len(g)))
-    extended = {phi.items(): extend_isometry(w, phi) for phi in maps}
-    pairs = composable_pairs(maps)
-    assert len(pairs) == n_pairs
-    for phi, psi in pairs:
-        lhs = extended[psi.compose(phi).items()]
-        rhs = extended[psi.items()].compose(extended[phi.items()])
-        assert lhs == rhs, f"composition broke on {dict(phi.items())} then {dict(psi.items())}"
+    assert len(composable_pairs(maps)) == n_pairs
+    broken = broken_compositions(lambda phi: extend_isometry(w, phi), maps)
+    assert broken == [], "composition broke on {} then {}".format(
+        *(dict(f.items()) for f in broken[0]))
     print(f"[criterion 6] PASS {name}: {n_pairs} composable pairs compose")
 
 
@@ -446,25 +436,11 @@ def test_criterion_7_machinery_on_a_valued_witness(tmp_path):
     )
     nxt = build_next_level(prev, 3, ["r"])
 
-    seen = set(nxt.base_embedding.image())
-    frontier = list(seen)
-    while frontier:
-        u = frontier.pop()
-        for v in nxt.graph.neighbors(u):
-            if v not in seen:
-                seen.add(v)
-                frontier.append(v)
-    component = tuple(sorted(seen))
-    final = shortest_path_completion(induced_subgraph(nxt.graph, component))
-    w = Witness(
-        input=graph_from_triples(["z"], []),
-        set_assignment=None,
-        levels=(prev, nxt),
-        component=component,
-        final=final,
-        final_embedding=PartialMap({"z": nxt.base_embedding["z"]}),
-        n=3,
-    )
+    g = nxt.graph
+    reached, _ = reach(g, [g.position(nxt.base_embedding["z"])])
+    final = shortest_path_completion(induced_subgraph(g, [g.vertices[p] for p in reached]))
+    w = Witness(input=graph_from_triples(["z"], []), set_assignment=None,
+                levels=(prev, nxt), final=final, n=3)
 
     from eppa import cross_check
 

@@ -16,6 +16,7 @@ from eppa.cli import main
 from eppa.fileio import (
     dump_json,
     graph_from_json,
+    graph_to_codes,
     graph_to_json,
     load_json,
     witness_from_json,
@@ -338,25 +339,16 @@ def _recode(start, stop, code):
 # (witness, mutation): t112 is B0 alone, demo stores a level 3 above its base;
 # t112's base has 70 vertices and the labels 1, 2, 3 (one-digit codes)
 MALFORMED_WITNESSES = {
+    "older-format": ("t112", _set("format", "eppa-witness/3")),
     "levels-not-a-list": ("t112", _set("levels", 5)),
     "bad-sets-not-a-list": ("t112", _set("levels", 0, "bad_sets", 5)),
     "codes-not-a-string": ("t112", _set("levels", 0, "graph", "codes", 5)),
     "codes-one-pair-short": ("t112", _edit("levels", 0, "graph", _recode(0, 1, ""))),
-    "psi-not-a-list": ("t112", _set("set_assignment", "psi", 3)),
-    "integer-psi-token": ("t112", _set("set_assignment", "psi", 0, 1, 0, 7)),
-    "psi-on-another-vertex": ("t112", _set("set_assignment", "psi", 0, 0, "w")),
-    "k-negative": ("t112", _set("set_assignment", "k", -1)),
-    "k-above-the-universe": ("t112", _set("set_assignment", "k", 9)),
     "bool-level": ("t112", _set("levels", 0, "level", True)),
     "base-not-level-2": ("t112", _set("levels", 0, "level", 3)),
-    "base-with-a-projection": ("t112", _set("levels", 0, "projection", [["{x}", "x"]])),
     "levels-not-increasing": ("demo", _set("levels", 1, "level", 2)),
     "level-above-n": ("demo", _set("levels", 1, "level", 4)),
-    "empty-projection": ("demo", _set("levels", 1, "projection", [])),
-    "projection-off-the-level-below": ("demo", _set("levels", 1, "projection", 0, 1, "nowhere")),
     "integer-long-edge": ("demo", _set("levels", 1, "bad_sets", 0, "long_edge", [1, 2])),
-    "string-coherent": ("t112", _set("config", "coherent", "no")),
-    "bool-vertex-cap": ("t112", _set("config", "vertex_cap", True)),
     "index-out-of-range": ("t112", _edit("levels", 0, "graph", _recode(9, 10, "4"))),
     "non-digit-code": ("t112", _edit("final", _recode(100, 101, "x"))),
     "labels-not-ascending": ("t112", _edit("final", "labels", list.reverse)),
@@ -387,26 +379,15 @@ def _drop_last_token(vertex_id: str) -> str:
 
 
 # (mutation of the triangle-112 witness, map on input names, exit code of
-# `eppa extend`); each map reaches the tampered part: "x" owns the first psi
-# set and "z" the universe's last token, "z!1".  `eppa extend` checks the
-# set assignment before it replays any map, so a tampered assignment exits
-# 3 whatever the map (identity on x once extended from x's short psi set)
-IDENTITY_X = [["x", "x"]]
+# `eppa extend`); the map reaches the tampered part of B0
 SWAP_YZ = [["y", "z"], ["z", "y"]]
 TAMPERED_WITNESSES = {
-    "universe-missing-its-last-token": (_edit("set_assignment", "universe", list.pop), IDENTITY_X, 3),
-    "psi-set-one-token-short": (_edit("set_assignment", "psi", 1, 1, list.pop), SWAP_YZ, 3),
-    "psi-x-set-one-token-short": (_edit("set_assignment", "psi", 0, 1, list.pop), IDENTITY_X, 3),
-    "malformed-psi-token": (_set("set_assignment", "psi", 0, 1, 0, "junk"), IDENTITY_X, 3),
     "b0-vertex-renamed-to-another-subset": (
         _edit("levels", 0, "graph", "vertices",
               lambda vs: vs.__setitem__(-1, _drop_last_token(vs[-1]))), SWAP_YZ, 1),
     "b0-id-without-braces": (
         _edit("levels", 0, "graph", "vertices", lambda vs: vs.__setitem__(5, vs[5][1:-1])),
         SWAP_YZ, 3),
-    "component-one-vertex-short": (_edit("component", list.pop), SWAP_YZ, 1),
-    "duplicate-final-embedding-image": (
-        _edit("final_embedding", lambda pairs: pairs[1].__setitem__(1, pairs[0][1])), SWAP_YZ, 1),
 }
 
 
@@ -422,6 +403,27 @@ def test_extend_on_a_tampered_witness_exits_with_its_code(case, t112_witness, tm
     assert main(["extend", wpath, mpath]) == code
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err, err
+
+
+def test_extend_checks_the_identity_of_a_level_free_witness(tmp_path, capsys):
+    # a two-point witness edited to have no level: its final space is the
+    # input, with the identity as the copy, so the swap of a and b has no
+    # extension there (the identity does not extend it)
+    obj = witness_to_json(_k2_witness())
+    obj["levels"] = []
+    obj["final"] = graph_to_codes(make_k2())
+    wpath = str(tmp_path / "w.json")
+    dump_json(wpath, obj)
+    mpath = str(tmp_path / "swap.json")
+    dump_json(mpath, [["a", "b"], ["b", "a"]])
+    assert main(["extend", wpath, mpath]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "does not agree with the requested map" in captured.err
+
+    dump_json(mpath, [["a", "a"]])
+    assert main(["extend", wpath, mpath]) == 0
+    assert json.loads(capsys.readouterr().out) == [["a", "a"], ["b", "b"]]
 
 
 # -- usage errors and config --------------------------------------------------------
@@ -496,6 +498,7 @@ def test_env_config_values_are_type_checked(tmp_path, capsys, monkeypatch, setti
         ("extend", ["--vertex-cap", "10"]),
         ("verify", ["--no-coherent"]),
         ("stats", ["--budget", "5"]),
+        ("witness", ["--no-coherent"]),
     ],
 )
 def test_commands_refuse_options_they_do_not_read(tmp_path, capsys, command, flag):

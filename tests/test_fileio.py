@@ -16,6 +16,7 @@ from eppa import (
     GraphFormatError,
     PartialMap,
     VerificationReport,
+    build_set_assignment,
     cross_check,
 )
 from eppa.fileio import (
@@ -150,16 +151,39 @@ def test_witness_round_trip_without_assignment():
 
 
 def test_witness_rejects_other_format_versions(k2_witness):
-    # /1 stored every clean level and /2 one [i, j, label] triple per edge;
-    # such files are refused
-    for old in ("eppa-witness/1", "eppa-witness/2"):
+    # /1 stored every clean level, /2 one [i, j, label] triple per edge and
+    # /3 the facts the loader now derives; such files are refused
+    assert WITNESS_FORMAT == "eppa-witness/4"
+    for old in ("eppa-witness/1", "eppa-witness/2", "eppa-witness/3"):
         obj = witness_to_json(k2_witness)
         obj["format"] = old
         with pytest.raises(GraphFormatError) as exc:
             witness_from_json(obj)
         assert old in str(exc.value)
-        assert "eppa-witness/3" in str(exc.value)
+        assert "eppa-witness/4" in str(exc.value)
         assert "build the witness again" in str(exc.value)
+
+
+def test_witness_file_stores_each_fact_once(demo_witness, t112_witness):
+    obj = witness_to_json(demo_witness)
+    assert list(obj) == ["format", "input", "levels", "final", "n"]
+    for lvl in obj["levels"]:
+        assert list(lvl) == ["level", "graph", "base_embedding", "bad_sets"]
+    assert [list(m) for m in obj["levels"][1]["bad_sets"]] == [
+        ["vertices", "long_edge", "deficit"]] * 2
+
+    # the loader derives the rest
+    again = witness_from_json(json.loads(json.dumps(obj)))
+    assert again.set_assignment is None  # a one-point input
+    base, top = again.levels
+    assert base.projection == {}
+    assert top.projection == {v: v.rpartition(";")[0] for v in top.graph.vertices}
+    for m in top.bad_sets:
+        assert (m.members, m.long_edge) == (frozenset(m.cycle.vertices), m.cycle.long_edge)
+    assert again.final_embedding == top.base_embedding
+    assert again == demo_witness
+    loaded = witness_from_json(witness_to_json(t112_witness))
+    assert loaded.set_assignment == build_set_assignment(t112_witness.input)
 
 
 def test_witness_rejects_structural_damage(k2_witness):
@@ -177,9 +201,10 @@ def test_witness_rejects_structural_damage(k2_witness):
     assert "final" in str(exc.value)
 
     broken = json.loads(json.dumps(good))
-    broken["component"] = "abc"
-    with pytest.raises(GraphFormatError):
+    broken["levels"][0]["bad_sets"] = ["abc"]
+    with pytest.raises(GraphFormatError) as exc:
         witness_from_json(broken)
+    assert "level #0: bad set #0 must be an object" in str(exc.value)
 
 
 # -- the label-code graph encoding ------------------------------------------------

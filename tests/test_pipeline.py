@@ -8,7 +8,6 @@ import itertools
 import pytest
 
 from eppa import (
-    Config,
     GraphFormatError,
     InvalidMap,
     NotAMetricSpace,
@@ -32,7 +31,7 @@ from eppa.fileio import dump_json, witness_to_json
 from eppa.graphs import EdgeLabelledGraph
 from eppa.levels import LevelGraph
 
-from conftest import make_k2, make_t112, make_t123, make_four_point
+from conftest import make_k2, make_t112, make_t123, make_four_point, tau_on_empty
 
 
 SINGLE = graph_from_triples(["only"], [])
@@ -70,7 +69,7 @@ def test_two_point_witness_is_a_unit_triangle(k2_witness):
     assert len(w.final) == 3
     assert w.final.is_complete()
     assert w.final.spectrum() == (1,)
-    assert w.component == w.final.vertices == w.levels[0].graph.vertices
+    assert w.final.vertices == w.levels[0].graph.vertices
     # the copy keeps its distance
     emb = w.final_embedding
     assert w.final.label(emb["a"], emb["b"]) == 1
@@ -93,7 +92,7 @@ def test_three_point_witness_shape(t112_witness):
     # no bad 3-set in the subset graph, so level 3 is B0 renamed and not stored
     assert [lvl.level for lvl in w.levels] == [2]
     assert len(w.levels[0].graph) == 70
-    assert w.component == w.levels[0].graph.vertices
+    assert w.final.vertices == w.levels[0].graph.vertices
     assert len(w.final) == 70
     assert w.final.is_complete()
     emb = w.final_embedding
@@ -103,11 +102,11 @@ def test_three_point_witness_shape(t112_witness):
 
 # -- the tower decided on B0 -----------------------------------------------------------
 
-# sha256 of the witness file as `dump_json` writes it, in the eppa-witness/3
-# format, which stores no level without bad sets
+# sha256 of the witness file as `dump_json` writes it, in the eppa-witness/4
+# format, which stores no level without bad sets and each fact once
 TOWER_DIGESTS = {
-    (1, 3, 3): "a3de1fadd68908ca7f32e874370dcf3781bd82b675781688a4cb88af04a461df",
-    (2, 5, 5): "9ace19ce1855e40c017a1b49c300f3badcb512cb4aa4f170940185992b69c4b4",
+    (1, 3, 3): "700c1c4cbed7ae92aae7984561846763da39d3a0545dcb56aaa11b38da432619",
+    (2, 5, 5): "86c2e4ffed056d6eef8ed75df0aacaa63b408b0831a1280c29c2fbb63ccb0211",
 }
 
 
@@ -131,7 +130,7 @@ def test_clean_tower_levels_are_copies_of_b0(labels, tmp_path, monkeypatch):
     w = build_witness(a)
     assert compute_N(a) == w.n >= 3
     assert [(lvl.level, len(lvl.graph), lvl.bad_sets) for lvl in w.levels] == [(2, 252, ())]
-    assert w.component == w.levels[0].graph.vertices
+    assert w.final.vertices == w.levels[0].graph.vertices
     assert witness_digest(w, tmp_path) == TOWER_DIGESTS[labels]
 
 
@@ -162,8 +161,7 @@ def test_a_wrong_clean_verdict_cannot_pass(monkeypatch):
     b0, emb = build_eppa_graph(a)
     base = LevelGraph(graph=b0, level=2, base_embedding=emb, projection={}, bad_sets=())
     w = Witness(input=a, set_assignment=build_set_assignment(a), levels=(base,),
-                component=b0.vertices, final=shortest_path_completion(b0),
-                final_embedding=emb, n=compute_N(a))
+                final=shortest_path_completion(b0), n=compute_N(a))
     report = cross_check(w, search_limit=0)
     assert any(r.name == "top-level-no-bad-cycles" and not r.passed and not r.skipped
                for r in report.results)
@@ -195,18 +193,22 @@ def test_every_partial_isometry_extends_three_point(t112_witness):
         assert_extension(t112_witness, phi)
 
 
+def test_non_coherent_extensions_are_still_isometries(k2_witness, monkeypatch):
+    # the incoherent control operator breaks composition, not the extensions
+    w = k2_witness
+    empty = PartialMap({})
+    monkeypatch.setattr(pipeline, "extend_by_permutation", tau_on_empty)
+    for phi in enumerate_partial_automorphisms(w.input, 2):
+        theta = assert_extension(w, phi)
+        assert theta.is_identity() == (phi != empty and phi.is_identity())
+
+
 def test_input_and_final_forms_agree(k2_witness):
     w = k2_witness
     emb = w.final_embedding
     swap = PartialMap({"a": "b", "b": "a"})
     swap_final = PartialMap({emb["a"]: emb["b"], emb["b"]: emb["a"]})
     assert extend_isometry(w, swap) == extend_isometry(w, swap_final)
-
-
-def test_non_coherent_extensions_are_still_isometries():
-    w = build_witness(make_k2(), Config(coherent=False))
-    for phi in enumerate_partial_automorphisms(w.input, 2):
-        assert_extension(w, phi)
 
 
 # -- rejected inputs ----------------------------------------------------------------
@@ -263,10 +265,8 @@ def test_witness_stats_shape(t112_witness):
     assert stats["tower_height"] == 3
     assert stats["token_universe"] == 8
     assert stats["subset_size"] == 4
-    assert stats["component_vertices"] == 70
     assert stats["final_vertices"] == 70
     assert stats["final_edges"] == 70 * 69 // 2
-    assert stats["coherent"] is True
     assert [(lvl["level"], lvl["vertices"]) for lvl in stats["levels"]] == [(2, 70)]  # B0 alone
     assert stats["levels"][0]["edges"] == 1820
     assert all(lvl["max_bad_sets_per_vertex"] == 0 for lvl in stats["levels"])

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eppa.setrep as setrep
+from eppa import pipeline
 
 from eppa import (
     EdgeLabelledGraph,
@@ -50,7 +51,10 @@ from eppa.setrep import (
     subset_id,
     token_sort_key,
 )
-from conftest import edge_labelled_graphs, make_four_point, make_k2, make_t112, make_t123
+from conftest import (
+    broken_compositions, composable_pairs, edge_labelled_graphs, make_four_point, make_k2, make_t112, make_t123,
+    tau_on_empty,
+)
 
 
 # -- token syntax --------------------------------------------------------------
@@ -258,48 +262,37 @@ def test_identity_extends_to_identity(t112):
     assert pi.is_identity()
 
 
+def test_one_step_coherence_on_two_point(k2):
+    sa = build_set_assignment(k2)
+    maps = list(enumerate_partial_automorphisms(k2, len(k2)))
+    assert len(composable_pairs(maps)) == 13
+    assert broken_compositions(lambda phi: extend_by_permutation(k2, sa, phi), maps) == []
+
+
 def test_empty_map_coherent_vs_not(k2):
     sa = build_set_assignment(k2)
     assert extend_by_permutation(k2, sa, PartialMap({})).is_identity()
-    reverse = extend_by_permutation(k2, sa, PartialMap({}), coherent=False)
+    reverse = tau_on_empty(k2, sa, PartialMap({}))
     assert not reverse.is_identity()
     # still a valid automorphism of the subset graph
     b, _ = build_eppa_graph(k2, sa)
     assert check_map(subset_automorphism(reverse, b), b, b, "automorphism")
 
 
-def test_one_step_coherence_on_two_point(k2):
-    sa = build_set_assignment(k2)
-    maps = list(enumerate_partial_automorphisms(k2, len(k2)))
-    ext = {phi.items(): extend_by_permutation(k2, sa, phi) for phi in maps}
-    pairs = 0
-    for phi in maps:
-        for psi in maps:
-            if set(psi.domain()) != set(phi.image()):
-                continue
-            pairs += 1
-            assert ext[psi.items()].compose(ext[phi.items()]) == extend_by_permutation(
-                k2, sa, psi.compose(phi)
-            )
-    assert pairs == 13
-
-
 def test_non_coherent_mode_breaks_composition(k2):
     sa = build_set_assignment(k2)
     maps = list(enumerate_partial_automorphisms(k2, len(k2)))
-    ext = {
-        phi.items(): extend_by_permutation(k2, sa, phi, coherent=False)
-        for phi in maps
-    }
-    broken = 0
-    for phi in maps:
-        for psi in maps:
-            if set(psi.domain()) != set(phi.image()):
-                continue
-            got = ext[psi.items()].compose(ext[phi.items()])
-            want = extend_by_permutation(k2, sa, psi.compose(phi), coherent=False)
-            broken += got != want
-    assert broken == 9
+    empty = PartialMap({})
+    broken = broken_compositions(lambda phi: tau_on_empty(k2, sa, phi), maps)
+    assert broken == [(empty, empty)]
+
+
+def test_composition_check_catches_an_incoherent_operator(k2_witness, monkeypatch):
+    w = k2_witness
+    maps = list(enumerate_partial_automorphisms(w.input, len(w.input)))
+    empty = PartialMap({})
+    monkeypatch.setattr(pipeline, "extend_by_permutation", tau_on_empty)
+    assert broken_compositions(lambda phi: extend_isometry(w, phi), maps) == [(empty, empty)]
 
 
 @settings(max_examples=25, deadline=None)
@@ -387,9 +380,9 @@ def test_subset_automorphism_matches_the_reference_on_fixture_b0s(factory):
     a = factory()
     sa = build_set_assignment(a)
     b, _ = build_eppa_graph(a, sa)
-    for coherent in (True, False):
+    for extend in (extend_by_permutation, tau_on_empty):
         for phi in enumerate_partial_automorphisms(a, len(a)):
-            pi = extend_by_permutation(a, sa, phi, coherent=coherent)
+            pi = extend(a, sa, phi)
             assert subset_automorphism(pi, b) == reference_subset_automorphism(pi, b)
 
 

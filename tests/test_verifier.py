@@ -14,11 +14,16 @@ from hypothesis import given, settings
 from eppa import verifier
 from eppa import (
     BudgetExhausted,
+    LevelGraph,
     PartialMap,
     UnknownVertex,
+    Witness,
+    build_eppa_graph,
+    build_set_assignment,
     build_witness,
     cross_check,
     graph_from_triples,
+    induced_subgraph,
     naive_extension_exists,
     search_extension,
     shortest_path_completion,
@@ -298,29 +303,55 @@ def test_non_metric_input_is_caught(t112_witness, t113):
 
 
 def test_tampered_component_is_caught(t112_witness):
+    # the final vertices must be the copy's component in the top level
     w = t112_witness
     emb_image = set(w.final_embedding.image())
-    dropped = next(v for v in w.component if v not in emb_image)
-    smaller = tuple(v for v in w.component if v != dropped)
-    report = cross_check(dataclasses.replace(w, component=smaller))
+    dropped = next(v for v in w.final.vertices if v not in emb_image)
+    smaller = induced_subgraph(w.final, [v for v in w.final.vertices if v != dropped])
+    report = cross_check(dataclasses.replace(w, final=smaller))
     assert not report.ok
     assert failing(report, "component")
 
     # a vertex the top level does not have is a failed check, not an exception
-    foreign = w.component + ("nowhere;",)
-    report = cross_check(dataclasses.replace(w, component=foreign), search_limit=0)
+    foreign = EdgeLabelledGraph(w.final.vertices + ("nowhere;",), w.final.edges())
+    report = cross_check(dataclasses.replace(w, final=foreign), search_limit=0)
     assert not report.ok
     for name in ("component", "final-completion", "extension-replay"):
         assert failing(report, name)
 
 
 def test_tampered_embedding_is_caught(t112_witness):
+    # the copy in the final space is the top level's embedding
     w = t112_witness
     emb = dict(w.final_embedding.items())
     emb["x"], emb["y"] = emb["y"], emb["x"]  # d(x,z)=1 but d(y,z)=2
-    report = cross_check(dataclasses.replace(w, final_embedding=PartialMap(emb)))
+    top = dataclasses.replace(w.levels[-1], base_embedding=PartialMap(emb))
+    report = cross_check(dataclasses.replace(w, levels=w.levels[:-1] + (top,)))
     assert not report.ok
     assert failing(report, "copy-distances")
+
+
+def t144_witness(n: int) -> Witness:
+    """(1,4,4)'s B0 under its completion, stored with tower height n; the
+    build refuses (1,4,4), whose height is 5, before B0 exists."""
+    a = graph_from_triples(["x", "y", "z"], [("x", "y", 1), ("x", "z", 4), ("y", "z", 4)])
+    b0, emb = build_eppa_graph(a)
+    base = LevelGraph(graph=b0, level=2, base_embedding=emb, projection={}, bad_sets=())
+    return Witness(input=a, set_assignment=build_set_assignment(a), levels=(base,),
+                   final=shortest_path_completion(b0), n=n)
+
+
+def test_a_wrong_tower_height_is_caught():
+    # the stored height only bounds the top-level cycle search; the verifier
+    # restates it from the input, so a lowered one cannot hide B0's cycles
+    for n in (5, 2):
+        report = cross_check(t144_witness(n), search_limit=0)
+        height = next(r for r in report.results if r.name == "tower-height")
+        assert height.passed == (n == 5)
+        assert height.detail == f"stored {n}, the input calls for 5"
+        top = next(r for r in report.results if r.name == "top-level-no-bad-cycles")
+        assert not top.passed and not top.skipped
+        assert top.detail.startswith("non-metric cycle on ")
 
 
 def test_tampered_subset_level_is_caught(t112_witness):
