@@ -66,7 +66,7 @@ def expansion_witness(core: EdgeLabelledGraph, anchor: str, size: int, n: int) -
     prev = LevelGraph(
         graph=core, level=2, base_embedding=PartialMap({"z": anchor}), projection={}, bad_sets=()
     )
-    nxt = build_next_level(prev, size, [anchor])
+    nxt = build_next_level(prev, size)
     g = nxt.graph
     reached, _ = reach(g, [g.position(nxt.base_embedding["z"])])
     final = shortest_path_completion(induced_subgraph(g, [g.vertices[p] for p in reached]))

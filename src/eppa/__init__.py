@@ -58,7 +58,6 @@ from .setrep import (
     build_eppa_graph,
     build_set_assignment,
     extend_by_permutation,
-    spectrum_index,
     subset_automorphism,
     token_load,
 )
@@ -115,7 +114,6 @@ __all__ = [
     "project_map",
     "search_extension",
     "shortest_path_completion",
-    "spectrum_index",
     "subset_automorphism",
     "token_load",
     "verify_eppa",

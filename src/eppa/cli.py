@@ -150,7 +150,7 @@ def cmd_eppa_step(args) -> int:
     if not is_metric_space(g):
         raise NotAMetricSpace("input is not a finite metric space")
     sa = build_set_assignment(g)
-    b, emb = build_eppa_graph(g, sa, vertex_cap=args.vertex_cap)
+    b, emb = build_eppa_graph(sa, vertex_cap=args.vertex_cap)
     print(f"subset size k: {sa.k}")
     print(f"token universe: {len(sa.universe)}")
     print(f"derived vertices: {len(b)}")

@@ -7,10 +7,10 @@ Witness files hold each fact of a `build_witness` result once, under the
 format version `eppa-witness/4`; files of any other version are refused.
 They store the input, the stored levels (each with its graph, its copy of
 the input and its bad sets as cycles), the final space and the tower
-height; the loader derives the rest: the set assignment from the input,
-each level's projection from its vertex ids, each bad set's members and
-long edge from its cycle, and the copy in the final space from the top
-level.  Their graphs are written as one string of label codes per graph
+height, under exactly the keys `witness_to_json` writes; the loader
+derives the rest: the set assignment from the input, each level's
+projection from its vertex ids, and the copy in the final space from the
+top level.  Their graphs are written as one string of label codes per graph
 (`graph_to_codes`), which stays compact on dense graphs.
 All parsers reject structurally invalid input with the offending element
 named in the error.
@@ -75,13 +75,9 @@ def graph_to_json(g: EdgeLabelledGraph) -> dict:
     }
 
 
-def graph_from_json(obj: Any, strict_names: bool = True) -> EdgeLabelledGraph:
-    """Parse the named graph format, validating every element.
-
-    `strict_names` enforces the input-vertex alphabet; generated graphs
-    (completions of witness internals) carry structural characters in their
-    ids and are parsed with it off.
-    """
+def graph_from_json(obj: Any) -> EdgeLabelledGraph:
+    """Parse the named graph format, validating every element, vertex
+    names included."""
     if not isinstance(obj, dict):
         raise GraphFormatError("graph file must be a JSON object")
     unknown = set(obj) - {"vertices", "edges"}
@@ -101,9 +97,7 @@ def graph_from_json(obj: Any, strict_names: bool = True) -> EdgeLabelledGraph:
             triples.append((e[0], e[1], parse_label(e[2])))
         except GraphFormatError as exc:
             raise GraphFormatError(f"edge #{pos} [{e[0]!r}, {e[1]!r}]: {exc}") from None
-    if strict_names:
-        return graph_from_triples(verts, triples)
-    return EdgeLabelledGraph(verts, triples)
+    return graph_from_triples(verts, triples)
 
 
 def map_to_json(f: PartialMap) -> list:
@@ -199,6 +193,15 @@ def graph_from_codes(obj: Any, what: str) -> EdgeLabelledGraph:
     return EdgeLabelledGraph._trusted(verts, labels, mat, len(values) - int(counts[0]))
 
 
+def _fields(obj: Any, keys: tuple[str, ...], what: str) -> dict:
+    """obj, when it is an object with exactly the given keys."""
+    if not isinstance(obj, dict):
+        raise GraphFormatError(f"{what} must be an object")
+    if set(obj) != set(keys):
+        raise GraphFormatError(f"{what} must have the keys {list(keys)}, got {sorted(obj)}")
+    return obj
+
+
 def _list(obj: Any, what: str) -> list:
     if not isinstance(obj, list):
         raise GraphFormatError(f"{what} must be a list")
@@ -237,16 +240,13 @@ def _cycle_to_json(w: CycleWitness) -> dict:
 
 
 def _bad_set_from_json(obj: Any, what: str) -> BadSet:
-    """A bad set, which is stored as its cycle: the cycle's vertices are its
-    members and the cycle's long edge is its long edge."""
-    if not isinstance(obj, dict):
-        raise GraphFormatError(f"{what} must be an object")
-    cycle = CycleWitness(
-        vertices=tuple(_strings(obj.get("vertices"), f"{what} vertices")),
-        long_edge=tuple(_strings(obj.get("long_edge"), f"{what} long_edge", 2)),
-        deficit=parse_label(obj.get("deficit")),
-    )
-    return BadSet(members=frozenset(cycle.vertices), long_edge=cycle.long_edge, cycle=cycle)
+    """A bad set, which is stored as its cycle."""
+    obj = _fields(obj, ("vertices", "long_edge", "deficit"), what)
+    return BadSet(CycleWitness(
+        vertices=tuple(_strings(obj["vertices"], f"{what} vertices")),
+        long_edge=tuple(_strings(obj["long_edge"], f"{what} long_edge", 2)),
+        deficit=parse_label(obj["deficit"]),
+    ))
 
 
 def _level_to_json(lvl: LevelGraph) -> dict:
@@ -262,16 +262,15 @@ def _level_from_json(obj: Any, pos: int, below: LevelGraph | None, n: int) -> Le
     """Stored level #pos, given the previous stored level (None for the
     base, which is level 2) and the tower height n."""
     what = f"level #{pos}"
-    if not isinstance(obj, dict):
-        raise GraphFormatError(f"{what}: expected an object")
+    obj = _fields(obj, ("level", "graph", "base_embedding", "bad_sets"), what)
     low, high = (2, 2) if below is None else (below.level + 1, n)
-    level = _integer(obj.get("level"), f"{what}: \"level\"", low, high)
+    level = _integer(obj["level"], f"{what}: \"level\"", low, high)
     bad = tuple(
         _bad_set_from_json(m, f"{what}: bad set #{j}")
-        for j, m in enumerate(_list(obj.get("bad_sets", []), f"{what}: \"bad_sets\""))
+        for j, m in enumerate(_list(obj["bad_sets"], f"{what}: \"bad_sets\""))
     )
-    graph = graph_from_codes(obj.get("graph"), what)
-    embedding = _pairs(obj.get("base_embedding"), f"{what}: \"base_embedding\"")
+    graph = graph_from_codes(obj["graph"], what)
+    embedding = _pairs(obj["base_embedding"], f"{what}: \"base_embedding\"")
     # a vertex of a level above the base is a vertex of the level below with bits
     projection = {} if below is None else {v: parse_level_vertex(v)[0] for v in graph.vertices}
     return LevelGraph(
@@ -301,18 +300,21 @@ def witness_from_json(obj: Any) -> Witness:
             f"unsupported witness format {obj.get('format')!r}, expected {WITNESS_FORMAT!r}"
             " (build the witness again)"
         )
-    a = graph_from_json(obj.get("input"))
-    n = obj.get("n")
+    obj = _fields(obj, ("format", "input", "levels", "final", "n"), "witness file")
+    a = graph_from_json(obj["input"])
+    if len(a) == 0:
+        raise GraphFormatError("need at least one vertex")
+    n = obj["n"]
     if type(n) is not int or n < 2:
         raise GraphFormatError(f"witness field \"n\" must be an integer of at least 2, got {n!r}")
     levels: list[LevelGraph] = []
-    for pos, lvl in enumerate(_list(obj.get("levels", []), "witness \"levels\"")):
+    for pos, lvl in enumerate(_list(obj["levels"], "witness \"levels\"")):
         levels.append(_level_from_json(lvl, pos, levels[-1] if levels else None, n))
     return Witness(
         input=a,
         set_assignment=build_set_assignment(a) if len(a) > 1 else None,
         levels=tuple(levels),
-        final=graph_from_codes(obj.get("final"), "final"),
+        final=graph_from_codes(obj["final"], "final"),
         n=n,
     )
 

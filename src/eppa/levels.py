@@ -32,12 +32,18 @@ from .graphs import EdgeLabelledGraph, PartialMap, _drop_unused, induced_subgrap
 
 @dataclass(frozen=True)
 class BadSet:
-    """A vertex set inducing a non-metric cycle, with the full witness and
-    the (unique) long edge."""
+    """A vertex set inducing a non-metric cycle, held as that cycle."""
 
-    members: frozenset[str]
-    long_edge: tuple[str, str]
     cycle: CycleWitness
+
+    @property
+    def members(self) -> frozenset[str]:
+        return frozenset(self.cycle.vertices)
+
+    @property
+    def long_edge(self) -> tuple[str, str]:
+        """The cycle's long edge, the only one."""
+        return self.cycle.long_edge
 
 
 @dataclass(frozen=True)
@@ -71,10 +77,7 @@ class LevelGraph:
 def bad_sets(g: EdgeLabelledGraph, cycle_size: int) -> tuple[BadSet, ...]:
     """All vertex sets of the given size on which g induces a non-metric
     cycle, in canonical order."""
-    out = []
-    for w in find_induced_nonmetric_cycles(g, cycle_size):
-        out.append(BadSet(members=frozenset(w.vertices), long_edge=w.long_edge, cycle=w))
-    return tuple(out)
+    return tuple(map(BadSet, find_induced_nonmetric_cycles(g, cycle_size)))
 
 
 def level_vertex_id(base: str, bits: Iterable[int]) -> str:
@@ -123,7 +126,6 @@ def anchor_valuations(
 def build_next_level(
     prev: LevelGraph,
     size: int,
-    a_i: Iterable[str] | None = None,
     vertex_cap: int = 200_000,
 ) -> LevelGraph:
     """Expand a level by 0/1-valuations of its bad sets of the given size,
@@ -132,13 +134,10 @@ def build_next_level(
     The levels in between, if any, are `prev` renamed: the caller has found
     no bad set of their sizes.  The result induces no non-metric cycle on at
     most `size` vertices and carries a copy of the original space at
-    anchored valuations.  `a_i`, if given, must name the embedded copy (the
-    image of `prev.base_embedding`).
+    anchored valuations.
     """
     g = prev.graph
     copy_vertices = tuple(prev.base_embedding.image())
-    if a_i is not None and sorted(a_i) != list(copy_vertices):
-        raise InvalidMap("a_i does not match the embedded copy of this level")
     copy = induced_subgraph(g, copy_vertices)
     if not is_metric_space(copy):
         raise NotAMetricSpace("embedded copy is not a metric space")

@@ -109,7 +109,7 @@ def build_witness(a: EdgeLabelledGraph, vertex_cap: int = 200_000) -> Witness:
                 f"level {bad_from} (valuation expansion)", vertices, vertex_cap,
                 exponent=per_vertex, at_least=True,
             )
-    base_graph, base_embedding = build_eppa_graph(a, sa, vertex_cap=vertex_cap)
+    base_graph, base_embedding = build_eppa_graph(sa, vertex_cap=vertex_cap)
     levels = [
         LevelGraph(
             graph=base_graph,
@@ -121,8 +121,7 @@ def build_witness(a: EdgeLabelledGraph, vertex_cap: int = 200_000) -> Witness:
     ]
     for size in range(bad_from, n + 1):
         prev = levels[-1]
-        nxt = build_next_level(prev, size, prev.base_embedding.image(),
-                               vertex_cap=vertex_cap)
+        nxt = build_next_level(prev, size, vertex_cap=vertex_cap)
         if nxt.bad_sets:
             levels.append(nxt)
 
@@ -189,7 +188,7 @@ def _replay(w: Witness, phi_a: PartialMap) -> PartialMap:
     a partial isometry of the input."""
     if w.set_assignment is None:
         raise InvalidMap("witness carries no set assignment; cannot replay extensions")
-    pi = extend_by_permutation(w.input, w.set_assignment, phi_a)
+    pi = extend_by_permutation(w.set_assignment, phi_a)
     hat = subset_automorphism(pi, w.levels[0].graph)
     prev = w.levels[0]
     for lvl in w.levels[1:]:

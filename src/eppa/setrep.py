@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator, Mapping
 
@@ -94,75 +93,14 @@ class SetAssignment:
     """A token-set assignment for the vertices of `graph`.
 
     `psi` maps each vertex to a frozenset of token strings and `universe` is
-    their union in token order.  `problems()` lists every violated condition;
-    a clean assignment guarantees the subset construction embeds the graph.
+    their union in token order.  Only `build_set_assignment` makes one, so
+    nothing re-validates it: its `graph` is the input it was derived from.
     """
 
     graph: EdgeLabelledGraph
     k: int
     psi: Mapping[str, frozenset[str]]
     universe: tuple[str, ...]
-
-    def problems(self) -> list[str]:
-        a = self.graph
-        out: list[str] = []
-        if self.k < 1:
-            out.append(f"k = {self.k} < 1")
-        if sorted(self.psi) != list(a.vertices):
-            out.append("psi is not defined on exactly the graph's vertices")
-            return out
-        union: set[str] = set()
-        owners: dict[str, list[str]] = {}
-        for x in a.vertices:
-            tokens = self.psi[x]
-            if len(tokens) != self.k:
-                out.append(f"|psi({x})| = {len(tokens)} != k = {self.k}")
-            union.update(tokens)
-            for token in tokens:
-                owners.setdefault(token, []).append(x)
-        if tuple(sorted(union, key=token_sort_key)) != self.universe:
-            out.append("universe is not the sorted union of the psi sets")
-        for token, who in owners.items():
-            try:
-                parsed = parse_token(token)
-            except GraphFormatError:
-                out.append(f"token {token!r} matches neither token syntax")
-                continue
-            if len(parsed) == 3:
-                x, y, i = parsed
-                # the code of an edge is the rank of its label
-                code = a.codes.item(a.position(x), a.position(y)) if (x in a and y in a) else 0
-                if not 1 <= i <= code or x >= y:
-                    out.append(f"pair token {token!r} does not match an edge slot")
-                elif set(who) != {x, y}:
-                    out.append(f"pair token {token!r} not owned by exactly {x!r} and {y!r}")
-            else:
-                x, t = parsed
-                if x not in a or t < 1:
-                    out.append(f"padding token {token!r} names an unknown vertex or slot")
-                elif who != [x]:
-                    out.append(f"padding token {token!r} not private to {x!r}")
-        pairs = [((x, y), a.codes.item(i, j))
-                 for (i, x), (j, y) in combinations(enumerate(a.vertices), 2)]
-        for (x, y), code in pairs:
-            if not code:
-                continue
-            need = frozenset(pair_token(x, y, i) for i in range(1, code + 1))
-            got = self.psi[x] & self.psi[y]
-            if got != need:
-                out.append(f"psi({x}) and psi({y}) share {sorted(got)}, expected {sorted(need)}")
-        for (x, y), code in pairs:
-            if not code and self.psi[x] & self.psi[y]:
-                out.append(f"non-adjacent {x!r}, {y!r} share tokens")
-        return out
-
-    def check(self) -> bool:
-        return not self.problems()
-
-
-def spectrum_index(a: EdgeLabelledGraph) -> dict[Fraction, int]:
-    """Label -> 1-based rank in the ascending spectrum."""
-    return {s: j for j, s in enumerate(a.spectrum(), start=1)}
 
 
 def token_load(a: EdgeLabelledGraph, x: str) -> int:
@@ -263,24 +201,17 @@ def _class_walks(m: int, k: int, labels: list[int]) -> Iterator[list[int | None]
 
 
 def build_eppa_graph(
-    a: EdgeLabelledGraph,
-    sa: SetAssignment | None = None,
-    vertex_cap: int = 200_000,
+    sa: SetAssignment, vertex_cap: int = 200_000
 ) -> tuple[EdgeLabelledGraph, PartialMap]:
-    """The k-subset graph over the token universe plus the embedding of A.
+    """The k-subset graph over the token universe plus the embedding of A,
+    the graph `sa` was built for.
 
     Every partial automorphism of the embedded copy extends to an
     automorphism of the result (see `extend_by_permutation`).
     """
+    a = sa.graph
     if len(a) == 0:
         raise GraphFormatError("need at least one vertex")
-    if sa is None:
-        sa = build_set_assignment(a)
-    elif sa.graph != a:
-        raise InvalidMap("set assignment was built for a different graph")
-    problems = sa.problems()
-    if problems:
-        raise GraphFormatError("set assignment is invalid: " + "; ".join(problems[:3]))
     universe = sa.universe
     m, k = len(universe), sa.k
     count = subset_graph_size(sa, vertex_cap)
@@ -303,13 +234,10 @@ def build_eppa_graph(
     return b, embedding
 
 
-def extend_by_permutation(
-    a: EdgeLabelledGraph,
-    sa: SetAssignment,
-    phi: PartialMap,
-) -> PartialMap:
+def extend_by_permutation(sa: SetAssignment, phi: PartialMap) -> PartialMap:
     """Token permutation inducing an automorphism of the subset graph that
-    extends the given partial automorphism of A.
+    extends the given partial automorphism of A, the graph `sa` was built
+    for.
 
     Shared pair tokens are transported along phi first; each mapped vertex
     then has its leftover tokens matched against the leftovers of its image,
@@ -319,6 +247,7 @@ def extend_by_permutation(
     order on both sides, which makes extension commute with composition
     (coherent extension).
     """
+    a = sa.graph
     for x in phi.domain():
         if x not in a:
             raise UnknownVertex(f"unknown vertex {x!r}")
@@ -330,14 +259,6 @@ def extend_by_permutation(
     pi: dict[str, str] = {}
     hit: set[str] = set()
     position = {t: p for p, t in enumerate(sa.universe)}
-
-    def order(token: str) -> int:
-        try:
-            return position[token]
-        except KeyError:
-            raise GraphFormatError(
-                f"set assignment is invalid: token {token!r} is not in its universe"
-            ) from None
 
     # shared tokens of mapped pairs travel with their endpoints
     dom = phi.domain()
@@ -359,8 +280,8 @@ def extend_by_permutation(
     # per-vertex leftovers: image sets of distinct mapped vertices are
     # disjoint outside the tokens already placed above
     for x in dom:
-        sources = sorted((t for t in sa.psi[x] if t not in pi), key=order)
-        targets = sorted((t for t in sa.psi[phi[x]] if t not in hit), key=order)
+        sources = sorted((t for t in sa.psi[x] if t not in pi), key=position.__getitem__)
+        targets = sorted((t for t in sa.psi[phi[x]] if t not in hit), key=position.__getitem__)
         match(sources, targets)
 
     match([t for t in sa.universe if t not in pi], [t for t in sa.universe if t not in hit])

@@ -1,9 +1,12 @@
 """Brute-force verification of witnesses, on the verifier's own encoding.
 
 `cross_check` re-validates every stored layer of a witness; `verify_eppa`
-brute-forces the extension property itself on small spaces.  Every check
-runs on an exact integer label matrix built here (`_label_matrix`), once
-per graph:
+brute-forces the extension property itself on small spaces.  The copy of
+the input in the subset level is read off its stored ids: each lists k
+tokens, two copy points share as many tokens as the rank of their distance
+in the input's spectrum, and no token lies in three copy sets.  Every other
+check runs on an exact integer label matrix built here (`_label_matrix`),
+once per graph:
 
 - the subset level's edge rule is a comparison with the labels that the
   shared-token counts of its vertices call for;
@@ -22,16 +25,22 @@ per graph:
 - the completion is recomputed by a local min-plus closure, and metric and
   replayed isometries are checked on the same matrices.
 
-So a bug in the construction's cycle search, completion or automorphism
-tests cannot vouch for itself.  From the construction this module imports
-only data types, vertex id parsers, `extend_isometry` (the operator under
-test, whose results are judged here) and `has_nonmetric_cycle_up_to`, the
-short-cycle check, which no construction step calls.
+So a bug in the construction's set assignment, cycle search, completion or
+automorphism tests cannot vouch for itself.  Besides the exception types of
+`errors`, this module imports from the construction only these names:
+
+- `EdgeLabelledGraph`, `PartialMap`, `LevelGraph` and `Witness`, data types;
+- `parse_level_vertex` and `parse_subset_id`, vertex id parsers, and
+  `token_sort_key`, the order of the tokens in a subset id;
+- `extend_isometry`, the operator under test, whose results are judged here;
+- `has_nonmetric_cycle_up_to`, the short-cycle check, which no construction
+  step calls.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations, permutations
@@ -437,13 +446,42 @@ def _check_completion(
                counterexample=(u, v))
 
 
+def _copy_token_fault(a: EdgeLabelledGraph, copy: PartialMap, k: int) -> str:
+    """What breaks the token rule of a copy of `a` in a subset graph, read
+    off the copy's vertex ids, or "" when nothing does: each id lists k
+    tokens, two copy points share as many tokens as the rank of their
+    distance in a's spectrum (none for a non-edge), and no token lies in
+    three copy sets."""
+    if set(copy.domain()) != set(a.vertices):
+        return "the copy is not defined on exactly the input's vertices"
+    tokens = {}
+    for x in a.vertices:
+        try:
+            tokens[x] = parse_subset_id(copy[x])
+        except GraphFormatError as exc:
+            return f"copy of {x!r}: {exc}"
+        if len(tokens[x]) != k:
+            return f"copy of {x!r} lists {len(tokens[x])} tokens, expected {k}"
+    rank = {d: r for r, d in enumerate(a.spectrum(), start=1)}
+    for x, y in combinations(a.vertices, 2):
+        want = rank.get(a.label(x, y), 0)
+        got = len(tokens[x] & tokens[y])
+        if got != want:
+            return f"copies of {x!r} and {y!r} share {got} tokens, expected {want}"
+    owners = Counter(chain.from_iterable(tokens.values()))
+    crowded = min((t for t, count in owners.items() if count > 2), default=None)
+    if crowded is not None:
+        return f"token {crowded!r} lies in {owners[crowded]} copy sets"
+    return ""
+
+
 def _check_subset_level(report: VerificationReport, w: Witness, scale: int, matrix: _Matrix) -> None:
     lvl = w.levels[0]
     g = lvl.graph
     sa = w.set_assignment
     if sa is not None:
-        problems = sa.problems()
-        report.add("token-assignment", not problems, "; ".join(problems[:3]))
+        fault = _copy_token_fault(w.input, lvl.base_embedding, sa.k)
+        report.add("token-assignment", not fault, fault)
         # combinations of a sorted sequence come out sorted
         ordered = sorted(sa.universe, key=token_sort_key)
         expected = sorted("{" + "|".join(c) + "}" for c in combinations(ordered, sa.k))
@@ -569,8 +607,7 @@ def _check_bad_sets(
         report.add(name, False, "stored bad sets differ from the subset scan")
         return False
     for m in stored:
-        c = m.cycle
-        if frozenset(c.vertices) != m.members or c.long_edge != m.long_edge or not c.check(below):
+        if not m.cycle.check(below):
             report.add(name, False, f"stored cycle on {sorted(m.members)} does not check")
             return False
     report.add(name, True, f"{len(stored)} bad sets")

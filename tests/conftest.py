@@ -365,7 +365,7 @@ def broken_compositions(extend, maps: list[PartialMap]) -> list[tuple[PartialMap
     ]
 
 
-def tau_on_empty(a, sa, phi):
+def tau_on_empty(sa, phi):
     """`extend_by_permutation`, except on the empty map, which gets the
     fixed transposition tau of the first two tokens instead of the identity.
     Any token permutation induces an automorphism of the subset graph, so
@@ -373,6 +373,6 @@ def tau_on_empty(a, sa, phi):
     the identity, not tau. The negative control of criterion 6's
     composition check."""
     if len(phi):
-        return extend_by_permutation(a, sa, phi)
+        return extend_by_permutation(sa, phi)
     t0, t1 = sa.universe[:2]
     return PartialMap((t, {t0: t1, t1: t0}.get(t, t)) for t in sa.universe)

@@ -198,19 +198,19 @@ def test_criterion_2_one_step_on_random_graphs():
         sa = build_set_assignment(a)
         if math.comb(len(sa.universe), sa.k) > SUBSET_COUNT_CAP:
             continue
-        b, emb = build_eppa_graph(a, sa)
+        b, emb = build_eppa_graph(sa)
         assert len(b) == math.comb(len(sa.universe), sa.k)
         assert check_map(emb, a, b, "embedding")
         for phi in enumerate_partial_automorphisms(a, len(a)):
-            pi = extend_by_permutation(a, sa, phi)
+            pi = extend_by_permutation(sa, phi)
             theta = subset_automorphism(pi, b)
             assert check_map(theta, b, b, "automorphism")
             assert all(theta[emb[x]] == emb[phi[x]] for x in phi.domain())
         accepted += 1
 
-    b2, _ = build_eppa_graph(make_k2(), build_set_assignment(make_k2()))
+    b2, _ = build_eppa_graph(build_set_assignment(make_k2()))
     assert len(b2) == 3
-    b112, _ = build_eppa_graph(make_t112(), build_set_assignment(make_t112()))
+    b112, _ = build_eppa_graph(build_set_assignment(make_t112()))
     assert len(b112) == 70
     print(f"[criterion 2] PASS: 20 random graphs ({attempts} sampled), |B| regressions 3 and 70")
 
@@ -434,7 +434,7 @@ def test_criterion_7_machinery_on_a_valued_witness(tmp_path):
         projection={},
         bad_sets=(),
     )
-    nxt = build_next_level(prev, 3, ["r"])
+    nxt = build_next_level(prev, 3)
 
     g = nxt.graph
     reached, _ = reach(g, [g.position(nxt.base_embedding["z"])])

@@ -356,6 +356,9 @@ MALFORMED_WITNESSES = {
     "duplicate-vertex-name": (
         "t112", _set("levels", 0, "graph", "vertices", 1, "{(x,y)#1|(x,z)#1|(y,z)#1|(y,z)#2}")),
     "whitespace-vertex-name": ("t112", _set("final", "vertices", 0, "x y")),
+    "input-without-vertices": ("t112", _edit(lambda obj: obj.update(
+        input={"vertices": [], "edges": []}, levels=[],
+        final={"vertices": [], "labels": [], "codes": ""}))),
 }
 
 

@@ -19,6 +19,7 @@ from eppa import (
     build_set_assignment,
     cross_check,
 )
+from eppa.cli import main
 from eppa.fileio import (
     WITNESS_FORMAT,
     dump_json,
@@ -95,12 +96,11 @@ def test_graph_parse_errors_name_the_offender(obj, fragment):
     assert fragment in str(exc.value)
 
 
-def test_strict_names_toggle():
+def test_graph_files_refuse_structural_names():
+    # ";" belongs to level vertex ids, which no graph file holds
     obj = {"vertices": ["x;0", "y;1"], "edges": [["x;0", "y;1", "2"]]}
     with pytest.raises(GraphFormatError):
         graph_from_json(obj)
-    g = graph_from_json(obj, strict_names=False)
-    assert g.label("x;0", "y;1") == 2
 
 
 # -- maps --------------------------------------------------------------------
@@ -186,7 +186,7 @@ def test_witness_file_stores_each_fact_once(demo_witness, t112_witness):
     assert loaded.set_assignment == build_set_assignment(t112_witness.input)
 
 
-def test_witness_rejects_structural_damage(k2_witness):
+def test_witness_rejects_structural_damage(k2_witness, demo_witness, tmp_path, capsys):
     good = witness_to_json(k2_witness)
 
     broken = json.loads(json.dumps(good))
@@ -205,6 +205,34 @@ def test_witness_rejects_structural_damage(k2_witness):
     with pytest.raises(GraphFormatError) as exc:
         witness_from_json(broken)
     assert "level #0: bad set #0 must be an object" in str(exc.value)
+
+    broken = json.loads(json.dumps(good))
+    broken["input"] = {"vertices": [], "edges": []}
+    with pytest.raises(GraphFormatError, match="need at least one vertex"):
+        witness_from_json(broken)
+
+    # the loader reads exactly the keys the writer writes: facts that older
+    # formats stored, and the loader now derives, are refused, not dropped
+    demo = witness_to_json(demo_witness)
+    extras = [
+        (good, (), "component", good["final"]["vertices"]),
+        (good, (), "config", {"coherent": True, "search_budget": 10_000_000}),
+        (good, (), "set_assignment", {"k": 2, "psi": {}, "universe": []}),
+        (good, ("levels", 0), "projection", {}),
+        (demo, ("levels", 1, "bad_sets", 0), "members", ["p", "q", "r"]),
+    ]
+    for obj, path, key, value in extras:
+        broken = json.loads(json.dumps(obj))
+        where = broken
+        for step in path:
+            where = where[step]
+        where[key] = value
+        with pytest.raises(GraphFormatError, match=key):
+            witness_from_json(broken)
+        wpath = str(tmp_path / "w.json")
+        dump_json(wpath, broken)
+        assert main(["stats", wpath]) == 3, key
+        assert key in capsys.readouterr().err
 
 
 # -- the label-code graph encoding ------------------------------------------------

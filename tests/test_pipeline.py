@@ -158,7 +158,7 @@ def test_a_wrong_clean_verdict_cannot_pass(monkeypatch):
     with pytest.raises(NotAMetricSpace, match="construction broke the copy"):
         build_witness(a)
     # and the witness it would have returned fails the verifier's own check
-    b0, emb = build_eppa_graph(a)
+    b0, emb = build_eppa_graph(build_set_assignment(a))
     base = LevelGraph(graph=b0, level=2, base_embedding=emb, projection={}, bad_sets=())
     w = Witness(input=a, set_assignment=build_set_assignment(a), levels=(base,),
                 final=shortest_path_completion(b0), n=compute_N(a))

@@ -20,7 +20,6 @@ from eppa import (
     GraphFormatError,
     InvalidMap,
     PartialMap,
-    SetAssignment,
     UnknownVertex,
     VertexCapExceeded,
     bad_sets,
@@ -37,7 +36,6 @@ from eppa import (
     has_nonmetric_cycle_up_to,
     induced_subgraph,
     is_metric_space,
-    spectrum_index,
     subset_automorphism,
     token_load,
 )
@@ -51,6 +49,7 @@ from eppa.setrep import (
     subset_id,
     token_sort_key,
 )
+from eppa.verifier import _copy_token_fault
 from conftest import (
     broken_compositions, composable_pairs, edge_labelled_graphs, make_four_point, make_k2, make_t112, make_t123,
     tau_on_empty,
@@ -96,8 +95,13 @@ def test_subset_id_round_trip():
 # -- assignments ---------------------------------------------------------------
 
 
-def test_spectrum_index_and_load(t112):
-    assert spectrum_index(t112) == {Fraction(1): 1, Fraction(2): 2}
+def token_fault(sa):
+    """The verifier's token rule on the copy that the assignment gives."""
+    copy = PartialMap({x: subset_id(tokens) for x, tokens in sa.psi.items()})
+    return _copy_token_fault(sa.graph, copy, sa.k)
+
+
+def test_token_load(t112):
     assert token_load(t112, "x") == 2  # two distance-1 neighbours
     assert token_load(t112, "z") == 3  # 1 + 2
 
@@ -108,19 +112,17 @@ def test_canonical_assignment_two_point(k2):
     assert sa.universe == ("(a,b)#1", "a!1", "b!1")
     assert sa.psi["a"] == frozenset({"(a,b)#1", "a!1"})
     assert sa.psi["b"] == frozenset({"(a,b)#1", "b!1"})
-    assert sa.problems() == []
-    assert sa.check()
+    assert token_fault(sa) == ""
 
 
 def test_canonical_assignment_sizes(t112, t123, four_point):
     # |U| = n*k - sum of pair-token counts
     for a in (t112, t123, four_point):
         sa = build_set_assignment(a)
-        idx = spectrum_index(a)
-        pair_total = sum(idx[d] for _, _, d in a.edges())
+        pair_total = sum(a.spectrum().index(d) + 1 for _, _, d in a.edges())
         assert sa.k == 1 + max(token_load(a, x) for x in a.vertices)
         assert len(sa.universe) == len(a) * sa.k - pair_total
-        assert sa.problems() == []
+        assert token_fault(sa) == ""
     assert build_set_assignment(t112).k == 4
     assert len(build_set_assignment(t112).universe) == 8
     assert build_set_assignment(t123).k == 6
@@ -129,54 +131,15 @@ def test_canonical_assignment_sizes(t112, t123, four_point):
 
 def test_assignment_works_for_incomplete_graphs(path2):
     sa = build_set_assignment(path2)
-    assert sa.problems() == []
+    assert token_fault(sa) == ""
     assert sa.psi["x"] & sa.psi["z"] == frozenset()
-
-
-def test_problems_catches_broken_assignments(k2):
-    sa = build_set_assignment(k2)
-    wrong_size = SetAssignment(
-        graph=k2,
-        k=sa.k,
-        psi={"a": sa.psi["a"] | {"a!2"}, "b": sa.psi["b"]},
-        universe=tuple(sorted(set(sa.universe) | {"a!2"}, key=token_sort_key)),
-    )
-    assert any("!= k" in p for p in wrong_size.problems())
-
-    stolen = SetAssignment(
-        graph=k2,
-        k=sa.k,
-        psi={"a": sa.psi["a"], "b": frozenset({"(a,b)#1", "a!1"})},
-        universe=("(a,b)#1", "a!1"),
-    )
-    assert any("not private" in p for p in stolen.problems())
-
-    no_share = SetAssignment(
-        graph=k2,
-        k=sa.k,
-        psi={"a": frozenset({"a!1", "a!2"}), "b": sa.psi["b"]},
-        universe=tuple(
-            sorted({"a!1", "a!2"} | set(sa.psi["b"]), key=token_sort_key)
-        ),
-    )
-    assert any("share" in p for p in no_share.problems())
-
-    bad_slot = SetAssignment(
-        graph=k2,
-        k=sa.k,
-        psi={"a": frozenset({"(a,b)#1", "a!0"}), "b": sa.psi["b"]},
-        universe=tuple(
-            sorted({"(a,b)#1", "a!0", "b!1"}, key=token_sort_key)
-        ),
-    )
-    assert any("unknown vertex or slot" in p for p in bad_slot.problems())
 
 
 # -- the subset graph ----------------------------------------------------------
 
 
 def test_two_point_graph_is_unit_triangle(k2):
-    b, emb = build_eppa_graph(k2)
+    b, emb = build_eppa_graph(build_set_assignment(k2))
     assert b.vertices == ("{(a,b)#1|a!1}", "{(a,b)#1|b!1}", "{a!1|b!1}")
     assert b.edge_count == 3
     assert set(b.spectrum()) == {Fraction(1)}
@@ -185,7 +148,7 @@ def test_two_point_graph_is_unit_triangle(k2):
 
 
 def test_triangle_112_graph_size(t112):
-    b, emb = build_eppa_graph(t112)
+    b, emb = build_eppa_graph(build_set_assignment(t112))
     assert len(b) == 70  # C(8, 4)
     assert b.edge_count == 1820
     for x, y, d in t112.edges():
@@ -193,7 +156,7 @@ def test_triangle_112_graph_size(t112):
 
 
 def test_shared_tokens_decide_labels(t112):
-    b, _ = build_eppa_graph(t112)
+    b, _ = build_eppa_graph(build_set_assignment(t112))
     spectrum = t112.spectrum()
     for u, v, d in b.edges()[:200]:
         shared = len(parse_subset_id(u) & parse_subset_id(v))
@@ -202,21 +165,9 @@ def test_shared_tokens_decide_labels(t112):
 
 def test_vertex_cap_is_respected(t112):
     with pytest.raises(VertexCapExceeded) as exc:
-        build_eppa_graph(t112, vertex_cap=10)
+        build_eppa_graph(build_set_assignment(t112), vertex_cap=10)
     assert "level 2 (set representation)" in str(exc.value)
     assert "needs 70" in str(exc.value)
-
-
-def test_foreign_or_broken_assignment_rejected(k2, t112):
-    with pytest.raises(InvalidMap):
-        build_eppa_graph(k2, build_set_assignment(t112))
-    sa = build_set_assignment(k2)
-    broken = SetAssignment(
-        graph=k2, k=sa.k, psi={"a": sa.psi["a"], "b": sa.psi["a"]},
-        universe=sa.universe,
-    )
-    with pytest.raises(GraphFormatError):
-        build_eppa_graph(k2, broken)
 
 
 # -- one-step extension --------------------------------------------------------
@@ -228,10 +179,10 @@ def _extends_embedded(theta, emb, phi):
 
 def test_every_partial_automorphism_extends(t112):
     sa = build_set_assignment(t112)
-    b, emb = build_eppa_graph(t112, sa)
+    b, emb = build_eppa_graph(sa)
     count = 0
     for phi in enumerate_partial_automorphisms(t112, len(t112)):
-        pi = extend_by_permutation(t112, sa, phi)
+        pi = extend_by_permutation(sa, phi)
         theta = subset_automorphism(pi, b)
         assert check_map(theta, b, b, "automorphism")
         assert _extends_embedded(theta, emb, phi)
@@ -243,9 +194,9 @@ def test_extension_works_on_nonmetric_graphs(t113, path2):
     # the one-step construction needs no triangle inequality
     for a in (t113, path2):
         sa = build_set_assignment(a)
-        b, emb = build_eppa_graph(a, sa)
+        b, emb = build_eppa_graph(sa)
         for phi in enumerate_partial_automorphisms(a, len(a)):
-            theta = subset_automorphism(extend_by_permutation(a, sa, phi), b)
+            theta = subset_automorphism(extend_by_permutation(sa, phi), b)
             assert check_map(theta, b, b, "automorphism")
             assert _extends_embedded(theta, emb, phi)
 
@@ -253,12 +204,12 @@ def test_extension_works_on_nonmetric_graphs(t113, path2):
 def test_extension_rejects_non_isometries(t123):
     sa = build_set_assignment(t123)
     with pytest.raises(InvalidMap):
-        extend_by_permutation(t123, sa, PartialMap({"x": "x", "y": "z"}))
+        extend_by_permutation(sa, PartialMap({"x": "x", "y": "z"}))
 
 
 def test_identity_extends_to_identity(t112):
     sa = build_set_assignment(t112)
-    pi = extend_by_permutation(t112, sa, PartialMap.identity(t112.vertices))
+    pi = extend_by_permutation(sa, PartialMap.identity(t112.vertices))
     assert pi.is_identity()
 
 
@@ -266,16 +217,16 @@ def test_one_step_coherence_on_two_point(k2):
     sa = build_set_assignment(k2)
     maps = list(enumerate_partial_automorphisms(k2, len(k2)))
     assert len(composable_pairs(maps)) == 13
-    assert broken_compositions(lambda phi: extend_by_permutation(k2, sa, phi), maps) == []
+    assert broken_compositions(lambda phi: extend_by_permutation(sa, phi), maps) == []
 
 
 def test_empty_map_coherent_vs_not(k2):
     sa = build_set_assignment(k2)
-    assert extend_by_permutation(k2, sa, PartialMap({})).is_identity()
-    reverse = tau_on_empty(k2, sa, PartialMap({}))
+    assert extend_by_permutation(sa, PartialMap({})).is_identity()
+    reverse = tau_on_empty(sa, PartialMap({}))
     assert not reverse.is_identity()
     # still a valid automorphism of the subset graph
-    b, _ = build_eppa_graph(k2, sa)
+    b, _ = build_eppa_graph(sa)
     assert check_map(subset_automorphism(reverse, b), b, b, "automorphism")
 
 
@@ -283,7 +234,7 @@ def test_non_coherent_mode_breaks_composition(k2):
     sa = build_set_assignment(k2)
     maps = list(enumerate_partial_automorphisms(k2, len(k2)))
     empty = PartialMap({})
-    broken = broken_compositions(lambda phi: tau_on_empty(k2, sa, phi), maps)
+    broken = broken_compositions(lambda phi: tau_on_empty(sa, phi), maps)
     assert broken == [(empty, empty)]
 
 
@@ -301,10 +252,10 @@ def test_one_step_extension_property(a):
     sa = build_set_assignment(a)
     if math.comb(len(sa.universe), sa.k) > 2000:
         return
-    b, emb = build_eppa_graph(a, sa)
-    assert sa.problems() == []
+    b, emb = build_eppa_graph(sa)
+    assert _copy_token_fault(a, emb, sa.k) == ""
     for phi in enumerate_partial_automorphisms(a, len(a)):
-        theta = subset_automorphism(extend_by_permutation(a, sa, phi), b)
+        theta = subset_automorphism(extend_by_permutation(sa, phi), b)
         assert check_map(theta, b, b, "automorphism")
         assert _extends_embedded(theta, emb, phi)
 
@@ -379,17 +330,17 @@ def test_subset_automorphism_matches_the_string_reference(tokens, k, rng, damage
 def test_subset_automorphism_matches_the_reference_on_fixture_b0s(factory):
     a = factory()
     sa = build_set_assignment(a)
-    b, _ = build_eppa_graph(a, sa)
+    b, _ = build_eppa_graph(sa)
     for extend in (extend_by_permutation, tau_on_empty):
         for phi in enumerate_partial_automorphisms(a, len(a)):
-            pi = extend(a, sa, phi)
+            pi = extend(sa, phi)
             assert subset_automorphism(pi, b) == reference_subset_automorphism(pi, b)
 
 
 def test_unmapped_token_is_an_unknown_vertex(t112):
     sa = build_set_assignment(t112)
-    b, _ = build_eppa_graph(t112, sa)
-    pi = extend_by_permutation(t112, sa, PartialMap({"y": "z", "z": "y"}))
+    b, _ = build_eppa_graph(sa)
+    pi = extend_by_permutation(sa, PartialMap({"y": "z", "z": "y"}))
     short = PartialMap((t, u) for t, u in pi.items() if t != "z!1")
     for automorphism in (subset_automorphism, reference_subset_automorphism):
         with pytest.raises(UnknownVertex, match=r"'z!1' not in domain"):
@@ -398,8 +349,8 @@ def test_unmapped_token_is_an_unknown_vertex(t112):
 
 def test_missing_subset_is_named(t112):
     sa = build_set_assignment(t112)
-    full, _ = build_eppa_graph(t112, sa)
-    pi = extend_by_permutation(t112, sa, PartialMap({"y": "z", "z": "y"}))
+    full, _ = build_eppa_graph(sa)
+    pi = extend_by_permutation(sa, PartialMap({"y": "z", "z": "y"}))
     theta = subset_automorphism(pi, full)
     source = next(v for v in full.vertices if theta[v] != v)
     b = induced_subgraph(full, [v for v in full.vertices if v != theta[source]])
@@ -485,7 +436,7 @@ def test_class_walks_are_the_walks_of_the_subset_graph(edges):
     pairs = list(itertools.combinations(names, 2))
     a = graph_from_triples(names, [(u, v, d) for (u, v), d in zip(pairs, edges)])
     sa = build_set_assignment(a)
-    b0 = build_eppa_graph(a, sa)[0]
+    b0 = build_eppa_graph(sa)[0]
     weights = np.array([np.inf, *map(float, b0.spectrum())])[b0.codes]  # small integers, exact
     np.fill_diagonal(weights, 0)
     x = parse_subset_id(b0.vertices[0])
@@ -510,7 +461,7 @@ def test_first_bad_level_agrees_with_the_cycle_check_on_b0():
     first = []
     for sa in spaces:
         n = compute_N(sa.graph)
-        b0 = build_eppa_graph(sa.graph, sa)[0]
+        b0 = build_eppa_graph(sa)[0]
         cycle = has_nonmetric_cycle_up_to(b0, n) if n >= 3 else None
         got = first_bad_level(sa, n)
         want = None if cycle is None else len(cycle.vertices)
@@ -523,7 +474,7 @@ def test_first_bad_level_bounds_the_bad_sets_through_each_vertex():
     # B0 of the non-metric triangle (1,1,4): its bad 3-sets from a full scan
     a = graph_from_triples(["x", "y", "z"], [("x", "y", 1), ("x", "z", 1), ("y", "z", 4)])
     sa = build_set_assignment(a)
-    b0 = build_eppa_graph(a, sa)[0]
+    b0 = build_eppa_graph(sa)[0]
     level, at_least = first_bad_level(sa, compute_N(a))
     through = {x: 0 for x in b0.vertices}
     for m in bad_sets(b0, 3):

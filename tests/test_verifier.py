@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import math
+import re
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -14,6 +16,7 @@ from hypothesis import given, settings
 from eppa import verifier
 from eppa import (
     BudgetExhausted,
+    CycleWitness,
     LevelGraph,
     PartialMap,
     UnknownVertex,
@@ -331,11 +334,42 @@ def test_tampered_embedding_is_caught(t112_witness):
     assert failing(report, "copy-distances")
 
 
+# stored copies of triangle-112 in its B0 (k = 4), each breaking one part of
+# the token rule, and the token-assignment detail each gets
+TAMPERED_COPIES = {
+    "a copy id listing k + 1 tokens": (
+        {"x": "{(x,y)#1|(x,z)#1|x!1|x!2|x!3}"}, "copy of 'x' lists 5 tokens, expected 4"),
+    "two copy points sharing too many tokens": (
+        {"x": "{(x,y)#1|(x,z)#1|(y,z)#1|x!1}"}, "copies of 'x' and 'y' share 2 tokens, expected 1"),
+    "a token in three copy sets": (
+        {"x": "{(x,y)#1|x!1|x!2|x!3}", "y": "{(x,y)#1|(y,z)#1|y!1|y!2}",
+         "z": "{(x,y)#1|(y,z)#1|z!1|z!2}"}, "token '(x,y)#1' lies in 3 copy sets"),
+    "a copy id that is not a token subset": (
+        {"x": "x"}, "copy of 'x': not a token-subset vertex id: 'x'"),
+}
+
+
+def test_tampered_b0_copy_fails_token_assignment(t112_witness):
+    # the verifier reads the token rule off the stored copy ids; the
+    # extension search is skipped, since it needs the copy in the final space
+    w = t112_witness
+    passed = next(r for r in cross_check(w).results if r.name == "token-assignment")
+    assert passed.passed and passed.detail == ""
+    base = w.levels[0]
+    for case, (ids, detail) in TAMPERED_COPIES.items():
+        copy = PartialMap({**dict(base.base_embedding.items()), **ids})
+        tampered = dataclasses.replace(base, base_embedding=copy)
+        report = cross_check(dataclasses.replace(w, levels=(tampered,)), search_limit=0)
+        offenders = failing(report, "token-assignment")
+        assert offenders and offenders[0].detail == detail, case
+        assert failing(report, "subset-embedding"), case
+
+
 def t144_witness(n: int) -> Witness:
     """(1,4,4)'s B0 under its completion, stored with tower height n; the
     build refuses (1,4,4), whose height is 5, before B0 exists."""
     a = graph_from_triples(["x", "y", "z"], [("x", "y", 1), ("x", "z", 4), ("y", "z", 4)])
-    b0, emb = build_eppa_graph(a)
+    b0, emb = build_eppa_graph(build_set_assignment(a))
     base = LevelGraph(graph=b0, level=2, base_embedding=emb, projection={}, bad_sets=())
     return Witness(input=a, set_assignment=build_set_assignment(a), levels=(base,),
                    final=shortest_path_completion(b0), n=n)
@@ -430,8 +464,7 @@ def test_tampered_bad_set_list_is_caught(demo_witness):
     assert len(lvl.bad_sets) == 2
     assert cross_check(w).ok
     # p, r, s induce a path, not a cycle
-    extra = BadSet(members=frozenset({"p", "r", "s"}), long_edge=("p", "s"),
-                   cycle=lvl.bad_sets[0].cycle)
+    extra = BadSet(CycleWitness(("p", "r", "s"), ("p", "s"), Fraction(1)))
     for stored in (lvl.bad_sets[1:], lvl.bad_sets + (extra,)):
         tampered = dataclasses.replace(w, levels=(base, dataclasses.replace(lvl, bad_sets=stored)))
         assert failing(cross_check(tampered, search_limit=0), "level-3-bad-sets")
@@ -546,3 +579,23 @@ def test_labels_past_int64_build_and_verify_exactly(denominator):
     report = cross_check(dataclasses.replace(w, final=bumped), search_limit=0)
     offenders = failing(report, "final-completion")
     assert offenders and offenders[0].counterexample == (u, v)
+
+
+def test_verifier_imports_only_the_construction_names_it_lists():
+    # the module docstring names everything the verifier takes from the
+    # construction; any other import would let the construction vouch for itself
+    with open(verifier.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level == 1 or (node.module or "").startswith("eppa"))
+        and (node.module or "").rpartition(".")[2] != "errors"
+        for alias in node.names
+    }
+    assert not any(isinstance(node, ast.Import) and any(a.name.startswith("eppa") for a in node.names)
+                   for node in ast.walk(tree))
+    listed = ast.get_docstring(tree).partition("only these names:")[2]
+    assert listed, "the module docstring no longer lists the names"
+    assert imported == set(re.findall(r"`(\w+)`", listed))
