@@ -28,6 +28,9 @@ Construction mutations:
   * one anchor bit of the embedded copy flipped (`anchor_valuations`)
   * one member dropped from a non-empty flip set (`compute_flip_set`)
   * two tokens matched to each other's images (`subset_automorphism`)
+  * one unlabelled class distance raised by one scaled unit in the
+    tower-free final space (`class_completion`), after the build's own
+    class check has read the true distances
 
     python3 scripts/mutation_probe.py --demo
     python3 scripts/mutation_probe.py witness.json --bumps 25 --seed 7
@@ -199,11 +202,27 @@ def tokens_mismatched(real, fired):
     return mutant
 
 
+def class_distance_raised(real, fired):
+    # every unlabelled class distance is the sum of two others on a triangle
+    # that occurs, so no raise keeps the final space a metric
+    def mutant(b, m, scale, f):
+        k = len(f) - 1
+        unlabelled = [c for c in range(max(0, 2 * k - m), k) if not 1 <= c <= len(b.spectrum())]
+        if not unlabelled:
+            return real(b, m, scale, f)
+        bent = list(f)
+        bent[unlabelled[0]] += 1
+        fired.append(True)
+        return real(b, m, scale, bent)
+    return mutant
+
+
 CONSTRUCTION_MUTANTS = [
     ("cycle size off by one", "induced_nonmetric_cycles_at", cycle_size_off_by_one),
     ("anchor bit flipped", "anchor_valuations", anchor_bit_flipped),
     ("flip-set member dropped", "compute_flip_set", flip_member_dropped),
     ("tokens matched to each other's images", "subset_automorphism", tokens_mismatched),
+    ("unlabelled class distance raised", "class_completion", class_distance_raised),
 ]
 
 

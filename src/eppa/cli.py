@@ -4,8 +4,9 @@ Commands: check, complete, cycles, eppa-step, witness, extend, verify,
 stats.  Human summaries go to standard output, data to --output files (or
 stdout as JSON when no path is given).  Exit codes: 0 success, 1 predicate
 or verification failure, 2 resource or budget exhaustion, 3 parse or usage
-error.  EPPA_CONFIG may name a JSON file with default limits
-({"vertex_cap": ..., "search_budget": ...}).  Witness files are read and
+error, a numeric option out of range among them.  EPPA_CONFIG may name a
+JSON file with default limits ({"vertex_cap": ..., "search_budget": ...},
+each an integer of at least 1).  Witness files are read and
 written in the `eppa-witness/4` format (see `fileio`).
 """
 
@@ -57,6 +58,17 @@ class _Parser(argparse.ArgumentParser):
 _ENV_KEYS = {"vertex_cap": int, "search_budget": int}
 
 
+def _at_least(low: int):
+    """An argparse type: an integer no smaller than `low`."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type when the text is no integer
+    return parse
+
+
 def _env_defaults() -> dict:
     path = os.environ.get("EPPA_CONFIG")
     if not path:
@@ -71,6 +83,8 @@ def _env_defaults() -> dict:
         if type(value) is not kind:  # so a bool is not an int
             raise GraphFormatError(f"config file {path}: {key!r} must be of type "
                                    f"{kind.__name__}, got {value!r}")
+        if value < 1:
+            raise GraphFormatError(f"config file {path}: {key!r} must be at least 1, got {value}")
     return obj
 
 
@@ -214,14 +228,14 @@ def _build_parser() -> _Parser:
         p.add_argument("--output", help="write the command's data to this file")
 
     def vertex_cap(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--vertex-cap", type=int, default=cap,
+        p.add_argument("--vertex-cap", type=_at_least(1), default=cap,
                        help="largest graph any stage may build")
 
     p = sub.add_parser("check", help="parse a graph file and report its basic predicates")
     p.add_argument("file")
     p.add_argument("--metric", action="store_true", help="fail unless the graph is a metric space")
     p.add_argument("--connected", action="store_true", help="fail unless the graph is connected")
-    p.add_argument("--cycles-up-to", type=int, metavar="N",
+    p.add_argument("--cycles-up-to", type=_at_least(0), metavar="N",
                    help="list induced non-metric cycles up to size N and fail if any exist")
     p.set_defaults(func=cmd_check)
 
@@ -232,7 +246,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("cycles", help="list all induced non-metric cycles")
     p.add_argument("file")
-    p.add_argument("--max-size", type=int, metavar="N", help="largest cycle size to search")
+    p.add_argument("--max-size", type=_at_least(0), metavar="N", help="largest cycle size to search")
     p.set_defaults(func=cmd_cycles)
 
     p = sub.add_parser("eppa-step",
@@ -256,9 +270,9 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="re-verify every layer of a stored witness")
     p.add_argument("witness")
-    p.add_argument("--search-limit", type=int, default=150,
+    p.add_argument("--search-limit", type=_at_least(0), default=150,
                    help="skip the brute-force extension search above this many vertices")
-    p.add_argument("--budget", type=int, default=budget,
+    p.add_argument("--budget", type=_at_least(1), default=budget,
                    help="node budget for brute-force searches")
     output(p)
     p.set_defaults(func=cmd_verify)

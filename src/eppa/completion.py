@@ -19,6 +19,11 @@ overflow, and Python ints (dtype=object) beyond int64.  The distinct
 distances, ascending, become the spectrum of the result and their ranks its
 codes.
 
+`build_witness` runs this completion only on levels above the subset graph
+B0: B0 alone is completed by a class lookup on the Johnson scheme
+(`setrep.class_completion`), which gives the same graph.  `eppa complete`
+runs it on any connected graph.
+
 Short non-metric cycles are found by the same kind of matrix, with a bound
 on the number of edges instead of a closure (`has_nonmetric_cycle_up_to`).
 The construction's bad-set search is a separate depth-first search for

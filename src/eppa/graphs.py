@@ -71,11 +71,13 @@ class EdgeLabelledGraph:
     which validates nothing.  `codes` is the n x n matrix of label codes,
     of the narrowest unsigned type that holds the number of labels; the
     queries below read it.  For a subset graph, `setrep` keeps the token
-    positions of its vertices in `_subsets`, built on first use, which is
-    safe because instances are never mutated after construction.
+    positions of its vertices in `_subsets`, built on first use, and
+    `build_eppa_graph` keeps the number of tokens each pair of vertices
+    shares in `_shares`.  Both are safe because instances are never mutated
+    after construction, and neither is changed once set.
     """
 
-    __slots__ = ("vertices", "codes", "edge_count", "_spectrum", "_index", "_subsets")
+    __slots__ = ("vertices", "codes", "edge_count", "_spectrum", "_index", "_subsets", "_shares")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str, Fraction]] = ()):
         names = [_check_core_name(v) for v in vertices]
@@ -115,6 +117,7 @@ class EdgeLabelledGraph:
         self.edge_count = edge_count
         self._index = dict(zip(vertices, range(len(vertices))))
         self._subsets = None
+        self._shares = None
 
     @classmethod
     def _trusted(cls, vertices: tuple[str, ...], spectrum: tuple[Fraction, ...],

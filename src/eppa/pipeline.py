@@ -16,6 +16,12 @@ when there is no such L the witness is B0 alone.  Level L is refused before
 B0 exists when |V| * 2^c exceeds the vertex cap; otherwise B0 is built and
 `build_next_level` builds L and every level above it with a full search,
 storing only the ones with bad sets.
+
+The final space is the shortest-path completion of the copy's component in
+the top stored level.  When that level is B0, B0 is the Johnson scheme
+J(m, k), the component is all of it, and the completion is f(|X & Z|) for
+the class distances f (`setrep.class_completion`); its metric check runs on
+class triples (`setrep.is_class_metric`) instead of vertex triples.
 """
 
 from __future__ import annotations
@@ -36,8 +42,9 @@ from .graphs import (
 )
 from .levels import LevelGraph, _automorphism_ok, build_next_level, compute_flip_set, lift_automorphism
 from .setrep import (
-    SetAssignment, build_eppa_graph, build_set_assignment, extend_by_permutation,
-    first_bad_level, subset_automorphism, subset_graph_size,
+    SetAssignment, build_eppa_graph, build_set_assignment, class_completion, class_distances,
+    extend_by_permutation, first_bad_level, is_class_metric, subset_automorphism,
+    subset_graph_size,
 )
 
 
@@ -49,8 +56,10 @@ class Witness:
     subset graph, then each level built with bad sets (any other level is
     the stored level below it renamed).  `final` is the completion of the
     component of the top stored level that holds the copy of the input, so
-    its vertices are that component.  `n` is the tower height: one above
-    the floor of the largest-to-smallest distance ratio.  `set_assignment`
+    its vertices are that component; with B0 alone the component is all of
+    B0, and the completion is read off its class distances rather than
+    computed pair by pair.  `n` is the tower height: one above the floor of
+    the largest-to-smallest distance ratio.  `set_assignment`
     is `build_set_assignment(input)`, or None for a one-point input, which
     has no extensions to replay token by token.
     """
@@ -126,9 +135,17 @@ def build_witness(a: EdgeLabelledGraph, vertex_cap: int = 200_000) -> Witness:
             levels.append(nxt)
 
     top = levels[-1]
-    reached, _ = reach(top.graph, map(top.graph.position, top.base_embedding.image()))
-    component = tuple(map(top.graph.vertices.__getitem__, reached.tolist()))
-    final = shortest_path_completion(induced_subgraph(top.graph, component))
+    if len(levels) == 1:
+        # B0 is the Johnson scheme J(m, k): distances depend on the class alone
+        m = len(sa.universe)
+        scale, f = class_distances(sa)
+        final = class_completion(base_graph, m, scale, f)
+        metric = is_class_metric(m, f)
+    else:
+        reached, _ = reach(top.graph, map(top.graph.position, top.base_embedding.image()))
+        component = tuple(map(top.graph.vertices.__getitem__, reached.tolist()))
+        final = shortest_path_completion(induced_subgraph(top.graph, component))
+        metric = is_metric_space(final)
     emb = top.base_embedding
 
     for x, y, d in a.edges():
@@ -137,7 +154,7 @@ def build_witness(a: EdgeLabelledGraph, vertex_cap: int = 200_000) -> Witness:
             raise NotAMetricSpace(
                 f"construction broke the copy: d({x},{y}) became {got}, expected {d}"
             )
-    if not is_metric_space(final):
+    if not metric:
         raise NotAMetricSpace("completion failed to produce a metric space")
     return Witness(input=a, set_assignment=sa, levels=tuple(levels), final=final, n=n)
 

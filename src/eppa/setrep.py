@@ -13,13 +13,15 @@ of B induced by a permutation of the tokens.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .errors import GraphFormatError, InvalidMap, UnknownVertex, VertexCapExceeded
+from .errors import GraphFormatError, InvalidMap, NotAMetricSpace, UnknownVertex, VertexCapExceeded
 from .graphs import (
     EdgeLabelledGraph,
     PartialMap,
@@ -200,6 +202,76 @@ def _class_walks(m: int, k: int, labels: list[int]) -> Iterator[list[int | None]
         walk = longer
 
 
+def class_distances(sa: SetAssignment) -> tuple[int, list[int | None]]:
+    """(scale, f): the lcm of the label denominators, and for c = 0, ..., k
+    the shortest-path distance in the subset graph, times the scale, between
+    two subsets sharing c tokens (None while no walk reaches the class).
+
+    f is the last of `_class_walks`, with f[k] = 0 for a subset and itself:
+    token permutations act on each class transitively, so the distance
+    depends on the class alone.
+    """
+    scale, labels = scaled_spectrum(sa.graph)
+    *_, walk = _class_walks(len(sa.universe), sa.k, labels)
+    return scale, [*walk, 0]
+
+
+def class_completion(
+    b: EdgeLabelledGraph, m: int, scale: int, f: list[int | None]
+) -> EdgeLabelledGraph:
+    """The shortest-path completion of `b`, the subset graph on the
+    k-subsets of m tokens from `build_eppa_graph`, read off its class
+    distances (`class_distances`, k + 1 of them).
+
+    Two k-subsets share c tokens for each c from max(0, 2k - m) to k.  The
+    distinct distances of those classes, ascending, are the spectrum, and a
+    (k + 1)-entry table of their ranks indexed by the shared-token counts
+    that `build_eppa_graph` kept with `b` gives the codes.  When a class
+    that occurs has no walk, `b` is not connected and has no completion.
+    """
+    k = len(f) - 1
+    classes = range(max(0, 2 * k - m), k)
+    for c in classes:
+        if f[c] is None:
+            raise NotAMetricSpace(f"subset graph is disconnected: no walk joins two "
+                                  f"subsets sharing {c} tokens")
+    values = sorted({f[c] for c in classes})
+    table = np.zeros(k + 1, dtype=np.min_scalar_type(len(values)))
+    for c in classes:
+        table[c] = bisect_left(values, f[c]) + 1
+    n = len(b)
+    return EdgeLabelledGraph._trusted(
+        b.vertices, tuple(Fraction(v, scale) for v in values), table[b._shares], n * (n - 1) // 2
+    )
+
+
+def _intersection_number(m: int, k: int, i: int, j: int, l: int) -> int:
+    """p^l_ij of the Johnson scheme J(m, k), by shared tokens: for two
+    k-subsets X and Z sharing l tokens, the number of k-subsets Y sharing i
+    with X and j with Z.  Such a Y takes a tokens of X & Z, i - a of X - Z,
+    j - a of Z - X and the other k - i - j + a from outside X | Z."""
+    return sum(
+        math.comb(l, a) * math.comb(k - l, i - a) * math.comb(k - l, j - a)
+        * math.comb(m - 2 * k + l, k - i - j + a)
+        for a in range(max(0, i + j - k), min(i, j, l) + 1)
+    )
+
+
+def is_class_metric(m: int, f: list[int]) -> bool:
+    """Is the class distance f (k + 1 entries, every class that occurs
+    reached) a metric on the k-subsets of m tokens?
+
+    A triangle X, Y, Z whose sides share i, j and l tokens exists exactly
+    when p^l_ij > 0, so the check runs over class triples, not subsets.
+    """
+    k = len(f) - 1
+    classes = range(max(0, 2 * k - m), k + 1)
+    return all(
+        f[l] <= f[i] + f[j] or not _intersection_number(m, k, i, j, l)
+        for l in classes for i in classes for j in classes
+    )
+
+
 def build_eppa_graph(
     sa: SetAssignment, vertex_cap: int = 200_000
 ) -> tuple[EdgeLabelledGraph, PartialMap]:
@@ -207,7 +279,9 @@ def build_eppa_graph(
     the graph `sa` was built for.
 
     Every partial automorphism of the embedded copy extends to an
-    automorphism of the result (see `extend_by_permutation`).
+    automorphism of the result (see `extend_by_permutation`).  The graph
+    keeps the number of tokens each pair of its vertices shares, from which
+    `class_completion` reads its completion.
     """
     a = sa.graph
     if len(a) == 0:
@@ -225,11 +299,12 @@ def build_eppa_graph(
     # two subsets sharing c tokens are joined by the c-th label (none for
     # c = 0 or past the spectrum, and a subset shares all k with itself)
     n = len(a.spectrum())
-    shares = np.arange(k + 1)
-    code_of = np.where(shares <= n, shares, 0).astype(np.min_scalar_type(n))
-    codes = code_of[incidence @ incidence.T]
+    counts = np.arange(k + 1)
+    code_of = np.where(counts <= n, counts, 0).astype(np.min_scalar_type(n))
+    shares = incidence @ incidence.T
     b = EdgeLabelledGraph._trusted(tuple(map(ids.__getitem__, order)),
-                                   *_drop_unused(a.spectrum(), codes))
+                                   *_drop_unused(a.spectrum(), code_of[shares]))
+    b._shares = shares  # for `class_completion`
     embedding = PartialMap({x: subset_id(sa.psi[x]) for x in a.vertices})
     return b, embedding
 

@@ -760,7 +760,8 @@ def cross_check(w: Witness, budget: int = 10_000_000, search_limit: int = 150) -
     Structure is checked unconditionally; the brute-force extension search
     over all partial isometries of the copy also runs when the final space
     has at most `search_limit` vertices, otherwise that step is reported as
-    skipped.
+    skipped.  It fails without a search when the stored copy fails
+    `copy-distances`.
     """
     report = VerificationReport()
     _check_metric(report, w.input, "input-metric")
@@ -808,9 +809,10 @@ def cross_check(w: Witness, budget: int = 10_000_000, search_limit: int = 150) -
                 break
     report.add("copy-distances", emb_ok)
 
-    copy = [emb[x] for x in w.input.vertices]
-    if len(w.final) <= search_limit:
-        sub = verify_eppa(w.final, copy, budget=budget)
+    if not emb_ok:  # no copy of the input to search from
+        report.add("extension-property-search", False, "the stored copy fails copy-distances")
+    elif len(w.final) <= search_limit:
+        sub = verify_eppa(w.final, [emb[x] for x in w.input.vertices], budget=budget)
         report.count("partial_maps_searched", sub.totals.get("partial_maps", 0))
         offender = next(
             (r.counterexample for r in sub.results if not r.passed and not r.skipped), None

@@ -489,6 +489,35 @@ def test_env_config_values_are_type_checked(tmp_path, capsys, monkeypatch, setti
 
 
 @pytest.mark.parametrize(
+    "command,option,config",
+    [
+        ("witness", ["--vertex-cap", "-5"], None),
+        ("witness", ["--vertex-cap", "0"], None),
+        ("verify", ["--budget", "-1"], None),
+        ("verify", ["--budget", "0"], None),
+        ("verify", ["--search-limit", "-1"], None),
+        ("cycles", ["--max-size", "-1"], None),
+        ("check", ["--cycles-up-to", "-1"], None),
+        ("witness", [], {"vertex_cap": 0}),
+        ("verify", [], {"search_budget": -1}),
+    ],
+    ids=["negative-cap", "zero-cap", "negative-budget", "zero-budget", "negative-search-limit",
+         "negative-max-size", "negative-cycles-up-to", "zero-config-cap", "negative-config-budget"],
+)
+def test_numeric_options_out_of_range_are_usage_errors(tmp_path, capsys, monkeypatch,
+                                                        command, option, config):
+    operand = {"witness": write_graph(tmp_path, "g.json", make_k2()),
+               "verify": write_witness(tmp_path, "w.json", eppa.build_witness(make_k2()))}
+    operand["check"] = operand["cycles"] = operand["witness"]
+    if config is not None:
+        cfg = str(tmp_path / "cfg.json")
+        dump_json(cfg, config)
+        monkeypatch.setenv("EPPA_CONFIG", cfg)
+    assert main([command, operand[command], *option]) == 3
+    assert "must be at least" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "command,flag",
     [
         ("check", ["--vertex-cap", "10"]),

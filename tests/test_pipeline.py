@@ -220,20 +220,16 @@ def test_rejects_non_metric_input(t113):
 
 
 def test_final_metric_check_reads_the_completed_labels(monkeypatch):
-    # a completion that keeps every distance of the copy but breaks the
-    # triangle inequality elsewhere must be caught by the final check
-    copy = set(build_witness(make_t112()).final_embedding.image())
-    real = pipeline.shortest_path_completion
+    # class distances that keep every distance of the copy but break the
+    # triangle inequality elsewhere must be caught by the final check: on
+    # J(8, 4), subsets sharing 3 tokens are joined by no label of (1,1,2)
+    real = pipeline.class_distances
 
-    def broken(g):
-        done = real(g)
-        u, v, _ = next(e for e in done.edges() if not {e[0], e[1]} <= copy)
-        return EdgeLabelledGraph(
-            done.vertices,
-            [(x, y, 100 if (x, y) == (u, v) else d) for x, y, d in done.edges()],
-        )
+    def bent(sa):
+        scale, f = real(sa)
+        return scale, [*f[:3], 100 * scale, *f[4:]]
 
-    monkeypatch.setattr(pipeline, "shortest_path_completion", broken)
+    monkeypatch.setattr(pipeline, "class_distances", bent)
     with pytest.raises(NotAMetricSpace, match="completion failed"):
         build_witness(make_t112())
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import eppa.setrep as setrep
@@ -19,6 +19,7 @@ from eppa import (
     EppaError,
     GraphFormatError,
     InvalidMap,
+    NotAMetricSpace,
     PartialMap,
     UnknownVertex,
     VertexCapExceeded,
@@ -36,12 +37,17 @@ from eppa import (
     has_nonmetric_cycle_up_to,
     induced_subgraph,
     is_metric_space,
+    shortest_path_completion,
     subset_automorphism,
     token_load,
 )
 from eppa.setrep import (
     _class_walks,
+    _intersection_number,
+    class_completion,
+    class_distances,
     first_bad_level,
+    is_class_metric,
     pair_token,
     padding_token,
     parse_subset_id,
@@ -493,3 +499,104 @@ def test_first_bad_level_of_the_unbuildable_triangles(labels):
         ["x", "y", "z"], [("x", "y", labels[0]), ("x", "z", labels[1]), ("y", "z", labels[2])]
     )
     assert first_bad_level(build_set_assignment(a), compute_N(a)) == (4, 100)
+
+
+# -- the tower-free completion read off the classes --------------------------------
+
+# a side of a random triangle, relative to its other two
+RATIOS = (Fraction(1), Fraction(9, 8), Fraction(5, 4), Fraction(4, 3), Fraction(3, 2),
+          Fraction(5, 3), Fraction(2), Fraction(9, 4), Fraction(8, 3), Fraction(3))
+
+
+@st.composite
+def small_tower_free_spaces(draw):
+    """Metric triangles with one side apart and equilateral four-point
+    spaces, at a random rational unit, whose B0 has at most 300 vertices
+    and no bad set (with three distinct labels, or four points and two, B0
+    has more)."""
+    unit = draw(st.fractions(min_value=Fraction(1, 12), max_value=12, max_denominator=12))
+    if draw(st.booleans()):
+        names, labels = ("a", "b", "c", "d"), [unit] * 6
+    else:
+        odd = unit * draw(st.sampled_from(RATIOS))
+        names = ("x", "y", "z")
+        labels = draw(st.permutations([unit, unit, odd] if draw(st.booleans()) else [unit, odd, odd]))
+    pairs = itertools.combinations(names, 2)
+    a = graph_from_triples(names, [(u, v, d) for (u, v), d in zip(pairs, labels)])
+    assume(is_metric_space(a))
+    sa = build_set_assignment(a)
+    assume(math.comb(len(sa.universe), sa.k) <= 300 and first_bad_level(sa, compute_N(a)) is None)
+    return sa
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_tower_free_spaces())
+def test_class_completion_is_the_completion_of_b0(sa):
+    b0 = build_eppa_graph(sa)[0]
+    m, k = len(sa.universe), sa.k
+    scale, f = class_distances(sa)
+    assert f[k] == 0 and None not in f[max(0, 2 * k - m):]  # every class that occurs is reached
+    got, want = class_completion(b0, m, scale, f), shortest_path_completion(b0)
+    assert got.vertices == want.vertices
+    assert got.spectrum() == want.spectrum()
+    assert got.codes.dtype == want.codes.dtype
+    assert np.array_equal(got.codes, want.codes)
+    assert got.edge_count == want.edge_count
+    assert is_class_metric(m, f)
+
+
+def test_intersection_numbers_count_the_subsets():
+    # J(7, 3) by brute force: for X, Z sharing l tokens, the subsets Y by
+    # the tokens they share with each
+    m, k = 7, 3
+    subsets = [frozenset(c) for c in itertools.combinations(range(m), k)]
+    x = subsets[0]
+    for l in range(max(0, 2 * k - m), k + 1):
+        z = next(s for s in subsets if len(x & s) == l)
+        counted = {}
+        for y in subsets:
+            key = (len(x & y), len(y & z))
+            counted[key] = counted.get(key, 0) + 1
+        for i, j in itertools.product(range(k + 1), repeat=2):
+            assert _intersection_number(m, k, i, j, l) == counted.get((i, j), 0), (i, j, l)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=6), min_size=4, max_size=4))
+def test_class_metric_check_agrees_with_the_explicit_check(distances):
+    # any positive class distance on J(8, 4), the 70-vertex B0 of (1,1,2)
+    sa = build_set_assignment(make_t112())
+    b0 = build_eppa_graph(sa)[0]
+    f = [*distances, 0]
+    assert is_class_metric(8, f) == is_metric_space(class_completion(b0, 8, 1, f))
+
+
+@pytest.mark.parametrize("make", [make_k2, make_t112, make_t123, make_four_point],
+                         ids=["k2", "t112", "t123", "four-point"])
+def test_a_raised_class_distance_off_the_copy_breaks_a_triangle(make, monkeypatch):
+    # an unlabelled class is reached by a walk whose last edge closes a
+    # triangle with equality, so raising its distance by one scaled unit
+    # breaks that triangle, and the build refuses
+    a = make()
+    sa = build_set_assignment(a)
+    m, k, labelled = len(sa.universe), sa.k, len(a.spectrum())
+    scale, f = class_distances(sa)
+    unlabelled = [c for c in range(max(0, 2 * k - m), k) if not 1 <= c <= labelled]
+    if make is make_k2:
+        assert unlabelled == []  # J(3, 2): every two subsets share one token
+    for c in unlabelled:
+        bent = list(f)
+        bent[c] += 1
+        assert not is_class_metric(m, bent)
+        monkeypatch.setattr(pipeline, "class_distances", lambda sa, bent=bent: (scale, bent))
+        with pytest.raises(NotAMetricSpace, match="completion failed"):
+            build_witness(a)
+
+
+def test_an_unreached_class_is_refused(monkeypatch):
+    a = make_t112()
+    scale, f = class_distances(build_set_assignment(a))
+    f[3] = None
+    monkeypatch.setattr(pipeline, "class_distances", lambda sa: (scale, f))
+    with pytest.raises(NotAMetricSpace, match="no walk joins two subsets sharing 3 tokens"):
+        build_witness(a)

@@ -365,6 +365,20 @@ def test_tampered_b0_copy_fails_token_assignment(t112_witness):
         assert failing(report, "subset-embedding"), case
 
 
+def test_a_copy_outside_the_final_space_is_reported(t112_witness):
+    # with the default search limit, the 70-point final space is searched
+    # unless the copy fails, and then the search fails without running
+    w = t112_witness
+    base = w.levels[0]
+    copy = PartialMap({**dict(base.base_embedding.items()), "x": "x"})
+    tampered = dataclasses.replace(w, levels=(dataclasses.replace(base, base_embedding=copy),))
+    report = cross_check(tampered)
+    assert failing(report, "copy-distances")
+    search = failing(report, "extension-property-search")
+    assert search and search[0].detail == "the stored copy fails copy-distances"
+    assert "partial_maps_searched" not in report.totals
+
+
 def t144_witness(n: int) -> Witness:
     """(1,4,4)'s B0 under its completion, stored with tower height n; the
     build refuses (1,4,4), whose height is 5, before B0 exists."""
@@ -474,7 +488,7 @@ def test_construction_mutants_are_caught(probe, capsys):
     assert probe.main(["--construction"]) == 0
     out = capsys.readouterr().out
     assert "ESCAPED" not in out
-    assert "3/3 exercised construction mutants caught" in out
+    assert "4/4 exercised construction mutants caught" in out
 
 
 def test_bad_set_scan_above_its_bound_is_skipped(demo_witness, monkeypatch):
