@@ -45,6 +45,8 @@ import random
 import sys
 from contextlib import contextmanager
 
+import numpy as np
+
 from eppa import (
     PartialMap,
     Witness,
@@ -189,14 +191,14 @@ def flip_member_dropped(real, fired):
 
 
 def tokens_mismatched(real, fired):
-    def mutant(pi, b):
+    def mutant(sa, pi):
         tokens = sorted(pi.domain(), key=token_sort_key)
         table = dict(pi.items())
         if len(tokens) > 1:
             t0, t1 = tokens[:2]
             table[t0], table[t1] = pi[t1], pi[t0]
-        got = real(PartialMap(table), b)
-        if got != real(pi, b):
+        got = real(sa, PartialMap(table))
+        if not np.array_equal(got, real(sa, pi)):
             fired.append(True)
         return got
     return mutant
@@ -205,15 +207,16 @@ def tokens_mismatched(real, fired):
 def class_distance_raised(real, fired):
     # every unlabelled class distance is the sum of two others on a triangle
     # that occurs, so no raise keeps the final space a metric
-    def mutant(b, m, scale, f):
-        k = len(f) - 1
-        unlabelled = [c for c in range(max(0, 2 * k - m), k) if not 1 <= c <= len(b.spectrum())]
+    def mutant(sa, scale, f):
+        k, labelled = sa.k, len(sa.graph.spectrum())
+        unlabelled = [c for c in range(max(0, 2 * k - len(sa.universe)), k)
+                      if not 1 <= c <= labelled]
         if not unlabelled:
-            return real(b, m, scale, f)
+            return real(sa, scale, f)
         bent = list(f)
         bent[unlabelled[0]] += 1
         fired.append(True)
-        return real(b, m, scale, bent)
+        return real(sa, scale, bent)
     return mutant
 
 

@@ -7,11 +7,12 @@ Witness files hold each fact of a `build_witness` result once, under the
 format version `eppa-witness/4`; files of any other version are refused.
 They store the input, the stored levels (each with its graph, its copy of
 the input and its bad sets as cycles), the final space and the tower
-height, under exactly the keys `witness_to_json` writes; the loader
-derives the rest: the set assignment from the input, each level's
-projection from its vertex ids, and the copy in the final space from the
-top level.  Their graphs are written as one string of label codes per graph
-(`graph_to_codes`), which stays compact on dense graphs.
+height, under exactly the keys `witness_to_json` writes (a one-point input
+has no level, and the base level no bad set); the loader derives the rest:
+the set assignment from the input, each level's projection from its vertex
+ids, and the copy in the final space from the top level.  Their graphs are
+written as one string of label codes per graph (`graph_to_codes`), which
+stays compact on dense graphs.
 All parsers reject structurally invalid input with the offending element
 named in the error.
 """
@@ -269,6 +270,8 @@ def _level_from_json(obj: Any, pos: int, below: LevelGraph | None, n: int) -> Le
         _bad_set_from_json(m, f"{what}: bad set #{j}")
         for j, m in enumerate(_list(obj["bad_sets"], f"{what}: \"bad_sets\""))
     )
+    if below is None and bad:
+        raise GraphFormatError(f"{what}: the base level has no bad sets below it")
     graph = graph_from_codes(obj["graph"], what)
     embedding = _pairs(obj["base_embedding"], f"{what}: \"base_embedding\"")
     # a vertex of a level above the base is a vertex of the level below with bits
@@ -310,6 +313,8 @@ def witness_from_json(obj: Any) -> Witness:
     levels: list[LevelGraph] = []
     for pos, lvl in enumerate(_list(obj["levels"], "witness \"levels\"")):
         levels.append(_level_from_json(lvl, pos, levels[-1] if levels else None, n))
+    if len(a) == 1 and levels:
+        raise GraphFormatError("a one-point input has no levels: its witness is the input itself")
     return Witness(
         input=a,
         set_assignment=build_set_assignment(a) if len(a) > 1 else None,

@@ -70,14 +70,12 @@ class EdgeLabelledGraph:
     subgraphs, completions, decoded witness graphs) come from `_trusted`,
     which validates nothing.  `codes` is the n x n matrix of label codes,
     of the narrowest unsigned type that holds the number of labels; the
-    queries below read it.  For a subset graph, `setrep` keeps the token
-    positions of its vertices in `_subsets`, built on first use, and
-    `build_eppa_graph` keeps the number of tokens each pair of vertices
-    shares in `_shares`.  Both are safe because instances are never mutated
-    after construction, and neither is changed once set.
+    queries below read it.  A graph holds nothing else: what a subset graph
+    knows of its tokens lives in the Johnson table of its set assignment
+    (`setrep.JohnsonTable`).
     """
 
-    __slots__ = ("vertices", "codes", "edge_count", "_spectrum", "_index", "_subsets", "_shares")
+    __slots__ = ("vertices", "codes", "edge_count", "_spectrum", "_index")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str, Fraction]] = ()):
         names = [_check_core_name(v) for v in vertices]
@@ -116,8 +114,6 @@ class EdgeLabelledGraph:
         self.codes = codes
         self.edge_count = edge_count
         self._index = dict(zip(vertices, range(len(vertices))))
-        self._subsets = None
-        self._shares = None
 
     @classmethod
     def _trusted(cls, vertices: tuple[str, ...], spectrum: tuple[Fraction, ...],

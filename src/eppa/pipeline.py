@@ -21,11 +21,14 @@ The final space is the shortest-path completion of the copy's component in
 the top stored level.  When that level is B0, B0 is the Johnson scheme
 J(m, k), the component is all of it, and the completion is f(|X & Z|) for
 the class distances f (`setrep.class_completion`); its metric check runs on
-class triples (`setrep.is_class_metric`) instead of vertex triples.
+class triples (`setrep.is_class_metric`) instead of vertex triples.  B0,
+its completion and the extension all read the one Johnson table of the set
+assignment (`SetAssignment.johnson`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,10 +140,9 @@ def build_witness(a: EdgeLabelledGraph, vertex_cap: int = 200_000) -> Witness:
     top = levels[-1]
     if len(levels) == 1:
         # B0 is the Johnson scheme J(m, k): distances depend on the class alone
-        m = len(sa.universe)
         scale, f = class_distances(sa)
-        final = class_completion(base_graph, m, scale, f)
-        metric = is_class_metric(m, f)
+        final = class_completion(sa, scale, f)
+        metric = is_class_metric(len(sa.universe), f)
     else:
         reached, _ = reach(top.graph, map(top.graph.position, top.base_embedding.image()))
         component = tuple(map(top.graph.vertices.__getitem__, reached.tolist()))
@@ -180,13 +182,16 @@ def extend_isometry(w: Witness, phi: PartialMap) -> PartialMap:
     `phi` may be written on input vertex names or on their images under
     `final_embedding`; the result is a total automorphism of `w.final`
     (always on final vertex ids) extending the image form of `phi`.  On
-    B0 it is the automorphism induced by the token permutation that
-    completes `phi` (`subset_automorphism`, on token positions parsed once
-    per graph).  It is lifted through the stored levels only: a level that
-    is not stored is the one below renamed, and the lift there is the same
-    map.  Its restriction to the final space is checked as an isometry, as
-    a permutation of the final vertex positions; without levels the result
-    is the identity, checked like any other.
+    B0, whose vertices must be the ids of the set assignment's Johnson
+    table, it is the permutation of B0's vertex positions that the token
+    permutation completing `phi` induces (`subset_automorphism`), so no
+    vertex id is parsed.  When the final space is all of B0 the permutation
+    applies to it as it is; otherwise it becomes a map on B0's ids, which is
+    lifted through the stored levels only (a level that is not stored is
+    the one below renamed, and the lift there is the same map) and
+    restricted to the final space.  The result is checked as an isometry of
+    the final space, as a permutation of its vertex positions; without
+    levels it is the identity, checked like any other.
     """
     phi_a = _as_input_map(w, phi)
     if not is_partial_automorphism(phi_a, w.input):
@@ -200,33 +205,44 @@ def extend_isometry(w: Witness, phi: PartialMap) -> PartialMap:
     return theta
 
 
+def _permutation_map(verts: tuple[str, ...], perm: np.ndarray) -> PartialMap:
+    """The map sending verts[i] to verts[perm[i]], for a permutation perm."""
+    return PartialMap._trusted(zip(verts, map(verts.__getitem__, perm.tolist())))
+
+
 def _replay(w: Witness, phi_a: PartialMap) -> PartialMap:
     """The automorphism of the final space that the stored levels give for
     a partial isometry of the input."""
-    if w.set_assignment is None:
+    sa = w.set_assignment
+    if sa is None:
         raise InvalidMap("witness carries no set assignment; cannot replay extensions")
-    pi = extend_by_permutation(w.set_assignment, phi_a)
-    hat = subset_automorphism(pi, w.levels[0].graph)
-    prev = w.levels[0]
-    for lvl in w.levels[1:]:
-        phi_lvl = PartialMap(
-            {lvl.base_embedding[x]: lvl.base_embedding[phi_a[x]] for x in phi_a.domain()}
-        )
-        flips = compute_flip_set(prev, lvl, phi_lvl, hat)
-        hat = lift_automorphism(prev, lvl, hat, flips)
-        if not hat.extends(phi_lvl):
-            raise InvalidMap("lift failed to extend the requested map")
-        prev = lvl
-
+    b0 = w.levels[0].graph
+    # the count first, so that a file's input never makes a table larger than its B0
+    if len(b0) != math.comb(len(sa.universe), sa.k) or b0.vertices != sa.johnson.ids:
+        raise InvalidMap("B0's vertices are not the k-subsets of the set assignment's tokens")
+    perm = subset_automorphism(sa, extend_by_permutation(sa, phi_a))
     verts = w.final.vertices
-    where = {u: i for i, u in enumerate(verts)}
-    perm = np.fromiter((where.get(hat[u], -1) for u in verts), dtype=np.intp, count=len(verts))
-    if (perm < 0).any():
-        raise InvalidMap("extension does not preserve the final space")
+    if len(w.levels) > 1 or verts != b0.vertices:
+        hat = _permutation_map(b0.vertices, perm)
+        prev = w.levels[0]
+        for lvl in w.levels[1:]:
+            phi_lvl = PartialMap(
+                {lvl.base_embedding[x]: lvl.base_embedding[phi_a[x]] for x in phi_a.domain()}
+            )
+            flips = compute_flip_set(prev, lvl, phi_lvl, hat)
+            hat = lift_automorphism(prev, lvl, hat, flips)
+            if not hat.extends(phi_lvl):
+                raise InvalidMap("lift failed to extend the requested map")
+            prev = lvl
+        where = {u: i for i, u in enumerate(verts)}
+        perm = np.fromiter((where.get(hat[u], -1) for u in verts), dtype=np.intp, count=len(verts))
+        if (perm < 0).any():
+            raise InvalidMap("extension does not preserve the final space")
     if not _automorphism_ok(w.final, perm):
         raise InvalidMap("restriction to the final space is not an isometry")
-    # hat is injective, so perm permutes the final space's positions
-    return PartialMap._trusted(zip(verts, map(verts.__getitem__, perm.tolist())))
+    # pi permutes the subsets and every lift is injective, so perm permutes
+    # the final space's positions
+    return _permutation_map(verts, perm)
 
 
 def witness_stats(w: Witness) -> dict:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator, Mapping
@@ -77,17 +78,60 @@ def subset_id(tokens: Iterable[str]) -> str:
 
 
 def parse_subset_id(vertex: str) -> frozenset[str]:
-    return frozenset(_listed_tokens(vertex))
-
-
-def _listed_tokens(vertex: str) -> list[str]:
-    """The tokens of a subset id in the order it lists them."""
     if not (vertex.startswith("{") and vertex.endswith("}")) or len(vertex) < 3:
         raise GraphFormatError(f"not a token-subset vertex id: {vertex!r}")
     tokens = vertex[1:-1].split("|")
     if len(set(tokens)) != len(tokens):
         raise GraphFormatError(f"repeated token in vertex id {vertex!r}")
-    return tokens
+    return frozenset(tokens)
+
+
+class JohnsonTable:
+    """The vertices of the subset graph of a set assignment, the Johnson
+    scheme J(m, k) on its m tokens, by token position.
+
+    `ids` are the vertex ids in vertex order, and `members` their token
+    positions in the universe, ascending, one row of k per vertex.  Built on
+    first use: `shares`, the number of tokens each pair of vertices shares,
+    which B0 and its completion read, and the colex-rank table that only
+    the extension reads (`image`).
+    """
+
+    def __init__(self, universe: tuple[str, ...], k: int):
+        self.m = len(universe)
+        # the universe is in token order, so each combination lists its
+        # tokens in it, as `subset_id` writes them
+        ids = ["{" + "|".join(tokens) + "}" for tokens in combinations(universe, k)]
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+        self.ids = tuple(map(ids.__getitem__, order))
+        combos = np.array(list(combinations(range(self.m), k)), dtype=np.intp)
+        self.members = combos.reshape(len(ids), k)[order]
+
+    @cached_property
+    def shares(self) -> np.ndarray:
+        count, k = self.members.shape
+        incidence = np.zeros((count, self.m), dtype=np.min_scalar_type(k))
+        incidence[np.arange(count)[:, None], self.members] = 1
+        return incidence @ incidence.T
+
+    @cached_property
+    def _colex(self) -> tuple[np.ndarray, np.ndarray]:
+        """(weights, slots): C(p, j + 1) at token position p and column j,
+        so that the colex rank of an ascending row, below C(m, k), is the
+        sum of its weights; and the vertex position of each rank."""
+        count, k = self.members.shape
+        weights = np.array([[math.comb(p, j + 1) for j in range(k)] for p in range(self.m)],
+                           dtype=np.intp).reshape(self.m, k)
+        slots = np.empty(count, dtype=np.intp)
+        slots[weights[self.members, np.arange(k)].sum(axis=1)] = np.arange(count)
+        return weights, slots
+
+    def image(self, dest: np.ndarray) -> np.ndarray:
+        """The vertex positions of the subsets that `dest`, a permutation of
+        the token positions, makes of the vertices, in vertex order."""
+        weights, slots = self._colex
+        rows = np.sort(dest[self.members], axis=1)
+        return slots[weights[rows, np.arange(rows.shape[1])].sum(axis=1)]
 
 
 @dataclass(frozen=True)
@@ -97,12 +141,18 @@ class SetAssignment:
     `psi` maps each vertex to a frozenset of token strings and `universe` is
     their union in token order.  Only `build_set_assignment` makes one, so
     nothing re-validates it: its `graph` is the input it was derived from.
+    `johnson` is the table of its subset graph, built on first use and kept
+    as long as the assignment.
     """
 
     graph: EdgeLabelledGraph
     k: int
     psi: Mapping[str, frozenset[str]]
     universe: tuple[str, ...]
+
+    @cached_property
+    def johnson(self) -> JohnsonTable:
+        return JohnsonTable(self.universe, self.k)
 
 
 def token_load(a: EdgeLabelledGraph, x: str) -> int:
@@ -216,21 +266,19 @@ def class_distances(sa: SetAssignment) -> tuple[int, list[int | None]]:
     return scale, [*walk, 0]
 
 
-def class_completion(
-    b: EdgeLabelledGraph, m: int, scale: int, f: list[int | None]
-) -> EdgeLabelledGraph:
-    """The shortest-path completion of `b`, the subset graph on the
-    k-subsets of m tokens from `build_eppa_graph`, read off its class
-    distances (`class_distances`, k + 1 of them).
+def class_completion(sa: SetAssignment, scale: int, f: list[int | None]) -> EdgeLabelledGraph:
+    """The shortest-path completion of the subset graph of `sa`, read off
+    its class distances (`class_distances`, k + 1 of them).
 
-    Two k-subsets share c tokens for each c from max(0, 2k - m) to k.  The
-    distinct distances of those classes, ascending, are the spectrum, and a
-    (k + 1)-entry table of their ranks indexed by the shared-token counts
-    that `build_eppa_graph` kept with `b` gives the codes.  When a class
-    that occurs has no walk, `b` is not connected and has no completion.
+    Two k-subsets of the m tokens share c tokens for each c from
+    max(0, 2k - m) to k.  The distinct distances of those classes,
+    ascending, are the spectrum, and a (k + 1)-entry table of their ranks
+    indexed by the shared-token counts of the Johnson table gives the codes.
+    When a class that occurs has no walk, the subset graph is not connected
+    and has no completion.
     """
-    k = len(f) - 1
-    classes = range(max(0, 2 * k - m), k)
+    k = sa.k
+    classes = range(max(0, 2 * k - len(sa.universe)), k)
     for c in classes:
         if f[c] is None:
             raise NotAMetricSpace(f"subset graph is disconnected: no walk joins two "
@@ -239,9 +287,11 @@ def class_completion(
     table = np.zeros(k + 1, dtype=np.min_scalar_type(len(values)))
     for c in classes:
         table[c] = bisect_left(values, f[c]) + 1
-    n = len(b)
+    johnson = sa.johnson
+    n = len(johnson.ids)
     return EdgeLabelledGraph._trusted(
-        b.vertices, tuple(Fraction(v, scale) for v in values), table[b._shares], n * (n - 1) // 2
+        johnson.ids, tuple(Fraction(v, scale) for v in values), table[johnson.shares],
+        n * (n - 1) // 2,
     )
 
 
@@ -279,32 +329,20 @@ def build_eppa_graph(
     the graph `sa` was built for.
 
     Every partial automorphism of the embedded copy extends to an
-    automorphism of the result (see `extend_by_permutation`).  The graph
-    keeps the number of tokens each pair of its vertices shares, from which
-    `class_completion` reads its completion.
+    automorphism of the result (see `extend_by_permutation`).  Its vertices
+    and codes are read off the Johnson table of `sa`.
     """
     a = sa.graph
     if len(a) == 0:
         raise GraphFormatError("need at least one vertex")
-    universe = sa.universe
-    m, k = len(universe), sa.k
-    count = subset_graph_size(sa, vertex_cap)
-    # the universe is in token order, so each combination lists its tokens
-    # in it; the vertices are the ids in string order
-    ids = ["{" + "|".join(tokens) + "}" for tokens in combinations(universe, k)]
-    order = sorted(range(count), key=ids.__getitem__)
-    members = np.array(list(combinations(range(m), k)), dtype=np.intp).reshape(count, k)
-    incidence = np.zeros((count, m), dtype=np.min_scalar_type(k))
-    incidence[np.arange(count)[:, None], members[order]] = 1
+    subset_graph_size(sa, vertex_cap)
+    johnson = sa.johnson
     # two subsets sharing c tokens are joined by the c-th label (none for
     # c = 0 or past the spectrum, and a subset shares all k with itself)
     n = len(a.spectrum())
-    counts = np.arange(k + 1)
+    counts = np.arange(sa.k + 1)
     code_of = np.where(counts <= n, counts, 0).astype(np.min_scalar_type(n))
-    shares = incidence @ incidence.T
-    b = EdgeLabelledGraph._trusted(tuple(map(ids.__getitem__, order)),
-                                   *_drop_unused(a.spectrum(), code_of[shares]))
-    b._shares = shares  # for `class_completion`
+    b = EdgeLabelledGraph._trusted(johnson.ids, *_drop_unused(a.spectrum(), code_of[johnson.shares]))
     embedding = PartialMap({x: subset_id(sa.psi[x]) for x in a.vertices})
     return b, embedding
 
@@ -363,114 +401,20 @@ def extend_by_permutation(sa: SetAssignment, phi: PartialMap) -> PartialMap:
     return PartialMap(pi)
 
 
-@dataclass(frozen=True)
-class _SizeClass:
-    """The vertices of a subset graph whose ids list `size` tokens.
+def subset_automorphism(sa: SetAssignment, pi: PartialMap) -> np.ndarray:
+    """The automorphism of the subset graph of `sa` that pi, a permutation
+    of its token universe, induces, as a permutation of the vertex
+    positions: entry i is the position of the subset that pi makes of the
+    tokens of vertex i.
 
-    `members` are their positions in the graph's vertex order and `rows`
-    their token positions, ascending, one row each.  `ranks` are the colex
-    ranks of the canonical ids among them, the ids that list their tokens
-    in token order as `subset_id` writes them, ascending after a leading -1
-    that matches no subset; `targets` are the vertex positions that go with
-    them (-1 first).
+    Only token positions are moved (`JohnsonTable.image`), so no token
+    string is parsed.  Raises UnknownVertex for a token of the universe that
+    pi leaves unmapped, and InvalidMap when pi is otherwise not a
+    permutation of the universe.
     """
-
-    members: np.ndarray
-    rows: np.ndarray
-    columns: np.ndarray  # 1, ..., size
-    ranks: np.ndarray
-    targets: np.ndarray
-
-
-@dataclass(frozen=True)
-class _SubsetTable:
-    """A subset graph's vertex ids, parsed once into token positions.
-
-    `tokens` are the m tokens its ids mention, in token order (the universe,
-    for the subset graph of a set assignment), and `position` numbers them.
-    `binom[p, j]` is C(p, j) for p < 2m, so the colex rank of an ascending
-    row p_0 < ... < p_(s-1) is the sum of C(p_j, j + 1), exactly.  A row
-    reaching past m ranks above every subset of the m tokens.
-    """
-
-    tokens: tuple[str, ...]
-    position: dict[str, int]
-    binom: np.ndarray
-    classes: tuple[_SizeClass, ...]
-
-
-def _subset_table(b: EdgeLabelledGraph) -> _SubsetTable:
-    """The token-position table of `b`, built on first use and kept as long
-    as the graph."""
-    if b._subsets is None:
-        listed = [_listed_tokens(vertex) for vertex in b.vertices]
-        tokens = tuple(sorted(set().union(*listed), key=token_sort_key))
-        position = {t: p for p, t in enumerate(tokens)}
-        sizes = sorted({len(ts) for ts in listed})
-        reach = 2 * len(tokens)
-        top = max((math.comb(reach, s) for s in sizes), default=0)
-        dtype = np.int64 if top < 1 << 63 else object  # ranks stay exact
-        binom = np.array(
-            [[math.comb(p, j) for j in range(max(sizes, default=0) + 1)] for p in range(reach)],
-            dtype=dtype,
-        )
-        classes = []
-        for size in sizes:
-            members = [i for i, ts in enumerate(listed) if len(ts) == size]
-            as_listed = np.array([[position[t] for t in listed[i]] for i in members])
-            rows = np.sort(as_listed, axis=1)
-            canonical = (as_listed == rows).all(axis=1)
-            columns = np.arange(1, size + 1)
-            ranks = binom[rows[canonical], columns].sum(axis=1)
-            order = np.argsort(ranks, kind="stable")
-            members = np.array(members)
-            classes.append(_SizeClass(
-                members=members,
-                rows=rows,
-                columns=columns,
-                ranks=np.concatenate(([-1], ranks[order])),
-                targets=np.concatenate(([-1], members[canonical][order])),
-            ))
-        b._subsets = _SubsetTable(tokens, position, binom, tuple(classes))
-    return b._subsets
-
-
-def subset_automorphism(pi: PartialMap, b: EdgeLabelledGraph) -> PartialMap:
-    """Automorphism of the subset graph induced by a token permutation.
-
-    Each vertex goes to the vertex whose id lists the images of its tokens.
-    The ids are parsed once per graph into rows of token positions
-    (`_subset_table`); a call then maps pi to a position array, applies it
-    to every row, sorts the rows and looks their colex ranks up, so no token
-    string is built or parsed.  Raises UnknownVertex when pi leaves a token
-    of some vertex unmapped and InvalidMap when a vertex's image is not a
-    vertex, naming the first such vertex in vertex order.
-    """
-    table = _subset_table(b)
-    m = len(table.tokens)
-    # a token left unmapped, or mapped off the graph's tokens, goes past them
-    dest = np.array(
-        [table.position.get(pi.get(t), m + p) for p, t in enumerate(table.tokens)],
-        dtype=np.intp,
-    )
-    target = np.empty(len(b), dtype=np.intp)
-    for cls in table.classes:
-        ranks = table.binom[np.sort(dest[cls.rows], axis=1), cls.columns].sum(axis=1)
-        where = np.searchsorted(cls.ranks, ranks, side="right") - 1
-        target[cls.members] = np.where(cls.ranks[where] == ranks, cls.targets[where], -1)
-    bad = np.flatnonzero(target < 0)
-    if bad.size:
-        vertex = b.vertices[bad[0]]
-        unmapped = [t for t in _listed_tokens(vertex) if t not in pi]
-        if unmapped:
-            raise UnknownVertex(f"{unmapped[0]!r} not in domain")
-        raise InvalidMap(f"token permutation leaves the graph at {vertex!r}")
-    verts = b.vertices
-    if np.bincount(target, minlength=len(b)).max(initial=0) > 1:
-        # an id listing its tokens out of order shares its image with its canonical twin
-        seen: set[int] = set()
-        for t in target.tolist():
-            if t in seen:
-                raise InvalidMap(f"not injective: {verts[t]!r} hit twice")
-            seen.add(t)
-    return PartialMap._trusted(zip(verts, map(verts.__getitem__, target.tolist())))
+    universe = sa.universe
+    position = {t: p for p, t in enumerate(universe)}
+    dest = [position.get(pi[t], -1) for t in universe]
+    if len(pi) != len(universe) or sorted(dest) != list(range(len(universe))):
+        raise InvalidMap("token map is not a permutation of the universe")
+    return sa.johnson.image(np.array(dest, dtype=np.intp))

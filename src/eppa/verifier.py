@@ -346,7 +346,6 @@ def verify_eppa(
     b: EdgeLabelledGraph,
     copy_vertices: Iterable[str],
     budget: int = 10_000_000,
-    max_domain: int | None = None,
 ) -> VerificationReport:
     """Check that every partial isometry of the copy extends to b.
 
@@ -360,10 +359,9 @@ def verify_eppa(
     for v in copy:
         if v not in b:
             raise UnknownVertex(f"unknown vertex {v!r}")
-    limit = len(copy) if max_domain is None else max_domain
     report = VerificationReport()
     rows = _label_rows(b)
-    for j, phi in enumerate(_enumerate_partial_isometries(b, copy, limit)):
+    for j, phi in enumerate(_enumerate_partial_isometries(b, copy, len(copy))):
         shown = dict(phi.items())
         try:
             found = _search_extension(b, rows, phi, budget)

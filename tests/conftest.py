@@ -29,6 +29,7 @@ from eppa import (
     extend_by_permutation,
     graph_from_triples,
     shortest_path_completion,
+    subset_automorphism,
 )
 
 hypothesis.settings.register_profile("fast", max_examples=10)
@@ -376,3 +377,10 @@ def tau_on_empty(sa, phi):
         return extend_by_permutation(sa, phi)
     t0, t1 = sa.universe[:2]
     return PartialMap((t, {t0: t1, t1: t0}.get(t, t)) for t in sa.universe)
+
+
+def b0_automorphism(sa, pi, b):
+    """`subset_automorphism` as a map on the vertex ids of b, the subset
+    graph of sa."""
+    verts = b.vertices
+    return PartialMap(zip(verts, map(verts.__getitem__, subset_automorphism(sa, pi).tolist())))

@@ -336,35 +336,58 @@ def _recode(start, stop, code):
     return edit
 
 
-# (witness, mutation): t112 is B0 alone, demo stores a level 3 above its base;
-# t112's base has 70 vertices and the labels 1, 2, 3 (one-digit codes)
+# (witness, mutation, the loader's message): t112 is B0 alone, demo stores a
+# level 3 above its base; t112's base has 70 vertices and the labels 1, 2, 3
+# (one-digit codes).  The demo's input is one point, so the file it writes is
+# refused as it is (the build gives a one-point input no level); its levels
+# are read first, so each demo case must still fail on its own fault.
 MALFORMED_WITNESSES = {
-    "older-format": ("t112", _set("format", "eppa-witness/3")),
-    "levels-not-a-list": ("t112", _set("levels", 5)),
-    "bad-sets-not-a-list": ("t112", _set("levels", 0, "bad_sets", 5)),
-    "codes-not-a-string": ("t112", _set("levels", 0, "graph", "codes", 5)),
-    "codes-one-pair-short": ("t112", _edit("levels", 0, "graph", _recode(0, 1, ""))),
-    "bool-level": ("t112", _set("levels", 0, "level", True)),
-    "base-not-level-2": ("t112", _set("levels", 0, "level", 3)),
-    "levels-not-increasing": ("demo", _set("levels", 1, "level", 2)),
-    "level-above-n": ("demo", _set("levels", 1, "level", 4)),
-    "integer-long-edge": ("demo", _set("levels", 1, "bad_sets", 0, "long_edge", [1, 2])),
-    "index-out-of-range": ("t112", _edit("levels", 0, "graph", _recode(9, 10, "4"))),
-    "non-digit-code": ("t112", _edit("final", _recode(100, 101, "x"))),
-    "labels-not-ascending": ("t112", _edit("final", "labels", list.reverse)),
-    "vertices-not-ascending": ("t112", _edit("levels", 0, "graph", "vertices", list.reverse)),
+    "bad-sets-on-the-base": ("t112", _set("levels", 0, "bad_sets", [
+        {"vertices": ["a", "b", "c"], "long_edge": ["a", "c"], "deficit": "1"}]),
+        "level #0: the base level has no bad sets below it"),
+    "one-point-input-with-levels": ("demo", _edit(lambda obj: None),
+                                    "a one-point input has no levels"),
+    "older-format": ("t112", _set("format", "eppa-witness/3"),
+                     "unsupported witness format 'eppa-witness/3'"),
+    "levels-not-a-list": ("t112", _set("levels", 5), 'witness "levels" must be a list'),
+    "bad-sets-not-a-list": ("t112", _set("levels", 0, "bad_sets", 5),
+                            'level #0: "bad_sets" must be a list'),
+    "codes-not-a-string": ("t112", _set("levels", 0, "graph", "codes", 5),
+                           'level #0: "codes" must be a string of 2415 digits'),
+    "codes-one-pair-short": ("t112", _edit("levels", 0, "graph", _recode(0, 1, "")),
+                             'level #0: "codes" must be a string of 2415 digits'),
+    "bool-level": ("t112", _set("levels", 0, "level", True),
+                   'level #0: "level" must be an integer from 2 to 2, got True'),
+    "base-not-level-2": ("t112", _set("levels", 0, "level", 3),
+                         'level #0: "level" must be an integer from 2 to 2, got 3'),
+    "levels-not-increasing": ("demo", _set("levels", 1, "level", 2),
+                              'level #1: "level" must be an integer from 3 to 3, got 2'),
+    "level-above-n": ("demo", _set("levels", 1, "level", 4),
+                      'level #1: "level" must be an integer from 3 to 3, got 4'),
+    "integer-long-edge": ("demo", _set("levels", 1, "bad_sets", 0, "long_edge", [1, 2]),
+                          "level #1: bad set #0 long_edge must be a list of 2 strings"),
+    "index-out-of-range": ("t112", _edit("levels", 0, "graph", _recode(9, 10, "4")),
+                           "level #0: code '4' of pair"),
+    "non-digit-code": ("t112", _edit("final", _recode(100, 101, "x")),
+                       "final: code 'x' of pair"),
+    "labels-not-ascending": ("t112", _edit("final", "labels", list.reverse),
+                             "final: labels must be strictly ascending"),
+    "vertices-not-ascending": ("t112", _edit("levels", 0, "graph", "vertices", list.reverse),
+                               "level #0: vertices must be strictly ascending"),
     "duplicate-vertex-name": (
-        "t112", _set("levels", 0, "graph", "vertices", 1, "{(x,y)#1|(x,z)#1|(y,z)#1|(y,z)#2}")),
-    "whitespace-vertex-name": ("t112", _set("final", "vertices", 0, "x y")),
+        "t112", _set("levels", 0, "graph", "vertices", 1, "{(x,y)#1|(x,z)#1|(y,z)#1|(y,z)#2}"),
+        "level #0: vertices must be strictly ascending"),
+    "whitespace-vertex-name": ("t112", _set("final", "vertices", 0, "x y"),
+                               "final: bad vertex name 'x y'"),
     "input-without-vertices": ("t112", _edit(lambda obj: obj.update(
         input={"vertices": [], "edges": []}, levels=[],
-        final={"vertices": [], "labels": [], "codes": ""}))),
+        final={"vertices": [], "labels": [], "codes": ""})), "need at least one vertex"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_WITNESSES))
 def test_malformed_witness_is_a_format_error(case, t112_witness, demo_witness, tmp_path, capsys):
-    which, mutate = MALFORMED_WITNESSES[case]
+    which, mutate, message = MALFORMED_WITNESSES[case]
     obj = witness_to_json(t112_witness if which == "t112" else demo_witness)
     mutate(obj)
     wpath = str(tmp_path / "w.json")
@@ -375,6 +398,7 @@ def test_malformed_witness_is_a_format_error(case, t112_witness, demo_witness, t
         assert main(argv) == 3, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err, (argv, err)
+        assert message in err, (argv, err)
 
 
 def _drop_last_token(vertex_id: str) -> str:

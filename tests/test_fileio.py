@@ -22,6 +22,7 @@ from eppa import (
 from eppa.cli import main
 from eppa.fileio import (
     WITNESS_FORMAT,
+    _level_from_json,
     dump_json,
     format_label,
     graph_from_codes,
@@ -172,18 +173,23 @@ def test_witness_file_stores_each_fact_once(demo_witness, t112_witness):
     assert [list(m) for m in obj["levels"][1]["bad_sets"]] == [
         ["vertices", "long_edge", "deficit"]] * 2
 
-    # the loader derives the rest
-    again = witness_from_json(json.loads(json.dumps(obj)))
-    assert again.set_assignment is None  # a one-point input
-    base, top = again.levels
+    # the loader derives the rest: each level's projection and bad sets
+    # (the demo's one-point input has no witness file with levels, so its
+    # levels are read one at a time) and the set assignment
+    obj = json.loads(json.dumps(obj))
+    base = _level_from_json(obj["levels"][0], 0, None, obj["n"])
+    top = _level_from_json(obj["levels"][1], 1, base, obj["n"])
     assert base.projection == {}
     assert top.projection == {v: v.rpartition(";")[0] for v in top.graph.vertices}
     for m in top.bad_sets:
         assert (m.members, m.long_edge) == (frozenset(m.cycle.vertices), m.cycle.long_edge)
-    assert again.final_embedding == top.base_embedding
-    assert again == demo_witness
+    assert (base, top) == demo_witness.levels
+    with pytest.raises(GraphFormatError, match="a one-point input has no levels"):
+        witness_from_json(obj)
     loaded = witness_from_json(witness_to_json(t112_witness))
     assert loaded.set_assignment == build_set_assignment(t112_witness.input)
+    assert loaded.final_embedding == loaded.levels[-1].base_embedding
+    assert loaded == t112_witness
 
 
 def test_witness_rejects_structural_damage(k2_witness, demo_witness, tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
 
@@ -27,9 +28,16 @@ from eppa import (
     witness_stats,
 )
 from eppa import pipeline
-from eppa.fileio import dump_json, witness_to_json
-from eppa.graphs import EdgeLabelledGraph
-from eppa.levels import LevelGraph
+from eppa.cli import main as cli_main
+from eppa.fileio import (
+    dump_json,
+    load_json,
+    map_from_json,
+    map_to_json,
+    witness_to_json,
+)
+from eppa.graphs import EdgeLabelledGraph, induced_subgraph
+from eppa.levels import LevelGraph, level_vertex_id
 
 from conftest import make_k2, make_t112, make_t123, make_four_point, tau_on_empty
 
@@ -248,6 +256,83 @@ def test_rejects_foreign_and_non_preserving_maps(k2_witness, t112_witness):
     # d(y, z) = 2 but d(x, y) = 1, so y -> x, z -> y shrinks a distance
     with pytest.raises(InvalidMap):
         extend_isometry(t112_witness, PartialMap({"y": "x", "z": "y"}))
+
+
+def test_a_b0_with_renamed_ids_is_refused(t112_witness):
+    # one subset off the copy renamed, in B0 and in the final space alike:
+    # the graphs keep their shape, but B0 is no longer the set assignment's
+    w = t112_witness
+    base = w.levels[0]
+    old = next(v for v in reversed(base.graph.vertices) if v not in base.base_embedding.image())
+    rename = {old: old[:-1] + "'}"}
+
+    def renamed(g):
+        return EdgeLabelledGraph([rename.get(v, v) for v in g.vertices],
+                                 [(rename.get(u, u), rename.get(v, v), d) for u, v, d in g.edges()])
+
+    bent = dataclasses.replace(
+        w, levels=(dataclasses.replace(base, graph=renamed(base.graph)),), final=renamed(w.final)
+    )
+    with pytest.raises(InvalidMap, match="not the k-subsets of the set assignment's tokens"):
+        extend_isometry(bent, PartialMap({"y": "z", "z": "y"}))
+    failed = {r.name for r in cross_check(bent, search_limit=0).results if not r.passed}
+    assert {"subset-vertices", "extension-replay"} <= failed
+    # and with that subset missing from B0, which is then smaller than the table
+    short = dataclasses.replace(w, levels=(dataclasses.replace(
+        base, graph=induced_subgraph(base.graph, set(base.graph.vertices) - {old})),))
+    with pytest.raises(InvalidMap, match="not the k-subsets of the set assignment's tokens"):
+        extend_isometry(short, PartialMap({"y": "z", "z": "y"}))
+
+
+def test_a_stored_level_is_replayed_through_the_lift(monkeypatch, tmp_path):
+    # T133's B0 is clean, so the build stores no level above it.  Level 3
+    # stored by hand has no bad set: each vertex is its B0 vertex with no
+    # bits (the id gains a ";"), so the lift must move the copies as the subset permutation
+    # moves B0, and every extension goes through compute_flip_set and
+    # lift_automorphism instead of acting on the final space directly.
+    w = build_witness(T133)
+    base = w.levels[0]
+    copy = {v: level_vertex_id(v, ()) for v in base.graph.vertices}
+    top = LevelGraph(
+        graph=EdgeLabelledGraph(copy.values(), [(copy[u], copy[v], d) for u, v, d in base.graph.edges()]),
+        level=3,
+        base_embedding=PartialMap({x: copy[u] for x, u in base.base_embedding.items()}),
+        projection={c: v for v, c in copy.items()},
+        bad_sets=(),
+    )
+    tower = dataclasses.replace(w, levels=(base, top), final=shortest_path_completion(top.graph))
+    calls = {"compute_flip_set": 0, "lift_automorphism": 0}
+
+    def counted(name):
+        real = getattr(pipeline, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(pipeline, name, counted(name))
+    maps = list(enumerate_partial_automorphisms(T133, len(T133)))
+    for phi in maps:
+        lifted, direct = extend_isometry(tower, phi), extend_isometry(w, phi)
+        assert {u: lifted[u + ";"] for u in base.graph.vertices} == {
+            u: direct[u] + ";" for u in base.graph.vertices}
+    assert calls == {"compute_flip_set": len(maps), "lift_automorphism": len(maps)}
+
+    # the file of such a witness loads: `eppa extend` replays through the
+    # lift, and `eppa verify` rejects it only because a level without bad
+    # sets is not stored
+    wpath, mpath = str(tmp_path / "w.json"), str(tmp_path / "map.json")
+    dump_json(wpath, witness_to_json(tower))
+    phi = PartialMap({"x": "y", "y": "x"})
+    dump_json(mpath, map_to_json(phi))
+    assert cli_main(["extend", wpath, mpath, "--output", str(tmp_path / "e.json")]) == 0
+    assert map_from_json(load_json(str(tmp_path / "e.json"))) == extend_isometry(tower, phi)
+    assert cli_main(["verify", wpath, "--output", str(tmp_path / "r.json")]) == 1
+    failed = [c for c in load_json(str(tmp_path / "r.json"))["checks"] if not c["passed"]]
+    assert [c["name"] for c in failed] == ["level-3-bad-sets"]
+    assert "no bad sets stored" in failed[0]["detail"]
 
 
 # -- stats ---------------------------------------------------------------------------
