@@ -20,7 +20,11 @@ through.
 Witness mutations:
   * valuation-bit flips: transpose the two vertex copies differing in one
     stored bit, rewriting that level's edge relation only
-  * label bumps: add 1 to a single stored edge label (level or final graph)
+  * label bumps: add 1 to a single edge label of a stored level or of the
+    final space.  A witness file no longer stores the final space (the
+    loader derives it from the levels), so a bump there models a fault of
+    the construction that computed it, not an edit of the file; a level
+    bump models either.
 
 Construction mutations:
   * cycle size off by one in the induced-cycle search

@@ -5,12 +5,14 @@ Runs the full pipeline on each bundled fixture (or on graph files passed on
 the command line), prints size statistics, the build time, the size of the
 witness file in MB (10^6 bytes, as `dump_json` writes it), the time
 `witness_to_json` and the JSON encoder take to write that text, and the
-time `witness_from_json` takes to load it back from the parsed JSON, and
-optionally extends every partial isometry of the input, timing each
-`extend_isometry` call alone (median and p90 per map; the first call pays
-the witness's lazy set-up) and checking each result with `check_map`
-outside the timer, or times the independent cross-check of each witness and
-prints its verdict (the exit code is 1 if any witness fails it).
+time `witness_from_json` takes to load it back from the parsed JSON.  The
+loaded witness must equal the built one, its derived final space and every
+level alike.  It optionally extends every partial isometry of the input,
+timing each `extend_isometry` call alone (median and p90 per map; the first
+call pays the witness's lazy set-up) and checking each result with
+`check_map` outside the timer, or times the independent cross-check of each
+witness and prints its verdict.  The exit code is 1 if a loaded witness
+differs from the built one or a witness fails its cross-check.
 
     python3 scripts/run_fixtures.py
     python3 scripts/run_fixtures.py --verify
@@ -79,8 +81,8 @@ def percentile(values: list[float], q: int) -> float:
 
 
 def run_one(name: str, g: EdgeLabelledGraph, args: argparse.Namespace) -> bool:
-    """Build (and extend, verify, write) one witness; False if it fails
-    its cross-check."""
+    """Build, reload (and extend, verify, write) one witness; False if the
+    reloaded witness differs from the built one or fails its cross-check."""
     t0 = time.perf_counter()
     w = build_witness(g, vertex_cap=args.vertex_cap)
     build_s = time.perf_counter() - t0
@@ -92,7 +94,7 @@ def run_one(name: str, g: EdgeLabelledGraph, args: argparse.Namespace) -> bool:
     dump_s = time.perf_counter() - t0
     parsed = json.loads(text)
     t0 = time.perf_counter()
-    witness_from_json(parsed)
+    loaded = witness_from_json(parsed)
     load_s = time.perf_counter() - t0
     print(f"== {name}")
     print(f"   input: {len(g)} vertices, spectrum {stats['spectrum']}")
@@ -112,14 +114,16 @@ def run_one(name: str, g: EdgeLabelledGraph, args: argparse.Namespace) -> bool:
         print(f"   extend: {len(times)} partial isometries in {sum(times):.2f}s,"
               f" {p50:.2f} ms median, {p90:.2f} ms p90 per map")
 
-    ok = True
+    ok = loaded.final == w.final and loaded.levels == w.levels
+    if not ok:
+        print("   reload: the loaded witness differs from the built one")
     if args.verify:
         t0 = time.perf_counter()
         report = cross_check(w)
-        ok = report.ok
+        ok = ok and report.ok
         failed = [r.name for r in report.results if not r.passed and not r.skipped]
         skipped = [r.name for r in report.results if r.skipped]
-        print(f"   verify: {'PASS' if ok else 'FAIL'} in {time.perf_counter() - t0:.2f}s"
+        print(f"   verify: {'PASS' if report.ok else 'FAIL'} in {time.perf_counter() - t0:.2f}s"
               + (f", failed {', '.join(failed)}" if failed else "")
               + (f", skipped {', '.join(skipped)}" if skipped else ""))
 

@@ -7,7 +7,8 @@ or verification failure, 2 resource or budget exhaustion, 3 parse or usage
 error, a numeric option out of range among them.  EPPA_CONFIG may name a
 JSON file with default limits ({"vertex_cap": ..., "search_budget": ...},
 each an integer of at least 1).  Witness files are read and
-written in the `eppa-witness/4` format (see `fileio`).
+written in the `eppa-witness/5` format, which does not store the final
+space: loading derives it (see `fileio`).
 """
 
 from __future__ import annotations
@@ -101,6 +102,16 @@ def _load_graph(path: str):
     return graph_from_json(load_json(path))
 
 
+def _print_cycles(g, top: int, line) -> int:
+    """Print line(size, w) for each induced non-metric cycle w of g up to `top` points."""
+    found = 0
+    for size in range(3, min(top, len(g)) + 1):
+        for w in find_induced_nonmetric_cycles(g, size):
+            found += 1
+            print(line(size, w))
+    return found
+
+
 def cmd_check(args) -> int:
     g = _load_graph(args.file)
     bad = metric_violation(g) if g.is_complete() else None
@@ -119,16 +130,9 @@ def cmd_check(args) -> int:
     if args.connected and not connected:
         failed = True
     if args.cycles_up_to is not None:
-        found = 0
-        for size in range(3, args.cycles_up_to + 1):
-            if size > len(g):
-                break
-            for w in find_induced_nonmetric_cycles(g, size):
-                found += 1
-                print(
-                    f"non-metric cycle on {list(w.vertices)}: long edge "
-                    f"{list(w.long_edge)} exceeds the rest by {format_label(w.deficit)}"
-                )
+        found = _print_cycles(g, args.cycles_up_to, lambda _, w: (
+            f"non-metric cycle on {list(w.vertices)}: long edge "
+            f"{list(w.long_edge)} exceeds the rest by {format_label(w.deficit)}"))
         print(f"induced non-metric cycles up to size {args.cycles_up_to}: {found}")
         if found:
             failed = True
@@ -145,16 +149,9 @@ def cmd_complete(args) -> int:
 def cmd_cycles(args) -> int:
     g = _load_graph(args.file)
     top = args.max_size if args.max_size is not None else len(g)
-    total = 0
-    for size in range(3, top + 1):
-        if size > len(g):
-            break
-        for w in find_induced_nonmetric_cycles(g, size):
-            total += 1
-            print(
-                f"size {size}: {list(w.vertices)} long edge {list(w.long_edge)} "
-                f"deficit {format_label(w.deficit)}"
-            )
+    total = _print_cycles(g, top, lambda size, w: (
+        f"size {size}: {list(w.vertices)} long edge {list(w.long_edge)} "
+        f"deficit {format_label(w.deficit)}"))
     print(f"total induced non-metric cycles: {total}")
     return 0
 

@@ -4,17 +4,17 @@ Graph files are JSON objects `{"vertices": [...], "edges": [[u, v, label]]}`
 with labels written as positive fractions in lowest terms ("3" or "3/2",
 never "6/4" or "3/1").  Map files are JSON lists of `[source, target]` pairs.
 Witness files hold each fact of a `build_witness` result once, under the
-format version `eppa-witness/4`; files of any other version are refused.
+format version `eppa-witness/5`; files of any other version are refused.
 They store the input, the stored levels (each with its graph, its copy of
-the input and its bad sets as cycles), the final space and the tower
-height, under exactly the keys `witness_to_json` writes (a one-point input
-has no level, and the base level no bad set); the loader derives the rest:
-the set assignment from the input, each level's projection from its vertex
-ids, and the copy in the final space from the top level.  Their graphs are
-written as one string of label codes per graph (`graph_to_codes`), which
-stays compact on dense graphs.
-All parsers reject structurally invalid input with the offending element
-named in the error.
+the input and its bad sets as cycles) and the tower height, under exactly
+the keys `witness_to_json` writes.  The writer and the loader read one
+list of shape rules (`_check_shape`), so the writer refuses what the
+loader would.  The loader derives the rest: the set assignment from the
+input, each level's projection from its vertex ids, the copy in the final
+space from the top level, and the final space itself with the build's own
+code (`pipeline.final_space`).  Graphs are written as one string of label
+codes each (`graph_to_codes`), which stays compact on dense graphs.  All
+parsers reject structurally invalid input, naming the offending element.
 """
 
 from __future__ import annotations
@@ -29,14 +29,14 @@ from typing import Any
 import numpy as np
 
 from .completion import CycleWitness
-from .errors import GraphFormatError
+from .errors import GraphFormatError, InvalidMap
 from .graphs import EdgeLabelledGraph, PartialMap, _check_core_name, graph_from_triples
 from .levels import BadSet, LevelGraph, parse_level_vertex
-from .pipeline import Witness
-from .setrep import build_set_assignment
+from .pipeline import Witness, final_space
+from .setrep import SetAssignment, build_set_assignment
 from .verifier import VerificationReport
 
-WITNESS_FORMAT = "eppa-witness/4"
+WITNESS_FORMAT = "eppa-witness/5"
 
 _LABEL_RE = re.compile(r"^(0|[1-9][0-9]*)(?:/([1-9][0-9]*))?$")
 
@@ -107,7 +107,7 @@ def map_to_json(f: PartialMap) -> list:
 
 def map_from_json(obj: Any) -> PartialMap:
     if not isinstance(obj, list):
-        raise GraphFormatError("map file must be a JSON list of [source, target] pairs")
+        raise GraphFormatError("a map must be a JSON list of [source, target] pairs")
     table = {}
     for pos, pair in enumerate(obj):
         if not (isinstance(pair, list) and len(pair) == 2
@@ -218,20 +218,6 @@ def _strings(obj: Any, what: str, size: int | None = None) -> list[str]:
     return obj
 
 
-def _integer(obj: Any, what: str, low: int, high: int) -> int:
-    """obj, when it is an integer (not a bool) from low to high."""
-    if type(obj) is not int or not low <= obj <= high:
-        raise GraphFormatError(f"{what} must be an integer from {low} to {high}, got {obj!r}")
-    return obj
-
-
-def _pairs(obj: Any, what: str) -> list[tuple[str, str]]:
-    return [
-        tuple(_strings(pair, f"{what}: entry #{pos}", 2))
-        for pos, pair in enumerate(_list(obj, what))
-    ]
-
-
 def _cycle_to_json(w: CycleWitness) -> dict:
     return {
         "vertices": list(w.vertices),
@@ -259,43 +245,71 @@ def _level_to_json(lvl: LevelGraph) -> dict:
     }
 
 
-def _level_from_json(obj: Any, pos: int, below: LevelGraph | None, n: int) -> LevelGraph:
-    """Stored level #pos, given the previous stored level (None for the
-    base, which is level 2) and the tower height n."""
+def _level_from_json(obj: Any, pos: int) -> LevelGraph:
+    """Stored level #pos as it is written; `_check_shape` reads the rules
+    that tie it to the other levels."""
     what = f"level #{pos}"
     obj = _fields(obj, ("level", "graph", "base_embedding", "bad_sets"), what)
-    low, high = (2, 2) if below is None else (below.level + 1, n)
-    level = _integer(obj["level"], f"{what}: \"level\"", low, high)
-    bad = tuple(
-        _bad_set_from_json(m, f"{what}: bad set #{j}")
-        for j, m in enumerate(_list(obj["bad_sets"], f"{what}: \"bad_sets\""))
-    )
-    if below is None and bad:
-        raise GraphFormatError(f"{what}: the base level has no bad sets below it")
+    bad = tuple(_bad_set_from_json(m, f"{what}: bad set #{j}")
+                for j, m in enumerate(_list(obj["bad_sets"], f"{what}: \"bad_sets\"")))
     graph = graph_from_codes(obj["graph"], what)
-    embedding = _pairs(obj["base_embedding"], f"{what}: \"base_embedding\"")
+    try:
+        embedding = map_from_json(obj["base_embedding"])
+    except (GraphFormatError, InvalidMap) as exc:
+        raise GraphFormatError(f"{what}: \"base_embedding\": {exc}") from None
     # a vertex of a level above the base is a vertex of the level below with bits
-    projection = {} if below is None else {v: parse_level_vertex(v)[0] for v in graph.vertices}
-    return LevelGraph(
-        graph=graph,
-        level=level,
-        base_embedding=PartialMap(dict(embedding)),
-        projection=projection,
-        bad_sets=bad,
-    )
+    projection = {} if pos == 0 else {v: parse_level_vertex(v)[0] for v in graph.vertices}
+    return LevelGraph(graph=graph, level=obj["level"], base_embedding=embedding,
+                      projection=projection, bad_sets=bad)
+
+
+def _check_shape(a: EdgeLabelledGraph, levels: tuple[LevelGraph, ...], n) -> SetAssignment | None:
+    """Check the shape rules of a witness file, which the writer and the
+    loader both read; the input's set assignment, None for one point.  A
+    one-point input has no levels, and any other stores B0 with C(m, k)
+    vertices, counted before any Johnson table is built.  The base is level
+    2 without bad sets, levels rise strictly up to `n`, and the top level's
+    copy names its vertices."""
+    if len(a) == 0:
+        raise GraphFormatError("need at least one vertex")
+    if type(n) is not int or n < 2:
+        raise GraphFormatError(f"witness field \"n\" must be an integer of at least 2, got {n!r}")
+    low = 2
+    for pos, lvl in enumerate(levels):
+        high = 2 if pos == 0 else n
+        if type(lvl.level) is not int or not low <= lvl.level <= high:  # a bool is no level
+            raise GraphFormatError(f"level #{pos}: \"level\" must be an integer from {low} "
+                                   f"to {high}, got {lvl.level!r}")
+        if pos == 0 and lvl.bad_sets:
+            raise GraphFormatError("level #0: the base level has no bad sets below it")
+        low = lvl.level + 1
+    if len(a) == 1:
+        if levels:
+            raise GraphFormatError("a one-point input has no levels: its witness is the input")
+        return None
+    if not levels:
+        raise GraphFormatError("an input of two or more points stores B0 as level #0")
+    sa = build_set_assignment(a)
+    count = math.comb(len(sa.universe), sa.k)
+    if len(levels[0].graph) != count:
+        raise GraphFormatError(f"level #0: B0 of this input has {count} vertices, "
+                               f"not {len(levels[0].graph)}")
+    top = levels[-1]
+    for x, v in top.base_embedding.items():
+        if v not in top.graph:
+            raise GraphFormatError(f"level #{len(levels) - 1}: the copy of {x!r} is {v!r}, "
+                                   "which is no vertex of the level")
+    return sa
 
 
 def witness_to_json(w: Witness) -> dict:
-    return {
-        "format": WITNESS_FORMAT,
-        "input": graph_to_json(w.input),
-        "levels": [_level_to_json(lvl) for lvl in w.levels],
-        "final": graph_to_codes(w.final),
-        "n": w.n,
-    }
+    _check_shape(w.input, w.levels, w.n)
+    return {"format": WITNESS_FORMAT, "input": graph_to_json(w.input),
+            "levels": [_level_to_json(lvl) for lvl in w.levels], "n": w.n}
 
 
 def witness_from_json(obj: Any) -> Witness:
+    """The witness of a file; its final space is derived (`final_space`)."""
     if not isinstance(obj, dict):
         raise GraphFormatError("witness file must be a JSON object")
     if obj.get("format") != WITNESS_FORMAT:
@@ -303,25 +317,13 @@ def witness_from_json(obj: Any) -> Witness:
             f"unsupported witness format {obj.get('format')!r}, expected {WITNESS_FORMAT!r}"
             " (build the witness again)"
         )
-    obj = _fields(obj, ("format", "input", "levels", "final", "n"), "witness file")
+    obj = _fields(obj, ("format", "input", "levels", "n"), "witness file")
     a = graph_from_json(obj["input"])
-    if len(a) == 0:
-        raise GraphFormatError("need at least one vertex")
-    n = obj["n"]
-    if type(n) is not int or n < 2:
-        raise GraphFormatError(f"witness field \"n\" must be an integer of at least 2, got {n!r}")
-    levels: list[LevelGraph] = []
-    for pos, lvl in enumerate(_list(obj["levels"], "witness \"levels\"")):
-        levels.append(_level_from_json(lvl, pos, levels[-1] if levels else None, n))
-    if len(a) == 1 and levels:
-        raise GraphFormatError("a one-point input has no levels: its witness is the input itself")
-    return Witness(
-        input=a,
-        set_assignment=build_set_assignment(a) if len(a) > 1 else None,
-        levels=tuple(levels),
-        final=graph_from_codes(obj["final"], "final"),
-        n=n,
-    )
+    levels = tuple(_level_from_json(lvl, pos)
+                   for pos, lvl in enumerate(_list(obj["levels"], "witness \"levels\"")))
+    sa = _check_shape(a, levels, obj["n"])
+    return Witness(input=a, set_assignment=sa, levels=levels, final=final_space(a, sa, levels),
+                   n=obj["n"])
 
 
 def _counterexample_to_json(value: object) -> object:

@@ -23,7 +23,8 @@ J(m, k), the component is all of it, and the completion is f(|X & Z|) for
 the class distances f (`setrep.class_completion`); its metric check runs on
 class triples (`setrep.is_class_metric`) instead of vertex triples.  B0,
 its completion and the extension all read the one Johnson table of the set
-assignment (`SetAssignment.johnson`).
+assignment (`SetAssignment.johnson`).  The loader derives the final space
+with the build's own code (`final_space`), so a witness file does not hold it.
 """
 
 from __future__ import annotations
@@ -61,10 +62,10 @@ class Witness:
     component of the top stored level that holds the copy of the input, so
     its vertices are that component; with B0 alone the component is all of
     B0, and the completion is read off its class distances rather than
-    computed pair by pair.  `n` is the tower height: one above the floor of
-    the largest-to-smallest distance ratio.  `set_assignment`
-    is `build_set_assignment(input)`, or None for a one-point input, which
-    has no extensions to replay token by token.
+    computed pair by pair; `final_space` derives it, so no file stores it.
+    `n` is the tower height: one above the floor of the largest-to-smallest
+    distance ratio.  `set_assignment` is `build_set_assignment(input)`, or
+    None for a one-point input, which has no level to replay.
     """
 
     input: EdgeLabelledGraph
@@ -122,33 +123,17 @@ def build_witness(a: EdgeLabelledGraph, vertex_cap: int = 200_000) -> Witness:
                 exponent=per_vertex, at_least=True,
             )
     base_graph, base_embedding = build_eppa_graph(sa, vertex_cap=vertex_cap)
-    levels = [
-        LevelGraph(
-            graph=base_graph,
-            level=2,
-            base_embedding=base_embedding,
-            projection={},
-            bad_sets=(),
-        )
-    ]
+    levels = (LevelGraph(graph=base_graph, level=2, base_embedding=base_embedding,
+                         projection={}, bad_sets=()),)
     for size in range(bad_from, n + 1):
-        prev = levels[-1]
-        nxt = build_next_level(prev, size, vertex_cap=vertex_cap)
+        nxt = build_next_level(levels[-1], size, vertex_cap=vertex_cap)
         if nxt.bad_sets:
-            levels.append(nxt)
+            levels += (nxt,)
 
-    top = levels[-1]
-    if len(levels) == 1:
-        # B0 is the Johnson scheme J(m, k): distances depend on the class alone
-        scale, f = class_distances(sa)
-        final = class_completion(sa, scale, f)
-        metric = is_class_metric(len(sa.universe), f)
-    else:
-        reached, _ = reach(top.graph, map(top.graph.position, top.base_embedding.image()))
-        component = tuple(map(top.graph.vertices.__getitem__, reached.tolist()))
-        final = shortest_path_completion(induced_subgraph(top.graph, component))
-        metric = is_metric_space(final)
-    emb = top.base_embedding
+    final = final_space(a, sa, levels)
+    metric = (is_class_metric(len(sa.universe), class_distances(sa)[1]) if len(levels) == 1
+              else is_metric_space(final))
+    emb = levels[-1].base_embedding
 
     for x, y, d in a.edges():
         got = final.label(emb[x], emb[y])
@@ -158,7 +143,23 @@ def build_witness(a: EdgeLabelledGraph, vertex_cap: int = 200_000) -> Witness:
             )
     if not metric:
         raise NotAMetricSpace("completion failed to produce a metric space")
-    return Witness(input=a, set_assignment=sa, levels=tuple(levels), final=final, n=n)
+    return Witness(input=a, set_assignment=sa, levels=levels, final=final, n=n)
+
+
+def final_space(a: EdgeLabelledGraph, sa: SetAssignment | None,
+                levels: tuple[LevelGraph, ...]) -> EdgeLabelledGraph:
+    """The final space of a witness, which the build and the loader both
+    derive here: the input without levels; with B0 alone, the Johnson
+    scheme's completion read off the class distances; otherwise the
+    shortest-path completion of the copy's component in the top level."""
+    if not levels:
+        return a
+    if len(levels) == 1:
+        return class_completion(sa, *class_distances(sa))
+    top = levels[-1]
+    reached, _ = reach(top.graph, map(top.graph.position, top.base_embedding.image()))
+    component = tuple(map(top.graph.vertices.__getitem__, reached.tolist()))
+    return shortest_path_completion(induced_subgraph(top.graph, component))
 
 
 def _as_input_map(w: Witness, phi: PartialMap) -> PartialMap:
@@ -217,7 +218,7 @@ def _replay(w: Witness, phi_a: PartialMap) -> PartialMap:
     if sa is None:
         raise InvalidMap("witness carries no set assignment; cannot replay extensions")
     b0 = w.levels[0].graph
-    # the count first, so that a file's input never makes a table larger than its B0
+    # the count first, so that no input makes a table larger than its B0 (as on load)
     if len(b0) != math.comb(len(sa.universe), sa.k) or b0.vertices != sa.johnson.ids:
         raise InvalidMap("B0's vertices are not the k-subsets of the set assignment's tokens")
     perm = subset_automorphism(sa, extend_by_permutation(sa, phi_a))

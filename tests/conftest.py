@@ -31,6 +31,7 @@ from eppa import (
     shortest_path_completion,
     subset_automorphism,
 )
+from eppa.fileio import _level_to_json, witness_to_json
 
 hypothesis.settings.register_profile("fast", max_examples=10)
 hypothesis.settings.register_profile("deep", max_examples=300)
@@ -140,6 +141,16 @@ def demo_witness(probe):
     """One expansion level over two non-metric triangles sharing their long
     edge."""
     return probe.demo_witness()
+
+
+def stacked_witness_json(t112_witness, demo_witness) -> dict:
+    """The triangle-112 witness file with the demonstration witness's level
+    3 stored above its B0.  No build writes such a file (the demo level does
+    not expand B0), but the loader accepts it: each of its shape rules holds.
+    It stands in for a file with a level above B0 and bad sets."""
+    obj = witness_to_json(t112_witness)
+    obj["levels"].append(_level_to_json(demo_witness.levels[1]))
+    return obj
 
 
 # -- corpus of small graphs for oracle-agreement tests -----------------------

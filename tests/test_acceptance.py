@@ -139,15 +139,16 @@ def test_criterion_1_end_to_end(fixture_witnesses, name, factory, limit, n_maps)
     print(f"[criterion 1] PASS {name}: {n_maps} partial isometries extended in {elapsed:.1f}s")
 
 
-# sha256 of each fixture's witness file in the eppa-witness/4 format, which
+# sha256 of each fixture's witness file in the eppa-witness/5 format, which
 # stores no level without bad sets, each graph as one string of label codes
-# and each fact once; the JSON must stay byte-identical.  The text is the
-# one `dump_json` writes, made in memory.
+# and each fact once, and no final space (the loader derives it); the JSON
+# must stay byte-identical.  The text is the one `dump_json` writes, made in
+# memory.
 FIXTURE_DIGESTS = {
-    "two-point": "09b5b0a5d2cabba8a44cc2318b1019f9824dc2e0f51b7f78d93404459f49f8d6",
-    "triangle-112": "54b65b15a27810a92835a149f7218b76c3892ae8982bec3e73e158cfab5d6ac3",
-    "triangle-123": "112a470417160b58bacef56fbec0cf74056f1c44bb544d7872eb8c9648e23333",
-    "four-point": "2fd01f2bee3586cae52026d3d956bd130b799b058fe204342dab7cfc85555302",
+    "two-point": "db2c6b7048caaa0cc8ea1a5fbc29b86b921b9b7dfd3239f607cc4111c030bcf0",
+    "triangle-112": "c596105cb5de484387570d03d9d155a27df34fac9a55e9c6d73656aceeb1cd3a",
+    "triangle-123": "762244a9501666d75bd92bb3b618ab6ad531c1b58f4285014e2c06e4e58d5350",
+    "four-point": "839d71cc14dca56434cbbf2cfacf8304d9660998292c84127f527b2e41dcba90",
 }
 
 

@@ -16,7 +16,6 @@ from eppa.cli import main
 from eppa.fileio import (
     dump_json,
     graph_from_json,
-    graph_to_codes,
     graph_to_json,
     load_json,
     witness_from_json,
@@ -24,7 +23,7 @@ from eppa.fileio import (
 )
 from eppa import cross_check
 
-from conftest import make_k2, make_t112, make_t113, make_path2
+from conftest import make_k2, make_t112, make_t113, make_path2, stacked_witness_json
 
 SRC = os.path.dirname(os.path.dirname(eppa.__file__))
 
@@ -237,11 +236,12 @@ def test_verify_budget_exhaustion_exit_code(tmp_path, capsys):
 
 def test_verify_flags_tampering(tmp_path, capsys):
     obj = witness_to_json(_k2_witness())
-    # the first pair of the final space gets a new label, 2
-    final = obj["final"]
-    assert final["labels"] == ["1"] and set(final["codes"]) == {"1"}
-    final["labels"].append("2")
-    final["codes"] = "2" + final["codes"][1:]
+    # the first pair of B0 gets a new label, 2; the final space is derived
+    # from the set assignment, so it keeps label 1 there
+    b0 = obj["levels"][0]["graph"]
+    assert b0["labels"] == ["1"] and set(b0["codes"]) == {"1"}
+    b0["labels"].append("2")
+    b0["codes"] = "2" + b0["codes"][1:]
     wpath = str(tmp_path / "bad.json")
     dump_json(wpath, obj)
     rpath = str(tmp_path / "report.json")
@@ -251,10 +251,11 @@ def test_verify_flags_tampering(tmp_path, capsys):
     assert "overall: FAIL" in out
     report = load_json(rpath)
     assert report["ok"] is False
-    tampered = final["vertices"][:2]
-    completion = next(c for c in report["checks"] if c["name"] == "final-completion")
-    assert not completion["passed"]
-    assert completion["counterexample"] == tampered
+    tampered = b0["vertices"][:2]
+    for name in ("subset-edge-rule", "final-completion"):
+        check = next(c for c in report["checks"] if c["name"] == name)
+        assert not check["passed"], name
+        assert check["counterexample"] == tampered, name
 
 
 # inputs whose first tower level with bad sets is refused by closed form:
@@ -336,17 +337,20 @@ def _recode(start, stop, code):
     return edit
 
 
-# (witness, mutation, the loader's message): t112 is B0 alone, demo stores a
-# level 3 above its base; t112's base has 70 vertices and the labels 1, 2, 3
-# (one-digit codes).  The demo's input is one point, so the file it writes is
-# refused as it is (the build gives a one-point input no level); its levels
-# are read first, so each demo case must still fail on its own fault.
+# (witness, mutation, the loader's message): t112 is B0 alone, with 70
+# vertices and the labels 1, 2, 3 (one-digit codes); stacked is t112 with the
+# demonstration witness's level 3 stored above its B0 (`stacked_witness_json`),
+# which is a file the loader accepts, so each stacked case fails on its own
+# fault.
 MALFORMED_WITNESSES = {
     "bad-sets-on-the-base": ("t112", _set("levels", 0, "bad_sets", [
         {"vertices": ["a", "b", "c"], "long_edge": ["a", "c"], "deficit": "1"}]),
         "level #0: the base level has no bad sets below it"),
-    "one-point-input-with-levels": ("demo", _edit(lambda obj: None),
+    "one-point-input-with-levels": ("t112", _set("input", {"vertices": ["z"], "edges": []}),
                                     "a one-point input has no levels"),
+    "two-point-input-without-levels": (
+        "t112", _edit(lambda obj: obj.update(input=graph_to_json(make_k2()), levels=[])),
+        "an input of two or more points stores B0 as level #0"),
     "older-format": ("t112", _set("format", "eppa-witness/3"),
                      "unsupported witness format 'eppa-witness/3'"),
     "levels-not-a-list": ("t112", _set("levels", 5), 'witness "levels" must be a list'),
@@ -360,40 +364,49 @@ MALFORMED_WITNESSES = {
                    'level #0: "level" must be an integer from 2 to 2, got True'),
     "base-not-level-2": ("t112", _set("levels", 0, "level", 3),
                          'level #0: "level" must be an integer from 2 to 2, got 3'),
-    "levels-not-increasing": ("demo", _set("levels", 1, "level", 2),
+    "levels-not-increasing": ("stacked", _set("levels", 1, "level", 2),
                               'level #1: "level" must be an integer from 3 to 3, got 2'),
-    "level-above-n": ("demo", _set("levels", 1, "level", 4),
+    "level-above-n": ("stacked", _set("levels", 1, "level", 4),
                       'level #1: "level" must be an integer from 3 to 3, got 4'),
-    "integer-long-edge": ("demo", _set("levels", 1, "bad_sets", 0, "long_edge", [1, 2]),
+    "integer-long-edge": ("stacked", _set("levels", 1, "bad_sets", 0, "long_edge", [1, 2]),
                           "level #1: bad set #0 long_edge must be a list of 2 strings"),
+    "copy-outside-the-top-level": ("stacked", _set("levels", 1, "base_embedding", 0, 1, "r;9"),
+                                   "level #1: the copy of 'z' is 'r;9', which is no vertex"),
+    "repeated-copy-source": (
+        "t112", _edit("levels", 0, "base_embedding", lambda pairs: pairs[1].__setitem__(0, "x")),
+        "level #0: \"base_embedding\": map entry #1 repeats source 'x'"),
+    "repeated-copy-target": (
+        "t112", _edit("levels", 0, "base_embedding",
+                      lambda pairs: pairs[1].__setitem__(1, pairs[0][1])),
+        "level #0: \"base_embedding\": not injective"),
     "index-out-of-range": ("t112", _edit("levels", 0, "graph", _recode(9, 10, "4")),
                            "level #0: code '4' of pair"),
-    "non-digit-code": ("t112", _edit("final", _recode(100, 101, "x")),
-                       "final: code 'x' of pair"),
-    "labels-not-ascending": ("t112", _edit("final", "labels", list.reverse),
-                             "final: labels must be strictly ascending"),
+    "non-digit-code": ("t112", _edit("levels", 0, "graph", _recode(100, 101, "x")),
+                       "level #0: code 'x' of pair"),
+    "labels-not-ascending": ("t112", _edit("levels", 0, "graph", "labels", list.reverse),
+                             "level #0: labels must be strictly ascending"),
     "vertices-not-ascending": ("t112", _edit("levels", 0, "graph", "vertices", list.reverse),
                                "level #0: vertices must be strictly ascending"),
     "duplicate-vertex-name": (
         "t112", _set("levels", 0, "graph", "vertices", 1, "{(x,y)#1|(x,z)#1|(y,z)#1|(y,z)#2}"),
         "level #0: vertices must be strictly ascending"),
-    "whitespace-vertex-name": ("t112", _set("final", "vertices", 0, "x y"),
-                               "final: bad vertex name 'x y'"),
+    "whitespace-vertex-name": ("t112", _set("levels", 0, "graph", "vertices", 0, "x y"),
+                               "level #0: bad vertex name 'x y'"),
     "input-without-vertices": ("t112", _edit(lambda obj: obj.update(
-        input={"vertices": [], "edges": []}, levels=[],
-        final={"vertices": [], "labels": [], "codes": ""})), "need at least one vertex"),
+        input={"vertices": [], "edges": []}, levels=[])), "need at least one vertex"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_WITNESSES))
 def test_malformed_witness_is_a_format_error(case, t112_witness, demo_witness, tmp_path, capsys):
     which, mutate, message = MALFORMED_WITNESSES[case]
-    obj = witness_to_json(t112_witness if which == "t112" else demo_witness)
+    obj = (witness_to_json(t112_witness) if which == "t112"
+           else stacked_witness_json(t112_witness, demo_witness))
     mutate(obj)
     wpath = str(tmp_path / "w.json")
     dump_json(wpath, obj)
     mpath = str(tmp_path / "map.json")
-    dump_json(mpath, [["y", "z"], ["z", "y"]] if which == "t112" else [["z", "z"]])
+    dump_json(mpath, [["y", "z"], ["z", "y"]])
     for argv in (["verify", wpath], ["extend", wpath, mpath], ["stats", wpath]):
         assert main(argv) == 3, argv
         err = capsys.readouterr().err
@@ -432,25 +445,26 @@ def test_extend_on_a_tampered_witness_exits_with_its_code(case, t112_witness, tm
     assert err.startswith("error: ") and "Traceback" not in err, err
 
 
-def test_extend_checks_the_identity_of_a_level_free_witness(tmp_path, capsys):
-    # a two-point witness edited to have no level: its final space is the
-    # input, with the identity as the copy, so the swap of a and b has no
-    # extension there (the identity does not extend it)
+def test_a_file_cannot_make_a_johnson_table_larger_than_its_b0(tmp_path, monkeypatch, capsys):
+    # the four-point space (1,1,2,2,2,2) has a B0 of 31,824 vertices; a file
+    # with that input and a three-vertex B0 is refused on the count, before
+    # any Johnson table (a 31,824^2 matrix of shared tokens) is built
     obj = witness_to_json(_k2_witness())
-    obj["levels"] = []
-    obj["final"] = graph_to_codes(make_k2())
+    obj["input"] = {"vertices": ["a", "b", "c", "d"],
+                    "edges": [["a", "b", "1"], ["a", "c", "1"], ["a", "d", "2"],
+                              ["b", "c", "2"], ["b", "d", "2"], ["c", "d", "2"]]}
+    obj["n"] = 3
     wpath = str(tmp_path / "w.json")
     dump_json(wpath, obj)
-    mpath = str(tmp_path / "swap.json")
-    dump_json(mpath, [["a", "b"], ["b", "a"]])
-    assert main(["extend", wpath, mpath]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "does not agree with the requested map" in captured.err
-
-    dump_json(mpath, [["a", "a"]])
-    assert main(["extend", wpath, mpath]) == 0
-    assert json.loads(capsys.readouterr().out) == [["a", "a"], ["b", "b"]]
+    built = []
+    real = eppa.setrep.JohnsonTable.__init__
+    monkeypatch.setattr(eppa.setrep.JohnsonTable, "__init__",
+                        lambda self, *args: built.append(args) or real(self, *args))
+    t0 = time.perf_counter()
+    assert main(["stats", wpath]) == 3
+    assert time.perf_counter() - t0 < 1
+    assert "level #0: B0 of this input has 31824 vertices, not 3" in capsys.readouterr().err
+    assert built == []
 
 
 # -- usage errors and config --------------------------------------------------------

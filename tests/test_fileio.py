@@ -38,6 +38,8 @@ from eppa.fileio import (
     witness_to_json,
 )
 
+from conftest import stacked_witness_json
+
 
 # -- labels ------------------------------------------------------------------
 
@@ -152,47 +154,65 @@ def test_witness_round_trip_without_assignment():
 
 
 def test_witness_rejects_other_format_versions(k2_witness):
-    # /1 stored every clean level, /2 one [i, j, label] triple per edge and
-    # /3 the facts the loader now derives; such files are refused
-    assert WITNESS_FORMAT == "eppa-witness/4"
-    for old in ("eppa-witness/1", "eppa-witness/2", "eppa-witness/3"):
+    # /1 stored every clean level, /2 one [i, j, label] triple per edge, /3
+    # the facts the loader now derives and /4 the final space; such files
+    # are refused
+    assert WITNESS_FORMAT == "eppa-witness/5"
+    for old in ("eppa-witness/1", "eppa-witness/2", "eppa-witness/3", "eppa-witness/4"):
         obj = witness_to_json(k2_witness)
         obj["format"] = old
         with pytest.raises(GraphFormatError) as exc:
             witness_from_json(obj)
         assert old in str(exc.value)
-        assert "eppa-witness/4" in str(exc.value)
+        assert "eppa-witness/5" in str(exc.value)
         assert "build the witness again" in str(exc.value)
 
 
+def test_a_stored_final_space_is_refused(k2_witness):
+    # a /5 file does not store the final space: the loader derives it
+    obj = witness_to_json(k2_witness)
+    obj["final"] = graph_to_codes(k2_witness.final)
+    with pytest.raises(GraphFormatError) as exc:
+        witness_from_json(obj)
+    assert str(exc.value) == ("witness file must have the keys ['format', 'input', 'levels', "
+                              "'n'], got ['final', 'format', 'input', 'levels', 'n']")
+
+
 def test_witness_file_stores_each_fact_once(demo_witness, t112_witness):
-    obj = witness_to_json(demo_witness)
-    assert list(obj) == ["format", "input", "levels", "final", "n"]
+    obj = json.loads(json.dumps(stacked_witness_json(t112_witness, demo_witness)))
+    assert list(obj) == ["format", "input", "levels", "n"]
     for lvl in obj["levels"]:
         assert list(lvl) == ["level", "graph", "base_embedding", "bad_sets"]
     assert [list(m) for m in obj["levels"][1]["bad_sets"]] == [
         ["vertices", "long_edge", "deficit"]] * 2
 
-    # the loader derives the rest: each level's projection and bad sets
-    # (the demo's one-point input has no witness file with levels, so its
-    # levels are read one at a time) and the set assignment
-    obj = json.loads(json.dumps(obj))
-    base = _level_from_json(obj["levels"][0], 0, None, obj["n"])
-    top = _level_from_json(obj["levels"][1], 1, base, obj["n"])
+    # the loader derives the rest: each level's projection and bad sets,
+    # the set assignment and the final space
+    base = _level_from_json(obj["levels"][0], 0)
+    top = _level_from_json(obj["levels"][1], 1)
     assert base.projection == {}
     assert top.projection == {v: v.rpartition(";")[0] for v in top.graph.vertices}
     for m in top.bad_sets:
         assert (m.members, m.long_edge) == (frozenset(m.cycle.vertices), m.cycle.long_edge)
-    assert (base, top) == demo_witness.levels
-    with pytest.raises(GraphFormatError, match="a one-point input has no levels"):
-        witness_from_json(obj)
+    assert (base, top) == (t112_witness.levels[0], demo_witness.levels[1])
+    stacked = witness_from_json(obj)
+    assert stacked.levels == (base, top)
+    assert stacked.final == demo_witness.final  # the top level's component, completed
     loaded = witness_from_json(witness_to_json(t112_witness))
     assert loaded.set_assignment == build_set_assignment(t112_witness.input)
     assert loaded.final_embedding == loaded.levels[-1].base_embedding
     assert loaded == t112_witness
 
 
-def test_witness_rejects_structural_damage(k2_witness, demo_witness, tmp_path, capsys):
+def test_the_writer_refuses_what_the_loader_refuses(demo_witness):
+    # the demonstration witness stores levels for a one-point input, which
+    # no build does; its file would not load, so it is not written
+    with pytest.raises(GraphFormatError, match="a one-point input has no levels"):
+        witness_to_json(demo_witness)
+
+
+def test_witness_rejects_structural_damage(k2_witness, t112_witness, demo_witness, tmp_path,
+                                           capsys):
     good = witness_to_json(k2_witness)
 
     broken = json.loads(json.dumps(good))
@@ -201,10 +221,10 @@ def test_witness_rejects_structural_damage(k2_witness, demo_witness, tmp_path, c
         witness_from_json(broken)
 
     broken = json.loads(json.dumps(good))
-    broken["final"]["codes"] = broken["final"]["codes"][:-1]
+    broken["levels"][0]["graph"]["codes"] = broken["levels"][0]["graph"]["codes"][:-1]
     with pytest.raises(GraphFormatError) as exc:
         witness_from_json(broken)
-    assert "final" in str(exc.value)
+    assert "level #0" in str(exc.value)
 
     broken = json.loads(json.dumps(good))
     broken["levels"][0]["bad_sets"] = ["abc"]
@@ -219,13 +239,14 @@ def test_witness_rejects_structural_damage(k2_witness, demo_witness, tmp_path, c
 
     # the loader reads exactly the keys the writer writes: facts that older
     # formats stored, and the loader now derives, are refused, not dropped
-    demo = witness_to_json(demo_witness)
+    stacked = stacked_witness_json(t112_witness, demo_witness)
     extras = [
-        (good, (), "component", good["final"]["vertices"]),
+        (good, (), "final", graph_to_codes(k2_witness.final)),
+        (good, (), "component", list(k2_witness.final.vertices)),
         (good, (), "config", {"coherent": True, "search_budget": 10_000_000}),
         (good, (), "set_assignment", {"k": 2, "psi": {}, "universe": []}),
         (good, ("levels", 0), "projection", {}),
-        (demo, ("levels", 1, "bad_sets", 0), "members", ["p", "q", "r"]),
+        (stacked, ("levels", 1, "bad_sets", 0), "members", ["p", "q", "r"]),
     ]
     for obj, path, key, value in extras:
         broken = json.loads(json.dumps(obj))

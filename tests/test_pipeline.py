@@ -110,11 +110,12 @@ def test_three_point_witness_shape(t112_witness):
 
 # -- the tower decided on B0 -----------------------------------------------------------
 
-# sha256 of the witness file as `dump_json` writes it, in the eppa-witness/4
-# format, which stores no level without bad sets and each fact once
+# sha256 of the witness file as `dump_json` writes it, in the eppa-witness/5
+# format, which stores no level without bad sets, each fact once and no
+# final space
 TOWER_DIGESTS = {
-    (1, 3, 3): "700c1c4cbed7ae92aae7984561846763da39d3a0545dcb56aaa11b38da432619",
-    (2, 5, 5): "86c2e4ffed056d6eef8ed75df0aacaa63b408b0831a1280c29c2fbb63ccb0211",
+    (1, 3, 3): "fa10df9fe21829b1e654616892b323611747f0a323020563bd68984eab6c8b3b",
+    (2, 5, 5): "3c541547c3a71ea87ef68999206205476bb8039f63a211db9db1c036c8fd27f7",
 }
 
 
@@ -256,6 +257,16 @@ def test_rejects_foreign_and_non_preserving_maps(k2_witness, t112_witness):
     # d(y, z) = 2 but d(x, y) = 1, so y -> x, z -> y shrinks a distance
     with pytest.raises(InvalidMap):
         extend_isometry(t112_witness, PartialMap({"y": "x", "z": "y"}))
+
+
+def test_extend_checks_the_identity_of_a_level_free_witness(k2_witness):
+    # a two-point witness without levels (no file holds one): its final
+    # space is the input, with the identity as the copy, so the swap of a
+    # and b has no extension there (the identity does not extend it)
+    w = dataclasses.replace(k2_witness, levels=(), final=make_k2())
+    with pytest.raises(InvalidMap, match="does not agree with the requested map"):
+        extend_isometry(w, PartialMap({"a": "b", "b": "a"}))
+    assert extend_isometry(w, PartialMap({"a": "a"})) == PartialMap({"a": "a", "b": "b"})
 
 
 def test_a_b0_with_renamed_ids_is_refused(t112_witness):
