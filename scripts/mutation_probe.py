@@ -32,9 +32,9 @@ Construction mutations:
   * one anchor bit of the embedded copy flipped (`anchor_valuations`)
   * one member dropped from a non-empty flip set (`compute_flip_set`)
   * two tokens matched to each other's images (`subset_automorphism`)
-  * one unlabelled class distance raised by one scaled unit in the
-    tower-free final space (`class_completion`), after the build's own
-    class check has read the true distances
+  * one unlabelled class distance raised by one scaled unit in the class
+    table's ranks (`ClassTable.codes`), which the tower-free final space
+    reads and the build's own class check does not
 
     python3 scripts/mutation_probe.py --demo
     python3 scripts/mutation_probe.py witness.json --bumps 25 --seed 7
@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import random
 import sys
 from contextlib import contextmanager
@@ -144,8 +145,23 @@ def label_bump_mutants(w: Witness, rng: random.Random, count: int):
 @contextmanager
 def patched(name: str, make):
     """Replace the eppa function `name` by make(original, fired) in every
-    eppa module that holds it; the mutant appends to `fired` whenever it
-    returns something other than the original would."""
+    eppa module that holds it, or for a name "Class.attr" the cached
+    property attr of that eppa class; the mutant appends to `fired` whenever
+    it returns something other than the original would."""
+    owner, _, attr = name.rpartition(".")
+    if owner:
+        cls = next(getattr(mod, owner) for mod_name, mod in sorted(sys.modules.items())
+                   if mod_name.startswith("eppa.") and hasattr(mod, owner))
+        original = cls.__dict__[attr]
+        fired: list[bool] = []
+        mutant = functools.cached_property(make(original.func, fired))
+        mutant.__set_name__(cls, attr)
+        setattr(cls, attr, mutant)
+        try:
+            yield fired
+        finally:
+            setattr(cls, attr, original)
+        return
     original = None
     sites = []
     for mod_name, mod in sorted(sys.modules.items()):
@@ -211,16 +227,16 @@ def tokens_mismatched(real, fired):
 def class_distance_raised(real, fired):
     # every unlabelled class distance is the sum of two others on a triangle
     # that occurs, so no raise keeps the final space a metric
-    def mutant(sa, scale, f):
-        k, labelled = sa.k, len(sa.graph.spectrum())
-        unlabelled = [c for c in range(max(0, 2 * k - len(sa.universe)), k)
-                      if not 1 <= c <= labelled]
+    def mutant(table):
+        k = len(table.distances) - 1
+        # the first walk holds the labels: the classes it leaves empty are unlabelled
+        unlabelled = [c for c in range(max(0, 2 * k - table.m), k) if table.walks[0][c] is None]
         if not unlabelled:
-            return real(sa, scale, f)
-        bent = list(f)
-        bent[unlabelled[0]] += 1
+            return real(table)
+        last = list(table.walks[-1])
+        last[unlabelled[0]] += 1
         fired.append(True)
-        return real(sa, scale, bent)
+        return real(dataclasses.replace(table, walks=(*table.walks[:-1], tuple(last))))
     return mutant
 
 
@@ -229,7 +245,7 @@ CONSTRUCTION_MUTANTS = [
     ("anchor bit flipped", "anchor_valuations", anchor_bit_flipped),
     ("flip-set member dropped", "compute_flip_set", flip_member_dropped),
     ("tokens matched to each other's images", "subset_automorphism", tokens_mismatched),
-    ("unlabelled class distance raised", "class_completion", class_distance_raised),
+    ("unlabelled class distance raised", "ClassTable.codes", class_distance_raised),
 ]
 
 

@@ -30,7 +30,9 @@ import numpy as np
 
 from .completion import CycleWitness
 from .errors import GraphFormatError, InvalidMap
-from .graphs import EdgeLabelledGraph, PartialMap, _check_core_name, graph_from_triples
+from .graphs import (
+    EdgeLabelledGraph, PartialMap, _check_core_name, graph_from_triples, is_metric_space,
+)
 from .levels import BadSet, LevelGraph, parse_level_vertex
 from .pipeline import Witness, final_space
 from .setrep import SetAssignment, build_set_assignment
@@ -263,15 +265,19 @@ def _level_from_json(obj: Any, pos: int) -> LevelGraph:
                       projection=projection, bad_sets=bad)
 
 
-def _check_shape(a: EdgeLabelledGraph, levels: tuple[LevelGraph, ...], n) -> SetAssignment | None:
+def _check_shape(a: EdgeLabelledGraph, sa: SetAssignment | None,
+                 levels: tuple[LevelGraph, ...], n) -> None:
     """Check the shape rules of a witness file, which the writer and the
-    loader both read; the input's set assignment, None for one point.  A
-    one-point input has no levels, and any other stores B0 with C(m, k)
-    vertices, counted before any Johnson table is built.  The base is level
-    2 without bad sets, levels rise strictly up to `n`, and the top level's
-    copy names its vertices."""
+    loader both read, against the input's set assignment `sa` (None for one
+    point).  The input is a metric space.  A one-point input has no levels,
+    and any other stores B0 with C(m, k) vertices, counted before any
+    Johnson table is built.  The base is level 2 without bad sets, levels
+    rise strictly up to `n`, each level's copy is defined on exactly the
+    input's points, and the top level's copy names its vertices."""
     if len(a) == 0:
         raise GraphFormatError("need at least one vertex")
+    if not is_metric_space(a):
+        raise GraphFormatError("the input is not a metric space")
     if type(n) is not int or n < 2:
         raise GraphFormatError(f"witness field \"n\" must be an integer of at least 2, got {n!r}")
     low = 2
@@ -286,24 +292,29 @@ def _check_shape(a: EdgeLabelledGraph, levels: tuple[LevelGraph, ...], n) -> Set
     if len(a) == 1:
         if levels:
             raise GraphFormatError("a one-point input has no levels: its witness is the input")
-        return None
+        return
     if not levels:
         raise GraphFormatError("an input of two or more points stores B0 as level #0")
-    sa = build_set_assignment(a)
+    if sa is None:  # only a witness made by hand lacks it
+        raise GraphFormatError("a witness of two or more points carries its set assignment")
     count = math.comb(len(sa.universe), sa.k)
     if len(levels[0].graph) != count:
         raise GraphFormatError(f"level #0: B0 of this input has {count} vertices, "
                                f"not {len(levels[0].graph)}")
+    for pos, lvl in enumerate(levels):
+        if lvl.base_embedding.domain() != a.vertices:
+            raise GraphFormatError(f"level #{pos}: the copy is defined on "
+                                   f"{list(lvl.base_embedding.domain())}, not on the input's "
+                                   f"points {list(a.vertices)}")
     top = levels[-1]
     for x, v in top.base_embedding.items():
         if v not in top.graph:
             raise GraphFormatError(f"level #{len(levels) - 1}: the copy of {x!r} is {v!r}, "
                                    "which is no vertex of the level")
-    return sa
 
 
 def witness_to_json(w: Witness) -> dict:
-    _check_shape(w.input, w.levels, w.n)
+    _check_shape(w.input, w.set_assignment, w.levels, w.n)
     return {"format": WITNESS_FORMAT, "input": graph_to_json(w.input),
             "levels": [_level_to_json(lvl) for lvl in w.levels], "n": w.n}
 
@@ -321,7 +332,8 @@ def witness_from_json(obj: Any) -> Witness:
     a = graph_from_json(obj["input"])
     levels = tuple(_level_from_json(lvl, pos)
                    for pos, lvl in enumerate(_list(obj["levels"], "witness \"levels\"")))
-    sa = _check_shape(a, levels, obj["n"])
+    sa = build_set_assignment(a) if len(a) > 1 else None
+    _check_shape(a, sa, levels, obj["n"])
     return Witness(input=a, set_assignment=sa, levels=levels, final=final_space(a, sa, levels),
                    n=obj["n"])
 

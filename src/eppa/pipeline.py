@@ -19,12 +19,13 @@ storing only the ones with bad sets.
 
 The final space is the shortest-path completion of the copy's component in
 the top stored level.  When that level is B0, B0 is the Johnson scheme
-J(m, k), the component is all of it, and the completion is f(|X & Z|) for
-the class distances f (`setrep.class_completion`); its metric check runs on
-class triples (`setrep.is_class_metric`) instead of vertex triples.  B0,
-its completion and the extension all read the one Johnson table of the set
-assignment (`SetAssignment.johnson`).  The loader derives the final space
-with the build's own code (`final_space`), so a witness file does not hold it.
+J(m, k), the component is all of it, and the completion's codes are
+T[|X & Z|] for the class table T (`SetAssignment.classes`); its metric
+check runs on class triples (`setrep.is_class_metric`).  A token
+permutation keeps every |X & Z|, so it induces an automorphism of this
+final space: only a lift through stored levels is checked as one again,
+and `verifier.cross_check` judges every map.  The loader derives the final
+space with the build's own code (`final_space`), so no file holds it.
 """
 
 from __future__ import annotations
@@ -42,11 +43,10 @@ from .graphs import (
     check_vertex_name,
     induced_subgraph,
     is_metric_space,
-    is_partial_automorphism,
 )
 from .levels import LevelGraph, _automorphism_ok, build_next_level, compute_flip_set, lift_automorphism
 from .setrep import (
-    SetAssignment, build_eppa_graph, build_set_assignment, class_completion, class_distances,
+    SetAssignment, build_eppa_graph, build_set_assignment, class_completion,
     extend_by_permutation, first_bad_level, is_class_metric, subset_automorphism,
     subset_graph_size,
 )
@@ -131,7 +131,7 @@ def build_witness(a: EdgeLabelledGraph, vertex_cap: int = 200_000) -> Witness:
             levels += (nxt,)
 
     final = final_space(a, sa, levels)
-    metric = (is_class_metric(len(sa.universe), class_distances(sa)[1]) if len(levels) == 1
+    metric = (is_class_metric(len(sa.universe), sa.classes.distances) if len(levels) == 1
               else is_metric_space(final))
     emb = levels[-1].base_embedding
 
@@ -155,7 +155,7 @@ def final_space(a: EdgeLabelledGraph, sa: SetAssignment | None,
     if not levels:
         return a
     if len(levels) == 1:
-        return class_completion(sa, *class_distances(sa))
+        return class_completion(sa.johnson, sa.classes)
     top = levels[-1]
     reached, _ = reach(top.graph, map(top.graph.position, top.base_embedding.image()))
     component = tuple(map(top.graph.vertices.__getitem__, reached.tolist()))
@@ -185,19 +185,16 @@ def extend_isometry(w: Witness, phi: PartialMap) -> PartialMap:
     (always on final vertex ids) extending the image form of `phi`.  On
     B0, whose vertices must be the ids of the set assignment's Johnson
     table, it is the permutation of B0's vertex positions that the token
-    permutation completing `phi` induces (`subset_automorphism`), so no
-    vertex id is parsed.  When the final space is all of B0 the permutation
-    applies to it as it is; otherwise it becomes a map on B0's ids, which is
-    lifted through the stored levels only (a level that is not stored is
-    the one below renamed, and the lift there is the same map) and
-    restricted to the final space.  The result is checked as an isometry of
-    the final space, as a permutation of its vertex positions; without
-    levels it is the identity, checked like any other.
+    permutation completing `phi` induces (`subset_automorphism`; a `phi`
+    that is no partial isometry is refused by `extend_by_permutation`).
+    When the final space is all of B0 the permutation applies to it as it
+    is, an automorphism by construction (see above); otherwise it becomes a
+    map on B0's ids, lifted through the stored levels only (a level that is
+    not stored is the one below renamed, and the lift there is the same
+    map), restricted to the final space and checked as an isometry of it.
+    Without levels the result is the identity.
     """
     phi_a = _as_input_map(w, phi)
-    if not is_partial_automorphism(phi_a, w.input):
-        raise InvalidMap("map does not preserve distances on its domain")
-
     emb = w.final_embedding
     phi_final = PartialMap({emb[x]: emb[phi_a[x]] for x in phi_a.domain()})
     theta = _replay(w, phi_a) if w.levels else PartialMap.identity(w.final.vertices)
@@ -239,10 +236,10 @@ def _replay(w: Witness, phi_a: PartialMap) -> PartialMap:
         perm = np.fromiter((where.get(hat[u], -1) for u in verts), dtype=np.intp, count=len(verts))
         if (perm < 0).any():
             raise InvalidMap("extension does not preserve the final space")
-    if not _automorphism_ok(w.final, perm):
-        raise InvalidMap("restriction to the final space is not an isometry")
-    # pi permutes the subsets and every lift is injective, so perm permutes
-    # the final space's positions
+        if not _automorphism_ok(w.final, perm):
+            raise InvalidMap("restriction to the final space is not an isometry")
+    # a lift is injective, so perm permutes the positions; on B0 alone it is an
+    # automorphism, as pi keeps the shared-token counts that code the final space
     return _permutation_map(verts, perm)
 
 

@@ -7,7 +7,9 @@ non-adjacent vertices share nothing).  The derived graph B has all k-element
 subsets of the token universe as vertices, two subsets being joined by the
 i-th smallest label of A exactly when they share i tokens.  Then psi embeds A
 into B, and any partial automorphism of the copy extends to an automorphism
-of B induced by a permutation of the tokens.
+of B induced by a permutation of the tokens.  It keeps every shared-token
+count, so it is also one of B's completion, read off those counts
+(`SetAssignment.classes`); no extension checks that again per map.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .errors import GraphFormatError, InvalidMap, NotAMetricSpace, UnknownVertex, VertexCapExceeded
+from .errors import GraphFormatError, InvalidMap, NotAMetricSpace, VertexCapExceeded
 from .graphs import (
     EdgeLabelledGraph,
     PartialMap,
@@ -135,14 +137,47 @@ class JohnsonTable:
 
 
 @dataclass(frozen=True)
+class ClassTable:
+    """The tower-free final space of a set assignment by shared-token count
+    on J(m, k): `walks` are D_1 (the labels), D_2, ... of `_class_walks` up
+    to their fixed point f (`distances`), in units of 1/`scale`."""
+
+    m: int
+    scale: int
+    walks: tuple[tuple[int | None, ...], ...]
+
+    @property
+    def distances(self) -> list[int | None]:
+        return [*self.walks[-1], 0]
+
+    @cached_property
+    def codes(self) -> tuple[tuple[Fraction, ...], np.ndarray]:
+        """(spectrum, T): the distinct distances of the classes that occur,
+        max(0, 2k - m) <= c < k, ascending, and their ranks by c (0 for any
+        other c), so T[shares] codes the completion; refused when B0 is not
+        connected."""
+        f = self.distances
+        k = len(f) - 1
+        classes = range(max(0, 2 * k - self.m), k)
+        for c in classes:
+            if f[c] is None:
+                raise NotAMetricSpace(f"subset graph is disconnected: no walk joins two "
+                                      f"subsets sharing {c} tokens")
+        values = sorted({f[c] for c in classes})
+        table = np.zeros(k + 1, dtype=np.min_scalar_type(len(values)))
+        table[classes.start:k] = [bisect_left(values, f[c]) + 1 for c in classes]
+        return tuple(Fraction(v, self.scale) for v in values), table
+
+
+@dataclass(frozen=True)
 class SetAssignment:
     """A token-set assignment for the vertices of `graph`.
 
     `psi` maps each vertex to a frozenset of token strings and `universe` is
     their union in token order.  Only `build_set_assignment` makes one, so
     nothing re-validates it: its `graph` is the input it was derived from.
-    `johnson` is the table of its subset graph, built on first use and kept
-    as long as the assignment.
+    `johnson` and `classes` are the Johnson and class tables of its subset
+    graph, built on first use and kept as long as the assignment.
     """
 
     graph: EdgeLabelledGraph
@@ -153,6 +188,12 @@ class SetAssignment:
     @cached_property
     def johnson(self) -> JohnsonTable:
         return JohnsonTable(self.universe, self.k)
+
+    @cached_property
+    def classes(self) -> ClassTable:
+        scale, labels = scaled_spectrum(self.graph)
+        m = len(self.universe)
+        return ClassTable(m, scale, tuple(map(tuple, _class_walks(m, self.k, labels))))
 
 
 def token_load(a: EdgeLabelledGraph, x: str) -> int:
@@ -196,7 +237,7 @@ def subset_graph_size(sa: SetAssignment, vertex_cap: int) -> int:
 def first_bad_level(sa: SetAssignment, n: int) -> tuple[int, int] | None:
     """(L, lb): the least level from 3 to n at which the subset graph has
     bad sets, and a lower bound on the bad L-sets through each vertex; None
-    when there is none.  Read from m, k and the spectrum s_1 < ... < s_r.
+    when there is none.  Read off the class walks of `sa.classes`.
 
     The graph has a non-metric cycle on at most h + 1 vertices iff some
     label has D_h(c) < s_c (`_class_walks`), and one with the fewest
@@ -205,9 +246,9 @@ def first_bad_level(sa: SetAssignment, n: int) -> tuple[int, int] | None:
     edge of such a label is the long edge, the only one, of a bad L-set.
     """
     m, k = len(sa.universe), sa.k
-    _, labels = scaled_spectrum(sa.graph)
-    for h, walk in zip(range(1, n), _class_walks(m, k, labels)):
-        bad = [c for c, label in enumerate(labels, start=1) if walk[c] < label]
+    walks = sa.classes.walks
+    for h, walk in zip(range(1, n), walks):
+        bad = [c for c, label in enumerate(walks[0]) if label is not None and walk[c] < label]
         if bad:
             return h + 1, sum(math.comb(k, c) * math.comb(m - k, k - c) for c in bad)
     return None
@@ -252,47 +293,14 @@ def _class_walks(m: int, k: int, labels: list[int]) -> Iterator[list[int | None]
         walk = longer
 
 
-def class_distances(sa: SetAssignment) -> tuple[int, list[int | None]]:
-    """(scale, f): the lcm of the label denominators, and for c = 0, ..., k
-    the shortest-path distance in the subset graph, times the scale, between
-    two subsets sharing c tokens (None while no walk reaches the class).
-
-    f is the last of `_class_walks`, with f[k] = 0 for a subset and itself:
-    token permutations act on each class transitively, so the distance
-    depends on the class alone.
-    """
-    scale, labels = scaled_spectrum(sa.graph)
-    *_, walk = _class_walks(len(sa.universe), sa.k, labels)
-    return scale, [*walk, 0]
-
-
-def class_completion(sa: SetAssignment, scale: int, f: list[int | None]) -> EdgeLabelledGraph:
-    """The shortest-path completion of the subset graph of `sa`, read off
-    its class distances (`class_distances`, k + 1 of them).
-
-    Two k-subsets of the m tokens share c tokens for each c from
-    max(0, 2k - m) to k.  The distinct distances of those classes,
-    ascending, are the spectrum, and a (k + 1)-entry table of their ranks
-    indexed by the shared-token counts of the Johnson table gives the codes.
-    When a class that occurs has no walk, the subset graph is not connected
-    and has no completion.
-    """
-    k = sa.k
-    classes = range(max(0, 2 * k - len(sa.universe)), k)
-    for c in classes:
-        if f[c] is None:
-            raise NotAMetricSpace(f"subset graph is disconnected: no walk joins two "
-                                  f"subsets sharing {c} tokens")
-    values = sorted({f[c] for c in classes})
-    table = np.zeros(k + 1, dtype=np.min_scalar_type(len(values)))
-    for c in classes:
-        table[c] = bisect_left(values, f[c]) + 1
-    johnson = sa.johnson
+def class_completion(johnson: JohnsonTable, classes: ClassTable) -> EdgeLabelledGraph:
+    """The shortest-path completion of a subset graph, read off its class
+    table: the code of two subsets is T at the number of tokens they share
+    (`ClassTable.codes`, indexed by `JohnsonTable.shares`)."""
+    spectrum, table = classes.codes
     n = len(johnson.ids)
-    return EdgeLabelledGraph._trusted(
-        johnson.ids, tuple(Fraction(v, scale) for v in values), table[johnson.shares],
-        n * (n - 1) // 2,
-    )
+    return EdgeLabelledGraph._trusted(johnson.ids, spectrum, table[johnson.shares],
+                                      n * (n - 1) // 2)
 
 
 def _intersection_number(m: int, k: int, i: int, j: int, l: int) -> int:
@@ -361,12 +369,7 @@ def extend_by_permutation(sa: SetAssignment, phi: PartialMap) -> PartialMap:
     (coherent extension).
     """
     a = sa.graph
-    for x in phi.domain():
-        if x not in a:
-            raise UnknownVertex(f"unknown vertex {x!r}")
-    for x in phi.image():
-        if x not in a:
-            raise UnknownVertex(f"unknown vertex {x!r}")
+    # raises UnknownVertex for a vertex outside A
     if not is_partial_automorphism(phi, a):
         raise InvalidMap("map does not preserve distances on its domain")
     pi: dict[str, str] = {}

@@ -10,6 +10,7 @@ the completion oracles in test_completion.
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
 import os
 import random
@@ -24,6 +25,7 @@ from hypothesis import strategies as st
 from eppa import (
     EdgeLabelledGraph,
     PartialMap,
+    build_set_assignment,
     build_witness,
     complete_graph,
     extend_by_permutation,
@@ -32,6 +34,7 @@ from eppa import (
     subset_automorphism,
 )
 from eppa.fileio import _level_to_json, witness_to_json
+from eppa.setrep import ClassTable
 
 hypothesis.settings.register_profile("fast", max_examples=10)
 hypothesis.settings.register_profile("deep", max_examples=300)
@@ -143,14 +146,33 @@ def demo_witness(probe):
     return probe.demo_witness()
 
 
+def stacked_level(demo_witness):
+    """The demonstration witness's level 3 with a copy of the triangle
+    (x, y, z) in the component of its own copy of z."""
+    top = demo_witness.levels[1]
+    copy = PartialMap({"x": "p;00", "y": "q;00", "z": top.base_embedding["z"]})
+    return dataclasses.replace(top, base_embedding=copy)
+
+
 def stacked_witness_json(t112_witness, demo_witness) -> dict:
     """The triangle-112 witness file with the demonstration witness's level
-    3 stored above its B0.  No build writes such a file (the demo level does
-    not expand B0), but the loader accepts it: each of its shape rules holds.
-    It stands in for a file with a level above B0 and bad sets."""
+    3 stored above its B0 (`stacked_level`).  No build writes such a file
+    (the demo level does not expand B0), but the loader accepts it: each of
+    its shape rules holds.  It stands in for a file with a level above B0
+    and bad sets."""
     obj = witness_to_json(t112_witness)
-    obj["levels"].append(_level_to_json(demo_witness.levels[1]))
+    obj["levels"].append(_level_to_json(stacked_level(demo_witness)))
     return obj
+
+
+def bent_classes(a: EdgeLabelledGraph, c: int, value: int | None) -> ClassTable:
+    """The class table of a's set assignment with the distance of class c,
+    in scaled units, set to `value`; tests inject it through
+    `SetAssignment.classes`, which every step of a build reads."""
+    table = build_set_assignment(a).classes
+    last = list(table.walks[-1])
+    last[c] = value
+    return dataclasses.replace(table, walks=(*table.walks[:-1], tuple(last)))
 
 
 # -- corpus of small graphs for oracle-agreement tests -----------------------

@@ -370,7 +370,7 @@ MALFORMED_WITNESSES = {
                       'level #1: "level" must be an integer from 3 to 3, got 4'),
     "integer-long-edge": ("stacked", _set("levels", 1, "bad_sets", 0, "long_edge", [1, 2]),
                           "level #1: bad set #0 long_edge must be a list of 2 strings"),
-    "copy-outside-the-top-level": ("stacked", _set("levels", 1, "base_embedding", 0, 1, "r;9"),
+    "copy-outside-the-top-level": ("stacked", _set("levels", 1, "base_embedding", 2, 1, "r;9"),
                                    "level #1: the copy of 'z' is 'r;9', which is no vertex"),
     "repeated-copy-source": (
         "t112", _edit("levels", 0, "base_embedding", lambda pairs: pairs[1].__setitem__(0, "x")),
@@ -392,6 +392,15 @@ MALFORMED_WITNESSES = {
         "level #0: vertices must be strictly ascending"),
     "whitespace-vertex-name": ("t112", _set("levels", 0, "graph", "vertices", 0, "x y"),
                                "level #0: bad vertex name 'x y'"),
+    "input-not-metric": ("t112", _edit("input", "edges", lambda edges: edges[2].__setitem__(2, "3")),
+                         "the input is not a metric space"),
+    "copy-without-a-point": ("t112", _edit("levels", 0, "base_embedding", list.pop),
+                             "level #0: the copy is defined on ['x', 'y'], not on the input's "
+                             "points ['x', 'y', 'z']"),
+    "copy-with-an-extra-source": (
+        "t112", _edit("levels", 0, lambda lvl: lvl["base_embedding"].append(
+            ["q", lvl["graph"]["vertices"][0]])),
+        "level #0: the copy is defined on ['q', 'x', 'y', 'z'], not on the input's points"),
     "input-without-vertices": ("t112", _edit(lambda obj: obj.update(
         input={"vertices": [], "edges": []}, levels=[])), "need at least one vertex"),
 }

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from fractions import Fraction
 from itertools import combinations
@@ -38,7 +39,7 @@ from eppa.fileio import (
     witness_to_json,
 )
 
-from conftest import stacked_witness_json
+from conftest import stacked_level, stacked_witness_json
 
 
 # -- labels ------------------------------------------------------------------
@@ -194,7 +195,7 @@ def test_witness_file_stores_each_fact_once(demo_witness, t112_witness):
     assert top.projection == {v: v.rpartition(";")[0] for v in top.graph.vertices}
     for m in top.bad_sets:
         assert (m.members, m.long_edge) == (frozenset(m.cycle.vertices), m.cycle.long_edge)
-    assert (base, top) == (t112_witness.levels[0], demo_witness.levels[1])
+    assert (base, top) == (t112_witness.levels[0], stacked_level(demo_witness))
     stacked = witness_from_json(obj)
     assert stacked.levels == (base, top)
     assert stacked.final == demo_witness.final  # the top level's component, completed
@@ -204,11 +205,14 @@ def test_witness_file_stores_each_fact_once(demo_witness, t112_witness):
     assert loaded == t112_witness
 
 
-def test_the_writer_refuses_what_the_loader_refuses(demo_witness):
+def test_the_writer_refuses_what_the_loader_refuses(demo_witness, t112_witness):
     # the demonstration witness stores levels for a one-point input, which
     # no build does; its file would not load, so it is not written
     with pytest.raises(GraphFormatError, match="a one-point input has no levels"):
         witness_to_json(demo_witness)
+    # the writer counts B0 against the witness's own set assignment
+    with pytest.raises(GraphFormatError, match="carries its set assignment"):
+        witness_to_json(dataclasses.replace(t112_witness, set_assignment=None))
 
 
 def test_witness_rejects_structural_damage(k2_witness, t112_witness, demo_witness, tmp_path,

@@ -27,19 +27,21 @@ from eppa import (
     shortest_path_completion,
     witness_stats,
 )
-from eppa import pipeline
+from eppa import pipeline, setrep
 from eppa.cli import main as cli_main
 from eppa.fileio import (
     dump_json,
     load_json,
     map_from_json,
     map_to_json,
+    witness_from_json,
     witness_to_json,
 )
 from eppa.graphs import EdgeLabelledGraph, induced_subgraph
 from eppa.levels import LevelGraph, level_vertex_id
+from eppa.setrep import SetAssignment
 
-from conftest import make_k2, make_t112, make_t123, make_four_point, tau_on_empty
+from conftest import bent_classes, make_k2, make_t112, make_t123, make_four_point, tau_on_empty
 
 
 SINGLE = graph_from_triples(["only"], [])
@@ -232,15 +234,25 @@ def test_final_metric_check_reads_the_completed_labels(monkeypatch):
     # class distances that keep every distance of the copy but break the
     # triangle inequality elsewhere must be caught by the final check: on
     # J(8, 4), subsets sharing 3 tokens are joined by no label of (1,1,2)
-    real = pipeline.class_distances
-
-    def bent(sa):
-        scale, f = real(sa)
-        return scale, [*f[:3], 100 * scale, *f[4:]]
-
-    monkeypatch.setattr(pipeline, "class_distances", bent)
+    a = make_t112()
+    bent = bent_classes(a, 3, 100 * build_set_assignment(a).classes.scale)
+    monkeypatch.setattr(SetAssignment, "classes", property(lambda sa: bent))
     with pytest.raises(NotAMetricSpace, match="completion failed"):
-        build_witness(make_t112())
+        build_witness(a)
+
+
+@pytest.mark.parametrize("make", [make_k2, make_t112, make_t123, make_four_point],
+                         ids=["k2", "t112", "t123", "four-point"])
+def test_the_class_walks_run_once_per_build_and_per_load(make, monkeypatch):
+    # the tower decision, the final space and its metric check read one
+    # class table per set assignment
+    calls = []
+    real = setrep._class_walks
+    monkeypatch.setattr(setrep, "_class_walks", lambda *args: calls.append(args) or real(*args))
+    w = build_witness(make())
+    assert len(calls) == 1
+    witness_from_json(witness_to_json(w))
+    assert len(calls) == 2
 
 
 def test_rejects_empty_and_reserved_names():

@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -42,8 +43,9 @@ from eppa import (
 from eppa.setrep import (
     _class_walks,
     _intersection_number,
+    ClassTable,
+    SetAssignment,
     class_completion,
-    class_distances,
     first_bad_level,
     is_class_metric,
     pair_token,
@@ -56,8 +58,8 @@ from eppa.setrep import (
 from eppa.fileio import witness_from_json, witness_to_json
 from eppa.verifier import _copy_token_fault
 from conftest import (
-    b0_automorphism, broken_compositions, composable_pairs, edge_labelled_graphs, make_four_point, make_k2,
-    make_t112, make_t123, tau_on_empty,
+    b0_automorphism, bent_classes, broken_compositions, composable_pairs, edge_labelled_graphs,
+    make_four_point, make_k2, make_t112, make_t123, tau_on_empty,
 )
 
 
@@ -462,15 +464,31 @@ def small_tower_free_spaces(draw):
 def test_class_completion_is_the_completion_of_b0(sa):
     b0 = build_eppa_graph(sa)[0]
     m, k = len(sa.universe), sa.k
-    scale, f = class_distances(sa)
+    f = sa.classes.distances
     assert f[k] == 0 and None not in f[max(0, 2 * k - m):]  # every class that occurs is reached
-    got, want = class_completion(sa, scale, f), shortest_path_completion(b0)
+    got, want = class_completion(sa.johnson, sa.classes), shortest_path_completion(b0)
     assert got.vertices == want.vertices
     assert got.spectrum() == want.spectrum()
     assert got.codes.dtype == want.codes.dtype
     assert np.array_equal(got.codes, want.codes)
     assert got.edge_count == want.edge_count
     assert is_class_metric(m, f)
+
+
+@settings(max_examples=10, deadline=None)
+@given(small_tower_free_spaces())
+def test_a_tower_free_extension_is_an_automorphism_of_the_final_space(sa):
+    # a token permutation keeps every shared-token count and the final
+    # space's codes are T[shares], so the replay on B0 alone checks no
+    # isometry per map: every result is still one, built and reloaded alike
+    a = sa.graph
+    built = build_witness(a)
+    loaded = witness_from_json(witness_to_json(built))
+    maps = list(enumerate_partial_automorphisms(a, len(a)))
+    with mock.patch.object(pipeline, "_automorphism_ok", side_effect=AssertionError("called")):
+        for w in (built, loaded):
+            for phi in maps:
+                assert check_map(extend_isometry(w, phi), w.final, w.final, "automorphism")
 
 
 def test_intersection_numbers_count_the_subsets():
@@ -494,8 +512,8 @@ def test_intersection_numbers_count_the_subsets():
 def test_class_metric_check_agrees_with_the_explicit_check(distances):
     # any positive class distance on J(8, 4), the 70-vertex B0 of (1,1,2)
     sa = build_set_assignment(make_t112())
-    f = [*distances, 0]
-    assert is_class_metric(8, f) == is_metric_space(class_completion(sa, 1, f))
+    table = ClassTable(8, 1, (tuple(distances),))
+    assert is_class_metric(8, table.distances) == is_metric_space(class_completion(sa.johnson, table))
 
 
 @pytest.mark.parametrize("make", [make_k2, make_t112, make_t123, make_four_point],
@@ -507,23 +525,21 @@ def test_a_raised_class_distance_off_the_copy_breaks_a_triangle(make, monkeypatc
     a = make()
     sa = build_set_assignment(a)
     m, k, labelled = len(sa.universe), sa.k, len(a.spectrum())
-    scale, f = class_distances(sa)
+    f = sa.classes.distances
     unlabelled = [c for c in range(max(0, 2 * k - m), k) if not 1 <= c <= labelled]
     if make is make_k2:
         assert unlabelled == []  # J(3, 2): every two subsets share one token
     for c in unlabelled:
-        bent = list(f)
-        bent[c] += 1
-        assert not is_class_metric(m, bent)
-        monkeypatch.setattr(pipeline, "class_distances", lambda sa, bent=bent: (scale, bent))
+        bent = bent_classes(a, c, f[c] + 1)
+        assert not is_class_metric(m, bent.distances)
+        monkeypatch.setattr(SetAssignment, "classes", property(lambda sa, bent=bent: bent))
         with pytest.raises(NotAMetricSpace, match="completion failed"):
             build_witness(a)
 
 
 def test_an_unreached_class_is_refused(monkeypatch):
     a = make_t112()
-    scale, f = class_distances(build_set_assignment(a))
-    f[3] = None
-    monkeypatch.setattr(pipeline, "class_distances", lambda sa: (scale, f))
+    bent = bent_classes(a, 3, None)
+    monkeypatch.setattr(SetAssignment, "classes", property(lambda sa: bent))
     with pytest.raises(NotAMetricSpace, match="no walk joins two subsets sharing 3 tokens"):
         build_witness(a)

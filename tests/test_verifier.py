@@ -25,6 +25,7 @@ from eppa import (
     build_set_assignment,
     build_witness,
     cross_check,
+    extend_isometry,
     graph_from_triples,
     induced_subgraph,
     naive_extension_exists,
@@ -297,6 +298,24 @@ def test_tampered_final_label_is_caught(k2_witness):
     report = cross_check(dataclasses.replace(w, final=EdgeLabelledGraph(w.final.vertices, edges)))
     offenders = failing(report, "final-metric")
     assert offenders and set(offenders[0].counterexample[:2]) == set(pair)
+
+
+def test_a_bent_final_label_on_b0_alone_is_judged_by_the_verifier(t112_witness):
+    # the replay checks no isometry on a final space that is all of B0 (its
+    # codes are a function of shared-token counts by construction), so a
+    # final space bent in memory, on the same vertices, is the verifier's to
+    # catch: its own completion check and its own judgement of every map
+    w = t112_witness
+    copy = set(w.final_embedding.image())
+    theta = extend_isometry(w, PartialMap({"y": "z", "z": "y"}))
+    u, v = next((u, v) for u, v, _ in w.final.edges()
+                if not {u, v} & copy and {theta[u], theta[v]} != {u, v})
+    edges = [(x, y, e + 1 if (x, y) == (u, v) else e) for x, y, e in w.final.edges()]
+    report = cross_check(dataclasses.replace(w, final=EdgeLabelledGraph(w.final.vertices, edges)))
+    assert not report.ok
+    for name in ("final-completion", "extension-replay"):
+        offenders = failing(report, name)
+        assert offenders and offenders[0].counterexample is not None, name
 
 
 def test_non_metric_input_is_caught(t112_witness, t113):
