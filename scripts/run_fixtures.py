@@ -11,8 +11,10 @@ level alike.  It optionally extends every partial isometry of the input,
 timing each `extend_isometry` call alone (median and p90 per map; the first
 call pays the witness's lazy set-up) and checking each result with
 `check_map` outside the timer, or times the independent cross-check of each
-witness and prints its verdict.  The exit code is 1 if a loaded witness
-differs from the built one or a witness fails its cross-check.
+witness and prints its verdict and the path its final checks took
+(explicit, or through one vertex of a vertex-transitive B0).  The exit
+code is 1 if a loaded witness differs from the built one or a witness
+fails its cross-check.
 
     python3 scripts/run_fixtures.py
     python3 scripts/run_fixtures.py --verify
@@ -123,7 +125,8 @@ def run_one(name: str, g: EdgeLabelledGraph, args: argparse.Namespace) -> bool:
         ok = ok and report.ok
         failed = [r.name for r in report.results if not r.passed and not r.skipped]
         skipped = [r.name for r in report.results if r.skipped]
-        print(f"   verify: {'PASS' if report.ok else 'FAIL'} in {time.perf_counter() - t0:.2f}s"
+        print(f"   verify: {'PASS' if report.ok else 'FAIL'} in {time.perf_counter() - t0:.2f}s,"
+              f" final checks {report.path}"
               + (f", failed {', '.join(failed)}" if failed else "")
               + (f", skipped {', '.join(skipped)}" if skipped else ""))
 

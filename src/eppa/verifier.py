@@ -25,6 +25,17 @@ once per graph:
 - the completion is recomputed by a local min-plus closure, and metric and
   replayed isometries are checked on the same matrices.
 
+A witness that stores B0 alone, whose vertices are all the k-subsets of its
+tokens and whose labels are a function of the shared-token counts read off
+the ids, is vertex-transitive: every token permutation is an automorphism.
+Its top-level short-cycle check then sweeps hop-bounded walks from vertex 0
+alone.  When its final space is on B0's vertices and its labels are a
+function of those counts too, the final space's completion and metric
+checks run at vertex 0 as well (`_final_through_one_vertex`): O(V^2) work
+in place of O(V^3).  A failure through one vertex hands over to the
+explicit check, which names the same counterexample, and the report's
+`path` names the way the final checks ran.
+
 So a bug in the construction's set assignment, cycle search, completion or
 automorphism tests cannot vouch for itself.  Besides the exception types of
 `errors`, this module imports from the construction only these names:
@@ -61,6 +72,9 @@ _BAD_SET_SCAN_LIMIT = 200_000
 
 _Matrix = tuple[dict[str, int], np.ndarray]  # (vertex index, label matrix)
 
+# The detail of a check that ran at vertex 0 of a vertex-transitive witness.
+THROUGH_ONE_VERTEX = "through one vertex"
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -82,6 +96,9 @@ class VerificationReport:
     results: list[CheckResult] = field(default_factory=list)
     totals: dict[str, int] = field(default_factory=dict)
     budget_exhausted: bool = False
+    # how `cross_check` ran the final space's checks: "explicit" (min-plus
+    # sweeps over every vertex) or THROUGH_ONE_VERTEX
+    path: str = "explicit"
 
     @property
     def ok(self) -> bool:
@@ -178,8 +195,8 @@ def _permutes_labels(theta: PartialMap, index: dict[str, int], mat: np.ndarray) 
     perm = [index.get(theta.get(v)) for v in index]
     if None in perm:
         return False
-    ix = np.ix_(perm, perm)
-    return bool((mat[ix] == mat).all())
+    perm = np.array(perm, dtype=np.intp)
+    return bool((mat[perm][:, perm] == mat).all())  # two takes gather faster than np.ix_
 
 
 def _enumerate_partial_isometries(
@@ -208,6 +225,14 @@ def _label_rows(b: EdgeLabelledGraph) -> list[list[int]]:
     return _label_matrix(b)[1].tolist()
 
 
+def _row_signatures(rows: list[list[int]]) -> list[int]:
+    """A number per row, equal for two rows exactly when they hold the same
+    entries in some order: an isometry can only send a vertex to one with
+    its signature."""
+    classes: dict[tuple[int, ...], int] = {}  # sorted row -> class number
+    return [classes.setdefault(tuple(sorted(row)), len(classes)) for row in rows]
+
+
 def search_extension(
     b: EdgeLabelledGraph, phi: PartialMap, budget: int = 10_000_000
 ) -> PartialMap | None:
@@ -226,36 +251,49 @@ def search_extension(
             raise UnknownVertex(f"unknown vertex {v!r}")
     if not _distances_ok(phi, b):
         return None
-    return _search_extension(b, _label_rows(b), phi, budget)
+    rows = _label_rows(b)
+    return _search_extension(b, rows, _row_signatures(rows), phi, budget)
+
+
+def _candidate_sets(
+    rows: list[list[int]], signature: list[int], assigned: dict[int, int]
+) -> dict[int, set[int]] | None:
+    """The images each unassigned vertex v may take, or None when one has
+    none: the unused w with v's signature that see the assigned images as v
+    sees their preimages.  One pass files each unused w under (signature,
+    its entries at the images), and v reads its set under (signature, its
+    entries at the preimages)."""
+    dom, img = list(assigned), list(assigned.values())
+    used = set(img)
+    buckets: dict[tuple[int, ...], set[int]] = {}
+    for w, row in enumerate(rows):
+        if w not in used:
+            buckets.setdefault((signature[w], *(row[x] for x in img)), set()).add(w)
+    cand: dict[int, set[int]] = {}
+    for v, row in enumerate(rows):
+        if v in assigned:
+            continue
+        opts = buckets.get((signature[v], *(row[x] for x in dom)))
+        if not opts:
+            return None
+        cand[v] = set(opts)
+    return cand
 
 
 def _search_extension(
-    b: EdgeLabelledGraph, rows: list[list[int]], phi: PartialMap, budget: int
+    b: EdgeLabelledGraph, rows: list[list[int]], signature: list[int], phi: PartialMap,
+    budget: int,
 ) -> PartialMap | None:
-    """`search_extension` on vertex indices, given b's label rows and a phi
-    already known to keep distances."""
+    """`search_extension` on vertex indices, given b's label rows, their
+    signatures and a phi already known to keep distances."""
     verts = b.vertices
     index = {v: i for i, v in enumerate(verts)}
     n = len(verts)
     assigned: dict[int, int] = {index[u]: index[w] for u, w in phi.items()}
     used = set(assigned.values())
-    classes: dict[tuple[int, ...], int] = {}  # sorted row -> class number
-    signature = [classes.setdefault(tuple(sorted(row)), len(classes)) for row in rows]
-    cand: dict[int, set[int]] = {}
-    for v in range(n):
-        if v in assigned:
-            continue
-        row_v = rows[v]
-        opts = {
-            w
-            for w in range(n)
-            if w not in used
-            and signature[w] == signature[v]
-            and all(row_v[u] == rows[w][img] for u, img in assigned.items())
-        }
-        if not opts:
-            return None
-        cand[v] = opts
+    cand = _candidate_sets(rows, signature, assigned)
+    if cand is None:
+        return None
 
     spent = 0
     trail: list[tuple[int, int]] = []
@@ -361,10 +399,11 @@ def verify_eppa(
             raise UnknownVertex(f"unknown vertex {v!r}")
     report = VerificationReport()
     rows = _label_rows(b)
+    signature = _row_signatures(rows)
     for j, phi in enumerate(_enumerate_partial_isometries(b, copy, len(copy))):
         shown = dict(phi.items())
         try:
-            found = _search_extension(b, rows, phi, budget)
+            found = _search_extension(b, rows, signature, phi, budget)
         except BudgetExhausted as exc:
             report.add(f"extends-{j}", False, f"{exc} on {shown}", skipped=True,
                        counterexample=phi)
@@ -430,8 +469,10 @@ def _check_completion(
         report.add(name, False, "final space names vertices outside the top level")
         return
     top_index, top_mat = top_matrix
-    rows = [top_index[v] for v in final.vertices]
-    got = _min_plus_closure(top_mat[np.ix_(rows, rows)])
+    rows = np.fromiter(map(top_index.__getitem__, final.vertices), dtype=np.intp, count=len(final))
+    if not np.array_equal(rows, np.arange(len(top_mat))):
+        top_mat = top_mat[rows][:, rows]
+    got = _min_plus_closure(top_mat)
     first = _first_difference(got, final_matrix[1])
     if first is None:
         report.add(name, True)
@@ -442,6 +483,46 @@ def _check_completion(
     report.add(name, False,
                f"{u!r} ~ {v!r}: stored {final.label(u, v)}, recompleted {closed}",
                counterexample=(u, v))
+
+
+def _final_through_one_vertex(shared: np.ndarray, b0_mat: np.ndarray, final_mat: np.ndarray) -> bool:
+    """Do `final-completion` and `final-metric` hold, judged at vertex 0?
+
+    B0's vertices are all the k-subsets of its tokens and its labels L a
+    function of their shared-token counts `shared` (`_check_subset_level`);
+    the final space F is on the same vertices.  When F is a function of
+    `shared` too, every token permutation is an automorphism of L and of F,
+    and these act transitively on the vertices, so what holds at vertex 0
+    holds at every vertex.  At vertex 0:
+
+    - F is defined, and equals L on every edge of B0;
+    - Bellman's optimality condition holds: each other F[0,v] is the least
+      F[0,w] + L[w,v] over the B0-neighbours w of v.  Labels are positive,
+      so F[0,v] is then the length of a shortest path from 0 to v (by
+      induction on F[0,v] one way, along a shortest path the other), and F
+      is B0's shortest-path completion;
+    - F[y,z] <= F[0,y] + F[0,z] for all y, z: every triangle inequality,
+      its middle vertex moved to 0.
+
+    Bellman's condition alone makes F the completion, and so a metric; the
+    first and third restate the label rule and `final-metric` directly, so
+    that each verdict through one vertex rests on a check of its own.
+    False when any of these fails; the explicit checks then run and name
+    the counterexample.
+    """
+    row = final_mat[0]
+    by_share = np.full(int(shared.max(initial=0)) + 1, -1, dtype=final_mat.dtype)
+    by_share[shared[0]] = row  # row 0 meets every count that occurs
+    if not (final_mat == by_share[shared]).all() or (row < 0).any():
+        return False
+    edge = b0_mat[0] > 0
+    if not (row[edge] == b0_mat[0][edge]).all():
+        return False
+    far = row.max(initial=0) + 1  # stands for "no neighbour"
+    nearest = np.where(b0_mat > 0, row[:, None] + b0_mat, far).min(axis=0)
+    if not (nearest[1:] == row[1:]).all():
+        return False
+    return bool((final_mat <= row[:, None] + row[None, :]).all())
 
 
 def _copy_token_fault(a: EdgeLabelledGraph, copy: PartialMap, k: int) -> str:
@@ -473,20 +554,30 @@ def _copy_token_fault(a: EdgeLabelledGraph, copy: PartialMap, k: int) -> str:
     return ""
 
 
-def _check_subset_level(report: VerificationReport, w: Witness, scale: int, matrix: _Matrix) -> None:
+def _check_subset_level(
+    report: VerificationReport, w: Witness, scale: int, matrix: _Matrix
+) -> np.ndarray | None:
+    """Check the subset level B0 against the set assignment.  Returns the
+    shared-token counts of its vertices, read off their ids, when its
+    vertices are all the k-subsets of the tokens and its labels a function
+    of those counts (`subset-vertices` and `subset-edge-rule` pass): then
+    every token permutation is an automorphism of B0, and these act
+    transitively on its vertices.  Returns None otherwise."""
     lvl = w.levels[0]
     g = lvl.graph
     sa = w.set_assignment
+    all_subsets = False
     if sa is not None:
         fault = _copy_token_fault(w.input, lvl.base_embedding, sa.k)
         report.add("token-assignment", not fault, fault)
         # combinations of a sorted sequence come out sorted
         ordered = sorted(sa.universe, key=token_sort_key)
         expected = sorted("{" + "|".join(c) + "}" for c in combinations(ordered, sa.k))
+        all_subsets = list(g.vertices) == expected
         report.add(
             "subset-vertices",
-            list(g.vertices) == expected,
-            "vertex set is not all k-subsets of the universe" if list(g.vertices) != expected else "",
+            all_subsets,
+            "" if all_subsets else "vertex set is not all k-subsets of the universe",
         )
     # two subsets sharing c tokens are joined by the c-th smallest distance
     spectrum = w.input.spectrum()
@@ -518,6 +609,7 @@ def _check_subset_level(report: VerificationReport, w: Witness, scale: int, matr
     if ok and sa is not None:
         ok = all(parse_subset_id(emb[x]) == frozenset(sa.psi[x]) for x in w.input.vertices)
     report.add("subset-embedding", ok)
+    return shared if all_subsets and bad is None else None
 
 
 def _expected_anchor_bit(m, x: str, copy: set[str]) -> int:
@@ -642,7 +734,7 @@ def _level_edge_rule(
         for pos, j in enumerate(member[base]):
             groups.setdefault(j, []).append((p, int(bits[pos])))
     proj = np.fromiter(map(below_index.__getitem__, base_of), dtype=np.intp, count=len(verts))
-    want = below_mat[np.ix_(proj, proj)]
+    want = below_mat[proj][:, proj]
     want[proj[:, None] == proj[None, :]] = -1
     np.fill_diagonal(want, 0)
     for j, pairs in groups.items():
@@ -731,17 +823,66 @@ def _check_tower_height(report: VerificationReport, w: Witness) -> int:
     return height
 
 
+def _short_cycles_through_one_vertex(
+    mat: np.ndarray, spectrum: tuple[Fraction, ...], size: int, budget: int
+) -> bool:
+    """True when no edge at vertex 0 of B0's label matrix has a walk of at
+    most size-1 edges shorter than its label, with B0 vertex-transitive as
+    `_check_subset_level` proves it.
+
+    These are `has_nonmetric_cycle_up_to`'s hop-bounded min-plus products,
+    on row 0 alone: every edge is the image of one at vertex 0 under an
+    automorphism, which keeps every hop matrix, so row 0 finds a shorter
+    walk at the same hop as the whole matrix, and settles when it does.
+    False on a shorter walk, and when the products would pass the budget
+    of row sweeps (n per product, as there) or there is nothing to sweep:
+    the caller then runs the explicit check, which names the same cycle,
+    runs out of budget at the same product, or returns at once.
+    """
+    n = len(mat)
+    if not spectrum:
+        return False
+    hops = min(size - 1, n - 1, math.ceil(spectrum[-1] / spectrum[0]) - 1)
+    if hops < 2:
+        return False
+    unreachable = hops * int(mat.max()) + 1  # longer than any walk of `hops` edges
+    walk_mat = _narrowest(mat, 2 * unreachable)
+    walk_mat[walk_mat < 0] = unreachable
+    label = walk_mat[0]
+    edge = label < unreachable
+    walks = label
+    for product in range(1, hops):
+        if product * n > budget:
+            return False
+        # walks of one more edge; the zero diagonal keeps the shorter ones
+        more = (walks[:, None] + walk_mat).min(axis=0)
+        if (more[edge] < label[edge]).any():
+            return False
+        if np.array_equal(more, walks):
+            break
+        walks = more
+    return True
+
+
 def _check_short_cycles(
-    report: VerificationReport, w: Witness, idx: int, height: int, budget: int
+    report: VerificationReport, w: Witness, idx: int, height: int, budget: int,
+    transitive: np.ndarray | None,
 ) -> None:
     """Stored level idx has no non-metric cycle on fewer vertices than the
     next stored level's number, or on at most `height` vertices at the top
-    (see the module docstring)."""
+    (see the module docstring).  `transitive` is the level's label matrix
+    when it is B0 alone with the symmetry `_check_subset_level` proves; the
+    check then runs through vertex 0 first."""
     lvl = w.levels[idx]
     if idx + 1 < len(w.levels):
         name, size = f"level-{lvl.level}-no-short-bad-cycles", w.levels[idx + 1].level - 1
     else:
         name, size = "top-level-no-bad-cycles", height
+    if size >= 3 and transitive is not None and _short_cycles_through_one_vertex(
+        transitive, lvl.graph.spectrum(), size, budget
+    ):
+        report.add(name, True, f"up to {size} vertices, {THROUGH_ONE_VERTEX}")
+        return
     try:  # a cycle has at least three vertices
         cycle = has_nonmetric_cycle_up_to(lvl.graph, size, budget=budget) if size >= 3 else None
     except BudgetExhausted as exc:
@@ -770,13 +911,17 @@ def cross_check(w: Witness, budget: int = 10_000_000, search_limit: int = 150) -
 
     if w.levels:
         matrices = [_label_matrix(g, scale) for g in graphs]
+        shared = None
         if w.set_assignment is not None:
-            _check_subset_level(report, w, scale, matrices[0])
+            shared = _check_subset_level(report, w, scale, matrices[0])
+        # B0 alone and vertex-transitive: its short-cycle check, and the final
+        # space's checks, run through vertex 0 first
+        transitive = matrices[0][1] if shared is not None and len(w.levels) == 1 else None
         for idx in range(len(w.levels)):
             if idx:
                 _check_transition(report, w, idx, matrices)
                 report.count("level_transitions_checked")
-            _check_short_cycles(report, w, idx, height, budget)
+            _check_short_cycles(report, w, idx, height, budget, transitive)
         top = w.levels[-1]
 
         top_index, top_mat = matrices[-1]
@@ -792,11 +937,19 @@ def cross_check(w: Witness, budget: int = 10_000_000, search_limit: int = 150) -
             ok = {top.graph.vertices[p] for p in np.flatnonzero(seen).tolist()} == set(w.final.vertices)
         report.add("component", ok,
                    "" if ok else "final vertices differ from the copy's component in the top level")
-        _check_completion(report, w, scale, matrices[-1], final_matrix)
+        if (transitive is not None and w.final.vertices == top.graph.vertices
+                and _final_through_one_vertex(shared, transitive, final_matrix[1])):
+            report.path = THROUGH_ONE_VERTEX
+            report.add("final-completion", True, THROUGH_ONE_VERTEX)
+        else:
+            _check_completion(report, w, scale, matrices[-1], final_matrix)
     else:
         report.add("trivial-tower", len(w.input) == 1 and w.final == w.input)
 
-    _check_metric(report, w.final, "final-metric", final_matrix)
+    if report.path == THROUGH_ONE_VERTEX:
+        report.add("final-metric", True, THROUGH_ONE_VERTEX)
+    else:
+        _check_metric(report, w.final, "final-metric", final_matrix)
 
     emb = w.final_embedding
     emb_ok = set(emb.domain()) == set(w.input.vertices) and all(v in w.final for v in emb.image())

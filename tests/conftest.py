@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import importlib.util
+import math
 import os
 import random
 from fractions import Fraction
@@ -20,6 +21,7 @@ from pathlib import Path
 
 import hypothesis
 import pytest
+from hypothesis import assume
 from hypothesis import strategies as st
 
 from eppa import (
@@ -28,13 +30,15 @@ from eppa import (
     build_set_assignment,
     build_witness,
     complete_graph,
+    compute_N,
     extend_by_permutation,
     graph_from_triples,
+    is_metric_space,
     shortest_path_completion,
     subset_automorphism,
 )
 from eppa.fileio import _level_to_json, witness_to_json
-from eppa.setrep import ClassTable
+from eppa.setrep import ClassTable, first_bad_level
 
 hypothesis.settings.register_profile("fast", max_examples=10)
 hypothesis.settings.register_profile("deep", max_examples=300)
@@ -296,6 +300,32 @@ def connected_graphs(draw, max_vertices=6, labels=LABEL_POOL):
 def metric_spaces(draw, max_vertices=5, labels=LABEL_POOL):
     g = draw(connected_graphs(max_vertices=max_vertices, labels=labels))
     return shortest_path_completion(g)
+
+
+# a side of a random triangle, relative to its other two
+RATIOS = (Fraction(1), Fraction(9, 8), Fraction(5, 4), Fraction(4, 3), Fraction(3, 2),
+          Fraction(5, 3), Fraction(2), Fraction(9, 4), Fraction(8, 3), Fraction(3))
+
+
+@st.composite
+def small_tower_free_spaces(draw):
+    """Metric triangles with one side apart and equilateral four-point
+    spaces, at a random rational unit, whose B0 has at most 300 vertices
+    and no bad set (with three distinct labels, or four points and two, B0
+    has more)."""
+    unit = draw(st.fractions(min_value=Fraction(1, 12), max_value=12, max_denominator=12))
+    if draw(st.booleans()):
+        names, labels = ("a", "b", "c", "d"), [unit] * 6
+    else:
+        odd = unit * draw(st.sampled_from(RATIOS))
+        names = ("x", "y", "z")
+        labels = draw(st.permutations([unit, unit, odd] if draw(st.booleans()) else [unit, odd, odd]))
+    pairs = combinations(names, 2)
+    a = graph_from_triples(names, [(u, v, d) for (u, v), d in zip(pairs, labels)])
+    assume(is_metric_space(a))
+    sa = build_set_assignment(a)
+    assume(math.comb(len(sa.universe), sa.k) <= 300 and first_bad_level(sa, compute_N(a)) is None)
+    return sa
 
 
 # -- independent checkers used by several test files -------------------------

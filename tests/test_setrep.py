@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eppa.setrep as setrep
@@ -59,7 +59,7 @@ from eppa.fileio import witness_from_json, witness_to_json
 from eppa.verifier import _copy_token_fault
 from conftest import (
     b0_automorphism, bent_classes, broken_compositions, composable_pairs, edge_labelled_graphs,
-    make_four_point, make_k2, make_t112, make_t123, tau_on_empty,
+    make_four_point, make_k2, make_t112, make_t123, small_tower_free_spaces, tau_on_empty,
 )
 
 
@@ -432,31 +432,6 @@ def test_first_bad_level_of_the_unbuildable_triangles(labels):
 
 
 # -- the tower-free completion read off the classes --------------------------------
-
-# a side of a random triangle, relative to its other two
-RATIOS = (Fraction(1), Fraction(9, 8), Fraction(5, 4), Fraction(4, 3), Fraction(3, 2),
-          Fraction(5, 3), Fraction(2), Fraction(9, 4), Fraction(8, 3), Fraction(3))
-
-
-@st.composite
-def small_tower_free_spaces(draw):
-    """Metric triangles with one side apart and equilateral four-point
-    spaces, at a random rational unit, whose B0 has at most 300 vertices
-    and no bad set (with three distinct labels, or four points and two, B0
-    has more)."""
-    unit = draw(st.fractions(min_value=Fraction(1, 12), max_value=12, max_denominator=12))
-    if draw(st.booleans()):
-        names, labels = ("a", "b", "c", "d"), [unit] * 6
-    else:
-        odd = unit * draw(st.sampled_from(RATIOS))
-        names = ("x", "y", "z")
-        labels = draw(st.permutations([unit, unit, odd] if draw(st.booleans()) else [unit, odd, odd]))
-    pairs = itertools.combinations(names, 2)
-    a = graph_from_triples(names, [(u, v, d) for (u, v), d in zip(pairs, labels)])
-    assume(is_metric_space(a))
-    sa = build_set_assignment(a)
-    assume(math.comb(len(sa.universe), sa.k) <= 300 and first_bad_level(sa, compute_N(a)) is None)
-    return sa
 
 
 @settings(max_examples=40, deadline=None)

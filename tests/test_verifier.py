@@ -7,11 +7,13 @@ import dataclasses
 import math
 import re
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eppa import verifier
 from eppa import (
@@ -35,8 +37,9 @@ from eppa import (
 )
 from eppa.graphs import EdgeLabelledGraph
 from eppa.levels import BadSet
+from eppa.setrep import parse_subset_id
 from eppa.verifier import _enumerate_partial_isometries, _label_matrix, _min_plus_closure
-from conftest import connected_graphs, small_corpus
+from conftest import connected_graphs, small_corpus, small_tower_free_spaces
 
 
 # -- extension search -----------------------------------------------------------
@@ -101,6 +104,25 @@ def test_search_returns_the_least_extension(name, g):
     maps = list(_enumerate_partial_isometries(g, g.vertices, 2))
     for phi in maps[:40]:
         assert search_extension(g, phi) == least_extension(g, phi), dict(phi.items())
+
+
+@pytest.mark.parametrize("name,g", SMALL, ids=[name for name, _ in SMALL])
+def test_candidate_sets_match_the_plain_filter(name, g):
+    # the bucketed candidate sets against the filter they replace, which
+    # compares every pair of vertices at every assigned vertex
+    rows = _label_matrix(g)[1].tolist()
+    signature = [sorted(row) for row in rows]
+    index = {v: i for i, v in enumerate(g.vertices)}
+    for phi in list(_enumerate_partial_isometries(g, g.vertices, 3))[:60]:
+        assigned = {index[u]: index[w] for u, w in phi.items()}
+        want = {
+            v: {w for w in range(len(rows))
+                if w not in assigned.values() and signature[w] == signature[v]
+                and all(rows[v][u] == rows[w][img] for u, img in assigned.items())}
+            for v in range(len(rows)) if v not in assigned
+        }
+        got = verifier._candidate_sets(rows, verifier._row_signatures(rows), assigned)
+        assert got == (None if set() in want.values() else want), dict(phi.items())
 
 
 def test_naive_oracle_refuses_big_graphs():
@@ -316,6 +338,125 @@ def test_a_bent_final_label_on_b0_alone_is_judged_by_the_verifier(t112_witness):
     for name in ("final-completion", "extension-replay"):
         offenders = failing(report, name)
         assert offenders and offenders[0].counterexample is not None, name
+
+
+# -- the final checks through one vertex ------------------------------------------------
+
+
+def explicit_cross_check(w, **kwargs):
+    """`cross_check` with the checks through vertex 0 turned off, so that
+    each check runs its explicit sweeps."""
+    with mock.patch.object(verifier, "_final_through_one_vertex", return_value=False), \
+            mock.patch.object(verifier, "_short_cycles_through_one_vertex", return_value=False):
+        return cross_check(w, **kwargs)
+
+
+def verdicts(report):
+    """Each check's name, verdict and counterexample, and its detail without
+    the note of the path it took."""
+    return [(r.name, r.passed, r.skipped, r.counterexample,
+             r.detail.removesuffix(verifier.THROUGH_ONE_VERTEX).removesuffix(", "))
+            for r in report.results]
+
+
+def bend_final(w, pairs, delta):
+    """w with `delta` added to the final label of each pair (u, v), u < v."""
+    edges = [(u, v, d + delta if (u, v) in pairs else d) for u, v, d in w.final.edges()]
+    return dataclasses.replace(w, final=EdgeLabelledGraph(w.final.vertices, edges))
+
+
+def share_classes(g):
+    """g's vertex pairs (u, v), u < v, by the number of tokens their subset
+    ids share."""
+    tokens = {v: parse_subset_id(v) for v in g.vertices}
+    classes = {}
+    for u, v in combinations(g.vertices, 2):
+        classes.setdefault(len(tokens[u] & tokens[v]), set()).add((u, v))
+    return classes
+
+
+@settings(max_examples=15, deadline=None)
+@given(small_tower_free_spaces(), st.data())
+def test_the_checks_through_one_vertex_agree_with_the_explicit_ones(sa, data):
+    w = build_witness(sa.graph)
+    fast = cross_check(w, search_limit=0)
+    assert fast.ok and fast.path == verifier.THROUGH_ONE_VERTEX
+    assert verdicts(fast) == verdicts(explicit_cross_check(w, search_limit=0))
+
+    # a final space bent at one pair, or across a whole shared-token class,
+    # is no completion: both paths fail it alike
+    classes = share_classes(w.final)
+    if data.draw(st.booleans(), label="whole class"):
+        pairs = classes[data.draw(st.sampled_from(sorted(classes)), label="shared tokens")]
+    else:
+        pairs = {data.draw(st.sampled_from(sorted(chain.from_iterable(classes.values()))),
+                           label="pair")}
+    delta = data.draw(st.sampled_from((1, -1)), label="sign") * w.input.spectrum()[0] / 2
+    bent = bend_final(w, pairs, delta)
+    fast = cross_check(bent, search_limit=0)
+    assert fast.path == "explicit"
+    assert verdicts(fast) == verdicts(explicit_cross_check(bent, search_limit=0))
+    offenders = failing(fast, "final-completion")
+    assert offenders and offenders[0].counterexample is not None
+
+
+@pytest.mark.parametrize("fixture", ["t123", "four_point"])
+def test_the_fixtures_pass_through_one_vertex_as_they_pass_explicitly(request, fixture):
+    w = build_witness(request.getfixturevalue(fixture))
+    fast = cross_check(w, search_limit=0)
+    assert fast.ok and fast.path == verifier.THROUGH_ONE_VERTEX
+    through = {r.name for r in fast.results if r.detail.endswith(verifier.THROUGH_ONE_VERTEX)}
+    # only (1,2,3) has a label above twice the smallest, and so a cycle to sweep for
+    assert through == {"final-completion", "final-metric"} | (
+        {"top-level-no-bad-cycles"} if fixture == "t123" else set())
+    assert verdicts(fast) == verdicts(explicit_cross_check(w, search_limit=0))
+
+
+def b0_alone(labels, n):
+    """A witness storing the B0 of the triangle with these sides alone, with
+    tower height n, whether or not B0 has bad sets."""
+    a = graph_from_triples(["x", "y", "z"], list(zip("xxy", "yzz", labels)))
+    sa = build_set_assignment(a)
+    b0, copy = build_eppa_graph(sa)
+    level = LevelGraph(graph=b0, level=2, base_embedding=copy, projection={}, bad_sets=())
+    return Witness(input=a, set_assignment=sa, levels=(level,),
+                   final=shortest_path_completion(b0), n=n)
+
+
+@pytest.mark.parametrize("labels,budget,cycle", [
+    ((1, 4, 4), 10_000_000, True),   # a bad 4-set: a shorter walk at the second product
+    ((1, 4, 4), 300, False),         # the second product passes the budget
+    ((1, 3, 3), 200, False),         # no bad set, but the first product passes the budget
+], ids=["bad-cycle", "budget-at-the-cycle", "budget-without-a-cycle"])
+def test_the_short_cycle_check_hands_a_find_or_the_budget_to_the_explicit_search(
+        labels, budget, cycle):
+    # each B0 has 252 vertices, so each product costs 252 row sweeps; the
+    # B0 of (1,4,4) has bad 4-sets, so no build stores it alone
+    w = b0_alone(labels, labels[2] + 1)
+    fast = cross_check(w, budget=budget, search_limit=0)
+    assert verdicts(fast) == verdicts(explicit_cross_check(w, budget=budget, search_limit=0))
+    top = next(r for r in fast.results if r.name == "top-level-no-bad-cycles")
+    assert not top.passed and top.skipped != cycle
+    assert isinstance(top.counterexample, CycleWitness) == cycle
+
+
+def test_a_class_consistent_bend_is_caught_by_final_completion(t112_witness):
+    # lowering every pair that shares no token by half a unit keeps the
+    # final labels a function of the shared-token counts, and a metric:
+    # only Bellman's condition at vertex 0 turns the check over to the
+    # explicit closure, which names the class's first pair
+    w = t112_witness
+    pairs = share_classes(w.final)[0]
+    bent = bend_final(w, pairs, Fraction(-1, 2))
+    tokens = [parse_subset_id(v) for v in bent.final.vertices]
+    shared = np.array([[len(x & y) for y in tokens] for x in tokens])
+    b0_mat, final_mat = (_label_matrix(g)[1] for g in (w.levels[0].graph, bent.final))
+    assert not verifier._final_through_one_vertex(shared, b0_mat, final_mat)
+    report = cross_check(bent, search_limit=0)
+    offenders = failing(report, "final-completion")
+    assert offenders and offenders[0].counterexample == min(pairs)
+    assert not failing(report, "final-metric")
+    assert report.path == "explicit"
 
 
 def test_non_metric_input_is_caught(t112_witness, t113):
@@ -597,10 +738,13 @@ def test_labels_past_int64_build_and_verify_exactly(denominator):
     )
     w = build_witness(a)
     assert _label_matrix(w.final)[1].dtype == object
-    # the extension search compares Fraction labels and is not what this
-    # test is about, so it is skipped to keep the test quick
+    # the extension search compares these labels as Python ints, row by
+    # row, and is not what this test is about, so it is skipped to keep the
+    # test quick; the final checks pass through one vertex, and the bumped
+    # final below, no longer a function of the shared-token counts, goes
+    # through the explicit closure
     report = cross_check(w, search_limit=0)
-    assert report.ok
+    assert report.ok and report.path == verifier.THROUGH_ONE_VERTEX
     assert not failing(report, "final-completion")
 
     u, v, d = w.final.edges()[0]
@@ -612,6 +756,19 @@ def test_labels_past_int64_build_and_verify_exactly(denominator):
     report = cross_check(dataclasses.replace(w, final=bumped), search_limit=0)
     offenders = failing(report, "final-completion")
     assert offenders and offenders[0].counterexample == (u, v)
+
+
+def test_the_short_cycle_sweep_through_one_vertex_runs_on_python_ints():
+    # (c, 3c, 3c) has a label above twice the smallest, so its sweep runs a
+    # product, here on labels past int64
+    c = Fraction(10**19, 3)
+    w = build_witness(graph_from_triples(["x", "y", "z"], [("x", "y", c), ("x", "z", 3 * c),
+                                                           ("y", "z", 3 * c)]))
+    assert _label_matrix(w.final)[1].dtype == object
+    report = cross_check(w, search_limit=0)
+    assert report.ok and report.path == verifier.THROUGH_ONE_VERTEX
+    top = next(r for r in report.results if r.name == "top-level-no-bad-cycles")
+    assert top.detail == f"up to 4 vertices, {verifier.THROUGH_ONE_VERTEX}"
 
 
 def test_verifier_imports_only_the_construction_names_it_lists():
