@@ -12,7 +12,8 @@ timing each `extend_isometry` call alone (median and p90 per map; the first
 call pays the witness's lazy set-up) and checking each result with
 `check_map` outside the timer, or times the independent cross-check of each
 witness and prints its verdict and the path its final checks took
-(explicit, or through one vertex of a vertex-transitive B0).  The exit
+(explicit, sweeping from every vertex, or through one vertex of a
+vertex-transitive B0).  The exit
 code is 1 if a loaded witness differs from the built one or a witness
 fails its cross-check.
 

@@ -222,24 +222,29 @@ def induced_nonmetric_cycles_at(
 
 
 def has_nonmetric_cycle_up_to(
-    g: EdgeLabelledGraph, max_vertices: int, budget: int = 10_000_000
+    g: EdgeLabelledGraph, max_vertices: int, budget: int = 10_000_000,
+    sources: Iterable[int] | None = None,
 ) -> CycleWitness | None:
     """First non-metric cycle (not necessarily induced) with at most the given
-    number of vertices, or None when there is none.
+    number of vertices, whose long edge has an end among the vertex
+    positions `sources` (every vertex when None), or None when there is none.
 
     g has a non-metric cycle on at most L vertices iff some edge u-v has a
     walk of at most L-1 edges strictly shorter than its label: a shortest
     such walk is a simple path, not the edge itself, and closes a cycle
     with u-v.  So the check is hop-bounded min-plus products on the scaled
-    label matrix M: D_1 = M and D_h = D_(h-1) (min,+) M, the shortest walks
-    of at most h edges, with a sentinel of h * max + 1 on non-edges.  h
-    goes up to the least of L-1, n-1 and the last h with h * smallest label
-    < largest label, and the products stop early at the first h where some
-    edge has a shorter walk, or when D stops changing.  The witness is the
-    first such edge in vertex order, with its path read back from the hop
-    matrices.  A product is n row sweeps, each of which counts against the
-    budget; running out raises BudgetExhausted rather than reporting a false
-    absence.
+    label matrix M, on the rows of the sources: D_1 = M and D_h = D_(h-1)
+    (min,+) M, the shortest walks of at most h edges, with a sentinel of
+    h * max + 1 on non-edges.  h goes up to the least of L-1, n-1 and the
+    last h with h * smallest label < largest label, and the products stop
+    early at the first h where some edge has a shorter walk, or when D
+    stops changing.  The witness is the first such edge in vertex order,
+    with its path read back from the hop matrices.  A product counts n row
+    sweeps against the budget whatever the sources; running out raises
+    BudgetExhausted rather than reporting a false absence.
+
+    On a vertex-transitive g, `sources=[0]` finds the same cycle at the same
+    product as every vertex: automorphisms keep every hop matrix.
     """
     if max_vertices < 3:
         raise ValueError("cycles have at least 3 vertices")
@@ -256,28 +261,30 @@ def has_nonmetric_cycle_up_to(
     scale, values = scaled_spectrum(g)
     unreachable = hops * max(values) + 1  # longer than any walk of `hops` edges
     mat = scaled_matrix(g, values, unreachable, 2 * unreachable)
-    is_edge = mat < unreachable  # and the diagonal, where nothing is shorter
-    hop = [mat]
+    rows = np.arange(n) if sources is None else np.array(sorted(sources), dtype=np.intp)
+    labels = mat[rows]
+    is_edge = labels < unreachable  # and the diagonal, where nothing is shorter
+    hop = [labels]
     via = np.empty_like(mat)
-    sweeps = 0
-    for _ in range(hops - 1):
+    for product in range(1, hops):
+        if product * n > budget:
+            raise BudgetExhausted(
+                f"cycle search budget {budget} exhausted after {budget} row sweeps"
+            )
         last = hop[-1]
-        walks = last.copy()
-        for k in range(n):
-            sweeps += 1
-            if sweeps > budget:
-                raise BudgetExhausted(
-                    f"cycle search budget {budget} exhausted after {budget} row sweeps"
-                )
-            np.add(last[:, k, None], mat[None, k, :], out=via)
-            np.minimum(walks, via, out=walks)
+        walks = np.empty_like(last)
+        for r, row in enumerate(last):  # the zero diagonal keeps the shorter walks
+            np.add(row[:, None], mat, out=via)
+            via.min(axis=0, out=walks[r])
         hop.append(walks)
-        shorter = np.argwhere((walks < mat) & is_edge)
+        shorter = np.argwhere((walks < labels) & is_edge)
         if len(shorter):
-            i, j = map(int, shorter[0])  # symmetric, so i < j
-            path = _walk_back(hop, mat, i, j)
-            deficit = Fraction(int(mat[i, j] - walks[i, j]), scale)
-            return _cycle_witness([verts[p] for p in path], (verts[i], verts[j]), deficit)
+            r, j = map(int, shorter[0])
+            i = int(rows[r])
+            path = _walk_back([h[r] for h in hop], mat, i, j)
+            deficit = Fraction(int(mat[i, j] - walks[r, j]), scale)
+            return _cycle_witness([verts[p] for p in path], (verts[min(i, j)], verts[max(i, j)]),
+                                  deficit)
         if np.array_equal(walks, last):
             break
     return None
@@ -285,23 +292,24 @@ def has_nonmetric_cycle_up_to(
 
 def _walk_back(hop: list[np.ndarray], mat: np.ndarray, i: int, j: int) -> list[int]:
     """A shortest walk from i to j of at most len(hop) edges, read back from
-    the hop matrices (hop[h] holds the walks of at most h + 1 edges).
+    i's rows of the hop matrices (hop[h] holds the walks of at most h + 1
+    edges).
 
     Such a walk is a simple path: cutting out a repeated vertex would give
     a strictly shorter walk with fewer edges.
     """
     h = len(hop) - 1
-    cur, length = j, hop[h][i, j]
+    cur, length = j, hop[h][j]
     path = [j]
     while cur != i:
-        while h > 0 and hop[h - 1][i, cur] == length:
+        while h > 0 and hop[h - 1][cur] == length:
             h -= 1  # reached with fewer edges
         if h == 0:  # the edge i-cur itself
             path.append(i)
             break
         # one more edge than hop[h - 1] allows: the last one is k-cur, k != cur
-        k = int(np.flatnonzero(hop[h - 1][i] + mat[:, cur] == length)[0])
-        cur, length = k, hop[h - 1][i, k]
+        k = int(np.flatnonzero(hop[h - 1] + mat[:, cur] == length)[0])
+        cur, length = k, hop[h - 1][k]
         path.append(k)
         h -= 1
     return path[::-1]

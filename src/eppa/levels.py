@@ -333,4 +333,4 @@ def _automorphism_ok(g: EdgeLabelledGraph, f: PartialMap | np.ndarray) -> bool:
     else:
         perm = np.fromiter(map(g.position, map(f.__getitem__, g.vertices)), dtype=np.intp,
                            count=len(g))
-    return bool(np.array_equal(g.codes[perm][:, perm], g.codes))
+    return bool(np.array_equal(g.codes.take(perm, 0).take(perm, 1), g.codes))

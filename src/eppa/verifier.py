@@ -22,19 +22,19 @@ once per graph:
   proves the levels that are not stored: with no non-metric cycle on at most
   q-1 vertices, levels p+1..q-1 above stored level p have no bad sets, so
   each is level p under new names;
-- the completion is recomputed by a local min-plus closure, and metric and
-  replayed isometries are checked on the same matrices.
+- the completion is checked by Bellman's optimality condition, row by row,
+  and the metric and replayed isometries on the same matrices.
 
-A witness that stores B0 alone, whose vertices are all the k-subsets of its
-tokens and whose labels are a function of the shared-token counts read off
-the ids, is vertex-transitive: every token permutation is an automorphism.
-Its top-level short-cycle check then sweeps hop-bounded walks from vertex 0
-alone.  When its final space is on B0's vertices and its labels are a
-function of those counts too, the final space's completion and metric
-checks run at vertex 0 as well (`_final_through_one_vertex`): O(V^2) work
-in place of O(V^3).  A failure through one vertex hands over to the
-explicit check, which names the same counterexample, and the report's
-`path` names the way the final checks ran.
+The short-cycle, completion and metric checks each sweep from a list of
+source vertices (`_sweep_sources`): every vertex, or vertex 0 alone when the
+witness stores B0 alone, whose vertices are all the k-subsets of its tokens
+and whose labels are a function of the shared-token counts read off the
+ids, and its final space is on B0's vertices with labels a function of
+those counts too.  Every token permutation is then an automorphism of both,
+and these act transitively on the vertices, so what holds at vertex 0 holds
+at every vertex, and a failure at vertex 0 is the first one a sweep from
+every vertex names.  That is O(V^2) work in place of O(V^3) for the
+completion and metric checks; the report's `path` names the way they ran.
 
 So a bug in the construction's set assignment, cycle search, completion or
 automorphism tests cannot vouch for itself.  Besides the exception types of
@@ -72,7 +72,7 @@ _BAD_SET_SCAN_LIMIT = 200_000
 
 _Matrix = tuple[dict[str, int], np.ndarray]  # (vertex index, label matrix)
 
-# The detail of a check that ran at vertex 0 of a vertex-transitive witness.
+# The detail of a check that swept from vertex 0 of a vertex-transitive witness.
 THROUGH_ONE_VERTEX = "through one vertex"
 
 
@@ -96,8 +96,8 @@ class VerificationReport:
     results: list[CheckResult] = field(default_factory=list)
     totals: dict[str, int] = field(default_factory=dict)
     budget_exhausted: bool = False
-    # how `cross_check` ran the final space's checks: "explicit" (min-plus
-    # sweeps over every vertex) or THROUGH_ONE_VERTEX
+    # how `cross_check` ran the final space's checks: "explicit" (sweeps
+    # from every vertex) or THROUGH_ONE_VERTEX
     path: str = "explicit"
 
     @property
@@ -156,7 +156,7 @@ def _label_matrix(g: EdgeLabelledGraph, scale: int | None = None) -> _Matrix:
     if scale is None:
         scale = math.lcm(*(d.denominator for d in spectrum))
     values = [d.numerator * (scale // d.denominator) for d in spectrum]
-    # int64 when sums of two path lengths (the min-plus closure's) stay exact
+    # int64 when sums of two path lengths (the sweeps') stay exact
     dtype = np.int64 if len(g) * max(values, default=0) < 1 << 61 else object
     mat = np.array([-1, *values], dtype=dtype)[g.codes]
     np.fill_diagonal(mat, 0)
@@ -164,27 +164,11 @@ def _label_matrix(g: EdgeLabelledGraph, scale: int | None = None) -> _Matrix:
 
 
 def _narrowest(mat: np.ndarray, top: int) -> np.ndarray:
-    """A copy of an integer matrix in the narrowest of int8 to int64 that
-    holds `top` (narrow types sweep fastest); Python ints stay as they are."""
-    if mat.dtype == object:
-        return mat.copy()
-    dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64) if top <= np.iinfo(t).max)
-    return mat.astype(dtype)
-
-
-def _min_plus_closure(mat: np.ndarray) -> np.ndarray:
-    """Shortest path lengths between all pairs of a label matrix; pairs
-    with no path get -1."""
-    n = len(mat)
-    unreachable = n * int(mat.max(initial=0)) + 1  # longer than any path
-    dist = _narrowest(mat, 2 * unreachable)
-    dist[dist < 0] = unreachable
-    via = np.empty_like(dist)
-    for k in range(n):
-        np.add(dist[:, k, None], dist[None, k, :], out=via)
-        np.minimum(dist, via, out=dist)
-    dist[dist >= unreachable] = -1
-    return dist
+    """A copy of an integer matrix whose entries are at most `top`, in the
+    narrowest of int8 to int64 that holds `top` (narrow types sweep
+    fastest), or of Python ints beyond int64."""
+    ints = (np.int8, np.int16, np.int32, np.int64)
+    return mat.astype(next((t for t in ints if top <= np.iinfo(t).max), object))
 
 
 def _permutes_labels(theta: PartialMap, index: dict[str, int], mat: np.ndarray) -> bool:
@@ -196,7 +180,7 @@ def _permutes_labels(theta: PartialMap, index: dict[str, int], mat: np.ndarray) 
     if None in perm:
         return False
     perm = np.array(perm, dtype=np.intp)
-    return bool((mat[perm][:, perm] == mat).all())  # two takes gather faster than np.ix_
+    return bool((mat.take(perm, 0).take(perm, 1) == mat).all())  # two takes gather faster than np.ix_
 
 
 def _enumerate_partial_isometries(
@@ -422,12 +406,22 @@ def verify_eppa(
 # -- witness cross-checking -------------------------------------------------
 
 
+def _noted(detail: str, sources: list[int] | None) -> str:
+    """A passing check's detail, noting a sweep from vertex 0 alone."""
+    if sources is None:
+        return detail
+    return f"{detail}, {THROUGH_ONE_VERTEX}" if detail else THROUGH_ONE_VERTEX
+
+
 def _check_metric(
     report: VerificationReport,
     g: EdgeLabelledGraph,
     name: str,
     matrix: _Matrix | None = None,
+    sources: list[int] | None = None,
 ) -> None:
+    """Every label is defined and keeps the triangle inequality through each
+    middle vertex among `sources` (every vertex when None)."""
     verts = g.vertices
     _, mat = matrix if matrix is not None else _label_matrix(g)
     gaps = np.argwhere(mat < 0)
@@ -438,7 +432,7 @@ def _check_metric(
     mat = _narrowest(mat, 2 * int(mat.max(initial=0)))
     via = np.empty_like(mat)
     viol = np.empty(mat.shape, dtype=bool)
-    for k in range(len(verts)):
+    for k in range(len(verts)) if sources is None else sources:
         np.add(mat[:, k, None], mat[None, k, :], out=via)
         if np.greater(mat, via, out=viol).any():
             i, j = map(int, np.argwhere(viol)[0])
@@ -447,7 +441,7 @@ def _check_metric(
                        f"triangle inequality fails on {bad[0]!r},{bad[1]!r},{bad[2]!r}",
                        counterexample=bad)
             return
-    report.add(name, True)
+    report.add(name, True, _noted("", sources))
 
 
 def _first_difference(got: np.ndarray, want: np.ndarray) -> tuple[int, int] | None:
@@ -458,11 +452,23 @@ def _first_difference(got: np.ndarray, want: np.ndarray) -> tuple[int, int] | No
 
 
 def _check_completion(
-    report: VerificationReport, w: Witness, scale: int, top_matrix: _Matrix, final_matrix: _Matrix
+    report: VerificationReport, w: Witness, scale: int, top_matrix: _Matrix,
+    final_matrix: _Matrix, sources: list[int] | None,
 ) -> None:
-    """The final space must be the shortest-path closure of the top level
-    restricted to the final vertices; a failure names the first differing
-    pair."""
+    """The final space F must be the shortest-path completion of the top
+    level L restricted to the final vertices; a failure names the first
+    differing pair.
+
+    Bellman's optimality condition decides it one row at a time.  Labels
+    are positive, so row s of F is the row of shortest path lengths from s
+    exactly when each F[s,v], v != s, is the least F[s,w] + L[w,v] over the
+    neighbours w of v: by induction on F[s,v] one way, along a shortest path
+    the other.  A missing distance, and the least over no neighbour, are
+    read as a sentinel above every path and every stored label, so that
+    unreached vertices are judged too.  The rows of `sources` (every vertex
+    when None) are checked; the first failing row is the first that differs
+    from the completion, so a sweep from it names the first differing pair.
+    """
     name = "final-completion"
     top, final = w.levels[-1].graph, w.final
     if not all(v in top for v in final.vertices):
@@ -471,58 +477,42 @@ def _check_completion(
     top_index, top_mat = top_matrix
     rows = np.fromiter(map(top_index.__getitem__, final.vertices), dtype=np.intp, count=len(final))
     if not np.array_equal(rows, np.arange(len(top_mat))):
-        top_mat = top_mat[rows][:, rows]
-    got = _min_plus_closure(top_mat)
-    first = _first_difference(got, final_matrix[1])
-    if first is None:
-        report.add(name, True)
+        top_mat = top_mat.take(rows, 0).take(rows, 1)
+    final_mat = final_matrix[1]
+    n = len(final_mat)
+    beyond = max(n * int(top_mat.max(initial=0)), int(final_mat.max(initial=0))) + 1
+    step = _narrowest(top_mat, 2 * beyond)
+    step[step <= 0] = beyond  # non-edges and the diagonal
+    via = np.empty_like(step)
+
+    def least(row: np.ndarray, s: int) -> np.ndarray:
+        """0 at s, elsewhere the least row[w] + L[w,v]: at most `beyond`,
+        which row[s] = 0 plus a non-edge gives."""
+        out = np.add(row[:, None], step, out=via).min(axis=0)
+        out[s] = 0
+        return out
+
+    for s in range(n) if sources is None else sources:
+        row = _narrowest(final_mat[s], 2 * beyond)
+        row[row < 0] = beyond
+        if not np.array_equal(least(row, s), row):
+            break
+    else:
+        report.add(name, True, _noted("", sources))
         return
-    i, j = first
-    u, v = final.vertices[i], final.vertices[j]
-    closed = "no path" if got[i, j] < 0 else str(Fraction(int(got[i, j]), scale))
+    closed = np.full(n, beyond, dtype=row.dtype)  # the completion's row s
+    closed[s] = 0
+    while True:
+        more = least(closed, s)
+        if np.array_equal(more, closed):
+            break
+        closed = more
+    j = int(np.flatnonzero(closed != row)[0])  # symmetric, so s < j
+    u, v = final.vertices[s], final.vertices[j]
+    got = "no path" if closed[j] == beyond else str(Fraction(int(closed[j]), scale))
     report.add(name, False,
-               f"{u!r} ~ {v!r}: stored {final.label(u, v)}, recompleted {closed}",
+               f"{u!r} ~ {v!r}: stored {final.label(u, v)}, recompleted {got}",
                counterexample=(u, v))
-
-
-def _final_through_one_vertex(shared: np.ndarray, b0_mat: np.ndarray, final_mat: np.ndarray) -> bool:
-    """Do `final-completion` and `final-metric` hold, judged at vertex 0?
-
-    B0's vertices are all the k-subsets of its tokens and its labels L a
-    function of their shared-token counts `shared` (`_check_subset_level`);
-    the final space F is on the same vertices.  When F is a function of
-    `shared` too, every token permutation is an automorphism of L and of F,
-    and these act transitively on the vertices, so what holds at vertex 0
-    holds at every vertex.  At vertex 0:
-
-    - F is defined, and equals L on every edge of B0;
-    - Bellman's optimality condition holds: each other F[0,v] is the least
-      F[0,w] + L[w,v] over the B0-neighbours w of v.  Labels are positive,
-      so F[0,v] is then the length of a shortest path from 0 to v (by
-      induction on F[0,v] one way, along a shortest path the other), and F
-      is B0's shortest-path completion;
-    - F[y,z] <= F[0,y] + F[0,z] for all y, z: every triangle inequality,
-      its middle vertex moved to 0.
-
-    Bellman's condition alone makes F the completion, and so a metric; the
-    first and third restate the label rule and `final-metric` directly, so
-    that each verdict through one vertex rests on a check of its own.
-    False when any of these fails; the explicit checks then run and name
-    the counterexample.
-    """
-    row = final_mat[0]
-    by_share = np.full(int(shared.max(initial=0)) + 1, -1, dtype=final_mat.dtype)
-    by_share[shared[0]] = row  # row 0 meets every count that occurs
-    if not (final_mat == by_share[shared]).all() or (row < 0).any():
-        return False
-    edge = b0_mat[0] > 0
-    if not (row[edge] == b0_mat[0][edge]).all():
-        return False
-    far = row.max(initial=0) + 1  # stands for "no neighbour"
-    nearest = np.where(b0_mat > 0, row[:, None] + b0_mat, far).min(axis=0)
-    if not (nearest[1:] == row[1:]).all():
-        return False
-    return bool((final_mat <= row[:, None] + row[None, :]).all())
 
 
 def _copy_token_fault(a: EdgeLabelledGraph, copy: PartialMap, k: int) -> str:
@@ -823,74 +813,41 @@ def _check_tower_height(report: VerificationReport, w: Witness) -> int:
     return height
 
 
-def _short_cycles_through_one_vertex(
-    mat: np.ndarray, spectrum: tuple[Fraction, ...], size: int, budget: int
-) -> bool:
-    """True when no edge at vertex 0 of B0's label matrix has a walk of at
-    most size-1 edges shorter than its label, with B0 vertex-transitive as
-    `_check_subset_level` proves it.
-
-    These are `has_nonmetric_cycle_up_to`'s hop-bounded min-plus products,
-    on row 0 alone: every edge is the image of one at vertex 0 under an
-    automorphism, which keeps every hop matrix, so row 0 finds a shorter
-    walk at the same hop as the whole matrix, and settles when it does.
-    False on a shorter walk, and when the products would pass the budget
-    of row sweeps (n per product, as there) or there is nothing to sweep:
-    the caller then runs the explicit check, which names the same cycle,
-    runs out of budget at the same product, or returns at once.
-    """
-    n = len(mat)
-    if not spectrum:
-        return False
-    hops = min(size - 1, n - 1, math.ceil(spectrum[-1] / spectrum[0]) - 1)
-    if hops < 2:
-        return False
-    unreachable = hops * int(mat.max()) + 1  # longer than any walk of `hops` edges
-    walk_mat = _narrowest(mat, 2 * unreachable)
-    walk_mat[walk_mat < 0] = unreachable
-    label = walk_mat[0]
-    edge = label < unreachable
-    walks = label
-    for product in range(1, hops):
-        if product * n > budget:
-            return False
-        # walks of one more edge; the zero diagonal keeps the shorter ones
-        more = (walks[:, None] + walk_mat).min(axis=0)
-        if (more[edge] < label[edge]).any():
-            return False
-        if np.array_equal(more, walks):
-            break
-        walks = more
-    return True
-
-
 def _check_short_cycles(
     report: VerificationReport, w: Witness, idx: int, height: int, budget: int,
-    transitive: np.ndarray | None,
+    sources: list[int] | None,
 ) -> None:
     """Stored level idx has no non-metric cycle on fewer vertices than the
     next stored level's number, or on at most `height` vertices at the top
-    (see the module docstring).  `transitive` is the level's label matrix
-    when it is B0 alone with the symmetry `_check_subset_level` proves; the
-    check then runs through vertex 0 first."""
+    (see the module docstring), swept from `sources`."""
     lvl = w.levels[idx]
     if idx + 1 < len(w.levels):
         name, size = f"level-{lvl.level}-no-short-bad-cycles", w.levels[idx + 1].level - 1
     else:
         name, size = "top-level-no-bad-cycles", height
-    if size >= 3 and transitive is not None and _short_cycles_through_one_vertex(
-        transitive, lvl.graph.spectrum(), size, budget
-    ):
-        report.add(name, True, f"up to {size} vertices, {THROUGH_ONE_VERTEX}")
-        return
     try:  # a cycle has at least three vertices
-        cycle = has_nonmetric_cycle_up_to(lvl.graph, size, budget=budget) if size >= 3 else None
+        cycle = (has_nonmetric_cycle_up_to(lvl.graph, size, budget=budget, sources=sources)
+                 if size >= 3 else None)
     except BudgetExhausted as exc:
         report.budget_exhausted = True
         report.add(name, False, str(exc), skipped=True)
         return
-    detail = f"up to {size} vertices" if cycle is None else f"non-metric cycle on {cycle.vertices}"
+    detail = (_noted(f"up to {size} vertices", sources) if cycle is None
+              else f"non-metric cycle on {cycle.vertices}")
     report.add(name, cycle is None, detail, counterexample=cycle)
+
+
+def _sweep_sources(w: Witness, shared: np.ndarray | None, final_mat: np.ndarray) -> list[int] | None:
+    """The vertex positions the short-cycle, completion and metric checks
+    sweep from: [0] when the witness stores B0 alone, `_check_subset_level`
+    proved it vertex-transitive (`shared` holds its shared-token counts),
+    and the final space is on B0's vertices with labels a function of those
+    counts; None, every vertex, otherwise."""
+    if shared is None or len(w.levels) != 1 or w.final.vertices != w.levels[0].graph.vertices:
+        return None
+    by_share = np.full(int(shared.max(initial=0)) + 1, -1, dtype=final_mat.dtype)
+    by_share[shared[0]] = final_mat[0]  # row 0 meets every count that occurs
+    return [0] if (final_mat == by_share[shared]).all() else None
 
 
 def cross_check(w: Witness, budget: int = 10_000_000, search_limit: int = 150) -> VerificationReport:
@@ -914,14 +871,14 @@ def cross_check(w: Witness, budget: int = 10_000_000, search_limit: int = 150) -
         shared = None
         if w.set_assignment is not None:
             shared = _check_subset_level(report, w, scale, matrices[0])
-        # B0 alone and vertex-transitive: its short-cycle check, and the final
-        # space's checks, run through vertex 0 first
-        transitive = matrices[0][1] if shared is not None and len(w.levels) == 1 else None
+        sources = _sweep_sources(w, shared, final_matrix[1])
+        if sources is not None:
+            report.path = THROUGH_ONE_VERTEX
         for idx in range(len(w.levels)):
             if idx:
                 _check_transition(report, w, idx, matrices)
                 report.count("level_transitions_checked")
-            _check_short_cycles(report, w, idx, height, budget, transitive)
+            _check_short_cycles(report, w, idx, height, budget, sources)
         top = w.levels[-1]
 
         top_index, top_mat = matrices[-1]
@@ -937,19 +894,12 @@ def cross_check(w: Witness, budget: int = 10_000_000, search_limit: int = 150) -
             ok = {top.graph.vertices[p] for p in np.flatnonzero(seen).tolist()} == set(w.final.vertices)
         report.add("component", ok,
                    "" if ok else "final vertices differ from the copy's component in the top level")
-        if (transitive is not None and w.final.vertices == top.graph.vertices
-                and _final_through_one_vertex(shared, transitive, final_matrix[1])):
-            report.path = THROUGH_ONE_VERTEX
-            report.add("final-completion", True, THROUGH_ONE_VERTEX)
-        else:
-            _check_completion(report, w, scale, matrices[-1], final_matrix)
+        _check_completion(report, w, scale, matrices[-1], final_matrix, sources)
     else:
+        sources = None
         report.add("trivial-tower", len(w.input) == 1 and w.final == w.input)
 
-    if report.path == THROUGH_ONE_VERTEX:
-        report.add("final-metric", True, THROUGH_ONE_VERTEX)
-    else:
-        _check_metric(report, w.final, "final-metric", final_matrix)
+    _check_metric(report, w.final, "final-metric", final_matrix, sources)
 
     emb = w.final_embedding
     emb_ok = set(emb.domain()) == set(w.input.vertices) and all(v in w.final for v in emb.image())

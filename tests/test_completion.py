@@ -12,11 +12,14 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eppa import (
     BudgetExhausted,
     CycleWitness,
     DisconnectedGraph,
+    build_eppa_graph,
+    build_set_assignment,
     find_induced_nonmetric_cycles,
     graph_from_triples,
     has_nonmetric_cycle_up_to,
@@ -332,6 +335,49 @@ def test_hop_check_agrees_with_induced_scan_at_every_size(g):
         if got is not None:
             assert got.check(g)
             assert len(got.vertices) <= size
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_graphs(max_vertices=7), st.data())
+def test_hop_check_from_some_sources_finds_cycles_at_them(g, data):
+    n = len(g)
+    top = max(3, n)
+    default = has_nonmetric_cycle_up_to(g, top)
+    assert has_nonmetric_cycle_up_to(g, top, sources=range(n)) == default
+    sources = data.draw(st.sets(st.integers(0, n - 1), min_size=1), label="sources")
+    got = has_nonmetric_cycle_up_to(g, top, sources=sources)
+    if got is not None:
+        assert got.check(g)
+        assert {g.vertices[p] for p in sources} & set(got.long_edge)
+    if default is None:
+        assert got is None
+
+
+@pytest.fixture(scope="module")
+def b0_144():
+    """The B0 of the (1,4,4) triangle, 252 vertices: vertex-transitive, with
+    bad 4-sets and no bad triangle."""
+    a = graph_from_triples(["x", "y", "z"], [("x", "y", 1), ("x", "z", 4), ("y", "z", 4)])
+    return build_eppa_graph(build_set_assignment(a))[0]
+
+
+def test_hop_check_from_vertex_0_of_a_vertex_transitive_graph_matches_every_vertex(b0_144):
+    # the first shorter walk is at the second product, three edges long
+    got = has_nonmetric_cycle_up_to(b0_144, 5, sources=[0])
+    assert got is not None and len(got.vertices) == 4 and got.check(b0_144)
+    assert got == has_nonmetric_cycle_up_to(b0_144, 5)
+
+
+@pytest.mark.parametrize("budget", [1, 251, 252, 503, 504])
+def test_hop_check_budget_charges_n_sweeps_a_product_whatever_the_sources(b0_144, budget):
+    # a product is 252 row sweeps from any sources, and every row meets its
+    # shorter walk at the second: 504 sweeps find it, and any fewer run out
+    for sources in (None, [0], [17, 200], range(252)):
+        if budget < 504:
+            with pytest.raises(BudgetExhausted, match=f"after {budget} row sweeps"):
+                has_nonmetric_cycle_up_to(b0_144, 5, budget=budget, sources=sources)
+        else:
+            assert has_nonmetric_cycle_up_to(b0_144, 5, budget=budget, sources=sources)
 
 
 def test_hop_check_rebuilds_the_path_under_a_long_closing_edge():

@@ -38,7 +38,7 @@ from eppa import (
 from eppa.graphs import EdgeLabelledGraph
 from eppa.levels import BadSet
 from eppa.setrep import parse_subset_id
-from eppa.verifier import _enumerate_partial_isometries, _label_matrix, _min_plus_closure
+from eppa.verifier import _enumerate_partial_isometries, _label_matrix
 from conftest import connected_graphs, small_corpus, small_tower_free_spaces
 
 
@@ -216,8 +216,8 @@ def record_searches(monkeypatch):
     calls = []
     search = verifier.has_nonmetric_cycle_up_to
     monkeypatch.setattr(verifier, "has_nonmetric_cycle_up_to",
-                        lambda g, size, budget: calls.append((len(g), size))
-                        or search(g, size, budget=budget))
+                        lambda g, size, budget, sources: calls.append((len(g), size))
+                        or search(g, size, budget=budget, sources=sources))
     return calls
 
 
@@ -246,7 +246,7 @@ def test_exhausted_shared_search_fails_both_checks_as_skipped(demo_witness, cycl
                                                               monkeypatch):
     calls = []
 
-    def exhausted(g, size, budget):
+    def exhausted(g, size, budget, sources):
         calls.append(size)
         raise BudgetExhausted(f"cycle search budget {budget} exhausted")
 
@@ -344,10 +344,8 @@ def test_a_bent_final_label_on_b0_alone_is_judged_by_the_verifier(t112_witness):
 
 
 def explicit_cross_check(w, **kwargs):
-    """`cross_check` with the checks through vertex 0 turned off, so that
-    each check runs its explicit sweeps."""
-    with mock.patch.object(verifier, "_final_through_one_vertex", return_value=False), \
-            mock.patch.object(verifier, "_short_cycles_through_one_vertex", return_value=False):
+    """`cross_check` with every check sweeping from every vertex."""
+    with mock.patch.object(verifier, "_sweep_sources", return_value=None):
         return cross_check(w, **kwargs)
 
 
@@ -384,9 +382,12 @@ def test_the_checks_through_one_vertex_agree_with_the_explicit_ones(sa, data):
     assert verdicts(fast) == verdicts(explicit_cross_check(w, search_limit=0))
 
     # a final space bent at one pair, or across a whole shared-token class,
-    # is no completion: both paths fail it alike
+    # is no completion: both paths fail it alike.  A bent class keeps the
+    # final labels a function of the shared-token counts, and so the sweep
+    # from vertex 0
     classes = share_classes(w.final)
-    if data.draw(st.booleans(), label="whole class"):
+    whole = data.draw(st.booleans(), label="whole class")
+    if whole:
         pairs = classes[data.draw(st.sampled_from(sorted(classes)), label="shared tokens")]
     else:
         pairs = {data.draw(st.sampled_from(sorted(chain.from_iterable(classes.values()))),
@@ -394,7 +395,7 @@ def test_the_checks_through_one_vertex_agree_with_the_explicit_ones(sa, data):
     delta = data.draw(st.sampled_from((1, -1)), label="sign") * w.input.spectrum()[0] / 2
     bent = bend_final(w, pairs, delta)
     fast = cross_check(bent, search_limit=0)
-    assert fast.path == "explicit"
+    assert fast.path == (verifier.THROUGH_ONE_VERTEX if whole else "explicit")
     assert verdicts(fast) == verdicts(explicit_cross_check(bent, search_limit=0))
     offenders = failing(fast, "final-completion")
     assert offenders and offenders[0].counterexample is not None
@@ -406,9 +407,7 @@ def test_the_fixtures_pass_through_one_vertex_as_they_pass_explicitly(request, f
     fast = cross_check(w, search_limit=0)
     assert fast.ok and fast.path == verifier.THROUGH_ONE_VERTEX
     through = {r.name for r in fast.results if r.detail.endswith(verifier.THROUGH_ONE_VERTEX)}
-    # only (1,2,3) has a label above twice the smallest, and so a cycle to sweep for
-    assert through == {"final-completion", "final-metric"} | (
-        {"top-level-no-bad-cycles"} if fixture == "t123" else set())
+    assert through == {"final-completion", "final-metric", "top-level-no-bad-cycles"}
     assert verdicts(fast) == verdicts(explicit_cross_check(w, search_limit=0))
 
 
@@ -430,10 +429,12 @@ def b0_alone(labels, n):
 ], ids=["bad-cycle", "budget-at-the-cycle", "budget-without-a-cycle"])
 def test_the_short_cycle_check_hands_a_find_or_the_budget_to_the_explicit_search(
         labels, budget, cycle):
-    # each B0 has 252 vertices, so each product costs 252 row sweeps; the
-    # B0 of (1,4,4) has bad 4-sets, so no build stores it alone
+    # each B0 has 252 vertices, so each product costs 252 row sweeps, from
+    # vertex 0 as from every vertex; the B0 of (1,4,4) has bad 4-sets, so no
+    # build stores it alone
     w = b0_alone(labels, labels[2] + 1)
     fast = cross_check(w, budget=budget, search_limit=0)
+    assert fast.path == verifier.THROUGH_ONE_VERTEX
     assert verdicts(fast) == verdicts(explicit_cross_check(w, budget=budget, search_limit=0))
     top = next(r for r in fast.results if r.name == "top-level-no-bad-cycles")
     assert not top.passed and top.skipped != cycle
@@ -443,20 +444,17 @@ def test_the_short_cycle_check_hands_a_find_or_the_budget_to_the_explicit_search
 def test_a_class_consistent_bend_is_caught_by_final_completion(t112_witness):
     # lowering every pair that shares no token by half a unit keeps the
     # final labels a function of the shared-token counts, and a metric:
-    # only Bellman's condition at vertex 0 turns the check over to the
-    # explicit closure, which names the class's first pair
+    # only Bellman's condition at vertex 0 fails, on the class's first pair,
+    # as it does from every vertex
     w = t112_witness
     pairs = share_classes(w.final)[0]
     bent = bend_final(w, pairs, Fraction(-1, 2))
-    tokens = [parse_subset_id(v) for v in bent.final.vertices]
-    shared = np.array([[len(x & y) for y in tokens] for x in tokens])
-    b0_mat, final_mat = (_label_matrix(g)[1] for g in (w.levels[0].graph, bent.final))
-    assert not verifier._final_through_one_vertex(shared, b0_mat, final_mat)
     report = cross_check(bent, search_limit=0)
     offenders = failing(report, "final-completion")
     assert offenders and offenders[0].counterexample == min(pairs)
     assert not failing(report, "final-metric")
-    assert report.path == "explicit"
+    assert report.path == verifier.THROUGH_ONE_VERTEX
+    assert verdicts(report) == verdicts(explicit_cross_check(bent, search_limit=0))
 
 
 def test_non_metric_input_is_caught(t112_witness, t113):
@@ -481,6 +479,25 @@ def test_tampered_component_is_caught(t112_witness):
     assert not report.ok
     for name in ("component", "final-completion", "extension-replay"):
         assert failing(report, name)
+
+
+def test_the_completion_check_judges_a_disconnected_top_level():
+    # the top level's two edges p-q and r-s are its two components: their
+    # completion has no distance across them
+    a = graph_from_triples(["a", "b"], [("a", "b", 1)])
+    top = graph_from_triples(list("pqrs"), [("p", "q", 1), ("r", "s", 1)])
+    level = LevelGraph(graph=top, level=2, base_embedding=PartialMap({"a": "p", "b": "q"}),
+                       projection={}, bad_sets=())
+    w = Witness(input=a, set_assignment=None, levels=(level,), final=top, n=2)
+    report = cross_check(w, search_limit=0)
+    assert not failing(report, "final-completion")
+    assert failing(report, "component") and failing(report, "final-metric")
+
+    across = graph_from_triples(list("pqrs"), [("p", "q", 1), ("r", "s", 1), ("p", "r", 2)])
+    offenders = failing(cross_check(dataclasses.replace(w, final=across), search_limit=0),
+                        "final-completion")
+    assert offenders and offenders[0].counterexample == ("p", "r")
+    assert offenders[0].detail == "'p' ~ 'r': stored 2, recompleted no path"
 
 
 def test_tampered_embedding_is_caught(t112_witness):
@@ -716,17 +733,34 @@ def test_replay_rejects_a_defective_extension(request, monkeypatch, fixture, def
 # -- labels past int64 -----------------------------------------------------------------
 
 
+def completion_check(top, final):
+    """The `final-completion` result of a witness whose one level is `top`
+    and whose final space is `final`."""
+    level = LevelGraph(graph=top, level=2, base_embedding=PartialMap({}), projection={},
+                       bad_sets=())
+    w = Witness(input=top, set_assignment=None, levels=(level,), final=final, n=2)
+    scale = math.lcm(*(d.denominator for g in (top, final) for d in g.spectrum()))
+    report = verifier.VerificationReport()
+    verifier._check_completion(report, w, scale, _label_matrix(top, scale),
+                               _label_matrix(final, scale), None)
+    return report.results[0]
+
+
 @settings(max_examples=40, deadline=None)
-@given(connected_graphs(max_vertices=6))
-def test_min_plus_closure_matches_the_completion(g):
+@given(connected_graphs(max_vertices=6), st.data())
+def test_the_completion_check_passes_the_completion_and_names_a_bent_pair(g, data):
     # the factor pushes the labels past int64, onto Python ints
     for factor in (1, 10**19):
         scaled = EdgeLabelledGraph(g.vertices, [(u, v, d * factor) for u, v, d in g.edges()])
-        scale = math.lcm(*(d.denominator for d in scaled.spectrum()))
-        _, mat = _label_matrix(scaled, scale)
-        assert mat.dtype == (object if factor > 1 else np.int64)
-        _, want = _label_matrix(shortest_path_completion(scaled), scale)
-        assert (_min_plus_closure(mat) == want).all()
+        assert _label_matrix(scaled)[1].dtype == (object if factor > 1 else np.int64)
+        final = shortest_path_completion(scaled)
+        assert completion_check(scaled, final).passed
+        u, v, d = data.draw(st.sampled_from(final.edges()), label="bent pair")
+        delta = data.draw(st.sampled_from((Fraction(1, 3), -d / 2)), label="bend")
+        edges = [(p, q, e + delta if (p, q) == (u, v) else e) for p, q, e in final.edges()]
+        result = completion_check(scaled, EdgeLabelledGraph(final.vertices, edges))
+        assert not result.passed and result.counterexample == (u, v)
+        assert result.detail == f"{u!r} ~ {v!r}: stored {d + delta}, recompleted {d}"
 
 
 
@@ -740,9 +774,9 @@ def test_labels_past_int64_build_and_verify_exactly(denominator):
     assert _label_matrix(w.final)[1].dtype == object
     # the extension search compares these labels as Python ints, row by
     # row, and is not what this test is about, so it is skipped to keep the
-    # test quick; the final checks pass through one vertex, and the bumped
-    # final below, no longer a function of the shared-token counts, goes
-    # through the explicit closure
+    # test quick; the final checks sweep from one vertex, and those of the
+    # bumped final below, no longer a function of the shared-token counts,
+    # from every vertex
     report = cross_check(w, search_limit=0)
     assert report.ok and report.path == verifier.THROUGH_ONE_VERTEX
     assert not failing(report, "final-completion")
