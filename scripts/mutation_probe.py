@@ -59,13 +59,12 @@ from eppa import (
     build_witness,
     cross_check,
     graph_from_triples,
-    shortest_path_completion,
 )
-from eppa.completion import reach
 from eppa.errors import EppaError
 from eppa.fileio import load_json, witness_from_json
-from eppa.graphs import EdgeLabelledGraph, induced_subgraph
+from eppa.graphs import EdgeLabelledGraph
 from eppa.levels import LevelGraph, parse_level_vertex
+from eppa.pipeline import final_space
 from eppa.setrep import token_sort_key
 
 
@@ -73,15 +72,11 @@ def expansion_witness(core: EdgeLabelledGraph, anchor: str, size: int, n: int) -
     """A one-point space at `anchor` of `core` (the base, level 2), under
     one expansion level of the given size; the levels in between are not
     stored, so `core` must have no non-metric cycle on fewer vertices."""
-    prev = LevelGraph(
-        graph=core, level=2, base_embedding=PartialMap({"z": anchor}), projection={}, bad_sets=()
-    )
-    nxt = build_next_level(prev, size)
-    g = nxt.graph
-    reached, _ = reach(g, [g.position(nxt.base_embedding["z"])])
-    final = shortest_path_completion(induced_subgraph(g, [g.vertices[p] for p in reached]))
-    return Witness(input=graph_from_triples(["z"], []), set_assignment=None,
-                   levels=(prev, nxt), final=final, n=n)
+    a = graph_from_triples(["z"], [])
+    prev = LevelGraph(graph=core, level=2, base_embedding=PartialMap({"z": anchor}), bad_sets=())
+    levels = (prev, build_next_level(prev, size))
+    return Witness(input=a, set_assignment=None, levels=levels,
+                   final=final_space(a, None, levels), n=n)
 
 
 def demo_witness() -> Witness:

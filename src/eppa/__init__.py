@@ -37,14 +37,12 @@ from .graphs import (
     is_partial_automorphism,
 )
 from .levels import (
-    BadSet,
     LevelGraph,
     anchor_valuations,
     bad_sets,
     build_next_level,
     compute_flip_set,
     lift_automorphism,
-    project_map,
 )
 from .pipeline import (
     Witness,
@@ -71,7 +69,6 @@ from .verifier import (
 )
 
 __all__ = [
-    "BadSet",
     "BudgetExhausted",
     "CheckResult",
     "CycleWitness",
@@ -111,7 +108,6 @@ __all__ = [
     "is_partial_automorphism",
     "lift_automorphism",
     "naive_extension_exists",
-    "project_map",
     "search_extension",
     "shortest_path_completion",
     "subset_automorphism",

@@ -52,6 +52,11 @@ class CycleWitness:
     long_edge: tuple[str, str]
     deficit: Fraction
 
+    @property
+    def members(self) -> frozenset[str]:
+        """The vertex set on which the cycle is induced."""
+        return frozenset(self.vertices)
+
     def check(self, g: EdgeLabelledGraph) -> bool:
         """Re-verify this witness against a graph."""
         vs = self.vertices

@@ -9,12 +9,13 @@ They store the input, the stored levels (each with its graph, its copy of
 the input and its bad sets as cycles) and the tower height, under exactly
 the keys `witness_to_json` writes.  The writer and the loader read one
 list of shape rules (`_check_shape`), so the writer refuses what the
-loader would.  The loader derives the rest: the set assignment from the
-input, each level's projection from its vertex ids, the copy in the final
-space from the top level, and the final space itself with the build's own
-code (`pipeline.final_space`).  Graphs are written as one string of label
-codes each (`graph_to_codes`), which stays compact on dense graphs.  All
-parsers reject structurally invalid input, naming the offending element.
+loader would; above B0, each vertex id `x;bits` must carry one bit per
+stored bad set through x.  The loader derives the rest: the set assignment
+from the input, the copy in the final space from the top level, and the
+final space itself with the build's own code (`pipeline.final_space`).
+Graphs are written as one string of label codes each (`graph_to_codes`),
+which stays compact on dense graphs.  All parsers reject structurally
+invalid input, naming the offending element.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .errors import GraphFormatError, InvalidMap
 from .graphs import (
     EdgeLabelledGraph, PartialMap, _check_core_name, graph_from_triples, is_metric_space,
 )
-from .levels import BadSet, LevelGraph, parse_level_vertex
+from .levels import LevelGraph, parse_level_vertex
 from .pipeline import Witness, final_space
 from .setrep import SetAssignment, build_set_assignment
 from .verifier import VerificationReport
@@ -228,14 +229,14 @@ def _cycle_to_json(w: CycleWitness) -> dict:
     }
 
 
-def _bad_set_from_json(obj: Any, what: str) -> BadSet:
+def _bad_set_from_json(obj: Any, what: str) -> CycleWitness:
     """A bad set, which is stored as its cycle."""
     obj = _fields(obj, ("vertices", "long_edge", "deficit"), what)
-    return BadSet(CycleWitness(
+    return CycleWitness(
         vertices=tuple(_strings(obj["vertices"], f"{what} vertices")),
         long_edge=tuple(_strings(obj["long_edge"], f"{what} long_edge", 2)),
         deficit=parse_label(obj["deficit"]),
-    ))
+    )
 
 
 def _level_to_json(lvl: LevelGraph) -> dict:
@@ -243,7 +244,7 @@ def _level_to_json(lvl: LevelGraph) -> dict:
         "level": lvl.level,
         "graph": graph_to_codes(lvl.graph),
         "base_embedding": map_to_json(lvl.base_embedding),
-        "bad_sets": [_cycle_to_json(m.cycle) for m in lvl.bad_sets],
+        "bad_sets": [_cycle_to_json(m) for m in lvl.bad_sets],
     }
 
 
@@ -259,10 +260,7 @@ def _level_from_json(obj: Any, pos: int) -> LevelGraph:
         embedding = map_from_json(obj["base_embedding"])
     except (GraphFormatError, InvalidMap) as exc:
         raise GraphFormatError(f"{what}: \"base_embedding\": {exc}") from None
-    # a vertex of a level above the base is a vertex of the level below with bits
-    projection = {} if pos == 0 else {v: parse_level_vertex(v)[0] for v in graph.vertices}
-    return LevelGraph(graph=graph, level=obj["level"], base_embedding=embedding,
-                      projection=projection, bad_sets=bad)
+    return LevelGraph(graph=graph, level=obj["level"], base_embedding=embedding, bad_sets=bad)
 
 
 def _check_shape(a: EdgeLabelledGraph, sa: SetAssignment | None,
@@ -273,7 +271,9 @@ def _check_shape(a: EdgeLabelledGraph, sa: SetAssignment | None,
     and any other stores B0 with C(m, k) vertices, counted before any
     Johnson table is built.  The base is level 2 without bad sets, levels
     rise strictly up to `n`, each level's copy is defined on exactly the
-    input's points, and the top level's copy names its vertices."""
+    input's points, each vertex id `x;bits` of a level above the base
+    carries one bit per stored bad set through x, and the top level's copy
+    names its vertices."""
     if len(a) == 0:
         raise GraphFormatError("need at least one vertex")
     if not is_metric_space(a):
@@ -306,6 +306,17 @@ def _check_shape(a: EdgeLabelledGraph, sa: SetAssignment | None,
             raise GraphFormatError(f"level #{pos}: the copy is defined on "
                                    f"{list(lvl.base_embedding.domain())}, not on the input's "
                                    f"points {list(a.vertices)}")
+    for pos, lvl in enumerate(levels[1:], 1):
+        through = lvl.membership()
+        for v in lvl.graph.vertices:
+            try:
+                base, bits = parse_level_vertex(v)
+            except GraphFormatError as exc:
+                raise GraphFormatError(f"level #{pos}: {exc}") from None
+            want = len(through.get(base, ()))
+            if len(bits) != want:
+                raise GraphFormatError(f"level #{pos}: vertex {v!r} carries {len(bits)} bits, "
+                                       f"not one per stored bad set through {base!r} ({want})")
     top = levels[-1]
     for x, v in top.base_embedding.items():
         if v not in top.graph:

@@ -12,38 +12,27 @@ extendability of its partial automorphisms are both carried upward.
 A level whose level below has no bad set of its size is that level again
 under new names (each vertex with the empty valuation), so it is not
 stored: a stored level is built by `build_next_level` at its own size from
-the previous stored level, and projects onto it.  Which level of the subset
-graph B0 is the first with bad sets is decided before B0 is built
-(`setrep.first_bad_level`).
+the previous stored level.  A stored level holds its graph, its number, its
+copy of the original space and its bad sets, each as its cycle; the rest is
+read off those.  A vertex id `x;bits` names its projection x onto the level
+below and its bits, one per bad set through x (`parse_level_vertex`).  Which
+level of the subset graph B0 is the first with bad sets is decided before
+B0 is built (`setrep.first_bad_level`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
 from .completion import CycleWitness, find_induced_nonmetric_cycles
 from .errors import GraphFormatError, InvalidMap, NotAMetricSpace, VertexCapExceeded
-from .graphs import EdgeLabelledGraph, PartialMap, _drop_unused, induced_subgraph, is_metric_space
-
-
-@dataclass(frozen=True)
-class BadSet:
-    """A vertex set inducing a non-metric cycle, held as that cycle."""
-
-    cycle: CycleWitness
-
-    @property
-    def members(self) -> frozenset[str]:
-        return frozenset(self.cycle.vertices)
-
-    @property
-    def long_edge(self) -> tuple[str, str]:
-        """The cycle's long edge, the only one."""
-        return self.cycle.long_edge
+from .graphs import (
+    EdgeLabelledGraph, PartialMap, _drop_unused, check_map, induced_subgraph, is_metric_space,
+)
 
 
 @dataclass(frozen=True)
@@ -51,16 +40,15 @@ class LevelGraph:
     """One stored level of the construction tower.
 
     `bad_sets` are the bad sets of size `level` of the previous stored level
-    that this level's valuations range over, and `projection` maps every
-    vertex to the one below it there; both are empty at the base level.
-    `base_embedding` places the original space inside this level.
+    that this level's valuations range over, each held as its cycle; there
+    are none at the base level.  `base_embedding` places the original space
+    inside this level.
     """
 
     graph: EdgeLabelledGraph
     level: int
     base_embedding: PartialMap
-    projection: Mapping[str, str]
-    bad_sets: tuple[BadSet, ...]
+    bad_sets: tuple[CycleWitness, ...]
 
     def bad_set_index(self) -> dict[frozenset[str], int]:
         return {m.members: j for j, m in enumerate(self.bad_sets)}
@@ -74,10 +62,10 @@ class LevelGraph:
         return {x: tuple(js) for x, js in below.items()}
 
 
-def bad_sets(g: EdgeLabelledGraph, cycle_size: int) -> tuple[BadSet, ...]:
+def bad_sets(g: EdgeLabelledGraph, cycle_size: int) -> tuple[CycleWitness, ...]:
     """All vertex sets of the given size on which g induces a non-metric
-    cycle, in canonical order."""
-    return tuple(map(BadSet, find_induced_nonmetric_cycles(g, cycle_size)))
+    cycle, as those cycles, in canonical order."""
+    return tuple(find_induced_nonmetric_cycles(g, cycle_size))
 
 
 def level_vertex_id(base: str, bits: Iterable[int]) -> str:
@@ -92,8 +80,8 @@ def parse_level_vertex(vid: str) -> tuple[str, str]:
 
 
 def anchor_valuations(
-    g: EdgeLabelledGraph, copy_vertices: Iterable[str], bad: tuple[BadSet, ...]
-) -> dict[tuple[BadSet, str], int]:
+    g: EdgeLabelledGraph, copy_vertices: Iterable[str], bad: tuple[CycleWitness, ...]
+) -> dict[tuple[CycleWitness, str], int]:
     """Fixed valuation bits for the embedded copy, keyed (bad set, vertex).
 
     The copy is complete and metric, so it meets each bad cycle in at most
@@ -101,7 +89,7 @@ def anchor_valuations(
     0), anywhere else they are 0.
     """
     copy = set(copy_vertices)
-    anchors: dict[tuple[BadSet, str], int] = {}
+    anchors: dict[tuple[CycleWitness, str], int] = {}
     for m in bad:
         hit = sorted(m.members & copy)
         if not hit:
@@ -153,17 +141,11 @@ def build_next_level(
             f"level {size} (valuation expansion)", needed, vertex_cap
         )
 
-    vertex_ids: dict[str, list[tuple[str, tuple[int, ...]]]] = {}
-    projection: dict[str, str] = {}
-    for x in g.vertices:
-        copies = []
-        for bits in product((0, 1), repeat=len(member_idx[x])):
-            vid = level_vertex_id(x, bits)
-            copies.append((vid, bits))
-            projection[vid] = x
-        vertex_ids[x] = copies
-
-    verts = tuple(sorted(projection))
+    vertex_ids = {
+        x: [(level_vertex_id(x, bits), bits) for bits in product((0, 1), repeat=len(member_idx[x]))]
+        for x in g.vertices
+    }
+    verts = tuple(sorted(vid for copies in vertex_ids.values() for vid, _ in copies))
     where = dict(zip(verts, range(len(verts))))
     codes = np.zeros((len(verts), len(verts)), dtype=g.codes.dtype)
     for row, col in np.argwhere(np.triu(g.codes, 1)).tolist():  # the edges, in vertex order
@@ -197,21 +179,31 @@ def build_next_level(
         graph=graph,
         level=size,
         base_embedding=PartialMap(embedding),
-        projection=projection,
         bad_sets=bad,
     )
 
 
-def project_map(nxt: LevelGraph, phi: PartialMap) -> PartialMap:
-    """Push a partial map of this level down to the level below."""
-    return PartialMap(
-        {nxt.projection[u]: nxt.projection[v] for u, v in phi.items()}
-    )
+def _bad_set_targets(prev: LevelGraph, nxt: LevelGraph, hat_phi: PartialMap) -> list[int]:
+    """Entry j is the index of the image of bad set j under `hat_phi`, a
+    total map of `prev` (the level below), among the bad sets of `nxt`."""
+    if sorted(hat_phi.domain()) != list(prev.graph.vertices):
+        raise InvalidMap("expected a total automorphism of the level below")
+    index_of = nxt.bad_set_index()
+    targets = []
+    for m in nxt.bad_sets:
+        jt = index_of.get(frozenset(hat_phi[x] for x in m.members))
+        if jt is None:
+            raise InvalidMap(
+                f"automorphism of the lower level does not map bad set "
+                f"{sorted(m.members)} to a bad set"
+            )
+        targets.append(jt)
+    return targets
 
 
 def compute_flip_set(
     prev: LevelGraph, nxt: LevelGraph, phi: PartialMap, hat_phi: PartialMap
-) -> frozenset[BadSet]:
+) -> frozenset[CycleWitness]:
     """Bad sets whose valuation the lifted automorphism must invert.
 
     `phi` is a partial automorphism of the embedded copy at level `nxt` and
@@ -221,9 +213,7 @@ def compute_flip_set(
     at the image bad set; the construction guarantees all witnesses of one
     bad set agree, which is re-checked here.
     """
-    if sorted(hat_phi.domain()) != list(prev.graph.vertices):
-        raise InvalidMap("expected a total automorphism of the level below")
-    index_of = nxt.bad_set_index()
+    targets = _bad_set_targets(prev, nxt, hat_phi)
     bit_at: dict[tuple[str, int], int] = {}
     member = nxt.membership()
     dom_by_base: dict[str, str] = {}
@@ -239,15 +229,8 @@ def compute_flip_set(
         for p, j in enumerate(member.get(base, ())):
             image_bits[(base, j)] = int(bits[p])
 
-    flips: set[BadSet] = set()
-    for j, m in enumerate(nxt.bad_sets):
-        target_members = frozenset(hat_phi[x] for x in m.members)
-        jt = index_of.get(target_members)
-        if jt is None:
-            raise InvalidMap(
-                f"automorphism of the lower level does not map bad set "
-                f"{sorted(m.members)} to a bad set"
-            )
+    flips: set[CycleWitness] = set()
+    for j, (m, jt) in enumerate(zip(nxt.bad_sets, targets)):
         verdicts = []
         for x in sorted(m.members):
             u = dom_by_base.get(x)
@@ -272,33 +255,20 @@ def lift_automorphism(
     prev: LevelGraph,
     nxt: LevelGraph,
     hat_phi: PartialMap,
-    flips: frozenset[BadSet] = frozenset(),
+    flips: frozenset[CycleWitness] = frozenset(),
 ) -> PartialMap:
     """Lift an automorphism of the level below, inverting the given bad sets.
 
     The result moves each valuation copy of x to a valuation copy of
     hat_phi(x), transporting every bit to the image bad set and inverting it
-    exactly on the flip set.  The lift is verified to be an automorphism that
-    commutes with the projection before it is returned.
+    exactly on the flip set, so it commutes with the projection read off the
+    ids.  The lift is verified to be an automorphism before it is returned.
     """
-    if sorted(hat_phi.domain()) != list(prev.graph.vertices):
-        raise InvalidMap("expected a total automorphism of the level below")
-    if not _automorphism_ok(prev.graph, hat_phi):
+    targets = _bad_set_targets(prev, nxt, hat_phi)
+    if not check_map(hat_phi, prev.graph, prev.graph, "automorphism"):
         raise InvalidMap("map of the level below is not an automorphism")
-    index_of = nxt.bad_set_index()
     member = nxt.membership()
-    target_index: dict[int, int] = {}
-    flip_index: set[int] = set()
-    for j, m in enumerate(nxt.bad_sets):
-        jt = index_of.get(frozenset(hat_phi[x] for x in m.members))
-        if jt is None:
-            raise InvalidMap(
-                f"automorphism of the lower level does not map bad set "
-                f"{sorted(m.members)} to a bad set"
-            )
-        target_index[j] = jt
-        if m in flips:
-            flip_index.add(j)
+    flip_index = {j for j, m in enumerate(nxt.bad_sets) if m in flips}
 
     table: dict[str, str] = {}
     for vid in nxt.graph.vertices:
@@ -306,31 +276,17 @@ def lift_automorphism(
         y = hat_phi[base]
         out_bits: dict[int, int] = {}
         for p, j in enumerate(member.get(base, ())):
-            out_bits[target_index[j]] = int(bits[p]) ^ (j in flip_index)
+            out_bits[targets[j]] = int(bits[p]) ^ (j in flip_index)
         new_bits = tuple(out_bits[j] for j in member.get(y, ()))
         table[vid] = level_vertex_id(y, new_bits)
     theta = PartialMap(table)
-
-    for vid, target in table.items():
-        if nxt.projection[target] != hat_phi[nxt.projection[vid]]:
-            raise InvalidMap("lift does not commute with the projection")
-    if not _automorphism_ok(nxt.graph, theta):
+    if not check_map(theta, nxt.graph, nxt.graph, "automorphism"):
         raise InvalidMap("lift is not an automorphism")
     return theta
 
 
-def _automorphism_ok(g: EdgeLabelledGraph, f: PartialMap | np.ndarray) -> bool:
-    """Does `f` permute the vertices of g keeping every code of its matrix?
-
-    `f` is a map on the vertex ids, or already a permutation of the vertex
-    positions: an integer array whose entry i is the position of the image
-    of `g.vertices[i]`.
-    """
-    if isinstance(f, np.ndarray):
-        perm = f
-    elif len(f) != len(g) or set(f.image()) != set(g.vertices):
-        return False
-    else:
-        perm = np.fromiter(map(g.position, map(f.__getitem__, g.vertices)), dtype=np.intp,
-                           count=len(g))
+def _automorphism_ok(g: EdgeLabelledGraph, perm: np.ndarray) -> bool:
+    """Does `perm` permute the vertices of g keeping every code of its
+    matrix?  `perm` is an integer array whose entry i is the position of the
+    image of `g.vertices[i]`."""
     return bool(np.array_equal(g.codes.take(perm, 0).take(perm, 1), g.codes))

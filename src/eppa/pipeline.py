@@ -123,8 +123,7 @@ def build_witness(a: EdgeLabelledGraph, vertex_cap: int = 200_000) -> Witness:
                 exponent=per_vertex, at_least=True,
             )
     base_graph, base_embedding = build_eppa_graph(sa, vertex_cap=vertex_cap)
-    levels = (LevelGraph(graph=base_graph, level=2, base_embedding=base_embedding,
-                         projection={}, bad_sets=()),)
+    levels = (LevelGraph(graph=base_graph, level=2, base_embedding=base_embedding, bad_sets=()),)
     for size in range(bad_from, n + 1):
         nxt = build_next_level(levels[-1], size, vertex_cap=vertex_cap)
         if nxt.bad_sets:

@@ -33,17 +33,15 @@ from eppa import (
     extend_by_permutation,
     extend_isometry,
     find_induced_nonmetric_cycles,
-    graph_from_triples,
     has_nonmetric_cycle_up_to,
     shortest_path_completion,
 )
 from eppa.cli import main as cli_main
-from eppa.completion import reach
 from eppa.fileio import (
     dump_json, graph_to_codes, graph_to_json, load_json, map_to_json, witness_from_json,
     witness_to_json,
 )
-from eppa.graphs import EdgeLabelledGraph, induced_subgraph
+from eppa.graphs import EdgeLabelledGraph
 from eppa.levels import LevelGraph, parse_level_vertex
 from eppa.verifier import _enumerate_partial_isometries, naive_extension_exists, search_extension
 
@@ -225,7 +223,6 @@ def test_criterion_3_six_cycle_expansion():
         graph=t113,
         level=2,
         base_embedding=PartialMap({"y": "y", "z": "z"}),
-        projection={},
         bad_sets=(),
     )
     g = build_next_level(prev, 3).graph
@@ -347,7 +344,7 @@ def transposition_sites(w: Witness):
 
 def transpose_vertices(w: Witness, idx: int, u: str, v: str) -> Witness:
     """Swap two vertices in the stored edge relation of one level; its vertex
-    set, projection, anchors and every other layer stay as they were."""
+    set, anchors and every other layer stay as they were."""
     lvl = w.levels[idx]
     swap = {u: v, v: u}
     edges = [(swap.get(a, a), swap.get(b, b), d) for a, b, d in lvl.graph.edges()]
@@ -420,33 +417,16 @@ def test_criterion_7_mutation_sensitivity(fixture_witnesses, tmp_path):
     print("[criterion 7] PASS: 20 sampled level transpositions all caught")
 
 
-def test_criterion_7_machinery_on_a_valued_witness():
+def test_criterion_7_machinery_on_a_valued_witness(demo_witness):
     """Valuation-bit flips, the transpositions of two copies that differ in
-    one bit, on a hand-built witness whose expansion has two bad sets and
-    hence twenty valuation bits; every flip must be caught.
+    one bit, on the demonstration witness (`demo_witness`), whose expansion
+    has two bad sets and hence twenty valuation bits; every flip must be
+    caught.
 
     Its input is one point, which the build gives no level, so no witness
     file holds it (`witness_from_json` refuses the levels): the report of
     `cross_check` itself must fail each flip with a counterexample."""
-    core = EdgeLabelledGraph(
-        ["p", "q", "r", "s"],
-        [("p", "q", 3), ("p", "r", 1), ("q", "r", 1), ("p", "s", 1), ("q", "s", 1)],
-    )
-    prev = LevelGraph(
-        graph=core,
-        level=2,
-        base_embedding=PartialMap({"z": "r"}),
-        projection={},
-        bad_sets=(),
-    )
-    nxt = build_next_level(prev, 3)
-
-    g = nxt.graph
-    reached, _ = reach(g, [g.position(nxt.base_embedding["z"])])
-    final = shortest_path_completion(induced_subgraph(g, [g.vertices[p] for p in reached]))
-    w = Witness(input=graph_from_triples(["z"], []), set_assignment=None,
-                levels=(prev, nxt), final=final, n=3)
-
+    w = demo_witness
     from eppa import cross_check
 
     assert cross_check(w).ok  # the unmutated witness is sound

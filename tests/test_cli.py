@@ -370,6 +370,9 @@ MALFORMED_WITNESSES = {
                       'level #1: "level" must be an integer from 3 to 3, got 4'),
     "integer-long-edge": ("stacked", _set("levels", 1, "bad_sets", 0, "long_edge", [1, 2]),
                           "level #1: bad set #0 long_edge must be a list of 2 strings"),
+    "repeated-bad-set": (
+        "stacked", _edit("levels", 1, "bad_sets", lambda bad: bad.append(dict(bad[0]))),
+        "level #1: vertex 'p;00' carries 2 bits, not one per stored bad set through 'p' (3)"),
     "copy-outside-the-top-level": ("stacked", _set("levels", 1, "base_embedding", 2, 1, "r;9"),
                                    "level #1: the copy of 'z' is 'r;9', which is no vertex"),
     "repeated-copy-source": (

@@ -187,14 +187,12 @@ def test_witness_file_stores_each_fact_once(demo_witness, t112_witness):
     assert [list(m) for m in obj["levels"][1]["bad_sets"]] == [
         ["vertices", "long_edge", "deficit"]] * 2
 
-    # the loader derives the rest: each level's projection and bad sets,
+    # the loader derives the rest: each bad set's members from its cycle,
     # the set assignment and the final space
     base = _level_from_json(obj["levels"][0], 0)
     top = _level_from_json(obj["levels"][1], 1)
-    assert base.projection == {}
-    assert top.projection == {v: v.rpartition(";")[0] for v in top.graph.vertices}
     for m in top.bad_sets:
-        assert (m.members, m.long_edge) == (frozenset(m.cycle.vertices), m.cycle.long_edge)
+        assert m.members == frozenset(m.vertices)
     assert (base, top) == (t112_witness.levels[0], stacked_level(demo_witness))
     stacked = witness_from_json(obj)
     assert stacked.levels == (base, top)

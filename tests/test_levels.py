@@ -8,6 +8,8 @@ long cycle and the short non-metric cycle disappears.
 
 from __future__ import annotations
 
+import dataclasses
+import re
 from fractions import Fraction
 
 import pytest
@@ -27,9 +29,8 @@ from eppa import (
     has_nonmetric_cycle_up_to,
     compute_flip_set,
     lift_automorphism,
-    project_map,
 )
-from eppa.levels import BadSet, LevelGraph, level_vertex_id, parse_level_vertex
+from eppa.levels import LevelGraph, level_vertex_id, parse_level_vertex
 
 
 def make_prev(t113):
@@ -38,7 +39,6 @@ def make_prev(t113):
         graph=t113,
         level=2,
         base_embedding=PartialMap({"y": "y", "z": "z"}),
-        projection={},
         bad_sets=(),
     )
 
@@ -78,7 +78,7 @@ def test_bad_sets_of_the_nonmetric_triangle(t113, t112):
     assert len(bad) == 1
     assert bad[0].members == frozenset({"x", "y", "z"})
     assert bad[0].long_edge == ("y", "z")
-    assert bad[0].cycle.check(t113)
+    assert bad[0].check(t113)
     assert bad_sets(t112, 3) == ()
 
 
@@ -114,7 +114,6 @@ def test_expansion_kills_short_nonmetric_cycles(lifted):
 def test_expansion_metadata(lifted, t113):
     assert lifted.level == 3
     assert lifted.bad_sets == bad_sets(t113, 3)
-    assert lifted.projection["y;1"] == "y"
     assert lifted.membership() == {"x": (0,), "y": (0,), "z": (0,)}
     assert lifted.bad_set_index() == {frozenset({"x", "y", "z"}): 0}
     # the long-edge copy is anchored at (0, 1), smaller name first
@@ -131,7 +130,6 @@ def test_embedded_copy_must_be_metric(t113):
         graph=t113,
         level=2,
         base_embedding=PartialMap.identity(t113.vertices),
-        projection={},
         bad_sets=(),
     )
     with pytest.raises(NotAMetricSpace):
@@ -151,7 +149,6 @@ def test_trivial_expansion_when_metric(t112):
         graph=t112,
         level=2,
         base_embedding=PartialMap.identity(t112.vertices),
-        projection={},
         bad_sets=(),
     )
     nxt = build_next_level(base, 3)
@@ -184,7 +181,7 @@ def test_anchor_rejects_non_edge_contact():
     g = graph_from_triples(
         ["a", "b", "c", "d"], [("a", "b", 1), ("b", "c", 1), ("c", "d", 1)]
     )
-    fake = BadSet(CycleWitness(("a", "c", "d"), ("a", "d"), Fraction(1)))
+    fake = CycleWitness(("a", "c", "d"), ("a", "d"), Fraction(1))
     with pytest.raises(NotAMetricSpace):
         anchor_valuations(g, ["a", "c"], (fake,))
 
@@ -216,16 +213,21 @@ def hat_for(prev, phi_below):
     raise AssertionError("no automorphism extends the projected map")
 
 
+def below(vid):
+    """The vertex of the level below that a level vertex projects to."""
+    return parse_level_vertex(vid)[0]
+
+
 def test_every_copy_map_lifts(prev, lifted):
     for phi in all_copy_maps(lifted):
-        hat = hat_for(prev, project_map(lifted, phi))
+        hat = hat_for(prev, PartialMap({below(u): below(v) for u, v in phi.items()}))
         flips = compute_flip_set(prev, lifted, phi, hat)
         theta = lift_automorphism(prev, lifted, hat, flips)
         assert check_map(theta, lifted.graph, lifted.graph, "automorphism")
         assert theta.extends(phi)
         # the lift always commutes with the projection
         for u in lifted.graph.vertices:
-            assert lifted.projection[theta[u]] == hat[lifted.projection[u]]
+            assert below(theta[u]) == hat[below(u)]
 
 
 def test_long_edge_swap_needs_the_flip(prev, lifted):
@@ -269,9 +271,20 @@ def test_flip_set_rejects_mismatched_pairs(prev, lifted):
         compute_flip_set(prev, lifted, phi, ident)
 
 
-def test_project_map(lifted):
-    phi = PartialMap({"y;0": "z;1", "z;1": "y;0"})
-    assert project_map(lifted, phi) == PartialMap({"y": "z", "z": "y"})
+def test_both_lift_steps_refuse_a_map_that_breaks_a_bad_set(demo_witness):
+    # the demonstration level with only its first bad set stored: swapping r
+    # and s is an automorphism of the core, but it maps {p, q, r} to {p, q, s}
+    core, lvl = demo_witness.levels
+    first = lvl.bad_sets[0]
+    assert sorted(first.members) == ["p", "q", "r"]
+    lvl = dataclasses.replace(lvl, bad_sets=(first,))
+    swap = PartialMap({"p": "p", "q": "q", "r": "s", "s": "r"})
+    assert check_map(swap, core.graph, core.graph, "automorphism")
+    message = re.escape("does not map bad set ['p', 'q', 'r'] to a bad set")
+    with pytest.raises(InvalidMap, match=message):
+        compute_flip_set(core, lvl, PartialMap({}), swap)
+    with pytest.raises(InvalidMap, match=message):
+        lift_automorphism(core, lvl, swap)
 
 
 # -- two stacked expansions --------------------------------------------------------
@@ -290,7 +303,7 @@ def test_double_lift_composes(prev, lifted):
     theta_top = lift_automorphism(lifted, top, theta)
     assert check_map(theta_top, top.graph, top.graph, "automorphism")
     for vid in top.graph.vertices:
-        assert top.projection[theta_top[vid]] == theta[top.projection[vid]]
+        assert below(theta_top[vid]) == theta[below(vid)]
 
 
 # -- the cap message -------------------------------------------------------------------

@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import importlib
+import importlib.util
 import itertools
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -170,7 +174,7 @@ def test_a_wrong_clean_verdict_cannot_pass(monkeypatch):
         build_witness(a)
     # and the witness it would have returned fails the verifier's own check
     b0, emb = build_eppa_graph(build_set_assignment(a))
-    base = LevelGraph(graph=b0, level=2, base_embedding=emb, projection={}, bad_sets=())
+    base = LevelGraph(graph=b0, level=2, base_embedding=emb, bad_sets=())
     w = Witness(input=a, set_assignment=build_set_assignment(a), levels=(base,),
                 final=shortest_path_completion(b0), n=compute_N(a))
     report = cross_check(w, search_limit=0)
@@ -320,7 +324,6 @@ def test_a_stored_level_is_replayed_through_the_lift(monkeypatch, tmp_path):
         graph=EdgeLabelledGraph(copy.values(), [(copy[u], copy[v], d) for u, v, d in base.graph.edges()]),
         level=3,
         base_embedding=PartialMap({x: copy[u] for x, u in base.base_embedding.items()}),
-        projection={c: v for v, c in copy.items()},
         bad_sets=(),
     )
     tower = dataclasses.replace(w, levels=(base, top), final=shortest_path_completion(top.graph))
@@ -409,3 +412,20 @@ def test_every_tiny_space_gets_full_extension_property():
         w = build_witness(g)
         for phi in enumerate_partial_automorphisms(g, len(g)):
             assert_extension(w, phi)
+
+
+# -- the names the benchmark traces ---------------------------------------------------
+
+
+def test_every_traced_name_resolves(monkeypatch):
+    # perfbench wraps these functions by name, and only its traced runs look
+    # them up: a rename or a deletion here would break nothing else
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)  # its dataclasses look it up
+    spec.loader.exec_module(tracing)
+    assert tracing.TRACED
+    missing = [f"{mod}.{name}" for mod, name in tracing.TRACED
+               if not hasattr(importlib.import_module(f"eppa.{mod}"), name)]
+    assert missing == []

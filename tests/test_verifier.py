@@ -36,7 +36,6 @@ from eppa import (
     verify_eppa,
 )
 from eppa.graphs import EdgeLabelledGraph
-from eppa.levels import BadSet
 from eppa.setrep import parse_subset_id
 from eppa.verifier import _enumerate_partial_isometries, _label_matrix
 from conftest import connected_graphs, small_corpus, small_tower_free_spaces
@@ -207,7 +206,7 @@ def test_cross_check_three_point(t112_witness, demo_witness):
     names = [r.name for r in report.results]
     assert names[names.index("level-2-no-short-bad-cycles"):names.index("component")] == [
         "level-2-no-short-bad-cycles", "level-3-bad-sets", "level-3-vertices",
-        "level-3-projection", "level-3-edge-rule", "level-3-anchors", "top-level-no-bad-cycles",
+        "level-3-edge-rule", "level-3-anchors", "top-level-no-bad-cycles",
     ]
 
 
@@ -417,7 +416,7 @@ def b0_alone(labels, n):
     a = graph_from_triples(["x", "y", "z"], list(zip("xxy", "yzz", labels)))
     sa = build_set_assignment(a)
     b0, copy = build_eppa_graph(sa)
-    level = LevelGraph(graph=b0, level=2, base_embedding=copy, projection={}, bad_sets=())
+    level = LevelGraph(graph=b0, level=2, base_embedding=copy, bad_sets=())
     return Witness(input=a, set_assignment=sa, levels=(level,),
                    final=shortest_path_completion(b0), n=n)
 
@@ -487,7 +486,7 @@ def test_the_completion_check_judges_a_disconnected_top_level():
     a = graph_from_triples(["a", "b"], [("a", "b", 1)])
     top = graph_from_triples(list("pqrs"), [("p", "q", 1), ("r", "s", 1)])
     level = LevelGraph(graph=top, level=2, base_embedding=PartialMap({"a": "p", "b": "q"}),
-                       projection={}, bad_sets=())
+                       bad_sets=())
     w = Witness(input=a, set_assignment=None, levels=(level,), final=top, n=2)
     report = cross_check(w, search_limit=0)
     assert not failing(report, "final-completion")
@@ -561,7 +560,7 @@ def t144_witness(n: int) -> Witness:
     build refuses (1,4,4), whose height is 5, before B0 exists."""
     a = graph_from_triples(["x", "y", "z"], [("x", "y", 1), ("x", "z", 4), ("y", "z", 4)])
     b0, emb = build_eppa_graph(build_set_assignment(a))
-    base = LevelGraph(graph=b0, level=2, base_embedding=emb, projection={}, bad_sets=())
+    base = LevelGraph(graph=b0, level=2, base_embedding=emb, bad_sets=())
     return Witness(input=a, set_assignment=build_set_assignment(a), levels=(base,),
                    final=shortest_path_completion(b0), n=n)
 
@@ -655,7 +654,7 @@ def test_tampered_bad_set_list_is_caught(demo_witness):
     assert len(lvl.bad_sets) == 2
     assert cross_check(w).ok
     # p, r, s induce a path, not a cycle
-    extra = BadSet(CycleWitness(("p", "r", "s"), ("p", "s"), Fraction(1)))
+    extra = CycleWitness(("p", "r", "s"), ("p", "s"), Fraction(1))
     for stored in (lvl.bad_sets[1:], lvl.bad_sets + (extra,)):
         tampered = dataclasses.replace(w, levels=(base, dataclasses.replace(lvl, bad_sets=stored)))
         assert failing(cross_check(tampered, search_limit=0), "level-3-bad-sets")
@@ -736,8 +735,7 @@ def test_replay_rejects_a_defective_extension(request, monkeypatch, fixture, def
 def completion_check(top, final):
     """The `final-completion` result of a witness whose one level is `top`
     and whose final space is `final`."""
-    level = LevelGraph(graph=top, level=2, base_embedding=PartialMap({}), projection={},
-                       bad_sets=())
+    level = LevelGraph(graph=top, level=2, base_embedding=PartialMap({}), bad_sets=())
     w = Witness(input=top, set_assignment=None, levels=(level,), final=final, n=2)
     scale = math.lcm(*(d.denominator for g in (top, final) for d in g.spectrum()))
     report = verifier.VerificationReport()
