@@ -11,9 +11,10 @@ level alike.  It optionally extends every partial isometry of the input,
 timing each `extend_isometry` call alone (median and p90 per map; the first
 call pays the witness's lazy set-up) and checking each result with
 `check_map` outside the timer, or times the independent cross-check of each
-witness and prints its verdict and the path its final checks took
+witness and prints its verdict, the path its final checks took
 (explicit, sweeping from every vertex, or through one vertex of a
-vertex-transitive B0).  The exit
+vertex-transitive B0) and, where the extension search ran, the number of
+assignments it attempted over all maps.  The exit
 code is 1 if a loaded witness differs from the built one or a witness
 fails its cross-check.
 
@@ -128,6 +129,8 @@ def run_one(name: str, g: EdgeLabelledGraph, args: argparse.Namespace) -> bool:
         skipped = [r.name for r in report.results if r.skipped]
         print(f"   verify: {'PASS' if report.ok else 'FAIL'} in {time.perf_counter() - t0:.2f}s,"
               f" final checks {report.path}"
+              + (f", {report.totals['search_assignments']} search assignments"
+                 if "search_assignments" in report.totals else "")
               + (f", failed {', '.join(failed)}" if failed else "")
               + (f", skipped {', '.join(skipped)}" if skipped else ""))
 

@@ -191,7 +191,7 @@ def _bad_set_targets(prev: LevelGraph, nxt: LevelGraph, hat_phi: PartialMap) -> 
     index_of = nxt.bad_set_index()
     targets = []
     for m in nxt.bad_sets:
-        jt = index_of.get(frozenset(hat_phi[x] for x in m.members))
+        jt = index_of.get(frozenset(hat_phi[x] for x in sorted(m.members)))
         if jt is None:
             raise InvalidMap(
                 f"automorphism of the lower level does not map bad set "

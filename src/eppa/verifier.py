@@ -26,6 +26,15 @@ once per graph:
 - the completion is checked by Bellman's optimality condition, row by row,
   and the metric and replayed isometries on the same matrices.
 
+The extension search holds the images each unassigned vertex may still take
+as an int bit mask.  It starts from the unused vertices with the same sorted
+label row, and placing v at w narrows every other vertex's mask with one AND
+against the vertices at w's label for that pair (`_label_masks`, built once
+per graph).  It branches on the first forced vertex, or else the lowest one,
+and tries images from the lowest bit up; every attempted assignment counts
+against the budget, and `verify_eppa` reports their sum as
+`search_assignments`.
+
 The short-cycle, completion and metric checks each sweep from a list of
 source vertices (`_sweep_sources`): every vertex, or vertex 0 alone when the
 witness stores B0 alone, whose vertices are all the k-subsets of its tokens
@@ -177,7 +186,8 @@ def _permutes_labels(theta: PartialMap, index: dict[str, int], mat: np.ndarray) 
     of the label matrix?"""
     if len(theta) != len(index):
         return False
-    perm = [index.get(theta.get(v)) for v in index]
+    images = dict(theta.items())
+    perm = [index.get(images.get(v)) for v in index]
     if None in perm:
         return False
     perm = np.array(perm, dtype=np.intp)
@@ -188,20 +198,19 @@ def _enumerate_partial_isometries(
     g: EdgeLabelledGraph, domain_pool: Iterable[str], max_size: int
 ) -> Iterator[PartialMap]:
     """All distance-preserving injective maps with domain and image inside
-    the pool, the empty map first, then by domain size."""
+    the pool, the empty map first, then by domain size.  Labels are compared
+    as g's integer label codes."""
     pool = sorted(domain_pool)
+    at = [g.position(v) for v in pool]
+    codes = g.codes[np.ix_(at, at)].tolist()
+    spots = range(len(pool))
     yield PartialMap({})
     for size in range(1, max_size + 1):
-        for dom in combinations(pool, size):
-            for img in permutations(pool, size):
-                f = dict(zip(dom, img))
-                ok = True
-                for u, v in combinations(dom, 2):
-                    if g.label(u, v) != g.label(f[u], f[v]):
-                        ok = False
-                        break
-                if ok:
-                    yield PartialMap(f)
+        pairs = list(combinations(range(size), 2))
+        for dom in combinations(spots, size):
+            for img in permutations(spots, size):
+                if all(codes[dom[i]][dom[j]] == codes[img[i]][img[j]] for i, j in pairs):
+                    yield PartialMap._trusted((pool[x], pool[y]) for x, y in zip(dom, img))
 
 
 def _label_rows(b: EdgeLabelledGraph) -> list[list[int]]:
@@ -218,18 +227,42 @@ def _row_signatures(rows: list[list[int]]) -> list[int]:
     return [classes.setdefault(tuple(sorted(row)), len(classes)) for row in rows]
 
 
+# (label masks, signature masks): vertex sets as int bit masks, bit x for vertex x
+_Masks = tuple[list[dict[int, int]], list[int]]
+
+
+def _label_masks(rows: list[list[int]]) -> _Masks:
+    """The vertex sets the extension search intersects, built once per
+    graph: entry w of the first list maps each label d in row w to the
+    vertices at label d from w, and entry v of the second holds the vertices
+    with v's row signature (`_row_signatures`)."""
+    by_label = []
+    for row in rows:
+        masks: dict[int, int] = {}
+        for x, d in enumerate(row):
+            masks[d] = masks.get(d, 0) | 1 << x
+        by_label.append(masks)
+    signature = _row_signatures(rows)
+    by_signature = [0] * len(rows)
+    for v, s in enumerate(signature):
+        by_signature[s] |= 1 << v
+    return by_label, [by_signature[s] for s in signature]
+
+
 def search_extension(
     b: EdgeLabelledGraph, phi: PartialMap, budget: int = 10_000_000
 ) -> PartialMap | None:
     """Backtracking search for a full isometry of b extending phi.
 
-    Maintains forward-checked candidate sets per unassigned vertex, branches
+    Maintains forward-checked candidate sets per unassigned vertex, each an
+    int bit mask of the vertices it may still go to, narrowed by one AND
+    with a per-vertex label mask (`_label_masks`) per placement.  Branches
     on the smallest unassigned vertex (preferring forced, single-candidate
-    ones) and tries images in sorted order; since forced moves are shared by
-    every completion, a successful search still returns the lexicographically
-    least extension.  Every attempted assignment counts against the budget;
-    exceeding it raises BudgetExhausted instead of guessing.  Labels are
-    compared on the integer label matrix.
+    ones) and tries images from the lowest bit up; since forced moves are
+    shared by every completion, a successful search still returns the
+    lexicographically least extension.  Every attempted assignment counts
+    against the budget; exceeding it raises BudgetExhausted instead of
+    guessing.  Labels are compared on the integer label matrix.
     """
     for v in list(phi.domain()) + list(phi.image()):
         if v not in b:
@@ -237,106 +270,85 @@ def search_extension(
     if not _distances_ok(phi, b):
         return None
     rows = _label_rows(b)
-    return _search_extension(b, rows, _row_signatures(rows), phi, budget)
+    return _search_extension(b, rows, _label_masks(rows), phi, budget)[0]
 
 
 def _candidate_sets(
-    rows: list[list[int]], signature: list[int], assigned: dict[int, int]
-) -> dict[int, set[int]] | None:
-    """The images each unassigned vertex v may take, or None when one has
-    none: the unused w with v's signature that see the assigned images as v
-    sees their preimages.  One pass files each unused w under (signature,
-    its entries at the images), and v reads its set under (signature, its
-    entries at the preimages)."""
-    dom, img = list(assigned), list(assigned.values())
-    used = set(img)
-    buckets: dict[tuple[int, ...], set[int]] = {}
-    for w, row in enumerate(rows):
-        if w not in used:
-            buckets.setdefault((signature[w], *(row[x] for x in img)), set()).add(w)
-    cand: dict[int, set[int]] = {}
+    rows: list[list[int]], masks: _Masks, assigned: dict[int, int]
+) -> dict[int, int] | None:
+    """The images each unassigned vertex v may take, as a bit mask, in
+    vertex order, or None when one has none: the unused w with v's signature
+    that see the assigned images as v sees their preimages."""
+    by_label, same = masks
+    unused = ~sum(1 << w for w in assigned.values())
+    cand: dict[int, int] = {}
     for v, row in enumerate(rows):
         if v in assigned:
             continue
-        opts = buckets.get((signature[v], *(row[x] for x in dom)))
+        opts = same[v] & unused
+        for u, w in assigned.items():
+            opts &= by_label[w].get(row[u], 0)
         if not opts:
             return None
-        cand[v] = set(opts)
+        cand[v] = opts
     return cand
 
 
 def _search_extension(
-    b: EdgeLabelledGraph, rows: list[list[int]], signature: list[int], phi: PartialMap,
-    budget: int,
-) -> PartialMap | None:
+    b: EdgeLabelledGraph, rows: list[list[int]], masks: _Masks, phi: PartialMap, budget: int,
+) -> tuple[PartialMap | None, int]:
     """`search_extension` on vertex indices, given b's label rows, their
-    signatures and a phi already known to keep distances."""
+    masks and a phi already known to keep distances; also returns the
+    number of assignments it attempted."""
     verts = b.vertices
     index = {v: i for i, v in enumerate(verts)}
-    n = len(verts)
     assigned: dict[int, int] = {index[u]: index[w] for u, w in phi.items()}
-    used = set(assigned.values())
-    cand = _candidate_sets(rows, signature, assigned)
+    cand = _candidate_sets(rows, masks, assigned)
     if cand is None:
-        return None
-
+        return None, 0
+    by_label = masks[0]
     spent = 0
-    trail: list[tuple[int, int]] = []
 
-    def undo(mark: int) -> None:
-        while len(trail) > mark:
-            u, lost = trail.pop()
-            cand[u].add(lost)
-
-    def place() -> bool:
+    def place(cand: dict[int, int], v: int | None) -> bool:
+        """Extend `assigned` over the vertices of `cand`, branching on v: the
+        first of them with one candidate, or None when none has one, and
+        then on the first of them."""
         nonlocal spent
-        pick = None
-        for v in range(n):
-            if v in assigned:
-                continue
-            k = len(cand[v])
-            if k == 0:
-                return False
-            if k == 1:
-                pick = v
-                break
-            if pick is None:
-                pick = v
-        if pick is None:
+        if not cand:
             return True
-        v = pick
-        opts_v = cand.pop(v)
+        if v is None:
+            v = next(iter(cand))
+        opts = cand.pop(v)
         row_v = rows[v]
-        for w in sorted(opts_v):
+        while opts:
+            low = opts & -opts
+            opts ^= low
             spent += 1
             if spent > budget:
-                cand[v] = opts_v
                 raise BudgetExhausted(f"extension search budget {budget} exhausted")
-            assigned[v] = w
-            used.add(w)
-            mark = len(trail)
-            alive = True
-            row_w = rows[w]
-            for u, opts in cand.items():
-                lab = row_v[u]
-                dead = [w2 for w2 in opts if w2 == w or row_w[w2] != lab]
-                for w2 in dead:
-                    opts.remove(w2)
-                    trail.append((u, w2))
-                if not opts:
-                    alive = False
+            w = low.bit_length() - 1
+            # w has v's signature, so it has every label of row v; no mask of
+            # a label off the diagonal holds w itself
+            at = by_label[w]
+            nxt = {}
+            forced = None
+            for u, c in cand.items():
+                c &= at[row_v[u]]
+                if not c:
                     break
-            if alive and place():
-                return True
-            undo(mark)
-            del assigned[v]
-            used.discard(w)
-        cand[v] = opts_v
+                if forced is None and not c & (c - 1):
+                    forced = u
+                nxt[u] = c
+            else:
+                assigned[v] = w
+                if place(nxt, forced):
+                    return True
+                del assigned[v]
         return False
 
-    if not place():
-        return None
-    return PartialMap({verts[v]: verts[w] for v, w in assigned.items()})
+    if not place(cand, next((u for u, c in cand.items() if not c & (c - 1)), None)):
+        return None, spent
+    return PartialMap._trusted((verts[v], verts[w]) for v, w in sorted(assigned.items())), spent
 
 
 def naive_extension_exists(b: EdgeLabelledGraph, phi: PartialMap) -> bool:
@@ -375,8 +387,10 @@ def verify_eppa(
     Enumerates every distance-preserving injective map within the copy and
     searches for a total automorphism of b extending each; one check per
     map.  Running out of search budget is a report state (the remaining maps
-    are not examined), never a failure verdict.  Enumeration and search are
-    both local to this module.
+    are not examined), never a failure verdict.  The `search_assignments`
+    total sums the assignments every search attempted, counting the whole
+    budget for a search that ran out.  Enumeration and search are both
+    local to this module.
     """
     copy = sorted(copy_vertices)
     for v in copy:
@@ -384,16 +398,18 @@ def verify_eppa(
             raise UnknownVertex(f"unknown vertex {v!r}")
     report = VerificationReport()
     rows = _label_rows(b)
-    signature = _row_signatures(rows)
+    masks = _label_masks(rows)
     for j, phi in enumerate(_enumerate_partial_isometries(b, copy, len(copy))):
         shown = dict(phi.items())
         try:
-            found = _search_extension(b, rows, signature, phi, budget)
+            found, spent = _search_extension(b, rows, masks, phi, budget)
         except BudgetExhausted as exc:
+            report.count("search_assignments", budget)
             report.add(f"extends-{j}", False, f"{exc} on {shown}", skipped=True,
                        counterexample=phi)
             report.budget_exhausted = True
             break
+        report.count("search_assignments", spent)
         report.count("partial_maps")
         if found is None:
             report.add(f"extends-{j}", False, f"no extension of {shown}",
@@ -912,6 +928,7 @@ def cross_check(w: Witness, budget: int = 10_000_000, search_limit: int = 150) -
     elif len(w.final) <= search_limit:
         sub = verify_eppa(w.final, [emb[x] for x in w.input.vertices], budget=budget)
         report.count("partial_maps_searched", sub.totals.get("partial_maps", 0))
+        report.count("search_assignments", sub.totals.get("search_assignments", 0))
         offender = next(
             (r.counterexample for r in sub.results if not r.passed and not r.skipped), None
         )

@@ -457,6 +457,29 @@ def test_extend_on_a_tampered_witness_exits_with_its_code(case, t112_witness, tm
     assert err.startswith("error: ") and "Traceback" not in err, err
 
 
+def test_extend_on_the_stacked_file_does_not_depend_on_the_hash_seed(
+        t112_witness, demo_witness, tmp_path):
+    # the stacked level's bad sets name vertices outside B0, and the error
+    # names the first of them that the replay meets; string hashing differs
+    # between these two seeds, so walking a bad set in set order would name
+    # 'p' under one and 'r' under the other
+    wpath = str(tmp_path / "w.json")
+    dump_json(wpath, stacked_witness_json(t112_witness, demo_witness))
+    mpath = str(tmp_path / "map.json")
+    dump_json(mpath, SWAP_YZ)
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    runs = [
+        subprocess.run(
+            [sys.executable, "-m", "eppa.cli", "extend", wpath, mpath],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed),
+        )
+        for seed in ("0", "1")
+    ]
+    assert runs[0].returncode == 1 and runs[0].stderr.startswith("error: "), runs[0].stderr
+    assert [(r.returncode, r.stderr) for r in runs[1:]] == [(1, runs[0].stderr)]
+
+
 def test_a_file_cannot_make_a_johnson_table_larger_than_its_b0(tmp_path, monkeypatch, capsys):
     # the four-point space (1,1,2,2,2,2) has a B0 of 31,824 vertices; a file
     # with that input and a three-vertex B0 is refused on the count, before

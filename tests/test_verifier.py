@@ -72,6 +72,36 @@ def test_search_budget_is_enforced(t112):
         search_extension(t112, PartialMap({}), budget=1)
 
 
+@pytest.mark.parametrize("fixture", ["t112", "t113", "t112_witness"])
+def test_the_budget_runs_out_one_assignment_before_the_count(request, fixture):
+    # a search that attempts `spent` assignments returns under a budget of
+    # `spent` and raises under one less
+    g = request.getfixturevalue(fixture)
+    if fixture == "t112_witness":  # the maps cross_check searches
+        g, pool = g.final, g.final_embedding.image()
+    else:
+        pool = g.vertices
+    rows = verifier._label_rows(g)
+    masks = verifier._label_masks(rows)
+    total = 0
+    for phi in _enumerate_partial_isometries(g, pool, len(pool)):
+        found, spent = verifier._search_extension(g, rows, masks, phi, 10_000_000)
+        assert search_extension(g, phi, budget=spent) == found
+        if spent:
+            with pytest.raises(BudgetExhausted):
+                search_extension(g, phi, budget=spent - 1)
+        total += spent
+    assert total == {"t112": 19, "t113": 19, "t112_witness": 1505}[fixture]
+
+
+def test_cross_check_counts_the_search_assignments(k2_witness, t112_witness):
+    # pinned: these counts move with the search order or the budget rule
+    t111 = build_witness(graph_from_triples(
+        ["x", "y", "z"], [("x", "y", 1), ("x", "z", 1), ("y", "z", 1)]))
+    got = [cross_check(w).totals["search_assignments"] for w in (k2_witness, t111, t112_witness)]
+    assert got == [13, 617, 1505]
+
+
 def test_search_agrees_with_naive_oracle(t113):
     maps = list(_enumerate_partial_isometries(t113, t113.vertices, 3))
     assert len(maps) == 22
@@ -100,18 +130,21 @@ SMALL = [(name, g) for name, g in small_corpus() if 1 < len(g) <= 6]
 
 @pytest.mark.parametrize("name,g", SMALL, ids=[name for name, _ in SMALL])
 def test_search_returns_the_least_extension(name, g):
-    maps = list(_enumerate_partial_isometries(g, g.vertices, 2))
-    for phi in maps[:40]:
+    sizes = set()
+    for phi in _enumerate_partial_isometries(g, g.vertices, len(g)):
         assert search_extension(g, phi) == least_extension(g, phi), dict(phi.items())
+        sizes.add(len(phi))
+    assert sizes == set(range(len(g) + 1))
 
 
 @pytest.mark.parametrize("name,g", SMALL, ids=[name for name, _ in SMALL])
 def test_candidate_sets_match_the_plain_filter(name, g):
-    # the bucketed candidate sets against the filter they replace, which
-    # compares every pair of vertices at every assigned vertex
+    # the candidate bit masks, decoded, against a plain filter that compares
+    # every pair of vertices at every assigned vertex
     rows = _label_matrix(g)[1].tolist()
     signature = [sorted(row) for row in rows]
     index = {v: i for i, v in enumerate(g.vertices)}
+    masks = verifier._label_masks(rows)
     for phi in list(_enumerate_partial_isometries(g, g.vertices, 3))[:60]:
         assigned = {index[u]: index[w] for u, w in phi.items()}
         want = {
@@ -120,7 +153,9 @@ def test_candidate_sets_match_the_plain_filter(name, g):
                 and all(rows[v][u] == rows[w][img] for u, img in assigned.items())}
             for v in range(len(rows)) if v not in assigned
         }
-        got = verifier._candidate_sets(rows, verifier._row_signatures(rows), assigned)
+        got = verifier._candidate_sets(rows, masks, assigned)
+        if got is not None:
+            got = {v: {w for w in range(len(rows)) if opts >> w & 1} for v, opts in got.items()}
         assert got == (None if set() in want.values() else want), dict(phi.items())
 
 
@@ -165,6 +200,7 @@ def test_verify_eppa_passes_on_homogeneous_space(k2_witness):
 def test_verify_eppa_budget_exhaustion_is_a_skip_not_a_failure(t112):
     report = verify_eppa(t112, t112.vertices, budget=1)
     assert report.budget_exhausted
+    assert report.totals["search_assignments"] == 1  # the budget of the map it stopped on
     assert report.ok  # nothing failed, the work just stopped
     assert any(r.skipped for r in report.results)
     assert "search budget exhausted" in report.summary()
