@@ -195,9 +195,9 @@ def extend_isometry(w: Witness, phi: PartialMap) -> PartialMap:
     """
     phi_a = _as_input_map(w, phi)
     emb = w.final_embedding
-    phi_final = PartialMap({emb[x]: emb[phi_a[x]] for x in phi_a.domain()})
+    wanted = [(emb[x], emb[y]) for x, y in phi_a.items()]  # phi on final ids
     theta = _replay(w, phi_a) if w.levels else PartialMap.identity(w.final.vertices)
-    if not theta.extends(phi_final):
+    if not all(theta.get(u) == v for u, v in wanted):
         raise InvalidMap("extension does not agree with the requested map")
     return theta
 
@@ -207,6 +207,11 @@ def _permutation_map(verts: tuple[str, ...], perm: np.ndarray) -> PartialMap:
     return PartialMap._trusted(zip(verts, map(verts.__getitem__, perm.tolist())))
 
 
+def _same(ids: tuple[str, ...], other: tuple[str, ...]) -> bool:
+    """Do two id tuples agree?  The same tuple does without a walk over it."""
+    return ids is other or ids == other
+
+
 def _replay(w: Witness, phi_a: PartialMap) -> PartialMap:
     """The automorphism of the final space that the stored levels give for
     a partial isometry of the input."""
@@ -214,12 +219,13 @@ def _replay(w: Witness, phi_a: PartialMap) -> PartialMap:
     if sa is None:
         raise InvalidMap("witness carries no set assignment; cannot replay extensions")
     b0 = w.levels[0].graph
-    # the count first, so that no input makes a table larger than its B0 (as on load)
-    if len(b0) != math.comb(len(sa.universe), sa.k) or b0.vertices != sa.johnson.ids:
+    # the count first, so that no input makes a table larger than its B0 (as on
+    # load); a built or loaded B0 holds the table's ids, which hit at once
+    if len(b0) != math.comb(len(sa.universe), sa.k) or not _same(b0.vertices, sa.johnson.ids):
         raise InvalidMap("B0's vertices are not the k-subsets of the set assignment's tokens")
     perm = subset_automorphism(sa, extend_by_permutation(sa, phi_a))
     verts = w.final.vertices
-    if len(w.levels) > 1 or verts != b0.vertices:
+    if len(w.levels) > 1 or not _same(verts, b0.vertices):
         hat = _permutation_map(b0.vertices, perm)
         prev = w.levels[0]
         for lvl in w.levels[1:]:

@@ -10,6 +10,10 @@ into B, and any partial automorphism of the copy extends to an automorphism
 of B induced by a permutation of the tokens.  It keeps every shared-token
 count, so it is also one of B's completion, read off those counts
 (`SetAssignment.classes`); no extension checks that again per map.
+
+Token strings are written when an assignment is built and when its token
+table is (`SetAssignment.tokens`, on the first extension); an extension
+moves token positions only, and writes the token map out at its end.
 """
 
 from __future__ import annotations
@@ -136,6 +140,28 @@ class JohnsonTable:
         return slots[weights[rows, np.arange(rows.shape[1])].sum(axis=1)]
 
 
+class TokenTable:
+    """The tokens of a set assignment by their positions in its universe,
+    the only form in which the extension reads them.
+
+    `position` is each token's position, `own` each point's token
+    positions, ascending, and `shared` each ordered pair of points' pair
+    tokens by rank (empty for a non-edge).  `by_name` lists the positions
+    in the order of the token strings, the order of a token map's items.
+    """
+
+    def __init__(self, sa: SetAssignment):
+        a, universe = sa.graph, sa.universe
+        self.position = position = dict(zip(universe, range(len(universe))))
+        self.own = {x: sorted(map(position.__getitem__, sa.psi[x])) for x in a.vertices}
+        self.shared = {
+            (x, y): [position[pair_token(x, y, i)] for i in range(1, code + 1)]
+            for x, row in zip(a.vertices, a.codes.tolist())
+            for y, code in zip(a.vertices, row) if x != y
+        }
+        self.by_name = sorted(range(len(universe)), key=universe.__getitem__)
+
+
 @dataclass(frozen=True)
 class ClassTable:
     """The tower-free final space of a set assignment by shared-token count
@@ -177,7 +203,8 @@ class SetAssignment:
     their union in token order.  Only `build_set_assignment` makes one, so
     nothing re-validates it: its `graph` is the input it was derived from.
     `johnson` and `classes` are the Johnson and class tables of its subset
-    graph, built on first use and kept as long as the assignment.
+    graph, and `tokens` the token table the extension reads, each built on
+    first use and kept as long as the assignment.
     """
 
     graph: EdgeLabelledGraph
@@ -188,6 +215,10 @@ class SetAssignment:
     @cached_property
     def johnson(self) -> JohnsonTable:
         return JohnsonTable(self.universe, self.k)
+
+    @cached_property
+    def tokens(self) -> TokenTable:
+        return TokenTable(self)
 
     @cached_property
     def classes(self) -> ClassTable:
@@ -366,42 +397,42 @@ def extend_by_permutation(sa: SetAssignment, phi: PartialMap) -> PartialMap:
     itself.  Tokens are ordered by their position in `sa.universe`, which
     lists them in token order.  The two matching stages pair tokens in that
     order on both sides, which makes extension commute with composition
-    (coherent extension).
+    (coherent extension).  Every stage moves positions of the token table
+    (`SetAssignment.tokens`); the result names the tokens, in the order of
+    their strings.
     """
     a = sa.graph
     # raises UnknownVertex for a vertex outside A
     if not is_partial_automorphism(phi, a):
         raise InvalidMap("map does not preserve distances on its domain")
-    pi: dict[str, str] = {}
-    hit: set[str] = set()
-    position = {t: p for p, t in enumerate(sa.universe)}
+    table = sa.tokens
+    m = len(sa.universe)
+    dest = [-1] * m  # the position each position goes to, -1 while unplaced
+    hit = [False] * m
 
-    # shared tokens of mapped pairs travel with their endpoints
-    dom = phi.domain()
-    for x, y in combinations(dom, 2):
-        for i in range(1, a.codes.item(a.position(x), a.position(y)) + 1):  # the label's rank
-            src, dst = pair_token(x, y, i), pair_token(phi[x], phi[y], i)
-            pi[src] = dst
-            hit.add(dst)
-
-    def match(sources: list[str], targets: list[str]) -> None:
+    def match(sources: list[int], targets: list[int]) -> None:
         if len(sources) != len(targets):
             raise InvalidMap(
                 f"leftover token counts differ ({len(sources)} vs {len(targets)})"
             )
         for src, dst in zip(sources, targets):
-            pi[src] = dst
-            hit.add(dst)
+            dest[src] = dst
+            hit[dst] = True
+
+    # shared tokens of mapped pairs travel with their endpoints, rank by rank
+    dom = phi.domain()
+    for x, y in combinations(dom, 2):
+        match(table.shared[x, y], table.shared[phi[x], phi[y]])
 
     # per-vertex leftovers: image sets of distinct mapped vertices are
     # disjoint outside the tokens already placed above
     for x in dom:
-        sources = sorted((t for t in sa.psi[x] if t not in pi), key=position.__getitem__)
-        targets = sorted((t for t in sa.psi[phi[x]] if t not in hit), key=position.__getitem__)
-        match(sources, targets)
+        match([p for p in table.own[x] if dest[p] < 0],
+              [p for p in table.own[phi[x]] if not hit[p]])
 
-    match([t for t in sa.universe if t not in pi], [t for t in sa.universe if t not in hit])
-    return PartialMap(pi)
+    match([p for p in range(m) if dest[p] < 0], [p for p in range(m) if not hit[p]])
+    universe = sa.universe
+    return PartialMap._trusted((universe[p], universe[dest[p]]) for p in table.by_name)
 
 
 def subset_automorphism(sa: SetAssignment, pi: PartialMap) -> np.ndarray:
@@ -416,7 +447,7 @@ def subset_automorphism(sa: SetAssignment, pi: PartialMap) -> np.ndarray:
     permutation of the universe.
     """
     universe = sa.universe
-    position = {t: p for p, t in enumerate(universe)}
+    position = sa.tokens.position
     dest = [position.get(pi[t], -1) for t in universe]
     if len(pi) != len(universe) or sorted(dest) != list(range(len(universe))):
         raise InvalidMap("token map is not a permutation of the universe")

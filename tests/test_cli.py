@@ -21,9 +21,11 @@ from eppa.fileio import (
     witness_from_json,
     witness_to_json,
 )
-from eppa import cross_check
+from eppa import build_witness, cross_check
 
-from conftest import make_k2, make_t112, make_t113, make_path2, stacked_witness_json
+from conftest import (
+    make_four_point, make_k2, make_t112, make_t113, make_path2, stacked_witness_json,
+)
 
 SRC = os.path.dirname(os.path.dirname(eppa.__file__))
 
@@ -478,6 +480,32 @@ def test_extend_on_the_stacked_file_does_not_depend_on_the_hash_seed(
     ]
     assert runs[0].returncode == 1 and runs[0].stderr.startswith("error: "), runs[0].stderr
     assert [(r.returncode, r.stderr) for r in runs[1:]] == [(1, runs[0].stderr)]
+
+
+def test_extend_does_not_depend_on_the_hash_seed(tmp_path):
+    # the token table of the extension is built from the frozensets of the
+    # set assignment; under two string hash seeds every map of the
+    # four-point witness extends to the same bytes
+    wpath = write_witness(tmp_path, "w.json", build_witness(make_four_point()))
+    maps = {"empty": [], "swap": [["p", "r"], ["r", "p"]],
+            "three": [["p", "q"], ["q", "r"], ["r", "s"]]}
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    outputs = {}
+    for name, phi in maps.items():
+        mpath = str(tmp_path / f"{name}.json")
+        dump_json(mpath, phi)
+        for seed in ("0", "1"):
+            out = tmp_path / f"{name}-{seed}.json"
+            done = subprocess.run(
+                [sys.executable, "-m", "eppa.cli", "extend", wpath, mpath, "--output", str(out)],
+                capture_output=True, text=True, timeout=120,
+                env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed),
+            )
+            assert done.returncode == 0, done.stderr
+            outputs[name, seed] = out.read_bytes()
+    for name in maps:
+        assert outputs[name, "0"] == outputs[name, "1"], name
+    assert len({outputs[name, "0"] for name in maps}) == 3
 
 
 def test_a_file_cannot_make_a_johnson_table_larger_than_its_b0(tmp_path, monkeypatch, capsys):

@@ -146,6 +146,16 @@ def test_witness_round_trip_three_point(t112_witness):
     assert again == t112_witness
 
 
+def test_a_loaded_b0_holds_the_johnson_tables_ids(t112_witness):
+    # B0, the Johnson table of the set assignment and the final space read
+    # off it share one tuple of ids, as in a built witness, so a replay finds
+    # B0's ids by identity
+    loaded = witness_from_json(json.loads(json.dumps(witness_to_json(t112_witness))))
+    assert len(loaded.levels) == 1
+    assert loaded.levels[0].graph.vertices is loaded.set_assignment.johnson.ids is loaded.final.vertices
+    assert loaded == t112_witness
+
+
 def test_witness_round_trip_without_assignment():
     from eppa import build_witness, graph_from_triples
 

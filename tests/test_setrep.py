@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -17,6 +18,7 @@ import eppa.setrep as setrep
 from eppa import pipeline
 
 from eppa import (
+    EppaError,
     GraphFormatError,
     InvalidMap,
     NotAMetricSpace,
@@ -36,6 +38,7 @@ from eppa import (
     graph_from_triples,
     has_nonmetric_cycle_up_to,
     is_metric_space,
+    is_partial_automorphism,
     shortest_path_completion,
     subset_automorphism,
     token_load,
@@ -59,7 +62,8 @@ from eppa.fileio import witness_from_json, witness_to_json
 from eppa.verifier import _copy_token_fault
 from conftest import (
     b0_automorphism, bent_classes, broken_compositions, composable_pairs, edge_labelled_graphs,
-    make_four_point, make_k2, make_t112, make_t123, small_tower_free_spaces, tau_on_empty,
+    make_four_point, make_k2, make_path2, make_t112, make_t113, make_t123, small_tower_free_spaces,
+    tau_on_empty,
 )
 
 
@@ -267,7 +271,78 @@ def test_one_step_extension_property(a):
         assert _extends_embedded(theta, emb, phi)
 
 
-# -- subset_automorphism against the string reference --------------------------
+# -- the token operators against their string references -----------------------
+
+
+def reference_extend_by_permutation(sa, phi):
+    """The string form of `extend_by_permutation`: pair tokens are written
+    for each mapped pair, and leftovers sorted by a position dict of the
+    universe; the token map is validated on construction."""
+    a = sa.graph
+    if not is_partial_automorphism(phi, a):
+        raise InvalidMap("map does not preserve distances on its domain")
+    pi, hit = {}, set()
+    position = {t: p for p, t in enumerate(sa.universe)}
+    dom = phi.domain()
+    for x, y in itertools.combinations(dom, 2):
+        for i in range(1, a.codes.item(a.position(x), a.position(y)) + 1):
+            src, dst = pair_token(x, y, i), pair_token(phi[x], phi[y], i)
+            pi[src] = dst
+            hit.add(dst)
+
+    def match(sources, targets):
+        if len(sources) != len(targets):
+            raise InvalidMap(f"leftover token counts differ ({len(sources)} vs {len(targets)})")
+        for src, dst in zip(sources, targets):
+            pi[src] = dst
+            hit.add(dst)
+
+    for x in dom:
+        match(sorted((t for t in sa.psi[x] if t not in pi), key=position.__getitem__),
+              sorted((t for t in sa.psi[phi[x]] if t not in hit), key=position.__getitem__))
+    match([t for t in sa.universe if t not in pi], [t for t in sa.universe if t not in hit])
+    return PartialMap(pi)
+
+
+def assert_extension_matches_the_reference(a):
+    sa = build_set_assignment(a)
+    for phi in enumerate_partial_automorphisms(a, len(a)):
+        assert extend_by_permutation(sa, phi).items() == reference_extend_by_permutation(sa, phi).items()
+
+
+def make_ten_labels():
+    """Five points with the labels 1 to 10: pair tokens up to "#10" and
+    padding tokens past "!9", so the token strings are not in token order."""
+    pairs = itertools.combinations("abcde", 2)
+    return graph_from_triples("abcde", [(x, y, d) for (x, y), d in zip(pairs, range(1, 11))])
+
+
+@pytest.mark.parametrize("factory", [make_k2, make_t112, make_t123, make_four_point,
+                                     make_t113, make_path2, make_ten_labels],
+                         ids=["two-point", "triangle-112", "triangle-123", "four-point",
+                              "triangle-113", "path2", "ten-labels"])
+def test_extend_by_permutation_matches_the_reference(factory):
+    assert_extension_matches_the_reference(factory())
+
+
+def test_token_strings_are_not_in_token_order_with_ten_labels():
+    universe = build_set_assignment(make_ten_labels()).universe
+    assert list(universe) != sorted(universe)
+
+
+@settings(max_examples=25, deadline=None)
+@given(edge_labelled_graphs(max_vertices=4, labels=(Fraction(1), Fraction(2), Fraction(3))))
+def test_extend_by_permutation_matches_the_reference_on_any_graph(a):
+    assert_extension_matches_the_reference(a)
+
+
+def test_extend_by_permutation_fails_as_the_reference_does(t123):
+    sa = build_set_assignment(t123)
+    for phi in (PartialMap({"x": "x", "y": "z"}), PartialMap({"x": "q"}), PartialMap({"q": "x"})):
+        with pytest.raises(EppaError) as got:
+            extend_by_permutation(sa, phi)
+        with pytest.raises(type(got.value), match=re.escape(str(got.value))):
+            reference_extend_by_permutation(sa, phi)
 
 
 def reference_subset_automorphism(pi, b):
@@ -324,18 +399,23 @@ def test_a_token_map_that_does_not_permute_the_universe_is_refused(t112):
 
 def test_no_token_string_is_parsed_when_extending_again(t112, monkeypatch):
     # B0's ids are checked against the Johnson table of the set assignment,
-    # which moves token positions: no id is parsed, on the built witness or
-    # on a loaded one, from its first extension on
+    # and the extension moves token positions of its token table: no token
+    # string is parsed or written, on the built witness or on a loaded one,
+    # from its first extension on
     w = build_witness(t112)
     loaded = witness_from_json(json.loads(json.dumps(witness_to_json(w))))
     maps = list(enumerate_partial_automorphisms(t112, len(t112)))
     want = [extend_isometry(w, phi) for phi in maps]
 
     def no_parsing(*args):
-        raise AssertionError("token string parsed on the extension path")
+        raise AssertionError("token string parsed or written on the extension path")
 
-    for parser in ("parse_token", "parse_subset_id"):
-        monkeypatch.setattr(setrep, parser, no_parsing)
+    # one warm-up extension builds the loaded witness's token table, the
+    # only place the extension writes token strings
+    extend_isometry(loaded, maps[-1])
+    for name in ("parse_token", "parse_subset_id", "pair_token", "padding_token",
+                 "token_sort_key"):
+        monkeypatch.setattr(setrep, name, no_parsing)
     assert [extend_isometry(loaded, phi) for phi in maps] == want
     assert [extend_isometry(w, phi) for phi in maps] == want
 
