@@ -30,7 +30,6 @@ from .graphs import (
     PartialMap,
     check_map,
     complete_graph,
-    enumerate_partial_automorphisms,
     graph_from_triples,
     induced_subgraph,
     is_metric_space,
@@ -63,6 +62,7 @@ from .verifier import (
     CheckResult,
     VerificationReport,
     cross_check,
+    enumerate_partial_automorphisms,
     naive_extension_exists,
     search_extension,
     verify_eppa,

@@ -21,12 +21,9 @@ import sys
 from .completion import find_induced_nonmetric_cycles, is_connected, shortest_path_completion
 from .errors import (
     BudgetExhausted,
-    DisconnectedGraph,
     EppaError,
     GraphFormatError,
-    InvalidMap,
     NotAMetricSpace,
-    UnknownVertex,
     VertexCapExceeded,
 )
 from .fileio import (
@@ -299,9 +296,6 @@ def main(argv: list[str] | None = None) -> int:
     except (VertexCapExceeded, BudgetExhausted) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (InvalidMap, NotAMetricSpace, DisconnectedGraph, UnknownVertex) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except EppaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

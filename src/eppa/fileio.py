@@ -13,6 +13,8 @@ loader would; above B0, each vertex id `x;bits` must carry one bit per
 stored bad set through x.  The loader derives the rest: the set assignment
 from the input, the copy in the final space from the top level, and the
 final space itself with the build's own code (`pipeline.final_space`).
+It changes no graph it decodes: that B0's ids are the set assignment's
+k-subsets is checked once per witness by its first extension.
 Graphs are written as one string of label codes each (`graph_to_codes`),
 which stays compact on dense graphs.  All parsers reject structurally
 invalid input, naming the offending element.
@@ -345,11 +347,6 @@ def witness_from_json(obj: Any) -> Witness:
                    for pos, lvl in enumerate(_list(obj["levels"], "witness \"levels\"")))
     sa = build_set_assignment(a) if len(a) > 1 else None
     _check_shape(a, sa, levels, obj["n"])
-    if levels and levels[0].graph.vertices == sa.johnson.ids:
-        # B0, decoded above and held by nothing else, takes the table's equal
-        # tuple, which a final space read off the table holds too, so that a
-        # replay finds its ids by identity; the graph's value is unchanged
-        levels[0].graph.vertices = sa.johnson.ids
     return Witness(input=a, set_assignment=sa, levels=levels, final=final_space(a, sa, levels),
                    n=obj["n"])
 

@@ -432,38 +432,3 @@ def is_partial_automorphism(f: PartialMap, g: EdgeLabelledGraph) -> bool:
     return all(
         code(u, v) == code(fu, fv) for (u, fu), (v, fv) in itertools.combinations(pairs, 2)
     )
-
-
-def enumerate_partial_automorphisms(
-    g: EdgeLabelledGraph, max_domain_size: int
-) -> Iterator[PartialMap]:
-    """Stream every partial automorphism with domain size up to the bound.
-
-    Deterministic order: by domain size, then domain tuple, then image tuple,
-    all lexicographic.  The empty map comes first.
-    """
-    if max_domain_size < 0:
-        raise ValueError("max_domain_size must be >= 0")
-    yield PartialMap(())
-    verts = g.vertices
-    rows = g.codes.tolist()
-    top = min(max_domain_size, len(verts))
-    for m in range(1, top + 1):
-        for dom in itertools.combinations(range(len(verts)), m):
-            assigned: list[int] = []
-
-            def extend(pos: int) -> Iterator[PartialMap]:
-                if pos == m:
-                    yield PartialMap((verts[u], verts[v]) for u, v in zip(dom, assigned))
-                    return
-                row = rows[dom[pos]]
-                for cand in range(len(verts)):
-                    if cand in assigned:
-                        continue
-                    cand_row = rows[cand]
-                    if all(row[dom[j]] == cand_row[assigned[j]] for j in range(pos)):
-                        assigned.append(cand)
-                        yield from extend(pos + 1)
-                        assigned.pop()
-
-            yield from extend(0)

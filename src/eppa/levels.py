@@ -283,10 +283,3 @@ def lift_automorphism(
     if not check_map(theta, nxt.graph, nxt.graph, "automorphism"):
         raise InvalidMap("lift is not an automorphism")
     return theta
-
-
-def _automorphism_ok(g: EdgeLabelledGraph, perm: np.ndarray) -> bool:
-    """Does `perm` permute the vertices of g keeping every code of its
-    matrix?  `perm` is an integer array whose entry i is the position of the
-    image of `g.vertices[i]`."""
-    return bool(np.array_equal(g.codes.take(perm, 0).take(perm, 1), g.codes))

@@ -23,15 +23,18 @@ J(m, k), the component is all of it, and the completion's codes are
 T[|X & Z|] for the class table T (`SetAssignment.classes`); its metric
 check runs on class triples (`setrep.is_class_metric`).  A token
 permutation keeps every |X & Z|, so it induces an automorphism of this
-final space: only a lift through stored levels is checked as one again,
-and `verifier.cross_check` judges every map.  The loader derives the final
-space with the build's own code (`final_space`), so no file holds it.
+final space: only a lift through stored levels is checked as one again
+(`check_map`), and `verifier.cross_check` judges every map.  That B0 holds
+the set assignment's k-subsets, and whether a replay needs a lift, is
+decided once per witness.  The loader derives the final space with the
+build's own code (`final_space`), so no file holds it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,11 +43,12 @@ from .errors import GraphFormatError, InvalidMap, NotAMetricSpace, VertexCapExce
 from .graphs import (
     EdgeLabelledGraph,
     PartialMap,
+    check_map,
     check_vertex_name,
     induced_subgraph,
     is_metric_space,
 )
-from .levels import LevelGraph, _automorphism_ok, build_next_level, compute_flip_set, lift_automorphism
+from .levels import LevelGraph, build_next_level, compute_flip_set, lift_automorphism
 from .setrep import (
     SetAssignment, build_eppa_graph, build_set_assignment, class_completion,
     extend_by_permutation, first_bad_level, is_class_metric, subset_automorphism,
@@ -81,6 +85,18 @@ class Witness:
         if self.levels:
             return self.levels[-1].base_embedding
         return PartialMap.identity(self.input.vertices)
+
+    @cached_property
+    def _replays_on_final(self) -> bool:
+        """Does a replay's permutation of B0 act on the final space with no
+        lift?  Decided once, after refusing a B0 whose ids are not the Johnson
+        table's (the count first, so that no input makes a table larger than
+        its B0); a final space read off the table holds the table's tuple."""
+        sa = self.set_assignment
+        b0 = self.levels[0].graph
+        if len(b0) != math.comb(len(sa.universe), sa.k) or b0.vertices != sa.johnson.ids:
+            raise InvalidMap("B0's vertices are not the k-subsets of the set assignment's tokens")
+        return len(self.levels) == 1 and self.final.vertices == sa.johnson.ids
 
 
 def compute_N(a: EdgeLabelledGraph) -> int:
@@ -183,9 +199,10 @@ def extend_isometry(w: Witness, phi: PartialMap) -> PartialMap:
     `final_embedding`; the result is a total automorphism of `w.final`
     (always on final vertex ids) extending the image form of `phi`.  On
     B0, whose vertices must be the ids of the set assignment's Johnson
-    table, it is the permutation of B0's vertex positions that the token
-    permutation completing `phi` induces (`subset_automorphism`; a `phi`
-    that is no partial isometry is refused by `extend_by_permutation`).
+    table (checked once per witness), it is the permutation of B0's vertex
+    positions that the token permutation completing `phi` induces
+    (`subset_automorphism`; a `phi` that is no partial isometry is refused
+    by `extend_by_permutation`).
     When the final space is all of B0 the permutation applies to it as it
     is, an automorphism by construction (see above); otherwise it becomes a
     map on B0's ids, lifted through the stored levels only (a level that is
@@ -207,45 +224,38 @@ def _permutation_map(verts: tuple[str, ...], perm: np.ndarray) -> PartialMap:
     return PartialMap._trusted(zip(verts, map(verts.__getitem__, perm.tolist())))
 
 
-def _same(ids: tuple[str, ...], other: tuple[str, ...]) -> bool:
-    """Do two id tuples agree?  The same tuple does without a walk over it."""
-    return ids is other or ids == other
-
-
 def _replay(w: Witness, phi_a: PartialMap) -> PartialMap:
     """The automorphism of the final space that the stored levels give for
     a partial isometry of the input."""
     sa = w.set_assignment
     if sa is None:
         raise InvalidMap("witness carries no set assignment; cannot replay extensions")
-    b0 = w.levels[0].graph
-    # the count first, so that no input makes a table larger than its B0 (as on
-    # load); a built or loaded B0 holds the table's ids, which hit at once
-    if len(b0) != math.comb(len(sa.universe), sa.k) or not _same(b0.vertices, sa.johnson.ids):
-        raise InvalidMap("B0's vertices are not the k-subsets of the set assignment's tokens")
+    direct = w._replays_on_final
     perm = subset_automorphism(sa, extend_by_permutation(sa, phi_a))
     verts = w.final.vertices
-    if len(w.levels) > 1 or not _same(verts, b0.vertices):
-        hat = _permutation_map(b0.vertices, perm)
-        prev = w.levels[0]
-        for lvl in w.levels[1:]:
-            phi_lvl = PartialMap(
-                {lvl.base_embedding[x]: lvl.base_embedding[phi_a[x]] for x in phi_a.domain()}
-            )
-            flips = compute_flip_set(prev, lvl, phi_lvl, hat)
-            hat = lift_automorphism(prev, lvl, hat, flips)
-            if not hat.extends(phi_lvl):
-                raise InvalidMap("lift failed to extend the requested map")
-            prev = lvl
-        where = {u: i for i, u in enumerate(verts)}
-        perm = np.fromiter((where.get(hat[u], -1) for u in verts), dtype=np.intp, count=len(verts))
-        if (perm < 0).any():
-            raise InvalidMap("extension does not preserve the final space")
-        if not _automorphism_ok(w.final, perm):
-            raise InvalidMap("restriction to the final space is not an isometry")
-    # a lift is injective, so perm permutes the positions; on B0 alone it is an
-    # automorphism, as pi keeps the shared-token counts that code the final space
-    return _permutation_map(verts, perm)
+    if direct:
+        # an automorphism, as pi keeps the shared-token counts that code the final space
+        return _permutation_map(verts, perm)
+    hat = _permutation_map(w.levels[0].graph.vertices, perm)
+    prev = w.levels[0]
+    for lvl in w.levels[1:]:
+        phi_lvl = PartialMap(
+            {lvl.base_embedding[x]: lvl.base_embedding[phi_a[x]] for x in phi_a.domain()}
+        )
+        flips = compute_flip_set(prev, lvl, phi_lvl, hat)
+        hat = lift_automorphism(prev, lvl, hat, flips)
+        if not hat.extends(phi_lvl):
+            raise InvalidMap("lift failed to extend the requested map")
+        prev = lvl
+    where = {u: i for i, u in enumerate(verts)}
+    perm = np.fromiter((where.get(hat[u], -1) for u in verts), dtype=np.intp, count=len(verts))
+    if (perm < 0).any():
+        raise InvalidMap("extension does not preserve the final space")
+    # a lift is injective, so perm permutes the positions
+    theta = _permutation_map(verts, perm)
+    if not check_map(theta, w.final, w.final, "automorphism"):
+        raise InvalidMap("restriction to the final space is not an isometry")
+    return theta
 
 
 def witness_stats(w: Witness) -> dict:

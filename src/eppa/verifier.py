@@ -35,6 +35,10 @@ and tries images from the lowest bit up; every attempted assignment counts
 against the budget, and `verify_eppa` reports their sum as
 `search_assignments`.
 
+The package's one enumerator of partial isometries lives here and takes an
+optional pool of points (`verify_eppa` passes the copy); no construction
+step calls it.
+
 The short-cycle, completion and metric checks each sweep from a list of
 source vertices (`_sweep_sources`): every vertex, or vertex 0 alone when the
 witness stores B0 alone, whose vertices are all the k-subsets of its tokens
@@ -70,7 +74,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .completion import has_nonmetric_cycle_up_to
-from .errors import BudgetExhausted, EppaError, GraphFormatError, UnknownVertex
+from .errors import BudgetExhausted, EppaError, GraphFormatError
 from .graphs import EdgeLabelledGraph, PartialMap
 from .levels import LevelGraph, parse_level_vertex
 from .pipeline import Witness, extend_isometry
@@ -194,23 +198,26 @@ def _permutes_labels(theta: PartialMap, index: dict[str, int], mat: np.ndarray) 
     return bool((mat.take(perm, 0).take(perm, 1) == mat).all())  # two takes gather faster than np.ix_
 
 
-def _enumerate_partial_isometries(
-    g: EdgeLabelledGraph, domain_pool: Iterable[str], max_size: int
+def enumerate_partial_automorphisms(
+    g: EdgeLabelledGraph, max_domain_size: int, pool: Iterable[str] | None = None
 ) -> Iterator[PartialMap]:
-    """All distance-preserving injective maps with domain and image inside
-    the pool, the empty map first, then by domain size.  Labels are compared
-    as g's integer label codes."""
-    pool = sorted(domain_pool)
-    at = [g.position(v) for v in pool]
+    """All label-preserving injective maps of at most `max_domain_size`
+    points inside the pool (all of g without one): the empty map first, then
+    by domain size, domain and image, each lexicographic.  Labels compare as
+    g's label codes; a pool vertex outside g raises UnknownVertex."""
+    if max_domain_size < 0:
+        raise ValueError("max_domain_size must be >= 0")
+    names = g.vertices if pool is None else sorted(pool)
+    at = [g.position(v) for v in names]
     codes = g.codes[np.ix_(at, at)].tolist()
-    spots = range(len(pool))
-    yield PartialMap({})
-    for size in range(1, max_size + 1):
+    spots = range(len(names))
+    yield PartialMap._trusted(())
+    for size in range(1, min(max_domain_size, len(names)) + 1):
         pairs = list(combinations(range(size), 2))
         for dom in combinations(spots, size):
             for img in permutations(spots, size):
                 if all(codes[dom[i]][dom[j]] == codes[img[i]][img[j]] for i, j in pairs):
-                    yield PartialMap._trusted((pool[x], pool[y]) for x, y in zip(dom, img))
+                    yield PartialMap._trusted((names[x], names[y]) for x, y in zip(dom, img))
 
 
 def _label_rows(b: EdgeLabelledGraph) -> list[list[int]]:
@@ -264,9 +271,8 @@ def search_extension(
     against the budget; exceeding it raises BudgetExhausted instead of
     guessing.  Labels are compared on the integer label matrix.
     """
-    for v in list(phi.domain()) + list(phi.image()):
-        if v not in b:
-            raise UnknownVertex(f"unknown vertex {v!r}")
+    for v in chain(phi.domain(), phi.image()):
+        b.position(v)
     if not _distances_ok(phi, b):
         return None
     rows = _label_rows(b)
@@ -357,9 +363,8 @@ def naive_extension_exists(b: EdgeLabelledGraph, phi: PartialMap) -> bool:
     onto the vertices phi leaves unused, comparing integer label codes."""
     if len(b) > 8:
         raise ValueError("oracle is factorial; use search_extension instead")
-    for v in list(phi.domain()) + list(phi.image()):
-        if v not in b:
-            raise UnknownVertex(f"unknown vertex {v!r}")
+    for v in chain(phi.domain(), phi.image()):
+        b.position(v)
     rows = _label_rows(b)
     n = len(rows)
     index = {v: i for i, v in enumerate(b.vertices)}
@@ -394,12 +399,11 @@ def verify_eppa(
     """
     copy = sorted(copy_vertices)
     for v in copy:
-        if v not in b:
-            raise UnknownVertex(f"unknown vertex {v!r}")
+        b.position(v)
     report = VerificationReport()
     rows = _label_rows(b)
     masks = _label_masks(rows)
-    for j, phi in enumerate(_enumerate_partial_isometries(b, copy, len(copy))):
+    for j, phi in enumerate(enumerate_partial_automorphisms(b, len(copy), copy)):
         shown = dict(phi.items())
         try:
             found, spent = _search_extension(b, rows, masks, phi, budget)
@@ -957,7 +961,7 @@ def cross_check(w: Witness, budget: int = 10_000_000, search_limit: int = 150) -
         replay_ok = True
         detail = ""
         offender = None
-        for phi in _enumerate_partial_isometries(w.input, w.input.vertices, len(w.input)):
+        for phi in enumerate_partial_automorphisms(w.input, len(w.input)):
             try:
                 theta = extend_isometry(w, phi)
             except EppaError as exc:

@@ -43,7 +43,7 @@ from eppa.fileio import (
 )
 from eppa.graphs import EdgeLabelledGraph
 from eppa.levels import LevelGraph, parse_level_vertex
-from eppa.verifier import _enumerate_partial_isometries, naive_extension_exists, search_extension
+from eppa.verifier import naive_extension_exists, search_extension
 
 from conftest import (
     all_automorphisms,
@@ -122,7 +122,7 @@ def test_criterion_1_end_to_end(fixture_witnesses, name, factory, limit, n_maps)
     g, w, build_seconds = fixture_witnesses[name]
     t0 = time.perf_counter()
     copy = [w.final_embedding[x] for x in g.vertices]
-    maps = list(_enumerate_partial_isometries(w.final, copy, len(copy)))
+    maps = list(enumerate_partial_automorphisms(w.final, len(copy), copy))
     assert len(maps) == n_maps
     verts, index, mat = dense_label_ids(w.final)
     digest = hashlib.sha256()
@@ -449,7 +449,7 @@ def probe_maps(g: EdgeLabelledGraph, rng: random.Random):
     """The empty map, the identity, every partial isometry on at most two
     vertices, and (on larger graphs) a random sample of three-point maps."""
     probes = [PartialMap({}), PartialMap.identity(g.vertices)]
-    probes.extend(_enumerate_partial_isometries(g, g.vertices, min(2, len(g))))
+    probes.extend(enumerate_partial_automorphisms(g, min(2, len(g))))
     if len(g) >= 7:
         verts = list(g.vertices)
         for _ in range(12):
@@ -459,7 +459,7 @@ def probe_maps(g: EdgeLabelledGraph, rng: random.Random):
             if len(set(f.values())) == 3:
                 probes.append(PartialMap(f))
     else:
-        probes.extend(_enumerate_partial_isometries(g, g.vertices, min(3, len(g))))
+        probes.extend(enumerate_partial_automorphisms(g, min(3, len(g))))
     return probes
 
 

@@ -18,13 +18,14 @@ from eppa.fileio import (
     graph_from_json,
     graph_to_json,
     load_json,
+    map_to_json,
     witness_from_json,
     witness_to_json,
 )
-from eppa import build_witness, cross_check
+from eppa import build_witness, cross_check, enumerate_partial_automorphisms
 
 from conftest import (
-    make_four_point, make_k2, make_t112, make_t113, make_path2, stacked_witness_json,
+    make_four_point, make_k2, make_t112, make_t113, make_t123, make_path2, stacked_witness_json,
 )
 
 SRC = os.path.dirname(os.path.dirname(eppa.__file__))
@@ -506,6 +507,57 @@ def test_extend_does_not_depend_on_the_hash_seed(tmp_path):
     for name in maps:
         assert outputs[name, "0"] == outputs[name, "1"], name
     assert len({outputs[name, "0"] for name in maps}) == 3
+
+
+# Runs every command in-process on each named fixture of ../inputs, from the
+# current directory, and prints the exit codes and one sha256 over every
+# command's exit code, stdout and stderr and every file written.
+_EVERY_COMMAND = r"""
+import contextlib, hashlib, io, json, pathlib, sys
+from eppa.cli import main
+
+digest, codes = hashlib.sha256(), []
+for name in sys.argv[1:]:
+    g, m, w = f"../inputs/{name}.json", f"../inputs/{name}-map.json", f"{name}-w.json"
+    for argv in (["check", g, "--metric", "--cycles-up-to", "4"],
+                 ["complete", g, "--output", f"{name}-complete.json"], ["cycles", g],
+                 ["eppa-step", g, "--output", f"{name}-step.json"],
+                 ["witness", g, "--output", w], ["stats", w],
+                 ["extend", w, m, "--output", f"{name}-extension.json"],
+                 ["verify", w, "--output", f"{name}-report.json"]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            codes.append(main(argv))
+        digest.update(json.dumps([argv, codes[-1], out.getvalue(), err.getvalue()]).encode())
+for path in sorted(pathlib.Path(".").iterdir()):
+    digest.update(json.dumps(path.name).encode() + path.read_bytes())
+print(json.dumps({"codes": codes, "digest": digest.hexdigest()}))
+"""
+
+
+def test_no_command_depends_on_the_hash_seed(tmp_path):
+    # every command on the four fixtures, under two string hash seeds, with
+    # the extension of a two-point map: the same exit codes, outputs and files
+    fixtures = {"two-point": make_k2(), "triangle-112": make_t112(),
+                "triangle-123": make_t123(), "four-point": make_four_point()}
+    (tmp_path / "inputs").mkdir()
+    for name, g in fixtures.items():
+        write_graph(tmp_path / "inputs", f"{name}.json", g)
+        swap = list(enumerate_partial_automorphisms(g, 2))[-1]
+        dump_json(str(tmp_path / "inputs" / f"{name}-map.json"), map_to_json(swap))
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    runs = []
+    for seed in ("0", "1"):
+        (tmp_path / seed).mkdir()
+        done = subprocess.run(
+            [sys.executable, "-c", _EVERY_COMMAND, *fixtures], cwd=tmp_path / seed,
+            capture_output=True, text=True, timeout=300,
+            env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed),
+        )
+        assert done.returncode == 0, done.stderr
+        runs.append(json.loads(done.stdout))
+    assert runs[0]["codes"] == [0] * 8 * len(fixtures)
+    assert runs[1] == runs[0]
 
 
 def test_a_file_cannot_make_a_johnson_table_larger_than_its_b0(tmp_path, monkeypatch, capsys):

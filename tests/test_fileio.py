@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from fractions import Fraction
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import example, given
@@ -19,7 +21,10 @@ from eppa import (
     VerificationReport,
     build_set_assignment,
     cross_check,
+    enumerate_partial_automorphisms,
+    extend_isometry,
 )
+from eppa import pipeline
 from eppa.cli import main
 from eppa.fileio import (
     WITNESS_FORMAT,
@@ -146,14 +151,24 @@ def test_witness_round_trip_three_point(t112_witness):
     assert again == t112_witness
 
 
-def test_a_loaded_b0_holds_the_johnson_tables_ids(t112_witness):
-    # B0, the Johnson table of the set assignment and the final space read
-    # off it share one tuple of ids, as in a built witness, so a replay finds
-    # B0's ids by identity
+def test_a_loaded_witness_checks_b0_once(t112_witness):
+    # that B0 holds the set assignment's k-subsets is decided once per
+    # witness, on its first extension, with the count C(m, k) first; a copy
+    # of the witness decides again
     loaded = witness_from_json(json.loads(json.dumps(witness_to_json(t112_witness))))
-    assert len(loaded.levels) == 1
-    assert loaded.levels[0].graph.vertices is loaded.set_assignment.johnson.ids is loaded.final.vertices
     assert loaded == t112_witness
+    sa = loaded.set_assignment
+    maps = list(enumerate_partial_automorphisms(loaded.input, len(loaded.input)))
+    assert len(maps) == 22
+    want = [extend_isometry(t112_witness, phi) for phi in maps]
+    with mock.patch.object(pipeline.math, "comb", wraps=math.comb) as comb:
+        def b0_checks():
+            return sum(c.args == (len(sa.universe), sa.k) for c in comb.call_args_list)
+
+        assert [extend_isometry(loaded, phi) for phi in maps] == want
+        assert b0_checks() == 1
+        extend_isometry(dataclasses.replace(loaded), maps[1])
+        assert b0_checks() == 2
 
 
 def test_witness_round_trip_without_assignment():

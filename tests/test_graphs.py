@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import ast
+import itertools
+import pathlib
 from fractions import Fraction
+from typing import Iterator
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import eppa
 from eppa import (
     EdgeLabelledGraph,
     GraphFormatError,
@@ -24,7 +29,7 @@ from eppa import (
     is_partial_automorphism,
 )
 from eppa.graphs import metric_violation, scaled_matrix, scaled_spectrum
-from conftest import edge_labelled_graphs
+from conftest import edge_labelled_graphs, small_corpus
 
 
 # -- construction and basic queries ------------------------------------------
@@ -278,6 +283,27 @@ def test_is_partial_automorphism_respects_non_edges(path2):
     assert not is_partial_automorphism(PartialMap({"x": "x", "z": "y"}), path2)
 
 
+def test_no_module_changes_a_graph_after_it_is_set():
+    # a graph is immutable, so graphs may share their id tuples and code
+    # matrices: only EdgeLabelledGraph._set writes these attributes
+    held = {"vertices", "codes", "edge_count", "_spectrum", "_index"}
+    writes = []
+    for path in sorted(pathlib.Path(eppa.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = set()
+        if path.name == "graphs.py":
+            cls = next(n for n in tree.body
+                       if isinstance(n, ast.ClassDef) and n.name == "EdgeLabelledGraph")
+            setter = next(n for n in cls.body
+                          if isinstance(n, ast.FunctionDef) and n.name == "_set")
+            allowed = {id(n) for n in ast.walk(setter)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr in held
+                    and isinstance(node.ctx, (ast.Store, ast.Del)) and id(node) not in allowed):
+                writes.append(f"{path.name}:{node.lineno}")
+    assert writes == []
+
+
 # -- enumeration --------------------------------------------------------------
 
 
@@ -307,3 +333,74 @@ def test_enumerated_maps_are_partial_automorphisms(g):
     # and the enumeration is complete for singleton domains
     singles = {f.items() for f in maps if len(f) == 1}
     assert len(singles) == len(g) ** 2
+
+
+def reference_enumerate_partial_automorphisms(
+    g: EdgeLabelledGraph, max_domain_size: int
+) -> Iterator[PartialMap]:
+    """A depth-first enumerator, independent of the package's: by domain
+    size, then domain tuple, then image tuple, all lexicographic, the empty
+    map first.  Each image is tried only where it keeps the labels to the
+    points placed before it."""
+    if max_domain_size < 0:
+        raise ValueError("max_domain_size must be >= 0")
+    yield PartialMap(())
+    verts = g.vertices
+    rows = g.codes.tolist()
+    top = min(max_domain_size, len(verts))
+    for m in range(1, top + 1):
+        for dom in itertools.combinations(range(len(verts)), m):
+            assigned: list[int] = []
+
+            def extend(pos: int) -> Iterator[PartialMap]:
+                if pos == m:
+                    yield PartialMap((verts[u], verts[v]) for u, v in zip(dom, assigned))
+                    return
+                row = rows[dom[pos]]
+                for cand in range(len(verts)):
+                    if cand in assigned:
+                        continue
+                    cand_row = rows[cand]
+                    if all(row[dom[j]] == cand_row[assigned[j]] for j in range(pos)):
+                        assigned.append(cand)
+                        yield from extend(pos + 1)
+                        assigned.pop()
+
+            yield from extend(0)
+
+
+def same_maps(got, want) -> bool:
+    return [f.items() for f in got] == [f.items() for f in want]
+
+
+@pytest.mark.parametrize("name,g", small_corpus(), ids=[name for name, _ in small_corpus()])
+def test_the_enumerator_matches_the_reference(name, g):
+    # the corpus holds the four fixture inputs; the random graphs below also
+    # take bounds under and over their size
+    assert same_maps(enumerate_partial_automorphisms(g, len(g)),
+                     reference_enumerate_partial_automorphisms(g, len(g)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(edge_labelled_graphs(max_vertices=5), st.integers(0, 6))
+def test_the_enumerator_matches_the_reference_on_random_graphs(g, bound):
+    assert same_maps(enumerate_partial_automorphisms(g, bound),
+                     reference_enumerate_partial_automorphisms(g, bound))
+
+
+def test_the_enumerator_with_a_pool_matches_the_reference(t112_witness):
+    # the maps of the copy in the final space, as criterion 1 extends them,
+    # are the maps of the subgraph the copy induces
+    w = t112_witness
+    copy = w.final_embedding.image()
+    got = list(enumerate_partial_automorphisms(w.final, len(copy), copy))
+    assert len(got) == 22
+    assert same_maps(got, reference_enumerate_partial_automorphisms(
+        induced_subgraph(w.final, copy), len(copy)))
+
+
+def test_the_enumerator_refuses_a_negative_bound_and_an_unknown_pool_vertex(t112):
+    with pytest.raises(ValueError, match="max_domain_size must be >= 0"):
+        list(enumerate_partial_automorphisms(t112, -1))
+    with pytest.raises(UnknownVertex, match="unknown vertex 'w'"):
+        list(enumerate_partial_automorphisms(t112, 2, ["x", "w"]))

@@ -27,6 +27,7 @@ from eppa import (
     build_set_assignment,
     build_witness,
     cross_check,
+    enumerate_partial_automorphisms,
     extend_isometry,
     graph_from_triples,
     induced_subgraph,
@@ -37,7 +38,7 @@ from eppa import (
 )
 from eppa.graphs import EdgeLabelledGraph
 from eppa.setrep import parse_subset_id
-from eppa.verifier import _enumerate_partial_isometries, _label_matrix
+from eppa.verifier import _label_matrix
 from conftest import connected_graphs, small_corpus, small_tower_free_spaces
 
 
@@ -84,7 +85,7 @@ def test_the_budget_runs_out_one_assignment_before_the_count(request, fixture):
     rows = verifier._label_rows(g)
     masks = verifier._label_masks(rows)
     total = 0
-    for phi in _enumerate_partial_isometries(g, pool, len(pool)):
+    for phi in enumerate_partial_automorphisms(g, len(pool), pool):
         found, spent = verifier._search_extension(g, rows, masks, phi, 10_000_000)
         assert search_extension(g, phi, budget=spent) == found
         if spent:
@@ -103,7 +104,7 @@ def test_cross_check_counts_the_search_assignments(k2_witness, t112_witness):
 
 
 def test_search_agrees_with_naive_oracle(t113):
-    maps = list(_enumerate_partial_isometries(t113, t113.vertices, 3))
+    maps = list(enumerate_partial_automorphisms(t113, 3))
     assert len(maps) == 22
     for phi in maps:
         found = search_extension(t113, phi)
@@ -131,7 +132,7 @@ SMALL = [(name, g) for name, g in small_corpus() if 1 < len(g) <= 6]
 @pytest.mark.parametrize("name,g", SMALL, ids=[name for name, _ in SMALL])
 def test_search_returns_the_least_extension(name, g):
     sizes = set()
-    for phi in _enumerate_partial_isometries(g, g.vertices, len(g)):
+    for phi in enumerate_partial_automorphisms(g, len(g)):
         assert search_extension(g, phi) == least_extension(g, phi), dict(phi.items())
         sizes.add(len(phi))
     assert sizes == set(range(len(g) + 1))
@@ -145,7 +146,7 @@ def test_candidate_sets_match_the_plain_filter(name, g):
     signature = [sorted(row) for row in rows]
     index = {v: i for i, v in enumerate(g.vertices)}
     masks = verifier._label_masks(rows)
-    for phi in list(_enumerate_partial_isometries(g, g.vertices, 3))[:60]:
+    for phi in list(enumerate_partial_automorphisms(g, 3))[:60]:
         assigned = {index[u]: index[w] for u, w in phi.items()}
         want = {
             v: {w for w in range(len(rows))
