@@ -87,9 +87,10 @@ def parse_subset_id(vertex: str) -> frozenset[str]:
     if not (vertex.startswith("{") and vertex.endswith("}")) or len(vertex) < 3:
         raise GraphFormatError(f"not a token-subset vertex id: {vertex!r}")
     tokens = vertex[1:-1].split("|")
-    if len(set(tokens)) != len(tokens):
+    subset = frozenset(tokens)
+    if len(subset) != len(tokens):
         raise GraphFormatError(f"repeated token in vertex id {vertex!r}")
-    return frozenset(tokens)
+    return subset
 
 
 class JohnsonTable:
@@ -115,10 +116,19 @@ class JohnsonTable:
 
     @cached_property
     def shares(self) -> np.ndarray:
+        """|X & Y| for each pair of vertices: popcounts of the AND of their
+        token bits, one byte of eight tokens at a time, in exact integers
+        (an integer matrix product gets no BLAS)."""
         count, k = self.members.shape
-        incidence = np.zeros((count, self.m), dtype=np.min_scalar_type(k))
-        incidence[np.arange(count)[:, None], self.members] = 1
-        return incidence @ incidence.T
+        incidence = np.zeros((count, self.m), dtype=bool)
+        incidence[np.arange(count)[:, None], self.members] = True
+        out = np.zeros((count, count), dtype=np.min_scalar_type(k))
+        both = np.empty((count, count), dtype=np.uint8)
+        # one contiguous row of bytes per eight tokens
+        for column in np.packbits(incidence, axis=1).T.copy():
+            np.bitwise_and(column[:, None], column, out=both)
+            out += np.bitwise_count(both, out=both)
+        return out
 
     @cached_property
     def _colex(self) -> tuple[np.ndarray, np.ndarray]:
@@ -330,7 +340,7 @@ def class_completion(johnson: JohnsonTable, classes: ClassTable) -> EdgeLabelled
     (`ClassTable.codes`, indexed by `JohnsonTable.shares`)."""
     spectrum, table = classes.codes
     n = len(johnson.ids)
-    return EdgeLabelledGraph._trusted(johnson.ids, spectrum, table[johnson.shares],
+    return EdgeLabelledGraph._trusted(johnson.ids, spectrum, table.take(johnson.shares),
                                       n * (n - 1) // 2)
 
 
@@ -381,7 +391,8 @@ def build_eppa_graph(
     n = len(a.spectrum())
     counts = np.arange(sa.k + 1)
     code_of = np.where(counts <= n, counts, 0).astype(np.min_scalar_type(n))
-    b = EdgeLabelledGraph._trusted(johnson.ids, *_drop_unused(a.spectrum(), code_of[johnson.shares]))
+    codes = code_of.take(johnson.shares)
+    b = EdgeLabelledGraph._trusted(johnson.ids, *_drop_unused(a.spectrum(), codes))
     embedding = PartialMap({x: subset_id(sa.psi[x]) for x in a.vertices})
     return b, embedding
 

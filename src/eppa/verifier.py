@@ -6,10 +6,14 @@ the input in the subset level is read off its stored ids: each lists k
 tokens, two copy points share as many tokens as the rank of their distance
 in the input's spectrum, and no token lies in three copy sets.  Every other
 check runs on an exact integer label matrix built here (`_label_matrix`),
-once per graph:
+once per graph, in the narrowest of int8 to int64 that holds the sum of two
+entries, or of Python ints past int64:
 
 - the subset level's edge rule is a comparison with the labels that the
-  shared-token counts of its vertices call for;
+  shared-token counts of its vertices call for.  The counts are exact
+  integer popcounts: each id is parsed once, the token incidence is packed
+  eight tokens to a byte, and every byte column adds the popcount of the
+  AND of each pair (`_shared_token_counts`);
 - each level's edge rule is a comparison with the level below, read
   through the projection each vertex id names, with the pairs that a
   stored bad set cuts masked;
@@ -24,7 +28,10 @@ once per graph:
   q-1 vertices, levels p+1..q-1 above stored level p have no bad sets, so
   each is level p under new names;
 - the completion is checked by Bellman's optimality condition, row by row,
-  and the metric and replayed isometries on the same matrices.
+  and the metric and replayed isometries on the same matrices.  A replayed
+  map is turned into vertex positions once, and the label matrix, permuted
+  by two gathers of whole rows, is compared with its transpose
+  (`_permutes_labels`).
 
 The extension search holds the images each unassigned vertex may still take
 as an int bit mask.  It starts from the unused vertices with the same sorted
@@ -68,7 +75,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, combinations, permutations
+from itertools import chain, combinations, permutations, repeat
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -85,6 +93,9 @@ from .setrep import parse_subset_id, token_sort_key
 _BAD_SET_SCAN_LIMIT = 200_000
 
 _Matrix = tuple[dict[str, int], np.ndarray]  # (vertex index, label matrix)
+
+# The integer types a label matrix may take, narrowest first, each with its largest value.
+_INT_TYPES = tuple((t, np.iinfo(t).max) for t in (np.int8, np.int16, np.int32, np.int64))
 
 # The detail of a check that swept from vertex 0 of a vertex-transitive witness.
 THROUGH_ONE_VERTEX = "through one vertex"
@@ -163,39 +174,44 @@ def _label_matrix(g: EdgeLabelledGraph, scale: int | None = None) -> _Matrix:
 
     `scale` must be a multiple of every label denominator, and is the lcm
     of g's when not given.  The spectrum is scaled here, once, and indexed
-    by g's code matrix.  M is int64 when its path sums fit, and holds
-    Python ints (dtype=object) otherwise.
+    by g's code matrix.  M is of the narrowest integer type that holds the
+    sum of two of its entries, which the metric sweep takes (`_int_type`):
+    narrow types sweep, gather and compare fastest.
     """
     spectrum = g.spectrum()
     if scale is None:
         scale = math.lcm(*(d.denominator for d in spectrum))
     values = [d.numerator * (scale // d.denominator) for d in spectrum]
-    # int64 when sums of two path lengths (the sweeps') stay exact
-    dtype = np.int64 if len(g) * max(values, default=0) < 1 << 61 else object
-    mat = np.array([-1, *values], dtype=dtype)[g.codes]
+    mat = np.array([-1, *values], dtype=_int_type(2 * max(values, default=0))).take(g.codes)
     np.fill_diagonal(mat, 0)
     return {v: i for i, v in enumerate(g.vertices)}, mat
 
 
-def _narrowest(mat: np.ndarray, top: int) -> np.ndarray:
-    """A copy of an integer matrix whose entries are at most `top`, in the
-    narrowest of int8 to int64 that holds `top` (narrow types sweep
-    fastest), or of Python ints beyond int64."""
-    ints = (np.int8, np.int16, np.int32, np.int64)
-    return mat.astype(next((t for t in ints if top <= np.iinfo(t).max), object))
+def _int_type(top: int) -> type:
+    """The narrowest of int8 to int64 that holds every integer from -1 to
+    `top`, or object (Python ints) beyond int64."""
+    return next((t for t, most in _INT_TYPES if top <= most), object)
 
 
-def _permutes_labels(theta: PartialMap, index: dict[str, int], mat: np.ndarray) -> bool:
-    """Is theta a bijection of the indexed vertices that keeps every entry
-    of the label matrix?"""
-    if len(theta) != len(index):
+def _permutes_labels(
+    theta: PartialMap, verts: tuple[str, ...], index: dict[str, int], mat: np.ndarray,
+    flipped: np.ndarray,
+) -> bool:
+    """Is theta a bijection of the vertices `verts`, in that order the rows
+    of the label matrix and the keys of `index`, that keeps every entry of
+    the matrix?  A map's domain is ascending, and so are a graph's vertices.
+
+    `flipped` is the matrix transposed, as a contiguous copy.  E = M[p].T[p]
+    gathers whole rows only, which is faster than gathering columns, and
+    E[a, b] = M[p_b, p_a], so E equals `flipped` exactly when M[p_a, p_b] =
+    M[a, b] for every pair."""
+    if theta.domain() != verts:
         return False
-    images = dict(theta.items())
-    perm = [index.get(images.get(v)) for v in index]
-    if None in perm:
+    perm = list(map(index.get, map(itemgetter(1), theta.items()), repeat(-1)))
+    if -1 in perm:
         return False
     perm = np.array(perm, dtype=np.intp)
-    return bool((mat.take(perm, 0).take(perm, 1) == mat).all())  # two takes gather faster than np.ix_
+    return bool((mat.take(perm, 0).T.take(perm, 0) == flipped).all())
 
 
 def enumerate_partial_automorphisms(
@@ -204,7 +220,11 @@ def enumerate_partial_automorphisms(
     """All label-preserving injective maps of at most `max_domain_size`
     points inside the pool (all of g without one): the empty map first, then
     by domain size, domain and image, each lexicographic.  Labels compare as
-    g's label codes; a pool vertex outside g raises UnknownVertex."""
+    g's label codes; a pool vertex outside g raises UnknownVertex.
+
+    The images of a domain grow one point at a time, in lexicographic order,
+    and a prefix is dropped as soon as the point just placed sees one placed
+    before it at another code than their preimages do."""
     if max_domain_size < 0:
         raise ValueError("max_domain_size must be >= 0")
     names = g.vertices if pool is None else sorted(pool)
@@ -213,11 +233,15 @@ def enumerate_partial_automorphisms(
     spots = range(len(names))
     yield PartialMap._trusted(())
     for size in range(1, min(max_domain_size, len(names)) + 1):
-        pairs = list(combinations(range(size), 2))
         for dom in combinations(spots, size):
-            for img in permutations(spots, size):
-                if all(codes[dom[i]][dom[j]] == codes[img[i]][img[j]] for i, j in pairs):
-                    yield PartialMap._trusted((names[x], names[y]) for x, y in zip(dom, img))
+            images = [(y,) for y in spots]
+            for pos in range(1, size):
+                want = [codes[dom[pos]][x] for x in dom[:pos]]
+                images = [img + (y,) for img in images for y in spots
+                          if y not in img and list(map(codes[y].__getitem__, img)) == want]
+            sources = [names[x] for x in dom]
+            for img in images:
+                yield PartialMap._trusted(zip(sources, map(names.__getitem__, img)))
 
 
 def _label_rows(b: EdgeLabelledGraph) -> list[list[int]]:
@@ -450,7 +474,6 @@ def _check_metric(
         i, j = map(int, gaps[0])
         report.add(name, False, f"missing distance between {verts[i]!r} and {verts[j]!r}")
         return
-    mat = _narrowest(mat, 2 * int(mat.max(initial=0)))
     via = np.empty_like(mat)
     viol = np.empty(mat.shape, dtype=bool)
     for k in range(len(verts)) if sources is None else sources:
@@ -467,9 +490,12 @@ def _check_metric(
 
 def _first_difference(got: np.ndarray, want: np.ndarray) -> tuple[int, int] | None:
     """First pair (i, j), i < j, in vertex order where two symmetric label
-    matrices differ, or None when they are equal."""
-    diff = np.argwhere(got != want)
-    return (int(diff[0][0]), int(diff[0][1])) if len(diff) else None
+    matrices differ, or None when they are equal; the pairs are searched
+    only after a whole comparison finds a difference."""
+    if np.array_equal(got, want):
+        return None
+    i, j = np.argwhere(got != want)[0]
+    return int(i), int(j)
 
 
 def _check_completion(
@@ -502,7 +528,8 @@ def _check_completion(
     final_mat = final_matrix[1]
     n = len(final_mat)
     beyond = max(n * int(top_mat.max(initial=0)), int(final_mat.max(initial=0))) + 1
-    step = _narrowest(top_mat, 2 * beyond)
+    wide = _int_type(2 * beyond)
+    step = top_mat.astype(wide)
     step[step <= 0] = beyond  # non-edges and the diagonal
     via = np.empty_like(step)
 
@@ -514,7 +541,7 @@ def _check_completion(
         return out
 
     for s in range(n) if sources is None else sources:
-        row = _narrowest(final_mat[s], 2 * beyond)
+        row = final_mat[s].astype(wide)
         row[row < 0] = beyond
         if not np.array_equal(least(row, s), row):
             break
@@ -565,6 +592,22 @@ def _copy_token_fault(a: EdgeLabelledGraph, copy: PartialMap, k: int) -> str:
     return ""
 
 
+def _shared_token_counts(sets: list[frozenset[str]]) -> np.ndarray:
+    """|X & Y| for each pair of the token sets, as exact integers: the
+    popcounts of the AND of their token bits, eight tokens to a byte."""
+    token_of = {t: p for p, t in enumerate(set().union(*sets))}
+    sizes = [len(s) for s in sets]
+    tokens = np.fromiter(map(token_of.__getitem__, chain.from_iterable(sets)), dtype=np.intp)
+    incidence = np.zeros((len(sets), len(token_of)), dtype=bool)
+    incidence[np.repeat(np.arange(len(sets)), sizes), tokens] = True
+    shared = np.zeros((len(sets), len(sets)), dtype=np.min_scalar_type(max(sizes, default=0)))
+    both = np.empty(shared.shape, dtype=np.uint8)
+    for byte in np.packbits(incidence, axis=1).T.copy():  # a contiguous row per eight tokens
+        np.bitwise_and(byte[:, None], byte, out=both)
+        shared += np.bitwise_count(both, out=both)
+    return shared
+
+
 def _check_subset_level(
     report: VerificationReport, w: Witness, scale: int, matrix: _Matrix
 ) -> np.ndarray | None:
@@ -594,17 +637,15 @@ def _check_subset_level(
     spectrum = w.input.spectrum()
     n = len(spectrum)
     verts = g.vertices
-    token_of: dict[str, int] = {}
-    hits = [[token_of.setdefault(t, len(token_of)) for t in parse_subset_id(vid)] for vid in verts]
-    incidence = np.zeros((len(verts), len(token_of)), dtype=np.int64)
-    incidence[np.repeat(np.arange(len(verts)), [len(h) for h in hits]),
-              np.fromiter(chain.from_iterable(hits), dtype=np.intp)] = 1
-    shared = incidence @ incidence.T
-    got = matrix[1]
-    codes = np.array([-1] + [d.numerator * (scale // d.denominator) for d in spectrum])
-    want = codes[np.where(shared <= n, shared, 0)]
+    shared = _shared_token_counts([parse_subset_id(vid) for vid in verts])
+    values = [d.numerator * (scale // d.denominator) for d in spectrum]
+    # no two sets share more tokens than either of them holds
+    by_count = np.full(int(shared.diagonal().max(initial=0)) + 1, -1,
+                       dtype=_int_type(max(values, default=0)))
+    by_count[1 : n + 1] = values[: len(by_count) - 1]
+    want = by_count.take(shared)
     np.fill_diagonal(want, 0)
-    first = _first_difference(got, want)
+    first = _first_difference(matrix[1], want)
     bad = None
     bad_pair = None
     if first is not None:
@@ -864,7 +905,7 @@ def _sweep_sources(w: Witness, shared: np.ndarray | None, final_mat: np.ndarray)
         return None
     by_share = np.full(int(shared.max(initial=0)) + 1, -1, dtype=final_mat.dtype)
     by_share[shared[0]] = final_mat[0]  # row 0 meets every count that occurs
-    return [0] if (final_mat == by_share[shared]).all() else None
+    return [0] if np.array_equal(final_mat, by_share.take(shared)) else None
 
 
 def cross_check(w: Witness, budget: int = 10_000_000, search_limit: int = 150) -> VerificationReport:
@@ -957,7 +998,7 @@ def cross_check(w: Witness, budget: int = 10_000_000, search_limit: int = 150) -
 
     if w.set_assignment is not None and w.levels:
         index, mat = final_matrix
-        mat = _narrowest(mat, int(mat.max(initial=0)))
+        flipped = np.ascontiguousarray(mat.T)
         replay_ok = True
         detail = ""
         offender = None
@@ -971,7 +1012,7 @@ def cross_check(w: Witness, budget: int = 10_000_000, search_limit: int = 150) -
                 break
             report.count("partial_maps_replayed")
             target = {emb[x]: emb[phi[x]] for x in phi.domain()}
-            if not _permutes_labels(theta, index, mat) or any(
+            if not _permutes_labels(theta, w.final.vertices, index, mat, flipped) or any(
                 theta.get(u) != v for u, v in target.items()
             ):
                 replay_ok = False

@@ -174,6 +174,16 @@ def test_shared_tokens_decide_labels(t112):
         assert d == spectrum[shared - 1]
 
 
+@pytest.mark.parametrize("m,k", [(3, 1), (6, 3), (8, 4), (10, 5), (17, 3), (300, 299)])
+def test_johnson_shares_are_the_shared_tokens(m, k):
+    # (17, 3) packs its tokens into three bytes; at (300, 299) counts pass 255
+    universe = tuple(sorted((padding_token("p", t) for t in range(1, m + 1)), key=token_sort_key))
+    table = setrep.JohnsonTable(universe, k)
+    sets = [parse_subset_id(v) for v in table.ids]
+    assert table.shares.dtype == np.min_scalar_type(k)
+    assert table.shares.tolist() == [[len(x & y) for y in sets] for x in sets]
+
+
 def test_vertex_cap_is_respected(t112):
     with pytest.raises(VertexCapExceeded) as exc:
         build_eppa_graph(build_set_assignment(t112), vertex_cap=10)

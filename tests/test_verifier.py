@@ -781,13 +781,25 @@ def completion_check(top, final):
     return report.results[0]
 
 
+def narrowest_type(top: int) -> np.dtype:
+    """The narrowest of int8 to int64 that holds `top`, else object."""
+    for t in (np.int8, np.int16, np.int32, np.int64):
+        if top <= np.iinfo(t).max:
+            return np.dtype(t)
+    return np.dtype(object)
+
+
 @settings(max_examples=40, deadline=None)
 @given(connected_graphs(max_vertices=6), st.data())
 def test_the_completion_check_passes_the_completion_and_names_a_bent_pair(g, data):
-    # the factor pushes the labels past int64, onto Python ints
+    # the factor pushes the labels past int64, onto Python ints; the label
+    # matrix holds the sum of two of its entries in the narrowest type
     for factor in (1, 10**19):
         scaled = EdgeLabelledGraph(g.vertices, [(u, v, d * factor) for u, v, d in g.edges()])
-        assert _label_matrix(scaled)[1].dtype == (object if factor > 1 else np.int64)
+        scale = math.lcm(*(d.denominator for d in scaled.spectrum()))
+        top = 2 * max(d * scale for d in scaled.spectrum())
+        assert _label_matrix(scaled)[1].dtype == narrowest_type(top)
+        assert (narrowest_type(top) == object) == (factor > 1)
         final = shortest_path_completion(scaled)
         assert completion_check(scaled, final).passed
         u, v, d = data.draw(st.sampled_from(final.edges()), label="bent pair")
@@ -797,6 +809,32 @@ def test_the_completion_check_passes_the_completion_and_names_a_bent_pair(g, dat
         assert not result.passed and result.counterexample == (u, v)
         assert result.detail == f"{u!r} ~ {v!r}: stored {d + delta}, recompleted {d}"
 
+
+
+@pytest.mark.parametrize("bound", [np.iinfo(t).max for t in (np.int8, np.int16, np.int32, np.int64)])
+@pytest.mark.parametrize("denominator", [1, 3])
+def test_label_matrices_are_exact_at_each_type_boundary(bound, denominator):
+    # the largest label whose doubled value the type holds, and one above it,
+    # which takes the next type (Python ints past int64)
+    for top, wanted in ((bound // 2, narrowest_type(bound)), (bound // 2 + 1, narrowest_type(bound + 1))):
+        one, big = Fraction(1, denominator), Fraction(top, denominator)
+        g = graph_from_triples(["a", "b", "c", "d"], [("a", "b", big), ("c", "d", one),
+                                                      ("a", "c", one)])
+        index, mat = _label_matrix(g)
+        assert mat.dtype == wanted
+        # scaled by the denominator: top and 1, -1 on the three non-edges
+        assert index == {"a": 0, "b": 1, "c": 2, "d": 3}
+        assert mat.tolist() == [[0, top, 1, -1], [top, 0, -1, -1], [1, -1, 0, 1], [-1, -1, 1, 0]]
+        assert all(type(x) is int for x in mat.ravel().tolist())
+
+
+@pytest.mark.parametrize("m,k", [(3, 1), (6, 3), (8, 4), (10, 5), (17, 3), (300, 299)])
+def test_subset_level_counts_are_the_shared_tokens(m, k):
+    # (17, 3) packs its tokens into three bytes; at (300, 299) counts pass 255
+    sets = [frozenset(f"t{p}" for p in combo) for combo in combinations(range(m), k)]
+    shared = verifier._shared_token_counts(sets)
+    assert shared.dtype == np.min_scalar_type(k)
+    assert shared.tolist() == [[len(x & y) for y in sets] for x in sets]
 
 
 @pytest.mark.parametrize("denominator", [1, 3])
