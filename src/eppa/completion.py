@@ -127,10 +127,6 @@ def shortest_path_completion(g: EdgeLabelledGraph) -> EdgeLabelledGraph:
     return EdgeLabelledGraph._trusted(g.vertices, labels, codes, n * (n - 1) // 2)
 
 
-def _cycle_witness(path: list[str], long_edge: tuple[str, str], deficit: Fraction) -> CycleWitness:
-    return CycleWitness(vertices=tuple(path), long_edge=long_edge, deficit=deficit)
-
-
 def find_induced_nonmetric_cycles(g: EdgeLabelledGraph, size: int) -> list[CycleWitness]:
     """All vertex sets of the given size on which g induces a non-metric cycle.
 
@@ -200,7 +196,7 @@ def induced_nonmetric_cycles_at(
             closing = weight[row_v[last]]
             if closing and total + closing < long_label:
                 deficit = Fraction(long_label - total - closing, scale)
-                found.append(_cycle_witness([g.vertices[p] for p in path] + [v], (u, v), deficit))
+                found.append(CycleWitness((*(g.vertices[p] for p in path), v), (u, v), deficit))
             return
         floor = (remaining - 1) * smallest
         for code, bucket in buckets(last):
@@ -288,8 +284,8 @@ def has_nonmetric_cycle_up_to(
             i = int(rows[r])
             path = _walk_back([h[r] for h in hop], mat, i, j)
             deficit = Fraction(int(mat[i, j] - walks[r, j]), scale)
-            return _cycle_witness([verts[p] for p in path], (verts[min(i, j)], verts[max(i, j)]),
-                                  deficit)
+            return CycleWitness(tuple(verts[p] for p in path),
+                                (verts[min(i, j)], verts[max(i, j)]), deficit)
         if np.array_equal(walks, last):
             break
     return None

@@ -174,9 +174,10 @@ def graph_from_codes(obj: Any, what: str) -> EdgeLabelledGraph:
             f"{what}: \"codes\" must be a string of {width * n * (n - 1) // 2} digits "
             f"({width} per vertex pair)"
         )
-    # one row of digits per pair (UTF-32 gives every character four bytes);
-    # a character below "0" wraps past 9 too
-    digits = np.frombuffer(codes.encode("utf-32-le"), dtype=np.uint32).reshape(-1, width) - ord("0")
+    # one row of digits per pair, one byte per character: a character past
+    # ASCII becomes "?", and one below "0" wraps past 9 too
+    text = codes.encode("ascii", "replace")
+    digits = np.frombuffer(text, dtype=np.uint8).reshape(-1, width) - ord("0")
     values = digits[:, 0].astype(np.intp)
     for column in digits.T[1:]:
         values = values * 10 + column

@@ -33,8 +33,6 @@ from .errors import InvalidMap, GraphFormatError, UnknownVertex
 _NAME_RE = re.compile(r"^[^\s(){}#!|,;~]+$")
 _CORE_NAME_RE = re.compile(r"^\S+$")
 
-CHECK_MODES = ("homomorphism", "monomorphism", "embedding", "automorphism")
-
 
 def check_vertex_name(name: str) -> str:
     """Strict rule for user-supplied vertex names."""
@@ -121,9 +119,9 @@ class EdgeLabelledGraph:
         """Constructor for graphs derived inside this package; validates
         nothing.  `vertices` are sorted distinct ids, `spectrum` distinct
         labels ascending, each of them on some pair of `codes`, a symmetric
-        code matrix with a zero diagonal (see `_drop_unused`).  The edge
-        count is counted when not given.  The matrix is made read-only and
-        may be shared with other graphs.
+        code matrix with a zero diagonal.  The edge count is counted when
+        not given.  The matrix is made read-only and may be shared with
+        other graphs.
         """
         g = object.__new__(cls)
         if edge_count is None:
@@ -159,17 +157,6 @@ class EdgeLabelledGraph:
         """Neighbour -> label, in vertex order."""
         return {v: self._spectrum[code - 1] for v, code in self._row(u) if code}
 
-    def neighbors(self, u: str) -> tuple[str, ...]:
-        return tuple(v for v, code in self._row(u) if code)
-
-    def neighbors_by_label(self, u: str) -> dict[Fraction, tuple[str, ...]]:
-        """Label -> the neighbours along it, both ascending."""
-        buckets: dict[int, list[str]] = {}
-        for v, code in self._row(u):
-            if code:
-                buckets.setdefault(code, []).append(v)
-        return {self._spectrum[code - 1]: tuple(buckets[code]) for code in sorted(buckets)}
-
     def edges(self) -> tuple[tuple[str, str, Fraction], ...]:
         """All edges as (u, v, label) with u < v, sorted."""
         labels = (None, *self._spectrum)
@@ -197,19 +184,6 @@ class EdgeLabelledGraph:
 
     def __repr__(self) -> str:
         return f"EdgeLabelledGraph({len(self.vertices)} vertices, {self.edge_count} edges)"
-
-
-def _drop_unused(spectrum: tuple[Fraction, ...], codes: np.ndarray
-                 ) -> tuple[tuple[Fraction, ...], np.ndarray]:
-    """The spectrum without the labels on no pair of `codes`, and the codes
-    renumbered to match, for producers that may leave labels unused."""
-    used = np.bincount(codes.ravel(), minlength=len(spectrum) + 1)[1:] > 0
-    if used.all():
-        return spectrum, codes
-    kept = tuple(itertools.compress(spectrum, used.tolist()))
-    renumber = np.zeros(len(spectrum) + 1, dtype=np.min_scalar_type(len(kept)))
-    renumber[1:][used] = np.arange(1, len(kept) + 1)
-    return kept, renumber[codes]
 
 
 def scaled_spectrum(g: EdgeLabelledGraph) -> tuple[int, list[int]]:
@@ -315,9 +289,6 @@ class PartialMap:
     def __iter__(self) -> Iterator[str]:
         return iter(self._map)
 
-    def inverse(self) -> "PartialMap":
-        return PartialMap((dst, src) for src, dst in self._map.items())
-
     def compose(self, inner: "PartialMap") -> "PartialMap":
         """self after inner; requires the image of inner inside this domain."""
         missing = [dst for dst in inner._map.values() if dst not in self._map]
@@ -327,10 +298,6 @@ class PartialMap:
 
     def extends(self, other: "PartialMap") -> bool:
         return all(self._map.get(src) == dst for src, dst in other._map.items())
-
-    def restrict(self, keys: Iterable[str]) -> "PartialMap":
-        keep = set(keys)
-        return PartialMap((s, d) for s, d in self._map.items() if s in keep)
 
     def is_identity(self) -> bool:
         return all(s == d for s, d in self._map.items())
@@ -346,12 +313,22 @@ class PartialMap:
 
 
 def induced_subgraph(g: EdgeLabelledGraph, keep: Iterable[str]) -> EdgeLabelledGraph:
-    """Subgraph on the given vertices with every edge among them."""
+    """Subgraph on the given vertices with every edge among them.
+
+    The one producer of graphs that can leave a label on no pair, and so
+    the one that renumbers codes: the labels it drops leave its spectrum."""
     kept = tuple(sorted(set(keep)))
     rows = [g.position(v) for v in kept]
     if len(kept) == len(g.vertices):  # the whole graph: share its matrix
         return EdgeLabelledGraph._trusted(kept, g.spectrum(), g.codes, g.edge_count)
-    return EdgeLabelledGraph._trusted(kept, *_drop_unused(g.spectrum(), g.codes[np.ix_(rows, rows)]))
+    codes = g.codes[np.ix_(rows, rows)]
+    used = np.bincount(codes.ravel(), minlength=len(g.spectrum()) + 1)[1:] > 0
+    spectrum = tuple(itertools.compress(g.spectrum(), used.tolist()))
+    if len(spectrum) < len(used):
+        renumber = np.zeros(len(used) + 1, dtype=np.min_scalar_type(len(spectrum)))
+        renumber[1:][used] = np.arange(1, len(spectrum) + 1)
+        codes = renumber[codes]
+    return EdgeLabelledGraph._trusted(kept, spectrum, codes)
 
 
 def metric_violation(g: EdgeLabelledGraph) -> tuple[str, str, str] | None:
@@ -394,35 +371,18 @@ def _check_total(f: PartialMap, g: EdgeLabelledGraph, h: EdgeLabelledGraph) -> N
         )
 
 
-def check_map(f: PartialMap, g: EdgeLabelledGraph, h: EdgeLabelledGraph, mode: str) -> bool:
-    """Does the total map f : g -> h satisfy the given mode?
-
-    Modes: homomorphism (edges carry over with equal labels), monomorphism
-    (injective homomorphism; injectivity is structural for PartialMap),
-    embedding (labels preserved and reflected), automorphism (g and h equal,
-    f a bijective embedding).  Precondition violations raise InvalidMap and
-    are never reported as a False verdict.
+def check_map(f: PartialMap, g: EdgeLabelledGraph, h: EdgeLabelledGraph) -> bool:
+    """Is the total map f : g -> h an embedding, keeping every label and
+    every non-edge?  With h = g this is the automorphism test, as a total
+    injective map of a finite set into itself is onto.  A map that is not
+    total raises InvalidMap and is never reported as a False verdict.
     """
-    if mode not in CHECK_MODES:
-        raise ValueError(f"unknown mode {mode!r}")
     _check_total(f, g, h)
-    if mode == "automorphism":
-        if g is not h and g != h:
-            raise InvalidMap("automorphism mode needs identical source and target")
-        if set(f.image()) != set(g.vertices):
-            raise InvalidMap("automorphism mode needs a bijection")
-        # A bijection preserving every edge maps the finite edge set onto
-        # itself, so non-edges are reflected for free.
     image = [h.position(f[v]) for v in g.vertices]
-    got = h.codes[np.ix_(image, image)]
     # each code of g as the code of the same label in h, -1 when h lacks it
     in_h = {d: c for c, d in enumerate(h.spectrum(), 1)}
     want = np.array([0, *(in_h.get(d, -1) for d in g.spectrum())])[g.codes]
-    edges = g.codes > 0
-    if not np.array_equal(got[edges], want[edges]):
-        return False
-    # an embedding also reflects non-edges
-    return mode != "embedding" or not got[~edges].any()
+    return np.array_equal(h.codes[np.ix_(image, image)], want)
 
 
 def is_partial_automorphism(f: PartialMap, g: EdgeLabelledGraph) -> bool:

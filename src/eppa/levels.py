@@ -31,7 +31,7 @@ import numpy as np
 from .completion import CycleWitness, find_induced_nonmetric_cycles
 from .errors import GraphFormatError, InvalidMap, NotAMetricSpace, VertexCapExceeded
 from .graphs import (
-    EdgeLabelledGraph, PartialMap, _drop_unused, check_map, induced_subgraph, is_metric_space,
+    EdgeLabelledGraph, PartialMap, check_map, induced_subgraph, is_metric_space,
 )
 
 
@@ -49,9 +49,6 @@ class LevelGraph:
     level: int
     base_embedding: PartialMap
     bad_sets: tuple[CycleWitness, ...]
-
-    def bad_set_index(self) -> dict[frozenset[str], int]:
-        return {m.members: j for j, m in enumerate(self.bad_sets)}
 
     def membership(self) -> dict[str, tuple[int, ...]]:
         """Vertex of the level below -> indices of the bad sets through it."""
@@ -168,7 +165,10 @@ def build_next_level(
                     p, q = where[vx], where[vy]
                     codes[p, q] = codes[q, p] = code
 
-    graph = EdgeLabelledGraph._trusted(verts, *_drop_unused(g.spectrum(), codes))
+    # no label is lost: each edge x-y below joins some copy of x to some copy
+    # of y, as y has a copy for every bit string, so one copy meets every
+    # constraint on the bad sets through both
+    graph = EdgeLabelledGraph._trusted(verts, g.spectrum(), codes)
 
     anchors = anchor_valuations(g, copy_vertices, bad)
     embedding = {}
@@ -188,7 +188,7 @@ def _bad_set_targets(prev: LevelGraph, nxt: LevelGraph, hat_phi: PartialMap) -> 
     total map of `prev` (the level below), among the bad sets of `nxt`."""
     if sorted(hat_phi.domain()) != list(prev.graph.vertices):
         raise InvalidMap("expected a total automorphism of the level below")
-    index_of = nxt.bad_set_index()
+    index_of = {m.members: j for j, m in enumerate(nxt.bad_sets)}
     targets = []
     for m in nxt.bad_sets:
         jt = index_of.get(frozenset(hat_phi[x] for x in sorted(m.members)))
@@ -265,7 +265,7 @@ def lift_automorphism(
     ids.  The lift is verified to be an automorphism before it is returned.
     """
     targets = _bad_set_targets(prev, nxt, hat_phi)
-    if not check_map(hat_phi, prev.graph, prev.graph, "automorphism"):
+    if not check_map(hat_phi, prev.graph, prev.graph):
         raise InvalidMap("map of the level below is not an automorphism")
     member = nxt.membership()
     flip_index = {j for j, m in enumerate(nxt.bad_sets) if m in flips}
@@ -280,6 +280,6 @@ def lift_automorphism(
         new_bits = tuple(out_bits[j] for j in member.get(y, ()))
         table[vid] = level_vertex_id(y, new_bits)
     theta = PartialMap(table)
-    if not check_map(theta, nxt.graph, nxt.graph, "automorphism"):
+    if not check_map(theta, nxt.graph, nxt.graph):
         raise InvalidMap("lift is not an automorphism")
     return theta

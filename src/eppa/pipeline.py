@@ -253,7 +253,7 @@ def _replay(w: Witness, phi_a: PartialMap) -> PartialMap:
         raise InvalidMap("extension does not preserve the final space")
     # a lift is injective, so perm permutes the positions
     theta = _permutation_map(verts, perm)
-    if not check_map(theta, w.final, w.final, "automorphism"):
+    if not check_map(theta, w.final, w.final):
         raise InvalidMap("restriction to the final space is not an isometry")
     return theta
 

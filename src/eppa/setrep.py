@@ -32,7 +32,6 @@ from .errors import GraphFormatError, InvalidMap, NotAMetricSpace, VertexCapExce
 from .graphs import (
     EdgeLabelledGraph,
     PartialMap,
-    _drop_unused,
     check_vertex_name,
     is_partial_automorphism,
     scaled_spectrum,
@@ -391,8 +390,10 @@ def build_eppa_graph(
     n = len(a.spectrum())
     counts = np.arange(sa.k + 1)
     code_of = np.where(counts <= n, counts, 0).astype(np.min_scalar_type(n))
-    codes = code_of.take(johnson.shares)
-    b = EdgeLabelledGraph._trusted(johnson.ids, *_drop_unused(a.spectrum(), codes))
+    # no label is lost: each is on an edge x-y of a, and psi(x) != psi(y)
+    # (each holds a private padding token, as k is one above the largest
+    # load) share its rank
+    b = EdgeLabelledGraph._trusted(johnson.ids, a.spectrum(), code_of.take(johnson.shares))
     embedding = PartialMap({x: subset_id(sa.psi[x]) for x in a.vertices})
     return b, embedding
 

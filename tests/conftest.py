@@ -20,6 +20,7 @@ from itertools import combinations
 from pathlib import Path
 
 import hypothesis
+import numpy as np
 import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
@@ -156,6 +157,18 @@ def stacked_level(demo_witness):
     top = demo_witness.levels[1]
     copy = PartialMap({"x": "p;00", "y": "q;00", "z": top.base_embedding["z"]})
     return dataclasses.replace(top, base_embedding=copy)
+
+
+def every_label_on_a_pair(g: EdgeLabelledGraph) -> bool:
+    """Is each label of g's spectrum the code of some pair of g?  B0 and
+    the levels are built without a pass that drops unused labels, so this
+    holds for them by construction."""
+    return bool(np.bincount(g.codes.ravel(), minlength=len(g.spectrum()) + 1)[1:].all())
+
+
+def witness_graphs(w) -> list[EdgeLabelledGraph]:
+    """The input, every stored level's graph and the final space of w."""
+    return [w.input, *(lvl.graph for lvl in w.levels), w.final]
 
 
 def stacked_witness_json(t112_witness, demo_witness) -> dict:

@@ -50,6 +50,7 @@ from conftest import (
     b0_automorphism,
     broken_compositions,
     composable_pairs,
+    every_label_on_a_pair,
     induced_nonmetric_sets,
     make_four_point,
     make_k2,
@@ -60,6 +61,7 @@ from conftest import (
     random_graph,
     small_corpus,
     triangle_ok,
+    witness_graphs,
 )
 
 
@@ -181,6 +183,13 @@ def test_fixture_graphs_are_unchanged(fixture_witnesses):
         assert graph_digest(loaded) == GRAPH_DIGESTS[name], name
 
 
+def test_every_label_of_a_fixture_graph_is_on_a_pair(fixture_witnesses):
+    for name, (_, w, _) in fixture_witnesses.items():
+        loaded = witness_from_json(json.loads(json.dumps(witness_to_json(w))))
+        for g in witness_graphs(w) + witness_graphs(loaded):
+            assert every_label_on_a_pair(g), (name, g)
+
+
 # -- criterion 2: the one-step construction alone on random graphs -----------------
 
 SUBSET_COUNT_CAP = 300  # C(|U|, k) above this is resampled, keeping check_map affordable
@@ -199,11 +208,11 @@ def test_criterion_2_one_step_on_random_graphs():
             continue
         b, emb = build_eppa_graph(sa)
         assert len(b) == math.comb(len(sa.universe), sa.k)
-        assert check_map(emb, a, b, "embedding")
+        assert check_map(emb, a, b)
         for phi in enumerate_partial_automorphisms(a, len(a)):
             pi = extend_by_permutation(sa, phi)
             theta = b0_automorphism(sa, pi, b)
-            assert check_map(theta, b, b, "automorphism")
+            assert check_map(theta, b, b)
             assert all(theta[emb[x]] == emb[phi[x]] for x in phi.domain())
         accepted += 1
 
@@ -232,9 +241,9 @@ def test_criterion_3_six_cycle_expansion():
 
     # one cycle, read off by walking it
     start = g.vertices[0]
-    walk = [start, g.neighbors(start)[0]]
+    walk = [start, next(iter(g.adjacency(start)))]
     while len(walk) < 6:
-        nxt = [u for u in g.neighbors(walk[-1]) if u != walk[-2]]
+        nxt = [u for u in g.adjacency(walk[-1]) if u != walk[-2]]
         assert len(nxt) == 1
         walk.append(nxt[0])
     assert g.label(walk[-1], walk[0]) is not None  # closes up

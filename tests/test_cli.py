@@ -389,6 +389,8 @@ MALFORMED_WITNESSES = {
                            "level #0: code '4' of pair"),
     "non-digit-code": ("t112", _edit("levels", 0, "graph", _recode(100, 101, "x")),
                        "level #0: code 'x' of pair"),
+    "lone-surrogate-code": ("t112", _edit("levels", 0, "graph", _recode(100, 101, "\ud800")),
+                            "level #0: code '\\ud800' of pair"),
     "labels-not-ascending": ("t112", _edit("levels", 0, "graph", "labels", list.reverse),
                              "level #0: labels must be strictly ascending"),
     "vertices-not-ascending": ("t112", _edit("levels", 0, "graph", "vertices", list.reverse),
@@ -481,6 +483,59 @@ def test_extend_on_the_stacked_file_does_not_depend_on_the_hash_seed(
     ]
     assert runs[0].returncode == 1 and runs[0].stderr.startswith("error: "), runs[0].stderr
     assert [(r.returncode, r.stderr) for r in runs[1:]] == [(1, runs[0].stderr)]
+
+
+# Runs verify, extend and stats in-process on each (witness, map) pair of
+# file names given, and prints every exit code, stdout and stderr as JSON.
+_COMMANDS_ON_FILES = r"""
+import contextlib, io, json, sys
+from eppa.cli import main
+
+runs = []
+for w, m in zip(sys.argv[1::2], sys.argv[2::2]):
+    for argv in (["verify", w], ["extend", w, m], ["stats", w]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        runs.append([argv, code, out.getvalue(), err.getvalue()])
+print(json.dumps(runs))
+"""
+
+
+def test_no_command_on_a_faulty_file_depends_on_the_hash_seed(t112_witness, demo_witness,
+                                                              tmp_path):
+    # every malformed and tampered file and the stacked file, under two
+    # string hash seeds: the same exit codes, stdout and stderr
+    stacked = stacked_witness_json(t112_witness, demo_witness)
+    files = {"stacked": (stacked, SWAP_YZ)}
+    for case, (which, mutate, _) in MALFORMED_WITNESSES.items():
+        obj = json.loads(json.dumps(witness_to_json(t112_witness) if which == "t112" else stacked))
+        mutate(obj)
+        files[f"malformed-{case}"] = obj, SWAP_YZ
+    for case, (mutate, phi, _) in TAMPERED_WITNESSES.items():
+        obj = witness_to_json(t112_witness)
+        mutate(obj)
+        files[f"tampered-{case}"] = obj, phi
+    names = []
+    for name, (obj, phi) in sorted(files.items()):
+        dump_json(str(tmp_path / f"{name}.json"), obj)
+        dump_json(str(tmp_path / f"{name}-map.json"), phi)
+        names += [f"{name}.json", f"{name}-map.json"]
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    runs = []
+    for seed in ("0", "1"):
+        done = subprocess.run(
+            [sys.executable, "-c", _COMMANDS_ON_FILES, *names], cwd=tmp_path,
+            capture_output=True, text=True, timeout=300,
+            env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed),
+        )
+        assert done.returncode == 0, done.stderr
+        runs.append(json.loads(done.stdout))
+    assert len(runs[0]) == 3 * len(files)
+    for first, second in zip(*runs):
+        argv, code = first[:2]
+        assert code == 3 or not argv[1].startswith("malformed-"), first
+        assert second == first, argv
 
 
 def test_extend_does_not_depend_on_the_hash_seed(tmp_path):

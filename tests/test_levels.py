@@ -30,7 +30,10 @@ from eppa import (
     compute_flip_set,
     lift_automorphism,
 )
+from eppa.fileio import witness_from_json
 from eppa.levels import LevelGraph, level_vertex_id, parse_level_vertex
+
+from conftest import every_label_on_a_pair, stacked_level, stacked_witness_json, witness_graphs
 
 
 def make_prev(t113):
@@ -115,7 +118,7 @@ def test_expansion_metadata(lifted, t113):
     assert lifted.level == 3
     assert lifted.bad_sets == bad_sets(t113, 3)
     assert lifted.membership() == {"x": (0,), "y": (0,), "z": (0,)}
-    assert lifted.bad_set_index() == {frozenset({"x", "y", "z"}): 0}
+    assert [m.members for m in lifted.bad_sets] == [frozenset({"x", "y", "z"})]
     # the long-edge copy is anchored at (0, 1), smaller name first
     assert dict(lifted.base_embedding.items()) == {"y": "y;0", "z": "z;1"}
 
@@ -223,7 +226,7 @@ def test_every_copy_map_lifts(prev, lifted):
         hat = hat_for(prev, PartialMap({below(u): below(v) for u, v in phi.items()}))
         flips = compute_flip_set(prev, lifted, phi, hat)
         theta = lift_automorphism(prev, lifted, hat, flips)
-        assert check_map(theta, lifted.graph, lifted.graph, "automorphism")
+        assert check_map(theta, lifted.graph, lifted.graph)
         assert theta.extends(phi)
         # the lift always commutes with the projection
         for u in lifted.graph.vertices:
@@ -238,7 +241,7 @@ def test_long_edge_swap_needs_the_flip(prev, lifted):
     assert compute_flip_set(prev, lifted, phi, hat) == frozenset({m})
     # without the flip, the lift is a fine automorphism but misses phi
     plain = lift_automorphism(prev, lifted, hat)
-    assert check_map(plain, lifted.graph, lifted.graph, "automorphism")
+    assert check_map(plain, lifted.graph, lifted.graph)
     assert not plain.extends(phi)
     assert lift_automorphism(prev, lifted, hat, frozenset({m})).extends(phi)
 
@@ -279,7 +282,7 @@ def test_both_lift_steps_refuse_a_map_that_breaks_a_bad_set(demo_witness):
     assert sorted(first.members) == ["p", "q", "r"]
     lvl = dataclasses.replace(lvl, bad_sets=(first,))
     swap = PartialMap({"p": "p", "q": "q", "r": "s", "s": "r"})
-    assert check_map(swap, core.graph, core.graph, "automorphism")
+    assert check_map(swap, core.graph, core.graph)
     message = re.escape("does not map bad set ['p', 'q', 'r'] to a bad set")
     with pytest.raises(InvalidMap, match=message):
         compute_flip_set(core, lvl, PartialMap({}), swap)
@@ -301,9 +304,19 @@ def test_double_lift_composes(prev, lifted):
                                                PartialMap({"y;0": "z;1", "z;1": "y;0"}),
                                                hat))
     theta_top = lift_automorphism(lifted, top, theta)
-    assert check_map(theta_top, top.graph, top.graph, "automorphism")
+    assert check_map(theta_top, top.graph, top.graph)
     for vid in top.graph.vertices:
         assert below(theta_top[vid]) == theta[below(vid)]
+
+
+def test_every_label_of_an_expansion_is_on_a_pair(lifted, demo_witness, t112_witness):
+    # each edge below joins a copy of x to a copy of y that agrees with it
+    # on every bad set through both, so no label of the level below is lost
+    stacked = witness_from_json(stacked_witness_json(t112_witness, demo_witness))
+    graphs = [lifted.graph, build_next_level(lifted, 4).graph, stacked_level(demo_witness).graph,
+              *witness_graphs(demo_witness), *witness_graphs(stacked)]
+    for g in graphs:
+        assert every_label_on_a_pair(g), g
 
 
 # -- the cap message -------------------------------------------------------------------

@@ -188,7 +188,7 @@ def test_a_wrong_clean_verdict_cannot_pass(monkeypatch):
 def assert_extension(w, phi):
     theta = extend_isometry(w, phi)
     assert sorted(theta.domain()) == sorted(w.final.vertices)
-    assert check_map(theta, w.final, w.final, "automorphism")
+    assert check_map(theta, w.final, w.final)
     emb = w.final_embedding
     assert all(theta[emb[x]] == emb[phi[x]] for x in phi.domain())
     return theta

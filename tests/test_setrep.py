@@ -62,8 +62,8 @@ from eppa.fileio import witness_from_json, witness_to_json
 from eppa.verifier import _copy_token_fault
 from conftest import (
     b0_automorphism, bent_classes, broken_compositions, composable_pairs, edge_labelled_graphs,
-    make_four_point, make_k2, make_path2, make_t112, make_t113, make_t123, small_tower_free_spaces,
-    tau_on_empty,
+    every_label_on_a_pair, make_four_point, make_k2, make_path2, make_t112, make_t113, make_t123,
+    small_tower_free_spaces, tau_on_empty, witness_graphs,
 )
 
 
@@ -205,7 +205,7 @@ def test_every_partial_automorphism_extends(t112):
     for phi in enumerate_partial_automorphisms(t112, len(t112)):
         pi = extend_by_permutation(sa, phi)
         theta = b0_automorphism(sa, pi, b)
-        assert check_map(theta, b, b, "automorphism")
+        assert check_map(theta, b, b)
         assert _extends_embedded(theta, emb, phi)
         count += 1
     assert count == 22
@@ -216,9 +216,10 @@ def test_extension_works_on_nonmetric_graphs(t113, path2):
     for a in (t113, path2):
         sa = build_set_assignment(a)
         b, emb = build_eppa_graph(sa)
+        assert every_label_on_a_pair(b)
         for phi in enumerate_partial_automorphisms(a, len(a)):
             theta = b0_automorphism(sa, extend_by_permutation(sa, phi), b)
-            assert check_map(theta, b, b, "automorphism")
+            assert check_map(theta, b, b)
             assert _extends_embedded(theta, emb, phi)
 
 
@@ -248,7 +249,7 @@ def test_empty_map_coherent_vs_not(k2):
     assert not reverse.is_identity()
     # still a valid automorphism of the subset graph
     b, _ = build_eppa_graph(sa)
-    assert check_map(b0_automorphism(sa, reverse, b), b, b, "automorphism")
+    assert check_map(b0_automorphism(sa, reverse, b), b, b)
 
 
 def test_non_coherent_mode_breaks_composition(k2):
@@ -277,7 +278,7 @@ def test_one_step_extension_property(a):
     assert _copy_token_fault(a, emb, sa.k) == ""
     for phi in enumerate_partial_automorphisms(a, len(a)):
         theta = b0_automorphism(sa, extend_by_permutation(sa, phi), b)
-        assert check_map(theta, b, b, "automorphism")
+        assert check_map(theta, b, b)
         assert _extends_embedded(theta, emb, phi)
 
 
@@ -553,7 +554,17 @@ def test_a_tower_free_extension_is_an_automorphism_of_the_final_space(sa):
     with mock.patch.object(pipeline, "check_map", side_effect=AssertionError("called")):
         for w in (built, loaded):
             for phi in maps:
-                assert check_map(extend_isometry(w, phi), w.final, w.final, "automorphism")
+                assert check_map(extend_isometry(w, phi), w.final, w.final)
+
+
+@settings(max_examples=20, deadline=None)
+@given(small_tower_free_spaces())
+def test_every_label_of_a_tower_free_witness_is_on_a_pair(sa):
+    # each label of A is on an edge x-y, and psi(x), psi(y) share its rank
+    built = build_witness(sa.graph)
+    loaded = witness_from_json(witness_to_json(built))
+    for g in witness_graphs(built) + witness_graphs(loaded):
+        assert every_label_on_a_pair(g)
 
 
 def test_intersection_numbers_count_the_subsets():
