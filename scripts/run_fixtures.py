@@ -16,8 +16,10 @@ with `check_map` outside the timer, or times the independent cross-check of each
 witness (the first run apart, then the median of four more) and prints its
 verdict, the path its final checks took
 (explicit, sweeping from every vertex, or through one vertex of a
-vertex-transitive B0) and, where the extension search ran, the number of
-assignments it attempted over all maps.  The exit
+vertex-transitive B0) and how the extension property was shown: "every map
+replayed" when the replay of every partial isometry passed, and, where the
+extension search ran, the number of assignments it attempted over all
+maps.  The exit
 code is 1 if a loaded witness differs from the built one or a witness
 fails its cross-check.
 
@@ -147,9 +149,11 @@ def run_one(name: str, g: EdgeLabelledGraph, args: argparse.Namespace) -> bool:
         ok = ok and report.ok
         failed = [r.name for r in report.results if not r.passed and not r.skipped]
         skipped = [r.name for r in report.results if r.skipped]
+        replayed = any(r.name == "extension-replay" and r.passed for r in report.results)
         print(f"   verify: {'PASS' if report.ok else 'FAIL'}, first in {1e3 * times[0]:.1f} ms"
               f" (builds the extension's tables), then {1e3 * statistics.median(times[1:]):.1f} ms"
               f" median of {WARM_VERIFY_RUNS}, final checks {report.path}"
+              + (", every map replayed" if replayed else "")
               + (f", {report.totals['search_assignments']} search assignments"
                  if "search_assignments" in report.totals else "")
               + (f", failed {', '.join(failed)}" if failed else "")

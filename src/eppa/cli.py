@@ -265,9 +265,10 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("verify", help="re-verify every layer of a stored witness")
     p.add_argument("witness")
     p.add_argument("--search-limit", type=_at_least(0), default=150,
-                   help="skip the brute-force extension search above this many vertices")
+                   help="skip the extension-property check above this many vertices; at or "
+                        "below it the brute-force search runs only where no replay passes")
     p.add_argument("--budget", type=_at_least(1), default=budget,
-                   help="node budget for brute-force searches")
+                   help="node budget for the short-cycle checks and the extension search")
     output(p)
     p.set_defaults(func=cmd_verify)
 

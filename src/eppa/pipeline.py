@@ -197,8 +197,20 @@ def extend_isometry(w: Witness, phi: PartialMap) -> PartialMap:
 
     `phi` may be written on input vertex names or on their images under
     `final_embedding`; the result is a total automorphism of `w.final`
-    (always on final vertex ids) extending the image form of `phi`.  On
-    B0, whose vertices must be the ids of the set assignment's Johnson
+    (always on final vertex ids) extending the image form of `phi`: the
+    permutation of final positions that `replay_positions` gives, named only
+    here.  It raises what `replay_positions` raises.
+    """
+    return _permutation_map(w.final.vertices, replay_positions(w, phi))
+
+
+def replay_positions(w: Witness, phi: PartialMap) -> np.ndarray:
+    """The replayed extension of a partial isometry of the copy, as a
+    permutation of the final space's vertex positions: entry i is the
+    position of the image of vertex i.  `phi` is read as by
+    `extend_isometry`.
+
+    On B0, whose vertices must be the ids of the set assignment's Johnson
     table (checked once per witness), it is the permutation of B0's vertex
     positions that the token permutation completing `phi` induces
     (`subset_automorphism`; a `phi` that is no partial isometry is refused
@@ -208,15 +220,19 @@ def extend_isometry(w: Witness, phi: PartialMap) -> PartialMap:
     map on B0's ids, lifted through the stored levels only (a level that is
     not stored is the one below renamed, and the lift there is the same
     map), restricted to the final space and checked as an isometry of it.
-    Without levels the result is the identity.
+    Without levels it is the identity.  Raises InvalidMap when the result
+    does not send the copy along `phi`, compared on positions.
     """
     phi_a = _as_input_map(w, phi)
     emb = w.final_embedding
     wanted = [(emb[x], emb[y]) for x, y in phi_a.items()]  # phi on final ids
-    theta = _replay(w, phi_a) if w.levels else PartialMap.identity(w.final.vertices)
-    if not all(theta.get(u) == v for u, v in wanted):
-        raise InvalidMap("extension does not agree with the requested map")
-    return theta
+    final = w.final
+    perm = _replay(w, phi_a) if w.levels else np.arange(len(final))
+    at = final.position
+    for u, v in wanted:
+        if u not in final or v not in final or perm.item(at(u)) != at(v):
+            raise InvalidMap("extension does not agree with the requested map")
+    return perm
 
 
 def _permutation_map(verts: tuple[str, ...], perm: np.ndarray) -> PartialMap:
@@ -224,18 +240,17 @@ def _permutation_map(verts: tuple[str, ...], perm: np.ndarray) -> PartialMap:
     return PartialMap._trusted(zip(verts, map(verts.__getitem__, perm.tolist())))
 
 
-def _replay(w: Witness, phi_a: PartialMap) -> PartialMap:
+def _replay(w: Witness, phi_a: PartialMap) -> np.ndarray:
     """The automorphism of the final space that the stored levels give for
-    a partial isometry of the input."""
+    a partial isometry of the input, on the final space's positions."""
     sa = w.set_assignment
     if sa is None:
         raise InvalidMap("witness carries no set assignment; cannot replay extensions")
     direct = w._replays_on_final
     perm = subset_automorphism(sa, extend_by_permutation(sa, phi_a))
-    verts = w.final.vertices
     if direct:
         # an automorphism, as pi keeps the shared-token counts that code the final space
-        return _permutation_map(verts, perm)
+        return perm
     hat = _permutation_map(w.levels[0].graph.vertices, perm)
     prev = w.levels[0]
     for lvl in w.levels[1:]:
@@ -247,15 +262,15 @@ def _replay(w: Witness, phi_a: PartialMap) -> PartialMap:
         if not hat.extends(phi_lvl):
             raise InvalidMap("lift failed to extend the requested map")
         prev = lvl
+    verts = w.final.vertices
     where = {u: i for i, u in enumerate(verts)}
     perm = np.fromiter((where.get(hat[u], -1) for u in verts), dtype=np.intp, count=len(verts))
     if (perm < 0).any():
         raise InvalidMap("extension does not preserve the final space")
     # a lift is injective, so perm permutes the positions
-    theta = _permutation_map(verts, perm)
-    if not check_map(theta, w.final, w.final):
+    if not check_map(_permutation_map(verts, perm), w.final, w.final):
         raise InvalidMap("restriction to the final space is not an isometry")
-    return theta
+    return perm
 
 
 def witness_stats(w: Witness) -> dict:

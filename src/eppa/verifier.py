@@ -28,14 +28,29 @@ entries, or of Python ints past int64:
   q-1 vertices, levels p+1..q-1 above stored level p have no bad sets, so
   each is level p under new names;
 - the completion is checked by Bellman's optimality condition, row by row,
-  and the metric and replayed isometries on the same matrices.  A replayed
-  map is turned into vertex positions once, and the label matrix, permuted
-  by two gathers of whole rows, is compared with its transpose
-  (`_permutes_labels`).
+  and the metric on the same matrix.
 
-The extension search holds the images each unassigned vertex may still take
-as an int bit mask.  It starts from the unused vertices with the same sorted
-label row, and placing v at w narrows every other vertex's mask with one AND
+Every partial isometry of the input is replayed (`replay_positions`) as a
+permutation of the final space's vertex positions, which must be a
+permutation of them and send the copy along the map.  Where B0 is all the
+k-subsets of m tokens and the final space is on B0's vertices with labels a
+function of the shared-token counts (the path through one vertex, below),
+a map is judged by token induction: a token bijection pi is read off the
+images of the subsets through each token, and the map must send every
+subset X to pi(X), which keeps every |X & Y| and so every label; that is
+O(V*m^2) per map for m tokens (`_token_induced`).  Any map that no token
+bijection induces, such as complementation when m = 2k, and every map on
+another witness, is judged by the label matrix, permuted by two gathers of
+whole rows and compared with its transpose (`_permutes_labels`), O(V^2).
+A passing replay checks a concrete extension of every partial isometry of
+the copy, so it proves the extension property.
+
+The brute-force extension search proves the property where no replay runs
+or the replay fails; after a failed replay it tells whether some extension
+exists, that is whether the operator missed one or the witness is wrong.
+It holds the images each unassigned vertex may still take as an int bit
+mask.  It starts from the unused vertices with the same sorted label row,
+and placing v at w narrows every other vertex's mask with one AND
 against the vertices at w's label for that pair (`_label_masks`, built once
 per graph).  It branches on the first forced vertex, or else the lowest one,
 and tries images from the lowest bit up; every attempted assignment counts
@@ -64,7 +79,7 @@ automorphism tests cannot vouch for itself.  Besides the exception types of
 - `EdgeLabelledGraph`, `PartialMap`, `LevelGraph` and `Witness`, data types;
 - `parse_level_vertex` and `parse_subset_id`, vertex id parsers, and
   `token_sort_key`, the order of the tokens in a subset id;
-- `extend_isometry`, the operator under test, whose results are judged here;
+- `replay_positions`, the operator under test, whose results are judged here;
 - `has_nonmetric_cycle_up_to`, the short-cycle check, which no construction
   step calls.
 """
@@ -75,8 +90,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, combinations, permutations, repeat
-from operator import itemgetter
+from itertools import chain, combinations, permutations
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -85,7 +99,7 @@ from .completion import has_nonmetric_cycle_up_to
 from .errors import BudgetExhausted, EppaError, GraphFormatError
 from .graphs import EdgeLabelledGraph, PartialMap
 from .levels import LevelGraph, parse_level_vertex
-from .pipeline import Witness, extend_isometry
+from .pipeline import Witness, replay_positions
 from .setrep import parse_subset_id, token_sort_key
 
 # Most vertex sets the bad-set scan of one level looks at; above it the
@@ -193,25 +207,47 @@ def _int_type(top: int) -> type:
     return next((t for t, most in _INT_TYPES if top <= most), object)
 
 
-def _permutes_labels(
-    theta: PartialMap, verts: tuple[str, ...], index: dict[str, int], mat: np.ndarray,
-    flipped: np.ndarray,
-) -> bool:
-    """Is theta a bijection of the vertices `verts`, in that order the rows
-    of the label matrix and the keys of `index`, that keeps every entry of
-    the matrix?  A map's domain is ascending, and so are a graph's vertices.
+def _as_permutation(perm: object, n: int) -> np.ndarray | None:
+    """`perm` as an integer array when it is a permutation of range(n),
+    else None."""
+    perm = np.asarray(perm)
+    if perm.shape != (n,) or perm.dtype.kind not in "iu":
+        return None
+    if n and (perm.min() < 0 or perm.max() >= n):
+        return None
+    hit = np.zeros(n, dtype=bool)
+    hit[perm] = True
+    return perm if hit.all() else None
+
+
+def _permutes_labels(perm: np.ndarray, mat: np.ndarray, flipped: np.ndarray) -> bool:
+    """Does the permutation `perm` of the label matrix's rows keep every
+    entry of the matrix?
 
     `flipped` is the matrix transposed, as a contiguous copy.  E = M[p].T[p]
     gathers whole rows only, which is faster than gathering columns, and
     E[a, b] = M[p_b, p_a], so E equals `flipped` exactly when M[p_a, p_b] =
     M[a, b] for every pair."""
-    if theta.domain() != verts:
-        return False
-    perm = list(map(index.get, map(itemgetter(1), theta.items()), repeat(-1)))
-    if -1 in perm:
-        return False
-    perm = np.array(perm, dtype=np.intp)
     return bool((mat.take(perm, 0).T.take(perm, 0) == flipped).all())
+
+
+def _token_induced(perm: np.ndarray, tokens: np.ndarray) -> bool:
+    """Does the permutation `perm` of k-subsets send every subset X to pi(X)
+    for one bijection pi of the tokens?  `tokens` is the tokens-by-subsets
+    incidence of distinct k-subsets, in float64, whose products here are
+    exact: they count subsets, far fewer than 2**53.
+
+    Row t of the image incidence holds the subsets whose image holds t, and
+    pi(t) is read off tokens @ image.T, whose entry (t, s) counts the subsets
+    through t whose image holds s: it is the s that every such image holds,
+    the largest count of row t when pi exists.  Then the image of each X is
+    pi(X) exactly when row pi(t) of the image incidence is row t of the
+    incidence, for every t.  The product is O(V*m^2) for V subsets of m
+    tokens, and the comparison O(V*m)."""
+    img = tokens.take(perm, 1)
+    pi = (tokens @ img.T).argmax(axis=1)
+    return bool((np.bincount(pi, minlength=len(pi)) == 1).all()
+                and np.array_equal(img.take(pi, 0), tokens))
 
 
 def enumerate_partial_automorphisms(
@@ -592,15 +628,24 @@ def _copy_token_fault(a: EdgeLabelledGraph, copy: PartialMap, k: int) -> str:
     return ""
 
 
-def _shared_token_counts(sets: list[frozenset[str]]) -> np.ndarray:
-    """|X & Y| for each pair of the token sets, as exact integers: the
-    popcounts of the AND of their token bits, eight tokens to a byte."""
+def _token_incidence(sets: list[frozenset[str]]) -> np.ndarray:
+    """The sets-by-tokens incidence of the token sets, as booleans, one
+    column per token of their union."""
     token_of = {t: p for p, t in enumerate(set().union(*sets))}
     sizes = [len(s) for s in sets]
     tokens = np.fromiter(map(token_of.__getitem__, chain.from_iterable(sets)), dtype=np.intp)
     incidence = np.zeros((len(sets), len(token_of)), dtype=bool)
     incidence[np.repeat(np.arange(len(sets)), sizes), tokens] = True
-    shared = np.zeros((len(sets), len(sets)), dtype=np.min_scalar_type(max(sizes, default=0)))
+    return incidence
+
+
+def _shared_token_counts(incidence: np.ndarray) -> np.ndarray:
+    """|X & Y| for each pair of the token sets of the incidence's rows, as
+    exact integers: the popcounts of the AND of their token bits, eight
+    tokens to a byte."""
+    n = len(incidence)
+    most = incidence.sum(axis=1).max(initial=0)
+    shared = np.zeros((n, n), dtype=np.min_scalar_type(most))
     both = np.empty(shared.shape, dtype=np.uint8)
     for byte in np.packbits(incidence, axis=1).T.copy():  # a contiguous row per eight tokens
         np.bitwise_and(byte[:, None], byte, out=both)
@@ -610,13 +655,14 @@ def _shared_token_counts(sets: list[frozenset[str]]) -> np.ndarray:
 
 def _check_subset_level(
     report: VerificationReport, w: Witness, scale: int, matrix: _Matrix
-) -> np.ndarray | None:
+) -> tuple[np.ndarray, np.ndarray] | None:
     """Check the subset level B0 against the set assignment.  Returns the
-    shared-token counts of its vertices, read off their ids, when its
-    vertices are all the k-subsets of the tokens and its labels a function
-    of those counts (`subset-vertices` and `subset-edge-rule` pass): then
-    every token permutation is an automorphism of B0, and these act
-    transitively on its vertices.  Returns None otherwise."""
+    token incidence of its vertices and their shared-token counts, read off
+    their ids, when its vertices are all the k-subsets of the tokens and its
+    labels a function of those counts (`subset-vertices` and
+    `subset-edge-rule` pass): then every token permutation is an
+    automorphism of B0, and these act transitively on its vertices.
+    Returns None otherwise."""
     lvl = w.levels[0]
     g = lvl.graph
     sa = w.set_assignment
@@ -637,7 +683,8 @@ def _check_subset_level(
     spectrum = w.input.spectrum()
     n = len(spectrum)
     verts = g.vertices
-    shared = _shared_token_counts([parse_subset_id(vid) for vid in verts])
+    incidence = _token_incidence([parse_subset_id(vid) for vid in verts])
+    shared = _shared_token_counts(incidence)
     values = [d.numerator * (scale // d.denominator) for d in spectrum]
     # no two sets share more tokens than either of them holds
     by_count = np.full(int(shared.diagonal().max(initial=0)) + 1, -1,
@@ -661,7 +708,7 @@ def _check_subset_level(
     if ok and sa is not None:
         ok = all(parse_subset_id(emb[x]) == frozenset(sa.psi[x]) for x in w.input.vertices)
     report.add("subset-embedding", ok)
-    return shared if all_subsets and bad is None else None
+    return (incidence, shared) if all_subsets and bad is None else None
 
 
 def _expected_anchor_bit(m, x: str, copy: set[str]) -> int:
@@ -908,14 +955,57 @@ def _sweep_sources(w: Witness, shared: np.ndarray | None, final_mat: np.ndarray)
     return [0] if np.array_equal(final_mat, by_share.take(shared)) else None
 
 
+def _check_replay(
+    report: VerificationReport, w: Witness, final_matrix: _Matrix, tokens: np.ndarray | None
+) -> CheckResult:
+    """The `extension-replay` verdict: every partial isometry of the input,
+    replayed by `replay_positions`, must give a permutation of the final
+    positions that sends the copy along the map and keeps every label.  The
+    first map that fails, or whose replay raises, is the counterexample.
+
+    `tokens` is the tokens-by-vertices incidence of the final space when its
+    vertices are all the k-subsets and its labels a function of their
+    shared-token counts (`_sweep_sources` gave [0]).  A map is then accepted
+    when a token bijection induces it (`_token_induced`); any other map, and
+    every map without `tokens`, is judged by the gather of the whole label
+    matrix (`_permutes_labels`)."""
+    index, mat = final_matrix
+    flipped = np.ascontiguousarray(mat.T)
+    emb = w.final_embedding
+    at = {x: index.get(emb.get(x), -1) for x in w.input.vertices}  # the copy's positions
+    for phi in enumerate_partial_automorphisms(w.input, len(w.input)):
+        shown = dict(phi.items())
+        try:
+            perm = replay_positions(w, phi)
+        except EppaError as exc:
+            return CheckResult("extension-replay", False, f"replay raised for {shown}: {exc}",
+                               counterexample=phi)
+        report.count("partial_maps_replayed")
+        perm = _as_permutation(perm, len(mat))
+        src = [at[x] for x, _ in phi.items()]
+        dst = [at[y] for _, y in phi.items()]
+        if (perm is None or -1 in src or perm[src].tolist() != dst
+                or not ((tokens is not None and _token_induced(perm, tokens))
+                        or _permutes_labels(perm, mat, flipped))):
+            return CheckResult("extension-replay", False, f"replay failed for {shown}",
+                               counterexample=phi)
+    return CheckResult("extension-replay", True)
+
+
 def cross_check(w: Witness, budget: int = 10_000_000, search_limit: int = 150) -> VerificationReport:
     """Re-derive and re-verify every stored layer of a witness.
 
-    Structure is checked unconditionally; the brute-force extension search
-    over all partial isometries of the copy also runs when the final space
-    has at most `search_limit` vertices, otherwise that step is reported as
-    skipped.  It fails without a search when the stored copy fails
-    `copy-distances`.
+    Structure is checked unconditionally, and every partial isometry of the
+    input is replayed and judged (`_check_replay`) when the witness has a
+    set assignment and levels.  `extension-property-search` is reported
+    as skipped when the final space has more than `search_limit` vertices,
+    and fails without a search when the stored copy fails `copy-distances`.
+    Otherwise a passing replay proves it with no search: the replay checks
+    a concrete extension of every partial isometry of the copy, which
+    `copy-distances` matches one to one with those of the input.  Only
+    where no replay runs or the replay fails does the brute-force search
+    over all partial isometries of the copy run, under `budget`.  `budget`
+    also bounds the short-cycle checks.
     """
     report = VerificationReport()
     _check_metric(report, w.input, "input-metric")
@@ -926,12 +1016,14 @@ def cross_check(w: Witness, budget: int = 10_000_000, search_limit: int = 150) -
 
     if w.levels:
         matrices = [_label_matrix(g, scale) for g in graphs]
-        shared = None
+        proof = None
         if w.set_assignment is not None:
-            shared = _check_subset_level(report, w, scale, matrices[0])
-        sources = _sweep_sources(w, shared, final_matrix[1])
+            proof = _check_subset_level(report, w, scale, matrices[0])
+        sources = _sweep_sources(w, None if proof is None else proof[1], final_matrix[1])
+        tokens = None
         if sources is not None:
             report.path = THROUGH_ONE_VERTEX
+            tokens = np.ascontiguousarray(proof[0].T, dtype=np.float64)
         for idx in range(len(w.levels)):
             if idx:
                 _check_transition(report, w, idx, matrices)
@@ -954,10 +1046,13 @@ def cross_check(w: Witness, budget: int = 10_000_000, search_limit: int = 150) -
                    "" if ok else "final vertices differ from the copy's component in the top level")
         _check_completion(report, w, scale, matrices[-1], final_matrix, sources)
     else:
-        sources = None
+        sources = tokens = None
         report.add("trivial-tower", len(w.input) == 1 and w.final == w.input)
 
     _check_metric(report, w.final, "final-metric", final_matrix, sources)
+    replay = None
+    if w.set_assignment is not None and w.levels:
+        replay = _check_replay(report, w, final_matrix, tokens)
 
     emb = w.final_embedding
     emb_ok = set(emb.domain()) == set(w.input.vertices) and all(v in w.final for v in emb.image())
@@ -970,7 +1065,14 @@ def cross_check(w: Witness, budget: int = 10_000_000, search_limit: int = 150) -
 
     if not emb_ok:  # no copy of the input to search from
         report.add("extension-property-search", False, "the stored copy fails copy-distances")
-    elif len(w.final) <= search_limit:
+    elif len(w.final) > search_limit:
+        report.add(
+            "extension-property-search", True,
+            f"final space has {len(w.final)} vertices > {search_limit}", skipped=True,
+        )
+    elif replay is not None and replay.passed:
+        report.add("extension-property-search", True, "every partial isometry replayed")
+    else:
         sub = verify_eppa(w.final, [emb[x] for x in w.input.vertices], budget=budget)
         report.count("partial_maps_searched", sub.totals.get("partial_maps", 0))
         report.count("search_assignments", sub.totals.get("search_assignments", 0))
@@ -990,34 +1092,7 @@ def cross_check(w: Witness, budget: int = 10_000_000, search_limit: int = 150) -
             )
         else:
             report.add("extension-property-search", True)
-    else:
-        report.add(
-            "extension-property-search", True,
-            f"final space has {len(w.final)} vertices > {search_limit}", skipped=True,
-        )
 
-    if w.set_assignment is not None and w.levels:
-        index, mat = final_matrix
-        flipped = np.ascontiguousarray(mat.T)
-        replay_ok = True
-        detail = ""
-        offender = None
-        for phi in enumerate_partial_automorphisms(w.input, len(w.input)):
-            try:
-                theta = extend_isometry(w, phi)
-            except EppaError as exc:
-                replay_ok = False
-                detail = f"replay raised for {dict(phi.items())}: {exc}"
-                offender = phi
-                break
-            report.count("partial_maps_replayed")
-            target = {emb[x]: emb[phi[x]] for x in phi.domain()}
-            if not _permutes_labels(theta, w.final.vertices, index, mat, flipped) or any(
-                theta.get(u) != v for u, v in target.items()
-            ):
-                replay_ok = False
-                detail = f"replay failed for {dict(phi.items())}"
-                offender = phi
-                break
-        report.add("extension-replay", replay_ok, detail, counterexample=offender)
+    if replay is not None:
+        report.results.append(replay)
     return report

@@ -230,7 +230,13 @@ def _k2_witness():
 
 
 def test_verify_budget_exhaustion_exit_code(tmp_path, capsys):
-    wpath = write_witness(tmp_path, "w.json", _k2_witness())
+    # the (1,3,3) triangle's top-level short-cycle check counts row sweeps
+    # against the budget; its replay proves the extension property, so no
+    # extension search spends any
+    from eppa import graph_from_triples
+
+    t133 = graph_from_triples(["x", "y", "z"], [("x", "y", 1), ("x", "z", 3), ("y", "z", 3)])
+    wpath = write_witness(tmp_path, "w.json", build_witness(t133))
     rc = main(["verify", wpath, "--budget", "2"])
     out = capsys.readouterr().out
     assert rc == 2

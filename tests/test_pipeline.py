@@ -226,6 +226,17 @@ def test_input_and_final_forms_agree(k2_witness):
     assert extend_isometry(w, swap) == extend_isometry(w, swap_final)
 
 
+def test_extend_isometry_names_the_replayed_positions(k2_witness, t112_witness):
+    # replay_positions is the operator; extend_isometry only names its result
+    for w in (k2_witness, t112_witness):
+        verts = w.final.vertices
+        for phi in enumerate_partial_automorphisms(w.input, len(w.input)):
+            perm = pipeline.replay_positions(w, phi)
+            assert sorted(perm.tolist()) == list(range(len(verts)))
+            named = PartialMap(zip(verts, map(verts.__getitem__, perm.tolist())))
+            assert extend_isometry(w, phi) == named
+
+
 # -- rejected inputs ----------------------------------------------------------------
 
 

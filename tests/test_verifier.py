@@ -36,8 +36,9 @@ from eppa import (
     shortest_path_completion,
     verify_eppa,
 )
+from eppa.errors import InvalidMap
 from eppa.graphs import EdgeLabelledGraph
-from eppa.setrep import parse_subset_id
+from eppa.setrep import parse_subset_id, token_sort_key
 from eppa.verifier import _label_matrix
 from conftest import connected_graphs, small_corpus, small_tower_free_spaces
 
@@ -96,11 +97,17 @@ def test_the_budget_runs_out_one_assignment_before_the_count(request, fixture):
 
 
 def test_cross_check_counts_the_search_assignments(k2_witness, t112_witness):
-    # pinned: these counts move with the search order or the budget rule
+    # pinned: these counts move with the search order or the budget rule;
+    # cross_check searches none of these witnesses, whose replay passes
     t111 = build_witness(graph_from_triples(
         ["x", "y", "z"], [("x", "y", 1), ("x", "z", 1), ("y", "z", 1)]))
-    got = [cross_check(w).totals["search_assignments"] for w in (k2_witness, t111, t112_witness)]
+    witnesses = (k2_witness, t111, t112_witness)
+    got = [verify_eppa(w.final, w.final_embedding.image()).totals["search_assignments"]
+           for w in witnesses]
     assert got == [13, 617, 1505]
+    for w in witnesses:
+        totals = cross_check(w).totals
+        assert "search_assignments" not in totals and "partial_maps_searched" not in totals
 
 
 def test_search_agrees_with_naive_oracle(t113):
@@ -218,7 +225,7 @@ def test_verify_eppa_rejects_unknown_copy(t112):
 def test_cross_check_two_point(k2_witness):
     report = cross_check(k2_witness)
     assert report.ok
-    assert report.totals["partial_maps_searched"] == 7
+    assert "partial_maps_searched" not in report.totals
     assert report.totals["partial_maps_replayed"] == 7
     assert report.totals.get("level_transitions_checked", 0) == 0
     names = {r.name for r in report.results}
@@ -233,7 +240,7 @@ def test_cross_check_three_point(t112_witness, demo_witness):
     report = cross_check(t112_witness)
     assert report.ok
     assert report.totals.get("level_transitions_checked", 0) == 0
-    assert report.totals["partial_maps_searched"] == 22
+    assert "partial_maps_searched" not in report.totals
     assert report.totals["partial_maps_replayed"] == 22
     assert "top-level-no-bad-cycles" in {r.name for r in report.results}
 
@@ -717,25 +724,42 @@ def test_bad_set_scan_above_its_bound_is_skipped(demo_witness, monkeypatch):
 # -- the replay check judges the operator's output itself ------------------------------
 
 
-def _break_one_label(w, theta):
-    """Swap the images of two vertices outside the copy that some third
-    vertex tells apart; the result is still a bijection extending the map."""
+def replay_once(monkeypatch, make):
+    """Patch the verifier's replay so that the empty map, which cross_check
+    replays first, gets the permutation make(witness, perm) in place of
+    the replayed perm; returns the list of maps replayed."""
+    real = verifier.replay_positions
+    asked = []
+
+    def replay(witness, phi):
+        asked.append(phi)
+        perm = real(witness, phi)
+        return make(witness, perm) if not len(phi) else perm
+
+    monkeypatch.setattr(verifier, "replay_positions", replay)
+    return asked
+
+
+def _break_one_label(w, perm):
+    """Swap the images of two positions outside the copy that some third
+    vertex tells apart; the result is still a permutation extending the map."""
     emb_image = set(w.final_embedding.image())
-    free = [v for v in w.final.vertices if v not in emb_image]
-    for i, u in enumerate(free):
-        for v in free[i + 1:]:
-            if any(w.final.label(u, z) != w.final.label(v, z)
-                   for z in w.final.vertices if z not in (u, v)):
-                table = dict(theta.items())
-                table[u], table[v] = table[v], table[u]
-                return PartialMap(table)
+    verts = w.final.vertices
+    free = [i for i, v in enumerate(verts) if v not in emb_image]
+    for n, i in enumerate(free):
+        for j in free[n + 1:]:
+            if any(w.final.label(verts[i], z) != w.final.label(verts[j], z)
+                   for z in verts if z not in (verts[i], verts[j])):
+                perm = perm.copy()
+                perm[[i, j]] = perm[[j, i]]
+                return perm
     raise AssertionError("every pair outside the copy is a pair of twins")
 
 
-def _drop_one_vertex(w, theta):
+def _drop_one_vertex(w, perm):
+    """Drop the position of the first vertex outside the copy."""
     emb_image = set(w.final_embedding.image())
-    dropped = next(v for v in w.final.vertices if v not in emb_image)
-    return PartialMap((u, v) for u, v in theta.items() if u != dropped)
+    return np.delete(perm, next(i for i, v in enumerate(w.final.vertices) if v not in emb_image))
 
 
 # The two-point witness's final space is an equilateral triangle, where every
@@ -751,19 +775,124 @@ def _drop_one_vertex(w, theta):
 )
 def test_replay_rejects_a_defective_extension(request, monkeypatch, fixture, defect):
     w = request.getfixturevalue(fixture)
-    real = verifier.extend_isometry
-    asked = []
-
-    def defective(witness, phi):
-        asked.append(phi)
-        return defect(witness, real(witness, phi))
-
-    monkeypatch.setattr(verifier, "extend_isometry", defective)
+    asked = replay_once(monkeypatch, defect)
     report = cross_check(w, search_limit=0)
     offenders = failing(report, "extension-replay")
     assert offenders and offenders[0].counterexample == asked[-1]
     assert len(asked) == 1  # the first replayed map, the empty one, already fails
     assert [r.name for r in report.results if not r.passed] == ["extension-replay"]
+
+
+def record_gathers(monkeypatch):
+    """Patch the label gather to log each permutation it judges."""
+    calls = []
+    gather = verifier._permutes_labels
+    monkeypatch.setattr(verifier, "_permutes_labels",
+                        lambda perm, *mats: calls.append(perm) or gather(perm, *mats))
+    return calls
+
+
+def _complement(w, perm):
+    """Each k-subset of the final space to its complement, m = 2k."""
+    verts = w.final.vertices
+    where = {v: i for i, v in enumerate(verts)}
+    universe = set(w.set_assignment.universe)
+    ids = ("{" + "|".join(sorted(universe - parse_subset_id(v), key=token_sort_key)) + "}"
+           for v in verts)
+    return np.fromiter(map(where.__getitem__, ids), dtype=np.intp, count=len(verts))
+
+
+def test_token_induced_replays_are_accepted_without_the_gather(t112_witness, k2_witness,
+                                                               monkeypatch):
+    # every replayed map of these witnesses comes from a token permutation
+    def no_gather(*args):
+        raise AssertionError("the label gather ran")
+
+    monkeypatch.setattr(verifier, "_permutes_labels", no_gather)
+    for w in (k2_witness, t112_witness):
+        report = cross_check(w)
+        assert report.ok and report.path == verifier.THROUGH_ONE_VERTEX
+        assert report.totals["partial_maps_replayed"] == len(
+            list(enumerate_partial_automorphisms(w.input, len(w.input))))
+
+
+def test_a_permutation_no_token_bijection_induces_goes_to_the_gather(t112_witness, monkeypatch):
+    # m = 8 = 2k on the (1,1,2) triangle, so complementing every subset keeps
+    # every shared-token count: an automorphism, and a valid extension of the
+    # empty map, that no token permutation induces
+    w = t112_witness
+    m, k = len(w.set_assignment.universe), w.set_assignment.k
+    assert m == 2 * k
+    asked = replay_once(monkeypatch, _complement)
+    gathered = record_gathers(monkeypatch)
+    report = cross_check(w)
+    assert report.ok and len(asked) == 22
+    assert len(gathered) == 1 and gathered[0].tolist() == _complement(w, None).tolist()
+
+    # a swap of two positions that a third vertex tells apart breaks a label
+    asked = replay_once(monkeypatch, _break_one_label)
+    gathered.clear()
+    report = cross_check(w, search_limit=0)
+    offenders = failing(report, "extension-replay")
+    assert offenders and offenders[0].counterexample == asked[0] == PartialMap({})
+    assert offenders[0].detail == "replay failed for {}"
+    assert len(asked) == 1 and len(gathered) == 1
+
+
+@pytest.mark.parametrize("defect", [
+    lambda perm: perm[:-1],
+    lambda perm: np.concatenate([perm, perm[:1]]),
+    lambda perm: np.concatenate([perm[:1], perm[:-1]]),
+    lambda perm: np.where(perm == perm.max(), len(perm), perm),
+    lambda perm: np.where(perm == perm.max(), -1, perm),
+    lambda perm: perm.astype(float),
+], ids=["short", "long", "repeated", "out-of-range", "negative", "float"])
+def test_a_replay_that_is_no_permutation_fails_without_a_traceback(t112_witness, monkeypatch,
+                                                                   defect):
+    w = t112_witness
+    asked = replay_once(monkeypatch, lambda witness, perm: defect(perm))
+    report = cross_check(w, search_limit=0)
+    offenders = failing(report, "extension-replay")
+    assert offenders and offenders[0].counterexample == PartialMap({}) and len(asked) == 1
+    assert [r.name for r in report.results if not r.passed] == ["extension-replay"]
+
+
+def test_the_search_runs_only_where_the_replay_proves_nothing(t112_witness, demo_witness,
+                                                              monkeypatch):
+    # a replay that fails one map: the 70-point final space is searched, and
+    # the search finds an extension of every partial isometry of the copy
+    w = t112_witness
+    real = verifier.replay_positions
+    maps = list(enumerate_partial_automorphisms(w.input, len(w.input)))
+    fifth = maps[4]
+
+    def replay(witness, phi):
+        if phi == fifth:
+            raise InvalidMap("a planted fault")
+        return real(witness, phi)
+
+    monkeypatch.setattr(verifier, "replay_positions", replay)
+    report = cross_check(w)
+    assert report.totals["partial_maps_searched"] == 22
+    assert report.totals["partial_maps_replayed"] == 4
+    assert [r.name for r in report.results if not r.passed] == ["extension-replay"]
+    replay_result = failing(report, "extension-replay")[0]
+    assert replay_result.counterexample == fifth
+    assert replay_result.detail.endswith(": a planted fault")
+    monkeypatch.undo()
+
+    # the replay passes: the search is proved, not run, and keeps its place
+    names = [r.name for r in cross_check(w).results]
+    assert names[-3:] == ["copy-distances", "extension-property-search", "extension-replay"]
+    search = next(r for r in cross_check(w).results if r.name == "extension-property-search")
+    assert search.passed and not search.skipped
+    assert search.detail == "every partial isometry replayed"
+
+    # without a set assignment nothing is replayed, and the search runs
+    report = cross_check(demo_witness)
+    assert report.ok and "partial_maps_replayed" not in report.totals
+    assert report.totals["partial_maps_searched"] > 0
+    assert report.totals["search_assignments"] > 0
 
 
 # -- labels past int64 -----------------------------------------------------------------
@@ -832,7 +961,7 @@ def test_label_matrices_are_exact_at_each_type_boundary(bound, denominator):
 def test_subset_level_counts_are_the_shared_tokens(m, k):
     # (17, 3) packs its tokens into three bytes; at (300, 299) counts pass 255
     sets = [frozenset(f"t{p}" for p in combo) for combo in combinations(range(m), k)]
-    shared = verifier._shared_token_counts(sets)
+    shared = verifier._shared_token_counts(verifier._token_incidence(sets))
     assert shared.dtype == np.min_scalar_type(k)
     assert shared.tolist() == [[len(x & y) for y in sets] for x in sets]
 
