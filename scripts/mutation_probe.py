@@ -31,7 +31,8 @@ Construction mutations:
     (`induced_nonmetric_cycles_at` looks for cycles one vertex longer)
   * one anchor bit of the embedded copy flipped (`anchor_valuations`)
   * one member dropped from a non-empty flip set (`compute_flip_set`)
-  * two tokens matched to each other's images (`subset_automorphism`)
+  * two tokens matched to each other's images, in every token permutation
+    of a batch (`subset_automorphism`)
   * one unlabelled class distance raised by one scaled unit in the class
     table's ranks (`ClassTable.codes`), which the tower-free final space
     reads and the build's own class check does not
@@ -206,14 +207,18 @@ def flip_member_dropped(real, fired):
 
 
 def tokens_mismatched(real, fired):
-    def mutant(sa, pi):
+    def swapped(pi):
         tokens = sorted(pi.domain(), key=token_sort_key)
         table = dict(pi.items())
         if len(tokens) > 1:
             t0, t1 = tokens[:2]
             table[t0], table[t1] = pi[t1], pi[t0]
-        got = real(sa, PartialMap(table))
-        if not np.array_equal(got, real(sa, pi)):
+        return PartialMap(table)
+
+    # every permutation of the batch has its first two tokens' images swapped
+    def mutant(sa, pis):
+        got = real(sa, [swapped(pi) for pi in pis])
+        if not np.array_equal(got, real(sa, pis)):
             fired.append(True)
         return got
     return mutant

@@ -14,6 +14,7 @@ call alone (the first apart, as it builds the lazy colex and token tables,
 then the median and p90 per map over the others) and checking each result
 with `check_map` outside the timer, or times the independent cross-check of each
 witness (the first run apart, then the median of four more) and prints its
+traced peak (`tracemalloc`, in MB, of one more, untimed run), its
 verdict, the path its final checks took
 (explicit, sweeping from every vertex, or through one vertex of a
 vertex-transitive B0) and how the extension property was shown: "every map
@@ -146,13 +147,18 @@ def run_one(name: str, g: EdgeLabelledGraph, args: argparse.Namespace) -> bool:
             t0 = time.perf_counter()
             report = cross_check(w)
             times.append(time.perf_counter() - t0)
+        tracemalloc.start()  # apart from the timed runs, which tracing would slow
+        cross_check(w)
+        verify_mb = tracemalloc.get_traced_memory()[1] / 1e6
+        tracemalloc.stop()
         ok = ok and report.ok
         failed = [r.name for r in report.results if not r.passed and not r.skipped]
         skipped = [r.name for r in report.results if r.skipped]
         replayed = any(r.name == "extension-replay" and r.passed for r in report.results)
         print(f"   verify: {'PASS' if report.ok else 'FAIL'}, first in {1e3 * times[0]:.1f} ms"
               f" (builds the extension's tables), then {1e3 * statistics.median(times[1:]):.1f} ms"
-              f" median of {WARM_VERIFY_RUNS}, final checks {report.path}"
+              f" median of {WARM_VERIFY_RUNS}, traced peak {verify_mb:.2f} MB,"
+              f" final checks {report.path}"
               + (", every map replayed" if replayed else "")
               + (f", {report.totals['search_assignments']} search assignments"
                  if "search_assignments" in report.totals else "")

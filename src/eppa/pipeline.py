@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -198,41 +199,46 @@ def extend_isometry(w: Witness, phi: PartialMap) -> PartialMap:
     `phi` may be written on input vertex names or on their images under
     `final_embedding`; the result is a total automorphism of `w.final`
     (always on final vertex ids) extending the image form of `phi`: the
-    permutation of final positions that `replay_positions` gives, named only
-    here.  It raises what `replay_positions` raises.
+    permutation of final positions that `replay_positions` gives for the
+    batch of one, named only here.  It raises what `replay_positions` raises.
     """
-    return _permutation_map(w.final.vertices, replay_positions(w, phi))
+    return _permutation_map(w.final.vertices, replay_positions(w, [phi])[0])
 
 
-def replay_positions(w: Witness, phi: PartialMap) -> np.ndarray:
-    """The replayed extension of a partial isometry of the copy, as a
-    permutation of the final space's vertex positions: entry i is the
-    position of the image of vertex i.  `phi` is read as by
+def replay_positions(w: Witness, phis: Sequence[PartialMap]) -> np.ndarray:
+    """The replayed extensions of partial isometries of the copy, as an
+    (M, V) array with one row per map: row j is a permutation of the final
+    space's vertex positions whose entry i is the position of the image of
+    vertex i under the extension of phis[j].  Each map is read as by
     `extend_isometry`.
 
     On B0, whose vertices must be the ids of the set assignment's Johnson
-    table (checked once per witness), it is the permutation of B0's vertex
-    positions that the token permutation completing `phi` induces
-    (`subset_automorphism`; a `phi` that is no partial isometry is refused
-    by `extend_by_permutation`).
-    When the final space is all of B0 the permutation applies to it as it
-    is, an automorphism by construction (see above); otherwise it becomes a
-    map on B0's ids, lifted through the stored levels only (a level that is
+    table (checked once per witness), a row is the permutation of B0's
+    vertex positions that the token permutation completing its map induces;
+    the rows of the batch come from one `subset_automorphism` call, and a map
+    that is no partial isometry is refused by `extend_by_permutation`.
+    When the final space is all of B0 a row applies to it as it is, an
+    automorphism by construction (see above); otherwise each becomes a map
+    on B0's ids, lifted through the stored levels only (a level that is
     not stored is the one below renamed, and the lift there is the same
     map), restricted to the final space and checked as an isometry of it.
-    Without levels it is the identity.  Raises InvalidMap when the result
-    does not send the copy along `phi`, compared on positions.
+    Without levels every row is the identity.  Raises InvalidMap when a row
+    does not send the copy along its map, compared on positions; a batch
+    raises when any of its maps would alone.
     """
-    phi_a = _as_input_map(w, phi)
+    phis_a = [_as_input_map(w, phi) for phi in phis]
     emb = w.final_embedding
-    wanted = [(emb[x], emb[y]) for x, y in phi_a.items()]  # phi on final ids
+    wanted = [(j, emb[x], emb[y]) for j, phi in enumerate(phis_a) for x, y in phi.items()]
     final = w.final
-    perm = _replay(w, phi_a) if w.levels else np.arange(len(final))
+    if w.levels:
+        perms = _replay(w, phis_a)
+    else:
+        perms = np.tile(np.arange(len(final)), (len(phis_a), 1))
     at = final.position
-    for u, v in wanted:
-        if u not in final or v not in final or perm.item(at(u)) != at(v):
+    for j, u, v in wanted:
+        if u not in final or v not in final or perms.item(j, at(u)) != at(v):
             raise InvalidMap("extension does not agree with the requested map")
-    return perm
+    return perms
 
 
 def _permutation_map(verts: tuple[str, ...], perm: np.ndarray) -> PartialMap:
@@ -240,17 +246,24 @@ def _permutation_map(verts: tuple[str, ...], perm: np.ndarray) -> PartialMap:
     return PartialMap._trusted(zip(verts, map(verts.__getitem__, perm.tolist())))
 
 
-def _replay(w: Witness, phi_a: PartialMap) -> np.ndarray:
-    """The automorphism of the final space that the stored levels give for
-    a partial isometry of the input, on the final space's positions."""
+def _replay(w: Witness, phis_a: list[PartialMap]) -> np.ndarray:
+    """The automorphisms of the final space that the stored levels give for
+    partial isometries of the input, one row of final positions per map."""
     sa = w.set_assignment
     if sa is None:
         raise InvalidMap("witness carries no set assignment; cannot replay extensions")
     direct = w._replays_on_final
-    perm = subset_automorphism(sa, extend_by_permutation(sa, phi_a))
+    perms = subset_automorphism(sa, [extend_by_permutation(sa, phi_a) for phi_a in phis_a])
     if direct:
-        # an automorphism, as pi keeps the shared-token counts that code the final space
-        return perm
+        # automorphisms, as pi keeps the shared-token counts that code the final space
+        return perms
+    lifted = [_lift(w, phi_a, perm) for phi_a, perm in zip(phis_a, perms)]
+    return np.array(lifted, dtype=np.intp).reshape(len(lifted), len(w.final))
+
+
+def _lift(w: Witness, phi_a: PartialMap, perm: np.ndarray) -> np.ndarray:
+    """A permutation of B0's positions that extends `phi_a`, lifted through
+    the stored levels and restricted to the final space's positions."""
     hat = _permutation_map(w.levels[0].graph.vertices, perm)
     prev = w.levels[0]
     for lvl in w.levels[1:]:

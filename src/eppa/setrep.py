@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -142,11 +142,13 @@ class JohnsonTable:
         return weights, slots
 
     def image(self, dest: np.ndarray) -> np.ndarray:
-        """The vertex positions of the subsets that `dest`, a permutation of
-        the token positions, makes of the vertices, in vertex order."""
+        """The vertex positions of the subsets that each row of `dest`, an
+        (M, m) array of permutations of the token positions, makes of the
+        vertices, in vertex order: an (M, V) array, one row per permutation."""
         weights, slots = self._colex
-        rows = np.sort(dest[self.members], axis=1)
-        return slots[weights[rows, np.arange(rows.shape[1])].sum(axis=1)]
+        rows = dest.take(self.members, axis=1)  # (M, V, k)
+        rows.sort(axis=2)
+        return slots.take(weights[rows, np.arange(rows.shape[2])].sum(axis=2))
 
 
 class TokenTable:
@@ -447,20 +449,25 @@ def extend_by_permutation(sa: SetAssignment, phi: PartialMap) -> PartialMap:
     return PartialMap._trusted((universe[p], universe[dest[p]]) for p in table.by_name)
 
 
-def subset_automorphism(sa: SetAssignment, pi: PartialMap) -> np.ndarray:
-    """The automorphism of the subset graph of `sa` that pi, a permutation
-    of its token universe, induces, as a permutation of the vertex
-    positions: entry i is the position of the subset that pi makes of the
-    tokens of vertex i.
+def subset_automorphism(sa: SetAssignment, pis: Sequence[PartialMap]) -> np.ndarray:
+    """The automorphisms of the subset graph of `sa` that the permutations
+    of its token universe in `pis` induce, as an (M, V) array of vertex
+    positions, one row per permutation: entry (j, i) is the position of the
+    subset that pis[j] makes of the tokens of vertex i.
 
-    Only token positions are moved (`JohnsonTable.image`), so no token
-    string is parsed.  Raises UnknownVertex for a token of the universe that
-    pi leaves unmapped, and InvalidMap when pi is otherwise not a
-    permutation of the universe.
+    Only token positions are moved, every row in one `JohnsonTable.image`
+    call, so no token string is parsed.  Raises UnknownVertex for a token of
+    the universe that a permutation leaves unmapped, and InvalidMap when one
+    is otherwise not a permutation of the universe.
     """
     universe = sa.universe
     position = sa.tokens.position
-    dest = [position.get(pi[t], -1) for t in universe]
-    if len(pi) != len(universe) or sorted(dest) != list(range(len(universe))):
-        raise InvalidMap("token map is not a permutation of the universe")
-    return sa.johnson.image(np.array(dest, dtype=np.intp))
+    m = len(universe)
+    dest = np.empty((len(pis), m), dtype=np.intp)
+    for j, pi in enumerate(pis):
+        row = [position.get(pi[t], -1) for t in universe]
+        # m positions of the universe, each once
+        if len(pi) != m or -1 in row or len(set(row)) != m:
+            raise InvalidMap("token map is not a permutation of the universe")
+        dest[j] = row
+    return sa.johnson.image(dest)

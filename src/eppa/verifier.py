@@ -32,13 +32,16 @@ entries, or of Python ints past int64:
 
 Every partial isometry of the input is replayed (`replay_positions`) as a
 permutation of the final space's vertex positions, which must be a
-permutation of them and send the copy along the map.  Where B0 is all the
+permutation of them and send the copy along the map.  The maps are
+replayed and judged in chunks, one row per map, within a fixed byte budget
+(`_check_replay`).  Where B0 is all the
 k-subsets of m tokens and the final space is on B0's vertices with labels a
 function of the shared-token counts (the path through one vertex, below),
 a map is judged by token induction: a token bijection pi is read off the
 images of the subsets through each token, and the map must send every
 subset X to pi(X), which keeps every |X & Y| and so every label; that is
-O(V*m^2) per map for m tokens (`_token_induced`).  Any map that no token
+O(V*m^2) per map for m tokens, one batched product per chunk
+(`_token_induced`).  Any map that no token
 bijection induces, such as complementation when m = 2k, and every map on
 another witness, is judged by the label matrix, permuted by two gathers of
 whole rows and compared with its transpose (`_permutes_labels`), O(V^2).
@@ -90,7 +93,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, combinations, permutations
+from itertools import chain, combinations, islice, permutations
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -105,6 +108,10 @@ from .setrep import parse_subset_id, token_sort_key
 # Most vertex sets the bad-set scan of one level looks at; above it the
 # level's bad-set check is reported as skipped.
 _BAD_SET_SCAN_LIMIT = 200_000
+
+# Most bytes the (M, V, k) and (M, V, m) temporaries of one chunk of replayed
+# maps may take, for V final positions, k-subsets and m tokens.
+_REPLAY_CHUNK_BYTES = 1 << 22
 
 _Matrix = tuple[dict[str, int], np.ndarray]  # (vertex index, label matrix)
 
@@ -207,19 +214,6 @@ def _int_type(top: int) -> type:
     return next((t for t, most in _INT_TYPES if top <= most), object)
 
 
-def _as_permutation(perm: object, n: int) -> np.ndarray | None:
-    """`perm` as an integer array when it is a permutation of range(n),
-    else None."""
-    perm = np.asarray(perm)
-    if perm.shape != (n,) or perm.dtype.kind not in "iu":
-        return None
-    if n and (perm.min() < 0 or perm.max() >= n):
-        return None
-    hit = np.zeros(n, dtype=bool)
-    hit[perm] = True
-    return perm if hit.all() else None
-
-
 def _permutes_labels(perm: np.ndarray, mat: np.ndarray, flipped: np.ndarray) -> bool:
     """Does the permutation `perm` of the label matrix's rows keep every
     entry of the matrix?
@@ -231,23 +225,32 @@ def _permutes_labels(perm: np.ndarray, mat: np.ndarray, flipped: np.ndarray) -> 
     return bool((mat.take(perm, 0).T.take(perm, 0) == flipped).all())
 
 
-def _token_induced(perm: np.ndarray, tokens: np.ndarray) -> bool:
-    """Does the permutation `perm` of k-subsets send every subset X to pi(X)
-    for one bijection pi of the tokens?  `tokens` is the tokens-by-subsets
-    incidence of distinct k-subsets, in float64, whose products here are
-    exact: they count subsets, far fewer than 2**53.
+def _permutation_rows(perms: np.ndarray) -> np.ndarray:
+    """Which rows of an (M, V) integer array are permutations of range(V)."""
+    count, n = perms.shape
+    ok = ((perms >= 0) & (perms < n)).all(axis=1)
+    hit = np.zeros(perms.shape, dtype=bool)
+    hit[np.arange(count)[:, None], perms.clip(0, n - 1)] = True
+    return ok & hit.all(axis=1)
 
-    Row t of the image incidence holds the subsets whose image holds t, and
-    pi(t) is read off tokens @ image.T, whose entry (t, s) counts the subsets
-    through t whose image holds s: it is the s that every such image holds,
-    the largest count of row t when pi exists.  Then the image of each X is
-    pi(X) exactly when row pi(t) of the image incidence is row t of the
-    incidence, for every t.  The product is O(V*m^2) for V subsets of m
-    tokens, and the comparison O(V*m)."""
-    img = tokens.take(perm, 1)
-    pi = (tokens @ img.T).argmax(axis=1)
-    return bool((np.bincount(pi, minlength=len(pi)) == 1).all()
-                and np.array_equal(img.take(pi, 0), tokens))
+
+def _token_induced(perms: np.ndarray, incidence: np.ndarray) -> np.ndarray:
+    """Which rows of an (M, V) array of permutations of k-subsets send every
+    subset X to pi(X) for one bijection pi of the tokens?  `incidence` is
+    the subsets-by-tokens incidence of distinct k-subsets, in float64, whose
+    products here are exact: they count subsets, far fewer than 2**53.
+
+    Row v of a map's image incidence holds the tokens of the image of v, and
+    incidence.T @ image counts at (t, s) the subsets through t whose image
+    holds s.  Let pi(t) be an s of largest count in row t.  When that count
+    is the number of subsets through t for every t, and pi is a bijection,
+    the image of each X holds pi(X), k tokens, so it is pi(X); and for
+    k < m a map that pi induces passes.  One batched product over the maps
+    does it, O(V*m^2) per map for V subsets of m tokens."""
+    counts = incidence.T @ incidence[perms]  # (M, m, m)
+    pi = counts.argmax(axis=2)
+    bijective = (np.sort(pi, axis=1) == np.arange(pi.shape[1])).all(axis=1)
+    return bijective & (counts.max(axis=2) == incidence.sum(axis=0)).all(axis=1)
 
 
 def enumerate_partial_automorphisms(
@@ -955,40 +958,99 @@ def _sweep_sources(w: Witness, shared: np.ndarray | None, final_mat: np.ndarray)
     return [0] if np.array_equal(final_mat, by_share.take(shared)) else None
 
 
+def _first_unfaithful(
+    perms: np.ndarray, phis: list[PartialMap], at: dict[str, int], mat: np.ndarray,
+    flipped: np.ndarray, incidence: np.ndarray | None,
+) -> int | None:
+    """The index of the first map of `phis` whose row of `perms`, an (M, V)
+    integer array, is no permutation of the final positions, does not send
+    the copy (at its positions `at`, -1 outside) along the map, or does not
+    keep every label; None when every row passes.  The first two tests and
+    token induction (`_token_induced`) run on the whole batch; only a
+    permutation that no token bijection induces goes to the gather of the
+    label matrix (`_permutes_labels`)."""
+    count, n = perms.shape
+    faithful = _permutation_rows(perms)
+    perms = np.where(faithful[:, None], perms, np.arange(n))  # every row indexable
+    rows, src, dst = np.array([(j, at[x], at[y]) for j, phi in enumerate(phis)
+                               for x, y in phi.items()], dtype=np.intp).reshape(-1, 3).T
+    off = (src < 0) | (perms[rows, src.clip(0)] != dst)
+    faithful &= np.bincount(rows[off], minlength=count) == 0
+    induced = (_token_induced(perms, incidence) if incidence is not None
+               else np.zeros(count, dtype=bool))
+    for j in np.flatnonzero(~(faithful & induced)).tolist():
+        if not faithful[j] or not _permutes_labels(perms[j], mat, flipped):
+            return j
+    return None
+
+
+def _replayed(w: Witness, phis: list[PartialMap], n: int) -> np.ndarray | None:
+    """`replay_positions` of the maps as intp, when it is an (M, n) integer
+    array; None otherwise.  Raises what the operator raises."""
+    perms = replay_positions(w, phis)
+    ok = isinstance(perms, np.ndarray) and perms.shape == (len(phis), n)
+    return perms.astype(np.intp, copy=False) if ok and perms.dtype.kind in "iu" else None
+
+
 def _check_replay(
-    report: VerificationReport, w: Witness, final_matrix: _Matrix, tokens: np.ndarray | None
+    report: VerificationReport, w: Witness, final_matrix: _Matrix, incidence: np.ndarray | None
 ) -> CheckResult:
     """The `extension-replay` verdict: every partial isometry of the input,
     replayed by `replay_positions`, must give a permutation of the final
     positions that sends the copy along the map and keeps every label.  The
     first map that fails, or whose replay raises, is the counterexample.
 
-    `tokens` is the tokens-by-vertices incidence of the final space when its
-    vertices are all the k-subsets and its labels a function of their
-    shared-token counts (`_sweep_sources` gave [0]).  A map is then accepted
-    when a token bijection induces it (`_token_induced`); any other map, and
-    every map without `tokens`, is judged by the gather of the whole label
-    matrix (`_permutes_labels`)."""
+    The maps are replayed and judged in chunks (`_first_unfaithful`), as
+    many as keep a chunk's (M, V, k) and (M, V, m) temporaries, for V final
+    positions, k-subsets and m tokens, within `_REPLAY_CHUNK_BYTES`.  A chunk
+    whose replay raises, or gives no (M, V) integer array, is replayed again
+    map by map, so that the counterexample, its detail and the count of maps
+    replayed are those of the maps one at a time.
+
+    `incidence` is the vertices-by-tokens incidence of the final space when
+    its vertices are all the k-subsets and its labels a function of their
+    shared-token counts (`_sweep_sources` gave [0]); without it every map
+    is judged by the gather."""
     index, mat = final_matrix
+    n = len(mat)
     flipped = np.ascontiguousarray(mat.T)
     emb = w.final_embedding
     at = {x: index.get(emb.get(x), -1) for x in w.input.vertices}  # the copy's positions
-    for phi in enumerate_partial_automorphisms(w.input, len(w.input)):
-        shown = dict(phi.items())
+    sa = w.set_assignment
+    size = max(1, _REPLAY_CHUNK_BYTES // (8 * n * (sa.k + len(sa.universe))))
+    maps = enumerate_partial_automorphisms(w.input, len(w.input))
+
+    def judged(chunk: list[PartialMap], perms: np.ndarray | None) -> CheckResult | None:
+        """The failure of the first map of a replayed chunk, counting the
+        maps up to it; no array at all fails the chunk's one map."""
+        bad = 0 if perms is None else _first_unfaithful(perms, chunk, at, mat, flipped, incidence)
+        report.count("partial_maps_replayed", len(chunk) if bad is None else bad + 1)
+        if bad is None:
+            return None
+        phi = chunk[bad]
+        return CheckResult("extension-replay", False, f"replay failed for {dict(phi.items())}",
+                           counterexample=phi)
+
+    while chunk := list(islice(maps, size)):
         try:
-            perm = replay_positions(w, phi)
-        except EppaError as exc:
-            return CheckResult("extension-replay", False, f"replay raised for {shown}: {exc}",
-                               counterexample=phi)
-        report.count("partial_maps_replayed")
-        perm = _as_permutation(perm, len(mat))
-        src = [at[x] for x, _ in phi.items()]
-        dst = [at[y] for _, y in phi.items()]
-        if (perm is None or -1 in src or perm[src].tolist() != dst
-                or not ((tokens is not None and _token_induced(perm, tokens))
-                        or _permutes_labels(perm, mat, flipped))):
-            return CheckResult("extension-replay", False, f"replay failed for {shown}",
-                               counterexample=phi)
+            perms = _replayed(w, chunk, n)
+        except EppaError:
+            perms = None
+        if perms is not None:
+            failure = judged(chunk, perms)
+            if failure is not None:
+                return failure
+            continue
+        for phi in chunk:  # one at a time, as batches of one
+            try:
+                perms = _replayed(w, [phi], n)
+            except EppaError as exc:
+                return CheckResult("extension-replay", False,
+                                   f"replay raised for {dict(phi.items())}: {exc}",
+                                   counterexample=phi)
+            failure = judged([phi], perms)
+            if failure is not None:
+                return failure
     return CheckResult("extension-replay", True)
 
 
@@ -1020,10 +1082,10 @@ def cross_check(w: Witness, budget: int = 10_000_000, search_limit: int = 150) -
         if w.set_assignment is not None:
             proof = _check_subset_level(report, w, scale, matrices[0])
         sources = _sweep_sources(w, None if proof is None else proof[1], final_matrix[1])
-        tokens = None
+        incidence = None
         if sources is not None:
             report.path = THROUGH_ONE_VERTEX
-            tokens = np.ascontiguousarray(proof[0].T, dtype=np.float64)
+            incidence = proof[0].astype(np.float64)
         for idx in range(len(w.levels)):
             if idx:
                 _check_transition(report, w, idx, matrices)
@@ -1046,13 +1108,13 @@ def cross_check(w: Witness, budget: int = 10_000_000, search_limit: int = 150) -
                    "" if ok else "final vertices differ from the copy's component in the top level")
         _check_completion(report, w, scale, matrices[-1], final_matrix, sources)
     else:
-        sources = tokens = None
+        sources = incidence = None
         report.add("trivial-tower", len(w.input) == 1 and w.final == w.input)
 
     _check_metric(report, w.final, "final-metric", final_matrix, sources)
     replay = None
     if w.set_assignment is not None and w.levels:
-        replay = _check_replay(report, w, final_matrix, tokens)
+        replay = _check_replay(report, w, final_matrix, incidence)
 
     emb = w.final_embedding
     emb_ok = set(emb.domain()) == set(w.input.vertices) and all(v in w.final for v in emb.image())

@@ -455,8 +455,14 @@ def tau_on_empty(sa, phi):
     return PartialMap((t, {t0: t1, t1: t0}.get(t, t)) for t in sa.universe)
 
 
-def b0_automorphism(sa, pi, b):
-    """`subset_automorphism` as a map on the vertex ids of b, the subset
-    graph of sa."""
+def b0_automorphisms(sa, pis, b):
+    """`subset_automorphism` of a batch of token permutations, as one map
+    on the vertex ids of b, the subset graph of sa, per permutation."""
     verts = b.vertices
-    return PartialMap(zip(verts, map(verts.__getitem__, subset_automorphism(sa, pi).tolist())))
+    return [PartialMap(zip(verts, map(verts.__getitem__, row)))
+            for row in subset_automorphism(sa, pis).tolist()]
+
+
+def b0_automorphism(sa, pi, b):
+    """`b0_automorphisms` of the batch of one."""
+    return b0_automorphisms(sa, [pi], b)[0]

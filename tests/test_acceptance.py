@@ -29,6 +29,7 @@ from eppa import (
     build_set_assignment,
     build_witness,
     check_map,
+    cross_check,
     enumerate_partial_automorphisms,
     extend_by_permutation,
     extend_isometry,
@@ -38,8 +39,8 @@ from eppa import (
 )
 from eppa.cli import main as cli_main
 from eppa.fileio import (
-    dump_json, graph_to_codes, graph_to_json, load_json, map_to_json, witness_from_json,
-    witness_to_json,
+    dump_json, graph_to_codes, graph_to_json, load_json, map_to_json, report_to_json,
+    witness_from_json, witness_to_json,
 )
 from eppa.graphs import EdgeLabelledGraph
 from eppa.levels import LevelGraph, parse_level_vertex
@@ -181,6 +182,23 @@ def test_fixture_graphs_are_unchanged(fixture_witnesses):
         assert graph_digest(w) == GRAPH_DIGESTS[name], name
         loaded = witness_from_json(json.loads(json.dumps(witness_to_json(w))))
         assert graph_digest(loaded) == GRAPH_DIGESTS[name], name
+
+
+# sha256 of each fixture's whole cross-check report, as `report_to_json`
+# gives it in compact JSON: every check name, verdict, detail, total and
+# counterexample must stay identical.
+REPORT_DIGESTS = {
+    "two-point": "c9e41f24c6952b50cf4fc6c671be362d882bdf7f74eaf0f183cc0c8b89a3cf3a",
+    "triangle-112": "fd58df484bd7904cbca8fe77d7c5a637d98c4afb516078e7c098a00ebe2c0f19",
+    "triangle-123": "72c6dd8decc342589affad6c2817ac241eee5d0f3581bd85d5dc0ca8d6ffe20b",
+    "four-point": "e43f4f004de908be8485f44d972dec5d1739b24fe1987c5b88f4f63161ddde34",
+}
+
+
+def test_fixture_reports_are_unchanged(fixture_witnesses):
+    for name, (_, w, _) in fixture_witnesses.items():
+        text = json.dumps(report_to_json(cross_check(w)), separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == REPORT_DIGESTS[name], name
 
 
 def test_every_label_of_a_fixture_graph_is_on_a_pair(fixture_witnesses):

@@ -230,8 +230,10 @@ def test_extend_isometry_names_the_replayed_positions(k2_witness, t112_witness):
     # replay_positions is the operator; extend_isometry only names its result
     for w in (k2_witness, t112_witness):
         verts = w.final.vertices
-        for phi in enumerate_partial_automorphisms(w.input, len(w.input)):
-            perm = pipeline.replay_positions(w, phi)
+        maps = list(enumerate_partial_automorphisms(w.input, len(w.input)))
+        perms = pipeline.replay_positions(w, maps)
+        assert perms.shape == (len(maps), len(verts))
+        for phi, perm in zip(maps, perms):
             assert sorted(perm.tolist()) == list(range(len(verts)))
             named = PartialMap(zip(verts, map(verts.__getitem__, perm.tolist())))
             assert extend_isometry(w, phi) == named
@@ -356,6 +358,10 @@ def test_a_stored_level_is_replayed_through_the_lift(monkeypatch, tmp_path):
         assert {u: lifted[u + ";"] for u in base.graph.vertices} == {
             u: direct[u] + ";" for u in base.graph.vertices}
     assert calls == {"compute_flip_set": len(maps), "lift_automorphism": len(maps)}
+    # a batch is lifted map by map, each row as in the batch of one
+    batch = pipeline.replay_positions(tower, maps)
+    assert [row.tolist() for row in batch] == [
+        pipeline.replay_positions(tower, [phi])[0].tolist() for phi in maps]
 
     # the file of such a witness loads: `eppa extend` replays through the
     # lift, and `eppa verify` rejects it only because a level without bad

@@ -61,9 +61,9 @@ from eppa.setrep import (
 from eppa.fileio import witness_from_json, witness_to_json
 from eppa.verifier import _copy_token_fault
 from conftest import (
-    b0_automorphism, bent_classes, broken_compositions, composable_pairs, edge_labelled_graphs,
-    every_label_on_a_pair, make_four_point, make_k2, make_path2, make_t112, make_t113, make_t123,
-    small_tower_free_spaces, tau_on_empty, witness_graphs,
+    b0_automorphism, b0_automorphisms, bent_classes, broken_compositions, composable_pairs,
+    edge_labelled_graphs, every_label_on_a_pair, make_four_point, make_k2, make_path2, make_t112,
+    make_t113, make_t123, small_tower_free_spaces, tau_on_empty, witness_graphs,
 )
 
 
@@ -374,10 +374,11 @@ def test_subset_automorphism_matches_the_reference_on_fixture_b0s(factory):
     a = factory()
     sa = build_set_assignment(a)
     b, _ = build_eppa_graph(sa)
+    maps = list(enumerate_partial_automorphisms(a, len(a)))
     for extend in (extend_by_permutation, tau_on_empty):
-        for phi in enumerate_partial_automorphisms(a, len(a)):
-            pi = extend(sa, phi)
-            assert b0_automorphism(sa, pi, b) == reference_subset_automorphism(pi, b)
+        pis = [extend(sa, phi) for phi in maps]
+        # the whole batch in one call, row by row as the reference
+        assert b0_automorphisms(sa, pis, b) == [reference_subset_automorphism(pi, b) for pi in pis]
 
 
 def test_unmapped_token_is_an_unknown_vertex(t112):
@@ -386,7 +387,7 @@ def test_unmapped_token_is_an_unknown_vertex(t112):
     pi = extend_by_permutation(sa, PartialMap({"y": "z", "z": "y"}))
     short = PartialMap((t, u) for t, u in pi.items() if t != "z!1")
     with pytest.raises(UnknownVertex, match=r"'z!1' not in domain"):
-        subset_automorphism(sa, short)
+        subset_automorphism(sa, [pi, short])
     with pytest.raises(UnknownVertex, match=r"'z!1' not in domain"):
         reference_subset_automorphism(short, b)
 
@@ -398,14 +399,17 @@ def test_a_token_map_that_does_not_permute_the_universe_is_refused(t112):
     off_the_universe = {**pi, first: "q!1"}
     extra_token = {**pi, "q!1": "q!2"}
     for table in (off_the_universe, extra_token):
+        # one bad permutation refuses its whole batch
         with pytest.raises(InvalidMap, match="not a permutation of the universe"):
-            subset_automorphism(sa, PartialMap(table))
+            subset_automorphism(sa, [PartialMap(pi), PartialMap(table)])
     # a cycle of tokens is a permutation, and moves B0
     cycle = {t: u for t, u in zip(sa.universe, sa.universe[1:] + (first,))}
     assert last in cycle
-    perm = subset_automorphism(sa, PartialMap(cycle))
+    perm, = subset_automorphism(sa, [PartialMap(cycle)])
     assert sorted(perm.tolist()) == list(range(math.comb(len(sa.universe), sa.k)))
     assert (perm != np.arange(len(perm))).any()
+    # an empty batch has no row
+    assert subset_automorphism(sa, []).shape == (0, len(perm))
 
 
 def test_no_token_string_is_parsed_when_extending_again(t112, monkeypatch):

@@ -37,10 +37,11 @@ from eppa import (
     verify_eppa,
 )
 from eppa.errors import InvalidMap
+from eppa.fileio import report_to_json
 from eppa.graphs import EdgeLabelledGraph
 from eppa.setrep import parse_subset_id, token_sort_key
 from eppa.verifier import _label_matrix
-from conftest import connected_graphs, small_corpus, small_tower_free_spaces
+from conftest import connected_graphs, make_four_point, small_corpus, small_tower_free_spaces
 
 
 # -- extension search -----------------------------------------------------------
@@ -725,16 +726,21 @@ def test_bad_set_scan_above_its_bound_is_skipped(demo_witness, monkeypatch):
 
 
 def replay_once(monkeypatch, make):
-    """Patch the verifier's replay so that the empty map, which cross_check
-    replays first, gets the permutation make(witness, perm) in place of
-    the replayed perm; returns the list of maps replayed."""
+    """Patch the verifier's batched replay so that the empty map, which
+    cross_check replays first, gets the row make(witness, perm) in place of
+    its replayed row perm; returns the list of maps asked for, batch after
+    batch.  Rows of different lengths are returned as a list, no array."""
     real = verifier.replay_positions
     asked = []
 
-    def replay(witness, phi):
-        asked.append(phi)
-        perm = real(witness, phi)
-        return make(witness, perm) if not len(phi) else perm
+    def replay(witness, phis):
+        asked.extend(phis)
+        rows = [make(witness, perm) if not len(phi) else perm
+                for phi, perm in zip(phis, real(witness, phis))]
+        try:
+            return np.stack(rows)
+        except ValueError:
+            return rows
 
     monkeypatch.setattr(verifier, "replay_positions", replay)
     return asked
@@ -778,8 +784,9 @@ def test_replay_rejects_a_defective_extension(request, monkeypatch, fixture, def
     asked = replay_once(monkeypatch, defect)
     report = cross_check(w, search_limit=0)
     offenders = failing(report, "extension-replay")
-    assert offenders and offenders[0].counterexample == asked[-1]
-    assert len(asked) == 1  # the first replayed map, the empty one, already fails
+    assert offenders and offenders[0].counterexample == asked[0] == PartialMap({})
+    # the first replayed map, the empty one, already fails
+    assert report.totals["partial_maps_replayed"] == 1
     assert [r.name for r in report.results if not r.passed] == ["extension-replay"]
 
 
@@ -836,7 +843,7 @@ def test_a_permutation_no_token_bijection_induces_goes_to_the_gather(t112_witnes
     offenders = failing(report, "extension-replay")
     assert offenders and offenders[0].counterexample == asked[0] == PartialMap({})
     assert offenders[0].detail == "replay failed for {}"
-    assert len(asked) == 1 and len(gathered) == 1
+    assert report.totals["partial_maps_replayed"] == 1 and len(gathered) == 1
 
 
 @pytest.mark.parametrize("defect", [
@@ -853,7 +860,8 @@ def test_a_replay_that_is_no_permutation_fails_without_a_traceback(t112_witness,
     asked = replay_once(monkeypatch, lambda witness, perm: defect(perm))
     report = cross_check(w, search_limit=0)
     offenders = failing(report, "extension-replay")
-    assert offenders and offenders[0].counterexample == PartialMap({}) and len(asked) == 1
+    assert offenders and offenders[0].counterexample == asked[0] == PartialMap({})
+    assert report.totals["partial_maps_replayed"] == 1
     assert [r.name for r in report.results if not r.passed] == ["extension-replay"]
 
 
@@ -866,10 +874,10 @@ def test_the_search_runs_only_where_the_replay_proves_nothing(t112_witness, demo
     maps = list(enumerate_partial_automorphisms(w.input, len(w.input)))
     fifth = maps[4]
 
-    def replay(witness, phi):
-        if phi == fifth:
+    def replay(witness, phis):
+        if fifth in phis:
             raise InvalidMap("a planted fault")
-        return real(witness, phi)
+        return real(witness, phis)
 
     monkeypatch.setattr(verifier, "replay_positions", replay)
     report = cross_check(w)
@@ -893,6 +901,77 @@ def test_the_search_runs_only_where_the_replay_proves_nothing(t112_witness, demo
     assert report.ok and "partial_maps_replayed" not in report.totals
     assert report.totals["partial_maps_searched"] > 0
     assert report.totals["search_assignments"] > 0
+
+
+
+def record_batches(monkeypatch):
+    """Patch the verifier's replay to log the size of each batch it asks for."""
+    sizes = []
+    real = verifier.replay_positions
+    monkeypatch.setattr(verifier, "replay_positions",
+                        lambda w, phis: sizes.append(len(phis)) or real(w, phis))
+    return sizes
+
+
+def test_one_map_chunks_give_the_same_reports(t112_witness, monkeypatch):
+    # triangle-112's 22 maps fit one chunk and four-point's 97 take three;
+    # a budget below one map's bytes makes every chunk a batch of one
+    four_point = build_witness(make_four_point())
+    sizes = record_batches(monkeypatch)
+    want = [report_to_json(cross_check(w)) for w in (t112_witness, four_point)]
+    assert sizes == [22, 38, 38, 21]
+    assert all(r["ok"] for r in want)
+    sizes.clear()
+    monkeypatch.setattr(verifier, "_REPLAY_CHUNK_BYTES", 1)
+    assert [report_to_json(cross_check(w)) for w in (t112_witness, four_point)] == want
+    assert sizes == [1] * (22 + 97)
+
+
+@pytest.mark.parametrize("budget", [None, 1, 3 * 8 * 70 * (4 + 8)],
+                         ids=["one-chunk", "one-map-chunks", "three-map-chunks"])
+def test_a_failing_map_is_named_alike_in_any_chunking(t112_witness, monkeypatch, budget):
+    # triangle-112 has k = 4 and m = 8 tokens on 70 points
+    w = t112_witness
+    if budget is not None:
+        monkeypatch.setattr(verifier, "_REPLAY_CHUNK_BYTES", budget)
+    real = verifier.replay_positions
+    maps = list(enumerate_partial_automorphisms(w.input, len(w.input)))
+    fifth, seventh = maps[4], maps[6]
+
+    def raising(witness, phis):
+        if fifth in phis:
+            raise InvalidMap("a planted fault")
+        return real(witness, phis)
+
+    def swapping(witness, phis):
+        perms = real(witness, phis).copy()
+        for j, phi in enumerate(phis):
+            if phi == seventh:
+                perms[j] = _break_one_label(witness, perms[j])
+        return perms
+
+    for replay, bad, replayed, detail in [
+        (raising, fifth, 4, f"replay raised for {dict(fifth.items())}: a planted fault"),
+        (swapping, seventh, 7, f"replay failed for {dict(seventh.items())}"),
+    ]:
+        monkeypatch.setattr(verifier, "replay_positions", replay)
+        report = cross_check(w, search_limit=0)
+        offender = failing(report, "extension-replay")[0]
+        assert offender.counterexample == bad and offender.detail == detail
+        assert report.totals["partial_maps_replayed"] == replayed
+
+
+@settings(max_examples=15, deadline=None)
+@given(small_tower_free_spaces(), st.data())
+def test_a_batched_replay_is_the_stacked_batches_of_one(sa, data):
+    w = build_witness(sa.graph)
+    maps = list(enumerate_partial_automorphisms(w.input, len(w.input)))
+    # any batch: a subset of the maps in any order, repeats allowed
+    chosen = data.draw(st.lists(st.sampled_from(maps), max_size=2 * len(maps)), label="batch")
+    batch = verifier.replay_positions(w, chosen)
+    assert batch.shape == (len(chosen), len(w.final))
+    for phi, row in zip(chosen, batch):
+        assert np.array_equal(row, verifier.replay_positions(w, [phi])[0])
 
 
 # -- labels past int64 -----------------------------------------------------------------
