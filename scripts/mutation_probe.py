@@ -32,7 +32,7 @@ Construction mutations:
   * one anchor bit of the embedded copy flipped (`anchor_valuations`)
   * one member dropped from a non-empty flip set (`compute_flip_set`)
   * two tokens matched to each other's images, in every token permutation
-    of a batch (`subset_automorphism`)
+    a replay moves B0 by (`setrep._token_destinations`)
   * one unlabelled class distance raised by one scaled unit in the class
     table's ranks (`ClassTable.codes`), which the tower-free final space
     reads and the build's own class check does not
@@ -51,8 +51,6 @@ import random
 import sys
 from contextlib import contextmanager
 
-import numpy as np
-
 from eppa import (
     PartialMap,
     Witness,
@@ -66,7 +64,6 @@ from eppa.fileio import load_json, witness_from_json
 from eppa.graphs import EdgeLabelledGraph
 from eppa.levels import LevelGraph, parse_level_vertex
 from eppa.pipeline import final_space
-from eppa.setrep import token_sort_key
 
 
 def expansion_witness(core: EdgeLabelledGraph, anchor: str, size: int, n: int) -> Witness:
@@ -207,20 +204,14 @@ def flip_member_dropped(real, fired):
 
 
 def tokens_mismatched(real, fired):
-    def swapped(pi):
-        tokens = sorted(pi.domain(), key=token_sort_key)
-        table = dict(pi.items())
-        if len(tokens) > 1:
-            t0, t1 = tokens[:2]
-            table[t0], table[t1] = pi[t1], pi[t0]
-        return PartialMap(table)
-
-    # every permutation of the batch has its first two tokens' images swapped
-    def mutant(sa, pis):
-        got = real(sa, [swapped(pi) for pi in pis])
-        if not np.array_equal(got, real(sa, pis)):
+    # the first two tokens' destinations are swapped in every token
+    # permutation the replay passes to `JohnsonTable.image`
+    def mutant(sa, phi):
+        dest = real(sa, phi)
+        if len(dest) > 1:
+            dest = [dest[1], dest[0], *dest[2:]]
             fired.append(True)
-        return got
+        return dest
     return mutant
 
 
@@ -244,7 +235,7 @@ CONSTRUCTION_MUTANTS = [
     ("cycle size off by one", "induced_nonmetric_cycles_at", cycle_size_off_by_one),
     ("anchor bit flipped", "anchor_valuations", anchor_bit_flipped),
     ("flip-set member dropped", "compute_flip_set", flip_member_dropped),
-    ("tokens matched to each other's images", "subset_automorphism", tokens_mismatched),
+    ("tokens matched to each other's images", "_token_destinations", tokens_mismatched),
     ("unlabelled class distance raised", "ClassTable.codes", class_distance_raised),
 ]
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -51,9 +52,8 @@ from .graphs import (
 )
 from .levels import LevelGraph, build_next_level, compute_flip_set, lift_automorphism
 from .setrep import (
-    SetAssignment, build_eppa_graph, build_set_assignment, class_completion,
-    extend_by_permutation, first_bad_level, is_class_metric, subset_automorphism,
-    subset_graph_size,
+    SetAssignment, _token_destinations, build_eppa_graph, build_set_assignment,
+    class_completion, first_bad_level, is_class_metric, subset_graph_size,
 )
 
 
@@ -214,9 +214,10 @@ def replay_positions(w: Witness, phis: Sequence[PartialMap]) -> np.ndarray:
 
     On B0, whose vertices must be the ids of the set assignment's Johnson
     table (checked once per witness), a row is the permutation of B0's
-    vertex positions that the token permutation completing its map induces;
-    the rows of the batch come from one `subset_automorphism` call, and a map
-    that is no partial isometry is refused by `extend_by_permutation`.
+    vertex positions that the token permutation completing its map induces
+    (`setrep._token_destinations`, which refuses a map that is no partial
+    isometry); the rows of the batch come from one `JohnsonTable.image`
+    call on their token positions, with no token named.
     When the final space is all of B0 a row applies to it as it is, an
     automorphism by construction (see above); otherwise each becomes a map
     on B0's ids, lifted through the stored levels only (a level that is
@@ -243,7 +244,9 @@ def replay_positions(w: Witness, phis: Sequence[PartialMap]) -> np.ndarray:
 
 def _permutation_map(verts: tuple[str, ...], perm: np.ndarray) -> PartialMap:
     """The map sending verts[i] to verts[perm[i]], for a permutation perm."""
-    return PartialMap._trusted(zip(verts, map(verts.__getitem__, perm.tolist())))
+    if len(verts) == 1:  # itemgetter of one index gives the item, not a tuple
+        return PartialMap._trusted(zip(verts, verts))
+    return PartialMap._trusted(zip(verts, itemgetter(*perm.tolist())(verts)))
 
 
 def _replay(w: Witness, phis_a: list[PartialMap]) -> np.ndarray:
@@ -253,7 +256,8 @@ def _replay(w: Witness, phis_a: list[PartialMap]) -> np.ndarray:
     if sa is None:
         raise InvalidMap("witness carries no set assignment; cannot replay extensions")
     direct = w._replays_on_final
-    perms = subset_automorphism(sa, [extend_by_permutation(sa, phi_a) for phi_a in phis_a])
+    dest = np.array([_token_destinations(sa, phi_a) for phi_a in phis_a], dtype=np.intp)
+    perms = sa.johnson.image(dest.reshape(len(phis_a), len(sa.universe)))  # (M, m), M = 0 too
     if direct:
         # automorphisms, as pi keeps the shared-token counts that code the final space
         return perms

@@ -11,9 +11,11 @@ of B induced by a permutation of the tokens.  It keeps every shared-token
 count, so it is also one of B's completion, read off those counts
 (`SetAssignment.classes`); no extension checks that again per map.
 
-Token strings are written when an assignment is built and when its token
-table is (`SetAssignment.tokens`, on the first extension); an extension
-moves token positions only, and writes the token map out at its end.
+Token strings are written when an assignment is built.  Its token table
+(`SetAssignment.tokens`, on the first extension) is computed from A's codes
+by the order of the universe, and an extension moves token positions only:
+`extend_by_permutation` names the tokens of its result at its end, and the
+replay of `pipeline` passes the positions straight to `JohnsonTable.image`.
 """
 
 from __future__ import annotations
@@ -28,7 +30,9 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import GraphFormatError, InvalidMap, NotAMetricSpace, VertexCapExceeded
+from .errors import (
+    EppaError, GraphFormatError, InvalidMap, NotAMetricSpace, VertexCapExceeded,
+)
 from .graphs import (
     EdgeLabelledGraph,
     PartialMap,
@@ -99,7 +103,7 @@ class JohnsonTable:
     `ids` are the vertex ids in vertex order, and `members` their token
     positions in the universe, ascending, one row of k per vertex.  Built on
     first use: `shares`, the number of tokens each pair of vertices shares,
-    which B0 and its completion read, and the colex-rank table that only
+    which B0 and its completion read, and the token-bitmask table that only
     the extension reads (`image`).
     """
 
@@ -130,47 +134,76 @@ class JohnsonTable:
         return out
 
     @cached_property
-    def _colex(self) -> tuple[np.ndarray, np.ndarray]:
-        """(weights, slots): C(p, j + 1) at token position p and column j,
-        so that the colex rank of an ascending row, below C(m, k), is the
-        sum of its weights; and the vertex position of each rank."""
-        count, k = self.members.shape
-        weights = np.array([[math.comb(p, j + 1) for j in range(k)] for p in range(self.m)],
-                           dtype=np.intp).reshape(self.m, k)
-        slots = np.empty(count, dtype=np.intp)
-        slots[weights[self.members, np.arange(k)].sum(axis=1)] = np.arange(count)
-        return weights, slots
+    def _masks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(powers, incidence, masks, order): 2**p at token position p and the
+        (m, V) token-vertex incidence, both uint64, so that powers @ incidence
+        is each vertex's token bitmask; those masks in ascending order, which
+        is the colex order of the subsets; and the vertex position of each.
+
+        Refused past 64 tokens, where a mask would wrap.  No witness gets
+        there: n points give k >= n and m <= nk, so m > 64 needs k >= 9;
+        for n >= 3, m >= n(k + 1)/2 keeps k <= 2m/3, so J(m, k) has at
+        least C(65, 9), about 3e10, vertices (two points have 3 tokens)."""
+        if self.m > 64:
+            raise EppaError(f"token bitmasks hold at most 64 tokens, not {self.m}")
+        count = len(self.members)
+        powers = np.left_shift(np.uint64(1), np.arange(self.m, dtype=np.uint64))
+        incidence = np.zeros((self.m, count), dtype=np.uint64)
+        incidence[self.members, np.arange(count)[:, None]] = 1
+        masks = powers @ incidence
+        order = masks.argsort()
+        return powers, incidence, masks.take(order), order
 
     def image(self, dest: np.ndarray) -> np.ndarray:
         """The vertex positions of the subsets that each row of `dest`, an
         (M, m) array of permutations of the token positions, makes of the
-        vertices, in vertex order: an (M, V) array, one row per permutation."""
-        weights, slots = self._colex
-        rows = dest.take(self.members, axis=1)  # (M, V, k)
-        rows.sort(axis=2)
-        return slots.take(weights[rows, np.arange(rows.shape[2])].sum(axis=2))
+        vertices, in vertex order: an (M, V) array, one row per permutation.
+        Each image is found by its token bitmask, the sum of 2**dest[t] over
+        the vertex's tokens t, among the sorted masks."""
+        powers, incidence, masks, order = self._masks
+        return order.take(np.searchsorted(masks, powers.take(dest) @ incidence))
 
 
 class TokenTable:
     """The tokens of a set assignment by their positions in its universe,
     the only form in which the extension reads them.
 
-    `position` is each token's position, `own` each point's token
-    positions, ascending, and `shared` each ordered pair of points' pair
-    tokens by rank (empty for a non-edge).  `by_name` lists the positions
-    in the order of the token strings, the order of a token map's items.
+    `own` is each point's token positions, ascending, and `shared` each
+    ordered pair of points' pair tokens by rank (empty for a non-edge).
+    Both are computed from A's codes, as the universe lists the pair tokens
+    first, by (x, y, i) over the points x < y, then each point's padding.
+    `position`, each token's position, and `by_name`, the positions in the
+    order of the token strings (the order of a token map's items), are built
+    only for a token map.
     """
 
     def __init__(self, sa: SetAssignment):
-        a, universe = sa.graph, sa.universe
-        self.position = position = dict(zip(universe, range(len(universe))))
-        self.own = {x: sorted(map(position.__getitem__, sa.psi[x])) for x in a.vertices}
-        self.shared = {
-            (x, y): [position[pair_token(x, y, i)] for i in range(1, code + 1)]
-            for x, row in zip(a.vertices, a.codes.tolist())
-            for y, code in zip(a.vertices, row) if x != y
-        }
-        self.by_name = sorted(range(len(universe)), key=universe.__getitem__)
+        a = sa.graph
+        codes = a.codes.tolist()
+        own: list[list[int]] = [[] for _ in a.vertices]
+        self.shared: dict[tuple[str, str], range] = {}
+        start = 0
+        # row by row, so that each point's positions come in ascending order
+        for (i, x), (j, y) in combinations(enumerate(a.vertices), 2):
+            block = range(start, start + codes[i][j])
+            self.shared[x, y] = self.shared[y, x] = block
+            own[i] += block
+            own[j] += block
+            start = block.stop
+        for positions, row in zip(own, codes):
+            stop = start + sa.k - sum(row)
+            positions += range(start, stop)
+            start = stop
+        self.own = dict(zip(a.vertices, own))
+        self.universe = sa.universe
+
+    @cached_property
+    def position(self) -> dict[str, int]:
+        return dict(zip(self.universe, range(len(self.universe))))
+
+    @cached_property
+    def by_name(self) -> list[int]:
+        return sorted(range(len(self.universe)), key=self.universe.__getitem__)
 
 
 @dataclass(frozen=True)
@@ -403,7 +436,16 @@ def build_eppa_graph(
 def extend_by_permutation(sa: SetAssignment, phi: PartialMap) -> PartialMap:
     """Token permutation inducing an automorphism of the subset graph that
     extends the given partial automorphism of A, the graph `sa` was built
-    for.
+    for: the permutation of token positions of `_token_destinations`, with
+    its tokens named, in the order of their strings."""
+    dest = _token_destinations(sa, phi)
+    universe = sa.universe
+    return PartialMap._trusted((universe[p], universe[dest[p]]) for p in sa.tokens.by_name)
+
+
+def _token_destinations(sa: SetAssignment, phi: PartialMap) -> list[int]:
+    """The token permutation of `extend_by_permutation` on positions: entry
+    p is the position that position p of `sa.universe` goes to.
 
     Shared pair tokens are transported along phi first; each mapped vertex
     then has its leftover tokens matched against the leftovers of its image,
@@ -412,8 +454,8 @@ def extend_by_permutation(sa: SetAssignment, phi: PartialMap) -> PartialMap:
     lists them in token order.  The two matching stages pair tokens in that
     order on both sides, which makes extension commute with composition
     (coherent extension).  Every stage moves positions of the token table
-    (`SetAssignment.tokens`); the result names the tokens, in the order of
-    their strings.
+    (`SetAssignment.tokens`), and the last one places every position left,
+    so the result is a permutation by construction.
     """
     a = sa.graph
     # raises UnknownVertex for a vertex outside A
@@ -424,7 +466,7 @@ def extend_by_permutation(sa: SetAssignment, phi: PartialMap) -> PartialMap:
     dest = [-1] * m  # the position each position goes to, -1 while unplaced
     hit = [False] * m
 
-    def match(sources: list[int], targets: list[int]) -> None:
+    def match(sources: Sequence[int], targets: Sequence[int]) -> None:
         if len(sources) != len(targets):
             raise InvalidMap(
                 f"leftover token counts differ ({len(sources)} vs {len(targets)})"
@@ -445,8 +487,7 @@ def extend_by_permutation(sa: SetAssignment, phi: PartialMap) -> PartialMap:
               [p for p in table.own[phi[x]] if not hit[p]])
 
     match([p for p in range(m) if dest[p] < 0], [p for p in range(m) if not hit[p]])
-    universe = sa.universe
-    return PartialMap._trusted((universe[p], universe[dest[p]]) for p in table.by_name)
+    return dest
 
 
 def subset_automorphism(sa: SetAssignment, pis: Sequence[PartialMap]) -> np.ndarray:

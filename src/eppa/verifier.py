@@ -109,8 +109,9 @@ from .setrep import parse_subset_id, token_sort_key
 # level's bad-set check is reported as skipped.
 _BAD_SET_SCAN_LIMIT = 200_000
 
-# Most bytes the (M, V, k) and (M, V, m) temporaries of one chunk of replayed
-# maps may take, for V final positions, k-subsets and m tokens.
+# Most bytes the (M, V, m) image incidence of one chunk of replayed maps may
+# take in token induction, for V final positions and m tokens; the replay
+# itself keeps (M, m) and (M, V) arrays only.
 _REPLAY_CHUNK_BYTES = 1 << 22
 
 _Matrix = tuple[dict[str, int], np.ndarray]  # (vertex index, label matrix)
@@ -1001,11 +1002,11 @@ def _check_replay(
     first map that fails, or whose replay raises, is the counterexample.
 
     The maps are replayed and judged in chunks (`_first_unfaithful`), as
-    many as keep a chunk's (M, V, k) and (M, V, m) temporaries, for V final
-    positions, k-subsets and m tokens, within `_REPLAY_CHUNK_BYTES`.  A chunk
-    whose replay raises, or gives no (M, V) integer array, is replayed again
-    map by map, so that the counterexample, its detail and the count of maps
-    replayed are those of the maps one at a time.
+    many as keep a chunk's (M, V, m) image incidence, for V final positions
+    and m tokens, within `_REPLAY_CHUNK_BYTES`.  A chunk whose replay
+    raises, or gives no (M, V) integer array, is replayed again map by map,
+    so that the counterexample, its detail and the count of maps replayed
+    are those of the maps one at a time.
 
     `incidence` is the vertices-by-tokens incidence of the final space when
     its vertices are all the k-subsets and its labels a function of their
@@ -1017,7 +1018,7 @@ def _check_replay(
     emb = w.final_embedding
     at = {x: index.get(emb.get(x), -1) for x in w.input.vertices}  # the copy's positions
     sa = w.set_assignment
-    size = max(1, _REPLAY_CHUNK_BYTES // (8 * n * (sa.k + len(sa.universe))))
+    size = max(1, _REPLAY_CHUNK_BYTES // (8 * n * len(sa.universe)))
     maps = enumerate_partial_automorphisms(w.input, len(w.input))
 
     def judged(chunk: list[PartialMap], perms: np.ndarray | None) -> CheckResult | None:

@@ -32,14 +32,13 @@ from eppa import (
     build_witness,
     complete_graph,
     compute_N,
-    extend_by_permutation,
     graph_from_triples,
     is_metric_space,
     shortest_path_completion,
     subset_automorphism,
 )
 from eppa.fileio import _level_to_json, witness_to_json
-from eppa.setrep import ClassTable, first_bad_level
+from eppa.setrep import ClassTable, _token_destinations, first_bad_level
 
 hypothesis.settings.register_profile("fast", max_examples=10)
 hypothesis.settings.register_profile("deep", max_examples=300)
@@ -442,17 +441,23 @@ def broken_compositions(extend, maps: list[PartialMap]) -> list[tuple[PartialMap
     ]
 
 
-def tau_on_empty(sa, phi):
-    """`extend_by_permutation`, except on the empty map, which gets the
-    fixed transposition tau of the first two tokens instead of the identity.
-    Any token permutation induces an automorphism of the subset graph, so
-    each result is still an extension; but ext(empty) after ext(empty) is
-    the identity, not tau. The negative control of criterion 6's
-    composition check."""
+def tau_on_empty_positions(sa, phi):
+    """`setrep._token_destinations`, except on the empty map, which gets the
+    fixed transposition tau of the first two token positions instead of the
+    identity.  Any token permutation induces an automorphism of the subset
+    graph, so each result is still an extension; but ext(empty) after
+    ext(empty) is the identity, not tau. The negative control of criterion
+    6's composition check."""
     if len(phi):
-        return extend_by_permutation(sa, phi)
-    t0, t1 = sa.universe[:2]
-    return PartialMap((t, {t0: t1, t1: t0}.get(t, t)) for t in sa.universe)
+        return _token_destinations(sa, phi)
+    return [1, 0, *range(2, len(sa.universe))]
+
+
+def tau_on_empty(sa, phi):
+    """`tau_on_empty_positions` as a token map, the form of
+    `extend_by_permutation`."""
+    universe = sa.universe
+    return PartialMap(zip(universe, map(universe.__getitem__, tau_on_empty_positions(sa, phi))))
 
 
 def b0_automorphisms(sa, pis, b):

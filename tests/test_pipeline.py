@@ -45,7 +45,9 @@ from eppa.graphs import EdgeLabelledGraph, induced_subgraph
 from eppa.levels import LevelGraph, level_vertex_id
 from eppa.setrep import SetAssignment
 
-from conftest import bent_classes, make_k2, make_t112, make_t123, make_four_point, tau_on_empty
+from conftest import (
+    bent_classes, make_k2, make_t112, make_t123, make_four_point, tau_on_empty_positions,
+)
 
 
 SINGLE = graph_from_triples(["only"], [])
@@ -212,7 +214,7 @@ def test_non_coherent_extensions_are_still_isometries(k2_witness, monkeypatch):
     # the incoherent control operator breaks composition, not the extensions
     w = k2_witness
     empty = PartialMap({})
-    monkeypatch.setattr(pipeline, "extend_by_permutation", tau_on_empty)
+    monkeypatch.setattr(pipeline, "_token_destinations", tau_on_empty_positions)
     for phi in enumerate_partial_automorphisms(w.input, 2):
         theta = assert_extension(w, phi)
         assert theta.is_identity() == (phi != empty and phi.is_identity())

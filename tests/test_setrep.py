@@ -47,6 +47,7 @@ from eppa.setrep import (
     _class_walks,
     _intersection_number,
     ClassTable,
+    JohnsonTable,
     SetAssignment,
     class_completion,
     first_bad_level,
@@ -63,7 +64,8 @@ from eppa.verifier import _copy_token_fault
 from conftest import (
     b0_automorphism, b0_automorphisms, bent_classes, broken_compositions, composable_pairs,
     edge_labelled_graphs, every_label_on_a_pair, make_four_point, make_k2, make_path2, make_t112,
-    make_t113, make_t123, small_tower_free_spaces, tau_on_empty, witness_graphs,
+    make_t113, make_t123, small_tower_free_spaces, tau_on_empty, tau_on_empty_positions,
+    witness_graphs,
 )
 
 
@@ -264,7 +266,7 @@ def test_composition_check_catches_an_incoherent_operator(k2_witness, monkeypatc
     w = k2_witness
     maps = list(enumerate_partial_automorphisms(w.input, len(w.input)))
     empty = PartialMap({})
-    monkeypatch.setattr(pipeline, "extend_by_permutation", tau_on_empty)
+    monkeypatch.setattr(pipeline, "_token_destinations", tau_on_empty_positions)
     assert broken_compositions(lambda phi: extend_isometry(w, phi), maps) == [(empty, empty)]
 
 
@@ -412,11 +414,85 @@ def test_a_token_map_that_does_not_permute_the_universe_is_refused(t112):
     assert subset_automorphism(sa, []).shape == (0, len(perm))
 
 
+def reference_image(johnson, dest):
+    """The sort-based form of `JohnsonTable.image`: each row's image
+    subsets are sorted and ranked in colex order by the weights C(p, j + 1)
+    at token position p and column j, and each rank looked up."""
+    count, k = johnson.members.shape
+    weights = np.array([[math.comb(p, j + 1) for j in range(k)] for p in range(johnson.m)],
+                       dtype=np.intp).reshape(johnson.m, k)
+    slots = np.empty(count, dtype=np.intp)
+    slots[weights[johnson.members, np.arange(k)].sum(axis=1)] = np.arange(count)
+    rows = dest.take(johnson.members, axis=1)  # (M, V, k)
+    rows.sort(axis=2)
+    return slots.take(weights[rows, np.arange(k)].sum(axis=2))
+
+
+@pytest.mark.parametrize("factory", [make_k2, make_t112, make_t123, make_four_point,
+                                     make_t113, make_path2],
+                         ids=["two-point", "triangle-112", "triangle-123", "four-point",
+                              "triangle-113", "path2"])
+def test_image_matches_the_sorting_reference(factory):
+    johnson = build_set_assignment(factory()).johnson
+    m, count = johnson.m, len(johnson.ids)
+    rng = np.random.default_rng(m * 1000 + count)
+    for size in (1, 38):
+        dest = np.array([rng.permutation(m) for _ in range(size)], dtype=np.intp)
+        got = johnson.image(dest)
+        assert got.shape == (size, count)
+        assert np.array_equal(got, reference_image(johnson, dest))
+    assert np.array_equal(johnson.image(np.arange(m)[None]), np.arange(count)[None])
+
+
+def test_image_refuses_more_than_64_tokens():
+    # 2**64 is 0 in uint64, so a 65th token would add nothing to a mask
+    universe = tuple(f"t!{i}" for i in range(65))
+    johnson = JohnsonTable(universe, 1)
+    with pytest.raises(EppaError, match="at most 64 tokens, not 65"):
+        johnson.image(np.arange(65)[None])
+    # 64 tokens still fit: the top token's bit is 2**63
+    johnson = JohnsonTable(universe[:64], 1)
+    swap = np.arange(64)
+    swap[[0, 63]] = swap[[63, 0]]
+    perm, = johnson.image(swap[None]).tolist()
+    ids = johnson.ids
+    assert {ids[i]: ids[j] for i, j in enumerate(perm) if i != j} == {"{t!0}": "{t!63}",
+                                                                      "{t!63}": "{t!0}"}
+
+
+def assert_token_table_matches_the_strings(a):
+    sa = build_set_assignment(a)
+    table = sa.tokens
+    position = {t: p for p, t in enumerate(sa.universe)}
+    assert table.position == position
+    assert table.by_name == [position[t] for t in sorted(sa.universe)]
+    assert table.own == {x: sorted(map(position.__getitem__, sa.psi[x])) for x in a.vertices}
+    codes = a.codes.tolist()
+    assert {key: list(block) for key, block in table.shared.items()} == {
+        (x, y): [position[pair_token(x, y, i)] for i in range(1, codes[p][q] + 1)]
+        for p, x in enumerate(a.vertices) for q, y in enumerate(a.vertices) if x != y
+    }
+
+
+@pytest.mark.parametrize("factory", [make_k2, make_t112, make_t123, make_four_point,
+                                     make_t113, make_path2, make_ten_labels],
+                         ids=["two-point", "triangle-112", "triangle-123", "four-point",
+                              "triangle-113", "path2", "ten-labels"])
+def test_token_table_matches_the_token_strings(factory):
+    assert_token_table_matches_the_strings(factory())
+
+
+@settings(max_examples=25, deadline=None)
+@given(edge_labelled_graphs(max_vertices=4, labels=(Fraction(1), Fraction(2), Fraction(3))))
+def test_token_table_matches_the_token_strings_on_any_graph(a):
+    assert_token_table_matches_the_strings(a)
+
+
 def test_no_token_string_is_parsed_when_extending_again(t112, monkeypatch):
     # B0's ids are checked against the Johnson table of the set assignment,
-    # and the extension moves token positions of its token table: no token
-    # string is parsed or written, on the built witness or on a loaded one,
-    # from its first extension on
+    # and the extension moves token positions of its token table, which is
+    # computed from the input's codes: no token string is parsed or written,
+    # on the built witness or on a loaded one, from its first extension on
     w = build_witness(t112)
     loaded = witness_from_json(json.loads(json.dumps(witness_to_json(w))))
     maps = list(enumerate_partial_automorphisms(t112, len(t112)))
@@ -425,9 +501,6 @@ def test_no_token_string_is_parsed_when_extending_again(t112, monkeypatch):
     def no_parsing(*args):
         raise AssertionError("token string parsed or written on the extension path")
 
-    # one warm-up extension builds the loaded witness's token table, the
-    # only place the extension writes token strings
-    extend_isometry(loaded, maps[-1])
     for name in ("parse_token", "parse_subset_id", "pair_token", "padding_token",
                  "token_sort_key"):
         monkeypatch.setattr(setrep, name, no_parsing)

@@ -914,12 +914,12 @@ def record_batches(monkeypatch):
 
 
 def test_one_map_chunks_give_the_same_reports(t112_witness, monkeypatch):
-    # triangle-112's 22 maps fit one chunk and four-point's 97 take three;
+    # triangle-112's 22 maps fit one chunk and four-point's 97 take two;
     # a budget below one map's bytes makes every chunk a batch of one
     four_point = build_witness(make_four_point())
     sizes = record_batches(monkeypatch)
     want = [report_to_json(cross_check(w)) for w in (t112_witness, four_point)]
-    assert sizes == [22, 38, 38, 21]
+    assert sizes == [22, 55, 42]
     assert all(r["ok"] for r in want)
     sizes.clear()
     monkeypatch.setattr(verifier, "_REPLAY_CHUNK_BYTES", 1)
@@ -927,10 +927,10 @@ def test_one_map_chunks_give_the_same_reports(t112_witness, monkeypatch):
     assert sizes == [1] * (22 + 97)
 
 
-@pytest.mark.parametrize("budget", [None, 1, 3 * 8 * 70 * (4 + 8)],
+@pytest.mark.parametrize("budget", [None, 1, 3 * 8 * 70 * 8],
                          ids=["one-chunk", "one-map-chunks", "three-map-chunks"])
 def test_a_failing_map_is_named_alike_in_any_chunking(t112_witness, monkeypatch, budget):
-    # triangle-112 has k = 4 and m = 8 tokens on 70 points
+    # triangle-112 has m = 8 tokens on 70 points
     w = t112_witness
     if budget is not None:
         monkeypatch.setattr(verifier, "_REPLAY_CHUNK_BYTES", budget)
