@@ -56,7 +56,6 @@ from .setrep import (
     build_set_assignment,
     extend_by_permutation,
     subset_automorphism,
-    token_load,
 )
 from .verifier import (
     CheckResult,
@@ -111,7 +110,6 @@ __all__ = [
     "search_extension",
     "shortest_path_completion",
     "subset_automorphism",
-    "token_load",
     "verify_eppa",
     "witness_stats",
 ]

@@ -388,11 +388,18 @@ def load_json(path: str) -> Any:
             return json.load(fh)
     except OSError as exc:
         raise GraphFormatError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except UnicodeDecodeError as exc:
+        raise GraphFormatError(f"{path} is not UTF-8 text: {exc}") from None
+    except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
         raise GraphFormatError(f"{path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise GraphFormatError(f"{path} nests its JSON too deeply to read") from None
 
 
 def dump_json(path: str, obj: Any) -> None:
     text = json.dumps(obj, separators=(",", ":")) + "\n"  # one write, not json.dump's chunks
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise GraphFormatError(f"cannot write {path}: {exc}") from None

@@ -11,9 +11,9 @@ of B induced by a permutation of the tokens.  It keeps every shared-token
 count, so it is also one of B's completion, read off those counts
 (`SetAssignment.classes`); no extension checks that again per map.
 
-Token strings are written when an assignment is built.  Its token table
-(`SetAssignment.tokens`, on the first extension) is computed from A's codes
-by the order of the universe, and an extension moves token positions only:
+An assignment lays its tokens out once, in token order, from A's codes:
+the universe, each point's token positions (`own`) and each pair's shared
+positions (`shared`).  An extension moves token positions only:
 `extend_by_permutation` names the tokens of its result at its end, and the
 replay of `pipeline` passes the positions straight to `JohnsonTable.image`.
 """
@@ -164,48 +164,6 @@ class JohnsonTable:
         return order.take(np.searchsorted(masks, powers.take(dest) @ incidence))
 
 
-class TokenTable:
-    """The tokens of a set assignment by their positions in its universe,
-    the only form in which the extension reads them.
-
-    `own` is each point's token positions, ascending, and `shared` each
-    ordered pair of points' pair tokens by rank (empty for a non-edge).
-    Both are computed from A's codes, as the universe lists the pair tokens
-    first, by (x, y, i) over the points x < y, then each point's padding.
-    `position`, each token's position, and `by_name`, the positions in the
-    order of the token strings (the order of a token map's items), are built
-    only for a token map.
-    """
-
-    def __init__(self, sa: SetAssignment):
-        a = sa.graph
-        codes = a.codes.tolist()
-        own: list[list[int]] = [[] for _ in a.vertices]
-        self.shared: dict[tuple[str, str], range] = {}
-        start = 0
-        # row by row, so that each point's positions come in ascending order
-        for (i, x), (j, y) in combinations(enumerate(a.vertices), 2):
-            block = range(start, start + codes[i][j])
-            self.shared[x, y] = self.shared[y, x] = block
-            own[i] += block
-            own[j] += block
-            start = block.stop
-        for positions, row in zip(own, codes):
-            stop = start + sa.k - sum(row)
-            positions += range(start, stop)
-            start = stop
-        self.own = dict(zip(a.vertices, own))
-        self.universe = sa.universe
-
-    @cached_property
-    def position(self) -> dict[str, int]:
-        return dict(zip(self.universe, range(len(self.universe))))
-
-    @cached_property
-    def by_name(self) -> list[int]:
-        return sorted(range(len(self.universe)), key=self.universe.__getitem__)
-
-
 @dataclass(frozen=True)
 class ClassTable:
     """The tower-free final space of a set assignment by shared-token count
@@ -243,26 +201,29 @@ class ClassTable:
 class SetAssignment:
     """A token-set assignment for the vertices of `graph`.
 
-    `psi` maps each vertex to a frozenset of token strings and `universe` is
-    their union in token order.  Only `build_set_assignment` makes one, so
+    `universe` lists the token strings in token order, `own` each vertex's
+    token positions in it, ascending, and `shared` each ordered pair of
+    vertices' pair-token positions by rank (empty for a non-edge); `psi`
+    names each vertex's tokens.  Only `build_set_assignment` makes one, so
     nothing re-validates it: its `graph` is the input it was derived from.
     `johnson` and `classes` are the Johnson and class tables of its subset
-    graph, and `tokens` the token table the extension reads, each built on
-    first use and kept as long as the assignment.
+    graph, each built on first use and kept as long as the assignment.
     """
 
     graph: EdgeLabelledGraph
     k: int
-    psi: Mapping[str, frozenset[str]]
     universe: tuple[str, ...]
+    own: Mapping[str, tuple[int, ...]]
+    shared: Mapping[tuple[str, str], range]
+
+    @cached_property
+    def psi(self) -> dict[str, frozenset[str]]:
+        universe = self.universe
+        return {x: frozenset(map(universe.__getitem__, own)) for x, own in self.own.items()}
 
     @cached_property
     def johnson(self) -> JohnsonTable:
         return JohnsonTable(self.universe, self.k)
-
-    @cached_property
-    def tokens(self) -> TokenTable:
-        return TokenTable(self)
 
     @cached_property
     def classes(self) -> ClassTable:
@@ -271,33 +232,35 @@ class SetAssignment:
         return ClassTable(m, scale, tuple(map(tuple, _class_walks(m, self.k, labels))))
 
 
-def token_load(a: EdgeLabelledGraph, x: str) -> int:
-    """Number of pair tokens psi(x) must carry: the ranks of its labels,
-    which are its codes."""
-    return int(a.codes[a.position(x)].sum())
-
-
 def build_set_assignment(a: EdgeLabelledGraph) -> SetAssignment:
-    """Canonical assignment with k one above the heaviest pair-token load.
+    """Canonical assignment with k one above the heaviest pair-token load,
+    a point's load being the ranks of its labels, its row sum of codes.
 
     The extra padding slot keeps psi injective even when two vertices would
-    otherwise share their full token sets (e.g. a two-vertex graph).
+    otherwise share their full token sets (e.g. a two-vertex graph).  The
+    tokens are laid out in one pass, in token order: the pair tokens by
+    (x, y, i) over the points x < y, then each point's padding.
     """
     for x in a.vertices:
         check_vertex_name(x)
-    loads = {x: token_load(a, x) for x in a.vertices}
-    k = 1 + max(loads.values(), default=0)
-    psi: dict[str, frozenset[str]] = {}
-    for x, row in zip(a.vertices, a.codes.tolist()):
-        tokens = [
-            pair_token(x, y, i)
-            for y, code in zip(a.vertices, row)
-            for i in range(1, code + 1)
-        ]
-        tokens.extend(padding_token(x, t) for t in range(1, k - loads[x] + 1))
-        psi[x] = frozenset(tokens)
-    universe = tuple(sorted(set().union(*psi.values()), key=token_sort_key))
-    return SetAssignment(graph=a, k=k, psi=psi, universe=universe)
+    codes = a.codes.tolist()
+    k = 1 + max(map(sum, codes), default=0)
+    names: list[str] = []
+    own: list[list[int]] = [[] for _ in a.vertices]
+    shared: dict[tuple[str, str], range] = {}
+    # row by row, so that each point's positions come in ascending order
+    for (i, x), (j, y) in combinations(enumerate(a.vertices), 2):
+        block = range(len(names), len(names) + codes[i][j])
+        names += [pair_token(x, y, r) for r in range(1, len(block) + 1)]
+        shared[x, y] = shared[y, x] = block
+        own[i] += block
+        own[j] += block
+    for x, positions, row in zip(a.vertices, own, codes):
+        slots = range(1, k - sum(row) + 1)
+        positions += range(len(names), len(names) + len(slots))
+        names += [padding_token(x, t) for t in slots]
+    return SetAssignment(graph=a, k=k, universe=tuple(names),
+                         own=dict(zip(a.vertices, map(tuple, own))), shared=shared)
 
 
 def subset_graph_size(sa: SetAssignment, vertex_cap: int) -> int:
@@ -429,8 +392,9 @@ def build_eppa_graph(
     # (each holds a private padding token, as k is one above the largest
     # load) share its rank
     b = EdgeLabelledGraph._trusted(johnson.ids, a.spectrum(), code_of.take(johnson.shares))
-    embedding = PartialMap({x: subset_id(sa.psi[x]) for x in a.vertices})
-    return b, embedding
+    # ascending positions list each copy's tokens in token order, as the ids do
+    ids = ("{" + "|".join(map(sa.universe.__getitem__, sa.own[x])) + "}" for x in a.vertices)
+    return b, PartialMap._trusted(zip(a.vertices, ids))
 
 
 def extend_by_permutation(sa: SetAssignment, phi: PartialMap) -> PartialMap:
@@ -440,7 +404,7 @@ def extend_by_permutation(sa: SetAssignment, phi: PartialMap) -> PartialMap:
     its tokens named, in the order of their strings."""
     dest = _token_destinations(sa, phi)
     universe = sa.universe
-    return PartialMap._trusted((universe[p], universe[dest[p]]) for p in sa.tokens.by_name)
+    return PartialMap._trusted(sorted(zip(universe, map(universe.__getitem__, dest))))
 
 
 def _token_destinations(sa: SetAssignment, phi: PartialMap) -> list[int]:
@@ -453,15 +417,15 @@ def _token_destinations(sa: SetAssignment, phi: PartialMap) -> list[int]:
     itself.  Tokens are ordered by their position in `sa.universe`, which
     lists them in token order.  The two matching stages pair tokens in that
     order on both sides, which makes extension commute with composition
-    (coherent extension).  Every stage moves positions of the token table
-    (`SetAssignment.tokens`), and the last one places every position left,
-    so the result is a permutation by construction.
+    (coherent extension).  Every stage moves the positions of `sa.own` and
+    `sa.shared`, and the last one places every position left, so the
+    result is a permutation by construction.
     """
     a = sa.graph
     # raises UnknownVertex for a vertex outside A
     if not is_partial_automorphism(phi, a):
         raise InvalidMap("map does not preserve distances on its domain")
-    table = sa.tokens
+    own, shared = sa.own, sa.shared
     m = len(sa.universe)
     dest = [-1] * m  # the position each position goes to, -1 while unplaced
     hit = [False] * m
@@ -478,13 +442,12 @@ def _token_destinations(sa: SetAssignment, phi: PartialMap) -> list[int]:
     # shared tokens of mapped pairs travel with their endpoints, rank by rank
     dom = phi.domain()
     for x, y in combinations(dom, 2):
-        match(table.shared[x, y], table.shared[phi[x], phi[y]])
+        match(shared[x, y], shared[phi[x], phi[y]])
 
     # per-vertex leftovers: image sets of distinct mapped vertices are
     # disjoint outside the tokens already placed above
     for x in dom:
-        match([p for p in table.own[x] if dest[p] < 0],
-              [p for p in table.own[phi[x]] if not hit[p]])
+        match([p for p in own[x] if dest[p] < 0], [p for p in own[phi[x]] if not hit[p]])
 
     match([p for p in range(m) if dest[p] < 0], [p for p in range(m) if not hit[p]])
     return dest
@@ -502,8 +465,8 @@ def subset_automorphism(sa: SetAssignment, pis: Sequence[PartialMap]) -> np.ndar
     is otherwise not a permutation of the universe.
     """
     universe = sa.universe
-    position = sa.tokens.position
     m = len(universe)
+    position = dict(zip(universe, range(m)))
     dest = np.empty((len(pis), m), dtype=np.intp)
     for j, pi in enumerate(pis):
         row = [position.get(pi[t], -1) for t in universe]

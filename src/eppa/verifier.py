@@ -674,7 +674,8 @@ def _check_subset_level(
     if sa is not None:
         fault = _copy_token_fault(w.input, lvl.base_embedding, sa.k)
         report.add("token-assignment", not fault, fault)
-        # combinations of a sorted sequence come out sorted
+        # combinations of a sorted sequence come out sorted; the assignment
+        # lays its universe out in this order, and the sort re-derives it
         ordered = sorted(sa.universe, key=token_sort_key)
         expected = sorted("{" + "|".join(c) + "}" for c in combinations(ordered, sa.k))
         all_subsets = list(g.vertices) == expected

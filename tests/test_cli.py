@@ -545,9 +545,9 @@ def test_no_command_on_a_faulty_file_depends_on_the_hash_seed(t112_witness, demo
 
 
 def test_extend_does_not_depend_on_the_hash_seed(tmp_path):
-    # the token table of the extension is built from the frozensets of the
-    # set assignment; under two string hash seeds every map of the
-    # four-point witness extends to the same bytes
+    # the set assignment lays its tokens out in token order, with no set of
+    # strings; under two string hash seeds every map of the four-point
+    # witness extends to the same bytes
     wpath = write_witness(tmp_path, "w.json", build_witness(make_four_point()))
     maps = {"empty": [], "swap": [["p", "r"], ["r", "p"]],
             "three": [["p", "q"], ["q", "r"], ["r", "s"]]}
@@ -654,6 +654,28 @@ def test_unknown_command_is_usage_error(capsys):
 def test_missing_file_is_usage_error(tmp_path, capsys):
     assert main(["check", str(tmp_path / "absent.json")]) == 3
     assert "cannot read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("data,message", [(b"\xff\xfe{}", "not UTF-8 text"),
+                                          (b"[" * 200_000, "too deeply")],
+                         ids=["utf16", "deep"])
+def test_unreadable_json_is_usage_error(tmp_path, capsys, monkeypatch, data, message):
+    path = tmp_path / "odd.json"
+    path.write_bytes(data)
+    graph = write_graph(tmp_path, "g.json", make_t112())
+    for argv in (["check", str(path)], ["verify", str(path)]):
+        assert main(argv) == 3
+        assert message in capsys.readouterr().err
+    monkeypatch.setenv("EPPA_CONFIG", str(path))
+    assert main(["check", graph]) == 3
+    assert message in capsys.readouterr().err
+
+
+def test_unwritable_output_is_usage_error(tmp_path, capsys):
+    graph = write_graph(tmp_path, "g.json", make_t112())
+    out = str(tmp_path / "absent" / "out.json")
+    assert main(["complete", graph, "--output", out]) == 3
+    assert "cannot write" in capsys.readouterr().err
 
 
 def test_bad_label_is_usage_error(tmp_path, capsys):

@@ -411,3 +411,20 @@ def test_load_json_errors(tmp_path):
     with pytest.raises(GraphFormatError) as exc:
         load_json(str(bad))
     assert "not valid JSON" in str(exc.value)
+    # a byte-order mark of UTF-16 is no UTF-8, a deep nest overflows the
+    # parser, and Python refuses to convert an integer of over 4,300 digits
+    for name, data, message in (("utf16.json", b"\xff\xfe{}", "not UTF-8 text"),
+                                ("deep.json", b"[" * 200_000, "too deeply"),
+                                ("long.json", b"1" * 5000, "not valid JSON")):
+        odd = tmp_path / name
+        odd.write_bytes(data)
+        with pytest.raises(GraphFormatError, match=message) as exc:
+            load_json(str(odd))
+        assert str(odd) in str(exc.value)
+
+
+def test_dump_json_refuses_an_unwritable_path(tmp_path):
+    path = str(tmp_path / "absent" / "out.json")
+    with pytest.raises(GraphFormatError, match="cannot write") as exc:
+        dump_json(path, {})
+    assert path in str(exc.value)

@@ -41,7 +41,6 @@ from eppa import (
     is_partial_automorphism,
     shortest_path_completion,
     subset_automorphism,
-    token_load,
 )
 from eppa.setrep import (
     _class_walks,
@@ -115,8 +114,14 @@ def token_fault(sa):
 
 
 def test_token_load(t112):
-    assert token_load(t112, "x") == 2  # two distance-1 neighbours
-    assert token_load(t112, "z") == 3  # 1 + 2
+    # a point's pair-token load is its row sum of codes, the ranks of its
+    # labels, and the pair tokens it shares with the other points
+    loads = dict(zip(t112.vertices, t112.codes.sum(axis=1).tolist()))
+    assert loads["x"] == 2  # two distance-1 neighbours
+    assert loads["z"] == 3  # 1 + 2
+    sa = build_set_assignment(t112)
+    assert {x: sum(len(sa.shared[x, y]) for y in t112.vertices if y != x)
+            for x in t112.vertices} == loads
 
 
 def test_canonical_assignment_two_point(k2):
@@ -133,7 +138,7 @@ def test_canonical_assignment_sizes(t112, t123, four_point):
     for a in (t112, t123, four_point):
         sa = build_set_assignment(a)
         pair_total = sum(a.spectrum().index(d) + 1 for _, _, d in a.edges())
-        assert sa.k == 1 + max(token_load(a, x) for x in a.vertices)
+        assert sa.k == 1 + int(a.codes.sum(axis=1).max())
         assert len(sa.universe) == len(a) * sa.k - pair_total
         assert token_fault(sa) == ""
     assert build_set_assignment(t112).k == 4
@@ -460,15 +465,25 @@ def test_image_refuses_more_than_64_tokens():
                                                                       "{t!63}": "{t!0}"}
 
 
-def assert_token_table_matches_the_strings(a):
+def assert_token_layout_matches_the_strings(a):
+    """The one-pass layout of `build_set_assignment` against the token
+    strings: the universe is in id order (`token_sort_key`), and `psi`,
+    `own` and `shared` are the sets of pair and padding tokens written
+    point by point, and their positions."""
     sa = build_set_assignment(a)
-    table = sa.tokens
+    assert sa.universe == tuple(sorted(sa.universe, key=token_sort_key))
     position = {t: p for p, t in enumerate(sa.universe)}
-    assert table.position == position
-    assert table.by_name == [position[t] for t in sorted(sa.universe)]
-    assert table.own == {x: sorted(map(position.__getitem__, sa.psi[x])) for x in a.vertices}
     codes = a.codes.tolist()
-    assert {key: list(block) for key, block in table.shared.items()} == {
+    psi = {
+        x: frozenset([pair_token(x, y, i) for q, y in enumerate(a.vertices)
+                      for i in range(1, codes[p][q] + 1)]
+                     + [padding_token(x, t) for t in range(1, sa.k - sum(codes[p]) + 1)])
+        for p, x in enumerate(a.vertices)
+    }
+    assert sa.psi == psi
+    assert len(position) == len(sa.universe) and set(position) == set().union(*psi.values())
+    assert sa.own == {x: tuple(sorted(map(position.__getitem__, psi[x]))) for x in a.vertices}
+    assert {key: list(block) for key, block in sa.shared.items()} == {
         (x, y): [position[pair_token(x, y, i)] for i in range(1, codes[p][q] + 1)]
         for p, x in enumerate(a.vertices) for q, y in enumerate(a.vertices) if x != y
     }
@@ -479,20 +494,20 @@ def assert_token_table_matches_the_strings(a):
                          ids=["two-point", "triangle-112", "triangle-123", "four-point",
                               "triangle-113", "path2", "ten-labels"])
 def test_token_table_matches_the_token_strings(factory):
-    assert_token_table_matches_the_strings(factory())
+    assert_token_layout_matches_the_strings(factory())
 
 
 @settings(max_examples=25, deadline=None)
 @given(edge_labelled_graphs(max_vertices=4, labels=(Fraction(1), Fraction(2), Fraction(3))))
 def test_token_table_matches_the_token_strings_on_any_graph(a):
-    assert_token_table_matches_the_strings(a)
+    assert_token_layout_matches_the_strings(a)
 
 
 def test_no_token_string_is_parsed_when_extending_again(t112, monkeypatch):
     # B0's ids are checked against the Johnson table of the set assignment,
-    # and the extension moves token positions of its token table, which is
-    # computed from the input's codes: no token string is parsed or written,
-    # on the built witness or on a loaded one, from its first extension on
+    # and the extension moves the token positions the assignment laid out
+    # from the input's codes: no token string is parsed or written, on the
+    # built witness or on a loaded one, from its first extension on
     w = build_witness(t112)
     loaded = witness_from_json(json.loads(json.dumps(witness_to_json(w))))
     maps = list(enumerate_partial_automorphisms(t112, len(t112)))
@@ -506,6 +521,28 @@ def test_no_token_string_is_parsed_when_extending_again(t112, monkeypatch):
         monkeypatch.setattr(setrep, name, no_parsing)
     assert [extend_isometry(loaded, phi) for phi in maps] == want
     assert [extend_isometry(w, phi) for phi in maps] == want
+
+
+def test_no_token_string_is_parsed_when_building_or_loading(t112, monkeypatch):
+    # the set assignment lays its tokens out in token order from the codes,
+    # and the copy's ids are read off that layout: building, writing and
+    # loading a witness and extending on it parse and sort no token string
+    maps = list(enumerate_partial_automorphisms(t112, len(t112)))
+    built = build_witness(t112)
+    want_json = witness_to_json(built)
+    want = [extend_isometry(built, phi) for phi in maps]
+
+    def no_parsing(*args, **kwargs):
+        raise AssertionError("token string parsed on the build or load path")
+
+    for name in ("parse_token", "token_sort_key", "subset_id", "parse_subset_id"):
+        monkeypatch.setattr(setrep, name, no_parsing)
+    w = build_witness(t112)
+    data = witness_to_json(w)
+    assert data == want_json
+    loaded = witness_from_json(json.loads(json.dumps(data)))
+    assert [extend_isometry(w, phi) for phi in maps] == want
+    assert [extend_isometry(loaded, phi) for phi in maps] == want
 
 
 # -- the tower decided on the Johnson scheme ---------------------------------------
