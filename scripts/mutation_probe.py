@@ -206,8 +206,8 @@ def flip_member_dropped(real, fired):
 def tokens_mismatched(real, fired):
     # the first two tokens' destinations are swapped in every token
     # permutation the replay passes to `JohnsonTable.image`
-    def mutant(sa, phi):
-        dest = real(sa, phi)
+    def mutant(sa, pairs):
+        dest = real(sa, pairs)
         if len(dest) > 1:
             dest = [dest[1], dest[0], *dest[2:]]
             fired.append(True)

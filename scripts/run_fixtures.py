@@ -10,8 +10,9 @@ time `witness_from_json` takes to load it back from the parsed JSON.  The
 loaded witness must equal the built one, its derived final space and every
 level alike.  It optionally extends every partial isometry of the input
 on the loaded witness, as `eppa extend` does, timing each `extend_isometry`
-call alone (the first apart, as it builds the lazy bitmask table,
-then the median and p90 per map over the others) and checking each result
+call alone (the first apart, as it builds the lazy bitmask table and
+the witness's table of the copy's final positions, then the median and
+p90 per map over the others) and checking each result
 with `check_map` outside the timer, or times the independent cross-check of each
 witness (the first run apart, then the median of four more) and prints its
 traced peak (`tracemalloc`, in MB, of one more, untimed run), its
@@ -135,7 +136,7 @@ def run_one(name: str, g: EdgeLabelledGraph, args: argparse.Namespace) -> bool:
         first, rest = times[0], times[1:] or times
         p50, p90 = (1e3 * percentile(rest, q) for q in (50, 90))
         print(f"   extend: {len(times)} partial isometries in {sum(times):.3f}s;"
-              f" first {1e3 * first:.2f} ms (builds the bitmask table),"
+              f" first {1e3 * first:.2f} ms (builds the bitmask and copy-position tables),"
               f" then {p50:.2f} ms median, {p90:.2f} ms p90 per map")
 
     ok = loaded.final == w.final and loaded.levels == w.levels

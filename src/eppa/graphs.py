@@ -33,6 +33,9 @@ from .errors import InvalidMap, GraphFormatError, UnknownVertex
 _NAME_RE = re.compile(r"^[^\s(){}#!|,;~]+$")
 _CORE_NAME_RE = re.compile(r"^\S+$")
 
+# The integer types of a scaled matrix, narrowest first, each with its largest value.
+_INT_TYPES = tuple((t, np.iinfo(t).max) for t in (np.int8, np.int16, np.int32, np.int64))
+
 
 def check_vertex_name(name: str) -> str:
     """Strict rule for user-supplied vertex names."""
@@ -199,8 +202,8 @@ def scaled_matrix(g: EdgeLabelledGraph, values: list[int], missing: int, top: in
     non-edges and 0 on the diagonal.  Its type is the narrowest of int8 to
     int64 that holds `top` (narrow types sweep fastest), and Python ints
     (dtype=object) beyond."""
-    fits = [t for t in (np.int8, np.int16, np.int32, np.int64) if top <= np.iinfo(t).max]
-    mat = np.array([missing, *values], dtype=fits[0] if fits else object)[g.codes]
+    fits = next((t for t, most in _INT_TYPES if top <= most), object)
+    mat = np.array([missing, *values], dtype=fits)[g.codes]
     np.fill_diagonal(mat, 0)
     return mat
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from operator import itemgetter
 from typing import Sequence
 
@@ -98,6 +99,14 @@ class Witness:
         if len(b0) != math.comb(len(sa.universe), sa.k) or b0.vertices != sa.johnson.ids:
             raise InvalidMap("B0's vertices are not the k-subsets of the set assignment's tokens")
         return len(self.levels) == 1 and self.final.vertices == sa.johnson.ids
+
+    @cached_property
+    def _copy_positions(self) -> tuple[int, ...]:
+        """The final space's position of each input point's copy, by the
+        point's position in the input; -1 where the copy is outside it."""
+        final, emb = self.final, self.final_embedding
+        return tuple(final.position(v) if v in final else -1
+                     for v in map(emb.get, self.input.vertices))
 
 
 def compute_N(a: EdgeLabelledGraph) -> int:
@@ -192,6 +201,17 @@ def _as_input_map(w: Witness, phi: PartialMap) -> PartialMap:
     )
 
 
+def _input_pairs(w: Witness, phi: PartialMap) -> list[tuple[int, int]]:
+    """`phi` as its (x, phi(x)) pairs of input positions, ascending in x,
+    each name looked up once; a map that is not on input names is read by
+    `_as_input_map`, which refuses one on neither form."""
+    at = w.input._index
+    try:
+        return [(at[x], at[y]) for x, y in phi.items()]
+    except KeyError:
+        return [(at[x], at[y]) for x, y in _as_input_map(w, phi).items()]
+
+
 def extend_isometry(w: Witness, phi: PartialMap) -> PartialMap:
     """Extend a partial isometry of the embedded copy to an isometry of the
     final space, replaying the stored construction.
@@ -210,7 +230,8 @@ def replay_positions(w: Witness, phis: Sequence[PartialMap]) -> np.ndarray:
     (M, V) array with one row per map: row j is a permutation of the final
     space's vertex positions whose entry i is the position of the image of
     vertex i under the extension of phis[j].  Each map is read as by
-    `extend_isometry`.
+    `extend_isometry`, and its names are looked up once (`_input_pairs`):
+    the rest of the replay runs on input positions.
 
     On B0, whose vertices must be the ids of the set assignment's Johnson
     table (checked once per witness), a row is the permutation of B0's
@@ -224,21 +245,21 @@ def replay_positions(w: Witness, phis: Sequence[PartialMap]) -> np.ndarray:
     not stored is the one below renamed, and the lift there is the same
     map), restricted to the final space and checked as an isometry of it.
     Without levels every row is the identity.  Raises InvalidMap when a row
-    does not send the copy along its map, compared on positions; a batch
-    raises when any of its maps would alone.
+    does not send the copy along its map, compared on the final positions
+    of the copy (`Witness._copy_positions`); a batch raises when any of its
+    maps would alone.
     """
-    phis_a = [_as_input_map(w, phi) for phi in phis]
-    emb = w.final_embedding
-    wanted = [(j, emb[x], emb[y]) for j, phi in enumerate(phis_a) for x, y in phi.items()]
-    final = w.final
+    pairs = [_input_pairs(w, phi) for phi in phis]
+    copy = w._copy_positions
     if w.levels:
-        perms = _replay(w, phis_a)
+        perms = _replay(w, pairs)
     else:
-        perms = np.tile(np.arange(len(final)), (len(phis_a), 1))
-    at = final.position
-    for j, u, v in wanted:
-        if u not in final or v not in final or perms.item(j, at(u)) != at(v):
-            raise InvalidMap("extension does not agree with the requested map")
+        perms = np.tile(np.arange(len(w.final)), (len(pairs), 1))
+    for j, row in enumerate(pairs):
+        for x, fx in row:
+            u, v = copy[x], copy[fx]
+            if u < 0 or v < 0 or perms.item(j, u) != v:
+                raise InvalidMap("extension does not agree with the requested map")
     return perms
 
 
@@ -249,19 +270,25 @@ def _permutation_map(verts: tuple[str, ...], perm: np.ndarray) -> PartialMap:
     return PartialMap._trusted(zip(verts, itemgetter(*perm.tolist())(verts)))
 
 
-def _replay(w: Witness, phis_a: list[PartialMap]) -> np.ndarray:
+def _replay(w: Witness, pairs: list[list[tuple[int, int]]]) -> np.ndarray:
     """The automorphisms of the final space that the stored levels give for
-    partial isometries of the input, one row of final positions per map."""
+    partial isometries of the input, each given as its pairs of input
+    positions, one row of final positions per map."""
     sa = w.set_assignment
     if sa is None:
         raise InvalidMap("witness carries no set assignment; cannot replay extensions")
     direct = w._replays_on_final
-    dest = np.array([_token_destinations(sa, phi_a) for phi_a in phis_a], dtype=np.intp)
-    perms = sa.johnson.image(dest.reshape(len(phis_a), len(sa.universe)))  # (M, m), M = 0 too
+    m = len(sa.universe)
+    # the kernel's rows, end to end, with no list of lists for numpy to walk
+    dest = np.fromiter(chain.from_iterable(_token_destinations(sa, row) for row in pairs),
+                       dtype=np.intp, count=len(pairs) * m)
+    perms = sa.johnson.image(dest.reshape(len(pairs), m))  # (M, V), M = 0 too
     if direct:
         # automorphisms, as pi keeps the shared-token counts that code the final space
         return perms
-    lifted = [_lift(w, phi_a, perm) for phi_a, perm in zip(phis_a, perms)]
+    names = w.input.vertices
+    lifted = [_lift(w, PartialMap._trusted((names[x], names[fx]) for x, fx in row), perm)
+              for row, perm in zip(pairs, perms)]
     return np.array(lifted, dtype=np.intp).reshape(len(lifted), len(w.final))
 
 

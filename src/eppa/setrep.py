@@ -13,9 +13,11 @@ count, so it is also one of B's completion, read off those counts
 
 An assignment lays its tokens out once, in token order, from A's codes:
 the universe, each point's token positions (`own`) and each pair's shared
-positions (`shared`).  An extension moves token positions only:
-`extend_by_permutation` names the tokens of its result at its end, and the
-replay of `pipeline` passes the positions straight to `JohnsonTable.image`.
+positions (`shared`), both indexed by point position.  An extension moves
+token positions only, for a map given on point positions:
+`extend_by_permutation` looks its names up and names the tokens of its
+result at its end, and the replay of `pipeline` passes the positions
+straight to `JohnsonTable.image`.
 """
 
 from __future__ import annotations
@@ -26,20 +28,14 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import (
     EppaError, GraphFormatError, InvalidMap, NotAMetricSpace, VertexCapExceeded,
 )
-from .graphs import (
-    EdgeLabelledGraph,
-    PartialMap,
-    check_vertex_name,
-    is_partial_automorphism,
-    scaled_spectrum,
-)
+from .graphs import EdgeLabelledGraph, PartialMap, check_vertex_name, scaled_spectrum
 
 # Token syntax.  Pair tokens "(x,y)#i" are shared by psi(x) and psi(y);
 # padding tokens "x!t" are private to psi(x).  Unambiguous because the
@@ -161,7 +157,7 @@ class JohnsonTable:
         Each image is found by its token bitmask, the sum of 2**dest[t] over
         the vertex's tokens t, among the sorted masks."""
         powers, incidence, masks, order = self._masks
-        return order.take(np.searchsorted(masks, powers.take(dest) @ incidence))
+        return order.take(masks.searchsorted(powers.take(dest) @ incidence))
 
 
 @dataclass(frozen=True)
@@ -201,11 +197,13 @@ class ClassTable:
 class SetAssignment:
     """A token-set assignment for the vertices of `graph`.
 
-    `universe` lists the token strings in token order, `own` each vertex's
-    token positions in it, ascending, and `shared` each ordered pair of
-    vertices' pair-token positions by rank (empty for a non-edge); `psi`
-    names each vertex's tokens.  Only `build_set_assignment` makes one, so
-    nothing re-validates it: its `graph` is the input it was derived from.
+    `universe` lists the token strings in token order; `own[i]` holds the
+    token positions of the i-th vertex of `graph`, ascending, and
+    `shared[i][j]` the pair-token positions of its i-th and j-th vertices
+    by rank, as many as the code of their pair (empty for a non-edge and
+    for i = j); `psi` names each vertex's tokens.  Only
+    `build_set_assignment` makes one, so nothing re-validates it: its
+    `graph` is the input it was derived from.
     `johnson` and `classes` are the Johnson and class tables of its subset
     graph, each built on first use and kept as long as the assignment.
     """
@@ -213,13 +211,14 @@ class SetAssignment:
     graph: EdgeLabelledGraph
     k: int
     universe: tuple[str, ...]
-    own: Mapping[str, tuple[int, ...]]
-    shared: Mapping[tuple[str, str], range]
+    own: tuple[tuple[int, ...], ...]
+    shared: tuple[tuple[range, ...], ...]
 
     @cached_property
     def psi(self) -> dict[str, frozenset[str]]:
         universe = self.universe
-        return {x: frozenset(map(universe.__getitem__, own)) for x, own in self.own.items()}
+        return {x: frozenset(map(universe.__getitem__, own))
+                for x, own in zip(self.graph.vertices, self.own)}
 
     @cached_property
     def johnson(self) -> JohnsonTable:
@@ -247,20 +246,20 @@ def build_set_assignment(a: EdgeLabelledGraph) -> SetAssignment:
     k = 1 + max(map(sum, codes), default=0)
     names: list[str] = []
     own: list[list[int]] = [[] for _ in a.vertices]
-    shared: dict[tuple[str, str], range] = {}
+    shared = [[range(0)] * len(a) for _ in a.vertices]
     # row by row, so that each point's positions come in ascending order
     for (i, x), (j, y) in combinations(enumerate(a.vertices), 2):
         block = range(len(names), len(names) + codes[i][j])
         names += [pair_token(x, y, r) for r in range(1, len(block) + 1)]
-        shared[x, y] = shared[y, x] = block
+        shared[i][j] = shared[j][i] = block
         own[i] += block
         own[j] += block
     for x, positions, row in zip(a.vertices, own, codes):
         slots = range(1, k - sum(row) + 1)
         positions += range(len(names), len(names) + len(slots))
         names += [padding_token(x, t) for t in slots]
-    return SetAssignment(graph=a, k=k, universe=tuple(names),
-                         own=dict(zip(a.vertices, map(tuple, own))), shared=shared)
+    return SetAssignment(graph=a, k=k, universe=tuple(names), own=tuple(map(tuple, own)),
+                         shared=tuple(map(tuple, shared)))
 
 
 def subset_graph_size(sa: SetAssignment, vertex_cap: int) -> int:
@@ -384,16 +383,17 @@ def build_eppa_graph(
     subset_graph_size(sa, vertex_cap)
     johnson = sa.johnson
     # two subsets sharing c tokens are joined by the c-th label (none for
-    # c = 0 or past the spectrum, and a subset shares all k with itself)
+    # c = 0 or past the spectrum, and a subset shares all k with itself):
+    # the code is the count up to n and 0 above, with no intp index copy
     n = len(a.spectrum())
-    counts = np.arange(sa.k + 1)
-    code_of = np.where(counts <= n, counts, 0).astype(np.min_scalar_type(n))
+    shares = johnson.shares
+    codes = np.multiply(shares, shares <= n, dtype=np.min_scalar_type(n))
     # no label is lost: each is on an edge x-y of a, and psi(x) != psi(y)
     # (each holds a private padding token, as k is one above the largest
     # load) share its rank
-    b = EdgeLabelledGraph._trusted(johnson.ids, a.spectrum(), code_of.take(johnson.shares))
+    b = EdgeLabelledGraph._trusted(johnson.ids, a.spectrum(), codes)
     # ascending positions list each copy's tokens in token order, as the ids do
-    ids = ("{" + "|".join(map(sa.universe.__getitem__, sa.own[x])) + "}" for x in a.vertices)
+    ids = ("{" + "|".join(map(sa.universe.__getitem__, own)) + "}" for own in sa.own)
     return b, PartialMap._trusted(zip(a.vertices, ids))
 
 
@@ -401,15 +401,19 @@ def extend_by_permutation(sa: SetAssignment, phi: PartialMap) -> PartialMap:
     """Token permutation inducing an automorphism of the subset graph that
     extends the given partial automorphism of A, the graph `sa` was built
     for: the permutation of token positions of `_token_destinations`, with
-    its tokens named, in the order of their strings."""
-    dest = _token_destinations(sa, phi)
+    its tokens named, in the order of their strings.  Raises UnknownVertex
+    for a vertex outside A."""
+    at = sa.graph.position
+    dest = _token_destinations(sa, [(at(x), at(y)) for x, y in phi.items()])
     universe = sa.universe
     return PartialMap._trusted(sorted(zip(universe, map(universe.__getitem__, dest))))
 
 
-def _token_destinations(sa: SetAssignment, phi: PartialMap) -> list[int]:
-    """The token permutation of `extend_by_permutation` on positions: entry
-    p is the position that position p of `sa.universe` goes to.
+def _token_destinations(sa: SetAssignment, pairs: Sequence[tuple[int, int]]) -> list[int]:
+    """The token permutation of `extend_by_permutation` on positions, for
+    an injective partial map given as its (x, phi(x)) pairs of positions in
+    `sa.graph.vertices`, ascending in x: entry p is the position that
+    position p of `sa.universe` goes to.
 
     Shared pair tokens are transported along phi first; each mapped vertex
     then has its leftover tokens matched against the leftovers of its image,
@@ -420,11 +424,11 @@ def _token_destinations(sa: SetAssignment, phi: PartialMap) -> list[int]:
     (coherent extension).  Every stage moves the positions of `sa.own` and
     `sa.shared`, and the last one places every position left, so the
     result is a permutation by construction.
+
+    Two points share as many pair tokens as the code of their pair, so the
+    first stage compares the input's codes as it moves them: a map that
+    changes one is no partial isometry and is refused with InvalidMap.
     """
-    a = sa.graph
-    # raises UnknownVertex for a vertex outside A
-    if not is_partial_automorphism(phi, a):
-        raise InvalidMap("map does not preserve distances on its domain")
     own, shared = sa.own, sa.shared
     m = len(sa.universe)
     dest = [-1] * m  # the position each position goes to, -1 while unplaced
@@ -439,15 +443,19 @@ def _token_destinations(sa: SetAssignment, phi: PartialMap) -> list[int]:
             dest[src] = dst
             hit[dst] = True
 
-    # shared tokens of mapped pairs travel with their endpoints, rank by rank
-    dom = phi.domain()
-    for x, y in combinations(dom, 2):
-        match(shared[x, y], shared[phi[x], phi[y]])
+    # shared tokens of mapped pairs travel with their endpoints, rank by
+    # rank: each block is a range, so one slice moves it
+    for (x, fx), (y, fy) in combinations(pairs, 2):
+        src, dst = shared[x][y], shared[fx][fy]
+        if len(src) != len(dst):
+            raise InvalidMap("map does not preserve distances on its domain")
+        dest[src.start:src.stop] = dst
+        hit[dst.start:dst.stop] = [True] * len(dst)
 
     # per-vertex leftovers: image sets of distinct mapped vertices are
     # disjoint outside the tokens already placed above
-    for x in dom:
-        match([p for p in own[x] if dest[p] < 0], [p for p in own[phi[x]] if not hit[p]])
+    for x, fx in pairs:
+        match([p for p in own[x] if dest[p] < 0], [p for p in own[fx] if not hit[p]])
 
     match([p for p in range(m) if dest[p] < 0], [p for p in range(m) if not hit[p]])
     return dest

@@ -11,9 +11,11 @@ entries, or of Python ints past int64:
 
 - the subset level's edge rule is a comparison with the labels that the
   shared-token counts of its vertices call for.  The counts are exact
-  integer popcounts: each id is parsed once, the token incidence is packed
-  eight tokens to a byte, and every byte column adds the popcount of the
-  AND of each pair (`_shared_token_counts`);
+  integer popcounts: the token incidence comes from the combinations
+  behind the sorted ids that the `subset-vertices` check writes, or from
+  parsing each id once when that check fails, is packed eight tokens to a
+  byte, and every byte column adds the popcount of the AND of each pair
+  (`_shared_token_counts`);
 - each level's edge rule is a comparison with the level below, read
   through the projection each vertex id names, with the pairs that a
   stored bad set cuts masked;
@@ -93,8 +95,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import chain, combinations, islice, permutations
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -558,12 +561,13 @@ def _check_completion(
     """
     name = "final-completion"
     top, final = w.levels[-1].graph, w.final
-    if not all(v in top for v in final.vertices):
-        report.add(name, False, "final space names vertices outside the top level")
-        return
     top_index, top_mat = top_matrix
-    rows = np.fromiter(map(top_index.__getitem__, final.vertices), dtype=np.intp, count=len(final))
-    if not np.array_equal(rows, np.arange(len(top_mat))):
+    if final.vertices != top.vertices:  # else the rows are the top level's, in its order
+        if not all(v in top for v in final.vertices):
+            report.add(name, False, "final space names vertices outside the top level")
+            return
+        rows = np.fromiter(map(top_index.__getitem__, final.vertices), dtype=np.intp,
+                           count=len(final))
         top_mat = top_mat.take(rows, 0).take(rows, 1)
     final_mat = final_matrix[1]
     n = len(final_mat)
@@ -661,34 +665,43 @@ def _check_subset_level(
     report: VerificationReport, w: Witness, scale: int, matrix: _Matrix
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """Check the subset level B0 against the set assignment.  Returns the
-    token incidence of its vertices and their shared-token counts, read off
-    their ids, when its vertices are all the k-subsets of the tokens and its
-    labels a function of those counts (`subset-vertices` and
-    `subset-edge-rule` pass): then every token permutation is an
-    automorphism of B0, and these act transitively on its vertices.
-    Returns None otherwise."""
+    token incidence of its vertices and their shared-token counts when its
+    vertices are all the k-subsets of the tokens and its labels a function
+    of those counts (`subset-vertices` and `subset-edge-rule` pass): then
+    every token permutation is an automorphism of B0, and these act
+    transitively on its vertices.  Returns None otherwise.  When
+    `subset-vertices` passes, the incidence is that of the combinations
+    behind the sorted ids it compares the vertices with; otherwise it is
+    read off the parsed ids."""
     lvl = w.levels[0]
     g = lvl.graph
     sa = w.set_assignment
     all_subsets = False
+    verts = g.vertices
     if sa is not None:
         fault = _copy_token_fault(w.input, lvl.base_embedding, sa.k)
         report.add("token-assignment", not fault, fault)
         # combinations of a sorted sequence come out sorted; the assignment
         # lays its universe out in this order, and the sort re-derives it
         ordered = sorted(sa.universe, key=token_sort_key)
-        expected = sorted("{" + "|".join(c) + "}" for c in combinations(ordered, sa.k))
-        all_subsets = list(g.vertices) == expected
+        combos = list(combinations(range(len(ordered)), sa.k))
+        ids = ["{" + "|".join(map(ordered.__getitem__, c)) + "}" for c in combos]
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+        all_subsets = list(verts) == list(map(ids.__getitem__, order))
         report.add(
             "subset-vertices",
             all_subsets,
             "" if all_subsets else "vertex set is not all k-subsets of the universe",
         )
+    if all_subsets:  # vertex i is the combination behind the i-th sorted id
+        members = np.array(combos, dtype=np.intp).reshape(len(combos), sa.k)[order]
+        incidence = np.zeros((len(verts), len(ordered)), dtype=bool)
+        incidence[np.arange(len(verts))[:, None], members] = True
+    else:
+        incidence = _token_incidence([parse_subset_id(vid) for vid in verts])
     # two subsets sharing c tokens are joined by the c-th smallest distance
     spectrum = w.input.spectrum()
     n = len(spectrum)
-    verts = g.vertices
-    incidence = _token_incidence([parse_subset_id(vid) for vid in verts])
     shared = _shared_token_counts(incidence)
     values = [d.numerator * (scale // d.denominator) for d in spectrum]
     # no two sets share more tokens than either of them holds
@@ -962,7 +975,7 @@ def _sweep_sources(w: Witness, shared: np.ndarray | None, final_mat: np.ndarray)
 
 def _first_unfaithful(
     perms: np.ndarray, phis: list[PartialMap], at: dict[str, int], mat: np.ndarray,
-    flipped: np.ndarray, incidence: np.ndarray | None,
+    flipped: Callable[[], np.ndarray], incidence: np.ndarray | None,
 ) -> int | None:
     """The index of the first map of `phis` whose row of `perms`, an (M, V)
     integer array, is no permutation of the final positions, does not send
@@ -970,7 +983,8 @@ def _first_unfaithful(
     keep every label; None when every row passes.  The first two tests and
     token induction (`_token_induced`) run on the whole batch; only a
     permutation that no token bijection induces goes to the gather of the
-    label matrix (`_permutes_labels`)."""
+    label matrix (`_permutes_labels`), against the transposed copy that
+    `flipped()` gives."""
     count, n = perms.shape
     faithful = _permutation_rows(perms)
     perms = np.where(faithful[:, None], perms, np.arange(n))  # every row indexable
@@ -981,7 +995,7 @@ def _first_unfaithful(
     induced = (_token_induced(perms, incidence) if incidence is not None
                else np.zeros(count, dtype=bool))
     for j in np.flatnonzero(~(faithful & induced)).tolist():
-        if not faithful[j] or not _permutes_labels(perms[j], mat, flipped):
+        if not faithful[j] or not _permutes_labels(perms[j], mat, flipped()):
             return j
     return None
 
@@ -1015,7 +1029,7 @@ def _check_replay(
     is judged by the gather."""
     index, mat = final_matrix
     n = len(mat)
-    flipped = np.ascontiguousarray(mat.T)
+    flipped = cache(lambda: np.ascontiguousarray(mat.T))  # copied when a map first needs the gather
     emb = w.final_embedding
     at = {x: index.get(emb.get(x), -1) for x in w.input.vertices}  # the copy's positions
     sa = w.set_assignment
@@ -1105,7 +1119,11 @@ def cross_check(w: Witness, budget: int = 10_000_000, search_limit: int = 150) -
             while layer.any():
                 seen |= layer
                 layer = (top_mat[layer] > 0).any(axis=0) & ~seen
-            ok = {top.graph.vertices[p] for p in np.flatnonzero(seen).tolist()} == set(w.final.vertices)
+            if w.final.vertices == top.graph.vertices:  # the whole level, with no name walk
+                ok = bool(seen.all())
+            else:
+                ok = ({top.graph.vertices[p] for p in np.flatnonzero(seen).tolist()}
+                      == set(w.final.vertices))
         report.add("component", ok,
                    "" if ok else "final vertices differ from the copy's component in the top level")
         _check_completion(report, w, scale, matrices[-1], final_matrix, sources)

@@ -441,23 +441,25 @@ def broken_compositions(extend, maps: list[PartialMap]) -> list[tuple[PartialMap
     ]
 
 
-def tau_on_empty_positions(sa, phi):
+def tau_on_empty_positions(sa, pairs):
     """`setrep._token_destinations`, except on the empty map, which gets the
     fixed transposition tau of the first two token positions instead of the
     identity.  Any token permutation induces an automorphism of the subset
     graph, so each result is still an extension; but ext(empty) after
     ext(empty) is the identity, not tau. The negative control of criterion
-    6's composition check."""
-    if len(phi):
-        return _token_destinations(sa, phi)
+    6's composition check, on the kernel's (x, phi(x)) pairs of point
+    positions."""
+    if len(pairs):
+        return _token_destinations(sa, pairs)
     return [1, 0, *range(2, len(sa.universe))]
 
 
 def tau_on_empty(sa, phi):
-    """`tau_on_empty_positions` as a token map, the form of
-    `extend_by_permutation`."""
-    universe = sa.universe
-    return PartialMap(zip(universe, map(universe.__getitem__, tau_on_empty_positions(sa, phi))))
+    """`tau_on_empty_positions` of a map on point names, as a token map, the
+    form of `extend_by_permutation`."""
+    universe, at = sa.universe, sa.graph.position
+    dest = tau_on_empty_positions(sa, [(at(x), at(y)) for x, y in phi.items()])
+    return PartialMap(zip(universe, map(universe.__getitem__, dest)))
 
 
 def b0_automorphisms(sa, pis, b):

@@ -37,6 +37,7 @@ from eppa import (
     has_nonmetric_cycle_up_to,
     shortest_path_completion,
 )
+from eppa import graphs, pipeline
 from eppa.cli import main as cli_main
 from eppa.fileio import (
     dump_json, graph_to_codes, graph_to_json, load_json, map_to_json, report_to_json,
@@ -206,6 +207,29 @@ def test_every_label_of_a_fixture_graph_is_on_a_pair(fixture_witnesses):
         loaded = witness_from_json(json.loads(json.dumps(witness_to_json(w))))
         for g in witness_graphs(w) + witness_graphs(loaded):
             assert every_label_on_a_pair(g), (name, g)
+
+
+@pytest.mark.parametrize("name", [f[0] for f in FIXTURES])
+def test_input_name_maps_replay_with_no_name_walk(fixture_witnesses, monkeypatch, name):
+    # criterion 1's maps written on input names: each name is looked up
+    # once, so neither the final-id reader nor the name-level isometry test
+    # runs, and the extensions are the same maps
+    g, w, _ = fixture_witnesses[name]
+    copy = [w.final_embedding[x] for x in g.vertices]
+    point = dict(zip(copy, g.vertices))
+    maps = [PartialMap({point[u]: point[v] for u, v in phi.items()})
+            for phi in enumerate_partial_automorphisms(w.final, len(copy), copy)]
+
+    def refuse(*args):
+        raise AssertionError("a map's names were walked again")
+
+    monkeypatch.setattr(pipeline, "_as_input_map", refuse)
+    monkeypatch.setattr(graphs, "is_partial_automorphism", refuse)
+    digest = hashlib.sha256()
+    for phi in maps:
+        digest.update(json.dumps(map_to_json(extend_isometry(w, phi)),
+                                 separators=(",", ":")).encode() + b"\n")
+    assert digest.hexdigest() == MAP_DIGESTS[name]
 
 
 # -- criterion 2: the one-step construction alone on random graphs -----------------

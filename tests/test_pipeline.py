@@ -7,9 +7,11 @@ import hashlib
 import importlib
 import importlib.util
 import itertools
+import re
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from eppa import (
@@ -17,6 +19,7 @@ from eppa import (
     InvalidMap,
     NotAMetricSpace,
     PartialMap,
+    UnknownVertex,
     VertexCapExceeded,
     Witness,
     build_eppa_graph,
@@ -26,6 +29,7 @@ from eppa import (
     compute_N,
     cross_check,
     enumerate_partial_automorphisms,
+    extend_by_permutation,
     extend_isometry,
     graph_from_triples,
     shortest_path_completion,
@@ -288,6 +292,51 @@ def test_rejects_foreign_and_non_preserving_maps(k2_witness, t112_witness):
     # d(y, z) = 2 but d(x, y) = 1, so y -> x, z -> y shrinks a distance
     with pytest.raises(InvalidMap):
         extend_isometry(t112_witness, PartialMap({"y": "x", "z": "y"}))
+
+
+def refused(error, message):
+    """pytest.raises for exactly this type and this whole message."""
+    return pytest.raises(error, match=f"^{re.escape(message)}$")
+
+
+def test_every_refusal_of_the_replay_keeps_its_type_and_message(k2_witness, t112_witness):
+    w = t112_witness
+    emb = w.final_embedding
+    # a map on final ids is read as the map on input names it images
+    swap = PartialMap({"y": "z", "z": "y"})
+    on_final = PartialMap({emb["y"]: emb["z"], emb["z"]: emb["y"]})
+    assert extend_isometry(w, on_final) == extend_isometry(w, swap)
+    assert np.array_equal(pipeline.replay_positions(w, [on_final, swap]),
+                          pipeline.replay_positions(w, [swap, swap]))
+    # a level-free witness whose final space lacks the copy of b
+    cut = dataclasses.replace(k2_witness, levels=(), final=EdgeLabelledGraph(["a"]))
+    neither = "map must live on the input vertices or on the embedded copy in the result"
+    cases = [
+        (w, PartialMap({"y": emb["z"]}), neither),  # mixed names
+        (w, PartialMap({"q": "q"}), neither),
+        # d(y, z) = 2 but d(x, y) = 1
+        (w, PartialMap({"y": "x", "z": "y"}), "map does not preserve distances on its domain"),
+        (w, PartialMap({emb["y"]: emb["x"], emb["z"]: emb["y"]}),
+         "map does not preserve distances on its domain"),
+        (cut, PartialMap({"b": "b"}), "extension does not agree with the requested map"),
+        (dataclasses.replace(w, set_assignment=None), PartialMap({}),
+         "witness carries no set assignment; cannot replay extensions"),
+    ]
+    for witness, phi, message in cases:
+        with refused(InvalidMap, message):
+            extend_isometry(witness, phi)
+        # a batch raises what its failing map raises alone
+        with refused(InvalidMap, message):
+            pipeline.replay_positions(witness, [PartialMap({}), phi])
+
+
+def test_extend_by_permutation_refuses_an_unknown_vertex(t112):
+    sa = build_set_assignment(t112)
+    for phi in (PartialMap({"q": "x"}), PartialMap({"x": "q"})):
+        with refused(UnknownVertex, "unknown vertex 'q'"):
+            extend_by_permutation(sa, phi)
+    with refused(InvalidMap, "map does not preserve distances on its domain"):
+        extend_by_permutation(sa, PartialMap({"y": "x", "z": "y"}))
 
 
 def test_extend_checks_the_identity_of_a_level_free_witness(k2_witness):

@@ -120,8 +120,7 @@ def test_token_load(t112):
     assert loads["x"] == 2  # two distance-1 neighbours
     assert loads["z"] == 3  # 1 + 2
     sa = build_set_assignment(t112)
-    assert {x: sum(len(sa.shared[x, y]) for y in t112.vertices if y != x)
-            for x in t112.vertices} == loads
+    assert dict(zip(t112.vertices, (sum(map(len, row)) for row in sa.shared))) == loads
 
 
 def test_canonical_assignment_two_point(k2):
@@ -469,7 +468,8 @@ def assert_token_layout_matches_the_strings(a):
     """The one-pass layout of `build_set_assignment` against the token
     strings: the universe is in id order (`token_sort_key`), and `psi`,
     `own` and `shared` are the sets of pair and padding tokens written
-    point by point, and their positions."""
+    point by point, and their positions, by point position (a point shares
+    no token with itself)."""
     sa = build_set_assignment(a)
     assert sa.universe == tuple(sorted(sa.universe, key=token_sort_key))
     position = {t: p for p, t in enumerate(sa.universe)}
@@ -482,11 +482,12 @@ def assert_token_layout_matches_the_strings(a):
     }
     assert sa.psi == psi
     assert len(position) == len(sa.universe) and set(position) == set().union(*psi.values())
-    assert sa.own == {x: tuple(sorted(map(position.__getitem__, psi[x]))) for x in a.vertices}
-    assert {key: list(block) for key, block in sa.shared.items()} == {
-        (x, y): [position[pair_token(x, y, i)] for i in range(1, codes[p][q] + 1)]
-        for p, x in enumerate(a.vertices) for q, y in enumerate(a.vertices) if x != y
-    }
+    assert sa.own == tuple(tuple(sorted(map(position.__getitem__, psi[x]))) for x in a.vertices)
+    assert [[list(block) for block in row] for row in sa.shared] == [
+        [[position[pair_token(x, y, i)] for i in range(1, codes[p][q] + 1)] if x != y else []
+         for q, y in enumerate(a.vertices)]
+        for p, x in enumerate(a.vertices)
+    ]
 
 
 @pytest.mark.parametrize("factory", [make_k2, make_t112, make_t123, make_four_point,
