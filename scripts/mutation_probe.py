@@ -36,6 +36,9 @@ Construction mutations:
   * one unlabelled class distance raised by one scaled unit in the class
     table's ranks (`ClassTable.codes`), which the tower-free final space
     reads and the build's own class check does not
+  * the highest class of every non-empty range of third sides dropped from
+    the triangle rule of J(m, k) (`setrep._third_sides`), which the class
+    walks and the class metric check both read
 
     python3 scripts/mutation_probe.py --demo
     python3 scripts/mutation_probe.py witness.json --bumps 25 --seed 7
@@ -231,12 +234,25 @@ def class_distance_raised(real, fired):
     return mutant
 
 
+def third_side_dropped(real, fired):
+    # a mutant that widens a range can leave every build as it was, so this
+    # one narrows each: the walks miss a class they reach
+    def mutant(m, k, i, j):
+        third = real(m, k, i, j)
+        if third:
+            fired.append(True)
+            return third[:-1]
+        return third
+    return mutant
+
+
 CONSTRUCTION_MUTANTS = [
     ("cycle size off by one", "induced_nonmetric_cycles_at", cycle_size_off_by_one),
     ("anchor bit flipped", "anchor_valuations", anchor_bit_flipped),
     ("flip-set member dropped", "compute_flip_set", flip_member_dropped),
     ("tokens matched to each other's images", "_token_destinations", tokens_mismatched),
     ("unlabelled class distance raised", "ClassTable.codes", class_distance_raised),
+    ("highest third side dropped", "_third_sides", third_side_dropped),
 ]
 
 

@@ -291,6 +291,20 @@ def first_bad_level(sa: SetAssignment, n: int) -> tuple[int, int] | None:
     return None
 
 
+def _third_sides(m: int, k: int, i: int, j: int) -> range:
+    """The classes c < k that the third side of a triangle of k-subsets of m
+    tokens can have when its other two sides share i and j tokens.  For
+    |X & Y| = i and |Y & Z| = j, Z keeps a of the i tokens of X & Y and j - a
+    of the k - i others of Y, and takes b of the k - i tokens of X - Y and
+    k - j - b of the m - 2k + i outside X | Y: |X & Z| = a + b, over an
+    interval.  Class k, Z = X, is left out."""
+    a_low, a_high = max(0, j - (k - i)), min(i, j)
+    b_low, b_high = max(0, k - j - (m - 2 * k + i)), min(k - i, k - j)
+    if a_low > a_high or b_low > b_high:
+        return range(0)
+    return range(a_low + b_low, min(a_high + b_high, k - 1) + 1)
+
+
 def _class_walks(m: int, k: int, labels: list[int]) -> Iterator[list[int | None]]:
     """D_1, D_2, ... until D_h stays the same, on the Johnson scheme J(m, k)
     with the c-th label labels[c - 1].
@@ -299,20 +313,12 @@ def _class_walks(m: int, k: int, labels: list[int]) -> Iterator[list[int | None]
     Z of each class c = |X & Z| around a fixed subset X, so D_h[c], the
     shortest walk of at most h edges from X into class c < k, is one number
     (None while there is none).  A step along the j-th label from class i
-    keeps a of the i tokens of X & Y and j - a of the k - i others of Y, and
-    takes b of the k - i tokens of X - Y and k - j - b of the m - 2k + i
-    outside X | Y: it lands in class a + b, over an interval.  Class k is X
-    itself, which no shortest walk revisits.
+    lands in the classes of `_third_sides`.  Class k is X itself, which no
+    shortest walk revisits.
     """
-    steps = []  # steps[i]: (label, lowest class, highest class) per step from class i
-    for i in range(k):
-        row = []
-        for j, label in enumerate(labels, start=1):
-            a_low, a_high = max(0, j - (k - i)), min(i, j)
-            b_low, b_high = max(0, k - j - (m - 2 * k + i)), min(k - i, k - j)
-            if a_low <= a_high and b_low <= b_high:
-                row.append((label, a_low + b_low, min(a_high + b_high, k - 1)))
-        steps.append(row)
+    # steps[i]: (label, classes it reaches) per step from class i
+    steps = [[(label, _third_sides(m, k, i, j)) for j, label in enumerate(labels, start=1)]
+             for i in range(k)]
     walk: list[int | None] = [None] * k
     walk[1 : len(labels) + 1] = labels
     while True:
@@ -321,8 +327,8 @@ def _class_walks(m: int, k: int, labels: list[int]) -> Iterator[list[int | None]
         for i, d in enumerate(walk):
             if d is None:
                 continue
-            for label, low, high in steps[i]:
-                for c in range(low, high + 1):
+            for label, reached in steps[i]:
+                for c in reached:
                     if longer[c] is None or d + label < longer[c]:
                         longer[c] = d + label
         if longer == walk:
@@ -340,31 +346,15 @@ def class_completion(johnson: JohnsonTable, classes: ClassTable) -> EdgeLabelled
                                       n * (n - 1) // 2)
 
 
-def _intersection_number(m: int, k: int, i: int, j: int, l: int) -> int:
-    """p^l_ij of the Johnson scheme J(m, k), by shared tokens: for two
-    k-subsets X and Z sharing l tokens, the number of k-subsets Y sharing i
-    with X and j with Z.  Such a Y takes a tokens of X & Z, i - a of X - Z,
-    j - a of Z - X and the other k - i - j + a from outside X | Z."""
-    return sum(
-        math.comb(l, a) * math.comb(k - l, i - a) * math.comb(k - l, j - a)
-        * math.comb(m - 2 * k + l, k - i - j + a)
-        for a in range(max(0, i + j - k), min(i, j, l) + 1)
-    )
-
-
 def is_class_metric(m: int, f: list[int]) -> bool:
     """Is the class distance f (k + 1 entries, every class that occurs
-    reached) a metric on the k-subsets of m tokens?
-
-    A triangle X, Y, Z whose sides share i, j and l tokens exists exactly
-    when p^l_ij > 0, so the check runs over class triples, not subsets.
-    """
+    reached) a metric on the k-subsets of m tokens?  The check runs over
+    class triangles, not subsets: the third sides of every two sides that
+    occur (`_third_sides`; class k, with f[k] = 0, breaks no triangle)."""
     k = len(f) - 1
     classes = range(max(0, 2 * k - m), k + 1)
-    return all(
-        f[l] <= f[i] + f[j] or not _intersection_number(m, k, i, j, l)
-        for l in classes for i in classes for j in classes
-    )
+    return all(f[c] <= f[i] + f[j]
+               for i in classes for j in classes for c in _third_sides(m, k, i, j))
 
 
 def build_eppa_graph(

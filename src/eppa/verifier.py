@@ -16,9 +16,10 @@ entries, or of Python ints past int64:
   parsing each id once when that check fails, is packed eight tokens to a
   byte, and every byte column adds the popcount of the AND of each pair
   (`_shared_token_counts`);
-- each level's edge rule is a comparison with the level below, read
-  through the projection each vertex id names, with the pairs that a
-  stored bad set cuts masked;
+- each level's ids are read once as valuations of the level below
+  (`_valuations`), which its vertex count, edge rule and anchored copy
+  share.  The edge rule is a comparison with the level below, read through
+  the projections, with the pairs that a stored bad set cuts masked;
 - each stored level's bad sets are compared with a local scan of the
   vertex sets of the previous stored level, skipped above a size bound.  An
   empty list fails: a level without bad sets is not stored;
@@ -664,35 +665,30 @@ def _shared_token_counts(incidence: np.ndarray) -> np.ndarray:
 def _check_subset_level(
     report: VerificationReport, w: Witness, scale: int, matrix: _Matrix
 ) -> tuple[np.ndarray, np.ndarray] | None:
-    """Check the subset level B0 against the set assignment.  Returns the
-    token incidence of its vertices and their shared-token counts when its
-    vertices are all the k-subsets of the tokens and its labels a function
-    of those counts (`subset-vertices` and `subset-edge-rule` pass): then
-    every token permutation is an automorphism of B0, and these act
-    transitively on its vertices.  Returns None otherwise.  When
-    `subset-vertices` passes, the incidence is that of the combinations
-    behind the sorted ids it compares the vertices with; otherwise it is
-    read off the parsed ids."""
+    """Check the subset level B0 of a witness against its set assignment.
+    Returns the token incidence of its vertices and their shared-token
+    counts when its vertices are all the k-subsets of the tokens and its
+    labels a function of those counts (`subset-vertices` and
+    `subset-edge-rule` pass): then every token permutation is an
+    automorphism of B0, and these act transitively on its vertices.  Returns
+    None otherwise.  When `subset-vertices` passes, the incidence is that of
+    the combinations behind the sorted ids it compares the vertices with;
+    otherwise it is read off the parsed ids."""
     lvl = w.levels[0]
     g = lvl.graph
     sa = w.set_assignment
-    all_subsets = False
     verts = g.vertices
-    if sa is not None:
-        fault = _copy_token_fault(w.input, lvl.base_embedding, sa.k)
-        report.add("token-assignment", not fault, fault)
-        # combinations of a sorted sequence come out sorted; the assignment
-        # lays its universe out in this order, and the sort re-derives it
-        ordered = sorted(sa.universe, key=token_sort_key)
-        combos = list(combinations(range(len(ordered)), sa.k))
-        ids = ["{" + "|".join(map(ordered.__getitem__, c)) + "}" for c in combos]
-        order = sorted(range(len(ids)), key=ids.__getitem__)
-        all_subsets = list(verts) == list(map(ids.__getitem__, order))
-        report.add(
-            "subset-vertices",
-            all_subsets,
-            "" if all_subsets else "vertex set is not all k-subsets of the universe",
-        )
+    fault = _copy_token_fault(w.input, lvl.base_embedding, sa.k)
+    report.add("token-assignment", not fault, fault)
+    # combinations of a sorted sequence come out sorted; the assignment
+    # lays its universe out in this order, and the sort re-derives it
+    ordered = sorted(sa.universe, key=token_sort_key)
+    combos = list(combinations(range(len(ordered)), sa.k))
+    ids = ["{" + "|".join(map(ordered.__getitem__, c)) + "}" for c in combos]
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    all_subsets = list(verts) == list(map(ids.__getitem__, order))
+    report.add("subset-vertices", all_subsets,
+               "" if all_subsets else "vertex set is not all k-subsets of the universe")
     if all_subsets:  # vertex i is the combination behind the i-th sorted id
         members = np.array(combos, dtype=np.intp).reshape(len(combos), sa.k)[order]
         incidence = np.zeros((len(verts), len(ordered)), dtype=bool)
@@ -722,20 +718,10 @@ def _check_subset_level(
         bad_pair = (u, v)
     report.add("subset-edge-rule", bad is None, bad or "", counterexample=bad_pair)
     emb = lvl.base_embedding
-    ok = set(emb.domain()) == set(w.input.vertices) and all(v in g for v in emb.image())
-    if ok and sa is not None:
-        ok = all(parse_subset_id(emb[x]) == frozenset(sa.psi[x]) for x in w.input.vertices)
+    ok = (set(emb.domain()) == set(w.input.vertices) and all(v in g for v in emb.image())
+          and all(parse_subset_id(emb[x]) == sa.psi[x] for x in w.input.vertices))
     report.add("subset-embedding", ok)
     return (incidence, shared) if all_subsets and bad is None else None
-
-
-def _expected_anchor_bit(m, x: str, copy: set[str]) -> int:
-    """Anchor rule, restated locally: across the long edge the smaller name
-    gets 0 and the larger 1; any other contact with the copy gets 0."""
-    hit = sorted(m.members & copy)
-    if tuple(hit) == m.long_edge:
-        return 0 if x == hit[0] else 1
-    return 0
 
 
 def _induced_nonmetric_sets(
@@ -821,36 +807,45 @@ def _check_bad_sets(
     return True
 
 
-def _level_edge_rule(
-    below: LevelGraph,
-    lvl: LevelGraph,
-    member: dict[str, list[int]],
-    below_matrix: _Matrix,
-    matrix: _Matrix,
-) -> tuple[str, tuple[str, str] | None] | None:
-    """The first pair of the level, in vertex order, whose label breaks the
-    edge rule, as (detail, pair); None when every pair keeps it.
-
-    A pair's expected label is that of its projections in the level below
-    (none between two copies of one vertex), re-derived from the ids alone,
-    and none when a bad set through both projections has bits that differ
-    off its long edge or agree across it.
-    """
-    below_index, below_mat = below_matrix
-    verts = lvl.graph.vertices
-    base_of = []
-    groups: dict[int, list[tuple[int, int]]] = {}  # bad set -> (vertex, bit)
-    for p, vid in enumerate(verts):
+def _valuations(
+    ids: Iterable[str], below_index: dict[str, int], member: list[list[int]]
+) -> tuple[np.ndarray, list[str]] | str:
+    """The ids of a level, each read once as a valuation `x;bits`: a vertex
+    x of the level below and one bit per stored bad set through it (`member`,
+    by position in the level below).  Returns the position of each
+    projection x in the level below and each id's bits, or the detail of the
+    first id that is no valuation."""
+    proj, bits_of = [], []
+    for vid in ids:
         try:
             base, bits = parse_level_vertex(vid)
         except GraphFormatError:
-            return f"{vid!r} is not a valuation vertex id", None
-        if base not in below_index or len(bits) != len(member[base]):
-            return f"{vid!r} is not a valuation of a vertex of the level below", None
-        base_of.append(base)
-        for pos, j in enumerate(member[base]):
-            groups.setdefault(j, []).append((p, int(bits[pos])))
-    proj = np.fromiter(map(below_index.__getitem__, base_of), dtype=np.intp, count=len(verts))
+            return f"{vid!r} is not a valuation vertex id"
+        q = below_index.get(base)
+        if q is None or len(bits) != len(member[q]):
+            return f"{vid!r} is not a valuation of a vertex of the level below"
+        proj.append(q)
+        bits_of.append(bits)
+    return np.array(proj, dtype=np.intp), bits_of
+
+
+def _level_edge_rule(
+    below: LevelGraph, lvl: LevelGraph, proj: np.ndarray, bits: list[str],
+    member: list[list[int]], below_matrix: _Matrix, matrix: _Matrix,
+) -> tuple[str, tuple[str, str] | None]:
+    """The first pair of the level, in vertex order, whose label breaks the
+    edge rule, as (detail, pair); ("", None) when every pair keeps it.
+
+    A pair's expected label is that of its projections in the level below
+    (none between two copies of one vertex), read off the valuations of the
+    ids (`_valuations`), and none when a bad set through both projections
+    has bits that differ off its long edge or agree across it.
+    """
+    below_index, below_mat = below_matrix
+    groups: dict[int, list[tuple[int, int]]] = {}  # bad set -> (vertex, bit)
+    for p, (q, row) in enumerate(zip(proj.tolist(), bits)):
+        for j, bit in zip(member[q], row):
+            groups.setdefault(j, []).append((p, int(bit)))
     want = below_mat[proj][:, proj]
     want[proj[:, None] == proj[None, :]] = -1
     np.fill_diagonal(want, 0)
@@ -865,10 +860,11 @@ def _level_edge_rule(
         want[np.ix_(who, who)] = block
     first = _first_difference(matrix[1], want)
     if first is None:
-        return None
+        return "", None
     i, j = first
-    u, v = verts[i], verts[j]
-    expected = below.graph.label(base_of[i], base_of[j]) if want[i, j] > 0 else None
+    u, v = lvl.graph.vertices[i], lvl.graph.vertices[j]
+    x, y = (below.graph.vertices[q] for q in proj[[i, j]])
+    expected = below.graph.label(x, y) if want[i, j] > 0 else None
     return f"{u!r} ~ {v!r}: label {lvl.graph.label(u, v)}, expected {expected}", (u, v)
 
 
@@ -881,43 +877,40 @@ def _check_transition(
     if not _check_bad_sets(report, f"{tag}-bad-sets", below.graph, matrices[idx - 1][1], lvl):
         return
 
-    member: dict[str, list[int]] = {x: [] for x in below.graph.vertices}
+    below_index = matrices[idx - 1][0]
+    member: list[list[int]] = [[] for _ in below.graph.vertices]  # bad sets through each
     for j, m in enumerate(lvl.bad_sets):
         for x in m.members:
-            member[x].append(j)
+            member[below_index[x]].append(j)
 
-    # vertex table: every (base, bits) combination exactly once
-    want_ids = set()
-    for x in below.graph.vertices:
-        k = len(member[x])
-        for mask in range(1 << k):
-            bits = "".join("01"[(mask >> p) & 1] for p in range(k))
-            want_ids.add(f"{x};{bits}")
-    got_ids = set(lvl.graph.vertices)
-    report.add(f"{tag}-vertices", got_ids == want_ids,
-               "" if got_ids == want_ids else "vertex set differs from expansion")
+    # the ids are distinct, so as many valuations as there are (base, bits)
+    # combinations are every combination once
+    table = _valuations(lvl.graph.vertices, below_index, member)
+    fault = table if isinstance(table, str) else None
+    ok = fault is None and len(lvl.graph) == sum(1 << len(through) for through in member)
+    report.add(f"{tag}-vertices", ok, "" if ok else "vertex set differs from expansion")
 
-    bad_edge = _level_edge_rule(below, lvl, member, matrices[idx - 1], matrices[idx])
-    detail, pair = bad_edge if bad_edge is not None else ("", None)
-    report.add(f"{tag}-edge-rule", bad_edge is None, detail, counterexample=pair)
+    detail, pair = (fault, None) if fault else _level_edge_rule(
+        below, lvl, *table, member, matrices[idx - 1], matrices[idx])
+    report.add(f"{tag}-edge-rule", not detail, detail, counterexample=pair)
 
-    # anchored copy: bits follow the anchor rules, base vertices line up
+    # anchored copy: each point's copy is a vertex over its copy below whose
+    # bits follow the anchor rule, restated here: across a long edge that the
+    # copy below meets, the larger name gets 1; every other bit is 0
     copy_below = set(below.base_embedding.image())
-    emb_ok = set(lvl.base_embedding.domain()) == set(w.input.vertices)
-    if emb_ok:
+    ones = {(j, m.long_edge[1]) for j, m in enumerate(lvl.bad_sets)
+            if tuple(sorted(m.members & copy_below)) == m.long_edge}
+    emb = lvl.base_embedding
+    ok = fault is None and set(emb.domain()) == set(w.input.vertices)
+    if ok:
+        proj, bits = table
         for a in w.input.vertices:
-            vid = lvl.base_embedding[a]
-            base, bits = parse_level_vertex(vid)
-            if base != below.base_embedding[a] or len(bits) != len(member[base]):
-                emb_ok = False
+            p, base = matrices[idx][0].get(emb[a]), below.base_embedding.get(a)
+            ok = (p is not None and below.graph.vertices[proj[p]] == base
+                  and bits[p] == "".join("01"[(j, base) in ones] for j in member[proj[p]]))
+            if not ok:
                 break
-            for p, j in enumerate(member[base]):
-                if int(bits[p]) != _expected_anchor_bit(lvl.bad_sets[j], base, copy_below):
-                    emb_ok = False
-                    break
-            if not emb_ok:
-                break
-    report.add(f"{tag}-anchors", emb_ok)
+    report.add(f"{tag}-anchors", ok)
 
 
 def _check_tower_height(report: VerificationReport, w: Witness) -> int:

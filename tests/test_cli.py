@@ -382,6 +382,8 @@ MALFORMED_WITNESSES = {
     "repeated-bad-set": (
         "stacked", _edit("levels", 1, "bad_sets", lambda bad: bad.append(dict(bad[0]))),
         "level #1: vertex 'p;00' carries 2 bits, not one per stored bad set through 'p' (3)"),
+    "vertex-not-a-valuation": ("stacked", _set("levels", 1, "graph", "vertices", -1, "t"),
+                               "level #1: not a valuation vertex id: 't'"),
     "copy-outside-the-top-level": ("stacked", _set("levels", 1, "base_embedding", 2, 1, "r;9"),
                                    "level #1: the copy of 'z' is 'r;9', which is no vertex"),
     "repeated-copy-source": (

@@ -278,6 +278,20 @@ def test_the_class_walks_run_once_per_build_and_per_load(make, monkeypatch):
     assert len(calls) == 2
 
 
+def test_a_tower_level_without_bad_sets_is_not_stored(monkeypatch):
+    # the tower loop on (1,1,2), n = 3, told that level 3 has bad sets: it
+    # expands B0 once, at size 3, finds none, and stores nothing
+    a = make_t112()
+    want = witness_to_json(build_witness(a))
+    sizes = []
+    real = pipeline.build_next_level
+    monkeypatch.setattr(pipeline, "first_bad_level", lambda sa, n: (3, 0))
+    monkeypatch.setattr(pipeline, "build_next_level",
+                        lambda prev, size, **kw: sizes.append(size) or real(prev, size, **kw))
+    assert witness_to_json(build_witness(a)) == want
+    assert sizes == [3]
+
+
 def test_rejects_empty_and_reserved_names():
     with pytest.raises(GraphFormatError):
         build_witness(EdgeLabelledGraph([], []))

@@ -44,7 +44,7 @@ from eppa import (
 )
 from eppa.setrep import (
     _class_walks,
-    _intersection_number,
+    _third_sides,
     ClassTable,
     JohnsonTable,
     SetAssignment,
@@ -682,29 +682,30 @@ def test_every_label_of_a_tower_free_witness_is_on_a_pair(sa):
         assert every_label_on_a_pair(g)
 
 
-def test_intersection_numbers_count_the_subsets():
-    # J(7, 3) by brute force: for X, Z sharing l tokens, the subsets Y by
-    # the tokens they share with each
-    m, k = 7, 3
+@pytest.mark.parametrize("m, k", [(7, 3), (8, 4)])
+def test_third_sides_are_the_triangles_of_the_subsets(m, k):
+    # J(m, k) by brute force: around a fixed X, every Z and Y give a
+    # triangle with sides |X & Z|, |Z & Y| and |X & Y|; those whose third
+    # side is below k are the ones the rule lists, for every two sides
     subsets = [frozenset(c) for c in itertools.combinations(range(m), k)]
     x = subsets[0]
-    for l in range(max(0, 2 * k - m), k + 1):
-        z = next(s for s in subsets if len(x & s) == l)
-        counted = {}
-        for y in subsets:
-            key = (len(x & y), len(y & z))
-            counted[key] = counted.get(key, 0) + 1
-        for i, j in itertools.product(range(k + 1), repeat=2):
-            assert _intersection_number(m, k, i, j, l) == counted.get((i, j), 0), (i, j, l)
+    counted = {(len(x & z), len(z & y), len(x & y)) for z in subsets for y in subsets}
+    listed = {(i, j, c) for i in range(k + 1) for j in range(k + 1) for c in _third_sides(m, k, i, j)}
+    assert listed == {(i, j, c) for i, j, c in counted if c < k}
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(min_value=1, max_value=6), min_size=4, max_size=4))
 def test_class_metric_check_agrees_with_the_explicit_check(distances):
-    # any positive class distance on J(8, 4), the 70-vertex B0 of (1,1,2)
-    sa = build_set_assignment(make_t112())
-    table = ClassTable(8, 1, (tuple(distances),))
-    assert is_class_metric(8, table.distances) == is_metric_space(class_completion(sa.johnson, table))
+    # any positive class distance on J(8, 4), the 70-vertex B0 of (1,1,2),
+    # and on J(7, 4), where no two subsets are disjoint, so class 0 does not
+    # occur and its distance is never read
+    cases = [(build_set_assignment(make_t112()).johnson, tuple(distances)),
+             (JohnsonTable(tuple("abcdefg"), 4), (None, *distances[1:]))]
+    for johnson, walk in cases:
+        table = ClassTable(johnson.m, 1, (walk,))
+        assert (is_class_metric(johnson.m, table.distances)
+                == is_metric_space(class_completion(johnson, table))), johnson.m
 
 
 @pytest.mark.parametrize("make", [make_k2, make_t112, make_t123, make_four_point],

@@ -24,6 +24,7 @@ from eppa import (
     UnknownVertex,
     Witness,
     build_eppa_graph,
+    build_next_level,
     build_set_assignment,
     build_witness,
     cross_check,
@@ -39,6 +40,7 @@ from eppa import (
 from eppa.errors import InvalidMap
 from eppa.fileio import report_to_json
 from eppa.graphs import EdgeLabelledGraph
+from eppa.pipeline import final_space
 from eppa.setrep import parse_subset_id, token_sort_key
 from eppa.verifier import _label_matrix
 from conftest import connected_graphs, make_four_point, small_corpus, small_tower_free_spaces
@@ -705,11 +707,52 @@ def test_tampered_bad_set_list_is_caught(demo_witness):
         assert failing(cross_check(tampered, search_limit=0), "level-3-bad-sets")
 
 
+@pytest.mark.parametrize("below, copy", [("r", "bogus"), ("r", "r;"), ("nowhere", "nowhere;")],
+                         ids=["no-valuation", "too-few-bits", "over-no-vertex"])
+def test_a_level_copy_that_is_no_valuation_fails_the_anchors(demo_witness, below, copy):
+    # the copy of z in level 3: an id that is no `x;bits`, one with fewer
+    # bits than bad sets through r, and one over a copy below that is no
+    # vertex; each fails the anchor check in a report, not an exception
+    base, lvl = demo_witness.levels
+    tampered = dataclasses.replace(demo_witness, levels=(
+        dataclasses.replace(base, base_embedding=PartialMap({"z": below})),
+        dataclasses.replace(lvl, base_embedding=PartialMap({"z": copy}))))
+    report = cross_check(tampered, search_limit=0)
+    assert failing(report, "level-3-anchors")
+    assert not failing(report, "level-3-vertices") and not failing(report, "level-3-edge-rule")
+
+
+def test_a_copy_on_a_long_edge_carries_the_anchor_bits(demo_witness):
+    # two points at distance 3 copied onto the long edge p-q of both bad
+    # sets of the demo base: across it p gets 0 and q gets 1, and the copy
+    # with the bits swapped fails the anchors
+    a = graph_from_triples(["u", "v"], [("u", "v", 3)])
+    base = dataclasses.replace(demo_witness.levels[0],
+                               base_embedding=PartialMap({"u": "p", "v": "q"}))
+    lvl = build_next_level(base, 3)
+    assert dict(lvl.base_embedding.items()) == {"u": "p;00", "v": "q;11"}
+    w = Witness(input=a, set_assignment=None, levels=(base, lvl),
+                final=final_space(a, None, (base, lvl)), n=3)
+    swapped = dataclasses.replace(lvl, base_embedding=PartialMap({"u": "p;11", "v": "q;00"}))
+    for top, fails in ((lvl, False), (swapped, True)):
+        report = cross_check(dataclasses.replace(w, levels=(base, top)), search_limit=0)
+        assert bool(failing(report, "level-3-anchors")) == fails
+
+
+def test_a_level_short_of_a_valuation_fails_the_vertex_check(demo_witness):
+    base, lvl = demo_witness.levels
+    short = induced_subgraph(lvl.graph, lvl.graph.vertices[:-1])  # without s;1
+    report = cross_check(dataclasses.replace(
+        demo_witness, levels=(base, dataclasses.replace(lvl, graph=short))), search_limit=0)
+    assert [r.detail for r in failing(report, "level-3-vertices")] == [
+        "vertex set differs from expansion"]
+
+
 def test_construction_mutants_are_caught(probe, capsys):
     assert probe.main(["--construction"]) == 0
     out = capsys.readouterr().out
     assert "ESCAPED" not in out
-    assert "4/4 exercised construction mutants caught" in out
+    assert "5/5 exercised construction mutants caught" in out
 
 
 def test_bad_set_scan_above_its_bound_is_skipped(demo_witness, monkeypatch):
