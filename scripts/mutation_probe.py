@@ -32,7 +32,7 @@ Construction mutations:
   * one anchor bit of the embedded copy flipped (`anchor_valuations`)
   * one member dropped from a non-empty flip set (`compute_flip_set`)
   * two tokens matched to each other's images, in every token permutation
-    a replay moves B0 by (`setrep._token_destinations`)
+    a replay moves B0 by (`setrep.extend_by_permutation`)
   * one unlabelled class distance raised by one scaled unit in the class
     table's ranks (`ClassTable.codes`), which the tower-free final space
     reads and the build's own class check does not
@@ -208,7 +208,7 @@ def flip_member_dropped(real, fired):
 
 def tokens_mismatched(real, fired):
     # the first two tokens' destinations are swapped in every token
-    # permutation the replay passes to `JohnsonTable.image`
+    # permutation the replay passes to `setrep.subset_automorphism`
     def mutant(sa, pairs):
         dest = real(sa, pairs)
         if len(dest) > 1:
@@ -250,7 +250,7 @@ CONSTRUCTION_MUTANTS = [
     ("cycle size off by one", "induced_nonmetric_cycles_at", cycle_size_off_by_one),
     ("anchor bit flipped", "anchor_valuations", anchor_bit_flipped),
     ("flip-set member dropped", "compute_flip_set", flip_member_dropped),
-    ("tokens matched to each other's images", "_token_destinations", tokens_mismatched),
+    ("tokens matched to each other's images", "extend_by_permutation", tokens_mismatched),
     ("unlabelled class distance raised", "ClassTable.codes", class_distance_raised),
     ("highest third side dropped", "_third_sides", third_side_dropped),
 ]

@@ -41,7 +41,7 @@ from .fileio import (
 )
 from .graphs import is_metric_space, metric_violation
 from .pipeline import build_witness, extend_isometry, witness_stats
-from .setrep import build_eppa_graph, build_set_assignment
+from .setrep import build_eppa_graph, build_set_assignment, subset_graph_size
 from .verifier import cross_check
 
 
@@ -157,6 +157,7 @@ def cmd_eppa_step(args) -> int:
     g = _load_graph(args.file)
     if not is_metric_space(g):
         raise NotAMetricSpace("input is not a finite metric space")
+    subset_graph_size(g, args.vertex_cap)  # before any token is laid out
     sa = build_set_assignment(g)
     b, emb = build_eppa_graph(sa, vertex_cap=args.vertex_cap)
     print(f"subset size k: {sa.k}")

@@ -36,7 +36,7 @@ class VertexCapExceeded(EppaError):
 
     It would need `needed * 2**exponent` vertices, or at least that many
     when `at_least` is set.  The message never writes out a huge count in
-    decimal: such a size reads as base * 2^exponent.
+    decimal: such a size reads as base * 2^exponent, as in `size`.
     """
 
     def __init__(self, stage: str, needed: int, cap: int, exponent: int = 0,
@@ -49,6 +49,7 @@ class VertexCapExceeded(EppaError):
         size = _format_size(needed, exponent)
         if at_least and not size.startswith("at least "):
             size = f"at least {size}"
+        self.size = size
         super().__init__(f"{stage}: needs {size} vertices, cap is {cap}")
 
 

@@ -32,13 +32,13 @@ from typing import Any
 import numpy as np
 
 from .completion import CycleWitness
-from .errors import GraphFormatError, InvalidMap
+from .errors import GraphFormatError, InvalidMap, VertexCapExceeded
 from .graphs import (
     EdgeLabelledGraph, PartialMap, _check_core_name, graph_from_triples, is_metric_space,
 )
 from .levels import LevelGraph, parse_level_vertex
 from .pipeline import Witness, final_space
-from .setrep import SetAssignment, build_set_assignment
+from .setrep import build_set_assignment, subset_graph_size
 from .verifier import VerificationReport
 
 WITNESS_FORMAT = "eppa-witness/5"
@@ -55,14 +55,19 @@ def parse_label(text: Any) -> Fraction:
 
     Integers must not carry a denominator ("3/1" is rejected), fractions
     must be fully reduced ("6/4" is rejected), and zero is not a distance.
+    So is a numerator or denominator past Python's digit limit for `int`.
     """
     if not isinstance(text, str):
         raise GraphFormatError(f"label must be a string, got {text!r}")
     match = _LABEL_RE.match(text)
     if not match:
         raise GraphFormatError(f"malformed label {text!r}")
-    p = int(match.group(1))
-    q = int(match.group(2)) if match.group(2) else None
+    try:
+        p = int(match.group(1))
+        q = int(match.group(2)) if match.group(2) else None
+    except ValueError as exc:
+        raise GraphFormatError(f"label {text[:20] + '...'!r} ({len(text)} characters) "
+                               f"is too long to read: {exc}") from None
     if p == 0:
         raise GraphFormatError(f"label {text!r} is not a positive distance")
     if q is not None:
@@ -266,13 +271,12 @@ def _level_from_json(obj: Any, pos: int) -> LevelGraph:
     return LevelGraph(graph=graph, level=obj["level"], base_embedding=embedding, bad_sets=bad)
 
 
-def _check_shape(a: EdgeLabelledGraph, sa: SetAssignment | None,
-                 levels: tuple[LevelGraph, ...], n) -> None:
+def _check_shape(a: EdgeLabelledGraph, levels: tuple[LevelGraph, ...], n) -> None:
     """Check the shape rules of a witness file, which the writer and the
-    loader both read, against the input's set assignment `sa` (None for one
-    point).  The input is a metric space.  A one-point input has no levels,
-    and any other stores B0 with C(m, k) vertices, counted before any
-    Johnson table is built.  The base is level 2 without bad sets, levels
+    loader both read.  The input is a metric space.  A one-point input has
+    no levels, and any other stores B0 with the C(m, k) vertices of its
+    set assignment, counted off the input's codes before any token is laid
+    out (`subset_graph_size`).  The base is level 2 without bad sets, levels
     rise strictly up to `n`, each level's copy is defined on exactly the
     input's points, each vertex id `x;bits` of a level above the base
     carries one bit per stored bad set through x, and the top level's copy
@@ -298,12 +302,13 @@ def _check_shape(a: EdgeLabelledGraph, sa: SetAssignment | None,
         return
     if not levels:
         raise GraphFormatError("an input of two or more points stores B0 as level #0")
-    if sa is None:  # only a witness made by hand lacks it
-        raise GraphFormatError("a witness of two or more points carries its set assignment")
-    count = math.comb(len(sa.universe), sa.k)
-    if len(levels[0].graph) != count:
-        raise GraphFormatError(f"level #0: B0 of this input has {count} vertices, "
-                               f"not {len(levels[0].graph)}")
+    stored = len(levels[0].graph)
+    try:
+        count = subset_graph_size(a, stored)
+    except VertexCapExceeded as exc:  # more than stored
+        count = exc.size
+    if count != stored:
+        raise GraphFormatError(f"level #0: B0 of this input has {count} vertices, not {stored}")
     for pos, lvl in enumerate(levels):
         if lvl.base_embedding.domain() != a.vertices:
             raise GraphFormatError(f"level #{pos}: the copy is defined on "
@@ -328,7 +333,9 @@ def _check_shape(a: EdgeLabelledGraph, sa: SetAssignment | None,
 
 
 def witness_to_json(w: Witness) -> dict:
-    _check_shape(w.input, w.set_assignment, w.levels, w.n)
+    if w.set_assignment is None and len(w.input) > 1:  # only a witness made by hand lacks it
+        raise GraphFormatError("a witness of two or more points carries its set assignment")
+    _check_shape(w.input, w.levels, w.n)
     return {"format": WITNESS_FORMAT, "input": graph_to_json(w.input),
             "levels": [_level_to_json(lvl) for lvl in w.levels], "n": w.n}
 
@@ -346,8 +353,8 @@ def witness_from_json(obj: Any) -> Witness:
     a = graph_from_json(obj["input"])
     levels = tuple(_level_from_json(lvl, pos)
                    for pos, lvl in enumerate(_list(obj["levels"], "witness \"levels\"")))
+    _check_shape(a, levels, obj["n"])
     sa = build_set_assignment(a) if len(a) > 1 else None
-    _check_shape(a, sa, levels, obj["n"])
     return Witness(input=a, set_assignment=sa, levels=levels, final=final_space(a, sa, levels),
                    n=obj["n"])
 

@@ -4,7 +4,10 @@
 finite metric space B containing an isometric copy of A such that every
 partial isometry of the copy extends to a full isometry of B, and keeps
 every intermediate object needed to replay those extensions explicitly
-(`extend_isometry`).
+(`extend_isometry`, on `setrep.extend_by_permutation` per map and one
+`setrep.subset_automorphism` per batch).  The size of the subset graph B0
+is read off A's codes before any token is laid out, and refused past the
+vertex cap (`setrep.subset_graph_size`).
 
 The tower C3..CN is decided before the subset graph B0 is built, in closed
 form on the Johnson scheme (`setrep.first_bad_level`): token permutations
@@ -53,8 +56,9 @@ from .graphs import (
 )
 from .levels import LevelGraph, build_next_level, compute_flip_set, lift_automorphism
 from .setrep import (
-    SetAssignment, _token_destinations, build_eppa_graph, build_set_assignment,
-    class_completion, first_bad_level, is_class_metric, subset_graph_size,
+    SetAssignment, build_eppa_graph, build_set_assignment, class_completion,
+    extend_by_permutation, first_bad_level, is_class_metric, subset_automorphism,
+    subset_graph_size,
 )
 
 
@@ -135,9 +139,9 @@ def build_witness(a: EdgeLabelledGraph, vertex_cap: int = 200_000) -> Witness:
     if len(a) == 1:
         return Witness(input=a, set_assignment=None, levels=(), final=a, n=compute_N(a))
 
+    vertices = subset_graph_size(a, vertex_cap)  # before any token is laid out
     sa = build_set_assignment(a)
     n = compute_N(a)
-    vertices = subset_graph_size(sa, vertex_cap)
     bad_from = n + 1  # the first level with bad sets, past n when there is none
     first = first_bad_level(sa, n)
     if first is not None:
@@ -188,11 +192,9 @@ def final_space(a: EdgeLabelledGraph, sa: SetAssignment | None,
 
 
 def _as_input_map(w: Witness, phi: PartialMap) -> PartialMap:
-    """Accept a partial map either on input names or on final vertex ids."""
-    a = w.input
+    """A partial map on the final ids of the copy, read on input names;
+    refused when one of its names is no such id."""
     names = set(phi.domain()) | set(phi.image())
-    if all(v in a for v in names):
-        return phi
     final_ids = {y: x for x, y in w.final_embedding.items()}
     if all(v in final_ids for v in names):
         return PartialMap({final_ids[u]: final_ids[v] for u, v in phi.items()})
@@ -203,8 +205,8 @@ def _as_input_map(w: Witness, phi: PartialMap) -> PartialMap:
 
 def _input_pairs(w: Witness, phi: PartialMap) -> list[tuple[int, int]]:
     """`phi` as its (x, phi(x)) pairs of input positions, ascending in x,
-    each name looked up once; a map that is not on input names is read by
-    `_as_input_map`, which refuses one on neither form."""
+    each name looked up once; a map that is not on input names is read on
+    final ids by `_as_input_map`, which refuses one on neither form."""
     at = w.input._index
     try:
         return [(at[x], at[y]) for x, y in phi.items()]
@@ -236,8 +238,8 @@ def replay_positions(w: Witness, phis: Sequence[PartialMap]) -> np.ndarray:
     On B0, whose vertices must be the ids of the set assignment's Johnson
     table (checked once per witness), a row is the permutation of B0's
     vertex positions that the token permutation completing its map induces
-    (`setrep._token_destinations`, which refuses a map that is no partial
-    isometry); the rows of the batch come from one `JohnsonTable.image`
+    (`setrep.extend_by_permutation`, which refuses a map that is no partial
+    isometry); the rows of the batch come from one `subset_automorphism`
     call on their token positions, with no token named.
     When the final space is all of B0 a row applies to it as it is, an
     automorphism by construction (see above); otherwise each becomes a map
@@ -280,9 +282,9 @@ def _replay(w: Witness, pairs: list[list[tuple[int, int]]]) -> np.ndarray:
     direct = w._replays_on_final
     m = len(sa.universe)
     # the kernel's rows, end to end, with no list of lists for numpy to walk
-    dest = np.fromiter(chain.from_iterable(_token_destinations(sa, row) for row in pairs),
+    dest = np.fromiter(chain.from_iterable(extend_by_permutation(sa, row) for row in pairs),
                        dtype=np.intp, count=len(pairs) * m)
-    perms = sa.johnson.image(dest.reshape(len(pairs), m))  # (M, V), M = 0 too
+    perms = subset_automorphism(sa, dest.reshape(len(pairs), m))  # (M, V), M = 0 too
     if direct:
         # automorphisms, as pi keeps the shared-token counts that code the final space
         return perms

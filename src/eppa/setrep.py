@@ -13,11 +13,11 @@ count, so it is also one of B's completion, read off those counts
 
 An assignment lays its tokens out once, in token order, from A's codes:
 the universe, each point's token positions (`own`) and each pair's shared
-positions (`shared`), both indexed by point position.  An extension moves
-token positions only, for a map given on point positions:
-`extend_by_permutation` looks its names up and names the tokens of its
-result at its end, and the replay of `pipeline` passes the positions
-straight to `JohnsonTable.image`.
+positions (`shared`), both indexed by point position.  An extension names
+nothing: `extend_by_permutation` gives each token position's destination
+for a map on point positions, and `subset_automorphism` the vertex
+positions a batch of such rows makes of B; `pipeline` looks names up.
+B's size is read off A's codes before any token is laid out.
 """
 
 from __future__ import annotations
@@ -100,7 +100,7 @@ class JohnsonTable:
     positions in the universe, ascending, one row of k per vertex.  Built on
     first use: `shares`, the number of tokens each pair of vertices shares,
     which B0 and its completion read, and the token-bitmask table that only
-    the extension reads (`image`).
+    the extension reads (`_masks`, for `subset_automorphism`).
     """
 
     def __init__(self, universe: tuple[str, ...], k: int):
@@ -149,15 +149,6 @@ class JohnsonTable:
         masks = powers @ incidence
         order = masks.argsort()
         return powers, incidence, masks.take(order), order
-
-    def image(self, dest: np.ndarray) -> np.ndarray:
-        """The vertex positions of the subsets that each row of `dest`, an
-        (M, m) array of permutations of the token positions, makes of the
-        vertices, in vertex order: an (M, V) array, one row per permutation.
-        Each image is found by its token bitmask, the sum of 2**dest[t] over
-        the vertex's tokens t, among the sorted masks."""
-        powers, incidence, masks, order = self._masks
-        return order.take(masks.searchsorted(powers.take(dest) @ incidence))
 
 
 @dataclass(frozen=True)
@@ -262,12 +253,30 @@ def build_set_assignment(a: EdgeLabelledGraph) -> SetAssignment:
                          shared=tuple(map(tuple, shared)))
 
 
-def subset_graph_size(sa: SetAssignment, vertex_cap: int) -> int:
-    """C(m, k), the number of vertices of the subset graph; refused when it
-    exceeds the vertex cap."""
-    count = math.comb(len(sa.universe), sa.k)
+def subset_graph_size(a: EdgeLabelledGraph, vertex_cap: int) -> int:
+    """C(m, k), the vertex count of the subset graph of the assignment of
+    `a` (of at least one point), read off its codes before any token is
+    laid out: k is one above the largest load, a row sum of the codes, and
+    each pair token is in two of the n sets, so m = n*k - (sum of loads)/2.
+    Refused past the vertex cap (`_subset_count`)."""
+    loads = list(map(sum, a.codes.tolist()))
+    k = 1 + max(loads, default=0)
+    return _subset_count(len(a) * k - sum(loads) // 2, k, vertex_cap)
+
+
+def _subset_count(m: int, k: int, vertex_cap: int) -> int:
+    """C(m, k), refused past the vertex cap.  C(m, 1), C(m, 2), ... grow up
+    to C(m, min(k, m - k)), so the product stops once it has more bits than
+    the cap and 64, and the refusal names that lower bound, "at least 2^N"."""
+    top = max(vertex_cap.bit_length(), 64)
+    count = 1
+    for j in range(min(k, m - k)):
+        count = count * (m - j) // (j + 1)
+        if count.bit_length() > top:
+            break
     if count > vertex_cap:
-        raise VertexCapExceeded("level 2 (set representation)", count, vertex_cap)
+        raise VertexCapExceeded("level 2 (set representation)", count, vertex_cap,
+                                at_least=count.bit_length() > top)
     return count
 
 
@@ -370,7 +379,7 @@ def build_eppa_graph(
     a = sa.graph
     if len(a) == 0:
         raise GraphFormatError("need at least one vertex")
-    subset_graph_size(sa, vertex_cap)
+    _subset_count(len(sa.universe), sa.k, vertex_cap)
     johnson = sa.johnson
     # two subsets sharing c tokens are joined by the c-th label (none for
     # c = 0 or past the spectrum, and a subset shares all k with itself):
@@ -387,23 +396,12 @@ def build_eppa_graph(
     return b, PartialMap._trusted(zip(a.vertices, ids))
 
 
-def extend_by_permutation(sa: SetAssignment, phi: PartialMap) -> PartialMap:
-    """Token permutation inducing an automorphism of the subset graph that
-    extends the given partial automorphism of A, the graph `sa` was built
-    for: the permutation of token positions of `_token_destinations`, with
-    its tokens named, in the order of their strings.  Raises UnknownVertex
-    for a vertex outside A."""
-    at = sa.graph.position
-    dest = _token_destinations(sa, [(at(x), at(y)) for x, y in phi.items()])
-    universe = sa.universe
-    return PartialMap._trusted(sorted(zip(universe, map(universe.__getitem__, dest))))
-
-
-def _token_destinations(sa: SetAssignment, pairs: Sequence[tuple[int, int]]) -> list[int]:
-    """The token permutation of `extend_by_permutation` on positions, for
-    an injective partial map given as its (x, phi(x)) pairs of positions in
-    `sa.graph.vertices`, ascending in x: entry p is the position that
-    position p of `sa.universe` goes to.
+def extend_by_permutation(sa: SetAssignment, pairs: Sequence[tuple[int, int]]) -> list[int]:
+    """The token permutation inducing an automorphism of the subset graph
+    that extends a partial automorphism of A, the graph `sa` was built for,
+    given as its (x, phi(x)) pairs of positions in `sa.graph.vertices`,
+    ascending in x and injective (nothing checks either): entry p is the
+    position that position p of `sa.universe` goes to.
 
     Shared pair tokens are transported along phi first; each mapped vertex
     then has its leftover tokens matched against the leftovers of its image,
@@ -451,25 +449,13 @@ def _token_destinations(sa: SetAssignment, pairs: Sequence[tuple[int, int]]) -> 
     return dest
 
 
-def subset_automorphism(sa: SetAssignment, pis: Sequence[PartialMap]) -> np.ndarray:
-    """The automorphisms of the subset graph of `sa` that the permutations
-    of its token universe in `pis` induce, as an (M, V) array of vertex
-    positions, one row per permutation: entry (j, i) is the position of the
-    subset that pis[j] makes of the tokens of vertex i.
-
-    Only token positions are moved, every row in one `JohnsonTable.image`
-    call, so no token string is parsed.  Raises UnknownVertex for a token of
-    the universe that a permutation leaves unmapped, and InvalidMap when one
-    is otherwise not a permutation of the universe.
-    """
-    universe = sa.universe
-    m = len(universe)
-    position = dict(zip(universe, range(m)))
-    dest = np.empty((len(pis), m), dtype=np.intp)
-    for j, pi in enumerate(pis):
-        row = [position.get(pi[t], -1) for t in universe]
-        # m positions of the universe, each once
-        if len(pi) != m or -1 in row or len(set(row)) != m:
-            raise InvalidMap("token map is not a permutation of the universe")
-        dest[j] = row
-    return sa.johnson.image(dest)
+def subset_automorphism(sa: SetAssignment, dest: np.ndarray) -> np.ndarray:
+    """The automorphisms of the subset graph of `sa` that the rows of
+    `dest`, an (M, m) array of permutations of the token positions as
+    `extend_by_permutation` gives them (nothing checks that), induce: an
+    (M, V) array whose entry (j, i) is the position of the subset that row
+    j makes of the tokens of vertex i.  Each image is found by its token
+    bitmask, the sum of 2**dest[t] over the vertex's tokens t, among the
+    sorted masks of `JohnsonTable._masks`; no token string is read."""
+    powers, incidence, masks, order = sa.johnson._masks
+    return order.take(masks.searchsorted(powers.take(dest) @ incidence))

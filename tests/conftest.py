@@ -38,7 +38,7 @@ from eppa import (
     subset_automorphism,
 )
 from eppa.fileio import _level_to_json, witness_to_json
-from eppa.setrep import ClassTable, _token_destinations, first_bad_level
+from eppa.setrep import ClassTable, extend_by_permutation, first_bad_level
 
 hypothesis.settings.register_profile("fast", max_examples=10)
 hypothesis.settings.register_profile("deep", max_examples=300)
@@ -442,7 +442,7 @@ def broken_compositions(extend, maps: list[PartialMap]) -> list[tuple[PartialMap
 
 
 def tau_on_empty_positions(sa, pairs):
-    """`setrep._token_destinations`, except on the empty map, which gets the
+    """`setrep.extend_by_permutation`, except on the empty map, which gets the
     fixed transposition tau of the first two token positions instead of the
     identity.  Any token permutation induces an automorphism of the subset
     graph, so each result is still an extension; but ext(empty) after
@@ -450,26 +450,39 @@ def tau_on_empty_positions(sa, pairs):
     6's composition check, on the kernel's (x, phi(x)) pairs of point
     positions."""
     if len(pairs):
-        return _token_destinations(sa, pairs)
+        return extend_by_permutation(sa, pairs)
     return [1, 0, *range(2, len(sa.universe))]
 
 
-def tau_on_empty(sa, phi):
-    """`tau_on_empty_positions` of a map on point names, as a token map, the
-    form of `extend_by_permutation`."""
-    universe, at = sa.universe, sa.graph.position
-    dest = tau_on_empty_positions(sa, [(at(x), at(y)) for x, y in phi.items()])
+def point_pairs(sa, phi):
+    """A map on the point names of sa's graph as the (x, phi(x)) pairs of
+    point positions, ascending in x, that `extend_by_permutation` takes."""
+    at = sa.graph.position
+    return [(at(x), at(y)) for x, y in phi.items()]
+
+
+def token_map(sa, dest):
+    """A row of token destinations, as the map on token names it stands
+    for: the form of the string references."""
+    universe = sa.universe
     return PartialMap(zip(universe, map(universe.__getitem__, dest)))
 
 
-def b0_automorphisms(sa, pis, b):
-    """`subset_automorphism` of a batch of token permutations, as one map
-    on the vertex ids of b, the subset graph of sa, per permutation."""
+def extend_tokens(sa, phi, kernel=extend_by_permutation):
+    """The token permutation that `kernel` (`extend_by_permutation` or a
+    stand-in for it) gives a map on point names, as a token map."""
+    return token_map(sa, kernel(sa, point_pairs(sa, phi)))
+
+
+def b0_automorphisms(sa, dests, b):
+    """`subset_automorphism` of a batch of rows of token destinations, as
+    one map on the vertex ids of b, the subset graph of sa, per row."""
     verts = b.vertices
+    rows = np.array(dests, dtype=np.intp).reshape(len(dests), len(sa.universe))
     return [PartialMap(zip(verts, map(verts.__getitem__, row)))
-            for row in subset_automorphism(sa, pis).tolist()]
+            for row in subset_automorphism(sa, rows).tolist()]
 
 
-def b0_automorphism(sa, pi, b):
+def b0_automorphism(sa, dest, b):
     """`b0_automorphisms` of the batch of one."""
-    return b0_automorphisms(sa, [pi], b)[0]
+    return b0_automorphisms(sa, [dest], b)[0]

@@ -59,6 +59,7 @@ from conftest import (
     make_t112,
     make_t113,
     make_t123,
+    point_pairs,
     random_connected_graph,
     random_graph,
     small_corpus,
@@ -252,8 +253,8 @@ def test_criterion_2_one_step_on_random_graphs():
         assert len(b) == math.comb(len(sa.universe), sa.k)
         assert check_map(emb, a, b)
         for phi in enumerate_partial_automorphisms(a, len(a)):
-            pi = extend_by_permutation(sa, phi)
-            theta = b0_automorphism(sa, pi, b)
+            dest = extend_by_permutation(sa, point_pairs(sa, phi))
+            theta = b0_automorphism(sa, dest, b)
             assert check_map(theta, b, b)
             assert all(theta[emb[x]] == emb[phi[x]] for x in phi.domain())
         accepted += 1

@@ -644,6 +644,37 @@ def test_a_file_cannot_make_a_johnson_table_larger_than_its_b0(tmp_path, monkeyp
     assert "level #0: B0 of this input has 31824 vertices, not 3" in capsys.readouterr().err
     assert built == []
 
+    # metric spaces of 80 and 120 points with a distinct label on every
+    # pair: B0 would have C(8404100, 167481) vertices for 80 points.  The
+    # build, eppa-step and the loader each refuse it off the input's codes,
+    # before any token is laid out, and write the count as a power of two
+    def refuse(*args):
+        raise AssertionError("tokens were laid out before the refusal")
+
+    for module in (eppa.pipeline, eppa.cli, eppa.fileio):
+        monkeypatch.setattr(module, "build_set_assignment", refuse)
+    for n, bits in ((80, 66), (120, 73)):
+        points = [f"p{i:03d}" for i in range(n)]
+        pairs = [(x, y) for i, x in enumerate(points) for y in points[i + 1:]]
+        # labels from P to 2P - 1 for P pairs: any two sum past any third
+        graph = {"vertices": points,
+                 "edges": [[x, y, str(len(pairs) + i)] for i, (x, y) in enumerate(pairs)]}
+        gpath = str(tmp_path / f"g{n}.json")
+        dump_json(gpath, graph)
+        dump_json(wpath, {**obj, "input": graph, "n": 2})
+        for argv, code, message in (
+                (["witness", gpath], 2, f"level 2 (set representation): needs at least "
+                                        f"2^{bits} vertices, cap is 200000"),
+                (["eppa-step", gpath], 2, f"level 2 (set representation): needs at least "
+                                          f"2^{bits} vertices, cap is 200000"),
+                (["stats", wpath], 3, f"level #0: B0 of this input has at least 2^{bits} "
+                                      "vertices, not 3")):
+            t0 = time.perf_counter()
+            assert main(argv) == code, argv
+            assert time.perf_counter() - t0 < 1, argv
+            assert message in capsys.readouterr().err
+    assert built == []
+
 
 # -- usage errors and config --------------------------------------------------------
 
@@ -685,6 +716,37 @@ def test_bad_label_is_usage_error(tmp_path, capsys):
     dump_json(path, {"vertices": ["a", "b"], "edges": [["a", "b", "6/4"]]})
     assert main(["check", path]) == 3
     assert "lowest terms" in capsys.readouterr().err
+
+
+def test_a_label_past_the_digit_limit_is_usage_error(tmp_path, capsys, t112_witness,
+                                                     demo_witness):
+    # a numerator or denominator of more digits than the interpreter reads
+    # into an integer: in an input, in a stored level's labels and in a
+    # stored deficit, each refused as the label it is
+    huge = "1" + "0" * 5000
+    too_long = "label '10000000000000000000...' (5001 characters) is too long to read"
+    path = str(tmp_path / "huge.json")
+    dump_json(path, {"vertices": ["a", "b"], "edges": [["a", "b", huge]]})
+    assert main(["check", path]) == 3
+    assert f"error: edge #0 ['a', 'b']: {too_long}" in capsys.readouterr().err
+
+    dump_json(path, {"vertices": ["a", "b"], "edges": [["a", "b", f"1/{huge}"]]})
+    assert main(["check", path]) == 3
+    assert "label '1/100000000000000000...' (5003 characters) is too long to read" in (
+        capsys.readouterr().err)
+
+    stacked = stacked_witness_json(t112_witness, demo_witness)
+    cases = {
+        "input": (_set("input", "edges", 0, 2, huge), "edge #0 ['x', 'y']: "),
+        "level": (_set("levels", 0, "graph", "labels", 0, huge), "level #0: "),
+        "deficit": (_set("levels", 1, "bad_sets", 0, "deficit", huge), ""),
+    }
+    for case, (mutate, where) in cases.items():
+        obj = json.loads(json.dumps(stacked))
+        mutate(obj)
+        dump_json(path, obj)
+        assert main(["stats", path]) == 3, case
+        assert f"error: {where}{too_long}" in capsys.readouterr().err, case
 
 
 def test_env_config_sets_defaults(tmp_path, capsys, monkeypatch):

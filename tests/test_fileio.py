@@ -233,7 +233,7 @@ def test_the_writer_refuses_what_the_loader_refuses(demo_witness, t112_witness):
     # no build does; its file would not load, so it is not written
     with pytest.raises(GraphFormatError, match="a one-point input has no levels"):
         witness_to_json(demo_witness)
-    # the writer counts B0 against the witness's own set assignment
+    # only a witness made by hand lacks its set assignment; the writer refuses it
     with pytest.raises(GraphFormatError, match="carries its set assignment"):
         witness_to_json(dataclasses.replace(t112_witness, set_assignment=None))
 

@@ -19,7 +19,6 @@ from eppa import (
     InvalidMap,
     NotAMetricSpace,
     PartialMap,
-    UnknownVertex,
     VertexCapExceeded,
     Witness,
     build_eppa_graph,
@@ -50,7 +49,8 @@ from eppa.levels import LevelGraph, level_vertex_id
 from eppa.setrep import SetAssignment
 
 from conftest import (
-    bent_classes, make_k2, make_t112, make_t123, make_four_point, tau_on_empty_positions,
+    bent_classes, make_k2, make_t112, make_t123, make_four_point, point_pairs,
+    tau_on_empty_positions,
 )
 
 
@@ -218,7 +218,7 @@ def test_non_coherent_extensions_are_still_isometries(k2_witness, monkeypatch):
     # the incoherent control operator breaks composition, not the extensions
     w = k2_witness
     empty = PartialMap({})
-    monkeypatch.setattr(pipeline, "_token_destinations", tau_on_empty_positions)
+    monkeypatch.setattr(pipeline, "extend_by_permutation", tau_on_empty_positions)
     for phi in enumerate_partial_automorphisms(w.input, 2):
         theta = assert_extension(w, phi)
         assert theta.is_identity() == (phi != empty and phi.is_identity())
@@ -344,13 +344,12 @@ def test_every_refusal_of_the_replay_keeps_its_type_and_message(k2_witness, t112
             pipeline.replay_positions(witness, [PartialMap({}), phi])
 
 
-def test_extend_by_permutation_refuses_an_unknown_vertex(t112):
+def test_extend_by_permutation_refuses_a_non_isometry(t112):
+    # d(y, z) = 2 but d(x, y) = 1; names are looked up before the kernel,
+    # and `test_every_refusal_of_the_replay_keeps_its_type_and_message` pins those
     sa = build_set_assignment(t112)
-    for phi in (PartialMap({"q": "x"}), PartialMap({"x": "q"})):
-        with refused(UnknownVertex, "unknown vertex 'q'"):
-            extend_by_permutation(sa, phi)
     with refused(InvalidMap, "map does not preserve distances on its domain"):
-        extend_by_permutation(sa, PartialMap({"y": "x", "z": "y"}))
+        extend_by_permutation(sa, point_pairs(sa, PartialMap({"y": "x", "z": "y"})))
 
 
 def test_extend_checks_the_identity_of_a_level_free_witness(k2_witness):

@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import eppa.setrep as setrep
@@ -23,7 +23,6 @@ from eppa import (
     InvalidMap,
     NotAMetricSpace,
     PartialMap,
-    UnknownVertex,
     VertexCapExceeded,
     bad_sets,
     build_eppa_graph,
@@ -62,9 +61,9 @@ from eppa.fileio import witness_from_json, witness_to_json
 from eppa.verifier import _copy_token_fault
 from conftest import (
     b0_automorphism, b0_automorphisms, bent_classes, broken_compositions, composable_pairs,
-    edge_labelled_graphs, every_label_on_a_pair, make_four_point, make_k2, make_path2, make_t112,
-    make_t113, make_t123, small_tower_free_spaces, tau_on_empty, tau_on_empty_positions,
-    witness_graphs,
+    edge_labelled_graphs, every_label_on_a_pair, extend_tokens, make_four_point, make_k2,
+    make_path2, make_t112, make_t113, make_t123, point_pairs, small_tower_free_spaces,
+    tau_on_empty_positions, token_map, witness_graphs,
 )
 
 
@@ -197,6 +196,34 @@ def test_vertex_cap_is_respected(t112):
     assert "needs 70" in str(exc.value)
 
 
+# eight points with the labels 1 to 28: m = 722 and k = 141, a count of 510 bits
+EIGHT_POINTS = graph_from_triples("abcdefgh", [
+    (x, y, d) for d, (x, y) in enumerate(itertools.combinations("abcdefgh", 2), start=1)])
+
+
+@settings(max_examples=25, deadline=None)
+@given(edge_labelled_graphs(min_vertices=1, max_vertices=6,
+                            labels=tuple(map(Fraction, range(1, 5)))),
+       st.sampled_from([1, 70, 200_000, 1 << 70]))
+@example(EIGHT_POINTS, 200_000)
+@example(EIGHT_POINTS, 1 << 70)
+def test_subset_graph_size_is_read_off_the_codes(a, cap):
+    # C(m, k) of the assignment, from the codes alone: exact up to the cap,
+    # and refused past it with the exact count or, past 2^64, a lower bound
+    sa = build_set_assignment(a)
+    count = math.comb(len(sa.universe), sa.k)
+    if count <= cap:
+        assert setrep.subset_graph_size(a, cap) == count
+        return
+    with pytest.raises(VertexCapExceeded) as exc:
+        setrep.subset_graph_size(a, cap)
+    if count.bit_length() <= 64:
+        assert exc.value.needed == count and exc.value.size == str(count)
+    else:
+        assert cap < exc.value.needed <= count
+        assert exc.value.size.startswith("at least 2^")
+
+
 # -- one-step extension --------------------------------------------------------
 
 
@@ -209,8 +236,8 @@ def test_every_partial_automorphism_extends(t112):
     b, emb = build_eppa_graph(sa)
     count = 0
     for phi in enumerate_partial_automorphisms(t112, len(t112)):
-        pi = extend_by_permutation(sa, phi)
-        theta = b0_automorphism(sa, pi, b)
+        dest = extend_by_permutation(sa, point_pairs(sa, phi))
+        theta = b0_automorphism(sa, dest, b)
         assert check_map(theta, b, b)
         assert _extends_embedded(theta, emb, phi)
         count += 1
@@ -224,7 +251,7 @@ def test_extension_works_on_nonmetric_graphs(t113, path2):
         b, emb = build_eppa_graph(sa)
         assert every_label_on_a_pair(b)
         for phi in enumerate_partial_automorphisms(a, len(a)):
-            theta = b0_automorphism(sa, extend_by_permutation(sa, phi), b)
+            theta = b0_automorphism(sa, extend_by_permutation(sa, point_pairs(sa, phi)), b)
             assert check_map(theta, b, b)
             assert _extends_embedded(theta, emb, phi)
 
@@ -232,27 +259,28 @@ def test_extension_works_on_nonmetric_graphs(t113, path2):
 def test_extension_rejects_non_isometries(t123):
     sa = build_set_assignment(t123)
     with pytest.raises(InvalidMap):
-        extend_by_permutation(sa, PartialMap({"x": "x", "y": "z"}))
+        extend_by_permutation(sa, point_pairs(sa, PartialMap({"x": "x", "y": "z"})))
 
 
 def test_identity_extends_to_identity(t112):
     sa = build_set_assignment(t112)
-    pi = extend_by_permutation(sa, PartialMap.identity(t112.vertices))
-    assert pi.is_identity()
+    dest = extend_by_permutation(sa, point_pairs(sa, PartialMap.identity(t112.vertices)))
+    assert dest == list(range(len(sa.universe)))
 
 
 def test_one_step_coherence_on_two_point(k2):
     sa = build_set_assignment(k2)
     maps = list(enumerate_partial_automorphisms(k2, len(k2)))
     assert len(composable_pairs(maps)) == 13
-    assert broken_compositions(lambda phi: extend_by_permutation(sa, phi), maps) == []
+    assert broken_compositions(lambda phi: extend_tokens(sa, phi), maps) == []
 
 
 def test_empty_map_coherent_vs_not(k2):
     sa = build_set_assignment(k2)
-    assert extend_by_permutation(sa, PartialMap({})).is_identity()
-    reverse = tau_on_empty(sa, PartialMap({}))
-    assert not reverse.is_identity()
+    identity = list(range(len(sa.universe)))
+    assert extend_by_permutation(sa, []) == identity
+    reverse = tau_on_empty_positions(sa, [])
+    assert reverse != identity
     # still a valid automorphism of the subset graph
     b, _ = build_eppa_graph(sa)
     assert check_map(b0_automorphism(sa, reverse, b), b, b)
@@ -262,7 +290,7 @@ def test_non_coherent_mode_breaks_composition(k2):
     sa = build_set_assignment(k2)
     maps = list(enumerate_partial_automorphisms(k2, len(k2)))
     empty = PartialMap({})
-    broken = broken_compositions(lambda phi: tau_on_empty(sa, phi), maps)
+    broken = broken_compositions(lambda phi: extend_tokens(sa, phi, tau_on_empty_positions), maps)
     assert broken == [(empty, empty)]
 
 
@@ -270,7 +298,7 @@ def test_composition_check_catches_an_incoherent_operator(k2_witness, monkeypatc
     w = k2_witness
     maps = list(enumerate_partial_automorphisms(w.input, len(w.input)))
     empty = PartialMap({})
-    monkeypatch.setattr(pipeline, "_token_destinations", tau_on_empty_positions)
+    monkeypatch.setattr(pipeline, "extend_by_permutation", tau_on_empty_positions)
     assert broken_compositions(lambda phi: extend_isometry(w, phi), maps) == [(empty, empty)]
 
 
@@ -283,7 +311,7 @@ def test_one_step_extension_property(a):
     b, emb = build_eppa_graph(sa)
     assert _copy_token_fault(a, emb, sa.k) == ""
     for phi in enumerate_partial_automorphisms(a, len(a)):
-        theta = b0_automorphism(sa, extend_by_permutation(sa, phi), b)
+        theta = b0_automorphism(sa, extend_by_permutation(sa, point_pairs(sa, phi)), b)
         assert check_map(theta, b, b)
         assert _extends_embedded(theta, emb, phi)
 
@@ -292,9 +320,10 @@ def test_one_step_extension_property(a):
 
 
 def reference_extend_by_permutation(sa, phi):
-    """The string form of `extend_by_permutation`: pair tokens are written
-    for each mapped pair, and leftovers sorted by a position dict of the
-    universe; the token map is validated on construction."""
+    """The string form of `extend_by_permutation`, for a map on point names:
+    pair tokens are written for each mapped pair, and leftovers sorted by a
+    position dict of the universe; the token map is validated on
+    construction."""
     a = sa.graph
     if not is_partial_automorphism(phi, a):
         raise InvalidMap("map does not preserve distances on its domain")
@@ -324,7 +353,7 @@ def reference_extend_by_permutation(sa, phi):
 def assert_extension_matches_the_reference(a):
     sa = build_set_assignment(a)
     for phi in enumerate_partial_automorphisms(a, len(a)):
-        assert extend_by_permutation(sa, phi).items() == reference_extend_by_permutation(sa, phi).items()
+        assert extend_tokens(sa, phi) == reference_extend_by_permutation(sa, phi)
 
 
 def make_ten_labels():
@@ -355,16 +384,17 @@ def test_extend_by_permutation_matches_the_reference_on_any_graph(a):
 
 def test_extend_by_permutation_fails_as_the_reference_does(t123):
     sa = build_set_assignment(t123)
-    for phi in (PartialMap({"x": "x", "y": "z"}), PartialMap({"x": "q"}), PartialMap({"q": "x"})):
+    for phi in (PartialMap({"x": "x", "y": "z"}), PartialMap({"x": "y", "z": "z"})):
         with pytest.raises(EppaError) as got:
-            extend_by_permutation(sa, phi)
+            extend_by_permutation(sa, point_pairs(sa, phi))
         with pytest.raises(type(got.value), match=re.escape(str(got.value))):
             reference_extend_by_permutation(sa, phi)
 
 
 def reference_subset_automorphism(pi, b):
-    """The string form of `subset_automorphism`: each vertex id is parsed,
-    its tokens mapped, and the image id written out and looked up."""
+    """The string form of `subset_automorphism`, for one token map: each
+    vertex id is parsed, its tokens mapped, and the image id written out
+    and looked up."""
     table = {}
     for vertex in b.vertices:
         image = subset_id(pi[t] for t in parse_subset_id(vertex))
@@ -381,45 +411,15 @@ def test_subset_automorphism_matches_the_reference_on_fixture_b0s(factory):
     sa = build_set_assignment(a)
     b, _ = build_eppa_graph(sa)
     maps = list(enumerate_partial_automorphisms(a, len(a)))
-    for extend in (extend_by_permutation, tau_on_empty):
-        pis = [extend(sa, phi) for phi in maps]
+    for kernel in (extend_by_permutation, tau_on_empty_positions):
+        dests = [kernel(sa, point_pairs(sa, phi)) for phi in maps]
         # the whole batch in one call, row by row as the reference
-        assert b0_automorphisms(sa, pis, b) == [reference_subset_automorphism(pi, b) for pi in pis]
-
-
-def test_unmapped_token_is_an_unknown_vertex(t112):
-    sa = build_set_assignment(t112)
-    b, _ = build_eppa_graph(sa)
-    pi = extend_by_permutation(sa, PartialMap({"y": "z", "z": "y"}))
-    short = PartialMap((t, u) for t, u in pi.items() if t != "z!1")
-    with pytest.raises(UnknownVertex, match=r"'z!1' not in domain"):
-        subset_automorphism(sa, [pi, short])
-    with pytest.raises(UnknownVertex, match=r"'z!1' not in domain"):
-        reference_subset_automorphism(short, b)
-
-
-def test_a_token_map_that_does_not_permute_the_universe_is_refused(t112):
-    sa = build_set_assignment(t112)
-    pi = dict(extend_by_permutation(sa, PartialMap({"y": "z", "z": "y"})).items())
-    first, last = sa.universe[0], sa.universe[-1]
-    off_the_universe = {**pi, first: "q!1"}
-    extra_token = {**pi, "q!1": "q!2"}
-    for table in (off_the_universe, extra_token):
-        # one bad permutation refuses its whole batch
-        with pytest.raises(InvalidMap, match="not a permutation of the universe"):
-            subset_automorphism(sa, [PartialMap(pi), PartialMap(table)])
-    # a cycle of tokens is a permutation, and moves B0
-    cycle = {t: u for t, u in zip(sa.universe, sa.universe[1:] + (first,))}
-    assert last in cycle
-    perm, = subset_automorphism(sa, [PartialMap(cycle)])
-    assert sorted(perm.tolist()) == list(range(math.comb(len(sa.universe), sa.k)))
-    assert (perm != np.arange(len(perm))).any()
-    # an empty batch has no row
-    assert subset_automorphism(sa, []).shape == (0, len(perm))
+        assert b0_automorphisms(sa, dests, b) == [
+            reference_subset_automorphism(token_map(sa, dest), b) for dest in dests]
 
 
 def reference_image(johnson, dest):
-    """The sort-based form of `JohnsonTable.image`: each row's image
+    """The sort-based form of `subset_automorphism`: each row's image
     subsets are sorted and ranked in colex order by the weights C(p, j + 1)
     at token position p and column j, and each rank looked up."""
     count, k = johnson.members.shape
@@ -437,31 +437,36 @@ def reference_image(johnson, dest):
                          ids=["two-point", "triangle-112", "triangle-123", "four-point",
                               "triangle-113", "path2"])
 def test_image_matches_the_sorting_reference(factory):
-    johnson = build_set_assignment(factory()).johnson
+    sa = build_set_assignment(factory())
+    johnson = sa.johnson
     m, count = johnson.m, len(johnson.ids)
     rng = np.random.default_rng(m * 1000 + count)
     for size in (1, 38):
         dest = np.array([rng.permutation(m) for _ in range(size)], dtype=np.intp)
-        got = johnson.image(dest)
+        got = subset_automorphism(sa, dest)
         assert got.shape == (size, count)
         assert np.array_equal(got, reference_image(johnson, dest))
-    assert np.array_equal(johnson.image(np.arange(m)[None]), np.arange(count)[None])
+    assert np.array_equal(subset_automorphism(sa, np.arange(m)[None]), np.arange(count)[None])
+    # an empty batch has no row
+    assert subset_automorphism(sa, np.empty((0, m), dtype=np.intp)).shape == (0, count)
 
 
 def test_image_refuses_more_than_64_tokens():
-    # 2**64 is 0 in uint64, so a 65th token would add nothing to a mask
-    universe = tuple(f"t!{i}" for i in range(65))
-    johnson = JohnsonTable(universe, 1)
+    # an edgeless input of n points has k = 1 and one padding token per
+    # point; 2**64 is 0 in uint64, so a 65th token would add nothing to a mask
+    points = [f"p{i:02d}" for i in range(65)]
+    sa = build_set_assignment(graph_from_triples(points, []))
+    assert (sa.k, len(sa.universe)) == (1, 65)
     with pytest.raises(EppaError, match="at most 64 tokens, not 65"):
-        johnson.image(np.arange(65)[None])
+        subset_automorphism(sa, np.arange(65)[None])
     # 64 tokens still fit: the top token's bit is 2**63
-    johnson = JohnsonTable(universe[:64], 1)
+    sa = build_set_assignment(graph_from_triples(points[:64], []))
     swap = np.arange(64)
     swap[[0, 63]] = swap[[63, 0]]
-    perm, = johnson.image(swap[None]).tolist()
-    ids = johnson.ids
-    assert {ids[i]: ids[j] for i, j in enumerate(perm) if i != j} == {"{t!0}": "{t!63}",
-                                                                      "{t!63}": "{t!0}"}
+    perm, = subset_automorphism(sa, swap[None]).tolist()
+    ids = sa.johnson.ids
+    assert {ids[i]: ids[j] for i, j in enumerate(perm) if i != j} == {"{p00!1}": "{p63!1}",
+                                                                      "{p63!1}": "{p00!1}"}
 
 
 def assert_token_layout_matches_the_strings(a):

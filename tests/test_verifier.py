@@ -707,6 +707,56 @@ def test_tampered_bad_set_list_is_caught(demo_witness):
         assert failing(cross_check(tampered, search_limit=0), "level-3-bad-sets")
 
 
+def _renamed(g: EdgeLabelledGraph, old: str, new: str) -> EdgeLabelledGraph:
+    rename = {old: new}.get
+    return EdgeLabelledGraph([rename(v, v) for v in g.vertices],
+                             [(rename(u, u), rename(v, v), d) for u, v, d in g.edges()])
+
+
+def _with_bad_set(lvl: LevelGraph, **fields) -> LevelGraph:
+    """lvl with its first stored bad set changed in the given fields."""
+    first = dataclasses.replace(lvl.bad_sets[0], **fields)
+    return dataclasses.replace(lvl, bad_sets=(first, *lvl.bad_sets[1:]))
+
+
+# one edit of a witness per failure detail: (fixture, edit, check, detail)
+TAMPERED_DETAILS = {
+    "copy-off-a-point": (
+        "t112_witness",
+        lambda base: (dataclasses.replace(base, base_embedding=PartialMap(
+            (x, v) for x, v in base.base_embedding.items() if x != "z")),),
+        "token-assignment", "the copy is not defined on exactly the input's vertices"),
+    "bad-set-off-the-level": (
+        "demo_witness",
+        lambda base, lvl: (base, _with_bad_set(
+            lvl, vertices=("nowhere", *lvl.bad_sets[0].vertices[1:]))),
+        "level-3-bad-sets", "a stored bad set names vertices outside the level below"),
+    "deficit-off-by-one": (
+        "demo_witness",
+        lambda base, lvl: (base, _with_bad_set(lvl, deficit=lvl.bad_sets[0].deficit + 1)),
+        "level-3-bad-sets", "stored cycle on ['p', 'q', 'r'] does not check"),
+    "no-valuation-id": (
+        "demo_witness",
+        lambda base, lvl: (base, dataclasses.replace(
+            lvl, graph=_renamed(lvl.graph, lvl.graph.vertices[-1], "zzz"))),
+        "level-3-edge-rule", "'zzz' is not a valuation vertex id"),
+    "valuation-of-no-vertex": (
+        "demo_witness",
+        lambda base, lvl: (base, dataclasses.replace(
+            lvl, graph=_renamed(lvl.graph, lvl.graph.vertices[-1], "zzz;0"))),
+        "level-3-edge-rule", "'zzz;0' is not a valuation of a vertex of the level below"),
+}
+
+
+@pytest.mark.parametrize("case", list(TAMPERED_DETAILS))
+def test_each_tampered_witness_fails_with_its_detail(request, case):
+    # each edit reaches a failure detail of a structural check, in a report
+    fixture, edit, name, detail = TAMPERED_DETAILS[case]
+    w = request.getfixturevalue(fixture)
+    report = cross_check(dataclasses.replace(w, levels=edit(*w.levels)), search_limit=0)
+    assert [r.detail for r in failing(report, name)] == [detail]
+
+
 @pytest.mark.parametrize("below, copy", [("r", "bogus"), ("r", "r;"), ("nowhere", "nowhere;")],
                          ids=["no-valuation", "too-few-bits", "over-no-vertex"])
 def test_a_level_copy_that_is_no_valuation_fails_the_anchors(demo_witness, below, copy):
