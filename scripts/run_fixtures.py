@@ -2,7 +2,8 @@
 """Build witnesses for a handful of small metric spaces and report timings.
 
 Runs the full pipeline on each bundled fixture (or on graph files passed on
-the command line), prints size statistics, the build time, the traced peak
+the command line), prints size statistics, the build time (in ms, as are
+the dump and load times), the traced peak
 of a second, untimed build (`tracemalloc`, in MB), the size of the
 witness file in MB (10^6 bytes, as `dump_json` writes it), the time
 `witness_to_json` and the JSON encoder take to write that text, and the
@@ -120,9 +121,9 @@ def run_one(name: str, g: EdgeLabelledGraph, args: argparse.Namespace) -> bool:
     print(f"== {name}")
     print(f"   input: {len(g)} vertices, spectrum {stats['spectrum']}")
     print(f"   tower: levels {stats['levels']} -> final {stats['final_vertices']} vertices")
-    print(f"   build: {build_s:.2f}s, traced peak {peak_mb:.2f} MB,"
+    print(f"   build: {1e3 * build_s:.2f} ms, traced peak {peak_mb:.2f} MB,"
           f" witness {len(text) / 1e6:.2f} MB,"
-          f" dumped in {dump_s:.2f}s, loaded in {load_s:.2f}s")
+          f" dumped in {1e3 * dump_s:.2f} ms, loaded in {1e3 * load_s:.2f} ms")
 
     if args.extend_all:
         # on the loaded witness, as `eppa extend` replays one

@@ -59,7 +59,9 @@ def _format_size(base: int, exponent: int) -> str:
         base >>= exponent
     if base.bit_length() > 64:
         return f"at least 2^{base.bit_length() - 1 + exponent}"
-    return f"{base} * 2^{exponent}" if exponent else str(base)
+    if not exponent:
+        return str(base)
+    return f"2^{exponent}" if base == 1 else f"{base} * 2^{exponent}"
 
 
 class BudgetExhausted(EppaError):

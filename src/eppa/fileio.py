@@ -16,7 +16,11 @@ final space itself with the build's own code (`pipeline.final_space`).
 It changes no graph it decodes: that B0's ids are the set assignment's
 k-subsets is checked once per witness by its first extension.
 Graphs are written as one string of label codes each (`graph_to_codes`),
-which stays compact on dense graphs.  All parsers reject structurally
+which stays compact on dense graphs.  Both ends of that codec work on
+uint8 byte planes, one row of ASCII digits per vertex pair: the writer
+adds "0" to one-digit codes and takes wider ones from a table of the
+digits of every code, and the loader decodes the rows into the narrowest
+unsigned type and scatters them into the code matrix (`graph_from_codes`).  All parsers reject structurally
 invalid input, naming the offending element.
 """
 
@@ -26,7 +30,8 @@ import json
 import math
 import re
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import combinations, islice, repeat
+from operator import ge
 from typing import Any
 
 import numpy as np
@@ -34,7 +39,7 @@ import numpy as np
 from .completion import CycleWitness
 from .errors import GraphFormatError, InvalidMap, VertexCapExceeded
 from .graphs import (
-    EdgeLabelledGraph, PartialMap, _check_core_name, graph_from_triples, is_metric_space,
+    EdgeLabelledGraph, PartialMap, _check_core_names, graph_from_triples, is_metric_space,
 )
 from .levels import LevelGraph, parse_level_vertex
 from .pipeline import Witness, final_space
@@ -137,39 +142,50 @@ def graph_to_codes(g: EdgeLabelledGraph) -> dict:
     distinct labels, both ascending, and one fixed-width decimal code per
     vertex pair i < j, row-major in vertex order, read off the code matrix;
     code 0 is a non-edge and code c is `labels[c-1]`.  The width is the
-    digit count of the number of labels."""
+    digit count of the number of labels.  The string is laid out on a uint8
+    byte plane, one row of ASCII digits per pair: a one-digit code c is the
+    byte "0" + c, and wider codes, for ten labels or more, take their rows
+    of a (labels + 1, width) table of the digits of every code."""
     labels = g.spectrum()
     width = len(str(len(labels)))
-    digits = np.array([str(c).zfill(width) for c in range(len(labels) + 1)], dtype=f"S{width}")
+    upper = g.codes[_pairs_mask(len(g))]
+    if width == 1:
+        codes = np.add(upper, ord("0"), dtype=np.uint8)
+    else:
+        digits = "".join(str(c).zfill(width) for c in range(len(labels) + 1)).encode("ascii")
+        codes = np.frombuffer(digits, dtype=np.uint8).reshape(-1, width).take(upper, axis=0)
     return {"vertices": list(g.vertices), "labels": [format_label(d) for d in labels],
-            "codes": digits[g.codes[_pairs_mask(len(g))]].tobytes().decode("ascii")}
+            "codes": codes.tobytes().decode("ascii")}
 
 
 def _pairs_mask(n: int) -> np.ndarray:
-    """The n x n mask of the pairs i < j, which indexing lists row-major."""
-    count = np.arange(n)
+    """The n x n mask of the pairs i < j, which indexing lists row-major,
+    compared in the narrowest type that counts the vertices."""
+    count = np.arange(n, dtype=np.min_scalar_type(n))
     return count[:, None] < count
 
 
 def graph_from_codes(obj: Any, what: str) -> EdgeLabelledGraph:
     """Parse `graph_to_codes` output, checking names, the order of vertices
     and labels, the length of the code string, that every code names a
-    label and that every label is used.  The codes are decoded straight
-    into the code matrix of the graph."""
+    label and that every label is used.  The codes are decoded on a byte
+    plane, one uint8 row of digits per pair, into values of the narrowest
+    unsigned type that holds them, and scattered straight into the upper
+    triangle of the code matrix of the graph, which one OR with its
+    transpose makes symmetric."""
     if not isinstance(obj, dict) or set(obj) != {"vertices", "labels", "codes"}:
         raise GraphFormatError(f"{what}: expected a graph object with \"vertices\", "
                                "\"labels\" and \"codes\"")
     verts = tuple(_strings(obj["vertices"], f"{what}: \"vertices\""))
     texts = _strings(obj["labels"], f"{what}: \"labels\"")
     try:
-        for v in verts:
-            _check_core_name(v)
+        _check_core_names(verts)
         labels = tuple(parse_label(text) for text in texts)
     except GraphFormatError as exc:
         raise GraphFormatError(f"{what}: {exc}") from None
-    if any(u >= v for u, v in zip(verts, verts[1:])):
+    if any(map(ge, verts, verts[1:])):
         raise GraphFormatError(f"{what}: vertices must be strictly ascending")
-    if any(a >= b for a, b in zip(labels, labels[1:])):
+    if any(map(ge, labels, labels[1:])):
         raise GraphFormatError(f"{what}: labels must be strictly ascending")
     n = len(verts)
     width = len(str(len(labels)))
@@ -183,26 +199,29 @@ def graph_from_codes(obj: Any, what: str) -> EdgeLabelledGraph:
     # ASCII becomes "?", and one below "0" wraps past 9 too
     text = codes.encode("ascii", "replace")
     digits = np.frombuffer(text, dtype=np.uint8).reshape(-1, width) - ord("0")
-    values = digits[:, 0].astype(np.intp)
-    for column in digits.T[1:]:
+    values = digits[:, 0].astype(np.min_scalar_type(10 ** width - 1), copy=False)
+    for column in digits.T[1:]:  # exact wherever every digit is one
         values = values * 10 + column
-    # counts[c] is the number of pairs with code c, and reaches past the
-    # labels when a code names none
-    counts = np.bincount(values, minlength=len(labels) + 1) if digits.max(initial=0) <= 9 else ()
-    if len(counts) != len(labels) + 1:
+    if digits.max(initial=0) > 9 or values.max(initial=0) > len(labels):
         p = int(np.flatnonzero((digits > 9).any(axis=1) | (values > len(labels)))[0])
         x, y = next(islice(combinations(verts, 2), p, None))
         raise GraphFormatError(
             f"{what}: code {codes[p * width:(p + 1) * width]!r} of pair ({x!r}, {y!r}) "
             "names no label"
         )
+    # pairs per code: one vectorised pass per code while there are at most
+    # ten, as bincount stalls on the long runs of one code that subset
+    # graphs have; wider codes keep one bincount, linear in the pairs
+    if width == 1:
+        counts = np.array([np.count_nonzero(values == c) for c in range(len(labels) + 1)])
+    else:
+        counts = np.bincount(values, minlength=len(labels) + 1)
     if not counts[1:].all():  # the labels must be the graph's spectrum
         raise GraphFormatError(f"{what}: label {texts[np.argmin(counts[1:])]} is on no pair")
-    mat = np.zeros((n, n), dtype=np.min_scalar_type(len(labels)))
-    upper = _pairs_mask(n)
-    mat[upper] = values
-    mat.T[upper] = values
-    return EdgeLabelledGraph._trusted(verts, labels, mat, len(values) - int(counts[0]))
+    upper = np.zeros((n, n), dtype=np.min_scalar_type(len(labels)))
+    upper[_pairs_mask(n)] = values
+    return EdgeLabelledGraph._trusted(verts, labels, upper | upper.T,
+                                      len(values) - int(counts[0]))
 
 
 def _fields(obj: Any, keys: tuple[str, ...], what: str) -> dict:
@@ -222,7 +241,7 @@ def _list(obj: Any, what: str) -> list:
 
 def _strings(obj: Any, what: str, size: int | None = None) -> list[str]:
     """obj, when it is a list of strings (of the given length)."""
-    if not (isinstance(obj, list) and all(isinstance(x, str) for x in obj)
+    if not (isinstance(obj, list) and all(map(isinstance, obj, repeat(str)))
             and size in (None, len(obj))):
         count = "" if size is None else f"{size} "
         raise GraphFormatError(f"{what} must be a list of {count}strings")

@@ -30,8 +30,10 @@ from .errors import InvalidMap, GraphFormatError, UnknownVertex
 # are reserved at the input boundary.  Derived graphs built by this package
 # use those characters in their machine-generated ids, hence the split
 # between the strict boundary rule and the permissive core rule.
-_NAME_RE = re.compile(r"^[^\s(){}#!|,;~]+$")
-_CORE_NAME_RE = re.compile(r"^\S+$")
+# Both are matched whole (`fullmatch`): "$" would also match before a final
+# newline.
+_NAME_RE = re.compile(r"[^\s(){}#!|,;~]+")
+_CORE_NAME_RE = re.compile(r"\S+")
 
 # The integer types of a scaled matrix, narrowest first, each with its largest value.
 _INT_TYPES = tuple((t, np.iinfo(t).max) for t in (np.int8, np.int16, np.int32, np.int64))
@@ -39,18 +41,27 @@ _INT_TYPES = tuple((t, np.iinfo(t).max) for t in (np.int8, np.int16, np.int32, n
 
 def check_vertex_name(name: str) -> str:
     """Strict rule for user-supplied vertex names."""
-    if not isinstance(name, str) or not _NAME_RE.match(name):
+    if not isinstance(name, str) or not _NAME_RE.fullmatch(name):
         raise GraphFormatError(
             f"bad vertex name {name!r}: names are nonempty strings without "
-            "whitespace or any of ( ) {{ }} # ! | , ; ~"
+            "whitespace or any of ( ) { } # ! | , ; ~"
         )
     return name
 
 
 def _check_core_name(name: str) -> str:
-    if not isinstance(name, str) or not _CORE_NAME_RE.match(name):
+    if not isinstance(name, str) or not _CORE_NAME_RE.fullmatch(name):
         raise GraphFormatError(f"bad vertex name {name!r}: names are nonempty, no whitespace")
     return name
+
+
+def _check_core_names(names: tuple[str, ...]) -> None:
+    """`_check_core_name` on each of `names`, all strings, in one pass over
+    their concatenation, which has no whitespace exactly when none of them
+    has; the per-name rule runs only to name the first bad one."""
+    if not (all(names) and _CORE_NAME_RE.fullmatch("".join(names))):
+        for name in names:
+            _check_core_name(name)
 
 
 def as_label(value) -> Fraction:

@@ -27,7 +27,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -110,7 +110,8 @@ class JohnsonTable:
         ids = ["{" + "|".join(tokens) + "}" for tokens in combinations(universe, k)]
         order = sorted(range(len(ids)), key=ids.__getitem__)
         self.ids = tuple(map(ids.__getitem__, order))
-        combos = np.array(list(combinations(range(self.m), k)), dtype=np.intp)
+        combos = np.fromiter(chain.from_iterable(combinations(range(self.m), k)),
+                             dtype=np.intp, count=len(ids) * k)
         self.members = combos.reshape(len(ids), k)[order]
 
     @cached_property
@@ -267,17 +268,29 @@ def subset_graph_size(a: EdgeLabelledGraph, vertex_cap: int) -> int:
 def _subset_count(m: int, k: int, vertex_cap: int) -> int:
     """C(m, k), refused past the vertex cap.  C(m, 1), C(m, 2), ... grow up
     to C(m, min(k, m - k)), so the product stops once it has more bits than
-    the cap and 64, and the refusal names that lower bound, "at least 2^N"."""
+    the cap and 64, and the refusal names a lower bound, "at least 2^N",
+    read off log-gamma (`_log2_binomial_floor`)."""
     top = max(vertex_cap.bit_length(), 64)
     count = 1
     for j in range(min(k, m - k)):
         count = count * (m - j) // (j + 1)
         if count.bit_length() > top:
-            break
+            bits = max(count.bit_length() - 1, _log2_binomial_floor(m, k))
+            raise VertexCapExceeded("level 2 (set representation)", 1, vertex_cap,
+                                    exponent=bits, at_least=True)
     if count > vertex_cap:
-        raise VertexCapExceeded("level 2 (set representation)", count, vertex_cap,
-                                at_least=count.bit_length() > top)
+        raise VertexCapExceeded("level 2 (set representation)", count, vertex_cap)
     return count
+
+
+def _log2_binomial_floor(m: int, k: int) -> int:
+    """A whole N with 2^N <= C(m, k), within about two bits of its log, from
+    log-gamma without a big binomial.  The three log-gamma terms cancel down
+    from log m!, so their rounding, a few units in the last place of that,
+    is covered by a margin of 1e-9 of it and one more bit."""
+    whole = math.lgamma(m + 1) / math.log(2)
+    bits = whole - (math.lgamma(k + 1) + math.lgamma(m - k + 1)) / math.log(2)
+    return math.floor(bits - 1 - 1e-9 * whole)
 
 
 def first_bad_level(sa: SetAssignment, n: int) -> tuple[int, int] | None:

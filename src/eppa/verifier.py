@@ -690,7 +690,8 @@ def _check_subset_level(
     report.add("subset-vertices", all_subsets,
                "" if all_subsets else "vertex set is not all k-subsets of the universe")
     if all_subsets:  # vertex i is the combination behind the i-th sorted id
-        members = np.array(combos, dtype=np.intp).reshape(len(combos), sa.k)[order]
+        members = np.fromiter(chain.from_iterable(combos), dtype=np.intp,
+                              count=len(combos) * sa.k).reshape(len(combos), sa.k)[order]
         incidence = np.zeros((len(verts), len(ordered)), dtype=bool)
         incidence[np.arange(len(verts))[:, None], members] = True
     else:

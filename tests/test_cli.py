@@ -645,15 +645,16 @@ def test_a_file_cannot_make_a_johnson_table_larger_than_its_b0(tmp_path, monkeyp
     assert built == []
 
     # metric spaces of 80 and 120 points with a distinct label on every
-    # pair: B0 would have C(8404100, 167481) vertices for 80 points.  The
-    # build, eppa-step and the loader each refuse it off the input's codes,
-    # before any token is laid out, and write the count as a power of two
+    # pair: B0 would have C(8404100, 167481) vertices for 80 points, about
+    # 2^1185294.  The build, eppa-step and the loader each refuse it off the
+    # input's codes, before any token is laid out, and write a lower bound
+    # within a few bits of the count as a power of two
     def refuse(*args):
         raise AssertionError("tokens were laid out before the refusal")
 
     for module in (eppa.pipeline, eppa.cli, eppa.fileio):
         monkeypatch.setattr(module, "build_set_assignment", refuse)
-    for n, bits in ((80, 66), (120, 73)):
+    for n, bits in ((80, 1185293), (120, 4360213)):
         points = [f"p{i:03d}" for i in range(n)]
         pairs = [(x, y) for i, x in enumerate(points) for y in points[i + 1:]]
         # labels from P to 2P - 1 for P pairs: any two sum past any third

@@ -9,6 +9,7 @@ from fractions import Fraction
 from itertools import combinations
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -308,7 +309,25 @@ def coded_graphs(draw):
     return EdgeLabelledGraph(names, [(u, v, d) for (u, v), d in zip(pairs, labels) if d])
 
 
+def string_gather_codes(g: EdgeLabelledGraph) -> str:
+    """The code string as a gather of fixed-width byte strings, one per
+    code: the reference for the writer's byte-plane layout."""
+    labels = g.spectrum()
+    width = len(str(len(labels)))
+    digits = np.array([str(c).zfill(width) for c in range(len(labels) + 1)], dtype=f"S{width}")
+    count = np.arange(len(g))
+    return digits[g.codes[count[:, None] < count]].tobytes().decode("ascii")
+
+
+# 15 points, 105 pairs: 102 labels, three-digit codes, and three non-edges
+WIDE_CODES = EdgeLabelledGraph([f"v{i:02}" for i in range(15)], [
+    (f"v{i:02}", f"v{j:02}", Fraction(p, 3))
+    for p, (i, j) in enumerate(combinations(range(15), 2)) if p % 35
+])
+
+
 @given(coded_graphs())
+@example(WIDE_CODES)
 @example(EdgeLabelledGraph([]))
 @example(EdgeLabelledGraph(["a"]))
 @example(EdgeLabelledGraph(["a", "b"]))
@@ -323,7 +342,8 @@ def test_codes_round_trip(g):
     assert again.edge_count == g.edge_count
     assert again.spectrum() == g.spectrum()
     assert graph_to_codes(again) == obj
-    width = 2 if len(g.spectrum()) > 9 else 1
+    assert obj["codes"] == string_gather_codes(g)
+    width = len(str(len(g.spectrum())))
     assert len(obj["codes"]) == width * len(g) * (len(g) - 1) // 2
 
 
@@ -357,6 +377,11 @@ def test_codes_shape():
         ({"vertices": ["b", "a"], "labels": ["1"], "codes": "1"}, "vertices must be strictly"),
         ({"vertices": ["a", "a"], "labels": ["1"], "codes": "1"}, "vertices must be strictly"),
         ({"vertices": ["a", " "], "labels": ["1"], "codes": "1"}, "bad vertex name"),
+        # past ASCII ("replace" makes it "?") and below "0" (wraps past 9)
+        ({"vertices": ["a", "b", "c"], "labels": ["1"], "codes": "1é1"}, "code 'é' of pair ('a', 'c')"),
+        ({"vertices": ["a", "b", "c"], "labels": ["1"], "codes": "11/"}, "code '/' of pair ('b', 'c')"),
+        ({"vertices": ["a", "b"], "labels": ["1", "2", "3", "4", "5", "6", "7", "8", "9", "10"],
+          "codes": "01"}, "label 2 is on no pair"),
     ],
 )
 def test_codes_parse_errors_name_the_offender(obj, fragment):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import itertools
 import pathlib
+import re
 from fractions import Fraction
 from typing import Iterator
 
@@ -28,6 +29,7 @@ from eppa import (
     is_metric_space,
     is_partial_automorphism,
 )
+from eppa.fileio import graph_from_codes, graph_from_json
 from eppa.graphs import metric_violation, scaled_matrix, scaled_spectrum
 from conftest import edge_labelled_graphs, small_corpus
 
@@ -91,6 +93,21 @@ def test_derived_ids_allowed_in_core_constructor():
     assert len(g) == 2
     with pytest.raises(GraphFormatError):
         EdgeLabelledGraph(["a b"], [])
+
+
+@pytest.mark.parametrize("name", ["a\n", "a b"])
+def test_a_name_with_whitespace_is_refused_everywhere(name):
+    # the rules match whole names: "$" alone would pass a final newline
+    with pytest.raises(GraphFormatError) as exc:
+        graph_from_json({"vertices": ["0", name], "edges": [["0", name, "1"]]})
+    assert str(exc.value) == (f"bad vertex name {name!r}: names are nonempty strings without "
+                              "whitespace or any of ( ) { } # ! | , ; ~")
+    core = f"bad vertex name {name!r}: names are nonempty, no whitespace"
+    with pytest.raises(GraphFormatError, match=re.escape(core)):
+        EdgeLabelledGraph(["0", name], [])
+    # the decoder's one pass over all names names the bad one, not the first
+    with pytest.raises(GraphFormatError, match=re.escape(f"g: {core}")):
+        graph_from_codes({"vertices": ["0", name], "labels": ["1"], "codes": "1"}, "g")
 
 
 def test_structural_equality(t112):

@@ -333,3 +333,7 @@ def test_cap_message_writes_huge_sizes_as_a_power_of_two():
         VertexCapExceeded("s", 252, 5, exponent=100, at_least=True))
     assert "needs at least 2^20000 vertices" in str(
         VertexCapExceeded("s", (1 << 20_000) + 1, 5, at_least=True))
+    # a bare power of two has no factor 1
+    assert "needs 2^70 vertices" in str(VertexCapExceeded("s", 1, 5, exponent=70))
+    assert "needs at least 2^1185293 vertices" in str(
+        VertexCapExceeded("s", 1, 5, exponent=1_185_293, at_least=True))

@@ -210,6 +210,7 @@ EIGHT_POINTS = graph_from_triples("abcdefgh", [
 def test_subset_graph_size_is_read_off_the_codes(a, cap):
     # C(m, k) of the assignment, from the codes alone: exact up to the cap,
     # and refused past it with the exact count or, past 2^64, a lower bound
+    # within a few bits of it
     sa = build_set_assignment(a)
     count = math.comb(len(sa.universe), sa.k)
     if count <= cap:
@@ -220,8 +221,18 @@ def test_subset_graph_size_is_read_off_the_codes(a, cap):
     if count.bit_length() <= 64:
         assert exc.value.needed == count and exc.value.size == str(count)
     else:
-        assert cap < exc.value.needed <= count
-        assert exc.value.size.startswith("at least 2^")
+        assert (exc.value.needed, exc.value.at_least) == (1, True)
+        assert cap < 1 << exc.value.exponent <= count < 1 << exc.value.exponent + 4
+        assert exc.value.size == f"at least 2^{exc.value.exponent}"
+
+
+@pytest.mark.parametrize("m", [2, 3, 10, 65, 200, 1000, 4099])
+def test_log_gamma_bound_is_a_close_lower_bound(m):
+    # 2^N <= C(m, k) < 2^(N + 4) wherever the exact count is cheap
+    for k in sorted({1, 2, m // 7, m // 3, m // 2, m - 1} - {0, m}):
+        count = math.comb(m, k)
+        bits = setrep._log2_binomial_floor(m, k)
+        assert count.bit_length() - 4 <= bits <= count.bit_length() - 1, (m, k)
 
 
 # -- one-step extension --------------------------------------------------------
