@@ -4,23 +4,28 @@ Graph files are JSON objects `{"vertices": [...], "edges": [[u, v, label]]}`
 with labels written as positive fractions in lowest terms ("3" or "3/2",
 never "6/4" or "3/1").  Map files are JSON lists of `[source, target]` pairs.
 Witness files hold each fact of a `build_witness` result once, under the
-format version `eppa-witness/5`; files of any other version are refused.
+format version `eppa-witness/6`; files of any other version are refused.
 They store the input, the stored levels (each with its graph, its copy of
 the input and its bad sets as cycles) and the tower height, under exactly
-the keys `witness_to_json` writes.  The writer and the loader read one
-list of shape rules (`_check_shape`), so the writer refuses what the
-loader would; above B0, each vertex id `x;bits` must carry one bit per
-stored bad set through x.  The loader derives the rest: the set assignment
-from the input, the copy in the final space from the top level, and the
-final space itself with the build's own code (`pipeline.final_space`).
-It changes no graph it decodes: that B0's ids are the set assignment's
-k-subsets is checked once per witness by its first extension.
-Graphs are written as one string of label codes each (`graph_to_codes`),
-which stays compact on dense graphs.  Both ends of that codec work on
-uint8 byte planes, one row of ASCII digits per vertex pair: the writer
-adds "0" to one-digit codes and takes wider ones from a table of the
-digits of every code, and the loader decodes the rows into the narrowest
-unsigned type and scatters them into the code matrix (`graph_from_codes`).  All parsers reject structurally
+the keys `witness_to_json` writes.  B0, level #0, is stored as its code
+string alone: its vertices are the k-subsets of the set assignment in id
+order and its labels the input's, and its vertex count n is read off the
+string's length and checked against the input before any token is laid
+out.  The writer and the loader read one list of shape rules
+(`_check_shape`, `_check_levels`), so the writer refuses what the loader
+would, a B0 with other vertices or labels included; above B0, each vertex
+id `x;bits` must carry one bit per stored bad set through x.  The loader
+derives the rest: the set assignment from the input, B0's vertices from
+its Johnson table (the very tuple of ids the final space uses), the copy
+in the final space from the top level, and the final space itself with
+the build's own code (`pipeline.final_space`).  It changes no graph it
+decodes.  Graphs are written as one string of label codes each
+(`graph_to_codes`), which stays compact on dense graphs.  Both ends of
+that codec work on uint8 byte planes, one row of ASCII digits per vertex
+pair: the writer adds "0" to one-digit codes and takes wider ones from a
+table of the digits of every code, and the loader decodes the rows into
+the narrowest unsigned type and scatters them into the code matrix
+(`_decode_codes`).  All parsers reject structurally
 invalid input, naming the offending element.
 """
 
@@ -46,7 +51,7 @@ from .pipeline import Witness, final_space
 from .setrep import build_set_assignment, subset_graph_size
 from .verifier import VerificationReport
 
-WITNESS_FORMAT = "eppa-witness/5"
+WITNESS_FORMAT = "eppa-witness/6"
 
 _LABEL_RE = re.compile(r"^(0|[1-9][0-9]*)(?:/([1-9][0-9]*))?$")
 
@@ -139,23 +144,28 @@ def map_from_json(obj: Any) -> PartialMap:
 
 def graph_to_codes(g: EdgeLabelledGraph) -> dict:
     """The graph as `{"vertices", "labels", "codes"}`: its vertices and its
-    distinct labels, both ascending, and one fixed-width decimal code per
-    vertex pair i < j, row-major in vertex order, read off the code matrix;
-    code 0 is a non-edge and code c is `labels[c-1]`.  The width is the
-    digit count of the number of labels.  The string is laid out on a uint8
-    byte plane, one row of ASCII digits per pair: a one-digit code c is the
-    byte "0" + c, and wider codes, for ten labels or more, take their rows
-    of a (labels + 1, width) table of the digits of every code."""
-    labels = g.spectrum()
-    width = len(str(len(labels)))
+    distinct labels, both ascending, and its code string (`_code_string`)."""
+    return {"vertices": list(g.vertices), "labels": [format_label(d) for d in g.spectrum()],
+            "codes": _code_string(g)}
+
+
+def _code_string(g: EdgeLabelledGraph) -> str:
+    """One fixed-width decimal code per vertex pair i < j, row-major in
+    vertex order, read off the code matrix; code 0 is a non-edge and code c
+    is the c-th label of the spectrum.  The width is the digit count of the
+    number of labels.  The string is laid out on a uint8 byte plane, one row
+    of ASCII digits per pair: a one-digit code c is the byte "0" + c, and
+    wider codes, for ten labels or more, take their rows of a (labels + 1,
+    width) table of the digits of every code."""
+    count = len(g.spectrum())
+    width = len(str(count))
     upper = g.codes[_pairs_mask(len(g))]
     if width == 1:
         codes = np.add(upper, ord("0"), dtype=np.uint8)
     else:
-        digits = "".join(str(c).zfill(width) for c in range(len(labels) + 1)).encode("ascii")
+        digits = "".join(str(c).zfill(width) for c in range(count + 1)).encode("ascii")
         codes = np.frombuffer(digits, dtype=np.uint8).reshape(-1, width).take(upper, axis=0)
-    return {"vertices": list(g.vertices), "labels": [format_label(d) for d in labels],
-            "codes": codes.tobytes().decode("ascii")}
+    return codes.tobytes().decode("ascii")
 
 
 def _pairs_mask(n: int) -> np.ndarray:
@@ -166,13 +176,8 @@ def _pairs_mask(n: int) -> np.ndarray:
 
 
 def graph_from_codes(obj: Any, what: str) -> EdgeLabelledGraph:
-    """Parse `graph_to_codes` output, checking names, the order of vertices
-    and labels, the length of the code string, that every code names a
-    label and that every label is used.  The codes are decoded on a byte
-    plane, one uint8 row of digits per pair, into values of the narrowest
-    unsigned type that holds them, and scattered straight into the upper
-    triangle of the code matrix of the graph, which one OR with its
-    transpose makes symmetric."""
+    """Parse `graph_to_codes` output, checking names and the order of
+    vertices and labels, then its code string (`_decode_codes`)."""
     if not isinstance(obj, dict) or set(obj) != {"vertices", "labels", "codes"}:
         raise GraphFormatError(f"{what}: expected a graph object with \"vertices\", "
                                "\"labels\" and \"codes\"")
@@ -187,9 +192,20 @@ def graph_from_codes(obj: Any, what: str) -> EdgeLabelledGraph:
         raise GraphFormatError(f"{what}: vertices must be strictly ascending")
     if any(map(ge, labels, labels[1:])):
         raise GraphFormatError(f"{what}: labels must be strictly ascending")
+    return _decode_codes(obj["codes"], verts, labels, what)
+
+
+def _decode_codes(codes: Any, verts: tuple[str, ...], labels: tuple[Fraction, ...],
+                  what: str) -> EdgeLabelledGraph:
+    """The graph on `verts` and `labels` whose pairs the code string
+    `codes` gives, as `_code_string` writes it, checking its length, that
+    every code names a label and that every label is used.  The codes are
+    decoded on a byte plane, one uint8 row of digits per pair, into values
+    of the narrowest unsigned type that holds them, and scattered straight
+    into the upper triangle of the code matrix of the graph, which one OR
+    with its transpose makes symmetric."""
     n = len(verts)
     width = len(str(len(labels)))
-    codes = obj["codes"]
     if not isinstance(codes, str) or len(codes) != width * n * (n - 1) // 2:
         raise GraphFormatError(
             f"{what}: \"codes\" must be a string of {width * n * (n - 1) // 2} digits "
@@ -217,11 +233,29 @@ def graph_from_codes(obj: Any, what: str) -> EdgeLabelledGraph:
     else:
         counts = np.bincount(values, minlength=len(labels) + 1)
     if not counts[1:].all():  # the labels must be the graph's spectrum
-        raise GraphFormatError(f"{what}: label {texts[np.argmin(counts[1:])]} is on no pair")
+        unused = labels[np.argmin(counts[1:])]
+        raise GraphFormatError(f"{what}: label {format_label(unused)} is on no pair")
     upper = np.zeros((n, n), dtype=np.min_scalar_type(len(labels)))
     upper[_pairs_mask(n)] = values
     return EdgeLabelledGraph._trusted(verts, labels, upper | upper.T,
                                       len(values) - int(counts[0]))
+
+
+def _b0_size(a: EdgeLabelledGraph, obj: Any) -> int:
+    """The vertex count n of B0 as level #0 stores it, its code string
+    alone, read off that string's length: C(n, 2) codes as wide as the
+    digit count of the input's label count."""
+    if not isinstance(obj, dict) or set(obj) != {"codes"}:
+        raise GraphFormatError("level #0: B0 is stored as {\"codes\": ...} alone; its "
+                               "vertices and labels are the input's, derived on load")
+    codes = obj["codes"]
+    width = len(str(len(a.spectrum())))
+    pairs, rest = divmod(len(codes), width) if isinstance(codes, str) else (0, 1)
+    n = (1 + math.isqrt(1 + 8 * pairs)) // 2
+    if rest or n * (n - 1) // 2 != pairs:
+        raise GraphFormatError(f"level #0: \"codes\" must be a string of {width} * C(n, 2) "
+                               f"digits, {width} per pair of B0's n vertices")
+    return n
 
 
 def _fields(obj: Any, keys: tuple[str, ...], what: str) -> dict:
@@ -266,40 +300,42 @@ def _bad_set_from_json(obj: Any, what: str) -> CycleWitness:
     )
 
 
-def _level_to_json(lvl: LevelGraph) -> dict:
+def _level_to_json(lvl: LevelGraph, base: bool = False) -> dict:
+    """A stored level as it is written; B0, the base, as its code string
+    alone, as its vertices and labels are the set assignment's."""
     return {
         "level": lvl.level,
-        "graph": graph_to_codes(lvl.graph),
+        "graph": {"codes": _code_string(lvl.graph)} if base else graph_to_codes(lvl.graph),
         "base_embedding": map_to_json(lvl.base_embedding),
         "bad_sets": [_cycle_to_json(m) for m in lvl.bad_sets],
     }
 
 
-def _level_from_json(obj: Any, pos: int) -> LevelGraph:
-    """Stored level #pos as it is written; `_check_shape` reads the rules
-    that tie it to the other levels."""
+def _level_from_json(obj: Any, pos: int) -> tuple[Any, dict]:
+    """Stored level #pos as it is written: its graph object, still encoded,
+    and its other fields, parsed, as `LevelGraph` takes them.  The loader
+    decodes the graph once the shape rules that tie the level to the
+    others hold (`_check_shape`)."""
     what = f"level #{pos}"
     obj = _fields(obj, ("level", "graph", "base_embedding", "bad_sets"), what)
     bad = tuple(_bad_set_from_json(m, f"{what}: bad set #{j}")
                 for j, m in enumerate(_list(obj["bad_sets"], f"{what}: \"bad_sets\"")))
-    graph = graph_from_codes(obj["graph"], what)
     try:
         embedding = map_from_json(obj["base_embedding"])
     except (GraphFormatError, InvalidMap) as exc:
         raise GraphFormatError(f"{what}: \"base_embedding\": {exc}") from None
-    return LevelGraph(graph=graph, level=obj["level"], base_embedding=embedding, bad_sets=bad)
+    return obj["graph"], {"level": obj["level"], "base_embedding": embedding, "bad_sets": bad}
 
 
-def _check_shape(a: EdgeLabelledGraph, levels: tuple[LevelGraph, ...], n) -> None:
-    """Check the shape rules of a witness file, which the writer and the
-    loader both read.  The input is a metric space.  A one-point input has
-    no levels, and any other stores B0 with the C(m, k) vertices of its
-    set assignment, counted off the input's codes before any token is laid
-    out (`subset_graph_size`).  The base is level 2 without bad sets, levels
-    rise strictly up to `n`, each level's copy is defined on exactly the
-    input's points, each vertex id `x;bits` of a level above the base
-    carries one bit per stored bad set through x, and the top level's copy
-    names its vertices."""
+def _check_shape(a: EdgeLabelledGraph, n, heads: list[tuple[Any, tuple]], b0_size: int) -> None:
+    """Check the shape rules of a witness file that come before any level
+    is decoded; the writer and the loader both read them, and then
+    `_check_levels`.  `heads` holds each stored level's number and bad sets,
+    bottom-up, and `b0_size` is B0's vertex count.  The input is a metric
+    space.  A one-point input has no levels, and any other stores B0 with
+    the C(m, k) vertices of its set assignment, counted off the input's
+    codes before any token is laid out (`subset_graph_size`).  The base is
+    level 2 without bad sets, and levels rise strictly up to `n`."""
     if len(a) == 0:
         raise GraphFormatError("need at least one vertex")
     if not is_metric_space(a):
@@ -307,27 +343,33 @@ def _check_shape(a: EdgeLabelledGraph, levels: tuple[LevelGraph, ...], n) -> Non
     if type(n) is not int or n < 2:
         raise GraphFormatError(f"witness field \"n\" must be an integer of at least 2, got {n!r}")
     low = 2
-    for pos, lvl in enumerate(levels):
+    for pos, (level, bad) in enumerate(heads):
         high = 2 if pos == 0 else n
-        if type(lvl.level) is not int or not low <= lvl.level <= high:  # a bool is no level
+        if type(level) is not int or not low <= level <= high:  # a bool is no level
             raise GraphFormatError(f"level #{pos}: \"level\" must be an integer from {low} "
-                                   f"to {high}, got {lvl.level!r}")
-        if pos == 0 and lvl.bad_sets:
+                                   f"to {high}, got {level!r}")
+        if pos == 0 and bad:
             raise GraphFormatError("level #0: the base level has no bad sets below it")
-        low = lvl.level + 1
+        low = level + 1
     if len(a) == 1:
-        if levels:
+        if heads:
             raise GraphFormatError("a one-point input has no levels: its witness is the input")
         return
-    if not levels:
+    if not heads:
         raise GraphFormatError("an input of two or more points stores B0 as level #0")
-    stored = len(levels[0].graph)
     try:
-        count = subset_graph_size(a, stored)
+        count = subset_graph_size(a, b0_size)
     except VertexCapExceeded as exc:  # more than stored
         count = exc.size
-    if count != stored:
-        raise GraphFormatError(f"level #0: B0 of this input has {count} vertices, not {stored}")
+    if count != b0_size:
+        raise GraphFormatError(f"level #0: B0 of this input has {count} vertices, not {b0_size}")
+
+
+def _check_levels(a: EdgeLabelledGraph, levels: tuple[LevelGraph, ...]) -> None:
+    """The shape rules that read the stored levels themselves: each level's
+    copy is defined on exactly the input's points, each vertex id `x;bits`
+    of a level above the base carries one bit per stored bad set through x,
+    and the top level's copy names its vertices."""
     for pos, lvl in enumerate(levels):
         if lvl.base_embedding.domain() != a.vertices:
             raise GraphFormatError(f"level #{pos}: the copy is defined on "
@@ -344,23 +386,42 @@ def _check_shape(a: EdgeLabelledGraph, levels: tuple[LevelGraph, ...], n) -> Non
             if len(bits) != want:
                 raise GraphFormatError(f"level #{pos}: vertex {v!r} carries {len(bits)} bits, "
                                        f"not one per stored bad set through {base!r} ({want})")
-    top = levels[-1]
-    for x, v in top.base_embedding.items():
-        if v not in top.graph:
-            raise GraphFormatError(f"level #{len(levels) - 1}: the copy of {x!r} is {v!r}, "
-                                   "which is no vertex of the level")
+    if levels:
+        top = levels[-1]
+        for x, v in top.base_embedding.items():
+            if v not in top.graph:
+                raise GraphFormatError(f"level #{len(levels) - 1}: the copy of {x!r} is {v!r}, "
+                                       "which is no vertex of the level")
 
 
 def witness_to_json(w: Witness) -> dict:
-    if w.set_assignment is None and len(w.input) > 1:  # only a witness made by hand lacks it
+    """The file of a witness.  B0 is written as its code string alone, so
+    a B0 whose vertices are not the k-subsets of the set assignment, in id
+    order, or whose labels are not the input's is refused: the loader
+    would derive other ones."""
+    sa, levels = w.set_assignment, w.levels
+    if sa is None and len(w.input) > 1:  # only a witness made by hand lacks it
         raise GraphFormatError("a witness of two or more points carries its set assignment")
-    _check_shape(w.input, w.levels, w.n)
+    _check_shape(w.input, w.n, [(lvl.level, lvl.bad_sets) for lvl in levels],
+                 len(levels[0].graph) if levels else 0)
+    if levels:
+        b0 = levels[0].graph
+        if b0.vertices != sa.johnson.ids or b0.spectrum() != w.input.spectrum():
+            raise GraphFormatError("level #0: B0's vertices must be the k-subsets of the set "
+                                   "assignment's tokens and its labels the input's, which the "
+                                   "file does not store")
+    _check_levels(w.input, levels)
     return {"format": WITNESS_FORMAT, "input": graph_to_json(w.input),
-            "levels": [_level_to_json(lvl) for lvl in w.levels], "n": w.n}
+            "levels": [_level_to_json(lvl, pos == 0) for pos, lvl in enumerate(levels)],
+            "n": w.n}
 
 
 def witness_from_json(obj: Any) -> Witness:
-    """The witness of a file; its final space is derived (`final_space`)."""
+    """The witness of a file.  B0's vertices are the ids of its set
+    assignment's Johnson table, the very tuple, and its labels the input's
+    spectrum; its vertex count is read off its code string (`_b0_size`)
+    and checked before any token is laid out (`_check_shape`).  The final
+    space is derived (`final_space`)."""
     if not isinstance(obj, dict):
         raise GraphFormatError("witness file must be a JSON object")
     if obj.get("format") != WITNESS_FORMAT:
@@ -370,10 +431,17 @@ def witness_from_json(obj: Any) -> Witness:
         )
     obj = _fields(obj, ("format", "input", "levels", "n"), "witness file")
     a = graph_from_json(obj["input"])
-    levels = tuple(_level_from_json(lvl, pos)
-                   for pos, lvl in enumerate(_list(obj["levels"], "witness \"levels\"")))
-    _check_shape(a, levels, obj["n"])
+    stored = [_level_from_json(lvl, pos)
+              for pos, lvl in enumerate(_list(obj["levels"], "witness \"levels\""))]
+    above = [graph_from_codes(graph, f"level #{pos}")
+             for pos, (graph, _) in enumerate(stored[1:], 1)]
+    _check_shape(a, obj["n"], [(fields["level"], fields["bad_sets"]) for _, fields in stored],
+                 _b0_size(a, stored[0][0]) if stored else 0)
     sa = build_set_assignment(a) if len(a) > 1 else None
+    graphs = [_decode_codes(stored[0][0]["codes"], sa.johnson.ids, a.spectrum(), "level #0"),
+              *above] if stored else []
+    levels = tuple(LevelGraph(graph=graph, **fields) for graph, (_, fields) in zip(graphs, stored))
+    _check_levels(a, levels)
     return Witness(input=a, set_assignment=sa, levels=levels, final=final_space(a, sa, levels),
                    n=obj["n"])
 

@@ -82,12 +82,13 @@ class EdgeLabelledGraph:
     subgraphs, completions, decoded witness graphs) come from `_trusted`,
     which validates nothing.  `codes` is the n x n matrix of label codes,
     of the narrowest unsigned type that holds the number of labels; the
-    queries below read it.  A graph holds nothing else: what a subset graph
-    knows of its tokens lives in the Johnson table of its set assignment
+    queries below read it.  A graph holds nothing else, bar the verdict of
+    `is_metric_space` once it is asked: what a subset graph knows of its
+    tokens lives in the Johnson table of its set assignment
     (`setrep.JohnsonTable`).
     """
 
-    __slots__ = ("vertices", "codes", "edge_count", "_spectrum", "_index")
+    __slots__ = ("vertices", "codes", "edge_count", "_spectrum", "_index", "_metric")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str, Fraction]] = ()):
         names = [_check_core_name(v) for v in vertices]
@@ -126,6 +127,7 @@ class EdgeLabelledGraph:
         self.codes = codes
         self.edge_count = edge_count
         self._index = dict(zip(vertices, range(len(vertices))))
+        self._metric: bool | None = None  # `is_metric_space`'s verdict, once asked
 
     @classmethod
     def _trusted(cls, vertices: tuple[str, ...], spectrum: tuple[Fraction, ...],
@@ -368,8 +370,12 @@ def metric_violation(g: EdgeLabelledGraph) -> tuple[str, str, str] | None:
 
 
 def is_metric_space(g: EdgeLabelledGraph) -> bool:
-    """Complete and every triple satisfies the triangle inequality."""
-    return g.is_complete() and metric_violation(g) is None
+    """Complete and every triple satisfies the triangle inequality.  The
+    verdict is kept on the graph, which never changes, so a graph is checked
+    once however often it is asked."""
+    if g._metric is None:
+        g._metric = g.is_complete() and metric_violation(g) is None
+    return g._metric
 
 
 def _check_total(f: PartialMap, g: EdgeLabelledGraph, h: EdgeLabelledGraph) -> None:

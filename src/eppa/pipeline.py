@@ -29,8 +29,9 @@ permutation keeps every |X & Z|, so it induces an automorphism of this
 final space: only a lift through stored levels is checked as one again
 (`check_map`), and `verifier.cross_check` judges every map.  That B0 holds
 the set assignment's k-subsets, and whether a replay needs a lift, is
-decided once per witness.  The loader derives the final space with the
-build's own code (`final_space`), so no file holds it.
+decided once per witness.  The loader derives B0's vertices and labels
+and the final space with the build's own code (the Johnson table and
+`final_space`), so no file holds them.
 """
 
 from __future__ import annotations
@@ -97,7 +98,9 @@ class Witness:
         """Does a replay's permutation of B0 act on the final space with no
         lift?  Decided once, after refusing a B0 whose ids are not the Johnson
         table's (the count first, so that no input makes a table larger than
-        its B0); a final space read off the table holds the table's tuple."""
+        its B0).  A built or loaded B0 holds the table's tuple itself, so this
+        compares that tuple with itself and only a witness changed in memory
+        is refused; a final space read off the table holds the tuple too."""
         sa = self.set_assignment
         b0 = self.levels[0].graph
         if len(b0) != math.comb(len(sa.universe), sa.k) or b0.vertices != sa.johnson.ids:

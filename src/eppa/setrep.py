@@ -37,6 +37,10 @@ from .errors import (
 )
 from .graphs import EdgeLabelledGraph, PartialMap, check_vertex_name, scaled_spectrum
 
+# Pairs per block of `class_completion`'s table lookup, whose intp copy of
+# the block's index is then 512 kB at most.
+_TAKE_BLOCK = 1 << 16
+
 # Token syntax.  Pair tokens "(x,y)#i" are shared by psi(x) and psi(y);
 # padding tokens "x!t" are private to psi(x).  Unambiguous because the
 # characters ( ) , # ! | { } are reserved in input vertex names.
@@ -361,11 +365,20 @@ def _class_walks(m: int, k: int, labels: list[int]) -> Iterator[list[int | None]
 def class_completion(johnson: JohnsonTable, classes: ClassTable) -> EdgeLabelledGraph:
     """The shortest-path completion of a subset graph, read off its class
     table: the code of two subsets is T at the number of tokens they share
-    (`ClassTable.codes`, indexed by `JohnsonTable.shares`)."""
+    (`ClassTable.codes`, indexed by `JohnsonTable.shares`).  The lookup runs
+    in blocks of rows of about `_TAKE_BLOCK` pairs, as `take` copies its
+    one-byte index to eight bytes a pair.  Every count is at most k, an
+    index of T, so "clip" changes no code; it spares `take` buffering its
+    output, as it does for an `out` in its default mode."""
     spectrum, table = classes.codes
+    shares = johnson.shares
     n = len(johnson.ids)
-    return EdgeLabelledGraph._trusted(johnson.ids, spectrum, table.take(johnson.shares),
-                                      n * (n - 1) // 2)
+    codes = np.empty_like(shares, dtype=table.dtype)
+    step = max(1, _TAKE_BLOCK // n)
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        np.take(table, shares[rows], out=codes[rows], mode="clip")
+    return EdgeLabelledGraph._trusted(johnson.ids, spectrum, codes, n * (n - 1) // 2)
 
 
 def is_class_metric(m: int, f: list[int]) -> bool:

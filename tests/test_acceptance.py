@@ -142,23 +142,27 @@ def test_criterion_1_end_to_end(fixture_witnesses, name, factory, limit, n_maps)
     print(f"[criterion 1] PASS {name}: {n_maps} partial isometries extended in {elapsed:.1f}s")
 
 
-# sha256 of each fixture's witness file in the eppa-witness/5 format, which
-# stores no level without bad sets, each graph as one string of label codes
-# and each fact once, and no final space (the loader derives it); the JSON
-# must stay byte-identical.  The text is the one `dump_json` writes, made in
-# memory.
+# sha256 and byte count of each fixture's witness file in the
+# eppa-witness/6 format, which stores no level without bad sets, each graph
+# as one string of label codes, B0 as that string alone, each fact once, and
+# no final space (the loader derives B0's vertices and labels and the final
+# space); the JSON must stay byte-identical.  The text is the one
+# `dump_json` writes, made in memory.
 FIXTURE_DIGESTS = {
-    "two-point": "db2c6b7048caaa0cc8ea1a5fbc29b86b921b9b7dfd3239f607cc4111c030bcf0",
-    "triangle-112": "c596105cb5de484387570d03d9d155a27df34fac9a55e9c6d73656aceeb1cd3a",
-    "triangle-123": "762244a9501666d75bd92bb3b618ab6ad531c1b58f4285014e2c06e4e58d5350",
-    "four-point": "839d71cc14dca56434cbbf2cfacf8304d9660998292c84127f527b2e41dcba90",
+    "two-point": "8905e1eab2af0db8952516eb57bdfca7f3705ca0ce4a98770b3787483aa98b66",
+    "triangle-112": "652451a26ba1ef2ff558832621f74b8adb30a765a5ed6aead93a330b4e7997ed",
+    "triangle-123": "944d61ec15a91faa0a17e843372edc3807889c0969e36c19caae2f59546af40a",
+    "four-point": "60a9bc31c27590bc4a8fbb92c7efcf0cb6c9ac92f473b40182115a993ff910da",
 }
+FIXTURE_BYTES = {"two-point": 213, "triangle-112": 2_723, "triangle-123": 426_774,
+                 "four-point": 313_664}
 
 
 def test_fixture_witnesses_are_byte_identical(fixture_witnesses):
     for name, (_, w, _) in fixture_witnesses.items():
         text = json.dumps(witness_to_json(w), indent=None, separators=(",", ":")) + "\n"
         assert hashlib.sha256(text.encode()).hexdigest() == FIXTURE_DIGESTS[name], name
+        assert len(text.encode()) == FIXTURE_BYTES[name], name
 
 
 # sha256 of each fixture's built graphs and tower height, whatever the file

@@ -25,7 +25,7 @@ from eppa import (
     enumerate_partial_automorphisms,
     extend_isometry,
 )
-from eppa import pipeline
+from eppa import build_witness, graphs, pipeline
 from eppa.cli import main
 from eppa.fileio import (
     WITNESS_FORMAT,
@@ -44,8 +44,9 @@ from eppa.fileio import (
     witness_from_json,
     witness_to_json,
 )
+from eppa.levels import LevelGraph
 
-from conftest import stacked_level, stacked_witness_json
+from conftest import make_t112, stacked_level, stacked_witness_json
 
 
 # -- labels ------------------------------------------------------------------
@@ -182,21 +183,22 @@ def test_witness_round_trip_without_assignment():
 
 def test_witness_rejects_other_format_versions(k2_witness):
     # /1 stored every clean level, /2 one [i, j, label] triple per edge, /3
-    # the facts the loader now derives and /4 the final space; such files
-    # are refused
-    assert WITNESS_FORMAT == "eppa-witness/5"
-    for old in ("eppa-witness/1", "eppa-witness/2", "eppa-witness/3", "eppa-witness/4"):
+    # the facts the loader now derives, /4 the final space and /5 B0's
+    # vertex ids and labels; such files are refused
+    assert WITNESS_FORMAT == "eppa-witness/6"
+    for old in ("eppa-witness/1", "eppa-witness/2", "eppa-witness/3", "eppa-witness/4",
+                "eppa-witness/5"):
         obj = witness_to_json(k2_witness)
         obj["format"] = old
         with pytest.raises(GraphFormatError) as exc:
             witness_from_json(obj)
         assert old in str(exc.value)
-        assert "eppa-witness/5" in str(exc.value)
+        assert "eppa-witness/6" in str(exc.value)
         assert "build the witness again" in str(exc.value)
 
 
 def test_a_stored_final_space_is_refused(k2_witness):
-    # a /5 file does not store the final space: the loader derives it
+    # a /6 file does not store the final space: the loader derives it
     obj = witness_to_json(k2_witness)
     obj["final"] = graph_to_codes(k2_witness.final)
     with pytest.raises(GraphFormatError) as exc:
@@ -213,13 +215,18 @@ def test_witness_file_stores_each_fact_once(demo_witness, t112_witness):
     assert [list(m) for m in obj["levels"][1]["bad_sets"]] == [
         ["vertices", "long_edge", "deficit"]] * 2
 
+    # B0 is its code string alone; a level above it names its vertices and labels
+    assert [list(lvl["graph"]) for lvl in obj["levels"]] == [
+        ["codes"], ["vertices", "labels", "codes"]]
+
     # the loader derives the rest: each bad set's members from its cycle,
-    # the set assignment and the final space
-    base = _level_from_json(obj["levels"][0], 0)
-    top = _level_from_json(obj["levels"][1], 1)
+    # B0's vertices and labels, the set assignment and the final space
+    graph, fields = _level_from_json(obj["levels"][1], 1)
+    top = LevelGraph(graph=graph_from_codes(graph, "level #1"), **fields)
     for m in top.bad_sets:
         assert m.members == frozenset(m.vertices)
-    assert (base, top) == (t112_witness.levels[0], stacked_level(demo_witness))
+    assert top == stacked_level(demo_witness)
+    base = t112_witness.levels[0]
     stacked = witness_from_json(obj)
     assert stacked.levels == (base, top)
     assert stacked.final == demo_witness.final  # the top level's component, completed
@@ -227,6 +234,44 @@ def test_witness_file_stores_each_fact_once(demo_witness, t112_witness):
     assert loaded.set_assignment == build_set_assignment(t112_witness.input)
     assert loaded.final_embedding == loaded.levels[-1].base_embedding
     assert loaded == t112_witness
+
+
+def test_a_loaded_b0_holds_the_johnson_tables_ids(t112_witness, demo_witness):
+    # B0's vertices are the very tuple of the set assignment's Johnson
+    # table, and its labels the input's; with B0 alone, the final space
+    # holds that tuple too
+    for obj in (witness_to_json(t112_witness), stacked_witness_json(t112_witness, demo_witness)):
+        loaded = witness_from_json(json.loads(json.dumps(obj)))
+        b0 = loaded.levels[0].graph
+        assert b0.vertices is loaded.set_assignment.johnson.ids
+        assert b0.spectrum() == loaded.input.spectrum()
+    loaded = witness_from_json(witness_to_json(t112_witness))
+    assert loaded.final.vertices is loaded.levels[0].graph.vertices
+
+
+def test_the_writer_refuses_a_b0_the_loader_would_not_derive(t112_witness):
+    # the file stores B0's codes alone, so a B0 with other labels than the
+    # input's would come back with the input's; the writer refuses it
+    base = t112_witness.levels[0]
+    b0 = base.graph
+    doubled = EdgeLabelledGraph._trusted(b0.vertices, tuple(2 * d for d in b0.spectrum()),
+                                         b0.codes, b0.edge_count)
+    relabelled = dataclasses.replace(
+        t112_witness, levels=(dataclasses.replace(base, graph=doubled),))
+    with pytest.raises(GraphFormatError, match="level #0: B0's vertices must be the k-subsets"):
+        witness_to_json(relabelled)
+
+
+def test_a_round_trip_checks_its_input_metric_once_per_graph(monkeypatch):
+    # the build checks its input, the writer reuses that verdict, kept on
+    # the graph, and the loader checks the input it parses: two scans
+    scans = []
+    real = graphs.metric_violation
+    monkeypatch.setattr(graphs, "metric_violation", lambda g: scans.append(g) or real(g))
+    w = build_witness(make_t112())
+    witness_from_json(json.loads(json.dumps(witness_to_json(w))))
+    assert len(scans) == 2
+    assert scans[0] is w.input and scans[1] == w.input
 
 
 def test_the_writer_refuses_what_the_loader_refuses(demo_witness, t112_witness):

@@ -122,12 +122,12 @@ def test_three_point_witness_shape(t112_witness):
 
 # -- the tower decided on B0 -----------------------------------------------------------
 
-# sha256 of the witness file as `dump_json` writes it, in the eppa-witness/5
-# format, which stores no level without bad sets, each fact once and no
-# final space
+# sha256 of the witness file as `dump_json` writes it, in the eppa-witness/6
+# format, which stores no level without bad sets, each fact once, B0 as its
+# code string alone and no final space
 TOWER_DIGESTS = {
-    (1, 3, 3): "fa10df9fe21829b1e654616892b323611747f0a323020563bd68984eab6c8b3b",
-    (2, 5, 5): "3c541547c3a71ea87ef68999206205476bb8039f63a211db9db1c036c8fd27f7",
+    (1, 3, 3): "86d4a2b667e32172a4d45dd2ed0d4e5e4490cd596e35e0d474cee42b6b0be9fe",
+    (2, 5, 5): "c99f536e08d77c884d03c7d13e79f1dc4f7c691ed50f6d309658034f8d7d2c6e",
 }
 
 
@@ -381,6 +381,10 @@ def test_a_b0_with_renamed_ids_is_refused(t112_witness):
         extend_isometry(bent, PartialMap({"y": "z", "z": "y"}))
     failed = {r.name for r in cross_check(bent, search_limit=0).results if not r.passed}
     assert {"subset-vertices", "extension-replay"} <= failed
+    # a file stores B0's codes alone, and its loader derives the set
+    # assignment's ids, so the writer refuses other ones
+    with pytest.raises(GraphFormatError, match="level #0: B0's vertices must be the k-subsets"):
+        witness_to_json(bent)
     # and with that subset missing from B0, which is then smaller than the table
     short = dataclasses.replace(w, levels=(dataclasses.replace(
         base, graph=induced_subgraph(base.graph, set(base.graph.vertices) - {old})),))
