@@ -6,7 +6,7 @@ the command line), prints size statistics, the build time (in ms, as are
 the dump and load times), the traced peak
 of a second, untimed build (`tracemalloc`, in MB), the size of the
 witness file in MB (10^6 bytes, as `dump_json` writes it) and its bytes
-split into the stored code strings and everything else, the time
+split into B0's code string and everything else, the time
 `witness_to_json` and the JSON encoder take to write that text, and the
 time `witness_from_json` takes to load it back from the parsed JSON.  The
 loaded witness must equal the built one, its derived final space and every
@@ -122,11 +122,11 @@ def run_one(name: str, g: EdgeLabelledGraph, args: argparse.Namespace) -> bool:
     print(f"== {name}")
     print(f"   input: {len(g)} vertices, spectrum {stats['spectrum']}")
     print(f"   tower: levels {stats['levels']} -> final {stats['final_vertices']} vertices")
-    codes = sum(len(lvl["graph"]["codes"]) for lvl in obj["levels"])
+    codes = len(obj["b0"] or "")
     print(f"   build: {1e3 * build_s:.2f} ms, traced peak {peak_mb:.2f} MB,"
           f" witness {len(text) / 1e6:.2f} MB,"
           f" dumped in {1e3 * dump_s:.2f} ms, loaded in {1e3 * load_s:.2f} ms")
-    print(f"   file: {len(text):,} bytes, {codes:,} in code strings"
+    print(f"   file: {len(text):,} bytes, {codes:,} in B0's code string"
           f" ({100 * codes / len(text):.1f} %), {len(text) - codes:,} else")
 
     if args.extend_all:

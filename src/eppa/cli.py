@@ -7,8 +7,8 @@ or verification failure, 2 resource or budget exhaustion, 3 parse or usage
 error, a numeric option out of range among them.  EPPA_CONFIG may name a
 JSON file with default limits ({"vertex_cap": ..., "search_budget": ...},
 each an integer of at least 1).  Witness files are read and
-written in the `eppa-witness/5` format, which does not store the final
-space: loading derives it (see `fileio`).
+written in the `eppa-witness/7` format, which stores the input and B0's
+code string alone: loading derives the rest (see `fileio`).
 """
 
 from __future__ import annotations

@@ -3,29 +3,24 @@
 Graph files are JSON objects `{"vertices": [...], "edges": [[u, v, label]]}`
 with labels written as positive fractions in lowest terms ("3" or "3/2",
 never "6/4" or "3/1").  Map files are JSON lists of `[source, target]` pairs.
-Witness files hold each fact of a `build_witness` result once, under the
-format version `eppa-witness/6`; files of any other version are refused.
-They store the input, the stored levels (each with its graph, its copy of
-the input and its bad sets as cycles) and the tower height, under exactly
-the keys `witness_to_json` writes.  B0, level #0, is stored as its code
-string alone: its vertices are the k-subsets of the set assignment in id
-order and its labels the input's, and its vertex count n is read off the
-string's length and checked against the input before any token is laid
-out.  The writer and the loader read one list of shape rules
-(`_check_shape`, `_check_levels`), so the writer refuses what the loader
-would, a B0 with other vertices or labels included; above B0, each vertex
-id `x;bits` must carry one bit per stored bad set through x.  The loader
-derives the rest: the set assignment from the input, B0's vertices from
-its Johnson table (the very tuple of ids the final space uses), the copy
-in the final space from the top level, and the final space itself with
-the build's own code (`pipeline.final_space`).  It changes no graph it
-decodes.  Graphs are written as one string of label codes each
-(`graph_to_codes`), which stays compact on dense graphs.  Both ends of
-that codec work on uint8 byte planes, one row of ASCII digits per vertex
-pair: the writer adds "0" to one-digit codes and takes wider ones from a
-table of the digits of every code, and the loader decodes the rows into
-the narrowest unsigned type and scatters them into the code matrix
-(`_decode_codes`).  All parsers reject structurally
+Witness files, under the format version `eppa-witness/7` (files of any
+other version are refused), hold a `build_witness` result as exactly two
+facts: its input and B0's code string, null for a one-point input, whose
+witness is the input itself.  B0's vertex count n is read off the string's
+length and checked against the input before any token is laid out.  The
+loader derives the rest with the build's own code: the set assignment, B0's
+vertices (its Johnson table's very tuple of ids), labels (the input's) and
+copy (`setrep.subset_copy`), the tower height (`pipeline.compute_N`) and
+the final space (`pipeline.final_space`); it changes no graph it decodes.
+So the writer refuses a witness that the loader would not give back, such
+as one with a level above B0.  A code string holds one fixed-width code per
+vertex pair (`_code_string`), which stays compact on dense graphs; the
+graph `eppa eppa-step` writes holds one too, beside its vertices and labels
+(`graph_to_codes`).  Both ends of that codec work on uint8 byte planes, one
+row of ASCII digits per vertex pair: the writer adds "0" to one-digit codes
+and takes wider ones from a table of the digits of every code, and the
+loader decodes the rows into the narrowest unsigned type and scatters them
+into the code matrix (`_decode_codes`).  All parsers reject structurally
 invalid input, naming the offending element.
 """
 
@@ -35,23 +30,20 @@ import json
 import math
 import re
 from fractions import Fraction
-from itertools import combinations, islice, repeat
-from operator import ge
+from itertools import combinations, islice
 from typing import Any
 
 import numpy as np
 
 from .completion import CycleWitness
-from .errors import GraphFormatError, InvalidMap, VertexCapExceeded
-from .graphs import (
-    EdgeLabelledGraph, PartialMap, _check_core_names, graph_from_triples, is_metric_space,
-)
-from .levels import LevelGraph, parse_level_vertex
-from .pipeline import Witness, final_space
-from .setrep import build_set_assignment, subset_graph_size
+from .errors import GraphFormatError, VertexCapExceeded
+from .graphs import EdgeLabelledGraph, PartialMap, graph_from_triples, is_metric_space
+from .levels import LevelGraph
+from .pipeline import Witness, compute_N, final_space
+from .setrep import build_set_assignment, subset_copy, subset_graph_size
 from .verifier import VerificationReport
 
-WITNESS_FORMAT = "eppa-witness/6"
+WITNESS_FORMAT = "eppa-witness/7"
 
 _LABEL_RE = re.compile(r"^(0|[1-9][0-9]*)(?:/([1-9][0-9]*))?$")
 
@@ -175,26 +167,6 @@ def _pairs_mask(n: int) -> np.ndarray:
     return count[:, None] < count
 
 
-def graph_from_codes(obj: Any, what: str) -> EdgeLabelledGraph:
-    """Parse `graph_to_codes` output, checking names and the order of
-    vertices and labels, then its code string (`_decode_codes`)."""
-    if not isinstance(obj, dict) or set(obj) != {"vertices", "labels", "codes"}:
-        raise GraphFormatError(f"{what}: expected a graph object with \"vertices\", "
-                               "\"labels\" and \"codes\"")
-    verts = tuple(_strings(obj["vertices"], f"{what}: \"vertices\""))
-    texts = _strings(obj["labels"], f"{what}: \"labels\"")
-    try:
-        _check_core_names(verts)
-        labels = tuple(parse_label(text) for text in texts)
-    except GraphFormatError as exc:
-        raise GraphFormatError(f"{what}: {exc}") from None
-    if any(map(ge, verts, verts[1:])):
-        raise GraphFormatError(f"{what}: vertices must be strictly ascending")
-    if any(map(ge, labels, labels[1:])):
-        raise GraphFormatError(f"{what}: labels must be strictly ascending")
-    return _decode_codes(obj["codes"], verts, labels, what)
-
-
 def _decode_codes(codes: Any, verts: tuple[str, ...], labels: tuple[Fraction, ...],
                   what: str) -> EdgeLabelledGraph:
     """The graph on `verts` and `labels` whose pairs the code string
@@ -241,45 +213,34 @@ def _decode_codes(codes: Any, verts: tuple[str, ...], labels: tuple[Fraction, ..
                                       len(values) - int(counts[0]))
 
 
-def _b0_size(a: EdgeLabelledGraph, obj: Any) -> int:
-    """The vertex count n of B0 as level #0 stores it, its code string
-    alone, read off that string's length: C(n, 2) codes as wide as the
-    digit count of the input's label count."""
-    if not isinstance(obj, dict) or set(obj) != {"codes"}:
-        raise GraphFormatError("level #0: B0 is stored as {\"codes\": ...} alone; its "
-                               "vertices and labels are the input's, derived on load")
-    codes = obj["codes"]
+def _check_input(a: EdgeLabelledGraph) -> None:
+    """The writer's and the loader's rule on the input: a metric space
+    with at least one point."""
+    if len(a) == 0:
+        raise GraphFormatError("need at least one vertex")
+    if not is_metric_space(a):
+        raise GraphFormatError("the input is not a metric space")
+
+
+def _check_b0_size(a: EdgeLabelledGraph, codes: Any) -> None:
+    """Check the vertex count n of B0 read off the length of its code
+    string: C(n, 2) codes as wide as the digit count of the input's label
+    count.  Refused unless it is the C(m, k) of the input's set assignment,
+    counted off the input's codes before any token is laid out
+    (`subset_graph_size`), so that no file makes a Johnson table larger
+    than its B0."""
     width = len(str(len(a.spectrum())))
     pairs, rest = divmod(len(codes), width) if isinstance(codes, str) else (0, 1)
     n = (1 + math.isqrt(1 + 8 * pairs)) // 2
     if rest or n * (n - 1) // 2 != pairs:
-        raise GraphFormatError(f"level #0: \"codes\" must be a string of {width} * C(n, 2) "
-                               f"digits, {width} per pair of B0's n vertices")
-    return n
-
-
-def _fields(obj: Any, keys: tuple[str, ...], what: str) -> dict:
-    """obj, when it is an object with exactly the given keys."""
-    if not isinstance(obj, dict):
-        raise GraphFormatError(f"{what} must be an object")
-    if set(obj) != set(keys):
-        raise GraphFormatError(f"{what} must have the keys {list(keys)}, got {sorted(obj)}")
-    return obj
-
-
-def _list(obj: Any, what: str) -> list:
-    if not isinstance(obj, list):
-        raise GraphFormatError(f"{what} must be a list")
-    return obj
-
-
-def _strings(obj: Any, what: str, size: int | None = None) -> list[str]:
-    """obj, when it is a list of strings (of the given length)."""
-    if not (isinstance(obj, list) and all(map(isinstance, obj, repeat(str)))
-            and size in (None, len(obj))):
-        count = "" if size is None else f"{size} "
-        raise GraphFormatError(f"{what} must be a list of {count}strings")
-    return obj
+        raise GraphFormatError(f"\"b0\" must be a string of {width} * C(n, 2) digits, "
+                               f"{width} per pair of B0's n vertices")
+    try:
+        count = subset_graph_size(a, n)
+    except VertexCapExceeded as exc:  # more than stored
+        count = exc.size
+    if count != n:
+        raise GraphFormatError(f"\"b0\": B0 of this input has {count} vertices, not {n}")
 
 
 def _cycle_to_json(w: CycleWitness) -> dict:
@@ -290,138 +251,43 @@ def _cycle_to_json(w: CycleWitness) -> dict:
     }
 
 
-def _bad_set_from_json(obj: Any, what: str) -> CycleWitness:
-    """A bad set, which is stored as its cycle."""
-    obj = _fields(obj, ("vertices", "long_edge", "deficit"), what)
-    return CycleWitness(
-        vertices=tuple(_strings(obj["vertices"], f"{what} vertices")),
-        long_edge=tuple(_strings(obj["long_edge"], f"{what} long_edge", 2)),
-        deficit=parse_label(obj["deficit"]),
-    )
-
-
-def _level_to_json(lvl: LevelGraph, base: bool = False) -> dict:
-    """A stored level as it is written; B0, the base, as its code string
-    alone, as its vertices and labels are the set assignment's."""
-    return {
-        "level": lvl.level,
-        "graph": {"codes": _code_string(lvl.graph)} if base else graph_to_codes(lvl.graph),
-        "base_embedding": map_to_json(lvl.base_embedding),
-        "bad_sets": [_cycle_to_json(m) for m in lvl.bad_sets],
-    }
-
-
-def _level_from_json(obj: Any, pos: int) -> tuple[Any, dict]:
-    """Stored level #pos as it is written: its graph object, still encoded,
-    and its other fields, parsed, as `LevelGraph` takes them.  The loader
-    decodes the graph once the shape rules that tie the level to the
-    others hold (`_check_shape`)."""
-    what = f"level #{pos}"
-    obj = _fields(obj, ("level", "graph", "base_embedding", "bad_sets"), what)
-    bad = tuple(_bad_set_from_json(m, f"{what}: bad set #{j}")
-                for j, m in enumerate(_list(obj["bad_sets"], f"{what}: \"bad_sets\"")))
-    try:
-        embedding = map_from_json(obj["base_embedding"])
-    except (GraphFormatError, InvalidMap) as exc:
-        raise GraphFormatError(f"{what}: \"base_embedding\": {exc}") from None
-    return obj["graph"], {"level": obj["level"], "base_embedding": embedding, "bad_sets": bad}
-
-
-def _check_shape(a: EdgeLabelledGraph, n, heads: list[tuple[Any, tuple]], b0_size: int) -> None:
-    """Check the shape rules of a witness file that come before any level
-    is decoded; the writer and the loader both read them, and then
-    `_check_levels`.  `heads` holds each stored level's number and bad sets,
-    bottom-up, and `b0_size` is B0's vertex count.  The input is a metric
-    space.  A one-point input has no levels, and any other stores B0 with
-    the C(m, k) vertices of its set assignment, counted off the input's
-    codes before any token is laid out (`subset_graph_size`).  The base is
-    level 2 without bad sets, and levels rise strictly up to `n`."""
-    if len(a) == 0:
-        raise GraphFormatError("need at least one vertex")
-    if not is_metric_space(a):
-        raise GraphFormatError("the input is not a metric space")
-    if type(n) is not int or n < 2:
-        raise GraphFormatError(f"witness field \"n\" must be an integer of at least 2, got {n!r}")
-    low = 2
-    for pos, (level, bad) in enumerate(heads):
-        high = 2 if pos == 0 else n
-        if type(level) is not int or not low <= level <= high:  # a bool is no level
-            raise GraphFormatError(f"level #{pos}: \"level\" must be an integer from {low} "
-                                   f"to {high}, got {level!r}")
-        if pos == 0 and bad:
-            raise GraphFormatError("level #0: the base level has no bad sets below it")
-        low = level + 1
-    if len(a) == 1:
-        if heads:
-            raise GraphFormatError("a one-point input has no levels: its witness is the input")
-        return
-    if not heads:
-        raise GraphFormatError("an input of two or more points stores B0 as level #0")
-    try:
-        count = subset_graph_size(a, b0_size)
-    except VertexCapExceeded as exc:  # more than stored
-        count = exc.size
-    if count != b0_size:
-        raise GraphFormatError(f"level #0: B0 of this input has {count} vertices, not {b0_size}")
-
-
-def _check_levels(a: EdgeLabelledGraph, levels: tuple[LevelGraph, ...]) -> None:
-    """The shape rules that read the stored levels themselves: each level's
-    copy is defined on exactly the input's points, each vertex id `x;bits`
-    of a level above the base carries one bit per stored bad set through x,
-    and the top level's copy names its vertices."""
-    for pos, lvl in enumerate(levels):
-        if lvl.base_embedding.domain() != a.vertices:
-            raise GraphFormatError(f"level #{pos}: the copy is defined on "
-                                   f"{list(lvl.base_embedding.domain())}, not on the input's "
-                                   f"points {list(a.vertices)}")
-    for pos, lvl in enumerate(levels[1:], 1):
-        through = lvl.membership()
-        for v in lvl.graph.vertices:
-            try:
-                base, bits = parse_level_vertex(v)
-            except GraphFormatError as exc:
-                raise GraphFormatError(f"level #{pos}: {exc}") from None
-            want = len(through.get(base, ()))
-            if len(bits) != want:
-                raise GraphFormatError(f"level #{pos}: vertex {v!r} carries {len(bits)} bits, "
-                                       f"not one per stored bad set through {base!r} ({want})")
-    if levels:
-        top = levels[-1]
-        for x, v in top.base_embedding.items():
-            if v not in top.graph:
-                raise GraphFormatError(f"level #{len(levels) - 1}: the copy of {x!r} is {v!r}, "
-                                       "which is no vertex of the level")
-
-
 def witness_to_json(w: Witness) -> dict:
-    """The file of a witness.  B0 is written as its code string alone, so
-    a B0 whose vertices are not the k-subsets of the set assignment, in id
-    order, or whose labels are not the input's is refused: the loader
-    would derive other ones."""
-    sa, levels = w.set_assignment, w.levels
-    if sa is None and len(w.input) > 1:  # only a witness made by hand lacks it
+    """The file of a witness: its input and B0's code string, or null for a
+    one-point input.  The loader derives everything else, so a witness it
+    would not give back is refused: a level above B0, a B0 whose ids,
+    labels or copy are not the set assignment's or that is not level 2
+    without bad sets, a tower height other than `compute_N`'s, a witness of
+    two or more points without its set assignment, and levels on a
+    one-point input."""
+    a, sa, levels = w.input, w.set_assignment, w.levels
+    _check_input(a)
+    if len(a) == 1 and levels:
+        raise GraphFormatError("a one-point input has no levels: its witness is the input")
+    if w.n != compute_N(a):
+        raise GraphFormatError(f"the tower height is {w.n}, not {compute_N(a)}, the one the "
+                               "loader derives from the input's distances")
+    if len(a) == 1:
+        return {"format": WITNESS_FORMAT, "input": graph_to_json(a), "b0": None}
+    if sa is None:  # only a witness made by hand lacks it
         raise GraphFormatError("a witness of two or more points carries its set assignment")
-    _check_shape(w.input, w.n, [(lvl.level, lvl.bad_sets) for lvl in levels],
-                 len(levels[0].graph) if levels else 0)
-    if levels:
-        b0 = levels[0].graph
-        if b0.vertices != sa.johnson.ids or b0.spectrum() != w.input.spectrum():
-            raise GraphFormatError("level #0: B0's vertices must be the k-subsets of the set "
-                                   "assignment's tokens and its labels the input's, which the "
-                                   "file does not store")
-    _check_levels(w.input, levels)
-    return {"format": WITNESS_FORMAT, "input": graph_to_json(w.input),
-            "levels": [_level_to_json(lvl, pos == 0) for pos, lvl in enumerate(levels)],
-            "n": w.n}
+    if len(levels) != 1:
+        raise GraphFormatError(f"a witness file stores B0 alone, not {len(levels)} levels")
+    base = levels[0]
+    if (base.graph.vertices != sa.johnson.ids or base.graph.spectrum() != a.spectrum()
+            or base.base_embedding != subset_copy(sa) or (base.level, base.bad_sets) != (2, ())):
+        raise GraphFormatError("B0's vertices must be the k-subsets of the set assignment's "
+                               "tokens, its labels the input's and its copy the points' token "
+                               "sets, at level 2 without bad sets, which the file does not store")
+    return {"format": WITNESS_FORMAT, "input": graph_to_json(a), "b0": _code_string(base.graph)}
 
 
 def witness_from_json(obj: Any) -> Witness:
-    """The witness of a file.  B0's vertices are the ids of its set
-    assignment's Johnson table, the very tuple, and its labels the input's
-    spectrum; its vertex count is read off its code string (`_b0_size`)
-    and checked before any token is laid out (`_check_shape`).  The final
-    space is derived (`final_space`)."""
+    """The witness of a file.  B0's vertex count is read off its code
+    string and checked before any token is laid out (`_check_b0_size`); its
+    vertices are the ids of the set assignment's Johnson table, the very
+    tuple, its labels the input's spectrum and its copy the build's
+    (`subset_copy`).  The tower height (`compute_N`) and the final space
+    (`final_space`) are derived with the build's own code too."""
     if not isinstance(obj, dict):
         raise GraphFormatError("witness file must be a JSON object")
     if obj.get("format") != WITNESS_FORMAT:
@@ -429,21 +295,22 @@ def witness_from_json(obj: Any) -> Witness:
             f"unsupported witness format {obj.get('format')!r}, expected {WITNESS_FORMAT!r}"
             " (build the witness again)"
         )
-    obj = _fields(obj, ("format", "input", "levels", "n"), "witness file")
+    if set(obj) != {"format", "input", "b0"}:
+        raise GraphFormatError("witness file must have the keys ['format', 'input', 'b0'], "
+                               f"got {sorted(obj)}")
     a = graph_from_json(obj["input"])
-    stored = [_level_from_json(lvl, pos)
-              for pos, lvl in enumerate(_list(obj["levels"], "witness \"levels\""))]
-    above = [graph_from_codes(graph, f"level #{pos}")
-             for pos, (graph, _) in enumerate(stored[1:], 1)]
-    _check_shape(a, obj["n"], [(fields["level"], fields["bad_sets"]) for _, fields in stored],
-                 _b0_size(a, stored[0][0]) if stored else 0)
-    sa = build_set_assignment(a) if len(a) > 1 else None
-    graphs = [_decode_codes(stored[0][0]["codes"], sa.johnson.ids, a.spectrum(), "level #0"),
-              *above] if stored else []
-    levels = tuple(LevelGraph(graph=graph, **fields) for graph, (_, fields) in zip(graphs, stored))
-    _check_levels(a, levels)
+    _check_input(a)
+    if len(a) == 1:
+        if obj["b0"] is not None:
+            raise GraphFormatError("a one-point input has no B0: its witness is the input, "
+                                   "and \"b0\" is null")
+        return Witness(input=a, set_assignment=None, levels=(), final=a, n=compute_N(a))
+    _check_b0_size(a, obj["b0"])
+    sa = build_set_assignment(a)
+    b0 = _decode_codes(obj["b0"], sa.johnson.ids, a.spectrum(), "\"b0\"")
+    levels = (LevelGraph(graph=b0, level=2, base_embedding=subset_copy(sa), bad_sets=()),)
     return Witness(input=a, set_assignment=sa, levels=levels, final=final_space(a, sa, levels),
-                   n=obj["n"])
+                   n=compute_N(a))
 
 
 def _counterexample_to_json(value: object) -> object:

@@ -55,15 +55,6 @@ def _check_core_name(name: str) -> str:
     return name
 
 
-def _check_core_names(names: tuple[str, ...]) -> None:
-    """`_check_core_name` on each of `names`, all strings, in one pass over
-    their concatenation, which has no whitespace exactly when none of them
-    has; the per-name rule runs only to name the first bad one."""
-    if not (all(names) and _CORE_NAME_RE.fullmatch("".join(names))):
-        for name in names:
-            _check_core_name(name)
-
-
 def as_label(value) -> Fraction:
     """Coerce to a positive Fraction; anything else is a format error."""
     if isinstance(value, bool) or not isinstance(value, (int, Fraction)):

@@ -29,9 +29,10 @@ permutation keeps every |X & Z|, so it induces an automorphism of this
 final space: only a lift through stored levels is checked as one again
 (`check_map`), and `verifier.cross_check` judges every map.  That B0 holds
 the set assignment's k-subsets, and whether a replay needs a lift, is
-decided once per witness.  The loader derives B0's vertices and labels
-and the final space with the build's own code (the Johnson table and
-`final_space`), so no file holds them.
+decided once per witness.  A witness file holds the input and B0's code
+string alone: the loader derives B0's vertices and labels, its copy
+(`setrep.subset_copy`), the tower height (`compute_N`) and the final space
+(`final_space`) with the build's own code.
 """
 
 from __future__ import annotations
@@ -73,10 +74,12 @@ class Witness:
     component of the top stored level that holds the copy of the input, so
     its vertices are that component; with B0 alone the component is all of
     B0, and the completion is read off its class distances rather than
-    computed pair by pair; `final_space` derives it, so no file stores it.
-    `n` is the tower height: one above the floor of the largest-to-smallest
-    distance ratio.  `set_assignment` is `build_set_assignment(input)`, or
-    None for a one-point input, which has no level to replay.
+    computed pair by pair; `final_space` derives it.  `n` is the tower
+    height, `compute_N(input)`.  `set_assignment` is
+    `build_set_assignment(input)`, or None for a one-point input, which has
+    no level to replay.  A file stores the input and B0's codes alone
+    (`fileio`), so only a witness whose levels are B0 can be written; a
+    tower with stored levels above B0 lives in memory only.
     """
 
     input: EdgeLabelledGraph

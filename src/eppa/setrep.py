@@ -416,10 +416,16 @@ def build_eppa_graph(
     # no label is lost: each is on an edge x-y of a, and psi(x) != psi(y)
     # (each holds a private padding token, as k is one above the largest
     # load) share its rank
-    b = EdgeLabelledGraph._trusted(johnson.ids, a.spectrum(), codes)
+    return EdgeLabelledGraph._trusted(johnson.ids, a.spectrum(), codes), subset_copy(sa)
+
+
+def subset_copy(sa: SetAssignment) -> PartialMap:
+    """The copy of A, the graph `sa` was built for, in its subset graph:
+    each point to the id of its token set.  The build and the witness
+    loader both derive it here."""
     # ascending positions list each copy's tokens in token order, as the ids do
     ids = ("{" + "|".join(map(sa.universe.__getitem__, own)) + "}" for own in sa.own)
-    return b, PartialMap._trusted(zip(a.vertices, ids))
+    return PartialMap._trusted(zip(sa.graph.vertices, ids))
 
 
 def extend_by_permutation(sa: SetAssignment, pairs: Sequence[tuple[int, int]]) -> list[int]:

@@ -37,7 +37,8 @@ from eppa import (
     shortest_path_completion,
     subset_automorphism,
 )
-from eppa.fileio import _level_to_json, witness_to_json
+from eppa.fileio import format_label, graph_to_codes, map_to_json, witness_to_json
+from eppa.pipeline import final_space
 from eppa.setrep import ClassTable, extend_by_permutation, first_bad_level
 
 hypothesis.settings.register_profile("fast", max_examples=10)
@@ -170,15 +171,29 @@ def witness_graphs(w) -> list[EdgeLabelledGraph]:
     return [w.input, *(lvl.graph for lvl in w.levels), w.final]
 
 
+def stacked_witness(t112_witness, demo_witness):
+    """The triangle-112 witness with the demonstration witness's level 3
+    stored above its B0 (`stacked_level`), and the final space that level
+    gives.  No build makes such a witness (the demo level does not expand
+    B0); it stands in for a tower with a level above B0 and bad sets, which
+    lives in memory only."""
+    levels = (t112_witness.levels[0], stacked_level(demo_witness))
+    return dataclasses.replace(t112_witness, levels=levels,
+                               final=final_space(t112_witness.input,
+                                                 t112_witness.set_assignment, levels))
+
+
 def stacked_witness_json(t112_witness, demo_witness) -> dict:
-    """The triangle-112 witness file with the demonstration witness's level
-    3 stored above its B0 (`stacked_level`).  No build writes such a file
-    (the demo level does not expand B0), but the loader accepts it: each of
-    its shape rules holds.  It stands in for a file with a level above B0
-    and bad sets."""
-    obj = witness_to_json(t112_witness)
-    obj["levels"].append(_level_to_json(stacked_level(demo_witness)))
-    return obj
+    """The triangle-112 witness file carrying an extra "levels" list with
+    the stacked level (`stacked_level`) written as the older formats wrote
+    a level above B0.  A witness file stores B0 alone, so every command
+    refuses it."""
+    top = stacked_level(demo_witness)
+    level = {"level": top.level, "graph": graph_to_codes(top.graph),
+             "base_embedding": map_to_json(top.base_embedding),
+             "bad_sets": [{"vertices": list(m.vertices), "long_edge": list(m.long_edge),
+                           "deficit": format_label(m.deficit)} for m in top.bad_sets]}
+    return {**witness_to_json(t112_witness), "levels": [level]}
 
 
 def bent_classes(a: EdgeLabelledGraph, c: int, value: int | None) -> ClassTable:

@@ -143,19 +143,18 @@ def test_criterion_1_end_to_end(fixture_witnesses, name, factory, limit, n_maps)
 
 
 # sha256 and byte count of each fixture's witness file in the
-# eppa-witness/6 format, which stores no level without bad sets, each graph
-# as one string of label codes, B0 as that string alone, each fact once, and
-# no final space (the loader derives B0's vertices and labels and the final
-# space); the JSON must stay byte-identical.  The text is the one
+# eppa-witness/7 format, which stores the input and B0's code string alone
+# (the loader derives B0's vertices, labels and copy, the tower height and
+# the final space); the JSON must stay byte-identical.  The text is the one
 # `dump_json` writes, made in memory.
 FIXTURE_DIGESTS = {
-    "two-point": "8905e1eab2af0db8952516eb57bdfca7f3705ca0ce4a98770b3787483aa98b66",
-    "triangle-112": "652451a26ba1ef2ff558832621f74b8adb30a765a5ed6aead93a330b4e7997ed",
-    "triangle-123": "944d61ec15a91faa0a17e843372edc3807889c0969e36c19caae2f59546af40a",
-    "four-point": "60a9bc31c27590bc4a8fbb92c7efcf0cb6c9ac92f473b40182115a993ff910da",
+    "two-point": "2c9b6675bb37703ef947e24c27d257b03a1200b0a34e44cb3048e5cd4d31cfc5",
+    "triangle-112": "1cf8f1c141f2649f3ef9f0ff5bcb57364cd5bfe20d9b7c7a7b1f4e30dccd46fb",
+    "triangle-123": "449841b3d5d89a8024779117177855d3b499949d746351bc5bef512d70fabdea",
+    "four-point": "c3b6a1a62aaa7454133244be19b734f8e8a0318570c90320cda253203b69f987",
 }
-FIXTURE_BYTES = {"two-point": 213, "triangle-112": 2_723, "triangle-123": 426_774,
-                 "four-point": 313_664}
+FIXTURE_BYTES = {"two-point": 94, "triangle-112": 2_538, "triangle-123": 426_549,
+                 "four-point": 313_405}
 
 
 def test_fixture_witnesses_are_byte_identical(fixture_witnesses):

@@ -20,19 +20,21 @@ from eppa import (
     GraphFormatError,
     PartialMap,
     VerificationReport,
+    build_eppa_graph,
     build_set_assignment,
+    compute_N,
     cross_check,
     enumerate_partial_automorphisms,
     extend_isometry,
+    graph_from_triples,
 )
 from eppa import build_witness, graphs, pipeline
 from eppa.cli import main
 from eppa.fileio import (
     WITNESS_FORMAT,
-    _level_from_json,
+    _decode_codes,
     dump_json,
     format_label,
-    graph_from_codes,
     graph_from_json,
     graph_to_codes,
     graph_to_json,
@@ -44,9 +46,7 @@ from eppa.fileio import (
     witness_from_json,
     witness_to_json,
 )
-from eppa.levels import LevelGraph
-
-from conftest import make_t112, stacked_level, stacked_witness_json
+from conftest import make_t112, stacked_witness
 
 
 # -- labels ------------------------------------------------------------------
@@ -174,8 +174,6 @@ def test_a_loaded_witness_checks_b0_once(t112_witness):
 
 
 def test_witness_round_trip_without_assignment():
-    from eppa import build_witness, graph_from_triples
-
     w = build_witness(graph_from_triples(["p"], []))
     again = witness_from_json(witness_to_json(w))
     assert again == w
@@ -183,70 +181,67 @@ def test_witness_round_trip_without_assignment():
 
 def test_witness_rejects_other_format_versions(k2_witness):
     # /1 stored every clean level, /2 one [i, j, label] triple per edge, /3
-    # the facts the loader now derives, /4 the final space and /5 B0's
-    # vertex ids and labels; such files are refused
-    assert WITNESS_FORMAT == "eppa-witness/6"
+    # the facts the loader now derives, /4 the final space, /5 B0's vertex
+    # ids and labels and /6 B0's copy, the tower height and levels above
+    # B0; such files are refused
+    assert WITNESS_FORMAT == "eppa-witness/7"
     for old in ("eppa-witness/1", "eppa-witness/2", "eppa-witness/3", "eppa-witness/4",
-                "eppa-witness/5"):
+                "eppa-witness/5", "eppa-witness/6"):
         obj = witness_to_json(k2_witness)
         obj["format"] = old
         with pytest.raises(GraphFormatError) as exc:
             witness_from_json(obj)
         assert old in str(exc.value)
-        assert "eppa-witness/6" in str(exc.value)
+        assert "eppa-witness/7" in str(exc.value)
         assert "build the witness again" in str(exc.value)
 
 
 def test_a_stored_final_space_is_refused(k2_witness):
-    # a /6 file does not store the final space: the loader derives it
+    # a /7 file does not store the final space: the loader derives it
     obj = witness_to_json(k2_witness)
     obj["final"] = graph_to_codes(k2_witness.final)
     with pytest.raises(GraphFormatError) as exc:
         witness_from_json(obj)
-    assert str(exc.value) == ("witness file must have the keys ['format', 'input', 'levels', "
-                              "'n'], got ['final', 'format', 'input', 'levels', 'n']")
+    assert str(exc.value) == ("witness file must have the keys ['format', 'input', 'b0'], "
+                              "got ['b0', 'final', 'format', 'input']")
 
 
-def test_witness_file_stores_each_fact_once(demo_witness, t112_witness):
-    obj = json.loads(json.dumps(stacked_witness_json(t112_witness, demo_witness)))
-    assert list(obj) == ["format", "input", "levels", "n"]
-    for lvl in obj["levels"]:
-        assert list(lvl) == ["level", "graph", "base_embedding", "bad_sets"]
-    assert [list(m) for m in obj["levels"][1]["bad_sets"]] == [
-        ["vertices", "long_edge", "deficit"]] * 2
+def test_witness_file_stores_each_fact_once(t112_witness):
+    obj = json.loads(json.dumps(witness_to_json(t112_witness)))
+    assert list(obj) == ["format", "input", "b0"]
+    assert isinstance(obj["b0"], str) and len(obj["b0"]) == math.comb(70, 2)
 
-    # B0 is its code string alone; a level above it names its vertices and labels
-    assert [list(lvl["graph"]) for lvl in obj["levels"]] == [
-        ["codes"], ["vertices", "labels", "codes"]]
-
-    # the loader derives the rest: each bad set's members from its cycle,
-    # B0's vertices and labels, the set assignment and the final space
-    graph, fields = _level_from_json(obj["levels"][1], 1)
-    top = LevelGraph(graph=graph_from_codes(graph, "level #1"), **fields)
-    for m in top.bad_sets:
-        assert m.members == frozenset(m.vertices)
-    assert top == stacked_level(demo_witness)
-    base = t112_witness.levels[0]
-    stacked = witness_from_json(obj)
-    assert stacked.levels == (base, top)
-    assert stacked.final == demo_witness.final  # the top level's component, completed
-    loaded = witness_from_json(witness_to_json(t112_witness))
+    # the loader derives the rest: the set assignment, B0's vertices, labels
+    # and copy, the tower height and the final space
+    loaded = witness_from_json(obj)
     assert loaded.set_assignment == build_set_assignment(t112_witness.input)
     assert loaded.final_embedding == loaded.levels[-1].base_embedding
     assert loaded == t112_witness
 
 
-def test_a_loaded_b0_holds_the_johnson_tables_ids(t112_witness, demo_witness):
+def test_a_loaded_witness_derives_b0s_copy_and_the_tower_height(k2_witness, t112_witness):
+    # B0's copy is the build's (`build_eppa_graph`), and the tower height
+    # the input's `compute_N`: 2, 3 and, for the (1,3,3) triangle, 4
+    t133 = build_witness(graph_from_triples(["x", "y", "z"], [("x", "y", 1), ("x", "z", 3),
+                                                              ("y", "z", 3)]))
+    for w, n in ((k2_witness, 2), (t112_witness, 3), (t133, 4)):
+        loaded = witness_from_json(json.loads(json.dumps(witness_to_json(w))))
+        (base,) = loaded.levels
+        assert (base.level, base.bad_sets) == (2, ())
+        assert base.base_embedding == build_eppa_graph(loaded.set_assignment)[1]
+        assert loaded.n == compute_N(w.input) == n
+        assert loaded == w
+
+
+def test_a_loaded_b0_holds_the_johnson_tables_ids(t112_witness):
     # B0's vertices are the very tuple of the set assignment's Johnson
     # table, and its labels the input's; with B0 alone, the final space
     # holds that tuple too
-    for obj in (witness_to_json(t112_witness), stacked_witness_json(t112_witness, demo_witness)):
-        loaded = witness_from_json(json.loads(json.dumps(obj)))
-        b0 = loaded.levels[0].graph
-        assert b0.vertices is loaded.set_assignment.johnson.ids
-        assert b0.spectrum() == loaded.input.spectrum()
-    loaded = witness_from_json(witness_to_json(t112_witness))
-    assert loaded.final.vertices is loaded.levels[0].graph.vertices
+    loaded = witness_from_json(json.loads(json.dumps(witness_to_json(t112_witness))))
+    b0 = loaded.levels[0].graph
+    assert b0.vertices is loaded.set_assignment.johnson.ids
+    assert b0.spectrum() == loaded.input.spectrum()
+    assert loaded.final.vertices is b0.vertices
 
 
 def test_the_writer_refuses_a_b0_the_loader_would_not_derive(t112_witness):
@@ -258,8 +253,32 @@ def test_the_writer_refuses_a_b0_the_loader_would_not_derive(t112_witness):
                                          b0.codes, b0.edge_count)
     relabelled = dataclasses.replace(
         t112_witness, levels=(dataclasses.replace(base, graph=doubled),))
-    with pytest.raises(GraphFormatError, match="level #0: B0's vertices must be the k-subsets"):
+    with pytest.raises(GraphFormatError, match="B0's vertices must be the k-subsets"):
         witness_to_json(relabelled)
+
+
+def test_the_writer_refuses_a_copy_the_loader_would_not_derive(t112_witness):
+    # with the copies of y and z swapped, B0 is the same graph and the copy
+    # an isometric one, but the loader would derive each point's own token
+    # set as its copy: the writer refuses the witness
+    base = t112_witness.levels[0]
+    copy = base.base_embedding
+    swapped = PartialMap({"x": copy["x"], "y": copy["z"], "z": copy["y"]})
+    w = dataclasses.replace(t112_witness,
+                            levels=(dataclasses.replace(base, base_embedding=swapped),))
+    with pytest.raises(GraphFormatError, match="its copy the points' token sets"):
+        witness_to_json(w)
+
+
+def test_the_writer_refuses_a_tower_height_or_level_the_loader_would_not_derive(
+        k2_witness, t112_witness, demo_witness):
+    # the loader derives n = compute_N(input) and stores B0 alone
+    with pytest.raises(GraphFormatError, match="the tower height is 4, not 3"):
+        witness_to_json(dataclasses.replace(t112_witness, n=4))
+    with pytest.raises(GraphFormatError, match="stores B0 alone, not 2 levels"):
+        witness_to_json(stacked_witness(t112_witness, demo_witness))
+    with pytest.raises(GraphFormatError, match="stores B0 alone, not 0 levels"):
+        witness_to_json(dataclasses.replace(k2_witness, levels=()))
 
 
 def test_a_round_trip_checks_its_input_metric_once_per_graph(monkeypatch):
@@ -284,26 +303,28 @@ def test_the_writer_refuses_what_the_loader_refuses(demo_witness, t112_witness):
         witness_to_json(dataclasses.replace(t112_witness, set_assignment=None))
 
 
-def test_witness_rejects_structural_damage(k2_witness, t112_witness, demo_witness, tmp_path,
-                                           capsys):
+def test_the_loader_reads_b0_exactly_when_the_input_has_two_points(k2_witness):
+    # a one-point input has no B0, and any other stores its code string
+    one = witness_to_json(build_witness(graph_from_triples(["p"], [])))
+    assert one["b0"] is None
+    with pytest.raises(GraphFormatError, match="a one-point input has no B0"):
+        witness_from_json({**one, "b0": "1"})
+    two = witness_to_json(k2_witness)
+    with pytest.raises(GraphFormatError, match='"b0" must be a string of 1 [*] C[(]n, 2[)]'):
+        witness_from_json({**two, "b0": None})
+    del two["b0"]
+    with pytest.raises(GraphFormatError, match="must have the keys"):
+        witness_from_json(two)
+
+
+def test_witness_rejects_structural_damage(k2_witness, tmp_path, capsys):
     good = witness_to_json(k2_witness)
 
     broken = json.loads(json.dumps(good))
-    broken["n"] = "2"
-    with pytest.raises(GraphFormatError):
-        witness_from_json(broken)
-
-    broken = json.loads(json.dumps(good))
-    broken["levels"][0]["graph"]["codes"] = broken["levels"][0]["graph"]["codes"][:-1]
+    broken["b0"] = broken["b0"][:-1]
     with pytest.raises(GraphFormatError) as exc:
         witness_from_json(broken)
-    assert "level #0" in str(exc.value)
-
-    broken = json.loads(json.dumps(good))
-    broken["levels"][0]["bad_sets"] = ["abc"]
-    with pytest.raises(GraphFormatError) as exc:
-        witness_from_json(broken)
-    assert "level #0: bad set #0 must be an object" in str(exc.value)
+    assert '"b0"' in str(exc.value)
 
     broken = json.loads(json.dumps(good))
     broken["input"] = {"vertices": [], "edges": []}
@@ -312,21 +333,16 @@ def test_witness_rejects_structural_damage(k2_witness, t112_witness, demo_witnes
 
     # the loader reads exactly the keys the writer writes: facts that older
     # formats stored, and the loader now derives, are refused, not dropped
-    stacked = stacked_witness_json(t112_witness, demo_witness)
     extras = [
-        (good, (), "final", graph_to_codes(k2_witness.final)),
-        (good, (), "component", list(k2_witness.final.vertices)),
-        (good, (), "config", {"coherent": True, "search_budget": 10_000_000}),
-        (good, (), "set_assignment", {"k": 2, "psi": {}, "universe": []}),
-        (good, ("levels", 0), "projection", {}),
-        (stacked, ("levels", 1, "bad_sets", 0), "members", ["p", "q", "r"]),
+        ("final", graph_to_codes(k2_witness.final)),
+        ("component", list(k2_witness.final.vertices)),
+        ("config", {"coherent": True, "search_budget": 10_000_000}),
+        ("set_assignment", {"k": 2, "psi": {}, "universe": []}),
+        ("levels", []),
+        ("n", 2),
     ]
-    for obj, path, key, value in extras:
-        broken = json.loads(json.dumps(obj))
-        where = broken
-        for step in path:
-            where = where[step]
-        where[key] = value
+    for key, value in extras:
+        broken = {**json.loads(json.dumps(good)), key: value}
         with pytest.raises(GraphFormatError, match=key):
             witness_from_json(broken)
         wpath = str(tmp_path / "w.json")
@@ -352,6 +368,13 @@ def coded_graphs(draw):
     labels = draw(st.lists(st.none() | st.sampled_from(CODE_LABELS),
                            min_size=len(pairs), max_size=len(pairs)))
     return EdgeLabelledGraph(names, [(u, v, d) for (u, v), d in zip(pairs, labels) if d])
+
+
+def decoded(obj: dict) -> EdgeLabelledGraph:
+    """The graph of a `graph_to_codes` object, its code string decoded on
+    its vertices and labels (`_decode_codes`)."""
+    labels = tuple(map(parse_label, obj["labels"]))
+    return _decode_codes(obj["codes"], tuple(obj["vertices"]), labels, "g")
 
 
 def string_gather_codes(g: EdgeLabelledGraph) -> str:
@@ -382,7 +405,7 @@ WIDE_CODES = EdgeLabelledGraph([f"v{i:02}" for i in range(15)], [
 ]))
 def test_codes_round_trip(g):
     obj = json.loads(json.dumps(graph_to_codes(g)))
-    again = graph_from_codes(obj, "g")
+    again = decoded(obj)
     assert again == g
     assert again.edge_count == g.edge_count
     assert again.spectrum() == g.spectrum()
@@ -408,20 +431,13 @@ def test_codes_shape():
 @pytest.mark.parametrize(
     "obj,fragment",
     [
-        ({"vertices": ["a", "b"], "codes": "1"}, "expected a graph object"),
-        ({"vertices": ["a", "b"], "labels": ["1"], "codes": 1}, "must be a string of 1 digits"),
         ({"vertices": ["a", "b"], "labels": ["1"], "codes": "10"}, "must be a string of 1 digits"),
+        ({"vertices": ["a", "b"], "labels": ["1"], "codes": 1}, "must be a string of 1 digits"),
         ({"vertices": ["a", "b", "c"], "labels": ["1"], "codes": "1x1"}, "code 'x' of pair ('a', 'c')"),
         ({"vertices": ["a", "b", "c"], "labels": ["1"], "codes": "112"}, "code '2' of pair ('b', 'c')"),
         ({"vertices": ["a", "b"], "labels": ["1", "2", "3", "4", "5", "6", "7", "8", "9", "10"],
           "codes": "11"}, "code '11' of pair ('a', 'b')"),
         ({"vertices": ["a", "b", "c"], "labels": ["1", "2"], "codes": "101"}, "label 2 is on no pair"),
-        ({"vertices": ["a", "b"], "labels": ["2", "1"], "codes": "1"}, "labels must be strictly"),
-        ({"vertices": ["a", "b"], "labels": ["1", "1"], "codes": "1"}, "labels must be strictly"),
-        ({"vertices": ["a", "b"], "labels": ["2/4"], "codes": "1"}, "lowest terms"),
-        ({"vertices": ["b", "a"], "labels": ["1"], "codes": "1"}, "vertices must be strictly"),
-        ({"vertices": ["a", "a"], "labels": ["1"], "codes": "1"}, "vertices must be strictly"),
-        ({"vertices": ["a", " "], "labels": ["1"], "codes": "1"}, "bad vertex name"),
         # past ASCII ("replace" makes it "?") and below "0" (wraps past 9)
         ({"vertices": ["a", "b", "c"], "labels": ["1"], "codes": "1é1"}, "code 'é' of pair ('a', 'c')"),
         ({"vertices": ["a", "b", "c"], "labels": ["1"], "codes": "11/"}, "code '/' of pair ('b', 'c')"),
@@ -431,7 +447,7 @@ def test_codes_shape():
 )
 def test_codes_parse_errors_name_the_offender(obj, fragment):
     with pytest.raises(GraphFormatError) as exc:
-        graph_from_codes(obj, "g")
+        decoded(obj)
     assert fragment in str(exc.value)
     assert str(exc.value).startswith("g: ")
 

@@ -29,7 +29,7 @@ from eppa import (
     is_metric_space,
     is_partial_automorphism,
 )
-from eppa.fileio import graph_from_codes, graph_from_json
+from eppa.fileio import graph_from_json
 from eppa.graphs import metric_violation, scaled_matrix, scaled_spectrum
 from conftest import edge_labelled_graphs, small_corpus
 
@@ -105,9 +105,6 @@ def test_a_name_with_whitespace_is_refused_everywhere(name):
     core = f"bad vertex name {name!r}: names are nonempty, no whitespace"
     with pytest.raises(GraphFormatError, match=re.escape(core)):
         EdgeLabelledGraph(["0", name], [])
-    # the decoder's one pass over all names names the bad one, not the first
-    with pytest.raises(GraphFormatError, match=re.escape(f"g: {core}")):
-        graph_from_codes({"vertices": ["0", name], "labels": ["1"], "codes": "1"}, "g")
 
 
 def test_structural_equality(t112):

@@ -30,10 +30,9 @@ from eppa import (
     compute_flip_set,
     lift_automorphism,
 )
-from eppa.fileio import witness_from_json
 from eppa.levels import LevelGraph, level_vertex_id, parse_level_vertex
 
-from conftest import every_label_on_a_pair, stacked_level, stacked_witness_json, witness_graphs
+from conftest import every_label_on_a_pair, stacked_level, stacked_witness, witness_graphs
 
 
 def make_prev(t113):
@@ -312,7 +311,7 @@ def test_double_lift_composes(prev, lifted):
 def test_every_label_of_an_expansion_is_on_a_pair(lifted, demo_witness, t112_witness):
     # each edge below joins a copy of x to a copy of y that agrees with it
     # on every bad set through both, so no label of the level below is lost
-    stacked = witness_from_json(stacked_witness_json(t112_witness, demo_witness))
+    stacked = stacked_witness(t112_witness, demo_witness)
     graphs = [lifted.graph, build_next_level(lifted, 4).graph, stacked_level(demo_witness).graph,
               *witness_graphs(demo_witness), *witness_graphs(stacked)]
     for g in graphs:

@@ -35,15 +35,7 @@ from eppa import (
     witness_stats,
 )
 from eppa import pipeline, setrep
-from eppa.cli import main as cli_main
-from eppa.fileio import (
-    dump_json,
-    load_json,
-    map_from_json,
-    map_to_json,
-    witness_from_json,
-    witness_to_json,
-)
+from eppa.fileio import dump_json, witness_from_json, witness_to_json
 from eppa.graphs import EdgeLabelledGraph, induced_subgraph
 from eppa.levels import LevelGraph, level_vertex_id
 from eppa.setrep import SetAssignment
@@ -122,12 +114,11 @@ def test_three_point_witness_shape(t112_witness):
 
 # -- the tower decided on B0 -----------------------------------------------------------
 
-# sha256 of the witness file as `dump_json` writes it, in the eppa-witness/6
-# format, which stores no level without bad sets, each fact once, B0 as its
-# code string alone and no final space
+# sha256 of the witness file as `dump_json` writes it, in the eppa-witness/7
+# format, which stores the input and B0's code string alone
 TOWER_DIGESTS = {
-    (1, 3, 3): "86d4a2b667e32172a4d45dd2ed0d4e5e4490cd596e35e0d474cee42b6b0be9fe",
-    (2, 5, 5): "c99f536e08d77c884d03c7d13e79f1dc4f7c691ed50f6d309658034f8d7d2c6e",
+    (1, 3, 3): "c2897b3086ef492b4d86e625aed11deb729c9583ff7379813f9eceb7e12ade5b",
+    (2, 5, 5): "f8f8054a0c350a1561c696c7608c2a8d19d8ba85b64bd9b1d6463d2be203aed3",
 }
 
 
@@ -383,7 +374,7 @@ def test_a_b0_with_renamed_ids_is_refused(t112_witness):
     assert {"subset-vertices", "extension-replay"} <= failed
     # a file stores B0's codes alone, and its loader derives the set
     # assignment's ids, so the writer refuses other ones
-    with pytest.raises(GraphFormatError, match="level #0: B0's vertices must be the k-subsets"):
+    with pytest.raises(GraphFormatError, match="B0's vertices must be the k-subsets"):
         witness_to_json(bent)
     # and with that subset missing from B0, which is then smaller than the table
     short = dataclasses.replace(w, levels=(dataclasses.replace(
@@ -392,7 +383,7 @@ def test_a_b0_with_renamed_ids_is_refused(t112_witness):
         extend_isometry(short, PartialMap({"y": "z", "z": "y"}))
 
 
-def test_a_stored_level_is_replayed_through_the_lift(monkeypatch, tmp_path):
+def test_a_stored_level_is_replayed_through_the_lift(monkeypatch):
     # T133's B0 is clean, so the build stores no level above it.  Level 3
     # stored by hand has no bad set: each vertex is its B0 vertex with no
     # bits (the id gains a ";"), so the lift must move the copies as the subset permutation
@@ -431,19 +422,9 @@ def test_a_stored_level_is_replayed_through_the_lift(monkeypatch, tmp_path):
     assert [row.tolist() for row in batch] == [
         pipeline.replay_positions(tower, [phi])[0].tolist() for phi in maps]
 
-    # the file of such a witness loads: `eppa extend` replays through the
-    # lift, and `eppa verify` rejects it only because a level without bad
-    # sets is not stored
-    wpath, mpath = str(tmp_path / "w.json"), str(tmp_path / "map.json")
-    dump_json(wpath, witness_to_json(tower))
-    phi = PartialMap({"x": "y", "y": "x"})
-    dump_json(mpath, map_to_json(phi))
-    assert cli_main(["extend", wpath, mpath, "--output", str(tmp_path / "e.json")]) == 0
-    assert map_from_json(load_json(str(tmp_path / "e.json"))) == extend_isometry(tower, phi)
-    assert cli_main(["verify", wpath, "--output", str(tmp_path / "r.json")]) == 1
-    failed = [c for c in load_json(str(tmp_path / "r.json"))["checks"] if not c["passed"]]
-    assert [c["name"] for c in failed] == ["level-3-bad-sets"]
-    assert "no bad sets stored" in failed[0]["detail"]
+    # a witness file stores B0 alone, so the writer refuses such a tower
+    with pytest.raises(GraphFormatError, match="stores B0 alone, not 2 levels"):
+        witness_to_json(tower)
 
 
 # -- stats ---------------------------------------------------------------------------
