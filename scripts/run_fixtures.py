@@ -5,12 +5,11 @@ Runs the full pipeline on each bundled fixture (or on graph files passed on
 the command line), prints size statistics, the build time (in ms, as are
 the dump and load times), the traced peak
 of a second, untimed build (`tracemalloc`, in MB), the size of the
-witness file in MB (10^6 bytes, as `dump_json` writes it) and its bytes
-split into B0's code string and everything else, the time
-`witness_to_json` and the JSON encoder take to write that text, and the
-time `witness_from_json` takes to load it back from the parsed JSON.  The
-loaded witness must equal the built one, its derived final space and every
-level alike.  It optionally extends every partial isometry of the input
+witness file in bytes (as `dump_json` writes it; the file holds the input
+alone), the time `witness_to_json` and the JSON encoder take to write that
+text, and the time `witness_from_json` takes to load it back from the
+parsed JSON, which is a build of the input.  The loaded witness must equal
+the built one, its final space and every level alike.  It optionally extends every partial isometry of the input
 on the loaded witness, as `eppa extend` does, timing each `extend_isometry`
 call alone (the first apart, as it builds the lazy bitmask table and
 the witness's table of the copy's final positions, then the median and
@@ -122,12 +121,9 @@ def run_one(name: str, g: EdgeLabelledGraph, args: argparse.Namespace) -> bool:
     print(f"== {name}")
     print(f"   input: {len(g)} vertices, spectrum {stats['spectrum']}")
     print(f"   tower: levels {stats['levels']} -> final {stats['final_vertices']} vertices")
-    codes = len(obj["b0"] or "")
-    print(f"   build: {1e3 * build_s:.2f} ms, traced peak {peak_mb:.2f} MB,"
-          f" witness {len(text) / 1e6:.2f} MB,"
-          f" dumped in {1e3 * dump_s:.2f} ms, loaded in {1e3 * load_s:.2f} ms")
-    print(f"   file: {len(text):,} bytes, {codes:,} in B0's code string"
-          f" ({100 * codes / len(text):.1f} %), {len(text) - codes:,} else")
+    print(f"   build: {1e3 * build_s:.2f} ms, traced peak {peak_mb:.2f} MB")
+    print(f"   file: {len(text):,} bytes, dumped in {1e3 * dump_s:.2f} ms,"
+          f" loaded (built again) in {1e3 * load_s:.2f} ms")
 
     if args.extend_all:
         # on the loaded witness, as `eppa extend` replays one

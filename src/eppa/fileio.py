@@ -3,25 +3,14 @@
 Graph files are JSON objects `{"vertices": [...], "edges": [[u, v, label]]}`
 with labels written as positive fractions in lowest terms ("3" or "3/2",
 never "6/4" or "3/1").  Map files are JSON lists of `[source, target]` pairs.
-Witness files, under the format version `eppa-witness/7` (files of any
-other version are refused), hold a `build_witness` result as exactly two
-facts: its input and B0's code string, null for a one-point input, whose
-witness is the input itself.  B0's vertex count n is read off the string's
-length and checked against the input before any token is laid out.  The
-loader derives the rest with the build's own code: the set assignment, B0's
-vertices (its Johnson table's very tuple of ids), labels (the input's) and
-copy (`setrep.subset_copy`), the tower height (`pipeline.compute_N`) and
-the final space (`pipeline.final_space`); it changes no graph it decodes.
-So the writer refuses a witness that the loader would not give back, such
-as one with a level above B0.  A code string holds one fixed-width code per
-vertex pair (`_code_string`), which stays compact on dense graphs; the
-graph `eppa eppa-step` writes holds one too, beside its vertices and labels
-(`graph_to_codes`).  Both ends of that codec work on uint8 byte planes, one
-row of ASCII digits per vertex pair: the writer adds "0" to one-digit codes
-and takes wider ones from a table of the digits of every code, and the
-loader decodes the rows into the narrowest unsigned type and scatters them
-into the code matrix (`_decode_codes`).  All parsers reject structurally
-invalid input, naming the offending element.
+Witness files, under the format version `eppa-witness/8` (files of any
+other version are refused), hold a witness as its input alone, as the
+witness is a function of its input: loading a file checks the input and
+builds it (`pipeline.build_witness`, under the default vertex cap), and
+the writer refuses a witness that is not its input's build.  The graph
+`eppa eppa-step` writes holds one fixed-width code per vertex pair
+(`_code_string`), beside its vertices and labels (`graph_to_codes`).  All
+parsers reject structurally invalid input, naming the offending element.
 """
 
 from __future__ import annotations
@@ -30,20 +19,17 @@ import json
 import math
 import re
 from fractions import Fraction
-from itertools import combinations, islice
 from typing import Any
 
 import numpy as np
 
 from .completion import CycleWitness
-from .errors import GraphFormatError, VertexCapExceeded
+from .errors import GraphFormatError
 from .graphs import EdgeLabelledGraph, PartialMap, graph_from_triples, is_metric_space
-from .levels import LevelGraph
-from .pipeline import Witness, compute_N, final_space
-from .setrep import build_set_assignment, subset_copy, subset_graph_size
+from .pipeline import Witness, b0_witness, build_witness
 from .verifier import VerificationReport
 
-WITNESS_FORMAT = "eppa-witness/7"
+WITNESS_FORMAT = "eppa-witness/8"
 
 _LABEL_RE = re.compile(r"^(0|[1-9][0-9]*)(?:/([1-9][0-9]*))?$")
 
@@ -131,7 +117,7 @@ def map_from_json(obj: Any) -> PartialMap:
     return PartialMap(table)
 
 
-# -- label-code graph encoding for witness internals --------------------------
+# -- the label-code graph encoding of `eppa eppa-step` -------------------------
 
 
 def graph_to_codes(g: EdgeLabelledGraph) -> dict:
@@ -151,66 +137,16 @@ def _code_string(g: EdgeLabelledGraph) -> str:
     width) table of the digits of every code."""
     count = len(g.spectrum())
     width = len(str(count))
-    upper = g.codes[_pairs_mask(len(g))]
+    # the pairs i < j, which indexing lists row-major, compared in the
+    # narrowest type that counts the vertices
+    order = np.arange(len(g), dtype=np.min_scalar_type(len(g)))
+    upper = g.codes[order[:, None] < order]
     if width == 1:
         codes = np.add(upper, ord("0"), dtype=np.uint8)
     else:
         digits = "".join(str(c).zfill(width) for c in range(count + 1)).encode("ascii")
         codes = np.frombuffer(digits, dtype=np.uint8).reshape(-1, width).take(upper, axis=0)
     return codes.tobytes().decode("ascii")
-
-
-def _pairs_mask(n: int) -> np.ndarray:
-    """The n x n mask of the pairs i < j, which indexing lists row-major,
-    compared in the narrowest type that counts the vertices."""
-    count = np.arange(n, dtype=np.min_scalar_type(n))
-    return count[:, None] < count
-
-
-def _decode_codes(codes: Any, verts: tuple[str, ...], labels: tuple[Fraction, ...],
-                  what: str) -> EdgeLabelledGraph:
-    """The graph on `verts` and `labels` whose pairs the code string
-    `codes` gives, as `_code_string` writes it, checking its length, that
-    every code names a label and that every label is used.  The codes are
-    decoded on a byte plane, one uint8 row of digits per pair, into values
-    of the narrowest unsigned type that holds them, and scattered straight
-    into the upper triangle of the code matrix of the graph, which one OR
-    with its transpose makes symmetric."""
-    n = len(verts)
-    width = len(str(len(labels)))
-    if not isinstance(codes, str) or len(codes) != width * n * (n - 1) // 2:
-        raise GraphFormatError(
-            f"{what}: \"codes\" must be a string of {width * n * (n - 1) // 2} digits "
-            f"({width} per vertex pair)"
-        )
-    # one row of digits per pair, one byte per character: a character past
-    # ASCII becomes "?", and one below "0" wraps past 9 too
-    text = codes.encode("ascii", "replace")
-    digits = np.frombuffer(text, dtype=np.uint8).reshape(-1, width) - ord("0")
-    values = digits[:, 0].astype(np.min_scalar_type(10 ** width - 1), copy=False)
-    for column in digits.T[1:]:  # exact wherever every digit is one
-        values = values * 10 + column
-    if digits.max(initial=0) > 9 or values.max(initial=0) > len(labels):
-        p = int(np.flatnonzero((digits > 9).any(axis=1) | (values > len(labels)))[0])
-        x, y = next(islice(combinations(verts, 2), p, None))
-        raise GraphFormatError(
-            f"{what}: code {codes[p * width:(p + 1) * width]!r} of pair ({x!r}, {y!r}) "
-            "names no label"
-        )
-    # pairs per code: one vectorised pass per code while there are at most
-    # ten, as bincount stalls on the long runs of one code that subset
-    # graphs have; wider codes keep one bincount, linear in the pairs
-    if width == 1:
-        counts = np.array([np.count_nonzero(values == c) for c in range(len(labels) + 1)])
-    else:
-        counts = np.bincount(values, minlength=len(labels) + 1)
-    if not counts[1:].all():  # the labels must be the graph's spectrum
-        unused = labels[np.argmin(counts[1:])]
-        raise GraphFormatError(f"{what}: label {format_label(unused)} is on no pair")
-    upper = np.zeros((n, n), dtype=np.min_scalar_type(len(labels)))
-    upper[_pairs_mask(n)] = values
-    return EdgeLabelledGraph._trusted(verts, labels, upper | upper.T,
-                                      len(values) - int(counts[0]))
 
 
 def _check_input(a: EdgeLabelledGraph) -> None:
@@ -222,27 +158,6 @@ def _check_input(a: EdgeLabelledGraph) -> None:
         raise GraphFormatError("the input is not a metric space")
 
 
-def _check_b0_size(a: EdgeLabelledGraph, codes: Any) -> None:
-    """Check the vertex count n of B0 read off the length of its code
-    string: C(n, 2) codes as wide as the digit count of the input's label
-    count.  Refused unless it is the C(m, k) of the input's set assignment,
-    counted off the input's codes before any token is laid out
-    (`subset_graph_size`), so that no file makes a Johnson table larger
-    than its B0."""
-    width = len(str(len(a.spectrum())))
-    pairs, rest = divmod(len(codes), width) if isinstance(codes, str) else (0, 1)
-    n = (1 + math.isqrt(1 + 8 * pairs)) // 2
-    if rest or n * (n - 1) // 2 != pairs:
-        raise GraphFormatError(f"\"b0\" must be a string of {width} * C(n, 2) digits, "
-                               f"{width} per pair of B0's n vertices")
-    try:
-        count = subset_graph_size(a, n)
-    except VertexCapExceeded as exc:  # more than stored
-        count = exc.size
-    if count != n:
-        raise GraphFormatError(f"\"b0\": B0 of this input has {count} vertices, not {n}")
-
-
 def _cycle_to_json(w: CycleWitness) -> dict:
     return {
         "vertices": list(w.vertices),
@@ -252,42 +167,22 @@ def _cycle_to_json(w: CycleWitness) -> dict:
 
 
 def witness_to_json(w: Witness) -> dict:
-    """The file of a witness: its input and B0's code string, or null for a
-    one-point input.  The loader derives everything else, so a witness it
-    would not give back is refused: a level above B0, a B0 whose ids,
-    labels or copy are not the set assignment's or that is not level 2
-    without bad sets, a tower height other than `compute_N`'s, a witness of
-    two or more points without its set assignment, and levels on a
-    one-point input."""
-    a, sa, levels = w.input, w.set_assignment, w.levels
+    """The file of a witness: its input.  The loader builds the witness
+    again, so one that is not its input's build is refused.  That build is
+    derived on the witness's own set assignment (`pipeline.b0_witness`),
+    which must be the one made for the input, none for a single point."""
+    a, sa = w.input, w.set_assignment
     _check_input(a)
-    if len(a) == 1 and levels:
-        raise GraphFormatError("a one-point input has no levels: its witness is the input")
-    if w.n != compute_N(a):
-        raise GraphFormatError(f"the tower height is {w.n}, not {compute_N(a)}, the one the "
-                               "loader derives from the input's distances")
-    if len(a) == 1:
-        return {"format": WITNESS_FORMAT, "input": graph_to_json(a), "b0": None}
-    if sa is None:  # only a witness made by hand lacks it
-        raise GraphFormatError("a witness of two or more points carries its set assignment")
-    if len(levels) != 1:
-        raise GraphFormatError(f"a witness file stores B0 alone, not {len(levels)} levels")
-    base = levels[0]
-    if (base.graph.vertices != sa.johnson.ids or base.graph.spectrum() != a.spectrum()
-            or base.base_embedding != subset_copy(sa) or (base.level, base.bad_sets) != (2, ())):
-        raise GraphFormatError("B0's vertices must be the k-subsets of the set assignment's "
-                               "tokens, its labels the input's and its copy the points' token "
-                               "sets, at level 2 without bad sets, which the file does not store")
-    return {"format": WITNESS_FORMAT, "input": graph_to_json(a), "b0": _code_string(base.graph)}
+    own = sa is None if len(a) == 1 else sa is not None and sa.graph == a
+    if own and w == b0_witness(a, sa):
+        return {"format": WITNESS_FORMAT, "input": graph_to_json(a)}
+    raise GraphFormatError("a witness file holds its input alone, so only the input's build "
+                           "can be written")
 
 
 def witness_from_json(obj: Any) -> Witness:
-    """The witness of a file.  B0's vertex count is read off its code
-    string and checked before any token is laid out (`_check_b0_size`); its
-    vertices are the ids of the set assignment's Johnson table, the very
-    tuple, its labels the input's spectrum and its copy the build's
-    (`subset_copy`).  The tower height (`compute_N`) and the final space
-    (`final_space`) are derived with the build's own code too."""
+    """The witness of a file: once its keys and its input are checked, the
+    build of that input under the default vertex cap."""
     if not isinstance(obj, dict):
         raise GraphFormatError("witness file must be a JSON object")
     if obj.get("format") != WITNESS_FORMAT:
@@ -295,22 +190,12 @@ def witness_from_json(obj: Any) -> Witness:
             f"unsupported witness format {obj.get('format')!r}, expected {WITNESS_FORMAT!r}"
             " (build the witness again)"
         )
-    if set(obj) != {"format", "input", "b0"}:
-        raise GraphFormatError("witness file must have the keys ['format', 'input', 'b0'], "
+    if set(obj) != {"format", "input"}:
+        raise GraphFormatError("witness file must have the keys ['format', 'input'], "
                                f"got {sorted(obj)}")
     a = graph_from_json(obj["input"])
     _check_input(a)
-    if len(a) == 1:
-        if obj["b0"] is not None:
-            raise GraphFormatError("a one-point input has no B0: its witness is the input, "
-                                   "and \"b0\" is null")
-        return Witness(input=a, set_assignment=None, levels=(), final=a, n=compute_N(a))
-    _check_b0_size(a, obj["b0"])
-    sa = build_set_assignment(a)
-    b0 = _decode_codes(obj["b0"], sa.johnson.ids, a.spectrum(), "\"b0\"")
-    levels = (LevelGraph(graph=b0, level=2, base_embedding=subset_copy(sa), bad_sets=()),)
-    return Witness(input=a, set_assignment=sa, levels=levels, final=final_space(a, sa, levels),
-                   n=compute_N(a))
+    return build_witness(a)
 
 
 def _counterexample_to_json(value: object) -> object:

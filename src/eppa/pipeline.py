@@ -29,10 +29,9 @@ permutation keeps every |X & Z|, so it induces an automorphism of this
 final space: only a lift through stored levels is checked as one again
 (`check_map`), and `verifier.cross_check` judges every map.  That B0 holds
 the set assignment's k-subsets, and whether a replay needs a lift, is
-decided once per witness.  A witness file holds the input and B0's code
-string alone: the loader derives B0's vertices and labels, its copy
-(`setrep.subset_copy`), the tower height (`compute_N`) and the final space
-(`final_space`) with the build's own code.
+decided once per witness.  A witness file holds the input alone, and
+loading one is the build; the writer compares a witness with the build's
+derivation on its own set assignment (`b0_witness`).
 """
 
 from __future__ import annotations
@@ -58,9 +57,8 @@ from .graphs import (
 )
 from .levels import LevelGraph, build_next_level, compute_flip_set, lift_automorphism
 from .setrep import (
-    SetAssignment, build_eppa_graph, build_set_assignment, class_completion,
-    extend_by_permutation, first_bad_level, is_class_metric, subset_automorphism,
-    subset_graph_size,
+    SetAssignment, build_eppa_graph, build_set_assignment, extend_by_permutation,
+    first_bad_level, is_class_metric, subset_automorphism, subset_graph_size,
 )
 
 
@@ -77,9 +75,9 @@ class Witness:
     computed pair by pair; `final_space` derives it.  `n` is the tower
     height, `compute_N(input)`.  `set_assignment` is
     `build_set_assignment(input)`, or None for a one-point input, which has
-    no level to replay.  A file stores the input and B0's codes alone
-    (`fileio`), so only a witness whose levels are B0 can be written; a
-    tower with stored levels above B0 lives in memory only.
+    no level to replay.  A file stores the input alone (`fileio`), so only
+    its input's build can be written; a tower with stored levels above B0
+    lives in memory only.
     """
 
     input: EdgeLabelledGraph
@@ -101,9 +99,9 @@ class Witness:
         """Does a replay's permutation of B0 act on the final space with no
         lift?  Decided once, after refusing a B0 whose ids are not the Johnson
         table's (the count first, so that no input makes a table larger than
-        its B0).  A built or loaded B0 holds the table's tuple itself, so this
-        compares that tuple with itself and only a witness changed in memory
-        is refused; a final space read off the table holds the tuple too."""
+        its B0).  A built B0 holds the table's tuple itself, so this compares
+        that tuple with itself and only a witness changed in memory is
+        refused; a final space read off the table holds the tuple too."""
         sa = self.set_assignment
         b0 = self.levels[0].graph
         if len(b0) != math.comb(len(sa.universe), sa.k) or b0.vertices != sa.johnson.ids:
@@ -143,7 +141,7 @@ def build_witness(a: EdgeLabelledGraph, vertex_cap: int = 200_000) -> Witness:
         raise NotAMetricSpace("input is not a finite metric space")
 
     if len(a) == 1:
-        return Witness(input=a, set_assignment=None, levels=(), final=a, n=compute_N(a))
+        return b0_witness(a, None)
 
     vertices = subset_graph_size(a, vertex_cap)  # before any token is laid out
     sa = build_set_assignment(a)
@@ -158,39 +156,59 @@ def build_witness(a: EdgeLabelledGraph, vertex_cap: int = 200_000) -> Witness:
                 f"level {bad_from} (valuation expansion)", vertices, vertex_cap,
                 exponent=per_vertex, at_least=True,
             )
-    base_graph, base_embedding = build_eppa_graph(sa, vertex_cap=vertex_cap)
-    levels = (LevelGraph(graph=base_graph, level=2, base_embedding=base_embedding, bad_sets=()),)
+    levels = (_base_level(sa, vertex_cap),)
     for size in range(bad_from, n + 1):
         nxt = build_next_level(levels[-1], size, vertex_cap=vertex_cap)
         if nxt.bad_sets:
             levels += (nxt,)
 
-    final = final_space(a, sa, levels)
+    w = _derive(a, sa, levels)
     metric = (is_class_metric(len(sa.universe), sa.classes.distances) if len(levels) == 1
-              else is_metric_space(final))
-    emb = levels[-1].base_embedding
+              else is_metric_space(w.final))
+    emb = w.final_embedding
 
     for x, y, d in a.edges():
-        got = final.label(emb[x], emb[y])
+        got = w.final.label(emb[x], emb[y])
         if got != d:
             raise NotAMetricSpace(
                 f"construction broke the copy: d({x},{y}) became {got}, expected {d}"
             )
     if not metric:
         raise NotAMetricSpace("completion failed to produce a metric space")
-    return Witness(input=a, set_assignment=sa, levels=levels, final=final, n=n)
+    return w
+
+
+def _base_level(sa: SetAssignment, vertex_cap: int = 200_000) -> LevelGraph:
+    graph, copy = build_eppa_graph(sa, vertex_cap=vertex_cap)
+    return LevelGraph(graph=graph, level=2, base_embedding=copy, bad_sets=())
+
+
+def _derive(a: EdgeLabelledGraph, sa: SetAssignment | None,
+            levels: tuple[LevelGraph, ...]) -> Witness:
+    return Witness(input=a, set_assignment=sa, levels=levels, final=final_space(a, sa, levels),
+                   n=compute_N(a))
+
+
+def b0_witness(a: EdgeLabelledGraph, sa: SetAssignment | None) -> Witness:
+    """The witness of `a` that stores B0 alone, on the set assignment `sa`
+    (None for a one-point input, which has no level), derived as the build
+    derives it: B0 (`build_eppa_graph`), the final space (`final_space`)
+    and the tower height (`compute_N`).  It is the build of any input whose
+    build stores no level above B0, and the writer compares a witness with
+    it (`fileio.witness_to_json`)."""
+    return _derive(a, sa, () if sa is None else (_base_level(sa),))
 
 
 def final_space(a: EdgeLabelledGraph, sa: SetAssignment | None,
                 levels: tuple[LevelGraph, ...]) -> EdgeLabelledGraph:
-    """The final space of a witness, which the build and the loader both
+    """The final space of a witness, which the build and the writer both
     derive here: the input without levels; with B0 alone, the Johnson
     scheme's completion read off the class distances; otherwise the
     shortest-path completion of the copy's component in the top level."""
     if not levels:
         return a
     if len(levels) == 1:
-        return class_completion(sa.johnson, sa.classes)
+        return sa.completion
     top = levels[-1]
     reached, _ = reach(top.graph, map(top.graph.position, top.base_embedding.image()))
     component = tuple(map(top.graph.vertices.__getitem__, reached.tolist()))

@@ -201,7 +201,10 @@ class SetAssignment:
     `build_set_assignment` makes one, so nothing re-validates it: its
     `graph` is the input it was derived from.
     `johnson` and `classes` are the Johnson and class tables of its subset
-    graph, each built on first use and kept as long as the assignment.
+    graph, `subset_graph` that graph with the copy of `graph` in it
+    (`build_eppa_graph`) and `completion` its completion
+    (`class_completion`), each built on first use and kept as long as the
+    assignment.
     """
 
     graph: EdgeLabelledGraph
@@ -225,6 +228,27 @@ class SetAssignment:
         scale, labels = scaled_spectrum(self.graph)
         m = len(self.universe)
         return ClassTable(m, scale, tuple(map(tuple, _class_walks(m, self.k, labels))))
+
+    @cached_property
+    def subset_graph(self) -> tuple[EdgeLabelledGraph, PartialMap]:
+        a, johnson = self.graph, self.johnson
+        # two subsets sharing c tokens are joined by the c-th label (none for
+        # c = 0 or past the spectrum, and a subset shares all k with itself):
+        # the code is the count up to n and 0 above, with no intp index copy
+        n = len(a.spectrum())
+        shares = johnson.shares
+        codes = np.multiply(shares, shares <= n, dtype=np.min_scalar_type(n))
+        # no label is lost: each is on an edge x-y of a, and psi(x) != psi(y)
+        # (each holds a private padding token, as k is one above the largest
+        # load) share its rank
+        b = EdgeLabelledGraph._trusted(johnson.ids, a.spectrum(), codes)
+        # ascending positions list each copy's tokens in token order, as the ids do
+        ids = ("{" + "|".join(map(self.universe.__getitem__, own)) + "}" for own in self.own)
+        return b, PartialMap._trusted(zip(a.vertices, ids))
+
+    @cached_property
+    def completion(self) -> EdgeLabelledGraph:
+        return class_completion(self.johnson, self.classes)
 
 
 def build_set_assignment(a: EdgeLabelledGraph) -> SetAssignment:
@@ -400,32 +424,13 @@ def build_eppa_graph(
 
     Every partial automorphism of the embedded copy extends to an
     automorphism of the result (see `extend_by_permutation`).  Its vertices
-    and codes are read off the Johnson table of `sa`.
+    and codes are read off the Johnson table of `sa`, once per assignment
+    (`SetAssignment.subset_graph`).
     """
-    a = sa.graph
-    if len(a) == 0:
+    if len(sa.graph) == 0:
         raise GraphFormatError("need at least one vertex")
     _subset_count(len(sa.universe), sa.k, vertex_cap)
-    johnson = sa.johnson
-    # two subsets sharing c tokens are joined by the c-th label (none for
-    # c = 0 or past the spectrum, and a subset shares all k with itself):
-    # the code is the count up to n and 0 above, with no intp index copy
-    n = len(a.spectrum())
-    shares = johnson.shares
-    codes = np.multiply(shares, shares <= n, dtype=np.min_scalar_type(n))
-    # no label is lost: each is on an edge x-y of a, and psi(x) != psi(y)
-    # (each holds a private padding token, as k is one above the largest
-    # load) share its rank
-    return EdgeLabelledGraph._trusted(johnson.ids, a.spectrum(), codes), subset_copy(sa)
-
-
-def subset_copy(sa: SetAssignment) -> PartialMap:
-    """The copy of A, the graph `sa` was built for, in its subset graph:
-    each point to the id of its token set.  The build and the witness
-    loader both derive it here."""
-    # ascending positions list each copy's tokens in token order, as the ids do
-    ids = ("{" + "|".join(map(sa.universe.__getitem__, own)) + "}" for own in sa.own)
-    return PartialMap._trusted(zip(sa.graph.vertices, ids))
+    return sa.subset_graph
 
 
 def extend_by_permutation(sa: SetAssignment, pairs: Sequence[tuple[int, int]]) -> list[int]:

@@ -11,7 +11,9 @@ the completion oracles in test_completion.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import importlib.util
+import json
 import math
 import os
 import random
@@ -37,7 +39,8 @@ from eppa import (
     shortest_path_completion,
     subset_automorphism,
 )
-from eppa.fileio import format_label, graph_to_codes, map_to_json, witness_to_json
+from eppa.fileio import format_label, graph_to_codes, graph_to_json, map_to_json, witness_to_json
+from eppa.levels import LevelGraph, level_vertex_id
 from eppa.pipeline import final_space
 from eppa.setrep import ClassTable, extend_by_permutation, first_bad_level
 
@@ -171,6 +174,16 @@ def witness_graphs(w) -> list[EdgeLabelledGraph]:
     return [w.input, *(lvl.graph for lvl in w.levels), w.final]
 
 
+def graph_digest(w) -> str:
+    """sha256 of a witness's built graphs and tower height, whatever the
+    file format around them: compact JSON of [the input as `graph_to_json`
+    writes it, every stored level's graph as `graph_to_codes` writes it,
+    the final space likewise, n]."""
+    facts = [graph_to_json(w.input), [graph_to_codes(lvl.graph) for lvl in w.levels],
+             graph_to_codes(w.final), w.n]
+    return hashlib.sha256(json.dumps(facts, separators=(",", ":")).encode()).hexdigest()
+
+
 def stacked_witness(t112_witness, demo_witness):
     """The triangle-112 witness with the demonstration witness's level 3
     stored above its B0 (`stacked_level`), and the final space that level
@@ -181,6 +194,46 @@ def stacked_witness(t112_witness, demo_witness):
     return dataclasses.replace(t112_witness, levels=levels,
                                final=final_space(t112_witness.input,
                                                  t112_witness.set_assignment, levels))
+
+
+def copied_level_tower(w):
+    """w, a witness of B0 alone, with level 3 stored above B0 by hand as a
+    copy of it without bad sets: each vertex is its B0 vertex with no bits
+    (the id gains a ";").  No build stores such a level, which is B0
+    renamed; its final space is the completion of that copy."""
+    base = w.levels[0]
+    copy = {v: level_vertex_id(v, ()) for v in base.graph.vertices}
+    top = LevelGraph(
+        graph=EdgeLabelledGraph(copy.values(),
+                                [(copy[u], copy[v], d) for u, v, d in base.graph.edges()]),
+        level=3,
+        base_embedding=PartialMap({x: copy[u] for x, u in base.base_embedding.items()}),
+        bad_sets=(),
+    )
+    return dataclasses.replace(w, levels=(base, top), final=shortest_path_completion(top.graph))
+
+
+def recoded(g: EdgeLabelledGraph, code: int) -> EdgeLabelledGraph:
+    """g with the pair of its first two vertices given the code `code`."""
+    codes = g.codes.copy()
+    codes[0, 1] = codes[1, 0] = code
+    return EdgeLabelledGraph._trusted(g.vertices, g.spectrum(), codes)
+
+
+def renamed_off_the_copy(w):
+    """(old, bent): the last B0 vertex of w off the copy, and w with that
+    vertex renamed in B0 and in the final space alike.  The graphs keep
+    their shape, but B0 is no longer the set assignment's."""
+    base = w.levels[0]
+    old = next(v for v in reversed(base.graph.vertices) if v not in base.base_embedding.image())
+    rename = {old: old[:-1] + "'}"}
+
+    def renamed(g):
+        return EdgeLabelledGraph([rename.get(v, v) for v in g.vertices],
+                                 [(rename.get(u, u), rename.get(v, v), d) for u, v, d in g.edges()])
+
+    return old, dataclasses.replace(
+        w, levels=(dataclasses.replace(base, graph=renamed(base.graph)),), final=renamed(w.final))
 
 
 def stacked_witness_json(t112_witness, demo_witness) -> dict:

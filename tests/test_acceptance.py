@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from eppa import (
+    GraphFormatError,
     PartialMap,
     Witness,
     build_eppa_graph,
@@ -38,11 +39,7 @@ from eppa import (
     shortest_path_completion,
 )
 from eppa import graphs, pipeline
-from eppa.cli import main as cli_main
-from eppa.fileio import (
-    dump_json, graph_to_codes, graph_to_json, load_json, map_to_json, report_to_json,
-    witness_from_json, witness_to_json,
-)
+from eppa.fileio import map_to_json, report_to_json, witness_from_json, witness_to_json
 from eppa.graphs import EdgeLabelledGraph
 from eppa.levels import LevelGraph, parse_level_vertex
 from eppa.verifier import naive_extension_exists, search_extension
@@ -53,6 +50,7 @@ from conftest import (
     broken_compositions,
     composable_pairs,
     every_label_on_a_pair,
+    graph_digest,
     induced_nonmetric_sets,
     make_four_point,
     make_k2,
@@ -143,43 +141,36 @@ def test_criterion_1_end_to_end(fixture_witnesses, name, factory, limit, n_maps)
 
 
 # sha256 and byte count of each fixture's witness file in the
-# eppa-witness/7 format, which stores the input and B0's code string alone
-# (the loader derives B0's vertices, labels and copy, the tower height and
-# the final space); the JSON must stay byte-identical.  The text is the one
-# `dump_json` writes, made in memory.
+# eppa-witness/8 format, which stores the input alone (the loader builds the
+# witness again); the JSON must stay byte-identical, under 200 bytes, and
+# load as the built witness.  The text is the one `dump_json` writes, made
+# in memory.
 FIXTURE_DIGESTS = {
-    "two-point": "2c9b6675bb37703ef947e24c27d257b03a1200b0a34e44cb3048e5cd4d31cfc5",
-    "triangle-112": "1cf8f1c141f2649f3ef9f0ff5bcb57364cd5bfe20d9b7c7a7b1f4e30dccd46fb",
-    "triangle-123": "449841b3d5d89a8024779117177855d3b499949d746351bc5bef512d70fabdea",
-    "four-point": "c3b6a1a62aaa7454133244be19b734f8e8a0318570c90320cda253203b69f987",
+    "two-point": "86edb8beb8074b64464634aa55038a63389f5920bac92abc908160f1df73a55b",
+    "triangle-112": "8362640f453405c9fd7697a74e78bed42d6159a9f1498d96886eb90c79510ff0",
+    "triangle-123": "563e3d8897d1d974e625e2738ce74240aa0fb059606db0ba1706dbae0c994e33",
+    "four-point": "b5e3902a863ae5bc751faf0a1c65feacf2d85d5eecf7f87e9dbe87bbdd159d94",
 }
-FIXTURE_BYTES = {"two-point": 94, "triangle-112": 2_538, "triangle-123": 426_549,
-                 "four-point": 313_405}
+FIXTURE_BYTES = {"two-point": 83, "triangle-112": 115, "triangle-123": 115, "four-point": 161}
 
 
 def test_fixture_witnesses_are_byte_identical(fixture_witnesses):
     for name, (_, w, _) in fixture_witnesses.items():
         text = json.dumps(witness_to_json(w), indent=None, separators=(",", ":")) + "\n"
         assert hashlib.sha256(text.encode()).hexdigest() == FIXTURE_DIGESTS[name], name
-        assert len(text.encode()) == FIXTURE_BYTES[name], name
+        assert len(text.encode()) == FIXTURE_BYTES[name] < 200, name
+        assert witness_from_json(json.loads(text)) == w, name
 
 
 # sha256 of each fixture's built graphs and tower height, whatever the file
-# format around them: compact JSON of [the input as `graph_to_json` writes
-# it, every stored level's graph as `graph_to_codes` writes it, the final
-# space likewise, n].  They must stay identical, also after a file round trip.
+# format around them (`graph_digest`).  They must stay identical, also after
+# a file round trip.
 GRAPH_DIGESTS = {
     "two-point": "35e7ff5c5c956119e11b08d9cf7b6690e8106d8c586e81f122fccabc8bca59cd",
     "triangle-112": "b93c6c4542b52f00bc23a4026152ea321701356968a9e103d5f28380531cebd8",
     "triangle-123": "5d329569e9195e240e504c19ec4f76a79ffce36f1052bfbb80a95dbc439eb783",
     "four-point": "6d45e4eaddad76ddb064365ac01f035bc96fee7be937e15d1458568f0b1d5ce5",
 }
-
-
-def graph_digest(w: Witness) -> str:
-    facts = [graph_to_json(w.input), [graph_to_codes(lvl.graph) for lvl in w.levels],
-             graph_to_codes(w.final), w.n]
-    return hashlib.sha256(json.dumps(facts, separators=(",", ":")).encode()).hexdigest()
 
 
 def test_fixture_graphs_are_unchanged(fixture_witnesses):
@@ -414,33 +405,29 @@ def flip_valuation_bit(w: Witness, idx: int, vid: str, pos: int) -> Witness:
     return transpose_vertices(w, idx, vid, other)
 
 
-def verifier_catches(w: Witness, tmp_path, tag: str, *options: str) -> bool:
-    """Serialize, run the verify command with any extra options, demand
-    failure plus a counterexample."""
-    wpath = str(tmp_path / f"mutated-{tag}.json")
-    rpath = str(tmp_path / f"report-{tag}.json")
-    dump_json(wpath, witness_to_json(w))
-    rc = cli_main(["verify", wpath, "--output", rpath, *options])
-    if rc == 0:
-        return False
-    report = load_json(rpath)
-    return any(
-        c["passed"] is False and not c["skipped"] and c["counterexample"] is not None
-        for c in report["checks"]
+def verifier_catches(w: Witness) -> bool:
+    """Cross-check a mutant in memory, with the brute-force extension
+    search off, and demand failure plus a failed, non-skipped check with a
+    counterexample."""
+    report = cross_check(w, search_limit=0)
+    return not report.ok and any(
+        not c.passed and not c.skipped and c.counterexample is not None for c in report.results
     )
 
 
-def test_criterion_7_mutation_sensitivity(fixture_witnesses, tmp_path):
+def test_criterion_7_mutation_sensitivity(fixture_witnesses):
     """Transpose two vertices in a stored level of the pipeline-built (1,1,2)
-    witness; the verify command must fail with a counterexample for each of
-    20 sampled transpositions.
+    witness; `cross_check` must fail with a counterexample for each of 20
+    sampled transpositions.
 
     That witness stores B0 alone: its 70 vertices have no twins and no bad
     3-set, so level 3 is B0 renamed and is not stored.  The 20 sites are
-    sampled from B0's 2,415 transpositions.  A level mutation leaves the
-    final space untouched, so the brute-force extension search over it
-    cannot be what catches one; the verify runs skip it with
-    --search-limit 0 and the structural checks (edge rules, short-cycle
+    sampled from B0's 2,415 transpositions.  A witness file holds its input
+    alone, so no file carries a mutant: the writer refuses each one, which
+    is checked too, and the verifier runs in memory.  A level mutation
+    leaves the final space untouched, so the brute-force extension search
+    over it cannot be what catches one; the runs skip it with
+    `search_limit=0` and the structural checks (edge rules, short-cycle
     checks, replay) must do the catching.
 
     The (1,2,3) witness cannot serve here, and that is checked below: it
@@ -463,12 +450,14 @@ def test_criterion_7_mutation_sensitivity(fixture_witnesses, tmp_path):
     sites = transposition_sites(w)
     assert len(sites) == 2415
     rng = random.Random(7)
-    for n, (idx, u, v) in enumerate(rng.sample(sites, 20)):
+    for idx, u, v in rng.sample(sites, 20):
         mutant = transpose_vertices(w, idx, u, v)
         assert mutant.levels[idx].graph != w.levels[idx].graph
-        assert verifier_catches(mutant, tmp_path, f"swap-{n}", "--search-limit", "0"), (
+        assert verifier_catches(mutant), (
             f"transposing {u!r} and {v!r} in level {w.levels[idx].level} went unnoticed"
         )
+        with pytest.raises(GraphFormatError, match="only the input's build can be written"):
+            witness_to_json(mutant)
     print("[criterion 7] PASS: 20 sampled level transpositions all caught")
 
 
@@ -479,7 +468,7 @@ def test_criterion_7_machinery_on_a_valued_witness(demo_witness):
     caught.
 
     Its input is one point, which the build gives no level, so no witness
-    file holds it (`witness_from_json` refuses the levels): the report of
+    file holds it (`witness_to_json` refuses it): the report of
     `cross_check` itself must fail each flip with a counterexample."""
     w = demo_witness
     from eppa import cross_check

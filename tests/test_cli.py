@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -19,13 +20,15 @@ from eppa.fileio import (
     graph_to_json,
     load_json,
     map_to_json,
+    report_to_json,
     witness_from_json,
     witness_to_json,
 )
-from eppa import build_witness, cross_check, enumerate_partial_automorphisms
+from eppa import GraphFormatError, build_witness, cross_check, enumerate_partial_automorphisms
 
 from conftest import (
-    make_four_point, make_k2, make_t112, make_t113, make_t123, make_path2, stacked_witness_json,
+    make_four_point, make_k2, make_t112, make_t113, make_t123, make_path2, recoded,
+    stacked_witness_json,
 )
 
 SRC = os.path.dirname(os.path.dirname(eppa.__file__))
@@ -243,24 +246,23 @@ def test_verify_budget_exhaustion_exit_code(tmp_path, capsys):
     assert "search budget exhausted" in out
 
 
-def test_verify_flags_tampering(t112_witness, tmp_path, capsys):
-    obj = witness_to_json(t112_witness)
+def test_verify_flags_tampering(t112_witness):
     # the first pair of B0, which shares no token, gets label 1; the labels
-    # 1 and 2 both stay on some pair, so the file loads, and the final
-    # space is derived from the set assignment, so it keeps that pair apart
-    b0 = obj["b0"]
-    assert set(b0) == {"0", "1", "2"} and b0[0] == "0"
-    obj["b0"] = "1" + b0[1:]
-    wpath = str(tmp_path / "bad.json")
-    dump_json(wpath, obj)
-    rpath = str(tmp_path / "report.json")
-    rc = main(["verify", wpath, "--output", rpath])
-    out = capsys.readouterr().out
-    assert rc == 1
-    assert "overall: FAIL" in out
-    report = load_json(rpath)
+    # 1 and 2 both stay on some pair, and the final space is derived from
+    # the set assignment, so it keeps that pair apart.  A witness file holds
+    # the input alone, so the writer refuses the tampered witness, and the
+    # verifier runs on it in memory
+    base = t112_witness.levels[0]
+    b0 = recoded(base.graph, 1)
+    assert base.graph.codes[0, 1] == 0 and set(b0.codes.ravel().tolist()) == {0, 1, 2}
+    w = dataclasses.replace(t112_witness, levels=(dataclasses.replace(base, graph=b0),))
+    with pytest.raises(GraphFormatError, match="only the input's build can be written"):
+        witness_to_json(w)
+    result = cross_check(w)
+    assert "overall: FAIL" in result.summary()
+    report = report_to_json(result)
     assert report["ok"] is False
-    tampered = list(t112_witness.levels[0].graph.vertices[:2])
+    tampered = list(base.graph.vertices[:2])
     for name in ("subset-edge-rule", "final-completion"):
         check = next(c for c in report["checks"] if c["name"] == name)
         assert not check["passed"], name
@@ -338,47 +340,34 @@ def _edit(*path_and_edit):
     return mutate
 
 
-def _recode(start, stop, code):
-    """A mutation that writes `code` over b0[start:stop], B0's code string."""
-
-    def mutate(obj):
-        obj["b0"] = obj["b0"][:start] + code + obj["b0"][stop:]
-    return mutate
-
-
-# (witness, mutation, the loader's message): t112 is B0 alone, with 70
-# vertices and the labels 1, 2 (one-digit codes), stored as its code string;
-# stacked is that file with an extra "levels" list holding the demonstration
-# witness's level 3 as the older formats wrote a level above B0
-# (`stacked_witness_json`).
+# (witness, mutation, the loader's message): t112 is the file of the
+# (1,1,2) triangle, its input alone; stacked is that file with an extra
+# "levels" list holding the demonstration witness's level 3 as the older
+# formats wrote a level above B0 (`stacked_witness_json`).
 MALFORMED_WITNESSES = {
-    "one-point-input-with-levels": ("t112", _set("input", {"vertices": ["z"], "edges": []}),
-                                    "a one-point input has no B0"),
+    "one-point-input-with-levels": (
+        "stacked", _set("input", {"vertices": ["z"], "edges": []}),
+        "witness file must have the keys ['format', 'input'], got ['format', 'input', 'levels']"),
     "two-point-input-without-levels": (
         "t112", _edit(lambda obj: obj.update(input=graph_to_json(make_k2()), b0=None)),
-        '"b0" must be a string of 1 * C(n, 2) digits'),
-    "b0-missing": ("t112", _edit(lambda obj: obj.pop("b0")),
-                   "witness file must have the keys ['format', 'input', 'b0'], "
-                   "got ['format', 'input']"),
+        "witness file must have the keys ['format', 'input'], got ['b0', 'format', 'input']"),
+    "stray-b0": ("t112", _set("b0", "1"),
+                 "witness file must have the keys ['format', 'input'], "
+                 "got ['b0', 'format', 'input']"),
+    "input-missing": ("t112", _edit(lambda obj: obj.pop("input")),
+                      "witness file must have the keys ['format', 'input'], got ['format']"),
     "levels-above-b0": ("stacked", _edit(lambda obj: None),
-                        "witness file must have the keys ['format', 'input', 'b0'], "
-                        "got ['b0', 'format', 'input', 'levels']"),
+                        "witness file must have the keys ['format', 'input'], "
+                        "got ['format', 'input', 'levels']"),
     "older-format": ("t112", _set("format", "eppa-witness/3"),
                      "unsupported witness format 'eppa-witness/3'"),
     "format-5": ("t112", _set("format", "eppa-witness/5"),
                  "unsupported witness format 'eppa-witness/5'"),
     "format-6": ("t112", _set("format", "eppa-witness/6"),
                  "unsupported witness format 'eppa-witness/6'"),
-    "codes-not-a-string": ("t112", _set("b0", 5),
-                           '"b0" must be a string of 1 * C(n, 2) digits'),
-    "codes-one-pair-short": ("t112", _recode(0, 1, ""),
-                             '"b0" must be a string of 1 * C(n, 2) digits'),
-    "codes-of-a-smaller-b0": ("t112", _recode(0, 69, ""),
-                              '"b0": B0 of this input has 70 vertices, not 69'),
-    "index-out-of-range": ("t112", _recode(9, 10, "4"), "\"b0\": code '4' of pair"),
-    "non-digit-code": ("t112", _recode(100, 101, "x"), "\"b0\": code 'x' of pair"),
-    "lone-surrogate-code": ("t112", _recode(100, 101, "\ud800"),
-                            "\"b0\": code '\\ud800' of pair"),
+    "format-7": ("t112", _edit(lambda obj: obj.update(format="eppa-witness/7", b0="1")),
+                 "unsupported witness format 'eppa-witness/7', expected 'eppa-witness/8' "
+                 "(build the witness again)"),
     "input-not-metric": ("t112", _edit("input", "edges", lambda edges: edges[2].__setitem__(2, "3")),
                          "the input is not a metric space"),
     "input-without-vertices": ("t112", _set("input", {"vertices": [], "edges": []}),
@@ -426,7 +415,7 @@ def test_extend_on_the_stacked_file_does_not_depend_on_the_hash_seed(
         for argv in (["verify", wpath], ["extend", wpath, mpath], ["stats", wpath])
     ]
     assert runs[0].returncode == 3 and runs[0].stderr.startswith("error: "), runs[0].stderr
-    assert "got ['b0', 'format', 'input', 'levels']" in runs[0].stderr
+    assert "got ['format', 'input', 'levels']" in runs[0].stderr
     assert [(r.returncode, r.stderr) for r in runs[1:]] == [(3, runs[0].stderr)] * 5
 
 
@@ -594,36 +583,23 @@ def test_no_command_depends_on_the_hash_seed(tmp_path):
 
 
 def test_a_file_cannot_make_a_johnson_table_larger_than_its_b0(tmp_path, monkeypatch, capsys):
-    # the four-point space (1,1,2,2,2,2) has a B0 of 31,824 vertices; a file
-    # with that input and a three-vertex B0, three one-digit codes, is
-    # refused on the count read off their length, before any Johnson table
-    # (a 31,824^2 matrix of shared tokens) is built
-    obj = witness_to_json(_k2_witness())
-    obj["input"] = {"vertices": ["a", "b", "c", "d"],
-                    "edges": [["a", "b", "1"], ["a", "c", "1"], ["a", "d", "2"],
-                              ["b", "c", "2"], ["b", "d", "2"], ["c", "d", "2"]]}
-    wpath = str(tmp_path / "w.json")
-    dump_json(wpath, obj)
+    # metric spaces of 80 and 120 points with a distinct label on every
+    # pair: B0 would have C(8404100, 167481) vertices for 80 points, about
+    # 2^1185294.  The build, eppa-step and the loader, which is the build,
+    # each refuse it off the input's codes, before any token is laid out or
+    # any Johnson table built, and write a lower bound within a few bits of
+    # the count as a power of two
     built = []
     real = eppa.setrep.JohnsonTable.__init__
     monkeypatch.setattr(eppa.setrep.JohnsonTable, "__init__",
                         lambda self, *args: built.append(args) or real(self, *args))
-    t0 = time.perf_counter()
-    assert main(["stats", wpath]) == 3
-    assert time.perf_counter() - t0 < 1
-    assert '"b0": B0 of this input has 31824 vertices, not 3' in capsys.readouterr().err
-    assert built == []
 
-    # metric spaces of 80 and 120 points with a distinct label on every
-    # pair: B0 would have C(8404100, 167481) vertices for 80 points, about
-    # 2^1185294.  The build, eppa-step and the loader each refuse it off the
-    # input's codes, before any token is laid out, and write a lower bound
-    # within a few bits of the count as a power of two
     def refuse(*args):
         raise AssertionError("tokens were laid out before the refusal")
 
-    for module in (eppa.pipeline, eppa.cli, eppa.fileio):
+    for module in (eppa.pipeline, eppa.cli):
         monkeypatch.setattr(module, "build_set_assignment", refuse)
+    wpath = str(tmp_path / "w.json")
     for n, bits in ((80, 1185293), (120, 4360213)):
         points = [f"p{i:03d}" for i in range(n)]
         pairs = [(x, y) for i, x in enumerate(points) for y in points[i + 1:]]
@@ -632,18 +608,11 @@ def test_a_file_cannot_make_a_johnson_table_larger_than_its_b0(tmp_path, monkeyp
                  "edges": [[x, y, str(len(pairs) + i)] for i, (x, y) in enumerate(pairs)]}
         gpath = str(tmp_path / f"g{n}.json")
         dump_json(gpath, graph)
-        # a three-vertex B0 again: its codes are four digits wide for the
-        # input's 3,160 or 7,140 labels
-        dump_json(wpath, {**obj, "input": graph, "b0": "0001" * 3})
-        for argv, code, message in (
-                (["witness", gpath], 2, f"level 2 (set representation): needs at least "
-                                        f"2^{bits} vertices, cap is 200000"),
-                (["eppa-step", gpath], 2, f"level 2 (set representation): needs at least "
-                                          f"2^{bits} vertices, cap is 200000"),
-                (["stats", wpath], 3, f'"b0": B0 of this input has at least 2^{bits} '
-                                      "vertices, not 3")):
+        dump_json(wpath, {"format": "eppa-witness/8", "input": graph})
+        message = f"level 2 (set representation): needs at least 2^{bits} vertices, cap is 200000"
+        for argv in (["witness", gpath], ["eppa-step", gpath], ["stats", wpath]):
             t0 = time.perf_counter()
-            assert main(argv) == code, argv
+            assert main(argv) == 2, argv
             assert time.perf_counter() - t0 < 1, argv
             assert message in capsys.readouterr().err
     assert built == []

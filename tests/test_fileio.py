@@ -32,7 +32,6 @@ from eppa import build_witness, graphs, pipeline
 from eppa.cli import main
 from eppa.fileio import (
     WITNESS_FORMAT,
-    _decode_codes,
     dump_json,
     format_label,
     graph_from_json,
@@ -46,7 +45,9 @@ from eppa.fileio import (
     witness_from_json,
     witness_to_json,
 )
-from conftest import make_t112, stacked_witness
+from conftest import (
+    copied_level_tower, make_t112, recoded, renamed_off_the_copy, stacked_witness,
+)
 
 
 # -- labels ------------------------------------------------------------------
@@ -182,37 +183,37 @@ def test_witness_round_trip_without_assignment():
 def test_witness_rejects_other_format_versions(k2_witness):
     # /1 stored every clean level, /2 one [i, j, label] triple per edge, /3
     # the facts the loader now derives, /4 the final space, /5 B0's vertex
-    # ids and labels and /6 B0's copy, the tower height and levels above
-    # B0; such files are refused
-    assert WITNESS_FORMAT == "eppa-witness/7"
+    # ids and labels, /6 B0's copy, the tower height and levels above B0,
+    # and /7 B0's code string; such files are refused
+    assert WITNESS_FORMAT == "eppa-witness/8"
     for old in ("eppa-witness/1", "eppa-witness/2", "eppa-witness/3", "eppa-witness/4",
-                "eppa-witness/5", "eppa-witness/6"):
+                "eppa-witness/5", "eppa-witness/6", "eppa-witness/7"):
         obj = witness_to_json(k2_witness)
         obj["format"] = old
         with pytest.raises(GraphFormatError) as exc:
             witness_from_json(obj)
         assert old in str(exc.value)
-        assert "eppa-witness/7" in str(exc.value)
+        assert "eppa-witness/8" in str(exc.value)
         assert "build the witness again" in str(exc.value)
 
 
 def test_a_stored_final_space_is_refused(k2_witness):
-    # a /7 file does not store the final space: the loader derives it
+    # a /8 file does not store the final space: the loader builds it
     obj = witness_to_json(k2_witness)
     obj["final"] = graph_to_codes(k2_witness.final)
     with pytest.raises(GraphFormatError) as exc:
         witness_from_json(obj)
-    assert str(exc.value) == ("witness file must have the keys ['format', 'input', 'b0'], "
-                              "got ['b0', 'final', 'format', 'input']")
+    assert str(exc.value) == ("witness file must have the keys ['format', 'input'], "
+                              "got ['final', 'format', 'input']")
 
 
 def test_witness_file_stores_each_fact_once(t112_witness):
     obj = json.loads(json.dumps(witness_to_json(t112_witness)))
-    assert list(obj) == ["format", "input", "b0"]
-    assert isinstance(obj["b0"], str) and len(obj["b0"]) == math.comb(70, 2)
+    assert list(obj) == ["format", "input"]
+    assert obj["input"] == graph_to_json(t112_witness.input)
 
-    # the loader derives the rest: the set assignment, B0's vertices, labels
-    # and copy, the tower height and the final space
+    # the loader builds the rest: the set assignment, B0, its copy, the
+    # tower height and the final space
     loaded = witness_from_json(obj)
     assert loaded.set_assignment == build_set_assignment(t112_witness.input)
     assert loaded.final_embedding == loaded.levels[-1].base_embedding
@@ -244,43 +245,6 @@ def test_a_loaded_b0_holds_the_johnson_tables_ids(t112_witness):
     assert loaded.final.vertices is b0.vertices
 
 
-def test_the_writer_refuses_a_b0_the_loader_would_not_derive(t112_witness):
-    # the file stores B0's codes alone, so a B0 with other labels than the
-    # input's would come back with the input's; the writer refuses it
-    base = t112_witness.levels[0]
-    b0 = base.graph
-    doubled = EdgeLabelledGraph._trusted(b0.vertices, tuple(2 * d for d in b0.spectrum()),
-                                         b0.codes, b0.edge_count)
-    relabelled = dataclasses.replace(
-        t112_witness, levels=(dataclasses.replace(base, graph=doubled),))
-    with pytest.raises(GraphFormatError, match="B0's vertices must be the k-subsets"):
-        witness_to_json(relabelled)
-
-
-def test_the_writer_refuses_a_copy_the_loader_would_not_derive(t112_witness):
-    # with the copies of y and z swapped, B0 is the same graph and the copy
-    # an isometric one, but the loader would derive each point's own token
-    # set as its copy: the writer refuses the witness
-    base = t112_witness.levels[0]
-    copy = base.base_embedding
-    swapped = PartialMap({"x": copy["x"], "y": copy["z"], "z": copy["y"]})
-    w = dataclasses.replace(t112_witness,
-                            levels=(dataclasses.replace(base, base_embedding=swapped),))
-    with pytest.raises(GraphFormatError, match="its copy the points' token sets"):
-        witness_to_json(w)
-
-
-def test_the_writer_refuses_a_tower_height_or_level_the_loader_would_not_derive(
-        k2_witness, t112_witness, demo_witness):
-    # the loader derives n = compute_N(input) and stores B0 alone
-    with pytest.raises(GraphFormatError, match="the tower height is 4, not 3"):
-        witness_to_json(dataclasses.replace(t112_witness, n=4))
-    with pytest.raises(GraphFormatError, match="stores B0 alone, not 2 levels"):
-        witness_to_json(stacked_witness(t112_witness, demo_witness))
-    with pytest.raises(GraphFormatError, match="stores B0 alone, not 0 levels"):
-        witness_to_json(dataclasses.replace(k2_witness, levels=()))
-
-
 def test_a_round_trip_checks_its_input_metric_once_per_graph(monkeypatch):
     # the build checks its input, the writer reuses that verdict, kept on
     # the graph, and the loader checks the input it parses: two scans
@@ -293,38 +257,88 @@ def test_a_round_trip_checks_its_input_metric_once_per_graph(monkeypatch):
     assert scans[0] is w.input and scans[1] == w.input
 
 
-def test_the_writer_refuses_what_the_loader_refuses(demo_witness, t112_witness):
-    # the demonstration witness stores levels for a one-point input, which
-    # no build does; its file would not load, so it is not written
-    with pytest.raises(GraphFormatError, match="a one-point input has no levels"):
-        witness_to_json(demo_witness)
-    # only a witness made by hand lacks its set assignment; the writer refuses it
-    with pytest.raises(GraphFormatError, match="carries its set assignment"):
-        witness_to_json(dataclasses.replace(t112_witness, set_assignment=None))
+WRITER_REFUSAL = "a witness file holds its input alone, so only the input's build can be written"
 
 
-def test_the_loader_reads_b0_exactly_when_the_input_has_two_points(k2_witness):
-    # a one-point input has no B0, and any other stores its code string
-    one = witness_to_json(build_witness(graph_from_triples(["p"], [])))
-    assert one["b0"] is None
-    with pytest.raises(GraphFormatError, match="a one-point input has no B0"):
-        witness_from_json({**one, "b0": "1"})
-    two = witness_to_json(k2_witness)
-    with pytest.raises(GraphFormatError, match='"b0" must be a string of 1 [*] C[(]n, 2[)]'):
-        witness_from_json({**two, "b0": None})
-    del two["b0"]
-    with pytest.raises(GraphFormatError, match="must have the keys"):
-        witness_from_json(two)
+def with_base(w, **changes):
+    """`w` with the fields `changes` replaced on its base level."""
+    return dataclasses.replace(w, levels=(dataclasses.replace(w.levels[0], **changes),))
+
+
+def assert_writer_refuses(w, case):
+    with pytest.raises(GraphFormatError) as exc:
+        witness_to_json(w)
+    assert str(exc.value) == WRITER_REFUSAL, case
+
+
+def test_the_writer_refuses_a_b0_the_loader_would_not_derive(t112_witness):
+    # the file stores the input alone, so a B0 with other labels than the
+    # input's would come back with the input's; the writer refuses it
+    b0 = t112_witness.levels[0].graph
+    doubled = EdgeLabelledGraph._trusted(b0.vertices, tuple(2 * d for d in b0.spectrum()),
+                                         b0.codes, b0.edge_count)
+    relabelled = with_base(t112_witness, graph=doubled)
+    assert relabelled != t112_witness
+    assert_writer_refuses(relabelled, "B0 relabelled")
+
+
+def test_the_writer_refuses_a_copy_the_loader_would_not_derive(t112_witness):
+    # with the copies of y and z swapped, B0 is the same graph and the copy
+    # an isometric one, but the loader would derive each point's own token
+    # set as its copy: the writer refuses the witness
+    copy = t112_witness.levels[0].base_embedding
+    swapped = PartialMap({"x": copy["x"], "y": copy["z"], "z": copy["y"]})
+    w = with_base(t112_witness, base_embedding=swapped)
+    assert w != t112_witness
+    assert_writer_refuses(w, "copies of y and z swapped")
+
+
+def test_the_writer_refuses_a_tower_height_or_level_the_loader_would_not_derive(
+        k2_witness, t112_witness, demo_witness):
+    # the loader derives n = compute_N(input) and builds B0 alone
+    t133 = build_witness(graph_from_triples(["x", "y", "z"], [("x", "y", 1), ("x", "z", 3),
+                                                              ("y", "z", 3)]))
+    refused = {
+        "tower height 4": dataclasses.replace(t112_witness, n=4),
+        "stacked tower": stacked_witness(t112_witness, demo_witness),
+        "a level stored above a clean B0": copied_level_tower(t133),
+        "no levels": dataclasses.replace(k2_witness, levels=()),
+    }
+    for case, w in refused.items():
+        assert_writer_refuses(w, case)
+
+
+def test_the_writer_refuses_what_the_loader_refuses(k2_witness, t112_witness, demo_witness):
+    # a file holds the input alone and the loader gives back its build, so
+    # every other witness is refused with one message, each of these among
+    # them (and those of the three tests above)
+    b0 = t112_witness.levels[0].graph
+    # the first pair of B0 shares no token, so it has no label; in the
+    # final space it is at the distance of class 0, which label 1 is not
+    assert b0.codes[0, 1] == 0 and t112_witness.final.codes[0, 1] != 1
+    t133 = build_witness(graph_from_triples(["x", "y", "z"], [("x", "y", 1), ("x", "z", 3),
+                                                              ("y", "z", 3)]))
+
+    refused = {
+        "levels on a one-point input": demo_witness,
+        "no set assignment": dataclasses.replace(t112_witness, set_assignment=None),
+        "another input's set assignment": dataclasses.replace(
+            k2_witness, set_assignment=t112_witness.set_assignment),
+        "B0 ids renamed": renamed_off_the_copy(t112_witness)[1],
+        "one B0 pair recoded": with_base(t112_witness, graph=recoded(b0, 1)),
+        "one final pair recoded": dataclasses.replace(
+            t112_witness, final=recoded(t112_witness.final, 1)),
+    }
+    for case, w in refused.items():
+        assert w != t112_witness, case
+        assert_writer_refuses(w, case)
+    # and a copy of a build is its input's build
+    for w in (k2_witness, t112_witness, t133):
+        assert witness_to_json(dataclasses.replace(w)) == witness_to_json(w)
 
 
 def test_witness_rejects_structural_damage(k2_witness, tmp_path, capsys):
     good = witness_to_json(k2_witness)
-
-    broken = json.loads(json.dumps(good))
-    broken["b0"] = broken["b0"][:-1]
-    with pytest.raises(GraphFormatError) as exc:
-        witness_from_json(broken)
-    assert '"b0"' in str(exc.value)
 
     broken = json.loads(json.dumps(good))
     broken["input"] = {"vertices": [], "edges": []}
@@ -334,6 +348,7 @@ def test_witness_rejects_structural_damage(k2_witness, tmp_path, capsys):
     # the loader reads exactly the keys the writer writes: facts that older
     # formats stored, and the loader now derives, are refused, not dropped
     extras = [
+        ("b0", "1"),
         ("final", graph_to_codes(k2_witness.final)),
         ("component", list(k2_witness.final.vertices)),
         ("config", {"coherent": True, "search_budget": 10_000_000}),
@@ -370,11 +385,15 @@ def coded_graphs(draw):
     return EdgeLabelledGraph(names, [(u, v, d) for (u, v), d in zip(pairs, labels) if d])
 
 
-def decoded(obj: dict) -> EdgeLabelledGraph:
-    """The graph of a `graph_to_codes` object, its code string decoded on
-    its vertices and labels (`_decode_codes`)."""
-    labels = tuple(map(parse_label, obj["labels"]))
-    return _decode_codes(obj["codes"], tuple(obj["vertices"]), labels, "g")
+def read_codes(obj: dict) -> EdgeLabelledGraph:
+    """The graph of a `graph_to_codes` object, read code by code: the
+    reference reader of the format, which no command reads."""
+    labels = [parse_label(d) for d in obj["labels"]]
+    width = len(str(len(labels)))
+    codes = [int(obj["codes"][i:i + width]) for i in range(0, len(obj["codes"]), width)]
+    pairs = combinations(obj["vertices"], 2)
+    return EdgeLabelledGraph(obj["vertices"],
+                             [(x, y, labels[c - 1]) for (x, y), c in zip(pairs, codes) if c])
 
 
 def string_gather_codes(g: EdgeLabelledGraph) -> str:
@@ -405,11 +424,7 @@ WIDE_CODES = EdgeLabelledGraph([f"v{i:02}" for i in range(15)], [
 ]))
 def test_codes_round_trip(g):
     obj = json.loads(json.dumps(graph_to_codes(g)))
-    again = decoded(obj)
-    assert again == g
-    assert again.edge_count == g.edge_count
-    assert again.spectrum() == g.spectrum()
-    assert graph_to_codes(again) == obj
+    assert read_codes(obj) == g
     assert obj["codes"] == string_gather_codes(g)
     width = len(str(len(g.spectrum())))
     assert len(obj["codes"]) == width * len(g) * (len(g) - 1) // 2
@@ -426,30 +441,6 @@ def test_codes_shape():
         (str(i), str(j), Fraction(10 * i + j)) for i, j in combinations(range(6), 2) if j > 1
     ])
     assert graph_to_codes(many)["codes"] == "00" + "".join(f"{c:02}" for c in range(1, 15))
-
-
-@pytest.mark.parametrize(
-    "obj,fragment",
-    [
-        ({"vertices": ["a", "b"], "labels": ["1"], "codes": "10"}, "must be a string of 1 digits"),
-        ({"vertices": ["a", "b"], "labels": ["1"], "codes": 1}, "must be a string of 1 digits"),
-        ({"vertices": ["a", "b", "c"], "labels": ["1"], "codes": "1x1"}, "code 'x' of pair ('a', 'c')"),
-        ({"vertices": ["a", "b", "c"], "labels": ["1"], "codes": "112"}, "code '2' of pair ('b', 'c')"),
-        ({"vertices": ["a", "b"], "labels": ["1", "2", "3", "4", "5", "6", "7", "8", "9", "10"],
-          "codes": "11"}, "code '11' of pair ('a', 'b')"),
-        ({"vertices": ["a", "b", "c"], "labels": ["1", "2"], "codes": "101"}, "label 2 is on no pair"),
-        # past ASCII ("replace" makes it "?") and below "0" (wraps past 9)
-        ({"vertices": ["a", "b", "c"], "labels": ["1"], "codes": "1é1"}, "code 'é' of pair ('a', 'c')"),
-        ({"vertices": ["a", "b", "c"], "labels": ["1"], "codes": "11/"}, "code '/' of pair ('b', 'c')"),
-        ({"vertices": ["a", "b"], "labels": ["1", "2", "3", "4", "5", "6", "7", "8", "9", "10"],
-          "codes": "01"}, "label 2 is on no pair"),
-    ],
-)
-def test_codes_parse_errors_name_the_offender(obj, fragment):
-    with pytest.raises(GraphFormatError) as exc:
-        decoded(obj)
-    assert fragment in str(exc.value)
-    assert str(exc.value).startswith("g: ")
 
 
 # -- reports ------------------------------------------------------------------
